@@ -1,7 +1,7 @@
 //! Ablation of the verification-engine portfolio, its orchestrator, and
 //! the SAT core underneath.
 //!
-//! Seven sections:
+//! Six sections:
 //!
 //! 1. **Engine ablation** — the checker layers four engines: shallow BMC
 //!    (short counterexamples), k-induction (cheap proofs), IC3/PDR
@@ -35,20 +35,10 @@
 //!    CLI/CI pattern) — with regression asserts that the cached and
 //!    disk-warm re-runs beat the cold runs, render byte-identical reports,
 //!    and that the cold parallel corpus run stays within the PR 3 budget.
-//! 6. **Clause-sharing ablation** — the portfolio race on deterministic
-//!    hard BMC instances: a resolution-hard (unsatisfiable) set asserts
-//!    that glue-bounded clause exchange strictly reduces the portfolio's
-//!    summed conflicts vs. the same race with sharing dry, a
-//!    configuration-sensitive (heavy-tailed) set asserts the shared
-//!    portfolio strictly beats the single-configuration baseline the
-//!    checker used before the portfolio existed, and four corpus runs
-//!    assert the determinism contract (`render()` byte-identical with
-//!    sharing on or off, at 1 and 4 worker threads).
-//! 7. **Telemetry trajectory** — one instrumented corpus pass writing
+//! 6. **Telemetry trajectory** — one instrumented corpus pass writing
 //!    per-run telemetry JSON through the `CheckOptions::telemetry` file
-//!    sink and aggregating the byte-stable deterministic subsets (plus
-//!    the clause-sharing conflict counts, which are machine-independent)
-//!    into `target/BENCH_engine_ablation.json` for commit-over-commit
+//!    sink and aggregating the byte-stable deterministic subsets into
+//!    `target/BENCH_engine_ablation.json` for commit-over-commit
 //!    trajectory diffing.
 //!
 //! All sections assert their guarantees, so a cascade, solver or
@@ -59,16 +49,10 @@
 
 use autosva_bench::{build_testbench, default_check_options, status_counts};
 use autosva_designs::{all_cases, by_id, elaborated, Variant};
-use autosva_formal::aig::{Aig, Lit};
-use autosva_formal::bmc::{
-    check_safety_budgeted, race_safety_budgeted, BmcOptions, RaceOptions, SafetyResult,
-};
+use autosva_formal::bmc::BmcOptions;
 use autosva_formal::checker::{verify_elaborated, CheckOptions, Proof, VerificationReport};
-use autosva_formal::interrupt::Interrupt;
-use autosva_formal::model::{BadProperty, Model};
-use autosva_formal::portfolio::{racer_configs, ProofCache, SharingOptions};
+use autosva_formal::portfolio::ProofCache;
 use autosva_formal::sat::{SatLit, SatResult, Solver, SolverConfig};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -521,306 +505,13 @@ fn orchestrator_ablation() {
     );
 }
 
-/// A pigeonhole BMC model: inputs `p[i][j]` ("pigeon `i` sits in hole
-/// `j`"), bad = "every pigeon sits somewhere and no hole holds two
-/// pigeons".  Combinationally unsatisfiable, so the depth-0 BMC query and
-/// the induction step query are both hard resolution instances — the
-/// regime where glue-bounded clause exchange pays: every racer needs the
-/// same proof, and each shared learnt clause is a lemma of it.
-fn sharing_php_model(holes: usize) -> Model {
-    let mut aig = Aig::new();
-    let p: Vec<Vec<Lit>> = (0..holes + 1)
-        .map(|i| {
-            (0..holes)
-                .map(|j| aig.add_input(format!("p_{i}_{j}")))
-                .collect()
-        })
-        .collect();
-    let mut bad = Lit::TRUE;
-    for row in &p {
-        let mut somewhere = Lit::FALSE;
-        for &l in row {
-            somewhere = aig.or(somewhere, l);
-        }
-        bad = aig.and(bad, somewhere);
-    }
-    for hole in 0..holes {
-        for (i1, row1) in p.iter().enumerate() {
-            for row2 in p.iter().skip(i1 + 1) {
-                let both = aig.and(row1[hole], row2[hole]);
-                bad = aig.and(bad, both.invert());
-            }
-        }
-    }
-    let mut model = Model::new(aig);
-    model.bads.push(BadProperty {
-        name: "php_bad".into(),
-        lit: bad,
-    });
-    model
-}
-
-/// A random 3-SAT BMC model: the formula's variables become inputs and
-/// bad = the conjunction of all clauses, so the depth-0 BMC query *is*
-/// the 3-SAT instance.  At the m/n ≈ 4.26 phase transition these are the
-/// heavy-tailed instances the portfolio targets: which restart /
-/// minimization policy wins varies wildly per instance, so racing
-/// diverse configurations hedges where any single configuration
-/// occasionally stalls.
-fn sharing_threesat_model(seed: u64, num_vars: usize, num_clauses: usize) -> Model {
-    let mut aig = Aig::new();
-    let vars: Vec<Lit> = (0..num_vars)
-        .map(|i| aig.add_input(format!("x{i}")))
-        .collect();
-    let mut state = (seed ^ ((num_vars as u64) << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut bad = Lit::TRUE;
-    for _ in 0..num_clauses {
-        let mut clause = Lit::FALSE;
-        for _ in 0..3 {
-            let v = vars[(next() % num_vars as u64) as usize];
-            clause = aig.or(clause, v.invert_if(next() % 2 != 0));
-        }
-        bad = aig.and(bad, clause);
-    }
-    let mut model = Model::new(aig);
-    model.bads.push(BadProperty {
-        name: "threesat_bad".into(),
-        lit: bad,
-    });
-    model
-}
-
-/// A comparable verdict summary: the race winner's `Violated` trace is a
-/// genuine but not necessarily canonical satisfying assignment (the
-/// checker re-minimizes before reporting), so verdict agreement compares
-/// the kind and depth, not the assignment.
-fn verdict_kind(result: &SafetyResult) -> (u8, usize) {
-    match result {
-        SafetyResult::Proven { induction_depth } => (0, *induction_depth),
-        SafetyResult::Violated(trace) => (1, trace.len()),
-        SafetyResult::Unknown { explored_depth } => (2, *explored_depth),
-        SafetyResult::Interrupted => (3, 0),
-    }
-}
-
-/// Runs the three-racer portfolio on `model` and returns its summed
-/// conflicts, verdict and sharing traffic.  `glue_bound: 0` filters every
-/// learnt clause at export, so it is the sharing-off ("dry") arm of the
-/// same race.
-fn race_conflicts(
-    model: &Model,
-    quantum: u64,
-    glue_bound: u32,
-) -> (u64, SafetyResult, autosva_formal::bmc::SharingTraffic) {
-    let options = BmcOptions {
-        max_depth: 0,
-        max_induction: 0,
-    };
-    let race = RaceOptions {
-        configs: racer_configs(SolverConfig::default(), 3),
-        quantum,
-        glue_bound,
-        lemmas: Vec::new(),
-        seeds: HashMap::new(),
-        pools: None,
-    };
-    let (result, stats, traffic) =
-        race_safety_budgeted(model, 0, &options, &race, &Interrupt::none());
-    (stats.conflicts, result, traffic)
-}
-
-/// Conflicts and verdict of one solver under one configuration on the
-/// same depth-0 instance — the single-configuration baseline every
-/// property task ran before the portfolio existed.
-fn single_conflicts(model: &Model, config: SolverConfig) -> (u64, SafetyResult) {
-    let options = BmcOptions {
-        max_depth: 0,
-        max_induction: 0,
-    };
-    let (result, stats) = check_safety_budgeted(model, 0, &options, config, &Interrupt::none());
-    (stats.conflicts, result)
-}
-
-/// The deterministic clause-sharing summary embedded in the bench
-/// trajectory JSON (all four counts are summed CDCL conflicts — the
-/// solver and the lockstep race are deterministic, so they are
-/// machine-independent).
-struct SharingSummary {
-    resolution_shared: u64,
-    resolution_dry: u64,
-    portfolio: u64,
-    single_config: u64,
-}
-
-fn sharing_ablation() -> SharingSummary {
-    println!("\nClause-sharing ablation: portfolio race on deterministic hard BMC instances");
-    println!("{:-<130}", "");
-
-    // Resolution-hard (unsatisfiable) set: pigeonhole plus random 3-SAT
-    // seeds that land on the unsatisfiable side of the phase transition.
-    // Every racer must build the same refutation, so exchanged clauses
-    // substitute directly for conflicts the importers would otherwise
-    // spend — the same race run dry (glue bound 0 filters every export)
-    // measures what sharing is worth.  The 2048-conflict checker default
-    // quantum would let the first racer finish many of these before the
-    // others ever run; 1024 keeps the racers genuinely interleaved at
-    // this instance scale.
-    let resolution: Vec<(String, Model)> = vec![
-        ("php(8,7)".into(), sharing_php_model(7)),
-        ("php(9,8)".into(), sharing_php_model(8)),
-        (
-            "3sat(150,639) s1".into(),
-            sharing_threesat_model(1, 150, 639),
-        ),
-        (
-            "3sat(150,639) s2".into(),
-            sharing_threesat_model(2, 150, 639),
-        ),
-        (
-            "3sat(150,639) s9".into(),
-            sharing_threesat_model(9, 150, 639),
-        ),
-        (
-            "3sat(150,639) s10".into(),
-            sharing_threesat_model(10, 150, 639),
-        ),
-    ];
-    let mut resolution_shared = 0u64;
-    let mut resolution_dry = 0u64;
-    for (label, model) in &resolution {
-        let (shared, shared_verdict, traffic) = race_conflicts(model, 1024, 4);
-        let (dry, dry_verdict, _) = race_conflicts(model, 1024, 0);
-        assert_eq!(
-            verdict_kind(&shared_verdict),
-            verdict_kind(&dry_verdict),
-            "{label}: sharing changed the race verdict"
-        );
-        assert!(
-            traffic.exported > 0 && traffic.imported > 0,
-            "{label}: no clauses crossed the pool (exported {}, imported {})",
-            traffic.exported,
-            traffic.imported
-        );
-        println!(
-            "{label:<20} race shared {shared:>7} conflicts, dry {dry:>7} ({:.2}x) — exported {:>5}, imported {:>5}",
-            dry as f64 / shared.max(1) as f64,
-            traffic.exported,
-            traffic.imported
-        );
-        resolution_shared += shared;
-        resolution_dry += dry;
-    }
-    println!(
-        "resolution-hard set: shared {resolution_shared} vs. dry {resolution_dry} summed conflicts ({:.2}x)",
-        resolution_dry as f64 / resolution_shared.max(1) as f64
-    );
-    assert!(
-        resolution_shared < resolution_dry,
-        "clause sharing must strictly reduce the portfolio's summed conflicts on the \
-         resolution-hard set (shared {resolution_shared} vs. dry {resolution_dry})"
-    );
-
-    // Configuration-sensitive set: phase-transition instances where the
-    // default configuration stalls and a diverse racer finishes early —
-    // the heavy-tailed regime portfolios exist for (config-insensitive
-    // instances are deliberately excluded: there a race just multiplies
-    // the work by the racer count, which the checker's race gate avoids
-    // by only racing hard properties).  A fine 128-conflict quantum
-    // matches the instance scale, so the best-suited racer wins within a
-    // few turns and the summed conflicts of the whole shared portfolio —
-    // every racer's spend, not just the winner's — undercut the
-    // single-configuration baseline.
-    let sensitive: Vec<(String, Model)> = [3u64, 6, 13, 15, 32]
-        .iter()
-        .map(|&seed| {
-            (
-                format!("3sat(150,639) s{seed}"),
-                sharing_threesat_model(seed, 150, 639),
-            )
-        })
-        .collect();
-    let mut portfolio = 0u64;
-    let mut single_config = 0u64;
-    for (label, model) in &sensitive {
-        let (single, single_verdict) = single_conflicts(model, SolverConfig::default());
-        let (raced, race_verdict, _) = race_conflicts(model, 128, 4);
-        assert_eq!(
-            verdict_kind(&single_verdict),
-            verdict_kind(&race_verdict),
-            "{label}: the race changed the verdict"
-        );
-        println!(
-            "{label:<20} single-config {single:>7} conflicts, shared portfolio {raced:>7} ({:.2}x)",
-            single as f64 / raced.max(1) as f64
-        );
-        portfolio += raced;
-        single_config += single;
-    }
-    println!(
-        "config-sensitive set: shared portfolio {portfolio} vs. single-config baseline \
-         {single_config} summed conflicts ({:.2}x)",
-        single_config as f64 / portfolio.max(1) as f64
-    );
-    assert!(
-        portfolio < single_config,
-        "the shared-clause portfolio must strictly reduce summed conflicts vs. the \
-         single-config baseline on the config-sensitive set (portfolio {portfolio} vs. \
-         single {single_config})"
-    );
-
-    // The determinism contract at corpus scale: sharing on (the default)
-    // and off must render byte-identical reports at 1 and at 4 worker
-    // threads — shared clauses, PDR lemmas and cross-property seeds only
-    // ever strengthen the search, never steer a verdict or a reported
-    // trace.
-    for threads in [1usize, 4] {
-        let (off_time, off_counts, off_renders) = corpus_run(
-            &format!("corpus, sharing off, {threads} thread(s)"),
-            move |o| {
-                o.parallel.threads = threads;
-                o.sharing = SharingOptions::disabled();
-            },
-        );
-        let (on_time, on_counts, on_renders) = corpus_run(
-            &format!("corpus, sharing on, {threads} thread(s)"),
-            move |o| {
-                o.parallel.threads = threads;
-                o.sharing = SharingOptions::default();
-            },
-        );
-        println!("corpus at {threads} thread(s): sharing off {off_time:.1?}, on {on_time:.1?}");
-        assert_eq!(
-            off_counts, on_counts,
-            "sharing changed corpus verdicts at {threads} thread(s)"
-        );
-        assert_eq!(
-            off_renders, on_renders,
-            "sharing changed a corpus report byte at {threads} thread(s)"
-        );
-    }
-
-    SharingSummary {
-        resolution_shared,
-        resolution_dry,
-        portfolio,
-        single_config,
-    }
-}
-
 /// One instrumented corpus pass writing the telemetry trajectory:
 /// per-run JSON reports through the [`CheckOptions::telemetry`] file sink
 /// under `target/bench-telemetry/`, and the aggregated deterministic
-/// subsets — plus the clause-sharing conflict counts of section 6 —
-/// as `target/BENCH_engine_ablation.json` — fixed key order and
+/// subsets as `target/BENCH_engine_ablation.json` — fixed key order and
 /// byte-stable across runs on any machine, so successive commits diff
 /// directly (the `BENCH_*.json` trajectory convention).
-fn write_bench_trajectory(sharing: &SharingSummary) {
+fn write_bench_trajectory() {
     println!("\nTelemetry trajectory: instrumented corpus pass");
     println!("{:-<130}", "");
     // Benches run with the package directory as CWD; anchor the output to
@@ -848,11 +539,6 @@ fn write_bench_trajectory(sharing: &SharingSummary) {
         }
     }
     let mut out = String::from("{\n\"schema\": \"autosva-bench engine_ablation v1\",\n");
-    out.push_str(&format!(
-        "\"sharing\": {{\"resolution_shared_conflicts\": {}, \"resolution_dry_conflicts\": {}, \
-         \"portfolio_conflicts\": {}, \"single_config_conflicts\": {}}},\n",
-        sharing.resolution_shared, sharing.resolution_dry, sharing.portfolio, sharing.single_config
-    ));
     out.push_str("\"runs\": [\n");
     for (i, (tag, det)) in entries.iter().enumerate() {
         if i > 0 {
@@ -926,6 +612,5 @@ fn main() {
     opt_ablation();
     simulation_ablation();
     orchestrator_ablation();
-    let sharing = sharing_ablation();
-    write_bench_trajectory(&sharing);
+    write_bench_trajectory();
 }

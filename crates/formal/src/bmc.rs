@@ -5,16 +5,16 @@
 //!   proof strengthened with simple-path (loop-free) constraints, which makes
 //!   the method complete for finite-state designs given enough depth.
 //! * [`check_cover`] searches for a witness trace reaching a cover target.
+//!
+//! Both run one loop over a target literal ([`check_target_budgeted`]):
+//! reaching a bad state is a counterexample, reaching a cover a witness.
 
 use crate::aig::Lit;
-use crate::interrupt::{Interrupt, InterruptReason};
+use crate::interrupt::Interrupt;
 use crate::model::Model;
-use crate::pdr::FrameLemma;
-use crate::sat::{ClausePool, SatLit, SolverConfig, SolverStats};
+use crate::sat::{SolverConfig, SolverStats};
 use crate::trace::Trace;
-use crate::unroll::{SeedHint, Unroller};
-use std::collections::HashMap;
-use std::sync::Arc;
+use crate::unroll::Unroller;
 
 /// Options controlling the bounded engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,22 +163,36 @@ pub fn check_safety_budgeted(
     solver: SolverConfig,
     interrupt: &Interrupt,
 ) -> (SafetyResult, SolverStats) {
-    let _span = crate::telemetry::span("bmc.solve", &model.bads[bad_index].name);
-    let (result, stats) = check_safety_impl(model, bad_index, options, solver, interrupt);
-    crate::telemetry::count_solver("bmc", &stats);
-    (result, stats)
+    let bad = &model.bads[bad_index];
+    check_target_budgeted(model, bad.lit, &bad.name, options, solver, interrupt)
 }
 
-/// The uninstrumented BMC + k-induction loop behind [`check_safety_detailed`].
-fn check_safety_impl(
+/// The question every bounded check asks: can `target` be reached on
+/// `model`?  A reached target comes back as [`SafetyResult::Violated`]
+/// with its trace, an unreachable one as [`SafetyResult::Proven`] at the
+/// closing induction depth.  `name` labels the telemetry span.
+pub fn check_target_budgeted(
     model: &Model,
-    bad_index: usize,
+    target: Lit,
+    name: &str,
     options: &BmcOptions,
     solver: SolverConfig,
     interrupt: &Interrupt,
 ) -> (SafetyResult, SolverStats) {
-    let bad = model.bads[bad_index].lit;
+    let _span = crate::telemetry::span("bmc.solve", name);
+    let (result, stats) = check_target_impl(model, target, options, solver, interrupt);
+    crate::telemetry::count_solver("bmc", &stats);
+    (result, stats)
+}
 
+/// The uninstrumented BMC + k-induction loop behind [`check_target_budgeted`].
+fn check_target_impl(
+    model: &Model,
+    bad: Lit,
+    options: &BmcOptions,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (SafetyResult, SolverStats) {
     // Phase 1: BMC — look for a counterexample with increasing depth.
     let mut bmc = Unroller::with_config(&model.aig, true, solver);
     let mut induction = Induction::new(model, bad, solver);
@@ -326,334 +340,6 @@ impl<'a> Induction<'a> {
     }
 }
 
-/// Clause traffic through the shared learnt-clause pools of one
-/// portfolio race (see [`race_safety_budgeted`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharingTraffic {
-    /// Learnt clauses accepted into the shared pools.
-    pub exported: u64,
-    /// Shared clauses attached by an importing solver.
-    pub imported: u64,
-    /// Export candidates rejected by the glue bound or deduplication.
-    pub filtered: u64,
-}
-
-/// Parameters of a clause-sharing portfolio race (see
-/// [`race_safety_budgeted`]).
-#[derive(Debug, Clone)]
-pub struct RaceOptions {
-    /// One racer per configuration, taking round-robin turns.  An empty
-    /// list degenerates to a single default-configuration racer.
-    pub configs: Vec<SolverConfig>,
-    /// Conflict budget of one racer turn.  Clamped to at least 1.
-    pub quantum: u64,
-    /// LBD bound above which learnt clauses are not shared (see
-    /// [`ClausePool::new`]).
-    pub glue_bound: u32,
-    /// Reachability lemmas harvested from an inconclusive PDR run on the
-    /// same cone, asserted into every racer's BMC unrolling (frames
-    /// `0..=through` only, where each is implied).
-    pub lemmas: Vec<FrameLemma>,
-    /// Cross-property phase/activity seeds from a COI-overlapping
-    /// sibling cone, installed on every racer (see
-    /// [`crate::unroll::SeedHint`]).
-    pub seeds: HashMap<usize, SeedHint>,
-    /// Externally shared `(bmc, induction-step)` pools — typically from a
-    /// [`crate::portfolio::SharedPools`] registry keyed by COI
-    /// fingerprint, so a race on a content-identical cone imports the
-    /// sibling's clauses instead of starting cold.  `None` gives the
-    /// race fresh private pools.
-    pub pools: Option<(Arc<ClausePool>, Arc<ClausePool>)>,
-}
-
-/// Asserts the PDR frame lemmas that cover BMC frame `frame`.
-///
-/// A lemma with level `through` holds in every state reachable within
-/// `through` steps; BMC frame `frame` (initial states constrained)
-/// contains only states reachable in exactly `frame` steps, so the
-/// clause is implied whenever `frame <= through`.  Implied clauses can
-/// prune search but never flip a verdict: a satisfying assignment at any
-/// depth encodes a genuine execution, and every state on it satisfies
-/// the lemmas covering its frame.
-fn apply_lemmas(unroller: &mut Unroller<'_>, lemmas: &[FrameLemma], frame: usize) {
-    for lemma in lemmas {
-        if lemma.through < frame {
-            continue;
-        }
-        let clause: Vec<SatLit> = lemma
-            .clause
-            .iter()
-            .map(|&l| unroller.lit_in_frame(l, frame))
-            .collect();
-        unroller.add_clause(&clause);
-    }
-}
-
-/// What one racer turn produced.
-enum TurnOutcome {
-    /// The racer reached a verdict; the race is over.
-    Won(SafetyResult),
-    /// The turn's conflict quantum ran out; the racer is resumable.
-    Quantum,
-    /// The parent deadline or cancellation fired; the whole race stops.
-    RaceInterrupted,
-}
-
-/// Maps a fired per-turn interrupt to a turn outcome: the quantum is the
-/// turn interrupt's own budget, everything else (deadline, cancellation)
-/// is inherited from the parent and ends the race.
-fn interruption(reason: InterruptReason) -> TurnOutcome {
-    match reason {
-        InterruptReason::Budget => TurnOutcome::Quantum,
-        InterruptReason::Timeout | InterruptReason::Cancelled => TurnOutcome::RaceInterrupted,
-    }
-}
-
-/// Which solve a racer runs next at its current depth.
-enum RacerPhase {
-    /// The bounded counterexample query.
-    Bmc,
-    /// The k-induction step query (the depth's BMC query was unsat).
-    Induction,
-}
-
-/// One portfolio contestant: a full BMC + k-induction cascade instance
-/// with its own solver configuration, advanced one conflict quantum at a
-/// time by [`race_safety_budgeted`].
-///
-/// Every racer walks the *same* `(depth, phase)` trajectory as the plain
-/// [`check_safety_detailed`] loop: per-depth satisfiability and
-/// step-holds answers are semantic properties of the model, independent
-/// of solver configuration and of any implied clauses imported from the
-/// shared pool.  Racers therefore differ only in how fast they get
-/// there (and in which satisfying assignment a `Violated` verdict
-/// carries — callers canonicalize the trace; see the checker).
-struct Racer<'a> {
-    bmc: Unroller<'a>,
-    induction: Induction<'a>,
-    depth: usize,
-    phase: RacerPhase,
-    /// Deepest BMC frame whose invariant constraints and PDR lemmas have
-    /// been asserted; guards against duplicate assertion when a turn
-    /// resumes at a depth it already prepared.
-    applied: Option<usize>,
-    /// The per-turn interrupt most recently armed on this racer's
-    /// solvers.  Losers are cancelled by firing it, which also bars any
-    /// further clause exports (the solver's export gate checks the
-    /// latch).
-    turn_interrupt: Interrupt,
-}
-
-impl<'a> Racer<'a> {
-    fn new(
-        model: &'a Model,
-        bad: Lit,
-        config: SolverConfig,
-        bmc_pool: &Arc<ClausePool>,
-        step_pool: &Arc<ClausePool>,
-        seeds: &HashMap<usize, SeedHint>,
-    ) -> Self {
-        let mut bmc = Unroller::with_config(&model.aig, true, config);
-        bmc.attach_pool(Arc::clone(bmc_pool));
-        let mut induction = Induction::new(model, bad, config);
-        induction.unroller.attach_pool(Arc::clone(step_pool));
-        if !seeds.is_empty() {
-            bmc.set_seed_hints(seeds.clone());
-            induction.unroller.set_seed_hints(seeds.clone());
-        }
-        Racer {
-            bmc,
-            induction,
-            depth: 0,
-            phase: RacerPhase::Bmc,
-            applied: None,
-            turn_interrupt: Interrupt::none(),
-        }
-    }
-
-    fn stats(&self) -> SolverStats {
-        self.bmc.stats() + self.induction.stats()
-    }
-
-    fn conflicts(&self) -> u64 {
-        self.bmc.stats().conflicts + self.induction.stats().conflicts
-    }
-
-    /// Installs a fresh per-turn interrupt on both solvers.
-    fn arm(&mut self, turn: Interrupt) {
-        self.bmc.set_interrupt(turn.clone());
-        self.induction.unroller.set_interrupt(turn.clone());
-        self.turn_interrupt = turn;
-    }
-
-    /// Advances this racer until it reaches a verdict or its turn
-    /// interrupt fires.  Resumable: a turn ended by its quantum picks up
-    /// at the same `(depth, phase)` with the incremental solver state
-    /// (and all learnt clauses) intact.
-    fn take_turn(
-        &mut self,
-        model: &Model,
-        bad: Lit,
-        options: &BmcOptions,
-        lemmas: &[FrameLemma],
-        turn: &Interrupt,
-    ) -> TurnOutcome {
-        while self.depth <= options.max_depth {
-            if let Some(reason) = turn.poll() {
-                return interruption(reason);
-            }
-            let depth = self.depth;
-            match self.phase {
-                RacerPhase::Bmc => {
-                    if self.applied < Some(depth) {
-                        apply_constraints(&mut self.bmc, &model.constraints, depth);
-                        apply_lemmas(&mut self.bmc, lemmas, depth);
-                        self.applied = Some(depth);
-                    }
-                    if self.bmc.solve_with(&[(bad, depth, true)]) {
-                        // A satisfiable answer is a genuine model even if
-                        // the interrupt fired concurrently.
-                        let trace = extract_trace(model, &mut self.bmc, depth);
-                        return TurnOutcome::Won(SafetyResult::Violated(trace));
-                    }
-                    if let Some(reason) = turn.triggered() {
-                        // "No counterexample" may be an interrupted solve
-                        // in disguise; never advance past it.
-                        return interruption(reason);
-                    }
-                    if depth <= options.max_induction && try_induction_at(depth) {
-                        self.phase = RacerPhase::Induction;
-                    } else {
-                        self.depth += 1;
-                    }
-                }
-                RacerPhase::Induction => {
-                    let holds = self.induction.step_holds(depth);
-                    if let Some(reason) = turn.triggered() {
-                        // `step_holds` negates a boolean solve: an
-                        // interrupted query would read as "step holds".
-                        return interruption(reason);
-                    }
-                    if holds {
-                        return TurnOutcome::Won(SafetyResult::Proven {
-                            induction_depth: depth,
-                        });
-                    }
-                    self.phase = RacerPhase::Bmc;
-                    self.depth += 1;
-                }
-            }
-        }
-        TurnOutcome::Won(SafetyResult::Unknown {
-            explored_depth: options.max_depth,
-        })
-    }
-}
-
-/// Races diverse solver configurations on one bad-state property with
-/// glue-bounded learnt-clause sharing: first answer wins, losers are
-/// cancelled through the [`Interrupt`] handle of their last turn.
-///
-/// The race is deterministic single-threaded lockstep: racers take
-/// round-robin turns of `quantum` conflicts each, exchanging learnt
-/// clauses through two shared [`ClausePool`]s (one for the BMC
-/// unrollings, one for the induction-step unrollings — within each
-/// group every racer builds the identical variable numbering, so
-/// clauses transfer verbatim).  Because per-depth SAT answers are
-/// semantic, sharing and racer diversity can only shorten the search,
-/// never change the verdict — `Proven`/`Unknown` results are identical
-/// to [`check_safety_budgeted`] with any single configuration, and a
-/// `Violated` result carries a genuine (but not canonical) trace the
-/// caller re-derives with a deterministic single-config solve.
-///
-/// The parent `interrupt` spans the whole race: its deadline and
-/// cancellation flag are re-armed on every per-turn child handle, and
-/// its step budget is charged with each turn's conflicts.
-///
-/// # Panics
-///
-/// Panics if `bad_index` is out of range.
-pub fn race_safety_budgeted(
-    model: &Model,
-    bad_index: usize,
-    options: &BmcOptions,
-    race: &RaceOptions,
-    interrupt: &Interrupt,
-) -> (SafetyResult, SolverStats, SharingTraffic) {
-    let _span = crate::telemetry::span("bmc.solve", &model.bads[bad_index].name);
-    if race.configs.is_empty() {
-        // Degenerate race: fall back to the plain single-solver loop.
-        let (result, stats) = check_safety_impl(
-            model,
-            bad_index,
-            options,
-            SolverConfig::default(),
-            interrupt,
-        );
-        crate::telemetry::count_solver("bmc", &stats);
-        return (result, stats, SharingTraffic::default());
-    }
-    let bad = model.bads[bad_index].lit;
-    let (bmc_pool, step_pool) = match &race.pools {
-        Some((bmc, step)) => (Arc::clone(bmc), Arc::clone(step)),
-        None => (
-            Arc::new(ClausePool::new(race.glue_bound)),
-            Arc::new(ClausePool::new(race.glue_bound)),
-        ),
-    };
-    // Shared registry pools carry traffic from earlier races; report only
-    // this race's contribution.
-    let base = SharingTraffic {
-        exported: bmc_pool.exported() + step_pool.exported(),
-        imported: bmc_pool.imported() + step_pool.imported(),
-        filtered: bmc_pool.filtered() + step_pool.filtered(),
-    };
-    let quantum = race.quantum.max(1);
-    let mut racers: Vec<Racer<'_>> = race
-        .configs
-        .iter()
-        .map(|&config| Racer::new(model, bad, config, &bmc_pool, &step_pool, &race.seeds))
-        .collect();
-    let verdict = 'race: loop {
-        for racer in &mut racers {
-            if interrupt.poll().is_some() {
-                break 'race SafetyResult::Interrupted;
-            }
-            let turn = Interrupt::new(
-                interrupt.deadline(),
-                Some(quantum),
-                interrupt.cancel_handle(),
-            );
-            racer.arm(turn.clone());
-            let before = racer.conflicts();
-            let outcome = racer.take_turn(model, bad, options, &race.lemmas, &turn);
-            let spent = racer.conflicts().saturating_sub(before);
-            interrupt.charge(spent);
-            match outcome {
-                TurnOutcome::Won(result) => break 'race result,
-                TurnOutcome::Quantum => {}
-                TurnOutcome::RaceInterrupted => break 'race SafetyResult::Interrupted,
-            }
-        }
-    };
-    // First answer wins: every other racer is cancelled through its last
-    // turn's interrupt handle, which (via the export gate in the solver)
-    // also bars any clause it might still derive from entering the pool.
-    for racer in &racers {
-        racer.turn_interrupt.fire(InterruptReason::Cancelled);
-    }
-    let stats = racers
-        .iter()
-        .fold(SolverStats::default(), |acc, r| acc + r.stats());
-    let traffic = SharingTraffic {
-        exported: (bmc_pool.exported() + step_pool.exported()).saturating_sub(base.exported),
-        imported: (bmc_pool.imported() + step_pool.imported()).saturating_sub(base.imported),
-        filtered: (bmc_pool.filtered() + step_pool.filtered()).saturating_sub(base.filtered),
-    };
-    crate::telemetry::count_solver("bmc", &stats);
-    (verdict, stats, traffic)
-}
-
 /// Checks a cover property of `model`.
 ///
 /// # Panics
@@ -683,61 +369,16 @@ pub fn check_cover_budgeted(
     solver: SolverConfig,
     interrupt: &Interrupt,
 ) -> (CoverResult, SolverStats) {
-    let _span = crate::telemetry::span("bmc.solve", &model.covers[cover_index].name);
-    let (result, stats) = check_cover_impl(model, cover_index, options, solver, interrupt);
-    crate::telemetry::count_solver("bmc", &stats);
+    let cover = &model.covers[cover_index];
+    let (result, stats) =
+        check_target_budgeted(model, cover.lit, &cover.name, options, solver, interrupt);
+    let result = match result {
+        SafetyResult::Violated(trace) => CoverResult::Covered(trace),
+        SafetyResult::Proven { .. } => CoverResult::Unreachable,
+        SafetyResult::Unknown { explored_depth } => CoverResult::Unknown { explored_depth },
+        SafetyResult::Interrupted => CoverResult::Interrupted,
+    };
     (result, stats)
-}
-
-/// The uninstrumented BMC + unreachability loop behind [`check_cover_detailed`].
-fn check_cover_impl(
-    model: &Model,
-    cover_index: usize,
-    options: &BmcOptions,
-    solver: SolverConfig,
-    interrupt: &Interrupt,
-) -> (CoverResult, SolverStats) {
-    let target = model.covers[cover_index].lit;
-    let mut bmc = Unroller::with_config(&model.aig, true, solver);
-    let mut induction = Induction::new(model, target, solver);
-    bmc.set_interrupt(interrupt.clone());
-    induction.unroller.set_interrupt(interrupt.clone());
-    for depth in 0..=options.max_depth {
-        #[cfg(any(test, feature = "fault-injection"))]
-        crate::faults::point("bmc.depth_step");
-        if interrupt.poll().is_some() {
-            return (CoverResult::Interrupted, bmc.stats() + induction.stats());
-        }
-        apply_constraints(&mut bmc, &model.constraints, depth);
-        if bmc.solve_with(&[(target, depth, true)]) {
-            let trace = extract_trace(model, &mut bmc, depth);
-            let stats = bmc.stats() + induction.stats();
-            return (CoverResult::Covered(trace), stats);
-        }
-        if interrupt.triggered().is_some() {
-            return (CoverResult::Interrupted, bmc.stats() + induction.stats());
-        }
-        if depth <= options.max_induction && try_induction_at(depth) && induction.step_holds(depth)
-        {
-            let stats = bmc.stats() + induction.stats();
-            if interrupt.triggered().is_some() {
-                // An interrupted step query must not become an
-                // unreachability proof (see check_safety_impl).
-                return (CoverResult::Interrupted, stats);
-            }
-            return (CoverResult::Unreachable, stats);
-        }
-        if interrupt.triggered().is_some() {
-            return (CoverResult::Interrupted, bmc.stats() + induction.stats());
-        }
-    }
-    let stats = bmc.stats() + induction.stats();
-    (
-        CoverResult::Unknown {
-            explored_depth: options.max_depth,
-        },
-        stats,
-    )
 }
 
 #[cfg(test)]
@@ -914,284 +555,6 @@ mod tests {
             },
         );
         assert_eq!(result, SafetyResult::Unknown { explored_depth: 3 });
-    }
-
-    /// A 3-racer portfolio with a small quantum so races of the test
-    /// fixtures genuinely interleave turns.
-    fn small_race() -> RaceOptions {
-        RaceOptions {
-            configs: vec![
-                SolverConfig::default(),
-                SolverConfig {
-                    restart_base: 30,
-                    reduce_base: 1000,
-                    ..SolverConfig::default()
-                },
-                SolverConfig::baseline(),
-            ],
-            quantum: 8,
-            glue_bound: 4,
-            lemmas: Vec::new(),
-            seeds: HashMap::new(),
-            pools: None,
-        }
-    }
-
-    #[test]
-    fn race_agrees_with_single_solver_on_every_verdict_kind() {
-        // Violated: counter value 5 reached at frame 5 (the model has no
-        // inputs, so even the trace is unique).
-        let (mut model, bits) = saturating_counter();
-        let b = {
-            let aig = &mut model.aig;
-            let not1 = bits[1].invert();
-            let t = aig.and(bits[0], not1);
-            aig.and(t, bits[2])
-        };
-        model.bads.push(BadProperty {
-            name: "reaches_five".into(),
-            lit: b,
-        });
-        let options = BmcOptions::default();
-        let expected = check_safety(&model, 0, &options);
-        let (raced, _, _) =
-            race_safety_budgeted(&model, 0, &options, &small_race(), &Interrupt::none());
-        assert_eq!(raced, expected);
-        assert!(raced.is_violated());
-
-        // Proven: the saturation invariant, same induction depth.
-        let (mut model, bits) = saturating_counter();
-        let (was, all_ones) = {
-            let aig = &mut model.aig;
-            let all_ones = aig.and_many(&bits);
-            let was = aig.add_latch("was_saturated", false);
-            let next = aig.or(was, all_ones);
-            aig.set_latch_next(was, next);
-            (was, all_ones)
-        };
-        let bad = {
-            let aig = &mut model.aig;
-            aig.and(was, all_ones.invert())
-        };
-        model.bads.push(BadProperty {
-            name: "saturation_sticks".into(),
-            lit: bad,
-        });
-        let expected = check_safety(&model, 0, &options);
-        let (raced, _, _) =
-            race_safety_budgeted(&model, 0, &options, &small_race(), &Interrupt::none());
-        assert_eq!(raced, expected);
-        assert!(raced.is_proven());
-
-        // Unknown: bound too small for the reachable bad state.
-        let (mut model, bits) = saturating_counter();
-        let b = {
-            let aig = &mut model.aig;
-            aig.and_many(&bits)
-        };
-        model.bads.push(BadProperty {
-            name: "saturated".into(),
-            lit: b,
-        });
-        let tiny = BmcOptions {
-            max_depth: 3,
-            max_induction: 3,
-        };
-        let (raced, _, _) =
-            race_safety_budgeted(&model, 0, &tiny, &small_race(), &Interrupt::none());
-        assert_eq!(raced, SafetyResult::Unknown { explored_depth: 3 });
-    }
-
-    #[test]
-    fn race_verdict_is_independent_of_quantum_and_config_order() {
-        let (mut model, bits) = saturating_counter();
-        let b = {
-            let aig = &mut model.aig;
-            let t = aig.and(bits[0], bits[1]);
-            aig.and(t, bits[2].invert())
-        };
-        model.bads.push(BadProperty {
-            name: "reaches_three".into(),
-            lit: b,
-        });
-        let options = BmcOptions::default();
-        let baseline = check_safety(&model, 0, &options);
-        for quantum in [1, 8, 1 << 20] {
-            let mut race = small_race();
-            race.quantum = quantum;
-            let (forward, _, _) =
-                race_safety_budgeted(&model, 0, &options, &race, &Interrupt::none());
-            race.configs.reverse();
-            let (reversed, _, _) =
-                race_safety_budgeted(&model, 0, &options, &race, &Interrupt::none());
-            assert_eq!(forward, baseline, "quantum {quantum}");
-            assert_eq!(reversed, baseline, "quantum {quantum} reversed");
-        }
-    }
-
-    #[test]
-    fn race_respects_parent_deadline_and_cancellation() {
-        let (mut model, bits) = saturating_counter();
-        let b = {
-            let aig = &mut model.aig;
-            aig.and_many(&bits)
-        };
-        model.bads.push(BadProperty {
-            name: "saturated".into(),
-            lit: b,
-        });
-        let options = BmcOptions::default();
-        // An already-expired deadline stops the race before any turn.
-        let expired = Interrupt::new(Some(std::time::Instant::now()), None, None);
-        let (result, _, traffic) =
-            race_safety_budgeted(&model, 0, &options, &small_race(), &expired);
-        assert_eq!(result, SafetyResult::Interrupted);
-        assert_eq!(traffic.exported, 0, "no turn ran, nothing may be shared");
-        // A raised run-wide cancellation flag does the same.
-        let flag = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let cancelled = Interrupt::new(None, None, Some(flag));
-        let (result, _, _) = race_safety_budgeted(&model, 0, &options, &small_race(), &cancelled);
-        assert_eq!(result, SafetyResult::Interrupted);
-    }
-
-    #[test]
-    fn race_with_pdr_lemmas_keeps_verdicts() {
-        // Lemma: "not all ones" holds through frame 6 (value 7 is first
-        // reached at frame 7).  The violation at depth 7 must survive the
-        // lemma, and a provable property must stay proven.
-        let (mut model, bits) = saturating_counter();
-        let b = {
-            let aig = &mut model.aig;
-            aig.and_many(&bits)
-        };
-        model.bads.push(BadProperty {
-            name: "saturated".into(),
-            lit: b,
-        });
-        let lemma = FrameLemma {
-            clause: bits.iter().map(|l| l.invert()).collect(),
-            through: 6,
-        };
-        let mut race = small_race();
-        race.lemmas = vec![lemma.clone()];
-        let options = BmcOptions {
-            max_depth: 10,
-            max_induction: 0,
-        };
-        let (result, _, _) = race_safety_budgeted(&model, 0, &options, &race, &Interrupt::none());
-        match result {
-            SafetyResult::Violated(trace) => assert_eq!(trace.len(), 8),
-            other => panic!("expected the depth-7 violation, got {other:?}"),
-        }
-
-        // Proven case with the same lemma installed.
-        let (mut model, bits) = saturating_counter();
-        let (was, all_ones) = {
-            let aig = &mut model.aig;
-            let all_ones = aig.and_many(&bits);
-            let was = aig.add_latch("was_saturated", false);
-            let next = aig.or(was, all_ones);
-            aig.set_latch_next(was, next);
-            (was, all_ones)
-        };
-        let bad = {
-            let aig = &mut model.aig;
-            aig.and(was, all_ones.invert())
-        };
-        model.bads.push(BadProperty {
-            name: "saturation_sticks".into(),
-            lit: bad,
-        });
-        let expected = check_safety(&model, 0, &BmcOptions::default());
-        race.lemmas = vec![lemma];
-        let (raced, _, _) =
-            race_safety_budgeted(&model, 0, &BmcOptions::default(), &race, &Interrupt::none());
-        assert_eq!(raced, expected);
-    }
-
-    #[test]
-    fn race_with_seed_hints_keeps_verdicts() {
-        let (mut model, bits) = saturating_counter();
-        let b = {
-            let aig = &mut model.aig;
-            let not1 = bits[1].invert();
-            let t = aig.and(bits[0], not1);
-            aig.and(t, bits[2])
-        };
-        model.bads.push(BadProperty {
-            name: "reaches_five".into(),
-            lit: b,
-        });
-        let options = BmcOptions::default();
-        let expected = check_safety(&model, 0, &options);
-        let mut race = small_race();
-        // Deliberately misleading hints: phases and boosts must steer
-        // search order only, never the verdict.
-        race.seeds = bits
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                (
-                    l.node(),
-                    SeedHint {
-                        phase: i % 2 == 0,
-                        boost: 2.0,
-                    },
-                )
-            })
-            .collect();
-        let (raced, _, _) = race_safety_budgeted(&model, 0, &options, &race, &Interrupt::none());
-        assert_eq!(raced, expected);
-    }
-
-    #[test]
-    fn warm_pools_preserve_verdicts_across_repeated_races() {
-        // Two races on the same model share one pool pair (the
-        // fingerprint-keyed registry case): the second race imports the
-        // first race's clauses and must reach the identical verdict.
-        let (mut model, bits) = saturating_counter();
-        let b = {
-            let aig = &mut model.aig;
-            let not1 = bits[1].invert();
-            let t = aig.and(bits[0], not1);
-            aig.and(t, bits[2])
-        };
-        model.bads.push(BadProperty {
-            name: "reaches_five".into(),
-            lit: b,
-        });
-        let options = BmcOptions::default();
-        let expected = check_safety(&model, 0, &options);
-        let mut race = small_race();
-        race.pools = Some((
-            Arc::new(ClausePool::new(race.glue_bound)),
-            Arc::new(ClausePool::new(race.glue_bound)),
-        ));
-        let (first, _, _) = race_safety_budgeted(&model, 0, &options, &race, &Interrupt::none());
-        let (second, _, _) = race_safety_budgeted(&model, 0, &options, &race, &Interrupt::none());
-        assert_eq!(first, expected);
-        assert_eq!(second, expected);
-    }
-
-    #[test]
-    fn empty_config_race_falls_back_to_single_solver() {
-        let (mut model, _) = saturating_counter();
-        model.bads.push(BadProperty {
-            name: "never".into(),
-            lit: Lit::FALSE,
-        });
-        let race = RaceOptions {
-            configs: Vec::new(),
-            quantum: 8,
-            glue_bound: 4,
-            lemmas: Vec::new(),
-            seeds: HashMap::new(),
-            pools: None,
-        };
-        let (result, _, traffic) =
-            race_safety_budgeted(&model, 0, &BmcOptions::default(), &race, &Interrupt::none());
-        assert!(result.is_proven());
-        assert_eq!(traffic, SharingTraffic::default());
     }
 
     #[test]

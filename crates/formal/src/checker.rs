@@ -2,13 +2,26 @@
 //!
 //! [`verify`] runs an AutoSVA-generated formal testbench against its DUT: it
 //! elaborates the RTL, compiles the testbench into a [`crate::model::Model`],
-//! and checks every property through the engine cascade — shallow BMC for
-//! short counterexamples, k-induction for cheap proofs, the IC3/PDR engine
-//! for reachability-dependent proofs (returning an inductive-invariant
-//! certificate), and the exact explicit-state engine as the last resort —
-//! then collects everything into a [`VerificationReport`] that mirrors how
-//! the paper reports results (proof rate, counterexamples, trace lengths,
-//! runtimes).
+//! checks every property through the engine cascade, and collects
+//! everything into a [`VerificationReport`] that mirrors how the paper
+//! reports results (proof rate, counterexamples, trace lengths, runtimes).
+//!
+//! Every checked property — safety assertion, cover, or liveness
+//! obligation on its liveness-to-safety product — asks one question: can
+//! its target literal be reached?  One loop walks one stage list to answer
+//! it, stopping at the first stage that decides:
+//!
+//! 1. **cache** — a re-validated proof-cache hit;
+//! 2. **fuzz** — the bit-parallel stimulus fuzzer (safety only);
+//! 3. **quick BMC** — shallow BMC for short counterexamples plus
+//!    k-induction for cheap proofs;
+//! 4. **PDR** — IC3/PDR for reachability-dependent proofs, with an
+//!    inductive-invariant certificate;
+//! 5. **explicit** — the exact explicit-state engine;
+//! 6. **full-depth BMC** — BMC and k-induction to the configured bounds.
+//!
+//! The stage that decides a property is its provenance
+//! ([`PropertyResult::engine`]).
 //!
 //! Properties are independent tasks: by default each one is checked on its
 //! own cone-of-influence slice ([`crate::coi`]) and the tasks run
@@ -20,33 +33,24 @@
 //! buggy/fixed design variants or repeated bench iterations).
 
 use crate::aig::Lit;
-use crate::bmc::{
-    check_cover_budgeted, check_safety_budgeted, race_safety_budgeted, BmcOptions, CoverResult,
-    RaceOptions, SafetyResult,
-};
-use crate::coi::{
-    cone_of_influence, fingerprint, signature_overlap, state_signature, Fingerprint, SliceTarget,
-};
+use crate::bmc::{check_safety_budgeted, check_target_budgeted, BmcOptions, SafetyResult};
+use crate::coi::{cone_of_influence, fingerprint, Fingerprint, SliceTarget};
 use crate::compile::{compile, CompiledKind, CompiledTestbench};
 use crate::elab::{elaborate_budgeted, ElabDesign, ElabOptions, Result};
 use crate::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
 use crate::fuzz::{fuzz_safety_budgeted, FuzzOptions, FuzzStats};
 use crate::interrupt::{self, Interrupt, InterruptReason};
 use crate::lint::{LintOptions, LintReport};
-use crate::model::{LivenessSafetyModel, Model};
-use crate::pdr::{
-    check_pdr_budgeted, check_pdr_budgeted_lemmas, FrameLemma, PdrOptions, PdrResult,
-};
+use crate::model::Model;
+use crate::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use crate::portfolio::{
-    racer_configs, run_ordered, CacheKey, CacheStats, CachedOutcome, CachedVerdict,
-    ParallelOptions, PoolKind, ProofCache, SharedPools, SharingOptions,
+    run_ordered, CacheKey, CacheStats, CachedOutcome, CachedVerdict, ParallelOptions, ProofCache,
 };
 use crate::sat::{SolverConfig, SolverStats};
 use crate::telemetry::{
     self, RunSummary, Telemetry, TelemetryOptions, TelemetryReport, VerdictCounts,
 };
 use crate::trace::Trace;
-use crate::unroll::SeedHint;
 use crate::vcd::VcdOptions;
 use autosva::sva::{Directive, PropertyClass};
 use autosva::FormalTestbench;
@@ -128,17 +132,6 @@ pub struct CheckOptions {
     /// exceeding it fails the run with a phase-naming error.  `None`
     /// (the default) leaves the front end unbudgeted.
     pub frontend_timeout: Option<Duration>,
-    /// The clause-sharing SAT portfolio raced on hard properties: when
-    /// enabled (the default, 2–4 diverse solver configurations), the
-    /// full-depth BMC/k-induction stage races the configurations in
-    /// deterministic lockstep, exchanging learnt clauses through a shared
-    /// pool keyed by the slice fingerprint, with PDR's frame lemmas and
-    /// cross-property phase/activity seeds warming the search.  Verdicts —
-    /// and [`VerificationReport::render`] — are byte-identical with
-    /// sharing on or off: imported clauses only ever strengthen, never
-    /// change, answers, and counterexamples are re-canonicalized to the
-    /// minimal single-solver trace.
-    pub sharing: SharingOptions,
 }
 
 /// Proof-cache persistence knobs (part of [`CheckOptions`]).
@@ -186,7 +179,6 @@ impl Default for CheckOptions {
             lint: LintOptions::default(),
             telemetry: TelemetryOptions::default(),
             frontend_timeout: None,
-            sharing: SharingOptions::default(),
         }
     }
 }
@@ -340,12 +332,13 @@ pub struct PropertyResult {
     /// Caveat attached to the outcome (e.g. the bounded-lasso note on an
     /// undecided liveness property, or an exhausted time budget).
     pub note: Option<String>,
-    /// Engine provenance when the verdict came from outside the SAT
-    /// cascade: `Some("fuzz")` marks a violation found by the pre-cascade
-    /// stimulus fuzzer (replay-confirmed, then re-minimized).  Rendered
-    /// only by [`VerificationReport::render_timed`], so
-    /// [`VerificationReport::render`] stays byte-identical with the fuzz
-    /// stage on or off.
+    /// Provenance: the cascade stage that decided the property —
+    /// `"cache"`, `"fuzz"`, `"bmc"` (quick or full-depth BMC and
+    /// k-induction), `"pdr"` or `"explicit"`; `None` when nothing decided
+    /// it (unknown, errored and unchecked properties).  Rendered only by
+    /// [`VerificationReport::render_timed`], so
+    /// [`VerificationReport::render`] stays byte-identical whichever stage
+    /// got there first.
     pub engine: Option<&'static str>,
     /// Aggregated SAT-solver counters across every engine stage that ran
     /// for this property (all zeros for cache hits and unchecked
@@ -709,14 +702,11 @@ fn verify_elaborated_inner(
     // even when the handle is a long-lived in-process cache shared across
     // runs (`loaded` stays absolute — it describes the open).
     let cache_base = cache.as_ref().map(|c| c.stats());
-    let seeds = build_seed_plans(&tasks, &options.sharing);
     let ctx = TaskCtx {
         options,
         cache,
         cancel: Arc::new(AtomicBool::new(false)),
         explicit_memo: Mutex::new(HashMap::new()),
-        pools: SharedPools::new(),
-        seeds,
     };
 
     // Register the robustness counters up front so a healthy run's
@@ -748,7 +738,7 @@ fn verify_elaborated_inner(
             .and_then(|limit| Instant::now().checked_add(limit));
         let interrupt = Interrupt::new(deadline, None, Some(ctx.cancel.clone()));
         interrupt::set_task_context(&names[i], interrupt.clone());
-        let outcome = match catch_unwind(AssertUnwindSafe(|| run_task(i, task, &ctx, &interrupt))) {
+        let outcome = match catch_unwind(AssertUnwindSafe(|| run_task(task, &ctx, &interrupt))) {
             Ok(outcome) => outcome,
             Err(payload) => {
                 telemetry::count("robustness.panics_caught", 1);
@@ -761,7 +751,6 @@ fn verify_elaborated_inner(
                         "engine panic isolated to this property; other verdicts are unaffected"
                             .to_string(),
                     ),
-                    SolverStats::default(),
                 )
             }
         };
@@ -788,19 +777,19 @@ fn verify_elaborated_inner(
                 TaskOutcome::new(
                     PropertyStatus::Unknown,
                     Some("not started: the shared cancellation flag was raised".to_string()),
-                    SolverStats::default(),
                 ),
                 Duration::ZERO,
             )
         });
+        let (slice_latches, slice_gates) = task.cone();
         results.push(PropertyResult {
             name: prop.property.full_name(),
             directive: prop.property.directive,
             class: prop.property.class,
             status: outcome.status,
             runtime,
-            slice_latches: task.cone_latches,
-            slice_gates: task.cone_gates,
+            slice_latches,
+            slice_gates,
             note: outcome.note,
             engine: outcome.engine,
             stats: outcome.stats,
@@ -896,39 +885,75 @@ fn verify_elaborated_inner(
     })
 }
 
-/// One property as an independent verification task: the (sliced) model it
-/// runs on, where its target sits in that model, and the slice fingerprint
-/// used for engine sharing and proof caching.
-struct PropertyTask {
-    kind: TaskKind,
-    cone_latches: usize,
-    cone_gates: usize,
-}
-
-enum TaskKind {
+/// One property as an independent verification task.
+enum PropertyTask {
     /// Resolved at compile time (assumptions, X-prop checks).
     Done(PropertyStatus),
-    /// Safety assertion `model.bads[index]`.
-    Safety {
-        model: Arc<Model>,
-        index: usize,
-        fp: Fingerprint,
-    },
-    /// Cover target `model.covers[index]`.
-    Cover {
-        model: Arc<Model>,
-        index: usize,
-        fp: Fingerprint,
-    },
-    /// Liveness obligation `base.liveness[index]`, checked on its
-    /// liveness-to-safety transform (`l2s.model.bads[index]`); the explicit
-    /// engine's SCC analysis runs on `base` with pending monitors.
-    Liveness {
-        base: Arc<Model>,
-        l2s: Arc<LivenessSafetyModel>,
-        index: usize,
-        fp: Fingerprint,
-    },
+    /// Decided by the engine cascade.
+    Check(Target),
+}
+
+impl PropertyTask {
+    /// Latches and AND gates of the cone the property is checked on
+    /// (`(0, 0)` for properties that are not checked).
+    fn cone(&self) -> (usize, usize) {
+        match self {
+            PropertyTask::Done(_) => (0, 0),
+            PropertyTask::Check(target) => {
+                (target.base.aig.num_latches(), target.base.aig.num_ands())
+            }
+        }
+    }
+}
+
+/// The three kinds of checked property.  Each asks the same question — can
+/// its target literal be reached? — and differs only in where that literal
+/// sits and in how the answer is reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Safety assertion: target `model.bads[index]`; reaching it is a
+    /// counterexample.
+    Safety,
+    /// Cover property: target `model.covers[index]`; reaching it is a
+    /// witness.
+    Cover,
+    /// Liveness obligation, checked on its liveness-to-safety product:
+    /// target `model.bads[index]` of the product; reaching it is a
+    /// counterexample lasso.
+    Liveness,
+}
+
+/// A checked property as the cascade sees it.
+struct Target {
+    kind: Kind,
+    /// The model the target literal lives on (the L2S product for liveness).
+    model: Arc<Model>,
+    /// Index of the target in `model.bads` (safety, liveness) or
+    /// `model.covers` (cover).
+    index: usize,
+    /// The slice fingerprint, keying the proof cache and the shared
+    /// explicit-state engines.
+    fp: Fingerprint,
+    /// The checked cone: `model` itself, except for liveness, where it is
+    /// the model before the L2S transform (the explicit engine's SCC
+    /// analysis runs on it with pending monitors).
+    base: Arc<Model>,
+}
+
+impl Target {
+    /// The target literal and its property name.
+    fn literal(&self) -> (Lit, &str) {
+        match self.kind {
+            Kind::Cover => {
+                let cover = &self.model.covers[self.index];
+                (cover.lit, &cover.name)
+            }
+            Kind::Safety | Kind::Liveness => {
+                let bad = &self.model.bads[self.index];
+                (bad.lit, &bad.name)
+            }
+        }
+    }
 }
 
 /// Builds one task per property.  With slicing enabled (the default) each
@@ -948,192 +973,98 @@ fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<Prop
     let slice_on = options.parallel.slice;
     let opt_on = options.parallel.opt;
     let mut shared_full: Option<(Arc<Model>, Fingerprint)> = None;
-    let mut shared_l2s: Option<Arc<LivenessSafetyModel>> = None;
+    let mut shared_l2s: Option<Arc<Model>> = None;
     // Keyed by the *raw* slice fingerprint so content-identical slices are
     // optimized at most once; the stored fingerprint is the optimized
     // model's own (they coincide when the optimizer is off).
-    #[allow(clippy::type_complexity)]
     let mut slices: HashMap<Fingerprint, (Arc<Model>, Fingerprint)> = HashMap::new();
-    let mut l2s_slices: HashMap<Fingerprint, Arc<LivenessSafetyModel>> = HashMap::new();
-
-    let full = |shared_full: &mut Option<(Arc<Model>, Fingerprint)>| {
-        shared_full
-            .get_or_insert_with(|| {
-                let model = Arc::new(compiled.model.clone());
-                let fp = fingerprint(&model);
-                (model, fp)
-            })
-            .clone()
-    };
-    let sliced = |slices: &mut HashMap<Fingerprint, (Arc<Model>, Fingerprint)>,
-                  slice: crate::coi::Slice| {
-        let raw = slice.fingerprint;
-        slices
-            .entry(raw)
-            .or_insert_with(|| {
-                if opt_on {
-                    let (model, fp) = crate::opt::optimize_with_fingerprint(&slice.model);
-                    (Arc::new(model), fp)
-                } else {
-                    (Arc::new(slice.model), raw)
-                }
-            })
-            .clone()
-    };
+    let mut l2s_slices: HashMap<Fingerprint, Arc<Model>> = HashMap::new();
 
     compiled
         .properties
         .iter()
         .map(|prop| {
-            let kind = match &prop.kind {
-                CompiledKind::Skipped(reason) => TaskKind::Done(PropertyStatus::NotChecked(reason)),
-                CompiledKind::Constraint => TaskKind::Done(PropertyStatus::NotChecked(
-                    "assumption (constrains the environment)",
-                )),
+            let (kind, cone, i) = match &prop.kind {
+                CompiledKind::Skipped(reason) => {
+                    return PropertyTask::Done(PropertyStatus::NotChecked(reason))
+                }
+                CompiledKind::Constraint => {
+                    return PropertyTask::Done(PropertyStatus::NotChecked(
+                        "assumption (constrains the environment)",
+                    ))
+                }
                 CompiledKind::Fairness => {
-                    TaskKind::Done(PropertyStatus::NotChecked("fairness assumption"))
+                    return PropertyTask::Done(PropertyStatus::NotChecked("fairness assumption"))
                 }
-                CompiledKind::Safety(i) => {
-                    if slice_on {
-                        let slice = cone_of_influence(&compiled.model, SliceTarget::Bad(*i));
-                        let (model, fp) = sliced(&mut slices, slice);
-                        TaskKind::Safety {
-                            model,
-                            index: 0,
-                            fp,
-                        }
-                    } else {
-                        let (model, fp) = full(&mut shared_full);
-                        TaskKind::Safety {
-                            model,
-                            index: *i,
-                            fp,
-                        }
-                    }
-                }
-                CompiledKind::Cover(i) => {
-                    if slice_on {
-                        let slice = cone_of_influence(&compiled.model, SliceTarget::Cover(*i));
-                        let (model, fp) = sliced(&mut slices, slice);
-                        TaskKind::Cover {
-                            model,
-                            index: 0,
-                            fp,
-                        }
-                    } else {
-                        let (model, fp) = full(&mut shared_full);
-                        TaskKind::Cover {
-                            model,
-                            index: *i,
-                            fp,
-                        }
-                    }
-                }
-                CompiledKind::Liveness(i) => {
-                    if slice_on {
-                        let slice = cone_of_influence(&compiled.model, SliceTarget::Liveness(*i));
-                        let raw = slice.fingerprint;
-                        let (base, fp) = sliced(&mut slices, slice);
-                        // The L2S product of the (optimized) base is itself
-                        // a plain safety model, so it gets its own opt pass:
-                        // the snapshot/monitor plumbing often pins latches
-                        // the original cone had already lost.
-                        let l2s = l2s_slices
-                            .entry(raw)
-                            .or_insert_with(|| {
-                                let _span = telemetry::span("l2s", &prop.property.full_name());
-                                let product = base.to_liveness_safety();
-                                if opt_on {
-                                    Arc::new(LivenessSafetyModel {
-                                        model: crate::opt::optimize(&product.model).model,
-                                        property_names: product.property_names,
-                                    })
-                                } else {
-                                    Arc::new(product)
-                                }
-                            })
-                            .clone();
-                        TaskKind::Liveness {
-                            base,
-                            l2s,
-                            index: 0,
-                            fp,
-                        }
-                    } else {
-                        let (base, fp) = full(&mut shared_full);
-                        let l2s = shared_l2s
-                            .get_or_insert_with(|| Arc::new(base.to_liveness_safety()))
-                            .clone();
-                        TaskKind::Liveness {
-                            base,
-                            l2s,
-                            index: *i,
-                            fp,
-                        }
-                    }
-                }
+                CompiledKind::Safety(i) => (Kind::Safety, SliceTarget::Bad(*i), *i),
+                CompiledKind::Cover(i) => (Kind::Cover, SliceTarget::Cover(*i), *i),
+                CompiledKind::Liveness(i) => (Kind::Liveness, SliceTarget::Liveness(*i), *i),
             };
-            let (cone_latches, cone_gates) = match &kind {
-                TaskKind::Done(_) => (0, 0),
-                TaskKind::Safety { model, .. } | TaskKind::Cover { model, .. } => {
-                    (model.aig.num_latches(), model.aig.num_ands())
-                }
-                TaskKind::Liveness { base, .. } => (base.aig.num_latches(), base.aig.num_ands()),
-            };
-            PropertyTask {
-                kind,
-                cone_latches,
-                cone_gates,
+            if !slice_on {
+                let (base, fp) = shared_full
+                    .get_or_insert_with(|| {
+                        let model = Arc::new(compiled.model.clone());
+                        let fp = fingerprint(&model);
+                        (model, fp)
+                    })
+                    .clone();
+                // The index into the base model's liveness vector equals the
+                // index into the product's bad vector.
+                let model = match kind {
+                    Kind::Liveness => shared_l2s
+                        .get_or_insert_with(|| Arc::new(base.to_liveness_safety().model))
+                        .clone(),
+                    Kind::Safety | Kind::Cover => Arc::clone(&base),
+                };
+                return PropertyTask::Check(Target {
+                    kind,
+                    model,
+                    index: i,
+                    fp,
+                    base,
+                });
             }
+            let slice = cone_of_influence(&compiled.model, cone);
+            let raw = slice.fingerprint;
+            let (base, fp) = slices
+                .entry(raw)
+                .or_insert_with(|| {
+                    if opt_on {
+                        let (model, fp) = crate::opt::optimize_with_fingerprint(&slice.model);
+                        (Arc::new(model), fp)
+                    } else {
+                        (Arc::new(slice.model), raw)
+                    }
+                })
+                .clone();
+            let model = match kind {
+                // The L2S product of the (optimized) base is itself a plain
+                // safety model, so it gets its own opt pass: the
+                // snapshot/monitor plumbing often pins latches the original
+                // cone had already lost.
+                Kind::Liveness => l2s_slices
+                    .entry(raw)
+                    .or_insert_with(|| {
+                        let _span = telemetry::span("l2s", &prop.property.full_name());
+                        let product = base.to_liveness_safety().model;
+                        Arc::new(if opt_on {
+                            crate::opt::optimize(&product).model
+                        } else {
+                            product
+                        })
+                    })
+                    .clone(),
+                Kind::Safety | Kind::Cover => Arc::clone(&base),
+            };
+            PropertyTask::Check(Target {
+                kind,
+                model,
+                index: 0,
+                fp,
+                base,
+            })
         })
         .collect()
-}
-
-/// Builds the deterministic cross-property seed plan: each safety task
-/// with a high-overlap *earlier* safety task (annotation order) on a
-/// *distinct* slice gets phase/activity hints on the state elements the
-/// two cones share, so it starts its race warm instead of cold.  The plan
-/// derives purely from slice structure — signal names and latch reset
-/// values — never from runtime solver state or completion order, so it
-/// (and the `sharing.seeded` counter) is identical for sequential and
-/// parallel runs at any thread count.  Identical fingerprints are skipped
-/// as donors: those tasks already share a clause pool, which is strictly
-/// stronger than seeding.
-fn build_seed_plans(
-    tasks: &[PropertyTask],
-    sharing: &SharingOptions,
-) -> Vec<HashMap<usize, SeedHint>> {
-    let mut plans = vec![HashMap::new(); tasks.len()];
-    if !sharing.enabled() {
-        return plans;
-    }
-    let sigs: Vec<(usize, Fingerprint, &Arc<Model>, Vec<u64>)> = tasks
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| match &t.kind {
-            TaskKind::Safety { model, fp, .. } => Some((i, *fp, model, state_signature(model))),
-            _ => None,
-        })
-        .collect();
-    for (pos, (i, fp, model, sig)) in sigs.iter().enumerate() {
-        // Best earlier donor by Jaccard overlap; strict `>` keeps the
-        // earliest donor on ties, so the plan is a pure function of the
-        // task list.
-        let mut best: Option<(f64, usize)> = None;
-        for (donor_pos, (_, donor_fp, _, donor_sig)) in sigs[..pos].iter().enumerate() {
-            if donor_fp == fp {
-                continue;
-            }
-            let overlap = signature_overlap(sig, donor_sig);
-            if overlap >= sharing.seed_overlap && best.is_none_or(|(b, _)| overlap > b) {
-                best = Some((overlap, donor_pos));
-            }
-        }
-        if let Some((_, donor_pos)) = best {
-            plans[*i] = crate::coi::seed_hints_from(model, &sigs[donor_pos].3);
-        }
-    }
-    plans
 }
 
 /// Shared, immutable context of one verification run.
@@ -1156,17 +1087,6 @@ struct TaskCtx<'a> {
     /// degrade sibling properties that still have budget.
     #[allow(clippy::type_complexity)]
     explicit_memo: Mutex<HashMap<Fingerprint, Arc<Mutex<ExplicitMemo>>>>,
-    /// Learnt-clause pools shared across tasks and racers, keyed by slice
-    /// fingerprint and frame kind.  Identical fingerprints imply identical
-    /// models and hence identical deterministic variable numbering, which
-    /// is what makes verbatim clause transfer sound; distinct cones never
-    /// share a pool (they exchange phase/activity *seeds* instead).  Only
-    /// consulted when [`CheckOptions::sharing`] is enabled.
-    pools: SharedPools,
-    /// Per-task phase/activity seed plans, indexed in annotation order
-    /// (empty maps for tasks without a high-overlap donor).  Built once,
-    /// up front, from slice structure alone — see [`build_seed_plans`].
-    seeds: Vec<HashMap<usize, SeedHint>>,
 }
 
 /// Memoization state of one fingerprint's shared explicit-state engine.
@@ -1190,20 +1110,17 @@ struct ExplicitBundle {
 }
 
 /// Returns the shared explicit-engine bundle for `model`, building it on
-/// first use.  `None` when the engine is disabled, exploration exceeded its
-/// limits, or `interrupt` fired mid-exploration.  Completed explorations
-/// (including definitive "declined/exceeded" answers) are memoized so the
-/// cost is paid at most once per fingerprint; interrupted ones are not —
-/// the truncated state space must never answer a sibling property's query.
+/// first use.  `None` when exploration exceeded its limits or `interrupt`
+/// fired mid-exploration.  Completed explorations (including definitive
+/// "declined/exceeded" answers) are memoized so the cost is paid at most
+/// once per fingerprint; interrupted ones are not — the truncated state
+/// space must never answer a sibling property's query.
 fn explicit_bundle(
     ctx: &TaskCtx<'_>,
     fp: Fingerprint,
     model: &Model,
     interrupt: &Interrupt,
 ) -> Option<Arc<ExplicitBundle>> {
-    if ctx.options.disable_explicit {
-        return None;
-    }
     let cell = {
         let mut memo = ctx
             .explicit_memo
@@ -1241,17 +1158,16 @@ fn explicit_bundle(
 /// The "undecided" note for an interrupted property, naming the cascade
 /// stage that was running when the interrupt was observed (read from the
 /// task-local engine tag, which every stage sets on entry).
-fn interrupt_unknown(reason: InterruptReason) -> (PropertyStatus, Option<String>) {
+fn interrupt_note(reason: InterruptReason) -> String {
     let engine = interrupt::current_engine();
-    let note = match reason {
+    match reason {
         InterruptReason::Cancelled => {
             format!("undecided: cancelled during {engine} (the run's cancellation flag was raised)")
         }
         InterruptReason::Timeout | InterruptReason::Budget => {
             format!("undecided: budget exhausted in {engine}")
         }
-    };
-    (PropertyStatus::Unknown, Some(note))
+    }
 }
 
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
@@ -1289,14 +1205,13 @@ fn cached_status(verdict: CachedVerdict, model: &Model) -> PropertyStatus {
 }
 
 /// The single cache-insert funnel of every task.  A task whose interrupt
-/// has fired never publishes: a cancelled portfolio racer, a task wound
-/// down by the run's cancellation flag, or a verdict whose trace
-/// re-minimization was cut short may all be correct-but-partial, and the
-/// cache must only ever carry artifacts produced with full budget (an
-/// interrupted minimization, for example, would cache a non-canonical
-/// trace and make a later cache-hit run render differently from a fresh
-/// one).  The cache is advisory, so skipping the insert costs only a
-/// recomputation.
+/// has fired never publishes: a task wound down by the run's cancellation
+/// flag, or a verdict whose trace re-minimization was cut short, may be
+/// correct-but-partial, and the cache must only ever carry artifacts
+/// produced with full budget (an interrupted minimization, for example,
+/// would cache a non-canonical trace and make a later cache-hit run render
+/// differently from a fresh one).  The cache is advisory, so skipping the
+/// insert costs only a recomputation.
 fn store(
     cache: Option<&ProofCache>,
     key: &CacheKey,
@@ -1311,10 +1226,6 @@ fn store(
     }
 }
 
-/// The engine-provenance tag of verdicts produced by the pre-cascade
-/// stimulus fuzzer.
-pub const FUZZ_ENGINE: &str = "fuzz";
-
 /// The outcome of one property task, before assembly into a
 /// [`PropertyResult`] (which adds the name/class/slice context and the
 /// wall-clock runtime).
@@ -1327,42 +1238,337 @@ struct TaskOutcome {
 }
 
 impl TaskOutcome {
-    fn new(status: PropertyStatus, note: Option<String>, stats: SolverStats) -> TaskOutcome {
+    fn new(status: PropertyStatus, note: Option<String>) -> TaskOutcome {
         TaskOutcome {
             status,
             note,
-            stats,
+            stats: SolverStats::default(),
             engine: None,
             fuzz: None,
         }
     }
 }
 
-fn run_task(
-    task_index: usize,
-    task: &PropertyTask,
-    ctx: &TaskCtx<'_>,
-    interrupt: &Interrupt,
-) -> TaskOutcome {
-    match &task.kind {
-        TaskKind::Done(status) => TaskOutcome::new(status.clone(), None, SolverStats::default()),
-        TaskKind::Safety { model, index, fp } => {
-            check_safety_task(model, *index, *fp, &ctx.seeds[task_index], ctx, interrupt)
-        }
-        TaskKind::Cover { model, index, fp } => {
-            let (status, note, stats) = check_cover_task(model, *index, *fp, ctx, interrupt);
-            TaskOutcome::new(status, note, stats)
-        }
-        TaskKind::Liveness {
-            base,
-            l2s,
-            index,
-            fp,
-        } => {
-            let (status, note, stats) = check_liveness_task(base, l2s, *index, *fp, ctx, interrupt);
-            TaskOutcome::new(status, note, stats)
+fn run_task(task: &PropertyTask, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> TaskOutcome {
+    match task {
+        PropertyTask::Done(status) => TaskOutcome::new(status.clone(), None),
+        PropertyTask::Check(target) => run_cascade(target, ctx, interrupt),
+    }
+}
+
+/// The stages every checked property walks after the cache lookup, in
+/// order; the first stage that decides the property ends the walk.
+const CASCADE: [Stage; 5] = [
+    Stage::Fuzz,
+    Stage::QuickBmc,
+    Stage::Pdr,
+    Stage::Explicit,
+    Stage::FullBmc,
+];
+
+/// One engine stage of the cascade.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// The bit-parallel stimulus fuzzer: concrete 64-lane stimulus over the
+    /// slice, every hit replay-confirmed, before any SAT query.
+    Fuzz,
+    /// Shallow BMC plus k-induction up to depth 3: short counterexamples
+    /// and cheap proofs at minimal cost.
+    QuickBmc,
+    /// IC3/PDR: the reachability-dependent proofs induction cannot close,
+    /// without the explicit engine's exponential cliff.
+    Pdr,
+    /// Exhaustive explicit-state exploration (SCC analysis for liveness).
+    Explicit,
+    /// BMC and k-induction to the configured full depth.
+    FullBmc,
+}
+
+impl Stage {
+    /// The stage's engine tag: the provenance of the verdicts it decides,
+    /// the engine its telemetry span names, and the engine an interrupt
+    /// note or a caught panic attributes to it.
+    fn engine(self) -> &'static str {
+        match self {
+            Stage::Fuzz => "fuzz",
+            Stage::QuickBmc | Stage::FullBmc => "bmc",
+            Stage::Pdr => "pdr",
+            Stage::Explicit => "explicit",
         }
     }
+
+    /// The telemetry span phase of the stage.
+    fn span(self) -> &'static str {
+        match self {
+            Stage::Fuzz => "engine.fuzz",
+            Stage::QuickBmc | Stage::FullBmc => "engine.bmc",
+            Stage::Pdr => "engine.pdr",
+            Stage::Explicit => "engine.explicit",
+        }
+    }
+
+    /// Whether the stage runs for a property of `kind`: the fuzzer only
+    /// simulates safety properties, and the engine toggles of
+    /// [`CheckOptions`] switch the other stages off.
+    fn runs(self, kind: Kind, options: &CheckOptions) -> bool {
+        match self {
+            Stage::Fuzz => kind == Kind::Safety && options.fuzz.enabled,
+            Stage::QuickBmc | Stage::FullBmc => !options.disable_bmc,
+            Stage::Pdr => !options.disable_pdr,
+            Stage::Explicit => !options.disable_explicit,
+        }
+    }
+}
+
+/// A stage's answer to "can the target be reached?".
+enum Answer {
+    /// Yes: the counterexample (safety, liveness) or witness (cover).
+    Reached(Trace),
+    /// No, and why.
+    Unreachable(Certificate),
+    /// Not within the stage's bounds.
+    Undecided,
+    /// The task's interrupt fired before the stage could decide.
+    Interrupted,
+}
+
+/// Why a target cannot be reached.
+enum Certificate {
+    /// k-induction closed at this depth.
+    Induction(usize),
+    /// A PDR inductive invariant.
+    Invariant(crate::pdr::Invariant),
+    /// Exhaustive reachable-state enumeration.
+    Reachability,
+}
+
+impl Certificate {
+    /// The proof a proven safety or liveness property reports.
+    fn proof(&self, model: &Model) -> Proof {
+        match self {
+            Certificate::Induction(depth) => Proof::Induction { depth: *depth },
+            Certificate::Invariant(invariant) => invariant_proof(invariant, &model.aig),
+            Certificate::Reachability => Proof::Reachability,
+        }
+    }
+
+    /// The cache entry of a proven safety or liveness property.
+    fn entry(self) -> CachedOutcome {
+        match self {
+            Certificate::Induction(depth) => CachedOutcome::Induction { depth },
+            Certificate::Invariant(invariant) => CachedOutcome::Invariant {
+                clauses: invariant.clauses().to_vec(),
+                frames: invariant.frames_explored,
+            },
+            Certificate::Reachability => CachedOutcome::Reachability,
+        }
+    }
+
+    /// The certificate a cover's cache entry keeps: only a PDR invariant,
+    /// which a later hit can re-certify.
+    fn invariant(self) -> Option<(Vec<Vec<Lit>>, usize)> {
+        match self {
+            Certificate::Invariant(invariant) => {
+                Some((invariant.clauses().to_vec(), invariant.frames_explored))
+            }
+            Certificate::Induction(_) | Certificate::Reachability => None,
+        }
+    }
+}
+
+/// Runs one stage on `target`, adding its solver and fuzzer work to
+/// `outcome`.
+fn run_stage(
+    stage: Stage,
+    target: &Target,
+    ctx: &TaskCtx<'_>,
+    interrupt: &Interrupt,
+    outcome: &mut TaskOutcome,
+) -> Answer {
+    let options = ctx.options;
+    let model = &*target.model;
+    let (lit, name) = target.literal();
+    let bounds = match target.kind {
+        Kind::Liveness => &options.liveness_bmc,
+        Kind::Safety | Kind::Cover => &options.bmc,
+    };
+    let bmc = |bounds: &BmcOptions, outcome: &mut TaskOutcome| {
+        let (result, stats) =
+            check_target_budgeted(model, lit, name, bounds, options.solver, interrupt);
+        outcome.stats += stats;
+        match result {
+            SafetyResult::Violated(trace) => Answer::Reached(trace),
+            SafetyResult::Proven { induction_depth } => {
+                Answer::Unreachable(Certificate::Induction(induction_depth))
+            }
+            SafetyResult::Unknown { .. } => Answer::Undecided,
+            SafetyResult::Interrupted => Answer::Interrupted,
+        }
+    };
+    match stage {
+        Stage::Fuzz => {
+            let (hit, stats) = fuzz_safety_budgeted(model, target.index, &options.fuzz, interrupt);
+            outcome.fuzz = Some(stats);
+            hit.map_or(Answer::Undecided, |hit| Answer::Reached(hit.trace))
+        }
+        Stage::QuickBmc => {
+            let quick = BmcOptions {
+                max_depth: options.quick_bmc_depth.min(bounds.max_depth),
+                max_induction: 3.min(bounds.max_induction),
+            };
+            bmc(&quick, outcome)
+        }
+        Stage::FullBmc => bmc(bounds, outcome),
+        Stage::Pdr => {
+            let (result, stats) =
+                check_pdr_budgeted(model, lit, &options.pdr, options.solver, interrupt);
+            outcome.stats += stats;
+            match result {
+                PdrResult::Proven(invariant) => {
+                    Answer::Unreachable(Certificate::Invariant(invariant))
+                }
+                PdrResult::Violated(trace) => Answer::Reached(trace),
+                PdrResult::Unknown { .. } => Answer::Undecided,
+                PdrResult::Interrupted => Answer::Interrupted,
+            }
+        }
+        Stage::Explicit => {
+            let Some(bundle) = explicit_bundle(ctx, target.fp, &target.base, interrupt) else {
+                return Answer::Undecided;
+            };
+            let result = match target.kind {
+                Kind::Safety => bundle.engine.check_bad(lit),
+                Kind::Cover => bundle.engine.check_cover(lit),
+                Kind::Liveness => bundle
+                    .engine
+                    .check_liveness(bundle.assert_pendings[target.index], &bundle.fair_pendings),
+            };
+            match result {
+                ExplicitResult::Proven => Answer::Unreachable(Certificate::Reachability),
+                ExplicitResult::Violated(trace) => Answer::Reached(trace),
+                ExplicitResult::Exceeded => Answer::Undecided,
+            }
+        }
+    }
+}
+
+/// Decides one checked property: a proof-cache lookup, then the
+/// [`CASCADE`] stages in order until one decides or the task's interrupt
+/// fires.
+///
+/// Everything around the engines is written once, here: the engine tag
+/// that attributes interrupts and panics, the `engine.*` span, the
+/// interrupt note, the cache store and the solver/fuzzer accounting.  What
+/// differs by property kind is one rule each:
+///
+/// * the fuzzer runs for safety only ([`Stage::runs`]);
+/// * liveness uses the `liveness_bmc` bounds and runs the explicit stage on
+///   the base model ([`run_stage`]);
+/// * only safety traces from the fuzz, PDR and explicit stages are
+///   re-minimized ([`minimize_safety_cex`]);
+/// * a cover reports "reached" as covered and "unreachable" as
+///   [`PropertyStatus::Unreachable`];
+/// * liveness never caches the explicit engine's lasso, and an undecided
+///   liveness property carries the lasso-bound note.
+fn run_cascade(target: &Target, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> TaskOutcome {
+    let options = ctx.options;
+    let model = &*target.model;
+    let (lit, name) = target.literal();
+    let key = CacheKey {
+        fingerprint: target.fp,
+        property: name.to_string(),
+    };
+    let cache = ctx.cache.as_ref();
+    if let Some(cache) = cache {
+        let hit = {
+            let _span = telemetry::span_detail("cache.lookup", name, None, Some(target.fp));
+            cache.lookup(&key, model, lit)
+        };
+        if let Some(verdict) = hit {
+            let mut outcome = TaskOutcome::new(cached_status(verdict, model), None);
+            outcome.engine = Some("cache");
+            return outcome;
+        }
+    }
+    let mut outcome = TaskOutcome::new(PropertyStatus::Unknown, None);
+    for stage in CASCADE {
+        if !stage.runs(target.kind, options) {
+            continue;
+        }
+        interrupt::set_current_engine(stage.engine());
+        let answer = {
+            let _span =
+                telemetry::span_detail(stage.span(), name, Some(stage.engine()), Some(target.fp));
+            run_stage(stage, target, ctx, interrupt, &mut outcome)
+        };
+        let (status, entry) = match (target.kind, answer) {
+            (_, Answer::Undecided) => match interrupt.poll() {
+                Some(reason) => {
+                    outcome.note = Some(interrupt_note(reason));
+                    return outcome;
+                }
+                None => continue,
+            },
+            (_, Answer::Interrupted) => {
+                let reason = interrupt.triggered().unwrap_or(InterruptReason::Timeout);
+                outcome.note = Some(interrupt_note(reason));
+                return outcome;
+            }
+            (Kind::Safety, Answer::Reached(trace)) => {
+                let trace = match stage {
+                    Stage::QuickBmc | Stage::FullBmc => trace,
+                    Stage::Fuzz | Stage::Pdr | Stage::Explicit => minimize_safety_cex(
+                        model,
+                        target.index,
+                        trace,
+                        options,
+                        &mut outcome.stats,
+                        interrupt,
+                    ),
+                };
+                let entry = CachedOutcome::Violated(trace.clone());
+                (PropertyStatus::Violated(trace), Some(entry))
+            }
+            // The explicit engine's lasso lives on the monitor-augmented
+            // base model, not on the product the cache replays traces on.
+            (Kind::Liveness, Answer::Reached(trace)) if stage == Stage::Explicit => {
+                (PropertyStatus::Violated(trace), None)
+            }
+            (Kind::Liveness, Answer::Reached(trace)) => {
+                let entry = CachedOutcome::Violated(trace.clone());
+                (PropertyStatus::Violated(trace), Some(entry))
+            }
+            (Kind::Cover, Answer::Reached(trace)) => {
+                let entry = CachedOutcome::Covered(trace.clone());
+                (PropertyStatus::Covered(trace), Some(entry))
+            }
+            (Kind::Cover, Answer::Unreachable(certificate)) => {
+                let entry = CachedOutcome::Unreachable {
+                    certificate: certificate.invariant(),
+                };
+                (PropertyStatus::Unreachable, Some(entry))
+            }
+            (Kind::Safety | Kind::Liveness, Answer::Unreachable(certificate)) => (
+                PropertyStatus::Proven(certificate.proof(model)),
+                Some(certificate.entry()),
+            ),
+        };
+        if let Some(entry) = entry {
+            store(cache, &key, entry, interrupt);
+        }
+        outcome.status = status;
+        outcome.engine = Some(stage.engine());
+        return outcome;
+    }
+    if target.kind == Kind::Liveness && Stage::FullBmc.runs(target.kind, options) {
+        outcome.note = Some(format!(
+            "bounded lasso search: counterexamples need stem+loop within {} cycles \
+             (CheckOptions::liveness_bmc.max_depth); starvation scenarios with longer \
+             stems would be missed",
+            options.liveness_bmc.max_depth
+        ));
+    }
+    outcome
 }
 
 /// Canonicalizes a safety counterexample to the *minimal* depth via a
@@ -1403,669 +1609,6 @@ fn minimize_safety_cex(
         // Interrupted both fall back to the witnessed trace: never let the
         // minimizer lose the verdict.
         _ => trace,
-    }
-}
-
-fn check_safety_task(
-    model: &Model,
-    index: usize,
-    fp: Fingerprint,
-    seeds: &HashMap<usize, SeedHint>,
-    ctx: &TaskCtx<'_>,
-    interrupt: &Interrupt,
-) -> TaskOutcome {
-    let options = ctx.options;
-    let cache = ctx.cache.as_ref();
-    let bad = model.bads[index].lit;
-    let key = CacheKey {
-        fingerprint: fp,
-        property: model.bads[index].name.clone(),
-    };
-    let mut stats = SolverStats::default();
-    let mut fuzz_stats: Option<FuzzStats> = None;
-    // Every return site funnels through this so the fuzzer's search
-    // statistics survive no matter which engine produced the verdict.
-    macro_rules! done {
-        ($status:expr, $note:expr, $engine:expr) => {
-            return TaskOutcome {
-                status: $status,
-                note: $note,
-                stats,
-                engine: $engine,
-                fuzz: fuzz_stats,
-            }
-        };
-    }
-    if let Some(cache) = cache {
-        let hit = {
-            let _span = telemetry::span_detail("cache.lookup", &key.property, None, Some(fp));
-            cache.lookup(&key, model, bad)
-        };
-        if let Some(verdict) = hit {
-            done!(cached_status(verdict, model), None, None);
-        }
-    }
-    // The simulation fuzzer runs before any SAT query: concrete 64-lane
-    // stimulus over the slice, with every hit replay-confirmed.  The SAT
-    // engines only ever see the survivors.  A confirmed hit is re-minimized
-    // (see `minimize_safety_cex`) so the reported trace has the same
-    // minimal length the fuzz-off cascade reports and `render()` stays
-    // byte-identical with the stage on or off, for any seed.
-    if options.fuzz.enabled {
-        interrupt::set_current_engine(FUZZ_ENGINE);
-        let (hit, fstats) = {
-            let _span =
-                telemetry::span_detail("engine.fuzz", &key.property, Some(FUZZ_ENGINE), Some(fp));
-            fuzz_safety_budgeted(model, index, &options.fuzz, interrupt)
-        };
-        fuzz_stats = Some(fstats);
-        if let Some(hit) = hit {
-            let trace =
-                minimize_safety_cex(model, index, hit.trace, options, &mut stats, interrupt);
-            store(
-                cache,
-                &key,
-                CachedOutcome::Violated(trace.clone()),
-                interrupt,
-            );
-            done!(PropertyStatus::Violated(trace), None, Some(FUZZ_ENGINE));
-        }
-        if let Some(reason) = interrupt.triggered() {
-            let (status, note) = interrupt_unknown(reason);
-            done!(status, note, None);
-        }
-    }
-    // Quick, shallow BMC first: it produces the shortest traces for the
-    // common "bug within a few cycles" case at minimal cost.
-    if !options.disable_bmc {
-        interrupt::set_current_engine("bmc");
-        let quick = BmcOptions {
-            max_depth: options.quick_bmc_depth.min(options.bmc.max_depth),
-            max_induction: 3.min(options.bmc.max_induction),
-        };
-        let (result, s) = {
-            let _span = telemetry::span_detail("engine.bmc", &key.property, Some("bmc"), Some(fp));
-            check_safety_budgeted(model, index, &quick, options.solver, interrupt)
-        };
-        stats += s;
-        match result {
-            SafetyResult::Proven { induction_depth } => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Induction {
-                        depth: induction_depth,
-                    },
-                    interrupt,
-                );
-                done!(
-                    PropertyStatus::Proven(Proof::Induction {
-                        depth: induction_depth,
-                    }),
-                    None,
-                    None
-                );
-            }
-            SafetyResult::Violated(trace) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Violated(trace.clone()),
-                    interrupt,
-                );
-                done!(PropertyStatus::Violated(trace), None, None);
-            }
-            SafetyResult::Interrupted => {
-                let (status, note) =
-                    interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout));
-                done!(status, note, None);
-            }
-            SafetyResult::Unknown { .. } => {}
-        }
-    }
-    // PDR: the unbounded engine that closes the reachability-dependent
-    // proofs (counter-vs-state invariants) induction cannot, without the
-    // explicit engine's exponential cliff.  When PDR itself is
-    // inconclusive, its frame clauses — facts about states reachable
-    // within k steps — are harvested as lemmas for the full-depth BMC
-    // race below.
-    let mut lemmas: Vec<FrameLemma> = Vec::new();
-    if !options.disable_pdr {
-        interrupt::set_current_engine("pdr");
-        let (result, s, frame_lemmas) = {
-            let _span = telemetry::span_detail("engine.pdr", &key.property, Some("pdr"), Some(fp));
-            check_pdr_budgeted_lemmas(model, bad, &options.pdr, options.solver, interrupt)
-        };
-        lemmas = frame_lemmas;
-        stats += s;
-        match result {
-            PdrResult::Proven(invariant) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Invariant {
-                        clauses: invariant.clauses().to_vec(),
-                        frames: invariant.frames_explored,
-                    },
-                    interrupt,
-                );
-                done!(
-                    PropertyStatus::Proven(invariant_proof(&invariant, &model.aig)),
-                    None,
-                    None
-                );
-            }
-            PdrResult::Violated(trace) => {
-                let trace =
-                    minimize_safety_cex(model, index, trace, options, &mut stats, interrupt);
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Violated(trace.clone()),
-                    interrupt,
-                );
-                done!(PropertyStatus::Violated(trace), None, None);
-            }
-            PdrResult::Interrupted => {
-                let (status, note) =
-                    interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout));
-                done!(status, note, None);
-            }
-            PdrResult::Unknown { .. } => {}
-        }
-    }
-    interrupt::set_current_engine("explicit");
-    if let Some(bundle) = explicit_bundle(ctx, fp, model, interrupt) {
-        let _span =
-            telemetry::span_detail("engine.explicit", &key.property, Some("explicit"), Some(fp));
-        match bundle.engine.check_bad(bad) {
-            ExplicitResult::Proven => {
-                store(cache, &key, CachedOutcome::Reachability, interrupt);
-                done!(PropertyStatus::Proven(Proof::Reachability), None, None);
-            }
-            ExplicitResult::Violated(trace) => {
-                let trace =
-                    minimize_safety_cex(model, index, trace, options, &mut stats, interrupt);
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Violated(trace.clone()),
-                    interrupt,
-                );
-                done!(PropertyStatus::Violated(trace), None, None);
-            }
-            ExplicitResult::Exceeded => {}
-        }
-    }
-    if let Some(reason) = interrupt.poll() {
-        let (status, note) = interrupt_unknown(reason);
-        done!(status, note, None);
-    }
-    if options.disable_bmc {
-        done!(PropertyStatus::Unknown, None, None);
-    }
-    // Exact engines unavailable: fall back to the full-depth bounded
-    // engines.  This is where the hard properties land, so when the
-    // clause-sharing portfolio is enabled (the default) the stage races
-    // diverse solver configurations in deterministic lockstep — learnt
-    // clauses flow through the fingerprint-keyed shared pools, PDR's
-    // harvested lemmas prune the unrolling, and the cross-property seed
-    // plan warms the search.  None of it can change the verdict: pools
-    // only carry implied clauses, lemmas are reachability facts, and
-    // seeds steer heuristics only.
-    interrupt::set_current_engine("bmc");
-    let sharing = &options.sharing;
-    let (result, s, raced) = {
-        let _span = telemetry::span_detail("engine.bmc", &key.property, Some("bmc"), Some(fp));
-        if sharing.enabled() {
-            let race = RaceOptions {
-                configs: racer_configs(options.solver, sharing.racers),
-                quantum: sharing.quantum,
-                glue_bound: sharing.glue_bound,
-                lemmas,
-                seeds: seeds.clone(),
-                pools: Some((
-                    ctx.pools.pool(fp, PoolKind::Bmc, sharing.glue_bound),
-                    ctx.pools.pool(fp, PoolKind::Step, sharing.glue_bound),
-                )),
-            };
-            let (result, s, traffic) =
-                race_safety_budgeted(model, index, &options.bmc, &race, interrupt);
-            if traffic.exported > 0 {
-                telemetry::count("sharing.exported", traffic.exported);
-            }
-            if traffic.imported > 0 {
-                telemetry::count("sharing.imported", traffic.imported);
-            }
-            if traffic.filtered > 0 {
-                telemetry::count("sharing.filtered", traffic.filtered);
-            }
-            if !seeds.is_empty() {
-                telemetry::count("sharing.seeded", seeds.len() as u64);
-            }
-            (result, s, true)
-        } else {
-            let (result, s) =
-                check_safety_budgeted(model, index, &options.bmc, options.solver, interrupt);
-            (result, s, false)
-        }
-    };
-    stats += s;
-    let (status, note) = match result {
-        SafetyResult::Proven { induction_depth } => {
-            store(
-                cache,
-                &key,
-                CachedOutcome::Induction {
-                    depth: induction_depth,
-                },
-                interrupt,
-            );
-            (
-                PropertyStatus::Proven(Proof::Induction {
-                    depth: induction_depth,
-                }),
-                None,
-            )
-        }
-        SafetyResult::Violated(trace) => {
-            // A racer's trace depends on which configuration won the
-            // race; re-minimize to the canonical single-solver trace so
-            // `render()` is byte-identical with sharing on or off.
-            let trace = if raced {
-                minimize_safety_cex(model, index, trace, options, &mut stats, interrupt)
-            } else {
-                trace
-            };
-            store(
-                cache,
-                &key,
-                CachedOutcome::Violated(trace.clone()),
-                interrupt,
-            );
-            (PropertyStatus::Violated(trace), None)
-        }
-        SafetyResult::Interrupted => {
-            interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout))
-        }
-        SafetyResult::Unknown { .. } => (PropertyStatus::Unknown, None),
-    };
-    TaskOutcome {
-        status,
-        note,
-        stats,
-        engine: None,
-        fuzz: fuzz_stats,
-    }
-}
-
-fn check_cover_task(
-    model: &Model,
-    index: usize,
-    fp: Fingerprint,
-    ctx: &TaskCtx<'_>,
-    interrupt: &Interrupt,
-) -> (PropertyStatus, Option<String>, SolverStats) {
-    let options = ctx.options;
-    let cache = ctx.cache.as_ref();
-    let target = model.covers[index].lit;
-    let key = CacheKey {
-        fingerprint: fp,
-        property: model.covers[index].name.clone(),
-    };
-    let mut stats = SolverStats::default();
-    if let Some(cache) = cache {
-        let hit = {
-            let _span = telemetry::span_detail("cache.lookup", &key.property, None, Some(fp));
-            cache.lookup(&key, model, target)
-        };
-        if let Some(verdict) = hit {
-            return (cached_status(verdict, model), None, stats);
-        }
-    }
-    if !options.disable_bmc {
-        interrupt::set_current_engine("bmc");
-        let quick = BmcOptions {
-            max_depth: options.quick_bmc_depth.min(options.bmc.max_depth),
-            max_induction: 3.min(options.bmc.max_induction),
-        };
-        let (result, s) = {
-            let _span = telemetry::span_detail("engine.bmc", &key.property, Some("bmc"), Some(fp));
-            check_cover_budgeted(model, index, &quick, options.solver, interrupt)
-        };
-        stats += s;
-        match result {
-            CoverResult::Covered(trace) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Covered(trace.clone()),
-                    interrupt,
-                );
-                return (PropertyStatus::Covered(trace), None, stats);
-            }
-            CoverResult::Unreachable => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Unreachable { certificate: None },
-                    interrupt,
-                );
-                return (PropertyStatus::Unreachable, None, stats);
-            }
-            CoverResult::Interrupted => {
-                let (status, note) =
-                    interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout));
-                return (status, note, stats);
-            }
-            CoverResult::Unknown { .. } => {}
-        }
-    }
-    // PDR decides reachability of the cover target: a "proof" means the
-    // target is unreachable, a "counterexample" is the witness.
-    if !options.disable_pdr {
-        interrupt::set_current_engine("pdr");
-        let (result, s) = {
-            let _span = telemetry::span_detail("engine.pdr", &key.property, Some("pdr"), Some(fp));
-            check_pdr_budgeted(model, target, &options.pdr, options.solver, interrupt)
-        };
-        stats += s;
-        match result {
-            PdrResult::Proven(invariant) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Unreachable {
-                        certificate: Some((
-                            invariant.clauses().to_vec(),
-                            invariant.frames_explored,
-                        )),
-                    },
-                    interrupt,
-                );
-                return (PropertyStatus::Unreachable, None, stats);
-            }
-            PdrResult::Violated(trace) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Covered(trace.clone()),
-                    interrupt,
-                );
-                return (PropertyStatus::Covered(trace), None, stats);
-            }
-            PdrResult::Interrupted => {
-                let (status, note) =
-                    interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout));
-                return (status, note, stats);
-            }
-            PdrResult::Unknown { .. } => {}
-        }
-    }
-    interrupt::set_current_engine("explicit");
-    if let Some(bundle) = explicit_bundle(ctx, fp, model, interrupt) {
-        let _span =
-            telemetry::span_detail("engine.explicit", &key.property, Some("explicit"), Some(fp));
-        match bundle.engine.check_cover(target) {
-            ExplicitResult::Proven => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Unreachable { certificate: None },
-                    interrupt,
-                );
-                return (PropertyStatus::Unreachable, None, stats);
-            }
-            ExplicitResult::Violated(trace) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Covered(trace.clone()),
-                    interrupt,
-                );
-                return (PropertyStatus::Covered(trace), None, stats);
-            }
-            ExplicitResult::Exceeded => {}
-        }
-    }
-    if let Some(reason) = interrupt.poll() {
-        let (status, note) = interrupt_unknown(reason);
-        return (status, note, stats);
-    }
-    if options.disable_bmc {
-        return (PropertyStatus::Unknown, None, stats);
-    }
-    interrupt::set_current_engine("bmc");
-    let (result, s) = {
-        let _span = telemetry::span_detail("engine.bmc", &key.property, Some("bmc"), Some(fp));
-        check_cover_budgeted(model, index, &options.bmc, options.solver, interrupt)
-    };
-    stats += s;
-    match result {
-        CoverResult::Covered(trace) => {
-            store(
-                cache,
-                &key,
-                CachedOutcome::Covered(trace.clone()),
-                interrupt,
-            );
-            (PropertyStatus::Covered(trace), None, stats)
-        }
-        CoverResult::Unreachable => {
-            store(
-                cache,
-                &key,
-                CachedOutcome::Unreachable { certificate: None },
-                interrupt,
-            );
-            (PropertyStatus::Unreachable, None, stats)
-        }
-        CoverResult::Interrupted => {
-            let (status, note) =
-                interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout));
-            (status, note, stats)
-        }
-        CoverResult::Unknown { .. } => (PropertyStatus::Unknown, None, stats),
-    }
-}
-
-fn check_liveness_task(
-    base: &Model,
-    l2s: &LivenessSafetyModel,
-    index: usize,
-    fp: Fingerprint,
-    ctx: &TaskCtx<'_>,
-    interrupt: &Interrupt,
-) -> (PropertyStatus, Option<String>, SolverStats) {
-    let options = ctx.options;
-    let cache = ctx.cache.as_ref();
-    let model = &l2s.model;
-    let bad = model.bads[index].lit;
-    let key = CacheKey {
-        fingerprint: fp,
-        property: model.bads[index].name.clone(),
-    };
-    let mut stats = SolverStats::default();
-    if let Some(cache) = cache {
-        let hit = {
-            let _span = telemetry::span_detail("cache.lookup", &key.property, None, Some(fp));
-            cache.lookup(&key, model, bad)
-        };
-        if let Some(verdict) = hit {
-            return (cached_status(verdict, model), None, stats);
-        }
-    }
-    // The index into the base model's liveness vector equals the index into
-    // the transformed model's bad vector.  BMC on the transformed model
-    // finds short counterexample lassos; proofs fall through to PDR and
-    // then to the exact engine.
-    if !options.disable_bmc {
-        interrupt::set_current_engine("bmc");
-        let quick = BmcOptions {
-            max_depth: options.quick_bmc_depth.min(options.liveness_bmc.max_depth),
-            max_induction: options.liveness_bmc.max_induction.min(3),
-        };
-        let (result, s) = {
-            let _span = telemetry::span_detail("engine.bmc", &key.property, Some("bmc"), Some(fp));
-            check_safety_budgeted(model, index, &quick, options.solver, interrupt)
-        };
-        stats += s;
-        match result {
-            SafetyResult::Proven { induction_depth } => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Induction {
-                        depth: induction_depth,
-                    },
-                    interrupt,
-                );
-                return (
-                    PropertyStatus::Proven(Proof::Induction {
-                        depth: induction_depth,
-                    }),
-                    None,
-                    stats,
-                );
-            }
-            SafetyResult::Violated(trace) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Violated(trace.clone()),
-                    interrupt,
-                );
-                return (PropertyStatus::Violated(trace), None, stats);
-            }
-            SafetyResult::Interrupted => {
-                let (status, note) =
-                    interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout));
-                return (status, note, stats);
-            }
-            SafetyResult::Unknown { .. } => {}
-        }
-    }
-    if !options.disable_pdr {
-        interrupt::set_current_engine("pdr");
-        let (result, s) = {
-            let _span = telemetry::span_detail("engine.pdr", &key.property, Some("pdr"), Some(fp));
-            check_pdr_budgeted(model, bad, &options.pdr, options.solver, interrupt)
-        };
-        stats += s;
-        match result {
-            PdrResult::Proven(invariant) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Invariant {
-                        clauses: invariant.clauses().to_vec(),
-                        frames: invariant.frames_explored,
-                    },
-                    interrupt,
-                );
-                return (
-                    PropertyStatus::Proven(invariant_proof(&invariant, &model.aig)),
-                    None,
-                    stats,
-                );
-            }
-            PdrResult::Violated(trace) => {
-                store(
-                    cache,
-                    &key,
-                    CachedOutcome::Violated(trace.clone()),
-                    interrupt,
-                );
-                return (PropertyStatus::Violated(trace), None, stats);
-            }
-            PdrResult::Interrupted => {
-                let (status, note) =
-                    interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout));
-                return (status, note, stats);
-            }
-            PdrResult::Unknown { .. } => {}
-        }
-    }
-    interrupt::set_current_engine("explicit");
-    if let Some(bundle) = explicit_bundle(ctx, fp, base, interrupt) {
-        let _span =
-            telemetry::span_detail("engine.explicit", &key.property, Some("explicit"), Some(fp));
-        let pending = bundle.assert_pendings[index];
-        match bundle.engine.check_liveness(pending, &bundle.fair_pendings) {
-            ExplicitResult::Proven => {
-                store(cache, &key, CachedOutcome::Reachability, interrupt);
-                return (PropertyStatus::Proven(Proof::Reachability), None, stats);
-            }
-            // The explicit lasso lives on the monitor-augmented base model,
-            // not the L2S transform, so it is not cached (replay validation
-            // runs on the transform).
-            ExplicitResult::Violated(trace) => {
-                return (PropertyStatus::Violated(trace), None, stats)
-            }
-            ExplicitResult::Exceeded => {}
-        }
-    }
-    if let Some(reason) = interrupt.poll() {
-        let (status, note) = interrupt_unknown(reason);
-        return (status, note, stats);
-    }
-    if options.disable_bmc {
-        return (PropertyStatus::Unknown, None, stats);
-    }
-    interrupt::set_current_engine("bmc");
-    let (result, s) = {
-        let _span = telemetry::span_detail("engine.bmc", &key.property, Some("bmc"), Some(fp));
-        check_safety_budgeted(
-            model,
-            index,
-            &options.liveness_bmc,
-            options.solver,
-            interrupt,
-        )
-    };
-    stats += s;
-    match result {
-        SafetyResult::Proven { induction_depth } => {
-            store(
-                cache,
-                &key,
-                CachedOutcome::Induction {
-                    depth: induction_depth,
-                },
-                interrupt,
-            );
-            (
-                PropertyStatus::Proven(Proof::Induction {
-                    depth: induction_depth,
-                }),
-                None,
-                stats,
-            )
-        }
-        SafetyResult::Violated(trace) => {
-            store(
-                cache,
-                &key,
-                CachedOutcome::Violated(trace.clone()),
-                interrupt,
-            );
-            (PropertyStatus::Violated(trace), None, stats)
-        }
-        SafetyResult::Interrupted => {
-            let (status, note) =
-                interrupt_unknown(interrupt.triggered().unwrap_or(InterruptReason::Timeout));
-            (status, note, stats)
-        }
-        SafetyResult::Unknown { .. } => (
-            PropertyStatus::Unknown,
-            Some(format!(
-                "bounded lasso search: counterexamples need stem+loop within {} cycles \
-                 (CheckOptions::liveness_bmc.max_depth); starvation scenarios with longer \
-                 stems would be missed",
-                options.liveness_bmc.max_depth
-            )),
-            stats,
-        ),
     }
 }
 
@@ -2278,6 +1821,7 @@ endmodule
             "expected a PDR invariant proof, got {:?}",
             had.status
         );
+        assert_eq!(had.engine, Some("pdr"));
         assert_eq!(report.violations(), 0, "{}", report.render());
 
         // With PDR disabled the same property falls through to the explicit
@@ -2296,6 +1840,7 @@ endmodule
             "expected an explicit-reachability proof, got {:?}",
             had.status
         );
+        assert_eq!(had.engine, Some("explicit"));
     }
 
     #[test]

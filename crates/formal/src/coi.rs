@@ -42,7 +42,6 @@
 
 use crate::aig::{Aig, Lit, Node};
 use crate::model::Model;
-use crate::unroll::SeedHint;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -186,93 +185,6 @@ pub fn fingerprint(model: &Model) -> Fingerprint {
         h.lit(p.target);
     }
     h.finish()
-}
-
-/// Hashes one signal name with the first FNV-1a lane (stable across
-/// processes; used by [`state_signature`]).
-fn name_hash(name: &str) -> u64 {
-    let mut h = Fnv2::new();
-    h.str(name);
-    h.finish().0
-}
-
-/// The sorted, deduplicated set of name hashes of a model's state
-/// elements (latches and inputs).
-///
-/// Cross-property learning compares these signatures: two cones that
-/// share most of their state elements are verifying overlapping logic,
-/// so the later task seeds its solvers from the earlier cone (phase and
-/// VSIDS-activity hints on the shared elements) instead of starting
-/// cold.  The signature depends only on the slice's structure — never on
-/// runtime solver state — so the seed plan is identical for sequential
-/// and parallel runs at any thread count.
-pub fn state_signature(model: &Model) -> Vec<u64> {
-    let aig = &model.aig;
-    let mut sig: Vec<u64> = (0..aig.num_inputs())
-        .map(|i| name_hash(aig.input_name(i)))
-        .chain(
-            aig.latches()
-                .iter()
-                .map(|l| name_hash(aig.name_of(l.node).unwrap_or("latch"))),
-        )
-        .collect();
-    sig.sort_unstable();
-    sig.dedup();
-    sig
-}
-
-/// Phase/activity seed hints for `model`'s latches whose names appear in
-/// `donor`, a sibling cone's [`state_signature`].  The phase is the
-/// latch's own reset value (starting the shared state machine from reset
-/// is the donor cone's most productive search region too) and a fixed
-/// activity boost steers VSIDS toward the shared logic first.  Purely
-/// structural — byte-identical plans for any thread count — and purely
-/// heuristic for the receiving solver: seeds steer decisions, never the
-/// clause database, so they cannot change a verdict.
-pub fn seed_hints_from(model: &Model, donor: &[u64]) -> HashMap<usize, SeedHint> {
-    let aig = &model.aig;
-    aig.latches()
-        .iter()
-        .filter(|l| {
-            donor
-                .binary_search(&name_hash(aig.name_of(l.node).unwrap_or("latch")))
-                .is_ok()
-        })
-        .map(|l| {
-            (
-                l.node,
-                SeedHint {
-                    phase: l.init,
-                    boost: 2.0,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Jaccard overlap of two [`state_signature`]s in `[0, 1]`:
-/// `|a ∩ b| / |a ∪ b|`.  Both inputs must be sorted and deduplicated
-/// (as `state_signature` returns them).  Two empty signatures overlap
-/// fully (both cones are pure-combinational over constants).
-pub fn signature_overlap(a: &[u64], b: &[u64]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let mut shared = 0usize;
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                shared += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = a.len() + b.len() - shared;
-    shared as f64 / union as f64
 }
 
 /// Builds the cone-of-influence slice of `model` for one property.
@@ -583,27 +495,6 @@ mod tests {
         let slice = cone_of_influence(&model, SliceTarget::Bad(0));
         assert_eq!(slice.model.aig.num_latches(), 2);
         assert_eq!(slice.model.aig.num_ands(), model.aig.num_ands());
-    }
-
-    #[test]
-    fn signature_overlap_scores_shared_state() {
-        let (model, _) = two_subsystems();
-        let full = state_signature(&model);
-        let busy_cone = state_signature(&cone_of_influence(&model, SliceTarget::Bad(0)).model);
-        // The busy cone holds `req` + `busy`, the full model those plus
-        // the 3 counter latches: overlap 2 / 5.
-        assert_eq!(busy_cone.len(), 2);
-        assert!((signature_overlap(&busy_cone, &full) - 0.4).abs() < 1e-9);
-        // Identity and symmetry.
-        assert_eq!(signature_overlap(&full, &full), 1.0);
-        assert_eq!(
-            signature_overlap(&busy_cone, &full),
-            signature_overlap(&full, &busy_cone)
-        );
-        // Disjoint signatures score zero; empty ones score one.
-        assert_eq!(signature_overlap(&[1, 2], &[3, 4]), 0.0);
-        assert_eq!(signature_overlap(&[], &[]), 1.0);
-        assert_eq!(signature_overlap(&[], &[1]), 0.0);
     }
 
     #[test]

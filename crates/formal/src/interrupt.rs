@@ -180,20 +180,6 @@ impl Interrupt {
         None
     }
 
-    /// The wall-clock deadline this handle enforces, if any.  Lets a
-    /// parent handle arm child handles (the portfolio race's per-turn
-    /// quanta) that keep respecting the parent's deadline.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.as_deref()?.deadline
-    }
-
-    /// The shared cancellation flag this handle observes, if any (see
-    /// [`Interrupt::deadline`] — child handles re-arm it so a run-wide
-    /// cancellation preempts them too).
-    pub fn cancel_handle(&self) -> Option<Arc<AtomicBool>> {
-        self.inner.as_deref()?.cancel.clone()
-    }
-
     /// The sticky latch alone: cheap enough for per-result checks.
     /// Engines consult this *after* a solve before trusting its verdict,
     /// so an interrupted solve can never be misread as conclusive.

@@ -53,10 +53,12 @@
 //!   for the cascade stage to finish (an interrupted property degrades
 //!   to `Unknown`; a panicking one to `Error` — the run always renders
 //!   a complete report);
-//! * [`checker`] — the portfolio driver tying everything together (each
-//!   property runs the fuzz → BMC → k-induction → PDR → explicit cascade
-//!   on its own slice, concurrently) and producing deterministic
-//!   per-property reports with counterexample [`trace`]s.
+//! * [`checker`] — the driver tying everything together: one loop walks
+//!   each property through the stage list cache → fuzz → quick BMC (with
+//!   k-induction) → PDR → explicit → full-depth BMC on its own slice,
+//!   concurrently, stopping at the first stage that decides, and produces
+//!   deterministic per-property reports with counterexample [`trace`]s
+//!   and the deciding stage as provenance.
 //!
 //! # Quick start
 //!

@@ -62,25 +62,6 @@ impl Default for PdrOptions {
     }
 }
 
-/// A clause over latch literals that PDR established for every state
-/// reachable within `through` steps: the negation of a cube blocked at
-/// level `through` of the trapezoid (with the delta encoding, a clause of
-/// frame `j` belongs to every `F_i`, `i ≤ j`, each of which
-/// over-approximates the states reachable in at most `i` steps).
-///
-/// When PDR gives up without a verdict, its partial trapezoid is exported
-/// as frame lemmas so the full-depth BMC racers can assert each clause
-/// over their unrolling frames `0..=through` instead of rediscovering the
-/// same reachability facts from scratch.  Lemmas only ever *strengthen* a
-/// BMC instance with implied clauses, so verdicts are unchanged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameLemma {
-    /// Disjunction of latch literals (the negated blocked cube).
-    pub clause: Vec<Lit>,
-    /// Deepest time frame (inclusive) the clause is known to hold at.
-    pub through: usize,
-}
-
 /// An inductive invariant certifying a PDR proof.
 ///
 /// The invariant is a conjunction of clauses, each a disjunction of latch
@@ -270,33 +251,12 @@ pub fn check_pdr_budgeted(
     solver: SolverConfig,
     interrupt: &Interrupt,
 ) -> (PdrResult, SolverStats) {
-    let (result, stats, _) = check_pdr_budgeted_lemmas(model, bad, options, solver, interrupt);
-    (result, stats)
-}
-
-/// Like [`check_pdr_budgeted`], additionally returning the [`FrameLemma`]s
-/// of the partial trapezoid when the run ends [`PdrResult::Unknown`] (the
-/// budget ran out).  On every other outcome the lemma list is empty: a
-/// proof or counterexample makes them moot, and an interrupted run must
-/// not hand partial work to a caller that is being preempted.
-pub fn check_pdr_budgeted_lemmas(
-    model: &Model,
-    bad: Lit,
-    options: &PdrOptions,
-    solver: SolverConfig,
-    interrupt: &Interrupt,
-) -> (PdrResult, SolverStats, Vec<FrameLemma>) {
     let _span = crate::telemetry::span("pdr.solve", "");
     let mut pdr = Pdr::new(model, bad, options, solver, interrupt.clone());
     let result = pdr.run();
-    let lemmas = if matches!(result, PdrResult::Unknown { .. }) {
-        pdr.frame_lemmas()
-    } else {
-        Vec::new()
-    };
     let stats = pdr.unroller.stats();
     crate::telemetry::count_solver("pdr", &stats);
-    (result, stats, lemmas)
+    (result, stats)
 }
 
 /// A cube: a partial latch valuation, as sorted `(latch position, value)`
@@ -780,27 +740,6 @@ impl<'a> Pdr<'a> {
             }
         }
         None
-    }
-
-    /// Exports the partial trapezoid as [`FrameLemma`]s: the negation of
-    /// every cube blocked at level `j ≥ 1` holds in all states reachable
-    /// within `j` steps (the same clause/polarity construction as
-    /// [`Pdr::extract_invariant`], per frame instead of from a fixpoint).
-    fn frame_lemmas(&self) -> Vec<FrameLemma> {
-        let mut lemmas = Vec::new();
-        for (level, frame) in self.frames.iter().enumerate().skip(1) {
-            for cube in &frame.cubes {
-                let clause: Vec<Lit> = cube
-                    .iter()
-                    .map(|&(pos, val)| Lit::new(self.latch_nodes[pos], val))
-                    .collect();
-                lemmas.push(FrameLemma {
-                    clause,
-                    through: level,
-                });
-            }
-        }
-        lemmas
     }
 
     fn extract_invariant(&self, start: usize) -> Invariant {

@@ -34,7 +34,6 @@ use crate::aig::Lit;
 use crate::coi::Fingerprint;
 use crate::model::{BadProperty, Model};
 use crate::pdr::Invariant;
-use crate::sat::{ClausePool, SolverConfig};
 use crate::sim::Simulator;
 use crate::trace::Trace;
 use std::collections::HashMap;
@@ -102,149 +101,6 @@ impl ParallelOptions {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         }
-    }
-}
-
-/// Knobs of the clause-sharing SAT portfolio (part of
-/// [`crate::checker::CheckOptions`]).
-///
-/// Hard properties — those that fall through fuzzing, quick BMC, PDR and
-/// the explicit engine — are handed to
-/// [`crate::bmc::race_safety_budgeted`]: `racers` diverse
-/// [`SolverConfig`] variants take deterministic round-robin turns of
-/// `quantum` conflicts each, exchanging learnt clauses with LBD ≤
-/// `glue_bound` through pools keyed by the property's COI fingerprint
-/// (see [`SharedPools`]).  Sharing and racing only ever *strengthen* the
-/// search — imported clauses are implied, seeds steer decision order
-/// only — so the rendered report is byte-identical with sharing on or
-/// off, sequential or parallel, at any thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharingOptions {
-    /// Number of portfolio racers on hard properties; `0` or `1`
-    /// disables the race (the plain single-configuration solve runs).
-    pub racers: usize,
-    /// LBD ("glue") bound above which learnt clauses are not shared.
-    pub glue_bound: u32,
-    /// Conflict budget of one racer turn.
-    pub quantum: u64,
-    /// Minimum COI state-signature overlap (Jaccard, `0..=1`; see
-    /// [`crate::coi::signature_overlap`]) for cross-property seeding: a
-    /// task whose cone overlaps an earlier task's cone at least this
-    /// much starts with the sibling's phase/activity hints instead of
-    /// cold.  `> 1.0` disables seeding.
-    pub seed_overlap: f64,
-}
-
-impl Default for SharingOptions {
-    fn default() -> Self {
-        SharingOptions {
-            racers: 3,
-            glue_bound: 4,
-            quantum: 2048,
-            seed_overlap: 0.5,
-        }
-    }
-}
-
-impl SharingOptions {
-    /// Whether the portfolio race is on (at least two racers).
-    pub fn enabled(&self) -> bool {
-        self.racers >= 2
-    }
-
-    /// A sharing configuration with the race disabled (the ablation
-    /// baseline).
-    pub fn disabled() -> Self {
-        SharingOptions {
-            racers: 0,
-            ..SharingOptions::default()
-        }
-    }
-}
-
-/// Derives up to four diverse racer configurations from `base`:
-/// the base itself, a rapid-restart variant (small Luby base, eager
-/// database reduction), a conservative variant (long restarts, no
-/// clause minimization) and the MiniSat-era baseline.  Diversity is what
-/// makes a portfolio pay: different restart/minimization policies explore
-/// different parts of the search tree, and the shared pool lets whichever
-/// racer is ahead pull the others along.
-pub fn racer_configs(base: SolverConfig, n: usize) -> Vec<SolverConfig> {
-    let variants = [
-        base,
-        SolverConfig {
-            restart_base: 30,
-            reduce_base: 1000,
-            ..base
-        },
-        SolverConfig {
-            restart_base: 400,
-            minimize: false,
-            ..base
-        },
-        SolverConfig::baseline(),
-    ];
-    variants[..n.clamp(1, variants.len())].to_vec()
-}
-
-/// Which unrolling family a shared pool serves.  BMC unrollers
-/// (initial states constrained) and induction-step unrollers (initial
-/// states free) number their variables differently, so their learnt
-/// clauses must never mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PoolKind {
-    /// Pools for the init-constrained BMC unrollings.
-    Bmc,
-    /// Pools for the init-free induction-step unrollings.
-    Step,
-}
-
-/// Run-wide learnt-clause pools keyed by COI fingerprint.
-///
-/// Every unroller built for a given (fingerprint, [`PoolKind`]) pair
-/// encodes the same model with the same deterministic construction
-/// order, so SAT variable numbers mean the same thing to all of them —
-/// clauses transfer verbatim.  The registry hands the *same* pool to
-/// repeated races on content-identical cones, so a later race imports
-/// the sibling's clauses instead of starting cold.
-#[derive(Debug, Default)]
-pub struct SharedPools {
-    inner: Mutex<HashMap<(Fingerprint, PoolKind), Arc<ClausePool>>>,
-}
-
-impl SharedPools {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        SharedPools::default()
-    }
-
-    /// The pool for one (fingerprint, kind) pair, created with
-    /// `glue_bound` on first use.
-    pub fn pool(
-        &self,
-        fingerprint: Fingerprint,
-        kind: PoolKind,
-        glue_bound: u32,
-    ) -> Arc<ClausePool> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            inner
-                .entry((fingerprint, kind))
-                .or_insert_with(|| Arc::new(ClausePool::new(glue_bound))),
-        )
-    }
-
-    /// Number of distinct pools created so far.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// `true` when no pool has been created yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -1112,48 +968,6 @@ mod tests {
             |_, &x| x,
         );
         assert!(out.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn racer_configs_are_diverse_and_clamped() {
-        let base = SolverConfig::default();
-        let four = racer_configs(base, 4);
-        assert_eq!(four.len(), 4);
-        assert_eq!(four[0], base);
-        // Every variant is pairwise distinct.
-        for i in 0..four.len() {
-            for j in i + 1..four.len() {
-                assert_ne!(four[i], four[j], "variants {i} and {j} coincide");
-            }
-        }
-        assert_eq!(racer_configs(base, 2).len(), 2);
-        assert_eq!(racer_configs(base, 0).len(), 1, "clamped up to one");
-        assert_eq!(racer_configs(base, 99).len(), 4, "clamped down to four");
-    }
-
-    #[test]
-    fn shared_pools_key_on_fingerprint_and_kind() {
-        let pools = SharedPools::new();
-        assert!(pools.is_empty());
-        let a = pools.pool(Fingerprint(1, 2), PoolKind::Bmc, 4);
-        let same = pools.pool(Fingerprint(1, 2), PoolKind::Bmc, 4);
-        let step = pools.pool(Fingerprint(1, 2), PoolKind::Step, 4);
-        let other = pools.pool(Fingerprint(3, 4), PoolKind::Bmc, 4);
-        assert!(Arc::ptr_eq(&a, &same), "same key must share one pool");
-        assert!(!Arc::ptr_eq(&a, &step), "BMC and step pools must differ");
-        assert!(!Arc::ptr_eq(&a, &other), "fingerprints must not collide");
-        assert_eq!(pools.len(), 3);
-    }
-
-    #[test]
-    fn sharing_options_enablement() {
-        assert!(SharingOptions::default().enabled());
-        assert!(!SharingOptions::disabled().enabled());
-        assert!(!SharingOptions {
-            racers: 1,
-            ..SharingOptions::default()
-        }
-        .enabled());
     }
 
     #[test]

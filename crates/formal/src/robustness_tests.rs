@@ -12,11 +12,12 @@
 //! * every other property's rendered verdict is byte-identical to the
 //!   fault-free run, at worker counts 1 and 4.
 //!
-//! The fault registry is process-global, so every arming test runs under
-//! [`fault_lock`] and targets properties of a design whose transaction
-//! name (`rbt`) appears nowhere else in the test suite — a concurrently
-//! running checker test can share a fault site without ever matching an
-//! arm's property filter.
+//! The fault registry is process-global.  Arms filter on properties of a
+//! design whose transaction name (`rbt`) appears nowhere else in the test
+//! suite, so checker tests in other modules never match one.  Every test
+//! in this module runs the `rbt` design itself, though, so every one of
+//! them — not only the arming ones — runs under [`fault_lock`]: otherwise
+//! a fault armed on the first `rbt` assertion leaks into a concurrent run.
 
 use crate::bmc::BmcOptions;
 use crate::checker::{verify, CheckOptions, PropertyResult, PropertyStatus, VerificationReport};
@@ -29,8 +30,8 @@ use std::time::Duration;
 
 /// A well-behaved single-outstanding echo DUT reserved for the fault
 /// tests.  The transaction name is unique across the test suite so armed
-/// property filters never match a property of another, concurrently
-/// running test.
+/// property filters never match a property of another module's
+/// concurrently running test.
 const FAULT_ECHO: &str = r#"
 /*AUTOSVA
 rbt_txn: req -in> res
@@ -70,7 +71,9 @@ module rbt_echo (
 endmodule
 "#;
 
-/// Serializes the tests that arm the process-global fault registry.
+/// Serializes the tests of this module: the ones that arm the
+/// process-global fault registry, and the ones that run the same `rbt`
+/// design and must not see those arms.
 fn fault_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     // A panicking assertion in one test must not wedge the others.
@@ -329,6 +332,7 @@ proptest! {
 
 #[test]
 fn zero_timeout_reports_budget_unknown_for_every_checked_property() {
+    let _serial = fault_lock();
     let mut renders = Vec::new();
     for threads in [1usize, 4] {
         let mut options = options_with_threads(threads);
@@ -358,6 +362,7 @@ fn zero_timeout_reports_budget_unknown_for_every_checked_property() {
 
 #[test]
 fn generous_timeout_renders_identically_to_unbounded() {
+    let _serial = fault_lock();
     for threads in [1usize, 4] {
         let unbounded = run_with(&options_with_threads(threads));
         let mut options = options_with_threads(threads);
@@ -381,6 +386,7 @@ fn generous_timeout_renders_identically_to_unbounded() {
 /// interval, not one cascade stage.
 #[test]
 fn hard_bmc_instance_times_out_promptly_with_an_engine_note() {
+    let _serial = fault_lock();
     let timeout = Duration::from_millis(50);
     // No induction and a practically unbounded depth: full-depth BMC
     // grinds depth after depth and can only be stopped by the budget.
@@ -422,6 +428,7 @@ fn hard_bmc_instance_times_out_promptly_with_an_engine_note() {
 /// changes nothing about the report.
 #[test]
 fn frontend_deadline_fails_fast_and_a_generous_one_is_invisible() {
+    let _serial = fault_lock();
     let ft = generate_ft(FAULT_ECHO, &AutosvaOptions::default()).unwrap();
     let mut options = CheckOptions::default();
     options.parallel.threads = 1;

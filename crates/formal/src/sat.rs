@@ -16,18 +16,8 @@
 //! [`SolverConfig`] (used by the differential test-suite and the solver
 //! ablation bench); [`SolverStats`] exposes the counters that let the
 //! verification report attribute runtime to solver work.
-//!
-//! For portfolio solving, solvers working on the *same* CNF encoding can be
-//! connected to a shared [`ClausePool`]: each solver exports its learnt
-//! clauses with glue (LBD) at or below the pool's bound and imports the
-//! siblings' exports at decision level 0 (query entry and restarts).
-//! Imported clauses are logical consequences of the shared clause database,
-//! so they can only ever prune search — never change a verdict.
 
-use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// A propositional variable, numbered from 0.
 pub type Var = usize;
@@ -193,164 +183,6 @@ impl std::ops::Add for SolverStats {
         self += o;
         self
     }
-}
-
-/// A clause recorded in a [`ClausePool`], tagged with the participant that
-/// published it so it is never re-imported by its own exporter.
-#[derive(Debug, Clone)]
-struct PoolClause {
-    lits: Vec<SatLit>,
-    lbd: u32,
-    owner: usize,
-}
-
-#[derive(Debug, Default)]
-struct PoolInner {
-    /// Published clauses in arrival order (participants read with a cursor,
-    /// so the vector is append-only).
-    clauses: Vec<PoolClause>,
-    /// Dedup index: the sorted literal multiset of every pooled clause.
-    seen: HashSet<Vec<SatLit>>,
-    /// Number of registered participants (used only to hand out ids).
-    participants: usize,
-}
-
-/// A thread-safe pool of learnt clauses shared between the solvers of a
-/// portfolio race.
-///
-/// The pool is literal-level: it assumes every participant numbers its
-/// variables identically, so it must only ever connect solvers built from
-/// the *same* CNF encoding (the checker keys pools by COI fingerprint and
-/// identical unrolling order).  Exports are filtered by the glue bound and
-/// deduplicated on the sorted literal set; imports skip the reader's own
-/// clauses via the `owner` tag.  The clause list sits behind a single
-/// mutex held only for short append/scan critical sections; the traffic
-/// counters are lock-free atomics.
-#[derive(Debug)]
-pub struct ClausePool {
-    inner: Mutex<PoolInner>,
-    glue_bound: u32,
-    exported: AtomicU64,
-    imported: AtomicU64,
-    filtered: AtomicU64,
-}
-
-impl ClausePool {
-    /// Creates an empty pool accepting clauses with LBD ≤ `glue_bound`.
-    pub fn new(glue_bound: u32) -> ClausePool {
-        ClausePool {
-            inner: Mutex::new(PoolInner::default()),
-            glue_bound,
-            exported: AtomicU64::new(0),
-            imported: AtomicU64::new(0),
-            filtered: AtomicU64::new(0),
-        }
-    }
-
-    /// Registers a participant and returns its id (solvers call this via
-    /// [`Solver::attach_pool`]).
-    pub fn register(&self) -> usize {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.participants += 1;
-        inner.participants - 1
-    }
-
-    /// Offers a learnt clause to the pool.  Clauses above the glue bound
-    /// and duplicates of already-pooled clauses are filtered out.
-    pub fn publish(&self, owner: usize, lits: &[SatLit], lbd: u32) {
-        if lits.is_empty() || lbd > self.glue_bound {
-            self.filtered.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut key = lits.to_vec();
-        key.sort_unstable();
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if !inner.seen.insert(key) {
-            drop(inner);
-            self.filtered.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        inner.clauses.push(PoolClause {
-            lits: lits.to_vec(),
-            lbd,
-            owner,
-        });
-        drop(inner);
-        self.exported.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Returns the clauses published since `cursor` by participants other
-    /// than `reader`, advancing the cursor past everything scanned.
-    fn fetch(&self, reader: usize, cursor: &mut usize) -> Vec<(Vec<SatLit>, u32)> {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let batch = inner.clauses[*cursor..]
-            .iter()
-            .filter(|c| c.owner != reader)
-            .map(|c| (c.lits.clone(), c.lbd))
-            .collect();
-        *cursor = inner.clauses.len();
-        batch
-    }
-
-    fn note_imports(&self, n: u64) {
-        if n > 0 {
-            self.imported.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Clauses accepted into the pool.
-    pub fn exported(&self) -> u64 {
-        self.exported.load(Ordering::Relaxed)
-    }
-
-    /// Clauses attached by importers (each import of one clause by one
-    /// participant counts once).
-    pub fn imported(&self) -> u64 {
-        self.imported.load(Ordering::Relaxed)
-    }
-
-    /// Offered clauses rejected by the glue bound or as duplicates.
-    pub fn filtered(&self) -> u64 {
-        self.filtered.load(Ordering::Relaxed)
-    }
-
-    /// A copy of every pooled clause with its LBD, in publication order
-    /// (diagnostics and the implication spot-checks of the differential
-    /// tests).
-    pub fn snapshot(&self) -> Vec<(Vec<SatLit>, u32)> {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner
-            .clauses
-            .iter()
-            .map(|c| (c.lits.clone(), c.lbd))
-            .collect()
-    }
-
-    /// Number of clauses currently pooled.
-    pub fn len(&self) -> usize {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.clauses.len()
-    }
-
-    /// `true` when no clause has been pooled yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A solver's connection to a [`ClausePool`]: the shared pool, this
-/// solver's participant id, and the read cursor into the pool's clause
-/// list.
-#[derive(Debug, Clone)]
-struct PoolHandle {
-    pool: Arc<ClausePool>,
-    id: usize,
-    cursor: usize,
-    /// Fetched clauses referencing variables this solver has not
-    /// allocated yet, retried at the next import point (an importer that
-    /// joined an already-warm pool grows into the pooled clauses as its
-    /// unrolling deepens).
-    pending: Vec<(Vec<SatLit>, u32)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -542,8 +374,6 @@ pub struct Solver {
     /// `stats.conflicts` at every query boundary and nothing is ever
     /// charged twice.
     conflicts_charged: u64,
-    /// Shared learnt-clause pool of a portfolio race (`None` outside one).
-    pool: Option<PoolHandle>,
 }
 
 const NO_REASON: usize = usize::MAX;
@@ -587,45 +417,6 @@ impl Solver {
     /// `solve` returns [`SatResult::Interrupted`].
     pub fn set_interrupt(&mut self, interrupt: crate::interrupt::Interrupt) {
         self.interrupt = interrupt;
-    }
-
-    /// Connects this solver to a shared learnt-clause pool, registering it
-    /// as a participant.
-    ///
-    /// From then on every clause learnt with LBD within the pool's glue
-    /// bound is exported (unless this solver's interrupt has already
-    /// fired — a preempted racer must not publish work the caller is about
-    /// to discard), and the siblings' exports are imported at decision
-    /// level 0 on query entry and at every restart.  All participants must
-    /// share this solver's variable numbering.
-    pub fn attach_pool(&mut self, pool: Arc<ClausePool>) {
-        let id = pool.register();
-        self.pool = Some(PoolHandle {
-            pool,
-            id,
-            cursor: 0,
-            pending: Vec::new(),
-        });
-    }
-
-    /// Sets the saved phase of `var`: the polarity its next decision tries
-    /// first.  Used to seed a solver from a COI-overlapping sibling's
-    /// latch polarities instead of starting from the all-false default.
-    pub fn set_phase(&mut self, var: Var, positive: bool) {
-        self.phase[var] = positive;
-    }
-
-    /// Adds `boost` activity-increment units to `var`'s VSIDS activity so
-    /// early decisions favour it (the cross-property seeding hook).
-    pub fn boost_activity(&mut self, var: Var, boost: f64) {
-        self.activity[var] += self.act_inc * boost;
-        if self.activity[var] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.act_inc *= 1e-100;
-        }
-        self.order.bumped(var, &self.activity);
     }
 
     /// Number of variables allocated so far.
@@ -706,101 +497,6 @@ impl Solver {
                     lbd: 0,
                     act: 0.0,
                 });
-            }
-        }
-    }
-
-    /// Drains the sibling clauses published to the attached pool since the
-    /// last drain into this solver's database, marked learnt so `reduce_db`
-    /// can evict them again.  Must run at decision level 0.  Returns
-    /// `false` when an import revealed level-0 unsatisfiability.
-    fn import_shared(&mut self) -> bool {
-        let batch = match &mut self.pool {
-            None => return !self.unsat,
-            Some(handle) => {
-                let mut batch = std::mem::take(&mut handle.pending);
-                batch.extend(handle.pool.fetch(handle.id, &mut handle.cursor));
-                batch
-            }
-        };
-        if batch.is_empty() {
-            return !self.unsat;
-        }
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut attached = 0u64;
-        let mut deferred: Vec<(Vec<SatLit>, u32)> = Vec::new();
-        for (lits, lbd) in batch {
-            // A sibling (or, for a pool reused across properties with
-            // identical cones, an earlier run) may reference variables
-            // this solver has not allocated yet: defer those clauses
-            // until the unrolling grows into them.
-            if lits.iter().any(|l| l.var() >= self.num_vars) {
-                deferred.push((lits, lbd));
-                continue;
-            }
-            if self.import_clause(&lits, lbd) {
-                attached += 1;
-            }
-            if self.unsat {
-                break;
-            }
-        }
-        if let Some(handle) = &mut self.pool {
-            handle.pending = deferred;
-            handle.pool.note_imports(attached);
-        }
-        !self.unsat
-    }
-
-    /// Attaches one imported clause, mirroring [`Solver::add_clause`]'s
-    /// level-0 simplification but recording the clause as learnt with the
-    /// exporter's LBD (so the reduction heuristics treat it like local
-    /// learnt clauses).  Returns `true` when the clause was integrated
-    /// (attached, or enqueued as a level-0 unit).
-    fn import_clause(&mut self, lits: &[SatLit], lbd: u32) -> bool {
-        if self.unsat {
-            return false;
-        }
-        let mut simplified: Vec<SatLit> = Vec::with_capacity(lits.len());
-        for &lit in lits {
-            match self.lit_value(lit) {
-                Some(true) => return false, // already satisfied
-                Some(false) => continue,
-                None => {
-                    if simplified.contains(&lit.negate()) {
-                        return false; // tautology
-                    }
-                    if !simplified.contains(&lit) {
-                        simplified.push(lit);
-                    }
-                }
-            }
-        }
-        match simplified.len() {
-            0 => {
-                // Imported clauses are implied by the shared database, so a
-                // level-0-falsified import means the instance is unsat.
-                self.unsat = true;
-                false
-            }
-            1 => {
-                if !self.enqueue(simplified[0], NO_REASON) || self.propagate().is_some() {
-                    self.unsat = true;
-                }
-                true
-            }
-            _ => {
-                let idx = self.clauses.len();
-                self.watch(simplified[0], idx);
-                self.watch(simplified[1], idx);
-                self.clauses.push(Clause {
-                    lits: simplified,
-                    learnt: true,
-                    lbd: lbd.max(1),
-                    act: 0.0,
-                });
-                self.num_learnts += 1;
-                true
             }
         }
     }
@@ -1344,11 +1040,10 @@ impl Solver {
         // The search loop charges the step budget only at its poll
         // cadence, so conflicts spent after the last poll point would
         // otherwise never reach the budget at all — a stream of
-        // sub-cadence queries could run forever on an exhausted budget,
-        // and a race turn quantum finer than the cadence would never
-        // preempt.  Charge the tail here: the completed answer stands
-        // (the work is already done), but the latch makes the caller's
-        // next budget check observe the true spend.
+        // sub-cadence queries could run forever on an exhausted budget.
+        // Charge the tail here: the completed answer stands (the work is
+        // already done), but the latch makes the caller's next budget
+        // check observe the true spend.
         let tail = self.stats.conflicts - self.conflicts_charged;
         self.conflicts_charged = self.stats.conflicts;
         if tail > 0 {
@@ -1379,11 +1074,6 @@ impl Solver {
             self.backtrack(0);
             return SatResult::Interrupted;
         }
-        // Pull in whatever the portfolio siblings published since the last
-        // query (the solver sits at decision level 0 here).
-        if !self.import_shared() {
-            return SatResult::Unsat;
-        }
         let mut iterations: u64 = 0;
         let mut props_polled = self.stats.propagations;
 
@@ -1406,8 +1096,7 @@ impl Solver {
                 }
             }
             // Luby restart: abandon the current prefix (saved phases make
-            // the replay cheap); assumptions are re-applied below.  Level 0
-            // is also the import point for pooled sibling clauses.
+            // the replay cheap); assumptions are re-applied below.
             if self.config.restarts && self.stats.conflicts >= self.restart_next {
                 self.stats.restarts += 1;
                 self.restart_seq += 1;
@@ -1416,9 +1105,6 @@ impl Solver {
                 self.restart_next = self.stats.conflicts
                     + u64::from(self.config.restart_base.max(1)) * luby(self.restart_seq);
                 self.backtrack(0);
-                if !self.import_shared() {
-                    return SatResult::Unsat;
-                }
             }
             // Periodic learnt-clause database reduction (needs level 0:
             // reasons reference clause indices about to be compacted).
@@ -1489,15 +1175,6 @@ impl Solver {
                     "learnt clause not falsified at the conflict"
                 );
                 let lbd = self.compute_lbd(&learnt);
-                // Export within the glue bound — unless this solver's
-                // interrupt already fired, in which case the clause was
-                // derived on borrowed time and a cancelled racer must not
-                // publish it ("preempted ≠ proven" extends to exports).
-                if let Some(handle) = &self.pool {
-                    if self.interrupt.triggered().is_none() {
-                        handle.pool.publish(handle.id, &learnt, lbd);
-                    }
-                }
                 self.backtrack(level);
                 let asserting = learnt[0];
                 if learnt.len() == 1 {
@@ -2079,126 +1756,33 @@ mod tests {
     }
 
     #[test]
-    fn pool_filters_by_glue_bound_and_deduplicates() {
-        let pool = ClausePool::new(2);
-        let a = SatLit::pos(0);
-        let b = SatLit::pos(1);
-        pool.publish(0, &[a, b], 2);
-        assert_eq!(pool.exported(), 1);
-        // Same literal set (any order) is a duplicate.
-        pool.publish(1, &[b, a], 1);
-        assert_eq!(pool.exported(), 1);
-        assert_eq!(pool.filtered(), 1);
-        // Above the glue bound: rejected.
-        pool.publish(0, &[a, b.negate()], 3);
-        assert_eq!(pool.exported(), 1);
-        assert_eq!(pool.filtered(), 2);
-        assert_eq!(pool.len(), 1);
-        // Readers skip their own clauses.
-        let mut cursor = 0;
-        assert!(pool.fetch(0, &mut cursor).is_empty());
-        let mut cursor = 0;
-        assert_eq!(pool.fetch(1, &mut cursor).len(), 1);
-        // The cursor advanced past everything scanned.
-        assert!(pool.fetch(1, &mut cursor).is_empty());
-    }
+    fn sub_cadence_solves_charge_their_conflicts_to_a_shared_budget() {
+        use crate::interrupt::{Interrupt, InterruptReason};
 
-    #[test]
-    fn shared_pool_preserves_verdicts_and_moves_clauses() {
-        // An exporter solves a hard unsat instance, filling the pool; an
-        // importer over the same variables then solves it again, pulling
-        // the exports in.  Both verdicts must match the pool-free solve.
-        let pool = Arc::new(ClausePool::new(4));
-        let mut exporter = Solver::new();
-        exporter.attach_pool(pool.clone());
-        pigeonhole(&mut exporter, 5);
-        assert_eq!(exporter.solve(&[]), SatResult::Unsat);
-        assert!(pool.exported() > 0, "no clause met the glue bound");
-        assert_eq!(pool.imported(), 0, "exporter re-imported its own work");
+        // One small unsat instance: every solve of it ends well before the
+        // search loop's first poll, so only the charge on `solve` exit can
+        // ever reach the budget.
+        let solve_once = |interrupt: &Interrupt| {
+            let mut s = Solver::new();
+            s.set_interrupt(interrupt.clone());
+            pigeonhole(&mut s, 4);
+            let result = s.solve(&[]);
+            assert!(s.stats.decisions + s.stats.conflicts < INTERRUPT_POLL_INTERVAL);
+            assert!(s.stats.propagations < PROPAGATION_POLL_INTERVAL);
+            (result, s.stats.conflicts)
+        };
+        let (result, per_solve) = solve_once(&Interrupt::none());
+        assert_eq!(result, SatResult::Unsat);
+        assert!(per_solve > 0);
 
-        let mut importer = Solver::new();
-        importer.attach_pool(pool.clone());
-        pigeonhole(&mut importer, 5);
-        assert_eq!(importer.solve(&[]), SatResult::Unsat);
-        assert!(pool.imported() > 0, "importer never attached a clause");
-
-        // A satisfiable query over the same pool stays satisfiable.
-        let pool = Arc::new(ClausePool::new(4));
-        let mut first = Solver::new();
-        first.attach_pool(pool.clone());
-        random_3sat(&mut first, 7, 12, 30);
-        let verdict = first.solve(&[]);
-        let mut second = Solver::new();
-        second.attach_pool(pool);
-        random_3sat(&mut second, 7, 12, 30);
-        assert_eq!(second.solve(&[]), verdict);
-    }
-
-    #[test]
-    fn pooled_clauses_are_implied_by_the_exporting_instance() {
-        // Every pooled clause C must be a consequence of the exporter's
-        // clause database: asserting ¬C as assumptions must be Unsat on a
-        // fresh solver over the same instance.
-        for seed in 1..8u64 {
-            let pool = Arc::new(ClausePool::new(4));
-            let mut exporter = Solver::new();
-            exporter.attach_pool(pool.clone());
-            random_3sat(&mut exporter, seed, 12, 51);
-            let _ = exporter.solve(&[]);
-            for (clause, _) in pool.snapshot() {
-                let mut checker = Solver::new();
-                random_3sat(&mut checker, seed, 12, 51);
-                let negated: Vec<SatLit> = clause.iter().map(|l| l.negate()).collect();
-                assert_eq!(
-                    checker.solve(&negated),
-                    SatResult::Unsat,
-                    "seed {seed}: pooled clause {clause:?} is not implied"
-                );
-            }
+        // Three solves' worth of conflicts, shared by clones of one handle.
+        let interrupt = Interrupt::new(None, Some(3 * per_solve), None);
+        for i in 0..3 {
+            assert_eq!(interrupt.triggered(), None, "budget fired before solve {i}");
+            assert_eq!(solve_once(&interrupt), (SatResult::Unsat, per_solve));
         }
-    }
-
-    #[test]
-    fn cancelled_solver_exports_nothing() {
-        // A racer whose interrupt fired before (or during) its turn must
-        // not publish clauses: cancellation latches immediately, and both
-        // the entry poll and the per-learn export gate observe it.
-        let cancel = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let interrupt = crate::interrupt::Interrupt::new(None, None, Some(cancel));
-        let pool = Arc::new(ClausePool::new(u32::MAX));
-        let mut s = Solver::new();
-        s.set_interrupt(interrupt);
-        s.attach_pool(pool.clone());
-        pigeonhole(&mut s, 5);
-        assert_eq!(s.solve(&[]), SatResult::Interrupted);
-        assert_eq!(pool.exported(), 0, "cancelled solver published clauses");
-    }
-
-    #[test]
-    fn phase_and_activity_seeding_steer_decisions() {
-        // With no constraints the first decision on a variable follows its
-        // saved phase, and boosted variables are decided first.
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.set_phase(a, true);
-        s.set_phase(b, false);
-        assert_eq!(s.solve(&[]), SatResult::Sat);
-        assert_eq!(s.value(a), Some(true));
-        assert_eq!(s.value(b), Some(false));
-
-        // b outranks a after a boost: the clause (¬a | ¬b) then assigns b
-        // first (true via its seeded phase) and propagates ¬a.
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.set_phase(a, true);
-        s.set_phase(b, true);
-        s.boost_activity(b, 10.0);
-        s.add_clause(&[SatLit::neg(a), SatLit::neg(b)]);
-        assert_eq!(s.solve(&[]), SatResult::Sat);
-        assert_eq!(s.value(b), Some(true));
-        assert_eq!(s.value(a), Some(false));
+        assert_eq!(interrupt.triggered(), Some(InterruptReason::Budget));
+        assert_eq!(solve_once(&interrupt).0, SatResult::Interrupted);
     }
 
     #[test]

@@ -8,23 +8,8 @@
 //! checks.
 
 use crate::aig::{Aig, Lit, Node};
-use crate::sat::{ClausePool, SatLit, Solver, SolverConfig, SolverStats, Var};
+use crate::sat::{SatLit, Solver, SolverConfig, SolverStats, Var};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// A phase/VSIDS-activity seed for one AIG node, applied to every SAT
-/// variable created for that node (one per frame).  Cross-property
-/// learning computes these from a COI-overlapping sibling cone so a solver
-/// starts with the sibling's latch polarities and decision priorities
-/// instead of the cold all-false default.  Hints steer only the search
-/// order — never the clause database — so they cannot change a verdict.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeedHint {
-    /// The saved phase the node's variables start with.
-    pub phase: bool,
-    /// VSIDS activity boost in activity-increment units (0 = none).
-    pub boost: f64,
-}
 
 /// Incremental time-frame expansion of an [`Aig`] into a [`Solver`].
 #[derive(Debug)]
@@ -37,8 +22,6 @@ pub struct Unroller<'a> {
     constrain_init: bool,
     /// A variable that is always true (used to translate constant literals).
     true_var: Var,
-    /// Phase/activity seeds by AIG node, consulted at variable creation.
-    seeds: HashMap<usize, SeedHint>,
 }
 
 impl<'a> Unroller<'a> {
@@ -63,26 +46,7 @@ impl<'a> Unroller<'a> {
             frames: Vec::new(),
             constrain_init,
             true_var,
-            seeds: HashMap::new(),
         }
-    }
-
-    /// Connects the underlying solver to a shared learnt-clause pool (see
-    /// [`Solver::attach_pool`]).  Every unroller attached to one pool must
-    /// encode the same AIG with the same construction order, so variable
-    /// numbers mean the same thing to all participants.
-    pub fn attach_pool(&mut self, pool: Arc<ClausePool>) {
-        self.solver.attach_pool(pool);
-    }
-
-    /// Installs phase/activity seeds, applied to the SAT variables of the
-    /// hinted AIG nodes as they are created (so this must be called before
-    /// the relevant frames are built).  Returns the number of hints
-    /// installed.
-    pub fn set_seed_hints(&mut self, seeds: HashMap<usize, SeedHint>) -> usize {
-        let n = seeds.len();
-        self.seeds = seeds;
-        n
     }
 
     /// Access to the underlying solver (e.g. for statistics).
@@ -159,12 +123,6 @@ impl<'a> Unroller<'a> {
         // Latch variables for this frame.
         for latch in self.aig.latches() {
             let var = self.solver.new_var();
-            if let Some(&hint) = self.seeds.get(&latch.node) {
-                self.solver.set_phase(var, hint.phase);
-                if hint.boost > 0.0 {
-                    self.solver.boost_activity(var, hint.boost);
-                }
-            }
             self.frames[frame_idx].insert(latch.node, var);
             if frame_idx == 0 {
                 if self.constrain_init {
@@ -196,16 +154,7 @@ impl<'a> Unroller<'a> {
         }
         let var = match self.aig.node(node) {
             Node::False => self.false_var(),
-            Node::Input => {
-                let v = self.solver.new_var();
-                if let Some(&hint) = self.seeds.get(&node) {
-                    self.solver.set_phase(v, hint.phase);
-                    if hint.boost > 0.0 {
-                        self.solver.boost_activity(v, hint.boost);
-                    }
-                }
-                v
-            }
+            Node::Input => self.solver.new_var(),
             Node::Latch => {
                 // Latch variables are created eagerly in push_frame.
                 unreachable!("latch variable missing from frame {frame}")

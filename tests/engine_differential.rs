@@ -12,7 +12,7 @@ use autosva_bench::{build_testbench, default_check_options};
 use autosva_designs::{all_cases, elaborated, Variant};
 use autosva_formal::aig::{Aig, Lit};
 use autosva_formal::bmc::{check_safety, BmcOptions, SafetyResult};
-use autosva_formal::checker::verify_elaborated;
+use autosva_formal::checker::{verify_elaborated, Proof, PropertyStatus, VerificationReport};
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
 use autosva_formal::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
 use autosva_formal::fuzz::{fuzz_safety, FuzzOptions};
@@ -485,97 +485,6 @@ proptest! {
         }
     }
 
-    /// The clause-sharing portfolio race is verdict-preserving and sound:
-    /// on every random model the lockstep race of diverse solver
-    /// configurations returns the same verdict (same induction depth,
-    /// same minimal counterexample depth) as the plain single-solver
-    /// loop, and every clause the racers exchanged through the shared BMC
-    /// pool is *implied* by the exporting cone — assuming its negation
-    /// against a fresh unrolling of the same model is UNSAT.
-    #[test]
-    fn race_agrees_with_single_solver_and_shares_only_implied_clauses(
-        seed in 1u64..u64::MAX,
-        num_latches in 2usize..6,
-        num_inputs in 1usize..3,
-        num_gates in 4usize..14,
-    ) {
-        use autosva_formal::bmc::{check_safety_budgeted, race_safety_budgeted, RaceOptions};
-        use autosva_formal::interrupt::Interrupt;
-        use autosva_formal::sat::ClausePool;
-        use std::sync::Arc;
-
-        let model = random_model(seed, num_latches, num_inputs, num_gates);
-        let options = BmcOptions { max_depth: 12, max_induction: 12 };
-        let (single, _) = check_safety_budgeted(
-            &model,
-            0,
-            &options,
-            SolverConfig::default(),
-            &Interrupt::none(),
-        );
-
-        let bmc_pool = Arc::new(ClausePool::new(4));
-        let step_pool = Arc::new(ClausePool::new(4));
-        let race = RaceOptions {
-            configs: vec![
-                SolverConfig::default(),
-                // Aggressive intervals so restarts — and the restart-time
-                // clause imports — fire even on these tiny instances.
-                SolverConfig { restart_base: 2, reduce_base: 8, ..SolverConfig::default() },
-                SolverConfig::baseline(),
-            ],
-            // A tiny turn quantum maximizes interleaving between racers.
-            quantum: 4,
-            glue_bound: 4,
-            lemmas: Vec::new(),
-            seeds: HashMap::new(),
-            pools: Some((Arc::clone(&bmc_pool), Arc::clone(&step_pool))),
-        };
-        let (raced, _, _) = race_safety_budgeted(&model, 0, &options, &race, &Interrupt::none());
-        match (&single, &raced) {
-            (
-                SafetyResult::Proven { induction_depth: a },
-                SafetyResult::Proven { induction_depth: b },
-            ) => prop_assert_eq!(a, b, "race changed the induction depth (seed {})", seed),
-            (SafetyResult::Violated(a), SafetyResult::Violated(b)) => prop_assert_eq!(
-                a.len(),
-                b.len(),
-                "race changed the minimal counterexample depth (seed {})",
-                seed
-            ),
-            (SafetyResult::Unknown { .. }, SafetyResult::Unknown { .. }) => {}
-            (s, r) => prop_assert!(
-                false,
-                "race and single solver disagree (seed {seed}): {s:?} vs {r:?}"
-            ),
-        }
-
-        // Implication spot-check over the shared BMC pool.  A fresh
-        // unrolling of the same AIG — issuing the same query sequence the
-        // racers issue (the bad literal, depth by depth), so the lazy
-        // Tseitin encoding allocates variables in the identical order —
-        // reproduces the racers' variable numbering, and each pooled
-        // clause can be queried verbatim: CNF ∧ ¬C must be unsatisfiable.
-        let mut fresh = Unroller::new(&model.aig, true);
-        for frame in 0..=options.max_depth {
-            let _ = fresh.lit_in_frame(model.bads[0].lit, frame);
-        }
-        for (clause, _lbd) in bmc_pool.snapshot().into_iter().take(24) {
-            prop_assert!(
-                clause.iter().all(|l| l.var() < fresh.solver().num_vars()),
-                "pooled clause references a variable outside the unrolling (seed {seed})"
-            );
-            let negated: Vec<SatLit> = clause.iter().map(|l| l.negate()).collect();
-            prop_assert_eq!(
-                fresh.solve_sat(&negated),
-                SatResult::Unsat,
-                "shared clause {:?} is not implied by the exporting cone (seed {})",
-                clause,
-                seed
-            );
-        }
-    }
-
     /// The pre-cascade stimulus fuzzer never contradicts the SAT engines:
     /// every violation it reports is confirmed by BMC as a counterexample at
     /// the same depth (the re-minimization the cascade relies on), and it
@@ -697,11 +606,43 @@ fn struct_and_flat_twin_reports_are_byte_identical() {
     );
 }
 
+/// Every decided row names the cascade stage that decided it, and the tag
+/// matches the result: k-induction proofs come from BMC, invariants from
+/// PDR, reachability proofs from the explicit engine, and a violation the
+/// fuzzer replay-confirmed from the fuzzer.  Other violations, witnesses
+/// and unreachable covers carry a SAT or explicit tag; undecided and
+/// unchecked rows carry none.
+fn assert_provenance(report: &VerificationReport, label: &str) {
+    for r in &report.results {
+        let fuzz_found = r.fuzz.is_some_and(|f| f.confirmed > 0);
+        let consistent = match &r.status {
+            PropertyStatus::Proven(Proof::Induction { .. }) => r.engine == Some("bmc"),
+            PropertyStatus::Proven(Proof::Invariant { .. }) => r.engine == Some("pdr"),
+            PropertyStatus::Proven(Proof::Reachability) => r.engine == Some("explicit"),
+            PropertyStatus::Violated(_) if fuzz_found => r.engine == Some("fuzz"),
+            PropertyStatus::Violated(_)
+            | PropertyStatus::Covered(_)
+            | PropertyStatus::Unreachable => {
+                matches!(r.engine, Some("bmc" | "pdr" | "explicit"))
+            }
+            PropertyStatus::Unknown
+            | PropertyStatus::NotChecked(_)
+            | PropertyStatus::Error { .. } => r.engine.is_none(),
+        };
+        assert!(
+            consistent,
+            "{label}: {} is {} but tagged {:?}",
+            r.name, r.status, r.engine
+        );
+    }
+}
+
 /// The orchestrator's determinism contract: a fully sequential run
 /// (`threads = 1`) and a parallel run (`threads = 4`) of the whole Table III
 /// corpus must render byte-identical reports — same statuses, same proof
 /// artifacts, same slice sizes, independent of thread interleaving — with
-/// the AIG optimization pass both enabled and disabled.
+/// the AIG optimization pass both enabled and disabled.  Both runs also
+/// carry consistent per-row provenance.
 #[test]
 fn parallel_and_sequential_corpus_reports_are_byte_identical() {
     for case in all_cases() {
@@ -733,6 +674,9 @@ fn parallel_and_sequential_corpus_reports_are_byte_identical() {
                     "{} ({variant:?}, opt={opt}): sequential and parallel reports diverge",
                     case.id
                 );
+                let label = format!("{} ({variant:?}, opt={opt})", case.id);
+                assert_provenance(&seq_report, &label);
+                assert_provenance(&par_report, &label);
             }
         }
     }
@@ -776,56 +720,6 @@ fn fuzz_on_and_off_corpus_reports_are_byte_identical() {
                         baseline_render, fuzzed_render,
                         "{} ({variant:?}, threads={threads}, seed={seed:#x}): \
                          fuzz-on and fuzz-off reports diverge",
-                        case.id
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The clause-sharing determinism contract: the rendered report of the
-/// whole Table III corpus is byte-identical with the portfolio race on
-/// (at 2 and at the default 3 racer configurations) or off, sequential
-/// or parallel.  Shared clauses, PDR lemmas and cross-property seeds may
-/// only ever *strengthen* the search — verdicts, proof artifacts and
-/// (re-minimized) counterexample traces never depend on them.
-#[test]
-fn sharing_on_and_off_corpus_reports_are_byte_identical() {
-    use autosva_formal::portfolio::SharingOptions;
-
-    for case in all_cases() {
-        let variants: &[Variant] = if case.has_bug_parameter {
-            &[Variant::Fixed, Variant::Buggy]
-        } else {
-            &[Variant::Fixed]
-        };
-        for &variant in variants {
-            let ft = build_testbench(&case);
-            let design = elaborated(&case, variant);
-
-            for threads in [1usize, 4] {
-                let mut off = default_check_options(&case, variant);
-                off.parallel.threads = threads;
-                off.sharing = SharingOptions::disabled();
-                let off_render = verify_elaborated(&design, &ft, &off)
-                    .expect("sharing-off run succeeds")
-                    .render();
-
-                for racers in [2usize, 3] {
-                    let mut on = default_check_options(&case, variant);
-                    on.parallel.threads = threads;
-                    on.sharing = SharingOptions {
-                        racers,
-                        ..SharingOptions::default()
-                    };
-                    let on_render = verify_elaborated(&design, &ft, &on)
-                        .expect("sharing-on run succeeds")
-                        .render();
-                    assert_eq!(
-                        off_render, on_render,
-                        "{} ({variant:?}, threads={threads}, racers={racers}): \
-                         sharing-on and sharing-off reports diverge",
                         case.id
                     );
                 }

@@ -3131,18 +3131,18 @@ mod tests {
         assert_eq!(design.width("s_q"), Some(5));
         assert_eq!(design.aig.num_latches(), 5);
         // After one cycle the fu field holds LOAD = 2'b01 and trans_id = id_i.
-        let mut sim = crate::sim::Simulator::new(&crate::model::Model::new(design.aig.clone()));
-        let inputs: std::collections::HashMap<String, bool> =
-            [("id_i[0]", true), ("id_i[1]", false), ("id_i[2]", true)]
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect();
-        sim.step_named(&inputs);
+        let model = crate::model::Model::new(design.aig.clone());
+        let mut sim = crate::psim::ParallelSim::new(&model);
+        let inputs: Vec<u64> = (0..model.aig.num_inputs())
+            .map(|i| u64::from(matches!(model.aig.input_name(i), "id_i[0]" | "id_i[2]")))
+            .collect();
+        sim.step_inputs(&inputs);
+        sim.advance();
         let s_q = design.signal("s_q").unwrap();
         let got: u32 = s_q
             .iter()
             .enumerate()
-            .map(|(i, &l)| if sim.value(l) { 1 << i } else { 0 })
+            .map(|(i, &l)| if sim.word(l) & 1 == 1 { 1 << i } else { 0 })
             .sum();
         // trans_id = 3'b101 at [4:2], fu = 2'b01 at [1:0] -> 5'b10101.
         assert_eq!(got, 0b10101);

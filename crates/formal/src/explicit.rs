@@ -17,9 +17,10 @@
 //!   assumed fairness is discharged — the exact automata-theoretic criterion
 //!   for a counterexample lasso.
 
-use crate::aig::{Aig, Lit, Node};
+use crate::aig::{Aig, Lit};
 use crate::interrupt::Interrupt;
 use crate::model::Model;
+use crate::psim::{Evaluator, LaneWord, Lanes, ALL_LANES, LANE_MASKS};
 use crate::trace::Trace;
 use std::collections::HashMap;
 
@@ -61,17 +62,6 @@ impl ExplicitResult {
     }
 }
 
-/// Bit-parallel lane masks: lane `l` of word `i` holds bit `i` of the lane
-/// index, so 64 input combinations are evaluated per AIG sweep.
-const LANE_MASKS: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-
 /// The reachable-state graph of a [`Model`].
 #[derive(Debug)]
 pub struct ExplicitEngine {
@@ -92,57 +82,6 @@ pub struct ExplicitEngine {
     /// The exploration was preempted by its interrupt handle (implies
     /// `!complete`); callers must not cache or reuse the truncated graph.
     interrupted: bool,
-}
-
-struct Evaluator<'a> {
-    aig: &'a Aig,
-    values: Vec<u64>,
-}
-
-impl<'a> Evaluator<'a> {
-    fn new(aig: &'a Aig) -> Self {
-        Evaluator {
-            aig,
-            values: vec![0; aig.num_nodes()],
-        }
-    }
-
-    /// Evaluates the whole AIG for one latch state and 64 input combinations
-    /// (the low 6 input bits vary across lanes, the rest are taken from
-    /// `high_bits`).
-    fn sweep(&mut self, latch_nodes: &[usize], input_nodes: &[usize], state: u64, high_bits: u64) {
-        for v in &mut self.values {
-            *v = 0;
-        }
-        for (i, &node) in latch_nodes.iter().enumerate() {
-            self.values[node] = if (state >> i) & 1 == 1 { u64::MAX } else { 0 };
-        }
-        for (i, &node) in input_nodes.iter().enumerate() {
-            self.values[node] = if i < 6 {
-                LANE_MASKS[i]
-            } else if (high_bits >> (i - 6)) & 1 == 1 {
-                u64::MAX
-            } else {
-                0
-            };
-        }
-        for idx in 0..self.aig.num_nodes() {
-            if let Node::And(a, b) = self.aig.node(idx) {
-                let va = self.lit_value(a);
-                let vb = self.lit_value(b);
-                self.values[idx] = va & vb;
-            }
-        }
-    }
-
-    fn lit_value(&self, lit: Lit) -> u64 {
-        let v = self.values[lit.node()];
-        if lit.is_inverted() {
-            !v
-        } else {
-            v
-        }
-    }
 }
 
 impl ExplicitEngine {
@@ -209,6 +148,31 @@ impl ExplicitEngine {
         1u32 << low
     }
 
+    /// Loads one packed latch state and the 64 input combinations of input
+    /// word `high` into `eval` and settles it: every latch is 0 or
+    /// all-ones, the low six inputs take `LANE_MASKS` (so the lanes hold
+    /// all 64 combinations of them), and the rest take the bits of `high`.
+    fn evaluate(&self, eval: &mut Evaluator<LaneWord>, state: u64, high: u64) {
+        for (i, &node) in self.latch_nodes.iter().enumerate() {
+            eval.set(node, LaneWord::splat((state >> i) & 1 == 1));
+        }
+        for (i, &node) in self.input_nodes.iter().enumerate() {
+            let word = match LANE_MASKS.get(i) {
+                Some(&lanes) => lanes,
+                None => LaneWord::splat((high >> (i - LANE_MASKS.len())) & 1 == 1),
+            };
+            eval.set(node, word);
+        }
+        eval.settle();
+    }
+
+    /// Lanes where every invariant constraint holds.
+    fn constraints_ok(&self, eval: &Evaluator<LaneWord>) -> LaneWord {
+        self.constraints
+            .iter()
+            .fold(ALL_LANES, |acc, &c| acc & eval.get(c))
+    }
+
     fn run(&mut self, interrupt: &Interrupt) {
         let init = self.initial_state();
         self.states.push(init);
@@ -216,8 +180,7 @@ impl ExplicitEngine {
         self.preds.push((0, 0));
         self.succs.push(Vec::new());
 
-        let aig = self.aig.clone();
-        let mut eval = Evaluator::new(&aig);
+        let mut eval = Evaluator::new(&self.aig);
         let mut frontier = 0usize;
         while frontier < self.states.len() {
             #[cfg(any(test, feature = "fault-injection"))]
@@ -230,20 +193,17 @@ impl ExplicitEngine {
             let state = self.states[frontier];
             let mut local_succs: Vec<u32> = Vec::new();
             for high in 0..self.num_input_words() {
-                eval.sweep(&self.latch_nodes, &self.input_nodes, state, high);
-                // Constraint mask: lanes where every assumption holds.
-                let mut ok = u64::MAX;
-                for &c in &self.constraints {
-                    ok &= eval.lit_value(c);
-                }
+                self.evaluate(&mut eval, state, high);
+                let ok = self.constraints_ok(&eval);
                 if ok == 0 {
                     continue;
                 }
                 // Next-state bits per lane.
-                let next_bits: Vec<u64> = aig
+                let next_bits: Vec<u64> = self
+                    .aig
                     .latches()
                     .iter()
-                    .map(|l| eval.lit_value(l.next))
+                    .map(|l| eval.get(l.next))
                     .collect();
                 for lane in 0..self.lanes_in_use() {
                     if (ok >> lane) & 1 == 0 {
@@ -306,7 +266,7 @@ impl ExplicitEngine {
     /// Checks a safety property: can `bad` be true in any reachable state
     /// under any constraint-satisfying input valuation?
     pub fn check_bad(&self, bad: Lit) -> ExplicitResult {
-        self.search_condition(bad, true)
+        self.search_condition(bad)
     }
 
     /// Checks a cover property: can `target` be reached?
@@ -314,10 +274,10 @@ impl ExplicitEngine {
     /// A reachable target yields [`ExplicitResult::Violated`] with the
     /// witness trace (the caller interprets it as "covered").
     pub fn check_cover(&self, target: Lit) -> ExplicitResult {
-        self.search_condition(target, true)
+        self.search_condition(target)
     }
 
-    fn search_condition(&self, condition: Lit, want: bool) -> ExplicitResult {
+    fn search_condition(&self, condition: Lit) -> ExplicitResult {
         // Per-property query step: unlike `run`, which executes once per
         // memoized bundle, this runs under the asking property's task, so
         // an armed fault with a property filter fires deterministically
@@ -327,16 +287,8 @@ impl ExplicitEngine {
         let mut eval = Evaluator::new(&self.aig);
         for (idx, &state) in self.states.iter().enumerate() {
             for high in 0..self.num_input_words() {
-                eval.sweep(&self.latch_nodes, &self.input_nodes, state, high);
-                let mut ok = u64::MAX;
-                for &c in &self.constraints {
-                    ok &= eval.lit_value(c);
-                }
-                let mut cond = eval.lit_value(condition);
-                if !want {
-                    cond = !cond;
-                }
-                let hit = ok & cond & self.lane_mask();
+                self.evaluate(&mut eval, state, high);
+                let hit = self.constraints_ok(&eval) & eval.get(condition) & self.lane_mask();
                 if hit != 0 {
                     let lane = hit.trailing_zeros();
                     let input = self.input_valuation(high, lane);

@@ -23,20 +23,18 @@
 //!   population inside the legal stimulus space, so no spurious violation
 //!   can be reported and deep-but-legal paths stay reachable.
 //!
-//! A lane that reaches a bad state is extracted into a concrete per-cycle
-//! stimulus vector and **replayed through the existing two-state monitor**
-//! ([`crate::sim::Simulator`]): only if the replay confirms the violation —
-//! every constraint holds on every cycle and the bad fires at the final
-//! cycle — does the fuzzer report a [`FuzzHit`].  The SAT cascade only ever
-//! sees the survivors.
+//! A lane that reaches a bad state is **replayed on its own**
+//! ([`crate::psim::replay`], lane 0 of a fresh simulation of its concrete
+//! per-cycle stimulus): only if the replay confirms the violation — every
+//! constraint holds on every cycle and the bad fires at the final cycle —
+//! does the fuzzer report a [`FuzzHit`].  The SAT cascade only ever sees
+//! the survivors.
 //!
 //! The search is fully deterministic: fixed seed, fixed lane-group layout,
 //! first-hit-cycle/lowest-lane extraction order.
 
-use crate::aig::Lit;
-use crate::model::{BadProperty, Model};
-use crate::psim::{LaneWord, ParallelSim, ALL_LANES};
-use crate::sim::Simulator;
+use crate::model::Model;
+use crate::psim::{replay, LaneWord, ParallelSim, ALL_LANES};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,7 +101,7 @@ pub struct FuzzStats {
     pub lanes_retired: u64,
     /// Per-cycle input redraws forced by falsified assumptions.
     pub redraws: u64,
-    /// Candidate hits replayed through the two-state monitor.
+    /// Candidate hits replayed on their own (see [`crate::psim::replay`]).
     pub replays: u64,
     /// Replays that confirmed the violation (0 or 1: the search stops at
     /// the first confirmed hit).
@@ -187,7 +185,7 @@ fn fuzz_safety_inner(
     let num_inputs = model.aig.num_inputs();
     let mut sim = ParallelSim::new(model);
     let mut inputs = vec![0u64; num_inputs];
-    // Per-cycle stimulus history of the round, for lane extraction.
+    // Per-cycle stimulus history of the round, for replaying a lane.
     let mut history: Vec<Vec<LaneWord>> = Vec::with_capacity(options.cycles);
 
     for round in 0..options.rounds {
@@ -255,9 +253,9 @@ fn fuzz_safety_inner(
             while hits != 0 {
                 let lane = hits.trailing_zeros() as usize;
                 hits &= hits - 1;
-                let stimulus = extract_lane(&history, lane);
                 stats.replays += 1;
-                if let Some(trace) = replay_confirmed(model, bad_index, &stimulus) {
+                let lane_input = |cycle: usize, i: usize| (history[cycle][i] >> lane) & 1 == 1;
+                if let Some(trace) = replay(model, bad, history.len(), lane_input) {
                     stats.confirmed += 1;
                     return Some(FuzzHit {
                         trace,
@@ -266,8 +264,9 @@ fn fuzz_safety_inner(
                         round,
                     });
                 }
-                // A replay mismatch would mean the word evaluator and the
-                // monitor disagree; retire the lane and keep searching.
+                // A replay mismatch would mean the lane's recorded stimulus
+                // does not reproduce its hit; retire the lane and keep
+                // searching.
                 stats.lanes_retired += 1;
                 alive &= !(1 << lane);
             }
@@ -277,67 +276,10 @@ fn fuzz_safety_inner(
     None
 }
 
-/// Extracts the concrete per-cycle stimulus of one lane from the word
-/// history.
-fn extract_lane(history: &[Vec<LaneWord>], lane: usize) -> Vec<Vec<bool>> {
-    history
-        .iter()
-        .map(|words| words.iter().map(|w| (w >> lane) & 1 == 1).collect())
-        .collect()
-}
-
-/// Replays `stimulus` through the existing cycle-accurate monitor
-/// ([`crate::sim::Simulator`]): every invariant constraint must hold on
-/// every cycle and the target bad must fire at the final cycle.  On
-/// confirmation, returns the full counterexample trace (inputs and latches
-/// per cycle, the same shape the bounded model checker extracts).
-fn replay_confirmed(model: &Model, bad_index: usize, stimulus: &[Vec<bool>]) -> Option<Trace> {
-    if stimulus.is_empty() {
-        return None;
-    }
-    // Check exactly one bad — the target — so a sibling property firing
-    // earlier cannot be mistaken for the confirmation.
-    let mut check_model = model.clone();
-    check_model.bads = vec![BadProperty {
-        name: "__fuzz_target__".into(),
-        lit: model.bads[bad_index].lit,
-    }];
-    let latch_lits: Vec<(String, Lit)> = model
-        .aig
-        .latches()
-        .iter()
-        .map(|l| {
-            let name = model.aig.name_of(l.node).unwrap_or("latch").to_string();
-            (name, Lit::new(l.node, false))
-        })
-        .collect();
-    let mut sim = Simulator::new(&check_model);
-    let mut trace = Trace::new(stimulus.len());
-    let mut fired_last = false;
-    for (cycle, inputs) in stimulus.iter().enumerate() {
-        // Latch values entering the cycle, inputs driven during it — the
-        // frame layout of `bmc::extract_trace`.
-        for (name, lit) in &latch_lits {
-            trace.record(cycle, name, sim.value(*lit), false);
-        }
-        for (i, &value) in inputs.iter().enumerate() {
-            trace.record(cycle, model.aig.input_name(i), value, true);
-        }
-        let violations = sim.step(inputs);
-        if violations
-            .iter()
-            .any(|v| v.property.starts_with("constraint_"))
-        {
-            return None;
-        }
-        fired_last = violations.iter().any(|v| v.property == "__fuzz_target__");
-    }
-    fired_last.then_some(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aig::Lit;
     use crate::compile::compile;
     use crate::elab::{elaborate, ElabOptions};
     use autosva::{generate_ft, AutosvaOptions};
@@ -408,19 +350,14 @@ endmodule
         let hit = fuzz_safety(&model, index, &FuzzOptions::default())
             .expect("the ghost response is a shallow bug");
         assert_eq!(hit.trace.len(), hit.cycle + 1);
-        // The confirmed trace must replay again, independently.
-        let stimulus: Vec<Vec<bool>> = (0..hit.trace.len())
-            .map(|cycle| {
-                (0..model.aig.num_inputs())
-                    .map(|i| {
-                        hit.trace
-                            .value(cycle, model.aig.input_name(i))
-                            .unwrap_or(false)
-                    })
-                    .collect()
-            })
-            .collect();
-        assert!(replay_confirmed(&model, index, &stimulus).is_some());
+        // The confirmed trace must replay again, independently, to itself.
+        let input = |cycle: usize, i: usize| {
+            hit.trace
+                .value(cycle, model.aig.input_name(i))
+                .unwrap_or(false)
+        };
+        let again = replay(&model, model.bads[index].lit, hit.trace.len(), input);
+        assert_eq!(again, Some(hit.trace));
     }
 
     #[test]

@@ -31,12 +31,15 @@
 //!   worker pool over `std::thread`, per-property budgets, a shared
 //!   cancellation flag, and a fingerprint-keyed proof cache whose hits are
 //!   re-certified (invariants) or replayed (traces);
-//! * [`psim`], [`fuzz`] — a bit-parallel two-state simulator (64 stimulus
-//!   lanes per machine word over the sliced AIG) and the stimulus fuzzer
-//!   that runs it *before* any SAT engine: seeded-random, reset-directed
-//!   and constraint-respecting lanes hunt for shallow safety bugs, and
-//!   every hit is replay-confirmed through the monitor so the cascade only
-//!   ever sees survivors;
+//! * [`psim`] — the one AIG evaluator: a gate sweep over 64 lanes per
+//!   machine word, two-valued (simulation, trace replay, opt's signatures,
+//!   the explicit engine) or three-valued in dual-rail form (opt's
+//!   constant sweep, PDR's cube lifting), plus the sequential
+//!   [`psim::ParallelSim`] driver and the one trace [`psim::replay`];
+//! * [`fuzz`] — the stimulus fuzzer that runs the simulator *before* any
+//!   SAT engine: seeded-random, reset-directed and constraint-respecting
+//!   lanes hunt for shallow safety bugs, and every hit is replay-confirmed
+//!   so the cascade only ever sees survivors;
 //! * [`vcd`] — a standards-conformant VCD waveform writer (plus structural
 //!   validator) that dumps every counterexample and witness trace with
 //!   hierarchical signal names recovered from the elaborated design;
@@ -109,7 +112,6 @@ pub mod psim;
 #[cfg(test)]
 mod robustness_tests;
 pub mod sat;
-pub mod sim;
 pub mod telemetry;
 pub mod trace;
 pub mod unroll;

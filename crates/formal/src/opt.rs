@@ -11,20 +11,21 @@
 //!   at their initial value ([`constant_latches`]); they are substituted by
 //!   constants, which cascades through the combinational logic;
 //! * **sequential latch sweeping** (van Eijk) — random sequential
-//!   simulation partitions latches into candidate equivalence classes
-//!   (including stuck-at-constant candidates the ternary analysis cannot
-//!   see); the candidates are then proven by SAT *induction* — assume the
-//!   equivalences over a free current state, show every next-state function
-//!   preserves them, refining the partition with each counterexample —
-//!   and proven classes are merged onto one representative register.  This
-//!   is where testbench monitor state that duplicates design state (e.g.
-//!   an AutoSVA transaction counter shadowing an RTL occupancy counter)
-//!   collapses;
+//!   simulation (64 lanes of [`ParallelSim`]) partitions latches into
+//!   candidate equivalence classes (including stuck-at-constant candidates
+//!   the ternary analysis cannot see); the candidates are then proven by
+//!   SAT *induction* — assume the equivalences over a free current state,
+//!   show every next-state function preserves them, refining the partition
+//!   with each counterexample — and proven classes are merged onto one
+//!   representative register.  This is where testbench monitor state that
+//!   duplicates design state (e.g. an AutoSVA transaction counter
+//!   shadowing an RTL occupancy counter) collapses;
 //! * **combinational gate sweeping** (FRAIG-style) — random-pattern
-//!   signatures partition AND nodes into candidate classes, a SAT miter
-//!   over a free state proves unconditional equivalence, and proven nodes
-//!   are merged onto the earliest representative, catching
-//!   structurally-different-but-equivalent logic the hash cannot;
+//!   signatures over free leaves partition AND nodes into candidate
+//!   classes, a SAT miter over a free state proves unconditional
+//!   equivalence, and proven nodes are merged onto the earliest
+//!   representative, catching structurally-different-but-equivalent logic
+//!   the hash cannot;
 //! * **structural rewriting** — the rebuild funnels every AND gate through
 //!   the one-level strash of [`Aig::and`] *plus* the classic two-level
 //!   rules (subsumption, contradiction, or-absorption, substitution,
@@ -47,104 +48,61 @@
 //! inputs are provably irrelevant to all roots) and PDR invariants carry
 //! over unchanged.
 //!
-//! Constants discovered here are also reported by name so the Level-1 lint
-//! pass ([`crate::lint`]) can surface "register is stuck at its reset
-//! value" diagnostics from the same analysis.
+//! Every simulation here runs on the one AIG evaluator ([`crate::psim`]):
+//! the constant sweep in its three-valued dual-rail mode, the signature
+//! simulations and the counterexample refinements of both equivalence
+//! sweeps in its two-valued mode.  Constants discovered here are also
+//! reported by name so the Level-1 lint pass ([`crate::lint`]) can surface
+//! "register is stuck at its reset value" diagnostics from the same
+//! analysis.
 
 use crate::aig::{Aig, Lit, Node};
 use crate::coi::{fingerprint, Fingerprint};
 use crate::model::{BadProperty, CoverProperty, Model, ResponseProperty};
+use crate::psim::{leaves, Evaluator, LaneWord, Lanes, ParallelSim, Ternary, ALL_LANES};
 use crate::sat::SatResult;
 use crate::unroll::Unroller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 
-/// A three-valued signal value for the reachability fixpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TVal {
-    /// Definitely false in every reachable state seen so far.
-    F,
-    /// Definitely true in every reachable state seen so far.
-    T,
-    /// Unknown / both values possible.
-    X,
-}
-
-impl TVal {
-    fn of(b: bool) -> TVal {
-        if b {
-            TVal::T
-        } else {
-            TVal::F
-        }
-    }
-
-    fn join(self, other: TVal) -> TVal {
-        if self == other {
-            self
-        } else {
-            TVal::X
-        }
-    }
-
-    fn not(self) -> TVal {
-        match self {
-            TVal::F => TVal::T,
-            TVal::T => TVal::F,
-            TVal::X => TVal::X,
-        }
-    }
-
-    fn and(self, other: TVal) -> TVal {
-        match (self, other) {
-            (TVal::F, _) | (_, TVal::F) => TVal::F,
-            (TVal::T, TVal::T) => TVal::T,
-            _ => TVal::X,
-        }
-    }
-}
-
 /// Latches of `aig` that provably hold their initial value in every
 /// reachable state, as `(latch node, stuck-at value)` pairs in node order.
 ///
-/// The proof is a three-valued least-fixpoint simulation: starting from the
-/// concrete reset state with every primary input unknown, latch values are
-/// widened with each step's next-state evaluation until nothing changes.
-/// The lattice has height two per latch, so the loop terminates after at
-/// most `2 * num_latches + 1` rounds.  A latch still two-valued at the
-/// fixpoint is constant in *every* reachable state (the simulation
-/// overapproximates reachability), which makes the substitution in
-/// [`optimize`] sound for safety, cover and liveness targets alike.
+/// The proof is a three-valued least-fixpoint simulation (the evaluator's
+/// dual-rail mode, `Ternary`): starting from the concrete reset state
+/// with every primary input unknown, latch values are widened by joining
+/// in each step's next-state evaluation until nothing changes.  The
+/// lattice has height two per latch, so the loop terminates after at most
+/// `2 * num_latches + 1` rounds.  A latch still known at the fixpoint is
+/// constant in *every* reachable state (the simulation overapproximates
+/// reachability), which makes the substitution in [`optimize`] sound for
+/// safety, cover and liveness targets alike.
 pub fn constant_latches(aig: &Aig) -> Vec<(usize, bool)> {
     let latches = aig.latches();
     if latches.is_empty() {
         return Vec::new();
     }
-    let mut state: HashMap<usize, TVal> =
-        latches.iter().map(|l| (l.node, TVal::of(l.init))).collect();
-    let mut vals: Vec<TVal> = vec![TVal::F; aig.num_nodes()];
+    let mut eval = Evaluator::<Ternary>::new(aig);
+    for &input in aig.inputs() {
+        eval.set(input, Ternary::X);
+    }
+    for latch in latches {
+        eval.set(latch.node, Ternary::splat(latch.init));
+    }
+    let mut next: Vec<Ternary> = Vec::with_capacity(latches.len());
     loop {
-        // One forward evaluation pass; node indices are topologically
-        // ordered (AND inputs always reference earlier nodes).
-        for idx in 0..aig.num_nodes() {
-            vals[idx] = match aig.node(idx) {
-                Node::False => TVal::F,
-                Node::Input => TVal::X,
-                Node::Latch => state[&idx],
-                Node::And(a, b) => {
-                    let va = lit_val(&vals, a);
-                    let vb = lit_val(&vals, b);
-                    va.and(vb)
-                }
-            };
-        }
+        eval.settle();
+        // Read every next-state value before widening any latch, so one
+        // round is one synchronous step.
+        next.clear();
+        next.extend(latches.iter().map(|l| eval.get(l.next)));
         let mut changed = false;
-        for latch in latches {
-            let next = lit_val(&vals, latch.next);
-            let widened = state[&latch.node].join(next);
-            if widened != state[&latch.node] {
-                state.insert(latch.node, widened);
+        for (latch, &value) in latches.iter().zip(&next) {
+            let current = eval.words()[latch.node];
+            let widened = current.join(value);
+            if widened != current {
+                eval.set(latch.node, widened);
                 changed = true;
             }
         }
@@ -154,21 +112,8 @@ pub fn constant_latches(aig: &Aig) -> Vec<(usize, bool)> {
     }
     latches
         .iter()
-        .filter_map(|l| match state[&l.node] {
-            TVal::F => Some((l.node, false)),
-            TVal::T => Some((l.node, true)),
-            TVal::X => None,
-        })
+        .filter_map(|l| eval.words()[l.node].lane(0).map(|value| (l.node, value)))
         .collect()
-}
-
-fn lit_val(vals: &[TVal], l: Lit) -> TVal {
-    let v = vals[l.node()];
-    if l.is_inverted() {
-        v.not()
-    } else {
-        v
-    }
 }
 
 /// The result of [`optimize`]: the rewritten model plus the latches proven
@@ -237,42 +182,18 @@ const COMB_SIM_WORDS: usize = 4;
 /// Fixed seed for the signature simulations (determinism across processes).
 const SWEEP_SEED: u64 = 0x005E_ED0F_0DD5;
 
-/// Evaluates every node of `aig` over 64 parallel bit-patterns.
-///
-/// `leaf` supplies the 64-bit word for inputs and latches; the result is
-/// indexed by node.
-fn eval_words(aig: &Aig, leaf: impl Fn(usize) -> u64) -> Vec<u64> {
-    let word = |vals: &[u64], l: Lit| -> u64 {
-        let w = vals[l.node()];
-        if l.is_inverted() {
-            !w
-        } else {
-            w
-        }
-    };
-    let mut vals = vec![0u64; aig.num_nodes()];
-    for idx in 1..aig.num_nodes() {
-        vals[idx] = match aig.node(idx) {
-            Node::False => 0,
-            Node::Input | Node::Latch => leaf(idx),
-            Node::And(a, b) => word(&vals, a) & word(&vals, b),
-        };
+/// Settles `eval` on the frame-0 leaf values of the solver's last
+/// counterexample (in every lane), which the refinement loops split their
+/// candidate classes by.  Leaves outside every encoded cone read as false,
+/// a valid completion.
+fn settle_on_counterexample(eval: &mut Evaluator<LaneWord>, aig: &Aig, unroller: &mut Unroller) {
+    for n in leaves(aig) {
+        eval.set(
+            n,
+            LaneWord::splat(unroller.model_value(Lit::new(n, false), 0)),
+        );
     }
-    vals
-}
-
-/// Evaluates every node over one concrete leaf valuation.
-fn eval_bools(aig: &Aig, leaf: impl Fn(usize) -> bool) -> Vec<bool> {
-    let bit = |vals: &[bool], l: Lit| -> bool { vals[l.node()] ^ l.is_inverted() };
-    let mut vals = vec![false; aig.num_nodes()];
-    for idx in 1..aig.num_nodes() {
-        vals[idx] = match aig.node(idx) {
-            Node::False => false,
-            Node::Input | Node::Latch => leaf(idx),
-            Node::And(a, b) => bit(&vals, a) && bit(&vals, b),
-        };
-    }
-    vals
+    eval.settle();
 }
 
 /// Sequentially-proven latch equivalences: `latch node -> representative
@@ -303,13 +224,6 @@ fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
         return BTreeMap::new();
     }
     let init_of: HashMap<usize, bool> = latches.iter().map(|l| (l.node, l.init)).collect();
-    let mask = |b: bool| -> u64 {
-        if b {
-            !0
-        } else {
-            0
-        }
-    };
 
     // --- candidate partition from random sequential runs -----------------
     //
@@ -319,54 +233,35 @@ fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
     // must not split a candidate class.  Several short runs keep enough
     // live lanes for discrimination even under tight assumptions.
     let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
-    let mut signatures: HashMap<usize, Vec<u64>> =
-        latches.iter().map(|l| (l.node, Vec::new())).collect();
+    let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); latches.len()];
     const SEQ_SIM_RUNS: usize = 8;
     let steps_per_run = SEQ_SIM_STEPS / SEQ_SIM_RUNS;
+    let mut sim = ParallelSim::new(model);
+    let mut inputs = vec![0u64; aig.num_inputs()];
     for _ in 0..SEQ_SIM_RUNS {
-        let mut state: HashMap<usize, u64> =
-            latches.iter().map(|l| (l.node, mask(l.init))).collect();
-        let mut valid: u64 = !0;
+        sim.reset();
+        let mut valid = ALL_LANES;
         for _ in 0..steps_per_run {
-            let inputs: HashMap<usize, u64> =
-                aig.inputs().iter().map(|&n| (n, rng.next_u64())).collect();
-            let vals = eval_words(aig, |n| match aig.node(n) {
-                Node::Latch => state[&n],
-                _ => inputs[&n],
-            });
-            let word = |l: Lit| -> u64 {
-                let w = vals[l.node()];
-                if l.is_inverted() {
-                    !w
-                } else {
-                    w
-                }
-            };
-            for latch in &latches {
+            for word in inputs.iter_mut() {
+                *word = rng.next_u64();
+            }
+            sim.step_inputs(&inputs);
+            for (latch, signature) in latches.iter().zip(&mut signatures) {
                 // The state at this cycle is evaluated whenever every
                 // *earlier* cycle satisfied the constraints, so it is
                 // masked by the prefix validity (before this cycle's
                 // constraint check).
-                signatures
-                    .get_mut(&latch.node)
-                    .unwrap()
-                    .push((state[&latch.node] ^ mask(latch.init)) & valid);
+                let state = sim.word(Lit::new(latch.node, false));
+                signature.push((state ^ LaneWord::splat(latch.init)) & valid);
             }
-            for &c in &model.constraints {
-                valid &= word(c);
-            }
-            for latch in &latches {
-                state.insert(latch.node, word(latch.next));
-            }
+            valid &= sim.constraints_word();
+            sim.advance();
         }
     }
     // Normalized signature -> member latch nodes (sorted by BTreeMap).
     let mut classes: BTreeMap<Vec<u64>, Vec<usize>> = BTreeMap::new();
-    for latch in &latches {
-        classes
-            .entry(signatures.remove(&latch.node).unwrap())
-            .or_default()
-            .push(latch.node);
+    for (latch, signature) in latches.iter().zip(signatures) {
+        classes.entry(signature).or_default().push(latch.node);
     }
     let zero_sig = vec![0u64; SEQ_SIM_RUNS * steps_per_run];
     // Each class as (constant?, sorted members); non-constant classes keep
@@ -382,6 +277,7 @@ fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
     partition.sort_unstable_by_key(|(_, members)| members[0]);
 
     // --- induction refinement loop --------------------------------------
+    let mut eval = Evaluator::<LaneWord>::new(aig);
     loop {
         // (member, rep) pairs to certify this round; rep==None ~ constant.
         let pairs: Vec<(usize, Option<usize>)> = partition
@@ -420,7 +316,7 @@ fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
             }
         }
 
-        let mut cex_leaf: Option<Vec<bool>> = None;
+        let mut refuted = false;
         for &(member, rep) in &pairs {
             let latch = latches.iter().find(|l| l.node == member).unwrap();
             let mn = unroller.lit_in_frame(latch.next, 0);
@@ -441,57 +337,44 @@ fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
                 }
             }
             if matches!(unroller.solve_sat(&[activate]), SatResult::Sat) {
-                // Read the full leaf valuation behind the counterexample
-                // (unconstrained leaves default to false, which is a valid
-                // completion: every encoded cone's leaves are encoded).
-                let leaf: Vec<bool> = (0..aig.num_nodes())
-                    .map(|n| match aig.node(n) {
-                        Node::Input | Node::Latch => unroller.model_value(Lit::new(n, false), 0),
-                        _ => false,
-                    })
-                    .collect();
-                cex_leaf = Some(leaf);
+                settle_on_counterexample(&mut eval, aig, &mut unroller);
+                refuted = true;
                 break;
             }
         }
 
-        match cex_leaf {
-            None => {
-                // Whole partition is inductive: emit the merges.
-                let mut equiv = BTreeMap::new();
-                for (member, rep) in pairs {
-                    let inv_member = init_of[&member];
-                    let target = match rep {
-                        None => Lit::FALSE.invert_if(inv_member),
-                        Some(rep) => Lit::new(rep, inv_member ^ init_of[&rep]),
-                    };
-                    equiv.insert(member, target);
-                }
-                return equiv;
-            }
-            Some(leaf) => {
-                // Split every class by the next-state value (normalized by
-                // init) each member takes in the counterexample state.
-                let vals = eval_bools(aig, |n| leaf[n]);
-                let next_norm = |node: usize| -> bool {
-                    let latch = latches.iter().find(|l| l.node == node).unwrap();
-                    (vals[latch.next.node()] ^ latch.next.is_inverted()) ^ latch.init
+        if !refuted {
+            // Whole partition is inductive: emit the merges.
+            let mut equiv = BTreeMap::new();
+            for (member, rep) in pairs {
+                let inv_member = init_of[&member];
+                let target = match rep {
+                    None => Lit::FALSE.invert_if(inv_member),
+                    Some(rep) => Lit::new(rep, inv_member ^ init_of[&rep]),
                 };
-                let mut refined: Vec<(bool, Vec<usize>)> = Vec::new();
-                for (is_const, members) in partition {
-                    let (zeros, ones): (Vec<usize>, Vec<usize>) =
-                        members.into_iter().partition(|&m| !next_norm(m));
-                    if (is_const || zeros.len() > 1) && !zeros.is_empty() {
-                        refined.push((is_const, zeros));
-                    }
-                    if ones.len() > 1 {
-                        refined.push((false, ones));
-                    }
-                }
-                refined.sort_unstable_by_key(|(_, members)| members[0]);
-                partition = refined;
+                equiv.insert(member, target);
+            }
+            return equiv;
+        }
+        // Split every class by the next-state value (normalized by init)
+        // each member takes in the counterexample state.
+        let next_norm = |node: usize| -> bool {
+            let latch = latches.iter().find(|l| l.node == node).unwrap();
+            (eval.get(latch.next) & 1 == 1) ^ latch.init
+        };
+        let mut refined: Vec<(bool, Vec<usize>)> = Vec::new();
+        for (is_const, members) in partition {
+            let (zeros, ones): (Vec<usize>, Vec<usize>) =
+                members.into_iter().partition(|&m| !next_norm(m));
+            if (is_const || zeros.len() > 1) && !zeros.is_empty() {
+                refined.push((is_const, zeros));
+            }
+            if ones.len() > 1 {
+                refined.push((false, ones));
             }
         }
+        refined.sort_unstable_by_key(|(_, members)| members[0]);
+        partition = refined;
     }
 }
 
@@ -511,15 +394,15 @@ fn gate_equivalences(aig: &Aig) -> BTreeMap<usize, Lit> {
         return BTreeMap::new();
     }
     let mut rng = StdRng::seed_from_u64(SWEEP_SEED ^ 0xC0DE);
+    let mut eval = Evaluator::<LaneWord>::new(aig);
     let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); aig.num_nodes()];
     for _ in 0..COMB_SIM_WORDS {
-        let words: HashMap<usize, u64> = (0..aig.num_nodes())
-            .filter(|&n| matches!(aig.node(n), Node::Input | Node::Latch))
-            .map(|n| (n, rng.next_u64()))
-            .collect();
-        let vals = eval_words(aig, |n| words[&n]);
-        for (n, sig) in signatures.iter_mut().enumerate() {
-            sig.push(vals[n]);
+        for n in leaves(aig) {
+            eval.set(n, rng.next_u64());
+        }
+        eval.settle();
+        for (sig, &word) in signatures.iter_mut().zip(eval.words()) {
+            sig.push(word);
         }
     }
     // Complement-normalize each signature on its first bit.
@@ -557,7 +440,7 @@ fn gate_equivalences(aig: &Aig) -> BTreeMap<usize, Lit> {
 
         let mut unroller = Unroller::new(aig, false);
         unroller.ensure_frame(0);
-        let mut cex_leaf: Option<Vec<bool>> = None;
+        let mut refuted = false;
         for &(member, inv, rep, rep_inv) in &pairs {
             let m = unroller.lit_in_frame(Lit::new(member, inv), 0);
             let r = unroller.lit_in_frame(Lit::new(rep, rep_inv), 0);
@@ -566,41 +449,32 @@ fn gate_equivalences(aig: &Aig) -> BTreeMap<usize, Lit> {
             unroller.add_clause(&[activate.negate(), m, r]);
             unroller.add_clause(&[activate.negate(), m.negate(), r.negate()]);
             if matches!(unroller.solve_sat(&[activate]), SatResult::Sat) {
-                let leaf: Vec<bool> = (0..aig.num_nodes())
-                    .map(|n| match aig.node(n) {
-                        Node::Input | Node::Latch => unroller.model_value(Lit::new(n, false), 0),
-                        _ => false,
-                    })
-                    .collect();
-                cex_leaf = Some(leaf);
+                settle_on_counterexample(&mut eval, aig, &mut unroller);
+                refuted = true;
                 break;
             }
         }
 
-        match cex_leaf {
-            None => {
-                let mut equiv = BTreeMap::new();
-                for (member, inv, rep, rep_inv) in pairs {
-                    equiv.insert(member, Lit::new(rep, inv ^ rep_inv));
-                }
-                return equiv;
+        if !refuted {
+            let mut equiv = BTreeMap::new();
+            for (member, inv, rep, rep_inv) in pairs {
+                equiv.insert(member, Lit::new(rep, inv ^ rep_inv));
             }
-            Some(leaf) => {
-                let vals = eval_bools(aig, |n| leaf[n]);
-                let mut refined: Vec<Vec<(usize, bool)>> = Vec::new();
-                for members in partition {
-                    let (zeros, ones): (Vec<_>, Vec<_>) =
-                        members.into_iter().partition(|&(n, inv)| !(vals[n] ^ inv));
-                    for side in [zeros, ones] {
-                        if side.len() > 1 && side.iter().any(|&(n, _)| is_and(aig, n)) {
-                            refined.push(side);
-                        }
-                    }
+            return equiv;
+        }
+        let mut refined: Vec<Vec<(usize, bool)>> = Vec::new();
+        for members in partition {
+            let (zeros, ones): (Vec<_>, Vec<_>) = members
+                .into_iter()
+                .partition(|&(n, inv)| eval.get(Lit::new(n, inv)) & 1 == 0);
+            for side in [zeros, ones] {
+                if side.len() > 1 && side.iter().any(|&(n, _)| is_and(aig, n)) {
+                    refined.push(side);
                 }
-                refined.sort_unstable_by_key(|members| members[0].0);
-                partition = refined;
             }
         }
+        refined.sort_unstable_by_key(|members| members[0].0);
+        partition = refined;
     }
 }
 
@@ -861,8 +735,6 @@ fn and_rewrite(aig: &mut Aig, a: Lit, b: Lit) -> Lit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
-    use std::collections::HashMap;
 
     /// busy bit + a latch provably stuck at reset + a dead counter.
     fn sample_model() -> Model {
@@ -963,19 +835,32 @@ mod tests {
     fn optimized_model_agrees_with_original_on_random_inputs() {
         let model = sample_model();
         let opt = optimize(&model).model;
-        let mut orig_sim = Simulator::new(&model);
-        let mut opt_sim = Simulator::new(&opt);
-        // xorshift-style deterministic input stream.
-        let mut seed = 0x9E3779B9u32;
-        for _ in 0..64 {
-            seed ^= seed << 13;
-            seed ^= seed >> 17;
-            seed ^= seed << 5;
-            let mut inputs = HashMap::new();
-            inputs.insert("req".to_string(), seed & 1 == 1);
-            let orig_fired = !orig_sim.step_named(&inputs).is_empty();
-            let opt_fired = !opt_sim.step_named(&inputs).is_empty();
-            assert_eq!(orig_fired, opt_fired, "verdicts must agree every cycle");
+        let mut orig_sim = ParallelSim::new(&model);
+        let mut opt_sim = ParallelSim::new(&opt);
+        // 64 random stimulus lanes for `req`, wherever each model keeps it.
+        let drive = |m: &Model, word: u64| -> Vec<u64> {
+            (0..m.aig.num_inputs())
+                .map(|i| {
+                    if m.aig.input_name(i) == "req" {
+                        word
+                    } else {
+                        0
+                    }
+                })
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(0x9E37_79B9);
+        for cycle in 0..16 {
+            let word = rng.next_u64();
+            orig_sim.step_inputs(&drive(&model, word));
+            opt_sim.step_inputs(&drive(&opt, word));
+            assert_eq!(
+                orig_sim.word(model.bads[0].lit),
+                opt_sim.word(opt.bads[0].lit),
+                "verdicts must agree in every lane at cycle {cycle}"
+            );
+            orig_sim.advance();
+            opt_sim.advance();
         }
     }
 

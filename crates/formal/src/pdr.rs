@@ -25,15 +25,18 @@
 //!   initial state;
 //! * **predecessor lifting** — counterexamples-to-induction are widened
 //!   from a concrete state to a cube by ternary simulation of the AIG
-//!   (set a latch to X; keep it dropped while every target stays
-//!   determined);
+//!   (the dual-rail mode of the `psim` evaluator: set a latch to X;
+//!   keep it dropped while every target stays determined), and a
+//!   counterexample trace is rebuilt by simulating its inputs from reset
+//!   ([`crate::psim::ParallelSim`]);
 //! * **certificates** — a proof returns the [`Invariant`] (a CNF over latch
 //!   literals) which [`Invariant::certify`] re-validates with an
 //!   independent, freshly-encoded SAT check.
 
-use crate::aig::{Aig, Lit, Node};
+use crate::aig::{Aig, Lit};
 use crate::interrupt::Interrupt;
 use crate::model::Model;
+use crate::psim::{Evaluator, Lanes, ParallelSim, Ternary};
 use crate::sat::{SatLit, SatResult, SolverConfig, SolverStats};
 use crate::trace::Trace;
 use crate::unroll::Unroller;
@@ -312,8 +315,6 @@ struct Pdr<'a> {
     f1: Vec<SatLit>,
     input_nodes: Vec<usize>,
     input_f0: Vec<SatLit>,
-    latch_pos_of: HashMap<usize, usize>,
-    input_pos_of: HashMap<usize, usize>,
     bad0: SatLit,
     /// `frames[0]` is the initial-state frame (its activation literal guards
     /// the init unit clauses); `frames[i]` for `i ≥ 1` holds the delta cubes
@@ -322,8 +323,8 @@ struct Pdr<'a> {
     queries: u64,
     arena: Vec<ObNode>,
     seq: usize,
-    /// Ternary-simulation scratch (one value per AIG node; `None` = X).
-    val3: Vec<Option<bool>>,
+    /// Ternary simulation for predecessor lifting (every lane alike).
+    ternary: Evaluator<Ternary>,
     /// Cooperative preemption handle, checked alongside the query budget.
     interrupt: Interrupt,
 }
@@ -367,17 +368,6 @@ impl<'a> Pdr<'a> {
             let unit = if latch_init[pos] { sl } else { sl.negate() };
             unroller.add_clause(&[init_act.negate(), unit]);
         }
-        let latch_pos_of = latch_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
-        let input_pos_of = input_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
-        let num_nodes = aig.num_nodes();
         Pdr {
             model,
             bad,
@@ -390,8 +380,6 @@ impl<'a> Pdr<'a> {
             f1,
             input_nodes,
             input_f0,
-            latch_pos_of,
-            input_pos_of,
             bad0,
             frames: vec![Frame {
                 act: init_act,
@@ -400,7 +388,7 @@ impl<'a> Pdr<'a> {
             queries: 0,
             arena: Vec::new(),
             seq: 0,
-            val3: vec![None; num_nodes],
+            ternary: Evaluator::new(aig),
             interrupt,
         }
     }
@@ -505,59 +493,30 @@ impl<'a> Pdr<'a> {
         result
     }
 
-    /// Ternary simulation: evaluates every AIG node for a partial latch
-    /// valuation and concrete inputs (`None` = X).
-    fn eval3(&mut self, latches: &[Option<bool>], inputs: &[bool]) {
-        for idx in 0..self.val3.len() {
-            self.val3[idx] = match self.model.aig.node(idx) {
-                Node::False => Some(false),
-                Node::Input => self.input_pos_of.get(&idx).map(|&p| inputs[p]),
-                Node::Latch => self.latch_pos_of.get(&idx).and_then(|&p| latches[p]),
-                Node::And(a, b) => {
-                    let va = self.lit3(a);
-                    let vb = self.lit3(b);
-                    match (va, vb) {
-                        (Some(false), _) | (_, Some(false)) => Some(false),
-                        (Some(true), Some(true)) => Some(true),
-                        _ => None,
-                    }
-                }
-            };
-        }
-    }
-
-    fn lit3(&self, lit: Lit) -> Option<bool> {
-        self.val3[lit.node()].map(|v| v ^ lit.is_inverted())
-    }
-
-    /// `true` when every `(lit, expected)` target is determined to its
-    /// expected value under the current ternary valuation.
-    fn targets_hold(
-        &mut self,
-        latches: &[Option<bool>],
-        inputs: &[bool],
-        targets: &[(Lit, bool)],
-    ) -> bool {
-        self.eval3(latches, inputs);
-        targets
-            .iter()
-            .all(|&(lit, expected)| self.lit3(lit) == Some(expected))
-    }
-
     /// Greedily widens a concrete state into a cube by dropping latch
-    /// literals that the targets do not depend on (inputs stay concrete).
+    /// literals that the targets do not depend on (inputs stay concrete):
+    /// in latch order, a latch is set to X and stays dropped while every
+    /// `(lit, expected)` target is still determined to its expected value.
     fn lift(&mut self, state: Vec<bool>, inputs: &[bool], targets: &[(Lit, bool)]) -> Cube {
-        let mut kept: Vec<Option<bool>> = state.iter().map(|&v| Some(v)).collect();
-        for pos in 0..kept.len() {
-            kept[pos] = None;
-            if !self.targets_hold(&kept, inputs, targets) {
-                kept[pos] = Some(state[pos]);
+        for (&node, &value) in self.input_nodes.iter().zip(inputs) {
+            self.ternary.set(node, Ternary::splat(value));
+        }
+        for (&node, &value) in self.latch_nodes.iter().zip(&state) {
+            self.ternary.set(node, Ternary::splat(value));
+        }
+        let mut cube = Cube::new();
+        for (pos, &node) in self.latch_nodes.iter().enumerate() {
+            self.ternary.set(node, Ternary::X);
+            self.ternary.settle();
+            let hold = targets
+                .iter()
+                .all(|&(lit, expected)| self.ternary.get(lit).lane(0) == Some(expected));
+            if !hold {
+                self.ternary.set(node, Ternary::splat(state[pos]));
+                cube.push((pos, state[pos]));
             }
         }
-        kept.iter()
-            .enumerate()
-            .filter_map(|(pos, v)| v.map(|val| (pos, val)))
-            .collect()
+        cube
     }
 
     /// Lifts a bad-state model: the cube must keep the bad literal true and
@@ -759,39 +718,29 @@ impl<'a> Pdr<'a> {
         }
     }
 
-    /// Concrete one-step simulation used for trace reconstruction.
-    fn simulate_step(&mut self, state: &[bool], inputs: &[bool]) -> Vec<bool> {
-        let latches: Vec<Option<bool>> = state.iter().map(|&v| Some(v)).collect();
-        self.eval3(&latches, inputs);
-        self.latch_next
-            .iter()
-            .map(|&next| self.lit3(next).expect("concrete simulation is total"))
-            .collect()
-    }
-
     /// Rebuilds a counterexample trace from a completed obligation chain
-    /// (deepest obligation first; it contains the initial state).
-    fn trace_from_chain(&mut self, deepest: usize) -> Trace {
+    /// (deepest obligation first; it contains the initial state) by
+    /// simulating the chain's inputs from reset.
+    fn trace_from_chain(&self, deepest: usize) -> Trace {
         let mut ids = vec![deepest];
         while let Some(next) = self.arena[*ids.last().expect("chain")].succ {
             ids.push(next);
         }
-        let depth = ids.len();
-        let mut trace = Trace::new(depth);
-        let mut state: Vec<bool> = self.latch_init.clone();
+        let aig = &self.model.aig;
+        let mut trace = Trace::new(ids.len());
+        let mut sim = ParallelSim::new(self.model);
         for (frame, &id) in ids.iter().enumerate() {
-            let inputs = self.arena[id].inputs.clone();
-            for (p, &node) in self.input_nodes.clone().iter().enumerate() {
-                let name = self.model.aig.name_of(node).unwrap_or("input").to_string();
-                trace.record(frame, &name, inputs[p], true);
+            let inputs = &self.arena[id].inputs;
+            for (&node, &value) in self.input_nodes.iter().zip(inputs) {
+                trace.record(frame, aig.name_of(node).unwrap_or("input"), value, true);
             }
-            for (p, &node) in self.latch_nodes.clone().iter().enumerate() {
-                let name = self.model.aig.name_of(node).unwrap_or("latch").to_string();
-                trace.record(frame, &name, state[p], false);
+            for &node in &self.latch_nodes {
+                let value = sim.word(Lit::new(node, false)) & 1 == 1;
+                trace.record(frame, aig.name_of(node).unwrap_or("latch"), value, false);
             }
-            if frame + 1 < depth {
-                state = self.simulate_step(&state, &inputs);
-            }
+            let words: Vec<u64> = inputs.iter().map(|&v| u64::from(v)).collect();
+            sim.step_inputs(&words);
+            sim.advance();
         }
         trace
     }

@@ -32,9 +32,8 @@
 
 use crate::aig::Lit;
 use crate::coi::Fingerprint;
-use crate::model::{BadProperty, Model};
+use crate::model::Model;
 use crate::pdr::Invariant;
-use crate::sim::Simulator;
 use crate::trace::Trace;
 use std::collections::HashMap;
 use std::fmt;
@@ -878,44 +877,20 @@ fn induction_reproves(model: &Model, target: Lit, depth: usize) -> bool {
     )
 }
 
-/// Replays a cached trace through the two-state simulator: the target
-/// literal must fire at the final cycle and every invariant constraint must
-/// hold throughout.
+/// Replays a cached trace against the live model (see
+/// [`crate::psim::replay`]): the target literal must fire at the final
+/// cycle and every invariant constraint must hold throughout.
 fn replay_confirms(model: &Model, target: Lit, trace: &Trace) -> bool {
-    if trace.is_empty() {
-        return false;
-    }
-    let mut check_model = model.clone();
-    check_model.bads = vec![BadProperty {
-        name: "__cached_target__".into(),
-        lit: target,
-    }];
-    let input_names: Vec<String> = (0..model.aig.num_inputs())
-        .map(|i| model.aig.input_name(i).to_string())
-        .collect();
-    let mut sim = Simulator::new(&check_model);
-    let mut fired_last = false;
-    let mut inputs = vec![false; input_names.len()];
-    for cycle in 0..trace.len() {
-        for (slot, name) in inputs.iter_mut().zip(&input_names) {
-            *slot = trace.value(cycle, name).unwrap_or(false);
-        }
-        let violations = sim.step(&inputs);
-        if violations
-            .iter()
-            .any(|v| v.property.starts_with("constraint_"))
-        {
-            return false;
-        }
-        fired_last = violations.iter().any(|v| v.property == "__cached_target__");
-    }
-    fired_last
+    let input =
+        |cycle: usize, i: usize| trace.value(cycle, model.aig.input_name(i)).unwrap_or(false);
+    crate::psim::replay(model, target, trace.len(), input).is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aig::Aig;
+    use crate::model::BadProperty;
 
     #[test]
     fn run_ordered_preserves_item_order() {

@@ -19,14 +19,18 @@
 //! them — not only the arming ones — runs under [`fault_lock`]: otherwise
 //! a fault armed on the first `rbt` assertion leaks into a concurrent run.
 
-use crate::bmc::BmcOptions;
+use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use crate::checker::{verify, CheckOptions, PropertyResult, PropertyStatus, VerificationReport};
+use crate::compile::compile;
+use crate::elab::{elaborate, ElabOptions};
 use crate::faults::{self, FaultAction};
+use crate::interrupt::{Interrupt, InterruptReason};
+use crate::sat::{SolverConfig, INTERRUPT_POLL_INTERVAL};
 use autosva::sva::Directive;
 use autosva::{generate_ft, AutosvaOptions, PropertyClass};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A well-behaved single-outstanding echo DUT reserved for the fault
 /// tests.  The transaction name is unique across the test suite so armed
@@ -376,14 +380,11 @@ fn generous_timeout_renders_identically_to_unbounded() {
     }
 }
 
-/// The acceptance bound for prompt cancellation: on a BMC-hard instance a
-/// 50 ms property budget comes back `Unknown` with a note naming the
-/// engine, and the property's wall clock stays within 2x the budget.  The
-/// SAT search polls its interrupt on a conflict cadence *and* a
-/// propagation-count cadence (long unit-propagation storms between
-/// conflicts used to stretch the overshoot to several polling intervals,
-/// hence the old 4x bound), so the overshoot is now one short polling
-/// interval, not one cascade stage.
+/// End to end, a 50 ms property budget on a BMC-hard instance comes back
+/// `Unknown` with a note naming the engine.  The promptness contract
+/// itself is asserted on the deterministic step budget below; the wall
+/// clock here is only a loose sanity bound (10x the budget) that machine
+/// load alone should not break.
 #[test]
 fn hard_bmc_instance_times_out_promptly_with_an_engine_note() {
     let _serial = fault_lock();
@@ -415,10 +416,53 @@ fn hard_bmc_instance_times_out_promptly_with_an_engine_note() {
     for r in budgeted {
         assert_eq!(r.status, PropertyStatus::Unknown);
         assert!(
-            r.runtime <= 2 * timeout,
+            r.runtime <= 10 * timeout,
             "property {} overshot its {timeout:?} budget: ran {:?}",
             r.name,
             r.runtime
+        );
+    }
+}
+
+/// The timeout contract on the deterministic step budget: a BMC run that
+/// never decides by itself (unbounded depth, no induction) stops on its
+/// conflict budget, reports the budget as the reason, and overshoots it by
+/// less than one solver poll interval — whatever the machine's load.
+#[test]
+fn step_budget_stops_bmc_within_one_solver_poll_interval() {
+    let _serial = fault_lock();
+    let ft = generate_ft(FAULT_ECHO, &AutosvaOptions::default()).unwrap();
+    let file = svparse::parse(FAULT_ECHO).unwrap();
+    let design = elaborate(&file, &ElabOptions::default()).unwrap();
+    let model = compile(&design, &ft).unwrap().model;
+    let bad = model
+        .bads
+        .iter()
+        .find(|b| b.name.contains("had_a_request"))
+        .expect("the echo design has a had-a-request assertion");
+    let options = BmcOptions {
+        max_depth: 1_000_000,
+        max_induction: 0,
+    };
+    for budget in [500, 3_000] {
+        // The far deadline only turns a broken budget into a failure
+        // instead of a hang; the reason check below rejects it.
+        let backstop = Instant::now().checked_add(Duration::from_secs(120));
+        let interrupt = Interrupt::new(backstop, Some(budget), None);
+        let (result, stats) = check_target_budgeted(
+            &model,
+            bad.lit,
+            &bad.name,
+            &options,
+            SolverConfig::default(),
+            &interrupt,
+        );
+        assert!(matches!(result, SafetyResult::Interrupted), "{result:?}");
+        assert_eq!(interrupt.triggered(), Some(InterruptReason::Budget));
+        assert!(
+            (budget..budget + INTERRUPT_POLL_INTERVAL).contains(&stats.conflicts),
+            "budget {budget}: the solver stopped after {} conflicts",
+            stats.conflicts
         );
     }
 }

@@ -382,7 +382,7 @@ const NO_REASON: usize = usize::MAX;
 /// cadence check is a mask; coarse enough that the `Instant::now` in
 /// `Interrupt::poll` is amortized to noise, fine enough that a 50 ms
 /// deadline preempts a solve within a small multiple of itself.
-const INTERRUPT_POLL_INTERVAL: u64 = 1024;
+pub(crate) const INTERRUPT_POLL_INTERVAL: u64 = 1024;
 
 /// Propagations between interrupt polls.  The iteration cadence alone lets
 /// propagation-heavy, conflict-light instances run long stretches between

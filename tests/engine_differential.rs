@@ -18,11 +18,10 @@ use autosva_formal::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
 use autosva_formal::fuzz::{fuzz_safety, FuzzOptions};
 use autosva_formal::model::{BadProperty, Model};
 use autosva_formal::pdr::{check_pdr, PdrOptions, PdrResult};
+use autosva_formal::psim::replay;
 use autosva_formal::sat::{SatLit, SatResult, SolverConfig};
-use autosva_formal::sim::Simulator;
 use autosva_formal::unroll::Unroller;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Deterministic xorshift generator used to derive a random model from one
 /// proptest-sampled seed.
@@ -89,23 +88,12 @@ fn random_model(seed: u64, num_latches: usize, num_inputs: usize, num_gates: usi
     model
 }
 
-/// Replays a counterexample trace through the two-state simulator and
-/// checks that the bad monitor fires at the final cycle.
+/// Replays a counterexample trace's inputs on the model and checks that the
+/// bad monitor fires at the final cycle.
 fn trace_replays(model: &Model, trace: &autosva_formal::trace::Trace) -> bool {
-    let mut sim = Simulator::new(model);
-    let input_names: Vec<String> = (0..model.aig.num_inputs())
-        .map(|i| model.aig.input_name(i).to_string())
-        .collect();
-    let mut fired_last = false;
-    for cycle in 0..trace.len() {
-        let inputs: HashMap<String, bool> = input_names
-            .iter()
-            .map(|n| (n.clone(), trace.value(cycle, n).unwrap_or(false)))
-            .collect();
-        let violations = sim.step_named(&inputs);
-        fired_last = violations.iter().any(|v| v.property == "random_bad");
-    }
-    fired_last
+    let input =
+        |cycle: usize, i: usize| trace.value(cycle, model.aig.input_name(i)).unwrap_or(false);
+    replay(model, model.bads[0].lit, trace.len(), input).is_some()
 }
 
 proptest! {

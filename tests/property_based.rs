@@ -9,10 +9,9 @@ use autosva_formal::aig::Aig;
 use autosva_formal::bmc::{check_safety, BmcOptions, SafetyResult};
 use autosva_formal::elab::{elaborate, ElabOptions};
 use autosva_formal::model::{BadProperty, Model};
-use autosva_formal::sim::Simulator;
+use autosva_formal::psim::ParallelSim;
 use autosva_formal::words;
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use svparse::ast::{BinaryOp, Expr};
 use svparse::pretty::print_expr;
@@ -198,24 +197,28 @@ proptest! {
         // And against direct bit-slice semantics on random stimulus: after a
         // clock edge the struct register holds exactly the driven word.
         let model = Model::new(design.aig.clone());
-        let mut sim = Simulator::new(&model);
+        let mut sim = ParallelSim::new(&model);
+        let bit_of: Vec<Option<usize>> = (0..model.aig.num_inputs())
+            .map(|i| match model.aig.input_name(i) {
+                "d_i" if total == 1 => Some(0),
+                name => (0..total).position(|k| name == format!("d_i[{k}]")),
+            })
+            .collect();
         for _ in 0..16 {
             let value = rand() as u128 & ((1u128 << total) - 1);
-            let mut inputs: HashMap<String, bool> = HashMap::new();
-            if total == 1 {
-                inputs.insert("d_i".to_string(), value & 1 == 1);
-            } else {
-                for k in 0..total {
-                    inputs.insert(format!("d_i[{k}]"), (value >> k) & 1 == 1);
-                }
-            }
-            sim.step_named(&inputs);
+            // Lane 0 carries the stimulus; the other lanes stay zero.
+            let inputs: Vec<u64> = bit_of
+                .iter()
+                .map(|bit| bit.map_or(0, |k| ((value >> k) & 1) as u64))
+                .collect();
+            sim.step_inputs(&inputs);
+            sim.advance();
             for (i, w) in widths.iter().enumerate() {
                 let expect = (value >> offsets[i]) & ((1u128 << w) - 1);
                 let got: u128 = s_q[offsets[i]..offsets[i] + w]
                     .iter()
                     .enumerate()
-                    .map(|(k, &lit)| if sim.value(lit) { 1u128 << k } else { 0 })
+                    .map(|(k, &lit)| if sim.word(lit) & 1 == 1 { 1u128 << k } else { 0 })
                     .sum();
                 prop_assert_eq!(
                     got, expect,

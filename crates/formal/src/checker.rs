@@ -30,7 +30,8 @@
 //! (`parallel.threads = 1`) and a parallel run render byte-identical
 //! reports.  An optional [`crate::portfolio::ProofCache`] reuses verdicts
 //! across runs when a property's slice is content-identical (e.g.
-//! buggy/fixed design variants or repeated bench iterations).
+//! buggy/fixed design variants or repeated bench iterations), and lets
+//! opt-on runs reuse each other's optimized slices.
 
 use crate::aig::Lit;
 use crate::bmc::{check_safety_budgeted, check_target_budgeted, BmcOptions, SafetyResult};
@@ -44,7 +45,8 @@ use crate::lint::{LintOptions, LintReport};
 use crate::model::Model;
 use crate::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use crate::portfolio::{
-    run_ordered, CacheKey, CacheStats, CachedOutcome, CachedVerdict, ParallelOptions, ProofCache,
+    run_ordered, CacheKey, CacheStats, CachedOutcome, CachedVerdict, ParallelOptions,
+    PreparedSlice, ProofCache,
 };
 use crate::sat::{SolverConfig, SolverStats};
 use crate::telemetry::{
@@ -489,7 +491,8 @@ impl VerificationReport {
 
     /// Like [`VerificationReport::render`], with per-property and total
     /// wall-clock times plus per-property solver counters added (and
-    /// therefore not byte-stable across runs).
+    /// therefore not byte-stable across runs).  A `critical path:` line names
+    /// the longest task and its share of the run's wall time.
     pub fn render_timed(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -540,12 +543,25 @@ impl VerificationReport {
         }
         if let Some(cs) = &self.cache_stats {
             out.push_str(&format!(
-                "cache: {} hit(s), {} miss(es), {} insertion(s), {} rejected, {} loaded\n",
-                cs.hits, cs.misses, cs.insertions, cs.rejected, cs.loaded
+                "cache: {} hit(s), {} miss(es), {} insertion(s), {} rejected, {} loaded, \
+                 {} slice(s) reused\n",
+                cs.hits, cs.misses, cs.insertions, cs.rejected, cs.loaded, cs.slices_reused
             ));
         }
         if let Some(t) = &self.telemetry {
             out.push_str(&t.render_summary());
+        }
+        if let Some(longest) = self.results.iter().max_by_key(|r| r.runtime) {
+            let total = self.total_runtime.as_secs_f64();
+            let share = if total > 0.0 {
+                100.0 * longest.runtime.as_secs_f64() / total
+            } else {
+                0.0
+            };
+            out.push_str(&format!(
+                "critical path: {} {:.1?} ({share:.0}% of {:.1?})\n",
+                longest.name, longest.runtime, self.total_runtime
+            ));
         }
         out.push_str(&format!(
             "proof rate {:.0}%, {} violation(s), total {:.1?}\n",
@@ -689,7 +705,6 @@ fn verify_elaborated_inner(
     }
     frontend_check(frontend, "lint")?;
 
-    let tasks = build_tasks(&compiled, options);
     // The effective proof cache: an explicit in-process handle wins;
     // otherwise a configured cache directory opens a disk-backed cache for
     // this run (flushed below, so the next process reloads the verdicts).
@@ -702,6 +717,13 @@ fn verify_elaborated_inner(
     // even when the handle is a long-lived in-process cache shared across
     // runs (`loaded` stays absolute — it describes the open).
     let cache_base = cache.as_ref().map(|c| c.stats());
+    // Only opt-on runs share prepared slices through the cache; every
+    // other run prepares its slices on a memo of its own.
+    let memo = match &cache {
+        Some(cache) if options.parallel.opt => cache.clone(),
+        _ => ProofCache::new(),
+    };
+    let tasks = build_tasks(&compiled, options, &memo);
     let ctx = TaskCtx {
         options,
         cache,
@@ -815,6 +837,7 @@ fn verify_elaborated_inner(
         telemetry::count("cache.insertions", delta.insertions);
         telemetry::count("cache.rejected", delta.rejected);
         telemetry::count("cache.loaded", delta.loaded);
+        telemetry::count("cache.slices_reused", delta.slices_reused);
     }
 
     // Waveform output: one VCD per counterexample/witness trace, under the
@@ -957,28 +980,32 @@ impl Target {
 }
 
 /// Builds one task per property.  With slicing enabled (the default) each
-/// checked property gets its cone-of-influence slice; content-identical
-/// slices share one model allocation (and thereby one explicit-engine memo
-/// entry).  With the optimizer additionally enabled (also the default) each
-/// distinct slice is run through the [`crate::opt`] pass — constant
-/// sweeping, sequential/combinational equivalence sweeping, dead-node
-/// elimination — before any engine sees it; liveness slices are optimized
-/// first, then transformed via liveness-to-safety, and the product is
-/// optimized again (the order keeps the L2S snapshot sound: the transform
-/// always runs on the model the snapshots will be compared against).  With
-/// slicing disabled every task points at the full compiled model,
-/// preserving the pre-orchestrator cascade behaviour exactly; the
-/// optimizer never runs on that path.
-fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<PropertyTask> {
+/// checked property gets its cone-of-influence slice, prepared once per
+/// raw slice fingerprint on `memo`: content-identical slices share one
+/// model allocation (and thereby one explicit-engine memo entry).  With the
+/// optimizer additionally enabled (also the default) each distinct slice is
+/// run through the [`crate::opt`] pass — constant sweeping,
+/// sequential/combinational equivalence sweeping, dead-node elimination —
+/// before any engine sees it; liveness slices are optimized first, then
+/// transformed via liveness-to-safety, and the product is optimized again
+/// (the order keeps the L2S snapshot sound: the transform always runs on
+/// the model the snapshots will be compared against).
+///
+/// `memo` is the run's proof cache when it has one and opt is on, so a
+/// re-run over unchanged cones takes every optimized slice and L2S product
+/// from the memo and optimizes nothing; otherwise it is a memo of this run
+/// alone.  With slicing disabled every task points at the full compiled
+/// model, preserving the pre-orchestrator cascade behaviour exactly; the
+/// optimizer never runs on that path and `memo` is unused.
+fn build_tasks(
+    compiled: &CompiledTestbench,
+    options: &CheckOptions,
+    memo: &ProofCache,
+) -> Vec<PropertyTask> {
     let slice_on = options.parallel.slice;
     let opt_on = options.parallel.opt;
     let mut shared_full: Option<(Arc<Model>, Fingerprint)> = None;
     let mut shared_l2s: Option<Arc<Model>> = None;
-    // Keyed by the *raw* slice fingerprint so content-identical slices are
-    // optimized at most once; the stored fingerprint is the optimized
-    // model's own (they coincide when the optimizer is off).
-    let mut slices: HashMap<Fingerprint, (Arc<Model>, Fingerprint)> = HashMap::new();
-    let mut l2s_slices: HashMap<Fingerprint, Arc<Model>> = HashMap::new();
 
     compiled
         .properties
@@ -1024,44 +1051,49 @@ fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<Prop
                     base,
                 });
             }
+            // Keyed by the *raw* slice fingerprint; the prepared slice
+            // carries the optimized model's own fingerprint (they coincide
+            // when the optimizer is off).
             let slice = cone_of_influence(&compiled.model, cone);
             let raw = slice.fingerprint;
-            let (base, fp) = slices
-                .entry(raw)
-                .or_insert_with(|| {
-                    if opt_on {
-                        let (model, fp) = crate::opt::optimize_with_fingerprint(&slice.model);
-                        (Arc::new(model), fp)
-                    } else {
-                        (Arc::new(slice.model), raw)
-                    }
-                })
-                .clone();
-            let model = match kind {
+            let prepared = memo.prepared_slice(raw, || {
+                let (model, fingerprint) = if opt_on {
+                    crate::opt::optimize_with_fingerprint(&slice.model)
+                } else {
+                    (slice.model, raw)
+                };
+                PreparedSlice {
+                    model: Arc::new(model),
+                    fingerprint,
+                    l2s: None,
+                }
+            });
+            let model = match (kind, &prepared.l2s) {
+                (Kind::Liveness, Some(product)) => Arc::clone(product),
                 // The L2S product of the (optimized) base is itself a plain
                 // safety model, so it gets its own opt pass: the
                 // snapshot/monitor plumbing often pins latches the original
                 // cone had already lost.
-                Kind::Liveness => l2s_slices
-                    .entry(raw)
-                    .or_insert_with(|| {
+                (Kind::Liveness, None) => {
+                    let product = {
                         let _span = telemetry::span("l2s", &prop.property.full_name());
-                        let product = base.to_liveness_safety().model;
-                        Arc::new(if opt_on {
+                        let product = prepared.model.to_liveness_safety().model;
+                        if opt_on {
                             crate::opt::optimize(&product).model
                         } else {
                             product
-                        })
-                    })
-                    .clone(),
-                Kind::Safety | Kind::Cover => Arc::clone(&base),
+                        }
+                    };
+                    memo.memo_l2s(raw, Arc::new(product))
+                }
+                (Kind::Safety | Kind::Cover, _) => Arc::clone(&prepared.model),
             };
             PropertyTask::Check(Target {
                 kind,
                 model,
                 index: 0,
-                fp,
-                base,
+                fp: prepared.fingerprint,
+                base: prepared.model,
             })
         })
         .collect()
@@ -1883,10 +1915,24 @@ endmodule
 
     #[test]
     fn proof_cache_reuses_verdicts_across_runs() {
+        // ECHO_SLOW has liveness properties, so the cache also memoizes
+        // optimized L2S products.
         let ft = generate_ft(ECHO_SLOW, &AutosvaOptions::default()).unwrap();
         let cache = crate::portfolio::ProofCache::new();
         let mut options = CheckOptions::default();
         options.parallel.cache = Some(cache.clone());
+        options.telemetry.enabled = true;
+        let spans = |report: &VerificationReport, phase: &str| {
+            let telemetry = report.telemetry.as_ref().expect("telemetry is on");
+            telemetry.spans.iter().filter(|s| s.phase == phase).count()
+        };
+        let cones = |report: &VerificationReport| {
+            report
+                .results
+                .iter()
+                .map(|r| (r.slice_latches, r.slice_gates))
+                .collect::<Vec<_>>()
+        };
 
         let cold = verify(ECHO_SLOW, &ft, &options).unwrap();
         let cold_stats = cache.stats();
@@ -1895,6 +1941,10 @@ endmodule
             "cold run must populate the cache"
         );
         assert_eq!(cold_stats.hits, 0);
+        assert!(
+            spans(&cold, "opt") > 0 && spans(&cold, "l2s") > 0,
+            "the cold run must optimize its slices and build L2S products"
+        );
 
         let warm = verify(ECHO_SLOW, &ft, &options).unwrap();
         let warm_stats = cache.stats();
@@ -1908,6 +1958,23 @@ endmodule
             warm.render(),
             "cache hits must not change the report"
         );
+        // Every cone's optimized slice and L2S product comes from the memo.
+        for phase in ["opt", "opt.pass", "l2s"] {
+            assert_eq!(spans(&warm, phase), 0, "the warm run recorded `{phase}`");
+        }
+        assert_eq!(cones(&cold), cones(&warm));
+        let checked = warm.checked().count() as u64;
+        assert_eq!(warm.cache_stats.map(|s| s.slices_reused), Some(checked));
+        let telemetry = warm.telemetry.as_ref().expect("telemetry is on");
+        assert_eq!(telemetry.counter("cache.slices_reused"), Some(checked));
+
+        // An opt-off run never takes an optimized slice from the cache.
+        let mut no_opt = CheckOptions::default();
+        no_opt.parallel.opt = false;
+        let uncached = verify(ECHO_SLOW, &ft, &no_opt).unwrap();
+        no_opt.parallel.cache = Some(cache.clone());
+        let shared = verify(ECHO_SLOW, &ft, &no_opt).unwrap();
+        assert_eq!(uncached.render(), shared.render());
     }
 
     #[test]
@@ -1973,6 +2040,24 @@ endmodule
             !report.render().contains("solver:"),
             "render() must stay stats-free (byte-stable across cache states)"
         );
+    }
+
+    #[test]
+    fn critical_path_renders_in_the_timed_report_only() {
+        let report = run(ECHO_GOOD);
+        let longest = report
+            .results
+            .iter()
+            .max_by_key(|r| r.runtime)
+            .expect("the testbench has properties");
+        let timed = report.render_timed();
+        let line = timed
+            .lines()
+            .find(|l| l.starts_with("critical path: "))
+            .unwrap_or_else(|| panic!("no critical-path line:\n{timed}"));
+        assert!(line.contains(&longest.name), "{line}");
+        assert!(line.contains("% of "), "{line}");
+        assert!(!report.render().contains("critical path"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   [`crate::checker::CheckOptions`]: worker count (`threads = 1` is the
 //!   sequential escape hatch), slicing on/off, an optional per-property time
 //!   budget, first-violation cancellation, and an optional [`ProofCache`];
-//! * [`run_ordered`] — a self-scheduling worker pool over [`std::thread`]
+//! * `run_ordered` — a self-scheduling worker pool over [`std::thread`]
 //!   (no external dependencies): idle workers steal the next property index
 //!   from a shared atomic queue head, results land in annotation order, and
 //!   a shared cancellation flag stops the fleet early.  Statuses are
@@ -28,7 +28,10 @@
 //!   validation are evicted and the property is re-verified from scratch.
 //!   The cache can spill to disk
 //!   ([`ProofCache::open`]/[`ProofCache::flush`]) — only these
-//!   re-checkable kinds cross the process boundary.
+//!   re-checkable kinds cross the process boundary.  Alongside the
+//!   verdicts, a cache also memoizes, in process only, the optimized form
+//!   of every cone slice an opt-on run prepared, so a re-run of unchanged
+//!   RTL skips the optimizer and the liveness-to-safety transform.
 
 use crate::aig::Lit;
 use crate::coi::Fingerprint;
@@ -207,6 +210,9 @@ pub struct CacheStats {
     pub rejected: u64,
     /// Entries loaded from the on-disk spill at open time.
     pub loaded: u64,
+    /// Cones whose optimized slice came from the slice memo instead of
+    /// being optimized again.
+    pub slices_reused: u64,
 }
 
 impl CacheStats {
@@ -220,6 +226,7 @@ impl CacheStats {
             insertions: self.insertions.saturating_sub(earlier.insertions),
             rejected: self.rejected.saturating_sub(earlier.rejected),
             loaded: self.loaded,
+            slices_reused: self.slices_reused.saturating_sub(earlier.slices_reused),
         }
     }
 }
@@ -292,9 +299,25 @@ struct CacheEntry {
     unvalidated: bool,
 }
 
+/// A cone slice in the form the engines check: the optimized slice when
+/// opt is on, the raw one otherwise.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedSlice {
+    /// The slice model.
+    pub model: Arc<Model>,
+    /// `model`'s own fingerprint, which keys its verdicts.
+    pub fingerprint: Fingerprint,
+    /// The (optimized) liveness-to-safety product of `model`, built for the
+    /// first liveness property that needs it.
+    pub l2s: Option<Arc<Model>>,
+}
+
 #[derive(Default)]
 struct CacheInner {
     entries: HashMap<CacheKey, CacheEntry>,
+    /// Prepared slices keyed by raw slice fingerprint.  Never spilled: a
+    /// model loaded from disk could only be trusted by optimizing again.
+    slices: HashMap<Fingerprint, PreparedSlice>,
     stats: CacheStats,
     /// On-disk spill file (None for a purely in-memory cache).
     path: Option<PathBuf>,
@@ -323,6 +346,15 @@ struct CacheInner {
 /// stay process-local: they are neither written to nor parsed from the
 /// spill file.  A stale, garbled or hand-forged file can therefore cost a
 /// re-verification but never mislead a report.
+///
+/// The cache also memoizes prepared cone slices for opt-on runs, keyed by
+/// the raw slice fingerprint: the optimized slice, its fingerprint and its
+/// optimized liveness-to-safety product.  A later run over a
+/// content-identical cone reuses them instead of optimizing again (counted
+/// by [`CacheStats::slices_reused`]); the optimizer is deterministic, so
+/// the reused slice is the one the run would have built.  The memo lives in
+/// process only: [`ProofCache::flush`] never writes it, [`ProofCache::open`]
+/// starts it empty, and [`ProofCache::clear`] drops it.
 ///
 /// See the module documentation for the validation performed on hits.
 #[derive(Clone, Default)]
@@ -452,11 +484,45 @@ impl ProofCache {
             .stats
     }
 
-    /// Drops every entry (counters are kept).
+    /// Drops every entry and every memoized slice (counters are kept).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.entries.clear();
+        inner.slices.clear();
         inner.dirty = true;
+    }
+
+    /// The prepared slice memoized under raw slice fingerprint `raw` (a hit
+    /// counts toward [`CacheStats::slices_reused`]), or else `prepare()`'s,
+    /// memoized.  `prepare` runs without the lock, so two runs racing on
+    /// one cone may both prepare it; the first insert wins, and both
+    /// results are identical, the optimizer being deterministic.
+    pub(crate) fn prepared_slice(
+        &self,
+        raw: Fingerprint,
+        prepare: impl FnOnce() -> PreparedSlice,
+    ) -> PreparedSlice {
+        {
+            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(slice) = inner.slices.get(&raw).cloned() {
+                inner.stats.slices_reused += 1;
+                return slice;
+            }
+        }
+        let slice = prepare();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.slices.entry(raw).or_insert(slice).clone()
+    }
+
+    /// Attaches the liveness-to-safety `product` to the slice memoized
+    /// under `raw` (the first product attached wins) and returns the
+    /// attached one.
+    pub(crate) fn memo_l2s(&self, raw: Fingerprint, product: Arc<Model>) -> Arc<Model> {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        match inner.slices.get_mut(&raw) {
+            Some(slice) => Arc::clone(slice.l2s.get_or_insert(product)),
+            None => product,
+        }
     }
 
     /// Stores a verdict (last write wins).
@@ -1211,6 +1277,50 @@ mod tests {
         std::fs::write(&path, lines.join("\n")).unwrap();
         let partial = ProofCache::open(&dir);
         assert_eq!(partial.len(), 1, "prefix before the corruption must load");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn slice_memo_keeps_the_first_insert_and_stays_in_process() {
+        let dir = scratch_dir("slice-memo");
+        let cache = ProofCache::open(&dir);
+        let raw = Fingerprint(7, 7);
+        let prepared = |fp: u64| PreparedSlice {
+            model: Arc::new(tiny_model().0),
+            fingerprint: Fingerprint(fp, fp),
+            l2s: None,
+        };
+        // A second run memoizes the same cone while the first one is still
+        // preparing it (no lock is held meanwhile): its entry wins.
+        let winner = cache.prepared_slice(raw, || {
+            cache.prepared_slice(raw, || prepared(1));
+            prepared(2)
+        });
+        assert_eq!(winner.fingerprint.0, 1);
+        let first = Arc::new(safe_model().0);
+        let attached = cache.memo_l2s(raw, Arc::clone(&first));
+        assert!(Arc::ptr_eq(
+            &cache.memo_l2s(raw, Arc::new(safe_model().0)),
+            &attached
+        ));
+        let hit = cache.prepared_slice(raw, || panic!("the cone is memoized"));
+        assert!(Arc::ptr_eq(
+            hit.l2s.as_ref().expect("product attached"),
+            &first
+        ));
+        assert_eq!(cache.stats().slices_reused, 1);
+
+        // The spill file carries verdicts only, and `clear` drops the memo.
+        cache.store(key(), CachedOutcome::Induction { depth: 1 });
+        cache.flush().expect("flush");
+        let reopened = ProofCache::open(&dir);
+        assert_eq!(reopened.len(), 1);
+        assert_eq!(
+            reopened.prepared_slice(raw, || prepared(3)).fingerprint.0,
+            3
+        );
+        cache.clear();
+        assert_eq!(cache.prepared_slice(raw, || prepared(4)).fingerprint.0, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -412,7 +412,7 @@ impl Solver {
     }
 
     /// Installs the cooperative preemption handle.  The search loop
-    /// polls it every [`INTERRUPT_POLL_INTERVAL`] iterations and charges
+    /// polls it every `INTERRUPT_POLL_INTERVAL` iterations and charges
     /// accumulated conflicts against its step budget; when it fires,
     /// `solve` returns [`SatResult::Interrupted`].
     pub fn set_interrupt(&mut self, interrupt: crate::interrupt::Interrupt) {

@@ -30,7 +30,7 @@
 //! # Recording model
 //!
 //! Recording is *lock-free-ish*: every participating thread registers one
-//! [`WorkerBuffer`] with the run's collector and appends events to it
+//! `WorkerBuffer` with the run's collector and appends events to it
 //! through a thread-local handle, so the hot path never touches a shared
 //! lock (each buffer's mutex is only ever taken by its owning thread until
 //! the merge).  The buffers are merged once, at run end.  The thread-local

@@ -47,7 +47,7 @@ pub fn build_testbench(case: &DesignCase) -> FormalTestbench {
 /// Verification bounds used by the evaluation harness.
 ///
 /// The designs of the corpus are small, so modest bounds are enough for every
-/// proof and counterexample; they are exposed so the ablation benchmarks can
+/// proof and counterexample; they are exposed so tests and benchmarks can
 /// vary them.  The liveness lasso-search bound is *not* overridden here: it
 /// comes from [`CheckOptions::default`] (`liveness_bmc`), so callers tune it
 /// in one place — and an undecided liveness property carries the

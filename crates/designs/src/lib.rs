@@ -195,7 +195,7 @@ pub const FU_REQ_FLAT_SV: &str = include_str!("../rtl/fu_req_flat.sv");
 /// The struct-port demo design and its hand-flattened twin, as
 /// `(label, top module, source)` entries.  They are not part of the Table III
 /// corpus ([`all_cases`] stays at seven entries) but are covered by the
-/// front-end smoke and the struct/flat differential tests.
+/// clean-corpus lint test and the struct/flat differential test.
 pub fn struct_demo_sources() -> Vec<(&'static str, &'static str, &'static str)> {
     vec![
         ("S1-struct", "fu_req", FU_REQ_SV),

@@ -1,13 +1,11 @@
 //! Bounded model checking and k-induction over a [`Model`].
 //!
-//! * [`check_safety`] searches for a counterexample to a bad-state property
-//!   with increasing bound; when none is found it attempts a k-induction
-//!   proof strengthened with simple-path (loop-free) constraints, which makes
-//!   the method complete for finite-state designs given enough depth.
-//! * [`check_cover`] searches for a witness trace reaching a cover target.
-//!
-//! Both run one loop over a target literal ([`check_target_budgeted`]):
-//! reaching a bad state is a counterexample, reaching a cover a witness.
+//! [`check_target_budgeted`] is the one entry point.  It searches for a
+//! trace reaching a target literal with increasing bound; when none is
+//! found it attempts a k-induction proof strengthened with simple-path
+//! (loop-free) constraints, which makes the method complete for
+//! finite-state designs given enough depth.  Reaching a bad state is a
+//! counterexample, reaching a cover a witness.
 
 use crate::aig::Lit;
 use crate::interrupt::Interrupt;
@@ -74,23 +72,6 @@ impl SafetyResult {
     }
 }
 
-/// Outcome of a cover check.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoverResult {
-    /// A witness trace reaching the target was found.
-    Covered(Trace),
-    /// The target was proven unreachable.
-    Unreachable,
-    /// No witness found within the bound.
-    Unknown {
-        /// Largest witness-free bound explored.
-        explored_depth: usize,
-    },
-    /// The check was preempted by its [`Interrupt`] handle (deadline,
-    /// budget or cancellation) before reaching a verdict.
-    Interrupted,
-}
-
 fn apply_constraints(unroller: &mut Unroller<'_>, constraints: &[Lit], frame: usize) {
     for &c in constraints {
         unroller.constrain(c, frame, true);
@@ -130,47 +111,16 @@ fn extract_trace(model: &Model, unroller: &mut Unroller<'_>, depth: usize) -> Tr
     trace
 }
 
-/// Checks a single bad-state property of `model`.
-///
-/// `bad_index` selects an entry of [`Model::bads`].
-///
-/// # Panics
-///
-/// Panics if `bad_index` is out of range.
-pub fn check_safety(model: &Model, bad_index: usize, options: &BmcOptions) -> SafetyResult {
-    check_safety_detailed(model, bad_index, options, SolverConfig::default()).0
-}
-
-/// Like [`check_safety`], with an explicit solver configuration; also
-/// returns the aggregated [`SolverStats`] of the BMC and induction solvers
-/// so callers can attribute runtime to search work.
-pub fn check_safety_detailed(
-    model: &Model,
-    bad_index: usize,
-    options: &BmcOptions,
-    solver: SolverConfig,
-) -> (SafetyResult, SolverStats) {
-    check_safety_budgeted(model, bad_index, options, solver, &Interrupt::none())
-}
-
-/// Like [`check_safety_detailed`], preemptible: the [`Interrupt`] handle
-/// is polled at every depth step and inside the SAT search loops; when
-/// it fires the check returns [`SafetyResult::Interrupted`].
-pub fn check_safety_budgeted(
-    model: &Model,
-    bad_index: usize,
-    options: &BmcOptions,
-    solver: SolverConfig,
-    interrupt: &Interrupt,
-) -> (SafetyResult, SolverStats) {
-    let bad = &model.bads[bad_index];
-    check_target_budgeted(model, bad.lit, &bad.name, options, solver, interrupt)
-}
-
 /// The question every bounded check asks: can `target` be reached on
 /// `model`?  A reached target comes back as [`SafetyResult::Violated`]
 /// with its trace, an unreachable one as [`SafetyResult::Proven`] at the
-/// closing induction depth.  `name` labels the telemetry span.
+/// closing induction depth.  `name` labels the telemetry span; the
+/// returned [`SolverStats`] aggregate the BMC and induction solvers.
+///
+/// The [`Interrupt`] handle is polled at every depth step and inside the
+/// SAT search loops; when it fires the check returns
+/// [`SafetyResult::Interrupted`].  Callers without a budget pass
+/// `SolverConfig::default()` and [`Interrupt::none`].
 pub fn check_target_budgeted(
     model: &Model,
     target: Lit,
@@ -340,53 +290,18 @@ impl<'a> Induction<'a> {
     }
 }
 
-/// Checks a cover property of `model`.
-///
-/// # Panics
-///
-/// Panics if `cover_index` is out of range.
-pub fn check_cover(model: &Model, cover_index: usize, options: &BmcOptions) -> CoverResult {
-    check_cover_detailed(model, cover_index, options, SolverConfig::default()).0
-}
-
-/// Like [`check_cover`], with an explicit solver configuration and the
-/// aggregated [`SolverStats`] of the underlying solvers.
-pub fn check_cover_detailed(
-    model: &Model,
-    cover_index: usize,
-    options: &BmcOptions,
-    solver: SolverConfig,
-) -> (CoverResult, SolverStats) {
-    check_cover_budgeted(model, cover_index, options, solver, &Interrupt::none())
-}
-
-/// Like [`check_cover_detailed`], preemptible via the [`Interrupt`]
-/// handle (see [`check_safety_budgeted`]).
-pub fn check_cover_budgeted(
-    model: &Model,
-    cover_index: usize,
-    options: &BmcOptions,
-    solver: SolverConfig,
-    interrupt: &Interrupt,
-) -> (CoverResult, SolverStats) {
-    let cover = &model.covers[cover_index];
-    let (result, stats) =
-        check_target_budgeted(model, cover.lit, &cover.name, options, solver, interrupt);
-    let result = match result {
-        SafetyResult::Violated(trace) => CoverResult::Covered(trace),
-        SafetyResult::Proven { .. } => CoverResult::Unreachable,
-        SafetyResult::Unknown { explored_depth } => CoverResult::Unknown { explored_depth },
-        SafetyResult::Interrupted => CoverResult::Interrupted,
-    };
-    (result, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aig::Aig;
     use crate::model::BadProperty;
     use crate::model::CoverProperty;
+
+    /// An unbudgeted check of `target` with the default solver.
+    fn check(model: &Model, target: Lit, options: &BmcOptions) -> SafetyResult {
+        let config = SolverConfig::default();
+        check_target_budgeted(model, target, "", options, config, &Interrupt::none()).0
+    }
 
     /// A 3-bit counter that saturates at 7.
     fn saturating_counter() -> (Model, Vec<Lit>) {
@@ -427,7 +342,7 @@ mod tests {
             name: "reaches_five".into(),
             lit: b,
         });
-        let result = check_safety(&model, 0, &BmcOptions::default());
+        let result = check(&model, model.bads[0].lit, &BmcOptions::default());
         match result {
             SafetyResult::Violated(trace) => {
                 assert_eq!(trace.len(), 6); // value 5 reached at frame 5
@@ -452,7 +367,7 @@ mod tests {
             name: "never".into(),
             lit: bad,
         });
-        let result = check_safety(&model, 0, &BmcOptions::default());
+        let result = check(&model, model.bads[0].lit, &BmcOptions::default());
         assert!(result.is_proven(), "got {result:?}");
     }
 
@@ -478,7 +393,7 @@ mod tests {
             name: "saturation_sticks".into(),
             lit: bad,
         });
-        let result = check_safety(&model, 0, &BmcOptions::default());
+        let result = check(&model, model.bads[0].lit, &BmcOptions::default());
         assert!(result.is_proven(), "got {result:?}");
     }
 
@@ -496,7 +411,7 @@ mod tests {
             name: "q_high".into(),
             lit: q,
         });
-        let result = check_safety(&model, 0, &BmcOptions::default());
+        let result = check(&model, model.bads[0].lit, &BmcOptions::default());
         assert!(result.is_proven(), "got {result:?}");
     }
 
@@ -511,8 +426,8 @@ mod tests {
             name: "saturates".into(),
             lit: target,
         });
-        match check_cover(&model, 0, &BmcOptions::default()) {
-            CoverResult::Covered(trace) => assert_eq!(trace.len(), 8),
+        match check(&model, model.covers[0].lit, &BmcOptions::default()) {
+            SafetyResult::Violated(trace) => assert_eq!(trace.len(), 8),
             other => panic!("expected cover witness, got {other:?}"),
         }
     }
@@ -527,10 +442,7 @@ mod tests {
             name: "never".into(),
             lit: Lit::FALSE,
         });
-        assert_eq!(
-            check_cover(&model, 0, &BmcOptions::default()),
-            CoverResult::Unreachable
-        );
+        assert!(check(&model, model.covers[0].lit, &BmcOptions::default()).is_proven());
     }
 
     #[test]
@@ -546,9 +458,9 @@ mod tests {
         });
         // The counter needs 7 steps to saturate; a bound of 3 must not find
         // it, and induction cannot prove it (it is actually reachable).
-        let result = check_safety(
+        let result = check(
             &model,
-            0,
+            model.bads[0].lit,
             &BmcOptions {
                 max_depth: 3,
                 max_induction: 3,
@@ -569,7 +481,7 @@ mod tests {
             name: "reaches_three".into(),
             lit: b,
         });
-        let result = check_safety(&model, 0, &BmcOptions::default());
+        let result = check(&model, model.bads[0].lit, &BmcOptions::default());
         let trace = result.trace().expect("counterexample expected");
         assert_eq!(trace.len(), 4);
         // Frame 3: c0=1, c1=1, c2=0.

@@ -34,7 +34,7 @@
 //! opt-on runs reuse each other's optimized slices.
 
 use crate::aig::Lit;
-use crate::bmc::{check_safety_budgeted, check_target_budgeted, BmcOptions, SafetyResult};
+use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use crate::coi::{cone_of_influence, fingerprint, Fingerprint, SliceTarget};
 use crate::compile::{compile, CompiledKind, CompiledTestbench};
 use crate::elab::{elaborate_budgeted, ElabDesign, ElabOptions, Result};
@@ -77,17 +77,17 @@ pub struct CheckOptions {
     /// Limits of the exact explicit-state fallback engine used when BMC and
     /// k-induction are inconclusive.
     pub explicit: ExplicitOptions,
-    /// Disable the explicit-state fallback entirely (used by the engine
-    /// ablation benchmarks).
+    /// Disable the explicit-state fallback entirely (used by the
+    /// bounded-engine and fuzz-alone rows of the contract suite).
     pub disable_explicit: bool,
     /// Bounds of the IC3/PDR engine that sits between k-induction and the
     /// explicit fallback in the cascade.
     pub pdr: PdrOptions,
-    /// Disable the PDR stage entirely (used by the engine ablation
-    /// benchmarks).
+    /// Disable the PDR stage entirely (used by the bounded-engine and
+    /// fuzz-alone rows of the contract suite).
     pub disable_pdr: bool,
     /// Disable every BMC stage (quick and full-depth) of the cascade.  Used
-    /// by the engine ablation benchmarks and the fuzz-only smoke mode; also
+    /// by the fuzz-alone row of the contract suite; also
     /// skips the SAT re-minimization of fuzzer-found counterexamples.
     pub disable_bmc: bool,
     /// Depth of the *quick* BMC pass run before the exact engine.  Short
@@ -114,7 +114,7 @@ pub struct CheckOptions {
     /// disk there and reload in later processes.
     pub cache: CacheOptions,
     /// SAT search-loop feature toggles, shared by every engine stage (the
-    /// solver ablation bench flips them; the defaults enable everything).
+    /// contract suite flips them; the defaults enable everything).
     pub solver: SolverConfig,
     /// Design-lint configuration (level and deny-warnings).  The lint runs
     /// between compilation and the engine cascade; error-severity findings
@@ -946,6 +946,16 @@ enum Kind {
     Liveness,
 }
 
+impl Kind {
+    /// The BMC and k-induction bounds for a property of this kind.
+    fn bounds(self, options: &CheckOptions) -> &BmcOptions {
+        match self {
+            Kind::Liveness => &options.liveness_bmc,
+            Kind::Safety | Kind::Cover => &options.bmc,
+        }
+    }
+}
+
 /// A checked property as the cascade sees it.
 struct Target {
     kind: Kind,
@@ -1420,10 +1430,7 @@ fn run_stage(
     let options = ctx.options;
     let model = &*target.model;
     let (lit, name) = target.literal();
-    let bounds = match target.kind {
-        Kind::Liveness => &options.liveness_bmc,
-        Kind::Safety | Kind::Cover => &options.bmc,
-    };
+    let bounds = target.kind.bounds(options);
     let bmc = |bounds: &BmcOptions, outcome: &mut TaskOutcome| {
         let (result, stats) =
             check_target_budgeted(model, lit, name, bounds, options.solver, interrupt);
@@ -1512,9 +1519,10 @@ fn run_cascade(target: &Target, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> Tas
     };
     let cache = ctx.cache.as_ref();
     if let Some(cache) = cache {
+        let max_induction = target.kind.bounds(options).max_induction;
         let hit = {
             let _span = telemetry::span_detail("cache.lookup", name, None, Some(target.fp));
-            cache.lookup(&key, model, lit)
+            cache.lookup(&key, model, lit, max_induction, interrupt)
         };
         if let Some(verdict) = hit {
             let mut outcome = TaskOutcome::new(cached_status(verdict, model), None);
@@ -1609,8 +1617,8 @@ fn run_cascade(target: &Target, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> Tas
 /// traces, and the fuzzer's hits land wherever the stimulus happened to
 /// strike; re-minimizing makes the reported trace length a function of the
 /// model alone, so `render()` is byte-identical no matter which engine got
-/// there first.  A no-op under `disable_bmc` (the ablation configurations
-/// keep each engine's raw trace).  An interrupt mid-minimization keeps the
+/// there first.  A no-op under `disable_bmc` (a fuzz-alone run keeps the
+/// fuzzer's raw trace).  An interrupt mid-minimization keeps the
 /// original (unminimized but correct) trace — the verdict is never lost.
 fn minimize_safety_cex(
     model: &Model,
@@ -1623,17 +1631,14 @@ fn minimize_safety_cex(
     if options.disable_bmc || trace.is_empty() {
         return trace;
     }
-    let _span = telemetry::span_detail(
-        "engine.minimize",
-        &model.bads[index].name,
-        Some("bmc"),
-        None,
-    );
+    let bad = &model.bads[index];
+    let _span = telemetry::span_detail("engine.minimize", &bad.name, Some("bmc"), None);
     let bound = BmcOptions {
         max_depth: trace.len() - 1,
         max_induction: 0,
     };
-    let (result, s) = check_safety_budgeted(model, index, &bound, options.solver, interrupt);
+    let (result, s) =
+        check_target_budgeted(model, bad.lit, &bad.name, &bound, options.solver, interrupt);
     *stats += s;
     match result {
         SafetyResult::Violated(minimal) => minimal,

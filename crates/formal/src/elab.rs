@@ -2885,8 +2885,10 @@ pub fn const_eval(expr: &Expr, params: &HashMap<String, u128>) -> Result<u128> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmc::{check_safety, BmcOptions, SafetyResult};
-    use crate::model::{BadProperty, Model};
+    use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
+    use crate::interrupt::Interrupt;
+    use crate::model::Model;
+    use crate::sat::SolverConfig;
 
     fn elab(src: &str) -> ElabDesign {
         let file = svparse::parse(src).expect("parse");
@@ -2949,11 +2951,15 @@ mod tests {
         let cnt = design.signal("cnt_q").unwrap().to_vec();
         let mut model = Model::new(design.aig.clone());
         let target = words::eq(&mut model.aig, &cnt, &words::constant(5, 3));
-        model.bads.push(BadProperty {
-            name: "reaches5".into(),
-            lit: target,
-        });
-        match check_safety(&model, 0, &BmcOptions::default()) {
+        let (result, _) = check_target_budgeted(
+            &model,
+            target,
+            "reaches5",
+            &BmcOptions::default(),
+            SolverConfig::default(),
+            &Interrupt::none(),
+        );
+        match result {
             SafetyResult::Violated(trace) => assert_eq!(trace.len(), 6),
             other => panic!("expected counterexample, got {other:?}"),
         }

@@ -89,15 +89,13 @@ impl ExplicitEngine {
     ///
     /// Returns `None` when the model is outside the engine's limits (too many
     /// latches or inputs).
-    pub fn explore(model: &Model, options: &ExplicitOptions) -> Option<ExplicitEngine> {
-        ExplicitEngine::explore_budgeted(model, options, &Interrupt::none())
-    }
-
-    /// Like [`ExplicitEngine::explore`], preemptible: the [`Interrupt`]
-    /// handle is polled once per frontier state.  A preempted engine
-    /// reports [`ExplicitEngine::was_interrupted`] and is never complete,
-    /// so every query on it answers [`ExplicitResult::Exceeded`] at worst —
-    /// the truncated graph can still witness violations it already found.
+    ///
+    /// The [`Interrupt`] handle is polled once per frontier state.  A
+    /// preempted engine reports [`ExplicitEngine::was_interrupted`] and is
+    /// never complete, so every query on it answers
+    /// [`ExplicitResult::Exceeded`] at worst — the truncated graph can still
+    /// witness violations it already found.  Callers without a budget pass
+    /// [`Interrupt::none`].
     pub fn explore_budgeted(
         model: &Model,
         options: &ExplicitOptions,
@@ -485,6 +483,11 @@ mod tests {
     use super::*;
     use crate::model::{BadProperty, ResponseProperty};
 
+    /// An unbudgeted exploration.
+    fn explore(model: &Model, options: &ExplicitOptions) -> Option<ExplicitEngine> {
+        ExplicitEngine::explore_budgeted(model, options, &Interrupt::none())
+    }
+
     /// 3-bit saturating counter with an enable input.
     fn counter_model() -> (Model, Vec<Lit>, Lit) {
         let mut aig = Aig::new();
@@ -517,7 +520,7 @@ mod tests {
     #[test]
     fn reachable_states_enumerated() {
         let (model, _, _) = counter_model();
-        let engine = ExplicitEngine::explore(&model, &ExplicitOptions::default()).unwrap();
+        let engine = explore(&model, &ExplicitOptions::default()).unwrap();
         assert!(engine.is_complete());
         // The counter visits exactly 8 states.
         assert_eq!(engine.num_states(), 8);
@@ -535,7 +538,7 @@ mod tests {
             name: "reaches5".into(),
             lit: bad,
         });
-        let engine = ExplicitEngine::explore(&model, &ExplicitOptions::default()).unwrap();
+        let engine = explore(&model, &ExplicitOptions::default()).unwrap();
         match engine.check_bad(bad) {
             ExplicitResult::Violated(trace) => {
                 assert!(trace.len() >= 6);
@@ -554,7 +557,7 @@ mod tests {
         // never produces value 6 -> 5 style jumps: simply check a literal
         // that is structurally false.
         let _ = bits;
-        let engine = ExplicitEngine::explore(&model, &ExplicitOptions::default()).unwrap();
+        let engine = explore(&model, &ExplicitOptions::default()).unwrap();
         assert_eq!(engine.check_bad(Lit::FALSE), ExplicitResult::Proven);
     }
 
@@ -567,7 +570,7 @@ mod tests {
             let aig = &mut model.aig;
             aig.or_many(&bits)
         };
-        let engine = ExplicitEngine::explore(&model, &ExplicitOptions::default()).unwrap();
+        let engine = explore(&model, &ExplicitOptions::default()).unwrap();
         assert_eq!(engine.num_states(), 1);
         assert_eq!(engine.check_bad(bad), ExplicitResult::Proven);
     }
@@ -591,7 +594,7 @@ mod tests {
 
         // Without fairness: the environment can withhold the grant forever.
         let (augmented, asserts, fairs) = model.with_pending_monitors();
-        let engine = ExplicitEngine::explore(&augmented, &ExplicitOptions::default()).unwrap();
+        let engine = explore(&augmented, &ExplicitOptions::default()).unwrap();
         match engine.check_liveness(asserts[0], &fairs) {
             ExplicitResult::Violated(trace) => assert!(!trace.is_empty()),
             other => panic!("expected violation, got {other:?}"),
@@ -605,7 +608,7 @@ mod tests {
             target: gnt,
         });
         let (augmented, asserts, fairs) = model.with_pending_monitors();
-        let engine = ExplicitEngine::explore(&augmented, &ExplicitOptions::default()).unwrap();
+        let engine = explore(&augmented, &ExplicitOptions::default()).unwrap();
         assert_eq!(
             engine.check_liveness(asserts[0], &fairs),
             ExplicitResult::Proven
@@ -623,6 +626,6 @@ mod tests {
             max_inputs: 20,
             ..ExplicitOptions::default()
         };
-        assert!(ExplicitEngine::explore(&model, &options).is_none());
+        assert!(explore(&model, &options).is_none());
     }
 }

@@ -1,6 +1,7 @@
 //! Fault-injection harness: named injection sites inside the engines
-//! that tests (and the `fault_smoke` example) can arm to force a panic,
-//! a spurious timeout, or a delay at a precise point in the cascade.
+//! that tests (the unit tests and the contract suite, `tests/contracts.rs`)
+//! can arm to force a panic, a spurious timeout, or a delay at a precise
+//! point in the cascade.
 //!
 //! Compiled only under `cfg(any(test, feature = "fault-injection"))`;
 //! production builds carry no trace of it.  Engines mark their

@@ -63,7 +63,7 @@ pub struct FuzzOptions {
     /// Run the fuzz stage before the SAT cascade for safety properties.
     /// The reported verdicts are unaffected either way (a confirmed hit is
     /// a true violation and is re-minimized before reporting); the knob
-    /// exists for ablation and for byte-identity checks of the two paths.
+    /// exists for byte-identity checks of the two paths.
     pub enabled: bool,
     /// Independent restarts per property, each from a derived seed and a
     /// different reset-directed warm-up window.
@@ -126,36 +126,20 @@ pub struct FuzzHit {
 /// Fuzzes safety property `model.bads[bad_index]` within the configured
 /// budget.  Returns the first replay-confirmed violation (deterministic:
 /// earliest round, then earliest cycle, then lowest lane), or `None` when
-/// the budget drains without a confirmed hit.
-pub fn fuzz_safety(model: &Model, bad_index: usize, options: &FuzzOptions) -> Option<FuzzHit> {
-    fuzz_safety_with_stats(model, bad_index, options).0
-}
-
-/// [`fuzz_safety`] plus the work counters of the search (see
-/// [`FuzzStats`]).  Each executed round is recorded as a `"fuzz.round"`
-/// telemetry span; the counters also feed the `fuzz.*` entries of the
-/// metrics registry.
-pub fn fuzz_safety_with_stats(
-    model: &Model,
-    bad_index: usize,
-    options: &FuzzOptions,
-) -> (Option<FuzzHit>, FuzzStats) {
-    fuzz_safety_budgeted(
-        model,
-        bad_index,
-        options,
-        &crate::interrupt::Interrupt::none(),
-    )
-}
-
-/// Like [`fuzz_safety_with_stats`], preemptible: the [`Interrupt`]
-/// handle is polled at every round start and once per simulated cycle.
-/// An interrupted search simply reports no hit — the fuzzer can only
-/// ever *find* violations, so stopping early loses no soundness; the
-/// caller reads the handle to distinguish "budget drained" from
-/// "preempted".
+/// the budget drains without a confirmed hit, plus the work counters of
+/// the search (see [`FuzzStats`]).  Each executed round is recorded as a
+/// `"fuzz.round"` telemetry span; the counters also feed the `fuzz.*`
+/// entries of the metrics registry.
+///
+/// The [`Interrupt`] handle is polled at every round start and once per
+/// simulated cycle.  An interrupted search simply reports no hit — the
+/// fuzzer can only ever *find* violations, so stopping early loses no
+/// soundness; the caller reads the handle to distinguish "budget
+/// drained" from "preempted".  Callers without a budget pass
+/// [`Interrupt::none`].
 ///
 /// [`Interrupt`]: crate::interrupt::Interrupt
+/// [`Interrupt::none`]: crate::interrupt::Interrupt::none
 pub fn fuzz_safety_budgeted(
     model: &Model,
     bad_index: usize,
@@ -282,6 +266,7 @@ mod tests {
     use crate::aig::Lit;
     use crate::compile::compile;
     use crate::elab::{elaborate, ElabOptions};
+    use crate::interrupt::Interrupt;
     use autosva::{generate_ft, AutosvaOptions};
 
     const ECHO_BAD: &str = r#"
@@ -335,6 +320,11 @@ endmodule
         compile(&design, &ft).unwrap().model
     }
 
+    /// An unbudgeted fuzz run with its work counters.
+    fn fuzz(model: &Model, index: usize, options: &FuzzOptions) -> (Option<FuzzHit>, FuzzStats) {
+        fuzz_safety_budgeted(model, index, options, &Interrupt::none())
+    }
+
     fn safety_index(model: &Model, needle: &str) -> usize {
         model
             .bads
@@ -347,7 +337,8 @@ endmodule
     fn finds_the_ghost_response_and_confirms_by_replay() {
         let model = compiled(ECHO_BAD);
         let index = safety_index(&model, "had_a_request");
-        let hit = fuzz_safety(&model, index, &FuzzOptions::default())
+        let hit = fuzz(&model, index, &FuzzOptions::default())
+            .0
             .expect("the ghost response is a shallow bug");
         assert_eq!(hit.trace.len(), hit.cycle + 1);
         // The confirmed trace must replay again, independently, to itself.
@@ -364,47 +355,43 @@ endmodule
     fn healthy_design_yields_no_hit() {
         let model = compiled(ECHO_GOOD);
         let index = safety_index(&model, "had_a_request");
-        assert!(fuzz_safety(&model, index, &FuzzOptions::default()).is_none());
+        assert!(fuzz(&model, index, &FuzzOptions::default()).0.is_none());
     }
 
     #[test]
     fn search_is_deterministic_per_seed() {
         let model = compiled(ECHO_BAD);
         let index = safety_index(&model, "had_a_request");
-        let a = fuzz_safety(&model, index, &FuzzOptions::default()).unwrap();
-        let b = fuzz_safety(&model, index, &FuzzOptions::default()).unwrap();
+        let a = fuzz(&model, index, &FuzzOptions::default()).0.unwrap();
+        let b = fuzz(&model, index, &FuzzOptions::default()).0.unwrap();
         assert_eq!(a.cycle, b.cycle);
         assert_eq!(a.lane, b.lane);
         assert_eq!(a.round, b.round);
         assert_eq!(a.trace, b.trace);
         // A different seed still finds the shallow bug.
-        let other = fuzz_safety(
-            &model,
-            index,
-            &FuzzOptions {
-                seed: 7,
-                ..FuzzOptions::default()
-            },
-        );
-        assert!(other.is_some());
+        let other = FuzzOptions {
+            seed: 7,
+            ..FuzzOptions::default()
+        };
+        assert!(fuzz(&model, index, &other).0.is_some());
     }
 
     #[test]
     fn stats_count_the_search_work_deterministically() {
         let model = compiled(ECHO_BAD);
         let index = safety_index(&model, "had_a_request");
-        let (hit, stats) = fuzz_safety_with_stats(&model, index, &FuzzOptions::default());
+        let (hit, stats) = fuzz(&model, index, &FuzzOptions::default());
         assert!(hit.is_some());
         assert_eq!(stats.confirmed, 1);
         assert!(stats.replays >= 1);
         assert!(stats.cycles > 0);
         assert!(stats.rounds >= 1);
-        let (_, again) = fuzz_safety_with_stats(&model, index, &FuzzOptions::default());
+        let (_, again) = fuzz(&model, index, &FuzzOptions::default());
         assert_eq!(stats, again, "counters must be deterministic per seed");
         // A clean design drains the full round budget without confirming.
         let good = compiled(ECHO_GOOD);
         let gindex = safety_index(&good, "had_a_request");
-        let (ghit, gstats) = fuzz_safety_with_stats(&good, gindex, &FuzzOptions::default());
+        let (ghit, gstats) = fuzz(&good, gindex, &FuzzOptions::default());
         assert!(ghit.is_none());
         assert_eq!(gstats.confirmed, 0);
         assert_eq!(gstats.rounds, FuzzOptions::default().rounds as u64);
@@ -422,6 +409,6 @@ endmodule
             .map(|i| Lit::new(model.aig.inputs()[i], false))
             .expect("req_val input");
         model.constraints.push(req);
-        assert!(fuzz_safety(&model, index, &FuzzOptions::default()).is_none());
+        assert!(fuzz(&model, index, &FuzzOptions::default()).0.is_none());
     }
 }

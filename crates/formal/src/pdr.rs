@@ -205,48 +205,14 @@ impl PdrResult {
     }
 }
 
-/// Checks a bad-state property of `model` (an index into [`Model::bads`]).
+/// Checks target literal `bad` of `model` as a bad-state property (an
+/// assertion, or the unreachability of a cover target); also returns the
+/// [`SolverStats`] of the incremental solver behind the run.
 ///
-/// # Panics
-///
-/// Panics if `bad_index` is out of range.
-pub fn check_pdr(model: &Model, bad_index: usize, options: &PdrOptions) -> PdrResult {
-    check_pdr_lit(model, model.bads[bad_index].lit, options)
-}
-
-/// Like [`check_pdr`], with an explicit solver configuration; also returns
-/// the [`SolverStats`] of the incremental solver behind the run.
-pub fn check_pdr_detailed(
-    model: &Model,
-    bad_index: usize,
-    options: &PdrOptions,
-    solver: SolverConfig,
-) -> (PdrResult, SolverStats) {
-    check_pdr_lit_detailed(model, model.bads[bad_index].lit, options, solver)
-}
-
-/// Checks an arbitrary target literal of `model` as a bad-state property
-/// (used for assertions, unreachability of cover targets, and the
-/// differential test harness).
-pub fn check_pdr_lit(model: &Model, bad: Lit, options: &PdrOptions) -> PdrResult {
-    check_pdr_lit_detailed(model, bad, options, SolverConfig::default()).0
-}
-
-/// Like [`check_pdr_lit`], with an explicit solver configuration and the
-/// solver's cumulative search counters.
-pub fn check_pdr_lit_detailed(
-    model: &Model,
-    bad: Lit,
-    options: &PdrOptions,
-    solver: SolverConfig,
-) -> (PdrResult, SolverStats) {
-    check_pdr_budgeted(model, bad, options, solver, &Interrupt::none())
-}
-
-/// Like [`check_pdr_lit_detailed`], preemptible: the [`Interrupt`]
-/// handle is checked in the obligation queue (alongside the existing
-/// query budget) and inside the incremental solver's search loop; when
-/// it fires the run returns [`PdrResult::Interrupted`].
+/// The [`Interrupt`] handle is checked in the obligation queue (alongside
+/// the query budget) and inside the solver's search loop; when it fires
+/// the run returns [`PdrResult::Interrupted`].  Callers without a budget
+/// pass `SolverConfig::default()` and [`Interrupt::none`].
 pub fn check_pdr_budgeted(
     model: &Model,
     bad: Lit,
@@ -840,6 +806,19 @@ mod tests {
     use crate::aig::Aig;
     use crate::model::BadProperty;
 
+    /// An unbudgeted PDR run on `model.bads[0]` with the default solver.
+    fn pdr(model: &Model, options: &PdrOptions) -> PdrResult {
+        let bad = model.bads[0].lit;
+        check_pdr_budgeted(
+            model,
+            bad,
+            options,
+            SolverConfig::default(),
+            &Interrupt::none(),
+        )
+        .0
+    }
+
     /// A 3-bit counter that saturates at 7 (shared with the BMC tests).
     fn saturating_counter() -> (Model, Vec<Lit>) {
         let mut aig = Aig::new();
@@ -878,7 +857,7 @@ mod tests {
             name: "reaches_five".into(),
             lit: b,
         });
-        match check_pdr(&model, 0, &PdrOptions::default()) {
+        match pdr(&model, &PdrOptions::default()) {
             PdrResult::Violated(trace) => {
                 assert_eq!(trace.len(), 6);
                 // Frame 5 must be the value 5 (101).
@@ -914,7 +893,7 @@ mod tests {
             name: "saturation_sticks".into(),
             lit: bad,
         });
-        match check_pdr(&model, 0, &PdrOptions::default()) {
+        match pdr(&model, &PdrOptions::default()) {
             PdrResult::Proven(invariant) => {
                 assert!(invariant.certify(&model, bad), "certificate must check");
             }
@@ -948,7 +927,7 @@ mod tests {
             name: "wraps_to_zero".into(),
             lit: bad,
         });
-        let result = check_pdr(&model, 0, &PdrOptions::default());
+        let result = pdr(&model, &PdrOptions::default());
         match result {
             PdrResult::Proven(invariant) => {
                 assert!(invariant.certify(&model, bad));
@@ -972,7 +951,7 @@ mod tests {
             name: "q_high".into(),
             lit: q,
         });
-        let result = check_pdr(&model, 0, &PdrOptions::default());
+        let result = pdr(&model, &PdrOptions::default());
         assert!(result.is_proven(), "got {result:?}");
         if let PdrResult::Proven(inv) = result {
             assert!(inv.certify(&model, q));
@@ -989,7 +968,7 @@ mod tests {
             name: "q_high".into(),
             lit: q,
         });
-        match check_pdr(&model, 0, &PdrOptions::default()) {
+        match pdr(&model, &PdrOptions::default()) {
             PdrResult::Violated(trace) => {
                 assert_eq!(trace.len(), 1);
                 assert_eq!(trace.value(0, "q"), Some(true));
@@ -1005,7 +984,7 @@ mod tests {
             name: "never".into(),
             lit: Lit::FALSE,
         });
-        match check_pdr(&model, 0, &PdrOptions::default()) {
+        match pdr(&model, &PdrOptions::default()) {
             PdrResult::Proven(invariant) => {
                 assert_eq!(invariant.num_clauses(), 0);
                 assert!(invariant.certify(&model, Lit::FALSE));
@@ -1031,7 +1010,7 @@ mod tests {
             generalize_rounds: 0,
         };
         // The bad state is 7 steps deep: 2 frames cannot decide it.
-        let result = check_pdr(&model, 0, &tiny);
+        let result = pdr(&model, &tiny);
         assert!(
             matches!(result, PdrResult::Unknown { .. }),
             "got {result:?}"

@@ -24,8 +24,10 @@
 //!   invariants are re-certified against the slice with an independent SAT
 //!   check, counterexample/witness traces are replayed through the
 //!   two-state simulator, and disk-loaded k-induction verdicts are
-//!   re-proven at their recorded depth on first use; entries that fail
-//!   validation are evicted and the property is re-verified from scratch.
+//!   re-proven at their recorded depth on first use (or rejected outright
+//!   when that depth exceeds the run's own induction bound); entries that
+//!   fail validation are evicted and the property is re-verified from
+//!   scratch.
 //!   The cache can spill to disk
 //!   ([`ProofCache::open`]/[`ProofCache::flush`]) — only these
 //!   re-checkable kinds cross the process boundary.  Alongside the
@@ -34,9 +36,12 @@
 //!   RTL skips the optimizer and the liveness-to-safety transform.
 
 use crate::aig::Lit;
+use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use crate::coi::Fingerprint;
+use crate::interrupt::Interrupt;
 use crate::model::Model;
 use crate::pdr::Invariant;
+use crate::sat::SolverConfig;
 use crate::trace::Trace;
 use std::collections::HashMap;
 use std::fmt;
@@ -545,12 +550,16 @@ impl ProofCache {
     /// The entry (if any) was produced on a slice with the same content
     /// fingerprint, so validation failure indicates a hash collision or a
     /// corrupted entry — the entry is evicted and `None` returned so the
-    /// property is re-verified from scratch.
+    /// property is re-verified from scratch.  `max_induction` is the run's
+    /// induction bound for the property, and `interrupt` its task budget:
+    /// both bound the re-proof of a disk-loaded k-induction entry.
     pub(crate) fn lookup(
         &self,
         key: &CacheKey,
         model: &Model,
         target: Lit,
+        max_induction: usize,
+        interrupt: &Interrupt,
     ) -> Option<CachedVerdict> {
         let entry = {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -569,8 +578,15 @@ impl ProofCache {
             CachedOutcome::Induction { depth } => {
                 // In-process entries are trusted on the fingerprint match
                 // (the verdict was computed by this process); disk-loaded
-                // entries are re-proven at their recorded depth once.
-                if !unvalidated || induction_reproves(model, target, depth) {
+                // entries are re-proven at their recorded depth once.  A
+                // depth beyond the run's own bound cannot come from this
+                // configuration and is rejected without a re-proof, whose
+                // cost grows steeply with the depth.
+                let reproves = || {
+                    depth <= max_induction
+                        && induction_reproves(model, target, &key.property, depth, interrupt)
+                };
+                if !unvalidated || reproves() {
                     Some(CachedVerdict::Induction { depth })
                 } else {
                     None
@@ -652,9 +668,12 @@ const CACHE_HEADER: &str = "autosva-proof-cache v1";
 /// Sanity bounds on parsed entries.  Legitimate artifacts sit far below
 /// these (induction depths ≤ the configured `max_induction`, traces ≤ the
 /// BMC bound, invariants ≤ a few hundred clauses); anything larger is a
-/// forged or corrupted entry, and the bound keeps its *rejection* cheap —
-/// without it, a huge induction depth would hang the re-proof and a huge
-/// clause count would allocate unboundedly before validation could say no.
+/// forged or corrupted entry, dropped at parse time so that a huge count
+/// cannot allocate unboundedly before validation could say no.  The
+/// depth bound does not make a re-proof cheap, because its cost grows
+/// steeply with the depth even on a small cone, so `ProofCache::lookup`
+/// also rejects any induction depth above the run's own bound before
+/// re-proving.
 const MAX_CACHE_DEPTH: usize = 256;
 const MAX_CACHE_CLAUSES: usize = 65_536;
 const MAX_CACHE_CYCLES: usize = 65_536;
@@ -829,8 +848,8 @@ fn parse_outcome(lines: &mut CacheLines<'_>) -> Option<CachedOutcome> {
     match tag {
         "induction" => {
             let depth: usize = rest.parse().ok()?;
-            // A forged depth would make the hit-time re-proof arbitrarily
-            // expensive; real induction depths are two orders below this.
+            // Real induction depths are two orders below this; the lookup
+            // bounds the re-proof by the run's own induction bound.
             if depth > MAX_CACHE_DEPTH {
                 return None;
             }
@@ -922,25 +941,25 @@ fn clauses_fit_model(model: &Model, clauses: &[Vec<Lit>]) -> bool {
 
 /// Re-validates a cached k-induction verdict by actually re-proving it:
 /// BMC up to the recorded depth must stay counterexample-free and the
-/// induction step must close by then.  Cheap — recorded depths are small
-/// (the deep proofs go to PDR and carry certificates instead) — and it
-/// turns a stale or forged entry into a rejection rather than a bogus
-/// "proven" row.
-fn induction_reproves(model: &Model, target: Lit, depth: usize) -> bool {
-    let Some(index) = model.bads.iter().position(|b| b.lit == target) else {
-        return false;
+/// induction step must close by then.  The caller caps the depth at the
+/// run's induction bound (the deep proofs go to PDR and carry certificates
+/// instead) and the task's interrupt bounds the rest, so a stale or forged
+/// entry turns into a rejection rather than a bogus "proven" row or a
+/// stalled run.
+fn induction_reproves(
+    model: &Model,
+    target: Lit,
+    name: &str,
+    depth: usize,
+    interrupt: &Interrupt,
+) -> bool {
+    let bound = BmcOptions {
+        max_depth: depth,
+        max_induction: depth,
     };
-    matches!(
-        crate::bmc::check_safety(
-            model,
-            index,
-            &crate::bmc::BmcOptions {
-                max_depth: depth,
-                max_induction: depth,
-            },
-        ),
-        crate::bmc::SafetyResult::Proven { .. }
-    )
+    let config = SolverConfig::default();
+    let (result, _) = check_target_budgeted(model, target, name, &bound, config, interrupt);
+    matches!(result, SafetyResult::Proven { .. })
 }
 
 /// Replays a cached trace against the live model (see
@@ -957,6 +976,11 @@ mod tests {
     use super::*;
     use crate::aig::Aig;
     use crate::model::BadProperty;
+
+    /// Looks `key()` up with a generous induction bound and no budget.
+    fn lookup(cache: &ProofCache, model: &Model, target: Lit) -> Option<CachedVerdict> {
+        cache.lookup(&key(), model, target, 12, &Interrupt::none())
+    }
 
     #[test]
     fn run_ordered_preserves_item_order() {
@@ -1052,7 +1076,7 @@ mod tests {
         trace.record(0, "x", true, true);
         trace.record(1, "q", true, false);
         cache.store(key(), CachedOutcome::Violated(trace));
-        match cache.lookup(&key(), &model, q) {
+        match lookup(&cache, &model, q) {
             Some(CachedVerdict::Violated(t)) => assert_eq!(t.len(), 2),
             other => panic!("expected replayed violation, got {other:?}"),
         }
@@ -1067,7 +1091,7 @@ mod tests {
         let mut trace = Trace::new(2);
         trace.record(0, "x", false, true);
         cache.store(key(), CachedOutcome::Violated(trace));
-        assert!(cache.lookup(&key(), &model, q).is_none());
+        assert!(lookup(&cache, &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
         assert!(cache.is_empty(), "failed entries must be evicted");
     }
@@ -1085,7 +1109,7 @@ mod tests {
                 frames: 1,
             },
         );
-        assert!(cache.lookup(&key(), &model, q).is_none());
+        assert!(lookup(&cache, &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
 
         // A model where the latch really never rises (next = FALSE): the
@@ -1105,7 +1129,7 @@ mod tests {
                 frames: 1,
             },
         );
-        match cache.lookup(&key(), &safe, q2) {
+        match lookup(&cache, &safe, q2) {
             Some(CachedVerdict::Invariant(inv)) => assert_eq!(inv.num_clauses(), 1),
             other => panic!("expected certified invariant, got {other:?}"),
         }
@@ -1365,7 +1389,7 @@ mod tests {
         let (model, q) = tiny_model();
         let cache = ProofCache::new();
         cache.store(key(), CachedOutcome::Induction { depth: 3 });
-        match cache.lookup(&key(), &model, q) {
+        match lookup(&cache, &model, q) {
             Some(CachedVerdict::Induction { depth }) => assert_eq!(depth, 3),
             other => panic!("expected induction hit, got {other:?}"),
         }
@@ -1376,7 +1400,8 @@ mod tests {
             fingerprint: Fingerprint(1, 2),
             property: "other".into(),
         };
-        assert!(cache.lookup(&other_key, &model, q).is_none());
+        let none = Interrupt::none();
+        assert!(cache.lookup(&other_key, &model, q, 12, &none).is_none());
         assert_eq!(cache.stats().misses, 1);
     }
 
@@ -1393,12 +1418,31 @@ mod tests {
         // (which really is 1-inductive) and then hits directly.
         let cache = ProofCache::open(&dir);
         for _ in 0..2 {
-            match cache.lookup(&key(), &model, q) {
+            match lookup(&cache, &model, q) {
                 Some(CachedVerdict::Induction { depth }) => assert_eq!(depth, 1),
                 other => panic!("expected induction hit, got {other:?}"),
             }
         }
         assert_eq!(cache.stats().rejected, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_induction_entries_deeper_than_the_run_bound_reject_without_a_reproof() {
+        // The safe model really is 1-inductive, so a re-proof at depth 5
+        // would succeed: only the bound can reject this entry.
+        let dir = scratch_dir("induction-too-deep");
+        {
+            let cache = ProofCache::open(&dir);
+            cache.store(key(), CachedOutcome::Induction { depth: 5 });
+            cache.flush().expect("flush");
+        }
+        let (model, q) = safe_model();
+        let cache = ProofCache::open(&dir);
+        let none = Interrupt::none();
+        assert!(cache.lookup(&key(), &model, q, 4, &none).is_none());
+        assert_eq!(cache.stats().rejected, 1);
+        assert!(cache.is_empty(), "rejected entries must be evicted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1415,7 +1459,7 @@ mod tests {
         }
         let (model, q) = tiny_model();
         let cache = ProofCache::open(&dir);
-        assert!(cache.lookup(&key(), &model, q).is_none());
+        assert!(lookup(&cache, &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
         assert!(cache.is_empty(), "rejected entries must be evicted");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1461,7 +1505,7 @@ mod tests {
         .unwrap();
         let cache = ProofCache::open(&dir);
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key(), &model, q).is_none());
+        assert!(lookup(&cache, &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

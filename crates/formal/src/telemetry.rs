@@ -847,7 +847,7 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 /// line-by-line into events whose `"B"`/`"E"` pairs are balanced within
 /// every track and whose timestamps are non-decreasing per track.
 ///
-/// This is the guard the telemetry tests and the CI smoke run use — it
+/// This is the guard the telemetry tests and the contract suite use — it
 /// checks the invariants a trace viewer needs, not full JSON conformance.
 ///
 /// # Errors

@@ -34,8 +34,8 @@ impl<'a> Unroller<'a> {
     }
 
     /// Like [`Unroller::new`], with an explicit solver feature
-    /// configuration (used by the differential suite and the solver
-    /// ablation bench to toggle restarts/minimization/reduction).
+    /// configuration (used by the differential suite to toggle
+    /// restarts/minimization/reduction).
     pub fn with_config(aig: &'a Aig, constrain_init: bool, config: SolverConfig) -> Self {
         let mut solver = Solver::with_config(config);
         let true_var = solver.new_var();

@@ -15,7 +15,7 @@
 //! cycle period to give the flat two-state trace a familiar clocked look.
 //!
 //! [`validate`] is the structural re-parser used by the golden test and the
-//! CI fuzz-smoke step: balanced scope nesting, unique id codes, value
+//! contract suite: balanced scope nesting, unique id codes, value
 //! changes only on declared ids, strictly increasing timestamps.
 
 use crate::trace::Trace;

@@ -8,12 +8,16 @@
 //! corrupted cache renders byte-identically to a cache-less run.
 
 use autosva::{generate_ft, AutosvaOptions};
-use autosva_formal::checker::{verify, CheckOptions};
+use autosva_bench::{build_testbench, default_check_options};
+use autosva_designs::{by_id, elaborated, Variant};
+use autosva_formal::checker::{verify, verify_elaborated, CheckOptions};
 use autosva_formal::portfolio::ProofCache;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 const ECHO: &str = r#"
 /*AUTOSVA
@@ -128,4 +132,63 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(&render, baseline);
     }
+}
+
+/// Rewrites the outcome of `property`'s entry in a spill file to a
+/// k-induction proof at `depth`.  The entry must hold a PDR invariant.
+fn forge_induction_depth(spill: &str, property: &str, depth: usize) -> String {
+    let mut out = Vec::new();
+    let mut lines = spill.lines();
+    let mut forged = 0;
+    while let Some(line) = lines.next() {
+        out.push(line.to_string());
+        if line.starts_with("entry ") && line.ends_with(&format!(" {property}")) {
+            let outcome = lines.next().expect("the entry has an outcome");
+            let clauses: usize = outcome
+                .strip_prefix("invariant ")
+                .and_then(|rest| rest.split(' ').nth(1))
+                .and_then(|count| count.parse().ok())
+                .unwrap_or_else(|| panic!("{property} is not PDR-proven: {outcome}"));
+            lines.by_ref().take(clauses).for_each(drop);
+            out.push(format!("induction {depth}"));
+            forged += 1;
+        }
+    }
+    assert_eq!(forged, 1, "{property} should have one spill entry");
+    out.join("\n") + "\n"
+}
+
+/// A spill entry claiming a k-induction proof deeper than the run's own
+/// induction bound is rejected without a re-proof.  Re-proving this
+/// 13-latch cone at depth 40 costs far more than the whole run, which must
+/// return promptly with the cold run's verdicts.
+#[test]
+fn a_forged_induction_depth_is_rejected_without_stalling_the_run() {
+    let case = by_id("O1").expect("O1 is in the corpus");
+    let ft = build_testbench(&case);
+    let design = elaborated(&case, Variant::Fixed);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("forged-induction-depth");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut options = default_check_options(&case, Variant::Fixed);
+    options.cache.dir = Some(dir.clone());
+    let cold = verify_elaborated(&design, &ft, &options).expect("cold run");
+
+    let spill = dir.join("proofs.cache");
+    let text = std::fs::read_to_string(&spill).expect("spill file written");
+    let forged = forge_induction_depth(&text, "as__noc_txn_had_a_request", 40);
+    std::fs::write(&spill, forged).expect("rewrite the spill file");
+
+    let (done, finished) = mpsc::channel();
+    let warm = std::thread::spawn(move || {
+        let report = verify_elaborated(&design, &ft, &options).expect("warm run");
+        let _ = done.send(());
+        report
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+        panic!("the warm run did not return within 60 s");
+    }
+    let warm = warm.join().expect("the warm run panicked");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(warm.render(), cold.render());
+    assert_eq!(warm.cache_stats.expect("disk cache").rejected, 1);
 }

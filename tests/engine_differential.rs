@@ -8,16 +8,16 @@
 //! invariant that re-certifies under an independent SAT check, and every
 //! PDR counterexample must replay concretely in the two-state simulator.
 
-use autosva_bench::{build_testbench, default_check_options};
+use autosva_bench::build_testbench;
 use autosva_designs::{all_cases, elaborated, Variant};
 use autosva_formal::aig::{Aig, Lit};
-use autosva_formal::bmc::{check_safety, BmcOptions, SafetyResult};
-use autosva_formal::checker::{verify_elaborated, Proof, PropertyStatus, VerificationReport};
+use autosva_formal::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
 use autosva_formal::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
-use autosva_formal::fuzz::{fuzz_safety, FuzzOptions};
+use autosva_formal::fuzz::{fuzz_safety_budgeted, FuzzOptions};
+use autosva_formal::interrupt::Interrupt;
 use autosva_formal::model::{BadProperty, Model};
-use autosva_formal::pdr::{check_pdr, PdrOptions, PdrResult};
+use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use autosva_formal::psim::replay;
 use autosva_formal::sat::{SatLit, SatResult, SolverConfig};
 use autosva_formal::unroll::Unroller;
@@ -96,6 +96,71 @@ fn trace_replays(model: &Model, trace: &autosva_formal::trace::Trace) -> bool {
     replay(model, model.bads[0].lit, trace.len(), input).is_some()
 }
 
+/// Unbudgeted BMC + k-induction on `model.bads[0]` with the default solver.
+fn bmc(model: &Model, options: &BmcOptions) -> SafetyResult {
+    let (bad, config, none) = (&model.bads[0], SolverConfig::default(), Interrupt::none());
+    check_target_budgeted(model, bad.lit, &bad.name, options, config, &none).0
+}
+
+/// Whether BMC + k-induction find `model.bads[0]` unreachable, searching
+/// deep enough to be complete: the loop-free-path strengthening closes any
+/// safe instance once the depth passes the recurrence diameter, at most
+/// 2^5 here.
+fn bmc_safe(model: &Model, what: &str) -> bool {
+    match bmc(
+        model,
+        &BmcOptions {
+            max_depth: 40,
+            max_induction: 40,
+        },
+    ) {
+        SafetyResult::Proven { .. } => true,
+        SafetyResult::Violated(_) => false,
+        other => panic!("{what}: bounded engines undecided on a tiny model: {other:?}"),
+    }
+}
+
+/// Whether unbudgeted PDR under `config` finds `model.bads[0]` unreachable.
+/// A proof's invariant must certify under an independent SAT check, and a
+/// counterexample must replay concretely.
+fn pdr_safe(model: &Model, config: SolverConfig, what: &str) -> bool {
+    let bad = model.bads[0].lit;
+    let options = PdrOptions::default();
+    match check_pdr_budgeted(model, bad, &options, config, &Interrupt::none()).0 {
+        PdrResult::Proven(invariant) => {
+            assert!(
+                invariant.certify(model, bad),
+                "{what}: PDR invariant failed certification"
+            );
+            true
+        }
+        PdrResult::Violated(trace) => {
+            assert!(
+                trace_replays(model, &trace),
+                "{what}: PDR counterexample does not replay"
+            );
+            false
+        }
+        other => panic!("{what}: PDR undecided on a tiny model: {other:?}"),
+    }
+}
+
+/// Ground truth for a tiny model: exhaustive reachability (exact at these
+/// sizes) decides whether `model.bads[0]` is unreachable.
+fn exactly_safe(model: &Model) -> bool {
+    let options = ExplicitOptions {
+        max_states: 1 << 12,
+        max_inputs: 8,
+    };
+    let explicit = ExplicitEngine::explore_budgeted(model, &options, &Interrupt::none())
+        .expect("explicit exploration succeeds on tiny models");
+    match explicit.check_bad(model.bads[0].lit) {
+        ExplicitResult::Proven => true,
+        ExplicitResult::Violated(_) => false,
+        ExplicitResult::Exceeded => panic!("tiny model exceeded explicit limits"),
+    }
+}
+
 proptest! {
     /// BMC/k-induction, PDR and the explicit engine agree on every random
     /// model, PDR invariants certify, and PDR counterexamples replay.
@@ -108,64 +173,15 @@ proptest! {
     ) {
         let model = random_model(seed, num_latches, num_inputs, num_gates);
 
-        // Ground truth: exhaustive reachability (exact at these sizes).
-        let explicit = ExplicitEngine::explore(
-            &model,
-            &ExplicitOptions {
-                max_states: 1 << 12,
-                max_inputs: 8,
-            },
-        )
-        .expect("explicit exploration succeeds on tiny models");
-        let exact_safe = match explicit.check_bad(model.bads[0].lit) {
-            ExplicitResult::Proven => true,
-            ExplicitResult::Violated(_) => false,
-            ExplicitResult::Exceeded => panic!("tiny model exceeded explicit limits"),
-        };
-
-        // BMC + k-induction, deep enough to be complete (the loop-free-path
-        // strengthening closes any SAFE instance once the depth passes the
-        // recurrence diameter, <= 2^5 here).
-        let bmc = check_safety(
-            &model,
-            0,
-            &BmcOptions { max_depth: 40, max_induction: 40 },
+        let exact_safe = exactly_safe(&model);
+        let what = format!("seed {seed}");
+        prop_assert_eq!(bmc_safe(&model, &what), exact_safe, "BMC against reachability ({})", what);
+        prop_assert_eq!(
+            pdr_safe(&model, SolverConfig::default(), &what),
+            exact_safe,
+            "PDR against reachability ({})",
+            what
         );
-        match &bmc {
-            SafetyResult::Proven { .. } =>
-                prop_assert!(exact_safe, "k-induction proved a violated model (seed {seed})"),
-            SafetyResult::Violated(_) =>
-                prop_assert!(!exact_safe, "BMC refuted a safe model (seed {seed})"),
-            SafetyResult::Unknown { .. } =>
-                panic!("bounded engines undecided on a tiny model (seed {seed})"),
-            SafetyResult::Interrupted =>
-                panic!("bounded engines interrupted with no interrupt armed (seed {seed})"),
-        }
-
-        // PDR, with its invariant certified by an independent SAT check and
-        // its counterexamples replayed concretely.
-        match check_pdr(&model, 0, &PdrOptions::default()) {
-            PdrResult::Proven(invariant) => {
-                prop_assert!(exact_safe, "PDR proved a violated model (seed {seed})");
-                prop_assert!(
-                    invariant.certify(&model, model.bads[0].lit),
-                    "PDR invariant failed certification (seed {seed})"
-                );
-            }
-            PdrResult::Violated(trace) => {
-                prop_assert!(!exact_safe, "PDR refuted a safe model (seed {seed})");
-                prop_assert!(
-                    trace_replays(&model, &trace),
-                    "PDR counterexample does not replay (seed {seed})"
-                );
-            }
-            PdrResult::Unknown { frames_explored } => {
-                panic!("PDR undecided on a tiny model (seed {seed}, {frames_explored} frames)")
-            }
-            PdrResult::Interrupted => {
-                panic!("PDR interrupted with no interrupt armed (seed {seed})")
-            }
-        }
     }
 
     /// PDR reaches the same verdict on every random model regardless of the
@@ -188,38 +204,10 @@ proptest! {
             // these tiny instances.
             ("aggressive", SolverConfig { restart_base: 2, reduce_base: 8, ..SolverConfig::default() }),
         ];
-        let mut verdicts: Vec<(&str, bool)> = Vec::new();
-        for (label, config) in configs {
-            let (result, _stats) = autosva_formal::pdr::check_pdr_lit_detailed(
-                &model,
-                model.bads[0].lit,
-                &PdrOptions::default(),
-                config,
-            );
-            let safe = match result {
-                PdrResult::Proven(invariant) => {
-                    prop_assert!(
-                        invariant.certify(&model, model.bads[0].lit),
-                        "{label}: PDR invariant failed certification (seed {seed})"
-                    );
-                    true
-                }
-                PdrResult::Violated(trace) => {
-                    prop_assert!(
-                        trace_replays(&model, &trace),
-                        "{label}: PDR counterexample does not replay (seed {seed})"
-                    );
-                    false
-                }
-                PdrResult::Unknown { frames_explored } => {
-                    panic!("{label}: PDR undecided on a tiny model (seed {seed}, {frames_explored} frames)")
-                }
-                PdrResult::Interrupted => {
-                    panic!("{label}: PDR interrupted with no interrupt armed (seed {seed})")
-                }
-            };
-            verdicts.push((label, safe));
-        }
+        let verdicts: Vec<(&str, bool)> = configs
+            .into_iter()
+            .map(|(label, config)| (label, pdr_safe(&model, config, &format!("{label}, seed {seed}"))))
+            .collect();
         prop_assert!(
             verdicts.iter().all(|&(_, safe)| safe == verdicts[0].1),
             "solver configurations disagree under PDR: {verdicts:?} (seed {seed})"
@@ -327,59 +315,18 @@ proptest! {
         );
 
         // Ground truth from the full model.
-        let explicit = ExplicitEngine::explore(
-            &model,
-            &ExplicitOptions {
-                max_states: 1 << 12,
-                max_inputs: 8,
-            },
-        )
-        .expect("explicit exploration succeeds on tiny models");
-        let exact_safe = match explicit.check_bad(model.bads[0].lit) {
-            ExplicitResult::Proven => true,
-            ExplicitResult::Violated(_) => false,
-            ExplicitResult::Exceeded => panic!("tiny model exceeded explicit limits"),
-        };
+        let exact_safe = exactly_safe(&model);
 
-        // Bounded engines on the slice.
-        match check_safety(
-            &slice.model,
-            0,
-            &BmcOptions { max_depth: 40, max_induction: 40 },
-        ) {
-            SafetyResult::Proven { .. } =>
-                prop_assert!(exact_safe, "sliced k-induction proved a violated model (seed {seed})"),
-            SafetyResult::Violated(_) =>
-                prop_assert!(!exact_safe, "sliced BMC refuted a safe model (seed {seed})"),
-            SafetyResult::Unknown { .. } =>
-                panic!("sliced bounded engines undecided on a tiny model (seed {seed})"),
-            SafetyResult::Interrupted =>
-                panic!("sliced bounded engines interrupted with no interrupt armed (seed {seed})"),
-        }
-
-        // PDR on the slice, with certification against the slice.
-        match check_pdr(&slice.model, 0, &PdrOptions::default()) {
-            PdrResult::Proven(invariant) => {
-                prop_assert!(exact_safe, "sliced PDR proved a violated model (seed {seed})");
-                prop_assert!(
-                    invariant.certify(&slice.model, slice.model.bads[0].lit),
-                    "sliced PDR invariant failed certification (seed {seed})"
-                );
-            }
-            PdrResult::Violated(trace) => {
-                prop_assert!(!exact_safe, "sliced PDR refuted a safe model (seed {seed})");
-                prop_assert!(
-                    trace_replays(&slice.model, &trace),
-                    "sliced PDR counterexample does not replay on the slice (seed {seed})"
-                );
-            }
-            PdrResult::Unknown { frames_explored } => {
-                panic!("sliced PDR undecided on a tiny model (seed {seed}, {frames_explored} frames)")
-            }
-            PdrResult::Interrupted => {
-                panic!("sliced PDR interrupted with no interrupt armed (seed {seed})")
-            }
-        }
+        // The bounded engines and PDR on the slice, PDR's certificate
+        // checked against the slice.
+        let what = format!("slice, seed {seed}");
+        prop_assert_eq!(bmc_safe(&slice.model, &what), exact_safe, "sliced BMC ({})", what);
+        prop_assert_eq!(
+            pdr_safe(&slice.model, SolverConfig::default(), &what),
+            exact_safe,
+            "sliced PDR ({})",
+            what
+        );
     }
 
     /// The AIG optimization pass is verdict-preserving and idempotent: on
@@ -418,59 +365,18 @@ proptest! {
         );
 
         // Ground truth from the unoptimized model.
-        let explicit = ExplicitEngine::explore(
-            &model,
-            &ExplicitOptions {
-                max_states: 1 << 12,
-                max_inputs: 8,
-            },
-        )
-        .expect("explicit exploration succeeds on tiny models");
-        let exact_safe = match explicit.check_bad(model.bads[0].lit) {
-            ExplicitResult::Proven => true,
-            ExplicitResult::Violated(_) => false,
-            ExplicitResult::Exceeded => panic!("tiny model exceeded explicit limits"),
-        };
+        let exact_safe = exactly_safe(&model);
 
-        // Bounded engines on the optimized model.
-        match check_safety(
-            &optimized,
-            0,
-            &BmcOptions { max_depth: 40, max_induction: 40 },
-        ) {
-            SafetyResult::Proven { .. } =>
-                prop_assert!(exact_safe, "optimized k-induction proved a violated model (seed {seed})"),
-            SafetyResult::Violated(_) =>
-                prop_assert!(!exact_safe, "optimized BMC refuted a safe model (seed {seed})"),
-            SafetyResult::Unknown { .. } =>
-                panic!("optimized bounded engines undecided on a tiny model (seed {seed})"),
-            SafetyResult::Interrupted =>
-                panic!("optimized bounded engines interrupted with no interrupt armed (seed {seed})"),
-        }
-
-        // PDR on the optimized model, certifying against it.
-        match check_pdr(&optimized, 0, &PdrOptions::default()) {
-            PdrResult::Proven(invariant) => {
-                prop_assert!(exact_safe, "optimized PDR proved a violated model (seed {seed})");
-                prop_assert!(
-                    invariant.certify(&optimized, optimized.bads[0].lit),
-                    "optimized PDR invariant failed certification (seed {seed})"
-                );
-            }
-            PdrResult::Violated(trace) => {
-                prop_assert!(!exact_safe, "optimized PDR refuted a safe model (seed {seed})");
-                prop_assert!(
-                    trace_replays(&optimized, &trace),
-                    "optimized PDR counterexample does not replay (seed {seed})"
-                );
-            }
-            PdrResult::Unknown { frames_explored } => {
-                panic!("optimized PDR undecided on a tiny model (seed {seed}, {frames_explored} frames)")
-            }
-            PdrResult::Interrupted => {
-                panic!("optimized PDR interrupted with no interrupt armed (seed {seed})")
-            }
-        }
+        // The bounded engines and PDR on the optimized model, PDR's
+        // certificate checked against it.
+        let what = format!("optimized, seed {seed}");
+        prop_assert_eq!(bmc_safe(&optimized, &what), exact_safe, "optimized BMC ({})", what);
+        prop_assert_eq!(
+            pdr_safe(&optimized, SolverConfig::default(), &what),
+            exact_safe,
+            "optimized PDR ({})",
+            what
+        );
     }
 
     /// The pre-cascade stimulus fuzzer never contradicts the SAT engines:
@@ -485,7 +391,7 @@ proptest! {
         num_gates in 4usize..14,
     ) {
         let model = random_model(seed, num_latches, num_inputs, num_gates);
-        let hit = fuzz_safety(&model, 0, &FuzzOptions::default());
+        let (hit, _) = fuzz_safety_budgeted(&model, 0, &FuzzOptions::default(), &Interrupt::none());
 
         if let Some(hit) = &hit {
             // The hit's own trace is concrete evidence — it must replay —
@@ -496,11 +402,7 @@ proptest! {
             );
             prop_assert!(
                 matches!(
-                    check_safety(
-                        &model,
-                        0,
-                        &BmcOptions { max_depth: hit.cycle, max_induction: 0 },
-                    ),
+                    bmc(&model, &BmcOptions { max_depth: hit.cycle, max_induction: 0 }),
                     SafetyResult::Violated(_)
                 ),
                 "fuzz hit at cycle {} is not a BMC counterexample at that depth (seed {seed})",
@@ -508,11 +410,7 @@ proptest! {
             );
         }
 
-        if let PdrResult::Proven(invariant) = check_pdr(&model, 0, &PdrOptions::default()) {
-            prop_assert!(
-                invariant.certify(&model, model.bads[0].lit),
-                "PDR invariant failed certification (seed {seed})"
-            );
+        if pdr_safe(&model, SolverConfig::default(), &format!("seed {seed}")) {
             prop_assert!(
                 hit.is_none(),
                 "fuzzer reported a violation for a PDR-proven property (seed {seed})"
@@ -592,186 +490,6 @@ fn struct_and_flat_twin_reports_are_byte_identical() {
         fingerprints[0], fingerprints[1],
         "struct and flat twin COI fingerprints diverge"
     );
-}
-
-/// Every decided row names the cascade stage that decided it, and the tag
-/// matches the result: k-induction proofs come from BMC, invariants from
-/// PDR, reachability proofs from the explicit engine, and a violation the
-/// fuzzer replay-confirmed from the fuzzer.  Other violations, witnesses
-/// and unreachable covers carry a SAT or explicit tag; undecided and
-/// unchecked rows carry none.
-fn assert_provenance(report: &VerificationReport, label: &str) {
-    for r in &report.results {
-        let fuzz_found = r.fuzz.is_some_and(|f| f.confirmed > 0);
-        let consistent = match &r.status {
-            PropertyStatus::Proven(Proof::Induction { .. }) => r.engine == Some("bmc"),
-            PropertyStatus::Proven(Proof::Invariant { .. }) => r.engine == Some("pdr"),
-            PropertyStatus::Proven(Proof::Reachability) => r.engine == Some("explicit"),
-            PropertyStatus::Violated(_) if fuzz_found => r.engine == Some("fuzz"),
-            PropertyStatus::Violated(_)
-            | PropertyStatus::Covered(_)
-            | PropertyStatus::Unreachable => {
-                matches!(r.engine, Some("bmc" | "pdr" | "explicit"))
-            }
-            PropertyStatus::Unknown
-            | PropertyStatus::NotChecked(_)
-            | PropertyStatus::Error { .. } => r.engine.is_none(),
-        };
-        assert!(
-            consistent,
-            "{label}: {} is {} but tagged {:?}",
-            r.name, r.status, r.engine
-        );
-    }
-}
-
-/// The orchestrator's determinism contract: a fully sequential run
-/// (`threads = 1`) and a parallel run (`threads = 4`) of the whole Table III
-/// corpus must render byte-identical reports — same statuses, same proof
-/// artifacts, same slice sizes, independent of thread interleaving — with
-/// the AIG optimization pass both enabled and disabled.  Both runs also
-/// carry consistent per-row provenance.
-#[test]
-fn parallel_and_sequential_corpus_reports_are_byte_identical() {
-    for case in all_cases() {
-        let variants: &[Variant] = if case.has_bug_parameter {
-            &[Variant::Fixed, Variant::Buggy]
-        } else {
-            &[Variant::Fixed]
-        };
-        for &variant in variants {
-            let ft = build_testbench(&case);
-            let design = elaborated(&case, variant);
-
-            for opt in [true, false] {
-                let mut sequential = default_check_options(&case, variant);
-                sequential.parallel.threads = 1;
-                sequential.parallel.opt = opt;
-                let seq_report =
-                    verify_elaborated(&design, &ft, &sequential).expect("sequential run succeeds");
-
-                let mut parallel = default_check_options(&case, variant);
-                parallel.parallel.threads = 4;
-                parallel.parallel.opt = opt;
-                let par_report =
-                    verify_elaborated(&design, &ft, &parallel).expect("parallel run succeeds");
-
-                assert_eq!(
-                    seq_report.render(),
-                    par_report.render(),
-                    "{} ({variant:?}, opt={opt}): sequential and parallel reports diverge",
-                    case.id
-                );
-                let label = format!("{} ({variant:?}, opt={opt})", case.id);
-                assert_provenance(&seq_report, &label);
-                assert_provenance(&par_report, &label);
-            }
-        }
-    }
-}
-
-/// The fuzzer's determinism contract: the rendered report of the whole
-/// Table III corpus is byte-identical with the fuzz stage on or off, for
-/// any stimulus seed, in both sequential and parallel runs.  (Confirmed
-/// fuzz hits are re-minimized through bounded BMC before reporting, so the
-/// *verdict and trace length* never depend on which engine got there
-/// first; provenance is only visible through the timed rendering.)
-#[test]
-fn fuzz_on_and_off_corpus_reports_are_byte_identical() {
-    for case in all_cases() {
-        let variants: &[Variant] = if case.has_bug_parameter {
-            &[Variant::Fixed, Variant::Buggy]
-        } else {
-            &[Variant::Fixed]
-        };
-        for &variant in variants {
-            let ft = build_testbench(&case);
-            let design = elaborated(&case, variant);
-
-            for threads in [1usize, 4] {
-                let mut baseline = default_check_options(&case, variant);
-                baseline.parallel.threads = threads;
-                baseline.fuzz.enabled = false;
-                let baseline_render = verify_elaborated(&design, &ft, &baseline)
-                    .expect("fuzz-off run succeeds")
-                    .render();
-
-                for seed in [autosva_formal::fuzz::FuzzOptions::default().seed, 1u64] {
-                    let mut fuzzed = default_check_options(&case, variant);
-                    fuzzed.parallel.threads = threads;
-                    fuzzed.fuzz.enabled = true;
-                    fuzzed.fuzz.seed = seed;
-                    let fuzzed_render = verify_elaborated(&design, &ft, &fuzzed)
-                        .expect("fuzz-on run succeeds")
-                        .render();
-                    assert_eq!(
-                        baseline_render, fuzzed_render,
-                        "{} ({variant:?}, threads={threads}, seed={seed:#x}): \
-                         fuzz-on and fuzz-off reports diverge",
-                        case.id
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The telemetry determinism contract: instrumenting the run must not
-/// perturb it.  Across the whole Table III corpus, `render()` is
-/// byte-identical with telemetry on or off, sequential or parallel — the
-/// spans, counters and gauges only ever observe the cascade, never steer
-/// it — and the deterministic subset of the telemetry JSON report is
-/// byte-identical between the sequential and parallel collection runs.
-#[test]
-fn telemetry_on_and_off_corpus_reports_are_byte_identical() {
-    for case in all_cases() {
-        let variants: &[Variant] = if case.has_bug_parameter {
-            &[Variant::Fixed, Variant::Buggy]
-        } else {
-            &[Variant::Fixed]
-        };
-        for &variant in variants {
-            let ft = build_testbench(&case);
-            let design = elaborated(&case, variant);
-
-            let mut deterministic_jsons: Vec<String> = Vec::new();
-            for threads in [1usize, 4] {
-                let mut off = default_check_options(&case, variant);
-                off.parallel.threads = threads;
-                let off_render = verify_elaborated(&design, &ft, &off)
-                    .expect("telemetry-off run succeeds")
-                    .render();
-
-                let mut on = default_check_options(&case, variant);
-                on.parallel.threads = threads;
-                on.telemetry.enabled = true;
-                let on_report =
-                    verify_elaborated(&design, &ft, &on).expect("telemetry-on run succeeds");
-                assert_eq!(
-                    off_render,
-                    on_report.render(),
-                    "{} ({variant:?}, threads={threads}): telemetry-on and -off reports diverge",
-                    case.id
-                );
-                let telemetry = on_report
-                    .telemetry
-                    .as_ref()
-                    .expect("telemetry-on run carries a telemetry report");
-                assert!(
-                    !telemetry.spans.is_empty(),
-                    "{}: no spans recorded",
-                    case.id
-                );
-                deterministic_jsons.push(telemetry.deterministic_json());
-            }
-            assert_eq!(
-                deterministic_jsons[0], deterministic_jsons[1],
-                "{} ({variant:?}): the deterministic telemetry subset depends on the \
-                 thread count",
-                case.id
-            );
-        }
-    }
 }
 
 /// The measured acceptance bar for the optimization pass: across every COI

@@ -6,10 +6,12 @@
 
 use autosva::annotation::split_field;
 use autosva_formal::aig::Aig;
-use autosva_formal::bmc::{check_safety, BmcOptions, SafetyResult};
+use autosva_formal::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use autosva_formal::elab::{elaborate, ElabOptions};
-use autosva_formal::model::{BadProperty, Model};
+use autosva_formal::interrupt::Interrupt;
+use autosva_formal::model::Model;
 use autosva_formal::psim::ParallelSim;
+use autosva_formal::sat::SolverConfig;
 use autosva_formal::words;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -181,12 +183,16 @@ proptest! {
         // Member writes reassemble the word: the struct register equals the
         // flat mirror on every execution (k-induction proof).
         let match_bit = design.signal("match_o").expect("match output")[0];
-        let mut model = Model::new(design.aig.clone());
-        model.bads.push(BadProperty {
-            name: "struct_write_mismatch".into(),
-            lit: match_bit.invert(),
-        });
-        match check_safety(&model, 0, &BmcOptions { max_depth: 10, max_induction: 10 }) {
+        let model = Model::new(design.aig.clone());
+        let (result, _) = check_target_budgeted(
+            &model,
+            match_bit.invert(),
+            "struct_write_mismatch",
+            &BmcOptions { max_depth: 10, max_induction: 10 },
+            SolverConfig::default(),
+            &Interrupt::none(),
+        );
+        match result {
             SafetyResult::Proven { .. } => {}
             other => prop_assert!(
                 false,

@@ -9,7 +9,9 @@
 use autosva_bench::{build_testbench, default_check_options, run_case, status_counts};
 use autosva_designs::{all_cases, by_id, elaborated, PaperOutcome, Variant};
 use autosva_formal::checker::{verify_elaborated, Proof, PropertyStatus};
-use autosva_formal::pdr::PdrOptions;
+use autosva_formal::interrupt::Interrupt;
+use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions};
+use autosva_formal::sat::SolverConfig;
 use std::time::Duration;
 
 #[test]
@@ -197,15 +199,21 @@ fn o2_scaled_l15_proof_closes_via_pdr_not_explicit() {
     let ft = build_testbench(&case);
     let design = elaborated(&case, Variant::Fixed);
     let compiled = autosva_formal::compile::compile(&design, &ft).expect("testbench compiles");
-    let (index, bad) = compiled
+    let bad = compiled
         .model
         .bads
         .iter()
-        .enumerate()
-        .find(|(_, b)| b.name.contains("l15_miss_had_a_request"))
-        .map(|(i, b)| (i, b.lit))
+        .find(|b| b.name.contains("l15_miss_had_a_request"))
+        .map(|b| b.lit)
         .expect("monitor bad-state literal exists");
-    match autosva_formal::pdr::check_pdr(&compiled.model, index, &PdrOptions::default()) {
+    let (result, _) = check_pdr_budgeted(
+        &compiled.model,
+        bad,
+        &PdrOptions::default(),
+        SolverConfig::default(),
+        &Interrupt::none(),
+    );
+    match result {
         autosva_formal::pdr::PdrResult::Proven(invariant) => {
             assert!(
                 invariant.certify(&compiled.model, bad),

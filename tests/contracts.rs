@@ -28,8 +28,7 @@ use autosva_bench::{build_testbench, default_check_options, status_counts};
 use autosva_designs::{all_cases, elaborated, DesignCase, Variant};
 use autosva_formal::bmc::BmcOptions;
 use autosva_formal::checker::{
-    verify, verify_elaborated, CheckOptions, Proof, PropertyResult, PropertyStatus,
-    VerificationReport,
+    verify, verify_elaborated, CheckOptions, PropertyResult, PropertyStatus, VerificationReport,
 };
 use autosva_formal::elab::ElabDesign;
 use autosva_formal::faults::{self, FaultAction, FaultGuard};
@@ -37,9 +36,12 @@ use autosva_formal::portfolio::ProofCache;
 use autosva_formal::sat::SolverConfig;
 use autosva_formal::telemetry::{validate_chrome_trace, TelemetryReport};
 use autosva_formal::vcd;
+use common::assert_provenance;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+mod common;
 
 /// What a row's report must equal.
 enum Expect {
@@ -376,38 +378,6 @@ fn check_reference(reference: &VerificationReport, run: &Run) {
                 r.name
             );
         }
-    }
-}
-
-/// Every decided row names the cascade stage that decided it, and the tag
-/// matches the result: a cache hit says `cache`, k-induction proofs come
-/// from BMC, invariants from PDR, reachability proofs from the explicit
-/// engine, and a violation the fuzzer replay-confirmed from the fuzzer.
-/// Other violations, witnesses and unreachable covers carry a SAT or
-/// explicit tag; undecided and unchecked rows carry none.
-fn assert_provenance(report: &VerificationReport, label: &str) {
-    for r in &report.results {
-        let fuzz_found = r.fuzz.is_some_and(|f| f.confirmed > 0);
-        let consistent = match &r.status {
-            PropertyStatus::Unknown
-            | PropertyStatus::NotChecked(_)
-            | PropertyStatus::Error { .. } => r.engine.is_none(),
-            _ if r.engine == Some("cache") => true,
-            PropertyStatus::Proven(Proof::Induction { .. }) => r.engine == Some("bmc"),
-            PropertyStatus::Proven(Proof::Invariant { .. }) => r.engine == Some("pdr"),
-            PropertyStatus::Proven(Proof::Reachability) => r.engine == Some("explicit"),
-            PropertyStatus::Violated(_) if fuzz_found => r.engine == Some("fuzz"),
-            PropertyStatus::Violated(_)
-            | PropertyStatus::Covered(_)
-            | PropertyStatus::Unreachable => {
-                matches!(r.engine, Some("bmc" | "pdr" | "explicit"))
-            }
-        };
-        let (name, status, engine) = (&r.name, &r.status, r.engine);
-        assert!(
-            consistent,
-            "{label}: {name} is {status} but tagged {engine:?}"
-        );
     }
 }
 

@@ -8,10 +8,11 @@
 //! invariant that re-certifies under an independent SAT check, and every
 //! PDR counterexample must replay concretely in the two-state simulator.
 
-use autosva_bench::build_testbench;
+use autosva_bench::{build_testbench, default_check_options};
 use autosva_designs::{all_cases, elaborated, Variant};
 use autosva_formal::aig::{Aig, Lit};
 use autosva_formal::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
+use autosva_formal::checker::verify_elaborated;
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
 use autosva_formal::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
 use autosva_formal::fuzz::{fuzz_safety_budgeted, FuzzOptions};
@@ -21,7 +22,10 @@ use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use autosva_formal::psim::replay;
 use autosva_formal::sat::{SatLit, SatResult, SolverConfig};
 use autosva_formal::unroll::Unroller;
+use common::assert_provenance;
 use proptest::prelude::*;
+
+mod common;
 
 /// Deterministic xorshift generator used to derive a random model from one
 /// proptest-sampled seed.
@@ -490,6 +494,155 @@ fn struct_and_flat_twin_reports_are_byte_identical() {
         fingerprints[0], fingerprints[1],
         "struct and flat twin COI fingerprints diverge"
     );
+}
+
+/// The orchestrator's determinism contract: a fully sequential run
+/// (`threads = 1`) and a parallel run (`threads = 4`) of the whole Table III
+/// corpus must render byte-identical reports — same statuses, same proof
+/// artifacts, same slice sizes, independent of thread interleaving — with
+/// the AIG optimization pass both enabled and disabled.  Both runs also
+/// carry consistent per-row provenance.
+#[test]
+fn parallel_and_sequential_corpus_reports_are_byte_identical() {
+    for case in all_cases() {
+        let variants: &[Variant] = if case.has_bug_parameter {
+            &[Variant::Fixed, Variant::Buggy]
+        } else {
+            &[Variant::Fixed]
+        };
+        for &variant in variants {
+            let ft = build_testbench(&case);
+            let design = elaborated(&case, variant);
+
+            for opt in [true, false] {
+                let mut sequential = default_check_options(&case, variant);
+                sequential.parallel.threads = 1;
+                sequential.parallel.opt = opt;
+                let seq_report =
+                    verify_elaborated(&design, &ft, &sequential).expect("sequential run succeeds");
+
+                let mut parallel = default_check_options(&case, variant);
+                parallel.parallel.threads = 4;
+                parallel.parallel.opt = opt;
+                let par_report =
+                    verify_elaborated(&design, &ft, &parallel).expect("parallel run succeeds");
+
+                assert_eq!(
+                    seq_report.render(),
+                    par_report.render(),
+                    "{} ({variant:?}, opt={opt}): sequential and parallel reports diverge",
+                    case.id
+                );
+                let label = format!("{} ({variant:?}, opt={opt})", case.id);
+                assert_provenance(&seq_report, &label);
+                assert_provenance(&par_report, &label);
+            }
+        }
+    }
+}
+
+/// The fuzzer's determinism contract: the rendered report of the whole
+/// Table III corpus is byte-identical with the fuzz stage on or off, for
+/// any stimulus seed, in both sequential and parallel runs.  (Confirmed
+/// fuzz hits are re-minimized through bounded BMC before reporting, so the
+/// *verdict and trace length* never depend on which engine got there
+/// first; provenance is only visible through the timed rendering.)
+#[test]
+fn fuzz_on_and_off_corpus_reports_are_byte_identical() {
+    for case in all_cases() {
+        let variants: &[Variant] = if case.has_bug_parameter {
+            &[Variant::Fixed, Variant::Buggy]
+        } else {
+            &[Variant::Fixed]
+        };
+        for &variant in variants {
+            let ft = build_testbench(&case);
+            let design = elaborated(&case, variant);
+
+            for threads in [1usize, 4] {
+                let mut baseline = default_check_options(&case, variant);
+                baseline.parallel.threads = threads;
+                baseline.fuzz.enabled = false;
+                let baseline_render = verify_elaborated(&design, &ft, &baseline)
+                    .expect("fuzz-off run succeeds")
+                    .render();
+
+                for seed in [FuzzOptions::default().seed, 1u64] {
+                    let mut fuzzed = default_check_options(&case, variant);
+                    fuzzed.parallel.threads = threads;
+                    fuzzed.fuzz.enabled = true;
+                    fuzzed.fuzz.seed = seed;
+                    let fuzzed_render = verify_elaborated(&design, &ft, &fuzzed)
+                        .expect("fuzz-on run succeeds")
+                        .render();
+                    assert_eq!(
+                        baseline_render, fuzzed_render,
+                        "{} ({variant:?}, threads={threads}, seed={seed:#x}): \
+                         fuzz-on and fuzz-off reports diverge",
+                        case.id
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The telemetry determinism contract: instrumenting the run must not
+/// perturb it.  Across the whole Table III corpus, `render()` is
+/// byte-identical with telemetry on or off, sequential or parallel — the
+/// spans, counters and gauges only ever observe the cascade, never steer
+/// it — and the deterministic subset of the telemetry JSON report is
+/// byte-identical between the sequential and parallel collection runs.
+#[test]
+fn telemetry_on_and_off_corpus_reports_are_byte_identical() {
+    for case in all_cases() {
+        let variants: &[Variant] = if case.has_bug_parameter {
+            &[Variant::Fixed, Variant::Buggy]
+        } else {
+            &[Variant::Fixed]
+        };
+        for &variant in variants {
+            let ft = build_testbench(&case);
+            let design = elaborated(&case, variant);
+
+            let mut deterministic_jsons: Vec<String> = Vec::new();
+            for threads in [1usize, 4] {
+                let mut off = default_check_options(&case, variant);
+                off.parallel.threads = threads;
+                let off_render = verify_elaborated(&design, &ft, &off)
+                    .expect("telemetry-off run succeeds")
+                    .render();
+
+                let mut on = default_check_options(&case, variant);
+                on.parallel.threads = threads;
+                on.telemetry.enabled = true;
+                let on_report =
+                    verify_elaborated(&design, &ft, &on).expect("telemetry-on run succeeds");
+                assert_eq!(
+                    off_render,
+                    on_report.render(),
+                    "{} ({variant:?}, threads={threads}): telemetry-on and -off reports diverge",
+                    case.id
+                );
+                let telemetry = on_report
+                    .telemetry
+                    .as_ref()
+                    .expect("telemetry-on run carries a telemetry report");
+                assert!(
+                    !telemetry.spans.is_empty(),
+                    "{}: no spans recorded",
+                    case.id
+                );
+                deterministic_jsons.push(telemetry.deterministic_json());
+            }
+            assert_eq!(
+                deterministic_jsons[0], deterministic_jsons[1],
+                "{} ({variant:?}): the deterministic telemetry subset depends on the \
+                 thread count",
+                case.id
+            );
+        }
+    }
 }
 
 /// The measured acceptance bar for the optimization pass: across every COI

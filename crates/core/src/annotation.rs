@@ -144,11 +144,12 @@ impl WidthSpec {
         }
     }
 
-    /// Returns the constant bit width when both bounds are literals.
+    /// Returns the constant bit width when both bounds are literals and
+    /// the width fits in a `u32`.
     pub fn const_width(&self) -> Option<u32> {
         match (&self.msb, &self.lsb) {
             (Expr::Number(m), Expr::Number(l)) => match (m.value, l.value) {
-                (Some(m), Some(l)) if m >= l => Some((m - l + 1) as u32),
+                (Some(m), Some(l)) if m >= l => u32::try_from(m - l).ok()?.checked_add(1),
                 _ => None,
             },
             _ => None,
@@ -671,6 +672,12 @@ endmodule
         };
         assert_eq!(w.const_width(), None);
         assert_eq!(WidthSpec::single_bit().const_width(), Some(1));
+        // A width past u32 is not a constant width, and never overflows.
+        let w = WidthSpec {
+            msb: Expr::number(u128::MAX),
+            lsb: Expr::number(0),
+        };
+        assert_eq!(w.const_width(), None);
     }
 
     #[test]

@@ -59,7 +59,6 @@ use autosva::FormalTestbench;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -90,11 +89,6 @@ pub struct CheckOptions {
     /// by the fuzz-alone row of the contract suite; also
     /// skips the SAT re-minimization of fuzzer-found counterexamples.
     pub disable_bmc: bool,
-    /// Depth of the *quick* BMC pass run before the exact engine.  Short
-    /// counterexamples are found here with minimal effort; anything deeper is
-    /// left to the exact engine (or to the full-depth BMC when the exact
-    /// engine is unavailable).
-    pub quick_bmc_depth: usize,
     /// The pre-cascade stimulus fuzzer: bit-parallel simulation of every
     /// safety property's slice, hunting shallow bugs before any SAT query.
     /// Confirmed hits are re-minimized by a depth-bounded BMC call (unless
@@ -108,11 +102,10 @@ pub struct CheckOptions {
     pub vcd: VcdOptions,
     /// Orchestration: worker-thread count (`threads = 1` is the sequential
     /// escape hatch), per-property cone-of-influence slicing, optional
-    /// per-property time budgets, and the proof cache.
+    /// per-property time budgets, and the proof cache.  A cache opened with
+    /// [`ProofCache::open`] spills its verdicts to disk after every run, so
+    /// a later process that opens the same directory reuses them.
     pub parallel: ParallelOptions,
-    /// Proof-cache persistence: when a directory is set, verdicts spill to
-    /// disk there and reload in later processes.
-    pub cache: CacheOptions,
     /// SAT search-loop feature toggles, shared by every engine stage (the
     /// contract suite flips them; the defaults enable everything).
     pub solver: SolverConfig,
@@ -136,21 +129,6 @@ pub struct CheckOptions {
     pub frontend_timeout: Option<Duration>,
 }
 
-/// Proof-cache persistence knobs (part of [`CheckOptions`]).
-///
-/// The in-process cache handle lives on [`ParallelOptions::cache`]; these
-/// options control the on-disk spill.  When `dir` is set and no in-process
-/// handle was supplied, [`verify_elaborated`] opens a disk-backed
-/// [`ProofCache`] in that directory for the run and flushes it afterwards,
-/// so repeated CLI/CI invocations reuse proofs across processes.  Cached
-/// verdicts are re-validated on every hit exactly as in-memory hits are.
-#[derive(Debug, Clone, Default)]
-pub struct CacheOptions {
-    /// Directory holding the spill file (created if missing).  `None`
-    /// keeps the cache (if any) in-memory only.
-    pub dir: Option<PathBuf>,
-}
-
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
@@ -172,11 +150,9 @@ impl Default for CheckOptions {
             },
             disable_pdr: false,
             disable_bmc: false,
-            quick_bmc_depth: 10,
             fuzz: FuzzOptions::default(),
             vcd: VcdOptions::default(),
             parallel: ParallelOptions::default(),
-            cache: CacheOptions::default(),
             solver: SolverConfig::default(),
             lint: LintOptions::default(),
             telemetry: TelemetryOptions::default(),
@@ -705,14 +681,7 @@ fn verify_elaborated_inner(
     }
     frontend_check(frontend, "lint")?;
 
-    // The effective proof cache: an explicit in-process handle wins;
-    // otherwise a configured cache directory opens a disk-backed cache for
-    // this run (flushed below, so the next process reloads the verdicts).
-    let cache = options
-        .parallel
-        .cache
-        .clone()
-        .or_else(|| options.cache.dir.as_ref().map(ProofCache::open));
+    let cache = options.parallel.cache.clone();
     // Snapshot the cache counters so the report carries this run's delta
     // even when the handle is a long-lived in-process cache shared across
     // runs (`loaded` stays absolute — it describes the open).
@@ -1112,8 +1081,7 @@ fn build_tasks(
 /// Shared, immutable context of one verification run.
 struct TaskCtx<'a> {
     options: &'a CheckOptions,
-    /// The effective proof cache of this run (explicit in-process handle or
-    /// a disk-backed cache opened from [`CacheOptions::dir`]).
+    /// The proof cache of this run, if any.
     cache: Option<ProofCache>,
     /// Raised by `stop_on_violation` (or future external cancellation):
     /// tasks not yet started report `Unknown` instead of running; started
@@ -1298,6 +1266,11 @@ fn run_task(task: &PropertyTask, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> Ta
     }
 }
 
+/// Depth of the quick BMC stage.  Short counterexamples are found here
+/// with minimal effort; anything deeper is left to PDR, the explicit engine
+/// or the full-depth BMC.
+const QUICK_BMC_DEPTH: usize = 10;
+
 /// The stages every checked property walks after the cache lookup, in
 /// order; the first stage that decides the property ends the walk.
 const CASCADE: [Stage; 5] = [
@@ -1452,7 +1425,7 @@ fn run_stage(
         }
         Stage::QuickBmc => {
             let quick = BmcOptions {
-                max_depth: options.quick_bmc_depth.min(bounds.max_depth),
+                max_depth: QUICK_BMC_DEPTH.min(bounds.max_depth),
                 max_induction: 3.min(bounds.max_induction),
             };
             bmc(&quick, outcome)
@@ -1984,15 +1957,15 @@ endmodule
 
     #[test]
     fn cache_dir_persists_verdicts_across_fresh_caches() {
-        // CacheOptions::dir must make verdicts survive into a later run
-        // that opens its own cache from the same directory (the fresh-
-        // process CLI/CI pattern).
+        // A cache opened on a directory must make verdicts survive into a
+        // later run that opens its own cache from the same directory (the
+        // fresh-process CLI/CI pattern).
         let dir =
             std::env::temp_dir().join(format!("autosva-checker-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ft = generate_ft(ECHO_SLOW, &AutosvaOptions::default()).unwrap();
         let mut options = CheckOptions::default();
-        options.cache.dir = Some(dir.clone());
+        options.parallel.cache = Some(crate::portfolio::ProofCache::open(&dir));
 
         let cold = verify(ECHO_SLOW, &ft, &options).unwrap();
         assert!(
@@ -2006,8 +1979,9 @@ endmodule
             "the cold run must do solver work"
         );
 
-        // Each verify call opens a fresh ProofCache from the directory, so
-        // this exercises the disk load path, not the in-memory store.
+        // A fresh ProofCache opened from the directory exercises the disk
+        // load path, not the in-memory store.
+        options.parallel.cache = Some(crate::portfolio::ProofCache::open(&dir));
         let warm = verify(ECHO_SLOW, &ft, &options).unwrap();
         assert_eq!(
             cold.render(),

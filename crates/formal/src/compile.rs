@@ -10,6 +10,7 @@
 
 use crate::aig::{Aig, Lit};
 use crate::elab::{const_eval, ElabDesign, ElabError, Result};
+use crate::lower::{enum_member, lower_word, range_width, Resolve, Val};
 use crate::model::{BadProperty, CoverProperty, Model, ResponseProperty};
 use crate::words;
 use autosva::annotation::WidthSpec;
@@ -17,7 +18,7 @@ use autosva::signals::{AuxKind, AuxSignal};
 use autosva::sva::{Consequent, Directive, PropertyBody, SvaProperty};
 use autosva::FormalTestbench;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use svparse::ast::{BinaryOp, Expr, UnaryOp};
+use svparse::ast::Expr;
 
 /// How each property of the testbench was mapped into the model, so the
 /// checker can report results per property class.
@@ -109,22 +110,13 @@ pub fn compile(design: &ElabDesign, testbench: &FormalTestbench) -> Result<Compi
     // Stateless wires first pass may reference later wires in pathological
     // cases; iterate until fixed point with a bounded number of rounds.
     let mut remaining: Vec<AuxSignal> = aux.clone();
-    let mut rounds = 0;
-    let mut last_err: Option<ElabError> = None;
-    while !remaining.is_empty() {
-        rounds += 1;
-        if rounds > aux.len() + 2 {
-            let names: Vec<String> = remaining.iter().map(|a| a.name.clone()).collect();
-            // Surface both the stuck signal set (which points at cyclic aux
-            // definitions) and the underlying per-signal cause.
-            return Err(match last_err {
-                Some(e) => ElabError::new(format!(
-                    "could not resolve auxiliary signals {names:?}: {}",
-                    e.message
-                )),
-                None => ElabError::new(format!("could not resolve auxiliary signals: {names:?}")),
-            });
+    // The last round's error of every signal still unresolved.
+    let mut stuck: Vec<String> = Vec::new();
+    for _ in 0..aux.len() + 2 {
+        if remaining.is_empty() {
+            break;
         }
+        stuck.clear();
         let mut next_round = Vec::new();
         for sig in remaining {
             match ctx.elab_aux(&sig) {
@@ -136,12 +128,20 @@ pub fn compile(design: &ElabDesign, testbench: &FormalTestbench) -> Result<Compi
                 // field) can never succeed later and fails fast.
                 Err(e) if e.unknown_field.is_some() => return Err(e),
                 Err(e) => {
-                    last_err = Some(e);
+                    stuck.push(format!("`{}`: {}", sig.name, e.message));
                     next_round.push(sig);
                 }
             }
         }
         remaining = next_round;
+    }
+    if !remaining.is_empty() {
+        // Each stuck signal with its own cause: a signal that can never
+        // lower is named next to the signals waiting on it.
+        return Err(ElabError::new(format!(
+            "could not resolve auxiliary signals: {}",
+            stuck.join("; ")
+        )));
     }
     let aux_symbols: HashMap<String, Vec<Lit>> = aux
         .iter()
@@ -302,18 +302,17 @@ impl Compiler {
     fn width_of(&self, spec: &Option<WidthSpec>) -> Result<usize> {
         match spec {
             None => Ok(1),
-            Some(w) => {
-                let msb = const_eval(&w.msb, &self.params)?;
-                let lsb = const_eval(&w.lsb, &self.params)?;
-                Ok((msb.max(lsb) - msb.min(lsb) + 1) as usize)
-            }
+            Some(w) => range_width(
+                const_eval(&w.msb, &self.params)?,
+                const_eval(&w.lsb, &self.params)?,
+            ),
         }
     }
 
     fn elab_aux(&mut self, sig: &AuxSignal) -> Result<Vec<Lit>> {
         match &sig.kind {
             AuxKind::Wire { def } => {
-                let bits = self.expr_word(def)?;
+                let bits = lower_word(self, def)?;
                 // The wire takes the definition's width; a disagreeing
                 // declared width is kept working (legacy behaviour) but
                 // reported to the lint.
@@ -371,7 +370,7 @@ impl Compiler {
                 Ok(bits)
             }
             AuxKind::Sample { enable, value } => {
-                let value_bits = self.expr_word(value)?;
+                let value_bits = lower_word(self, value)?;
                 let width = match &sig.width {
                     Some(_) => self.width_of(&sig.width)?,
                     None => value_bits.len(),
@@ -444,7 +443,7 @@ impl Compiler {
                 Ok(self.aig.and(enable, con.invert()))
             }
             Consequent::Stable(e) => {
-                let bits = self.expr_word(e)?;
+                let bits = lower_word(self, e)?;
                 let prev = self.delayed_word(&bits);
                 let same = self.aig.word_eq(&bits, &prev);
                 let changed = same.invert();
@@ -479,245 +478,89 @@ impl Compiler {
         bits.iter().map(|&b| self.delayed(b)).collect()
     }
 
-    /// Resolves a member access against the design's struct-typed signals:
-    /// `Some((symbol, lsb offset, width))` when the base is a struct-typed
-    /// signal (nested members walk sub-layouts), `None` when it is not (the
-    /// caller falls back to naming-convention matching).  A struct-typed
-    /// base with a nonexistent field is an error carrying the valid fields.
-    fn member_slice(&self, base: &Expr, member: &str) -> Result<Option<(String, usize, usize)>> {
-        let Some((symbol, offset, layout_ix)) = self.struct_value_of(base)? else {
-            return Ok(None);
-        };
-        let field = self.field_of(base, layout_ix, member)?;
-        Ok(Some((symbol, offset + field.offset, field.width)))
-    }
-
-    /// Resolves one field of a known struct layout, erroring with the list
-    /// of the type's valid fields when it does not exist.
-    fn field_of(
-        &self,
-        base: &Expr,
-        layout_ix: usize,
-        member: &str,
-    ) -> Result<&crate::elab::FieldLayout> {
-        let layout = self.types.layout(layout_ix);
-        layout.field(member).ok_or_else(|| {
-            ElabError::field_error(svparse::pretty::print_expr(base), member, layout)
-        })
-    }
-
-    /// The struct value an expression denotes: `(symbol, offset, layout)` for
-    /// a struct-typed signal or a struct-typed field of one.
-    fn struct_value_of(&self, expr: &Expr) -> Result<Option<(String, usize, usize)>> {
-        match expr {
-            Expr::Ident(name) => Ok(self.signal_types.get(name).map(|&ix| (name.clone(), 0, ix))),
-            Expr::Member { base, member } => {
-                let Some((symbol, offset, layout_ix)) = self.struct_value_of(base)? else {
-                    return Ok(None);
-                };
-                let field = self.field_of(base, layout_ix, member)?;
-                match field.layout {
-                    Some(sub) => Ok(Some((symbol, offset + field.offset, sub))),
-                    None => Ok(None),
-                }
-            }
-            _ => Ok(None),
-        }
-    }
-
     /// Evaluates an SVA expression to a single bit (non-zero test).
     fn expr_bool(&mut self, expr: &Expr) -> Result<Lit> {
-        let bits = self.expr_word(expr)?;
+        let bits = lower_word(self, expr)?;
         Ok(words::reduce_or(&mut self.aig, &bits))
     }
+}
 
-    /// Evaluates an SVA expression to a word.
-    fn expr_word(&mut self, expr: &Expr) -> Result<Vec<Lit>> {
-        match expr {
-            Expr::Number(n) => {
-                let width = n.width.map(|w| w as usize).unwrap_or(32).max(1);
-                Ok(words::constant(n.value.unwrap_or(0), width))
-            }
-            Expr::Ident(name) => {
-                if let Some(bits) = self.symbols.get(name) {
-                    self.lint.referenced_symbols.insert(name.clone());
-                    return Ok(bits.clone());
-                }
-                if let Some(&value) = self.params.get(name) {
-                    return Ok(words::constant(value, 32));
-                }
-                if let Some((value, width)) = self.types.enum_const_in(Some(&self.top), name) {
-                    return Ok(words::constant(value, width.max(1)));
-                }
-                if self.types.ambiguous_const(name) {
-                    return Err(Self::err(format!(
-                        "enum member `{name}` is ambiguous: multiple packages export \
-                         conflicting values — use a scoped reference (`pkg::{name}`)"
-                    )));
-                }
-                Err(Self::err(format!(
-                    "property references unknown signal `{name}`"
-                )))
-            }
-            Expr::Unary { op, operand } => {
-                let v = self.expr_word(operand)?;
-                Ok(match op {
-                    UnaryOp::LogicalNot => {
-                        vec![words::reduce_or(&mut self.aig, &v).invert()]
-                    }
-                    UnaryOp::BitwiseNot => words::not(&v),
-                    UnaryOp::ReduceAnd => vec![words::reduce_and(&mut self.aig, &v)],
-                    UnaryOp::ReduceOr => vec![words::reduce_or(&mut self.aig, &v)],
-                    UnaryOp::ReduceXor => vec![words::reduce_xor(&mut self.aig, &v)],
-                    UnaryOp::ReduceNand => vec![words::reduce_and(&mut self.aig, &v).invert()],
-                    UnaryOp::ReduceNor => vec![words::reduce_or(&mut self.aig, &v).invert()],
-                    UnaryOp::ReduceXnor => vec![words::reduce_xor(&mut self.aig, &v).invert()],
-                    UnaryOp::Negate => {
-                        let zero = words::constant(0, v.len());
-                        words::sub(&mut self.aig, &zero, &v)
-                    }
-                    UnaryOp::Plus => v,
-                })
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.expr_word(lhs)?;
-                let b = self.expr_word(rhs)?;
-                let aig = &mut self.aig;
-                Ok(match op {
-                    BinaryOp::Add => words::add(aig, &a, &b),
-                    BinaryOp::Sub => words::sub(aig, &a, &b),
-                    BinaryOp::Mul => words::mul(aig, &a, &b),
-                    BinaryOp::LogicalAnd => {
-                        let x = words::reduce_or(aig, &a);
-                        let y = words::reduce_or(aig, &b);
-                        vec![aig.and(x, y)]
-                    }
-                    BinaryOp::LogicalOr => {
-                        let x = words::reduce_or(aig, &a);
-                        let y = words::reduce_or(aig, &b);
-                        vec![aig.or(x, y)]
-                    }
-                    BinaryOp::BitAnd => words::bitwise(aig, &a, &b, |g, x, y| g.and(x, y)),
-                    BinaryOp::BitOr => words::bitwise(aig, &a, &b, |g, x, y| g.or(x, y)),
-                    BinaryOp::BitXor => words::bitwise(aig, &a, &b, |g, x, y| g.xor(x, y)),
-                    BinaryOp::BitXnor => words::bitwise(aig, &a, &b, |g, x, y| g.xnor(x, y)),
-                    BinaryOp::Eq | BinaryOp::CaseEq => vec![words::eq(aig, &a, &b)],
-                    BinaryOp::Ne | BinaryOp::CaseNe => vec![words::eq(aig, &a, &b).invert()],
-                    BinaryOp::Lt => vec![words::ult(aig, &a, &b)],
-                    BinaryOp::Le => vec![words::ule(aig, &a, &b)],
-                    BinaryOp::Gt => vec![words::ult(aig, &b, &a)],
-                    BinaryOp::Ge => vec![words::ule(aig, &b, &a)],
-                    BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr => {
-                        let amount = words::as_constant(&b)
-                            .ok_or_else(|| Self::err("shift amount must be constant"))?
-                            as usize;
-                        if matches!(op, BinaryOp::Shl) {
-                            words::shl_const(&a, amount)
-                        } else {
-                            words::shr_const(&a, amount)
-                        }
-                    }
-                    BinaryOp::Div | BinaryOp::Mod | BinaryOp::Pow => {
-                        return Err(Self::err("division in property expressions is unsupported"))
-                    }
-                })
-            }
-            Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-            } => {
-                let c = self.expr_bool(cond)?;
-                let t = self.expr_word(then_expr)?;
-                let e = self.expr_word(else_expr)?;
-                Ok(words::mux(&mut self.aig, c, &t, &e))
-            }
-            Expr::Concat(parts) => {
-                let mut bits = Vec::new();
-                for part in parts.iter().rev() {
-                    let mut v = self.expr_word(part)?;
-                    bits.append(&mut v);
-                }
-                Ok(bits)
-            }
-            Expr::Replicate { count, value } => {
-                let n = const_eval(count, &self.params)? as usize;
-                let v = self.expr_word(value)?;
-                let mut bits = Vec::with_capacity(n * v.len());
-                for _ in 0..n {
-                    bits.extend_from_slice(&v);
-                }
-                Ok(bits)
-            }
-            Expr::Index { base, index } => {
-                let base_bits = self.expr_word(base)?;
-                if let Ok(idx) = const_eval(index, &self.params) {
-                    let idx = idx as usize;
-                    return Ok(vec![base_bits.get(idx).copied().unwrap_or(Lit::FALSE)]);
-                }
-                let index_bits = self.expr_word(index)?;
-                let singles: Vec<Vec<Lit>> = base_bits.iter().map(|&b| vec![b]).collect();
-                Ok(words::select(&mut self.aig, &singles, &index_bits))
-            }
-            Expr::RangeSelect { base, msb, lsb } => {
-                let base_bits = self.expr_word(base)?;
-                let msb = const_eval(msb, &self.params)? as usize;
-                let lsb = const_eval(lsb, &self.params)? as usize;
-                let (hi, lo) = (msb.max(lsb), msb.min(lsb));
-                Ok((lo..=hi)
-                    .map(|i| base_bits.get(i).copied().unwrap_or(Lit::FALSE))
-                    .collect())
-            }
-            Expr::Member { base, member } => {
-                // Struct-typed design signals resolve through the type
-                // table: `port.field` becomes the field's bit slice of the
-                // flat signal (nested access walks sub-layouts).
-                if let Some((symbol, offset, width)) = self.member_slice(base, member)? {
-                    let bits = self
-                        .symbols
-                        .get(&symbol)
-                        .ok_or_else(|| Self::err(format!("unknown signal `{symbol}`")))?;
-                    self.lint.referenced_symbols.insert(symbol);
-                    return Ok((offset..offset + width)
-                        .map(|i| bits.get(i).copied().unwrap_or(Lit::FALSE))
-                        .collect());
-                }
-                // Otherwise fall back to the naming convention: `port.field`
-                // matches a flattened `port_field` or literal `port.field`
-                // symbol when the design provides one.
-                let base_name = base
-                    .as_ident()
-                    .ok_or_else(|| Self::err("unsupported nested member access"))?;
-                for (guessed, candidate) in [
-                    (false, format!("{base_name}.{member}")),
-                    (true, format!("{base_name}_{member}")),
-                ] {
-                    if let Some(bits) = self.symbols.get(&candidate) {
-                        self.lint.referenced_symbols.insert(candidate.clone());
-                        if guessed {
-                            // `port_field` is a *naming-convention* guess, not
-                            // a declared binding — record it for the lint.
-                            self.lint
-                                .fallback_bindings
-                                .insert(format!("{base_name}.{member}"), candidate);
-                        }
-                        return Ok(bits.clone());
-                    }
-                }
-                Err(Self::err(format!(
-                    "member access `{base_name}.{member}` does not match any design signal"
-                )))
-            }
-            Expr::Call {
-                name, is_system, ..
-            } => Err(Self::err(format!(
-                "calls to `{}{name}` are not supported in property expressions",
-                if *is_system { "$" } else { "" }
-            ))),
-            Expr::Str(_) | Expr::Macro(_) => Err(Self::err(
-                "strings/macros are not supported in property expressions",
-            )),
+/// How annotation names resolve: design and auxiliary signals (recorded as
+/// referenced for the lint), then the top module's parameters and enum
+/// members.
+impl Resolve for Compiler {
+    fn aig(&mut self) -> &mut Aig {
+        &mut self.aig
+    }
+
+    fn params(&self) -> &HashMap<String, u128> {
+        &self.params
+    }
+
+    fn ident(&mut self, name: &str) -> Result<Val> {
+        if let Some(bits) = self.symbols.get(name) {
+            self.lint.referenced_symbols.insert(name.to_string());
+            return Ok(Val::Word(bits.clone()));
         }
+        if let Some(&value) = self.params.get(name) {
+            return Ok(Val::Word(words::constant(value, 32)));
+        }
+        enum_member(&self.types, &self.top, name)?
+            .ok_or_else(|| Self::err(format!("property references unknown signal `{name}`")))
+    }
+
+    fn member(&mut self, expr: &Expr) -> Result<Vec<Lit>> {
+        let Expr::Member { base, member } = expr else {
+            return Err(Self::err("expected a member access"));
+        };
+        // A member of a struct-typed design signal resolves through the
+        // type table: `port.field` becomes the field's bit slice of the flat
+        // signal (nested access walks sub-layouts).
+        let mut root = expr;
+        while let Expr::Member { base, .. } = root {
+            root = base;
+        }
+        if root
+            .as_ident()
+            .is_some_and(|r| self.signal_types.contains_key(r))
+        {
+            let types = &self.signal_types;
+            let (symbol, offset, width, _) = self
+                .types
+                .member_path(expr, &|name| Ok(types.get(name).copied()))?;
+            let bits = self
+                .symbols
+                .get(&symbol)
+                .ok_or_else(|| Self::err(format!("unknown signal `{symbol}`")))?;
+            let slice = words::slice(bits, offset, width);
+            self.lint.referenced_symbols.insert(symbol);
+            return Ok(slice);
+        }
+        // Otherwise fall back to the naming convention: `port.field`
+        // matches a flattened `port_field` or literal `port.field` symbol
+        // when the design provides one.
+        let base_name = base
+            .as_ident()
+            .ok_or_else(|| Self::err("unsupported nested member access"))?;
+        for (guessed, candidate) in [
+            (false, format!("{base_name}.{member}")),
+            (true, format!("{base_name}_{member}")),
+        ] {
+            if let Some(bits) = self.symbols.get(&candidate) {
+                self.lint.referenced_symbols.insert(candidate.clone());
+                if guessed {
+                    // `port_field` is a *naming-convention* guess, not a
+                    // declared binding — record it for the lint.
+                    self.lint
+                        .fallback_bindings
+                        .insert(format!("{base_name}.{member}"), candidate);
+                }
+                return Ok(bits.clone());
+            }
+        }
+        Err(Self::err(format!(
+            "member access `{base_name}.{member}` does not match any design signal"
+        )))
     }
 }
 
@@ -938,6 +781,42 @@ endmodule
         );
         // The snippet names the annotation line (line 11 of the source).
         assert!(rendered.starts_with("11:"), "rendered: {rendered}");
+    }
+
+    /// Compiles `ECHO` with its `req_val` annotation replaced by `req_val`.
+    fn compile_echo_req_val(req_val: &str) -> Result<CompiledTestbench> {
+        let src = ECHO.replace("req_val = req_val\n", &format!("req_val = {req_val}\n"));
+        let ft = generate_ft(&src, &AutosvaOptions::default()).unwrap();
+        let file = svparse::parse(&src).unwrap();
+        let design = elaborate(&file, &ElabOptions::default()).unwrap();
+        compile(&design, &ft)
+    }
+
+    #[test]
+    fn stuck_aux_signals_name_their_own_causes() {
+        // The non-constant division makes `req_hsk` fail; every signal
+        // built on it is stuck too, and the diagnostic must name the cause,
+        // not just the last signal that waited on it.
+        let err = compile_echo_req_val("req_val & |(req_id / req_id)").unwrap_err();
+        let message = err.message;
+        assert!(
+            message.contains("`req_hsk`: division/modulo of non-constant operands"),
+            "{message}"
+        );
+        assert!(message.contains("unknown signal `req_hsk`"), "{message}");
+    }
+
+    #[test]
+    fn annotations_fold_clog2_and_constant_division() {
+        // Annotations take the RTL expression language: `$clog2(16) / 2`
+        // folds to 2, giving the same model as the literal.
+        let folded = compile_echo_req_val("req_val && req_id < $clog2(16) / 2")
+            .expect("$clog2 and constant division compile");
+        let literal = compile_echo_req_val("req_val && req_id < 2").unwrap();
+        assert_eq!(
+            crate::coi::fingerprint(&folded.model),
+            crate::coi::fingerprint(&literal.model)
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //!   inputs, which is the sound over-approximation for missing environment.
 
 use crate::aig::{Aig, Lit};
+use crate::lower::{bounded, enum_member, lower, part_select, range_width, Resolve, Val, MAX_BITS};
 use crate::words;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -25,7 +26,7 @@ use std::fmt;
 use std::sync::Arc;
 use svparse::ast::{
     AlwaysBlock, AlwaysKind, BinaryOp, CaseItem, DataType, Direction, Expr, Module, ModuleItem,
-    SourceFile, Stmt, UnaryOp,
+    SourceFile, Stmt, UnaryOp, Visit,
 };
 
 /// Options controlling elaboration.
@@ -328,6 +329,43 @@ impl TypeTable {
     /// multiple scopes export conflicting values.
     pub fn ambiguous_const(&self, name: &str) -> bool {
         self.poisoned_consts.contains(name)
+    }
+
+    /// Resolves a (possibly nested) struct member access `sig.a.b` to the
+    /// bits it denotes in its flat root signal: `(root, lsb offset, width,
+    /// layout of the member when it is itself a struct)`.  `root_layout`
+    /// gives a root signal's struct layout, `None` for a signal that is not
+    /// a packed struct.  A member of a non-struct, or a field the struct
+    /// does not declare, is an error; the latter lists the declared fields.
+    pub(crate) fn member_path(
+        &self,
+        expr: &Expr,
+        root_layout: &dyn Fn(&str) -> Result<Option<usize>>,
+    ) -> Result<(String, usize, usize, Option<usize>)> {
+        match expr {
+            Expr::Ident(name) => {
+                let layout = root_layout(name)?;
+                let width = layout.map_or(0, |ix| self.layout(ix).width);
+                Ok((name.clone(), 0, width, layout))
+            }
+            Expr::Member { base, member } => {
+                let (root, offset, _, layout) = self.member_path(base, root_layout)?;
+                let base_text = || svparse::pretty::print_expr(base);
+                let layout = self.layout(layout.ok_or_else(|| {
+                    ElabError::new(format!(
+                        "`{}` is not a packed struct; `.{member}` cannot be resolved",
+                        base_text()
+                    ))
+                })?);
+                let field = layout
+                    .field(member)
+                    .ok_or_else(|| ElabError::field_error(base_text(), member.clone(), layout))?;
+                Ok((root, offset + field.offset, field.width, field.layout))
+            }
+            other => Err(ElabError::new(format!(
+                "unsupported member-access base: {other:?}"
+            ))),
+        }
     }
 
     /// Structural equality of two layouts (field names, offsets, widths, and
@@ -679,7 +717,9 @@ fn resolve_typedef_type(
                     None => return Ok(None),
                 }
             }
-            let width: usize = resolved.iter().map(|(_, w, _)| *w).sum();
+            let width = bounded(resolved.iter().map(|(_, w, _)| *w as u128).sum(), || {
+                format!("struct `{type_name}`")
+            })?;
             // MSB field first: offsets count down from the top.
             let mut offset = width;
             let mut fields = Vec::with_capacity(resolved.len());
@@ -753,7 +793,13 @@ fn named_width(
     let dims = dims_width(&ty.packed_dims, env)?;
     // Extra packed dimensions build an array-of-type; the element layout no
     // longer describes the whole word (regardless of the element width).
-    Ok(Some((base.max(1) * dims, None)))
+    let width = bounded(base.max(1) as u128 * dims as u128, || {
+        format!(
+            "a packed array of `{}`",
+            ty.type_name.as_deref().unwrap_or("")
+        )
+    })?;
+    Ok(Some((width, None)))
 }
 
 /// Collects every identifier a data type's constant expressions reference:
@@ -777,9 +823,8 @@ fn datatype_idents(ty: &DataType, out: &mut Vec<String>) {
 fn dims_width(dims: &[svparse::ast::Range], env: &HashMap<String, u128>) -> Result<usize> {
     let mut width = 1usize;
     for dim in dims {
-        let msb = const_eval(&dim.msb, env)?;
-        let lsb = const_eval(&dim.lsb, env)?;
-        width *= (msb.max(lsb) - msb.min(lsb) + 1) as usize;
+        let dim = range_width(const_eval(&dim.msb, env)?, const_eval(&dim.lsb, env)?)?;
+        width = bounded(width as u128 * dim as u128, || "a packed type".to_string())?;
     }
     Ok(width)
 }
@@ -903,22 +948,6 @@ fn register_enum_members(
         table.enum_defs.insert(type_name.to_string(), members);
     }
     Ok(())
-}
-
-/// A value during elaboration: a packed word or an unpacked array of words.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Val {
-    Word(Vec<Lit>),
-    Array(Vec<Vec<Lit>>),
-}
-
-impl Val {
-    fn word(self) -> Result<Vec<Lit>> {
-        match self {
-            Val::Word(w) => Ok(w),
-            Val::Array(_) => Err(ElabError::new("expected a packed value, found an array")),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1082,7 +1111,7 @@ impl<'a> Elaborator<'a> {
 
         for port in &module.ports {
             let (width, layout) = self.resolve_type(&port.ty, &scope.params, &module.name)?;
-            let array = self.array_len(&port.unpacked_dims, &scope.params)?;
+            let array = array_len(&port.unpacked_dims, &scope.params, width)?;
             let kind = match port.direction {
                 Direction::Input => SigKind::Input,
                 Direction::Output | Direction::Inout => SigKind::Wire,
@@ -1107,7 +1136,7 @@ impl<'a> Elaborator<'a> {
             if let ModuleItem::Decl(decl) = item {
                 let (width, layout) = self.resolve_type(&decl.ty, &scope.params, &module.name)?;
                 for name in &decl.names {
-                    let array = self.array_len(&name.unpacked_dims, &scope.params)?;
+                    let array = array_len(&name.unpacked_dims, &scope.params, width)?;
                     if prefix.is_empty() {
                         self.record_enum_signal(&name.name, &decl.ty, &module.name);
                     }
@@ -1129,9 +1158,7 @@ impl<'a> Elaborator<'a> {
         for (idx, item) in module.items.iter().enumerate() {
             if let ModuleItem::Always(block) = item {
                 if is_sequential(block) {
-                    let mut whole = Vec::new();
-                    collect_whole_assign_targets(&block.body, &mut whole);
-                    for t in whole {
+                    for t in assign_targets(&block.body, whole_lvalue_targets) {
                         match seq_block.get(&t) {
                             Some(&first) if first != idx => {
                                 self.lint.multiply_driven.push((
@@ -1145,9 +1172,7 @@ impl<'a> Elaborator<'a> {
                             }
                         }
                     }
-                    let mut targets = Vec::new();
-                    collect_assign_targets(&block.body, false, &mut targets);
-                    for t in targets {
+                    for t in assign_targets(&block.body, lvalue_targets) {
                         if let Some(info) = scope.infos.get_mut(&t) {
                             if info.kind != SigKind::Input {
                                 info.kind = SigKind::Reg;
@@ -1215,8 +1240,7 @@ impl<'a> Elaborator<'a> {
                         }
                     }
                     ModuleItem::Always(block) if !is_sequential(block) => {
-                        let mut whole = Vec::new();
-                        collect_whole_assign_targets(&block.body, &mut whole);
+                        let mut whole = assign_targets(&block.body, whole_lvalue_targets);
                         whole.dedup();
                         for t in &whole {
                             note_whole(
@@ -1227,9 +1251,7 @@ impl<'a> Elaborator<'a> {
                                 "a combinational always block",
                             );
                         }
-                        let mut targets = Vec::new();
-                        collect_assign_targets(&block.body, true, &mut targets);
-                        for t in targets {
+                        for t in assign_targets(&block.body, lvalue_targets) {
                             map.insert(t, Driver::Comb(idx));
                         }
                     }
@@ -1689,9 +1711,7 @@ impl<'a> Elaborator<'a> {
         for item in &module.items {
             if let ModuleItem::Always(block) = item {
                 if is_sequential(block) {
-                    let mut targets = Vec::new();
-                    collect_assign_targets(&block.body, false, &mut targets);
-                    seq_targets.extend(targets);
+                    seq_targets.extend(assign_targets(&block.body, lvalue_targets));
                 }
             }
         }
@@ -1717,11 +1737,17 @@ impl<'a> Elaborator<'a> {
                     }
                 }
                 ModuleItem::Always(block) if !is_sequential(block) => {
-                    let mut targets = Vec::new();
-                    collect_assign_targets(&block.body, true, &mut targets);
+                    // Every identifier the block mentions: tested
+                    // expressions and both sides of every assignment.
                     let mut deps = Vec::new();
-                    collect_stmt_idents(&block.body, &mut deps);
-                    for t in targets {
+                    block.body.walk(&mut |v| match v {
+                        Visit::Assign(a) => {
+                            deps.extend(a.lhs.referenced_idents());
+                            deps.extend(a.rhs.referenced_idents());
+                        }
+                        Visit::Test(e) => deps.extend(e.referenced_idents()),
+                    });
+                    for t in assign_targets(&block.body, lvalue_targets) {
                         add_edges(&mut graph, t, &deps);
                     }
                 }
@@ -1841,20 +1867,6 @@ impl<'a> Elaborator<'a> {
         Ok((dims_width(&ty.packed_dims, params)?, None))
     }
 
-    fn array_len(
-        &self,
-        dims: &[svparse::ast::Range],
-        params: &HashMap<String, u128>,
-    ) -> Result<Option<usize>> {
-        if dims.is_empty() {
-            return Ok(None);
-        }
-        let dim = &dims[0];
-        let msb = const_eval(&dim.msb, params)?;
-        let lsb = const_eval(&dim.lsb, params)?;
-        Ok(Some((msb.max(lsb) - msb.min(lsb) + 1) as usize))
-    }
-
     /// Records `signal` as enum-typed (with its resolved type-table key) when
     /// its declared type names an enum typedef — the unreachable-enum-state
     /// lint checks which members the design source actually mentions.
@@ -1924,10 +1936,8 @@ impl<'a> Elaborator<'a> {
                     ModuleItem::Always(b) => b.clone(),
                     _ => unreachable!("driver index mismatch"),
                 };
-                let mut targets = Vec::new();
-                collect_assign_targets(&block.body, true, &mut targets);
                 let mut env: HashMap<String, Val> = HashMap::new();
-                for t in &targets {
+                for t in &assign_targets(&block.body, lvalue_targets) {
                     if let Some(ti) = scope.infos.get(t) {
                         env.insert(t.clone(), default_value(ti));
                     }
@@ -1990,7 +2000,30 @@ impl<'a> Elaborator<'a> {
         let Some((reset_branch, _)) = self.split_reset(block) else {
             return Ok(());
         };
-        collect_const_assigns(&reset_branch, params, inits, array_inits);
+        for a in reset_branch.assigns() {
+            if let Some(name) = a.lhs.as_ident() {
+                if let Ok(v) = const_eval(&a.rhs, params) {
+                    inits.insert(name.to_string(), v);
+                }
+            } else if let Expr::Index { base, index } = &a.lhs {
+                if let (Some(name), Ok(idx), Ok(v)) = (
+                    base.as_ident(),
+                    const_eval(index, params),
+                    const_eval(&a.rhs, params),
+                ) {
+                    // No array holds more than MAX_BITS entries, so a larger
+                    // index initializes nothing.
+                    if idx < MAX_BITS as u128 {
+                        let idx = idx as usize;
+                        let entry = array_inits.entry(name.to_string()).or_default();
+                        if entry.len() <= idx {
+                            entry.resize(idx + 1, 0);
+                        }
+                        entry[idx] = v;
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
@@ -2189,32 +2222,6 @@ impl<'a> Elaborator<'a> {
                     }
                 }
             }
-            Expr::RangeSelect { base, msb, lsb } => {
-                let name = base
-                    .as_ident()
-                    .ok_or_else(|| ElabError::new("range assignment base must be a signal"))?
-                    .to_string();
-                let info = scope.infos.get(&name).cloned().ok_or_else(|| {
-                    ElabError::new(format!("assignment to unknown signal `{name}`"))
-                })?;
-                let msb = const_eval(msb, &scope.params)? as usize;
-                let lsb = const_eval(lsb, &scope.params)? as usize;
-                let old = env
-                    .get(&name)
-                    .cloned()
-                    .unwrap_or_else(|| default_value(&info))
-                    .word()?;
-                let rhs = words::resize(&rhs.word()?, msb - lsb + 1);
-                let mut new_bits = old.clone();
-                for (k, bit) in rhs.iter().enumerate() {
-                    let pos = lsb + k;
-                    if pos < new_bits.len() {
-                        new_bits[pos] = self.aig.mux(cond, *bit, old[pos]);
-                    }
-                }
-                env.insert(name, Val::Word(new_bits));
-                Ok(())
-            }
             Expr::Concat(parts) => {
                 // {a, b} = rhs — split MSB-first.
                 let rhs_bits = rhs.word()?;
@@ -2240,8 +2247,21 @@ impl<'a> Elaborator<'a> {
                 }
                 Ok(())
             }
-            Expr::Member { .. } => {
-                let (name, offset, width, _) = self.member_path(scope, lhs)?;
+            Expr::RangeSelect { .. } | Expr::Member { .. } => {
+                // Both write a constant slice of one signal.
+                let (name, lsb, width) = match lhs {
+                    Expr::RangeSelect { base, msb, lsb } => {
+                        let name = base.as_ident().ok_or_else(|| {
+                            ElabError::new("range assignment base must be a signal")
+                        })?;
+                        let (lsb, width) = part_select(msb, lsb, &scope.params)?;
+                        (name.to_string(), lsb, width)
+                    }
+                    _ => {
+                        let (name, offset, width, _) = scope_member(&self.types, scope, lhs)?;
+                        (name, offset, width)
+                    }
+                };
                 let info = scope.infos.get(&name).cloned().ok_or_else(|| {
                     ElabError::new(format!("assignment to unknown signal `{name}`"))
                 })?;
@@ -2253,7 +2273,7 @@ impl<'a> Elaborator<'a> {
                 let rhs = words::resize(&rhs.word()?, width);
                 let mut new_bits = old.clone();
                 for (k, bit) in rhs.iter().enumerate() {
-                    let pos = offset + k;
+                    let pos = lsb.saturating_add(k);
                     if pos < new_bits.len() {
                         new_bits[pos] = self.aig.mux(cond, *bit, old[pos]);
                     }
@@ -2267,41 +2287,6 @@ impl<'a> Elaborator<'a> {
         }
     }
 
-    /// Statically resolves a (possibly nested) member access to
-    /// `(base signal, LSB offset, width, sub-layout)`.
-    fn member_path(
-        &self,
-        scope: &ModuleScope,
-        expr: &Expr,
-    ) -> Result<(String, usize, usize, Option<usize>)> {
-        match expr {
-            Expr::Ident(name) => {
-                let info = scope
-                    .infos
-                    .get(name)
-                    .ok_or_else(|| ElabError::new(format!("unknown signal `{name}`")))?;
-                Ok((name.clone(), 0, info.width, info.layout))
-            }
-            Expr::Member { base, member } => {
-                let (name, offset, _width, layout) = self.member_path(scope, base)?;
-                let base_text = svparse::pretty::print_expr(base);
-                let layout_ix = layout.ok_or_else(|| {
-                    ElabError::new(format!(
-                        "`{base_text}` is not a packed struct; `.{member}` cannot be resolved"
-                    ))
-                })?;
-                let layout = self.types.layout(layout_ix);
-                let field = layout
-                    .field(member)
-                    .ok_or_else(|| ElabError::field_error(base_text, member.clone(), layout))?;
-                Ok((name, offset + field.offset, field.width, field.layout))
-            }
-            other => Err(ElabError::new(format!(
-                "unsupported member-access base: {other:?}"
-            ))),
-        }
-    }
-
     /// Evaluates an expression in the current scope (no statement-local
     /// environment).
     fn eval_expr(
@@ -2311,8 +2296,7 @@ impl<'a> Elaborator<'a> {
         drivers: &HashMap<String, Driver>,
         expr: &Expr,
     ) -> Result<Val> {
-        let mut env = HashMap::new();
-        self.eval_expr_env(module, scope, drivers, expr, &mut env)
+        self.eval_expr_env(module, scope, drivers, expr, &HashMap::new())
     }
 
     /// Evaluates an expression, preferring values from the statement-local
@@ -2323,233 +2307,98 @@ impl<'a> Elaborator<'a> {
         scope: &mut ModuleScope,
         drivers: &HashMap<String, Driver>,
         expr: &Expr,
-        env: &mut HashMap<String, Val>,
+        env: &HashMap<String, Val>,
     ) -> Result<Val> {
-        match expr {
-            Expr::Number(n) => {
-                let width = n.width.map(|w| w as usize).unwrap_or(32);
-                let value = n.value.unwrap_or(0);
-                Ok(Val::Word(words::constant(value, width.max(1))))
-            }
-            Expr::Str(_) => Err(ElabError::new("string literals are not synthesizable")),
-            Expr::Macro(name) => Err(ElabError::new(format!(
-                "macro `{name}` cannot be elaborated"
-            ))),
-            Expr::Ident(name) => {
-                if let Some(v) = env.get(name) {
-                    return Ok(v.clone());
-                }
-                if let Some(&value) = scope.params.get(name) {
-                    return Ok(Val::Word(words::constant(value, 32)));
-                }
-                if scope.infos.contains_key(name) {
-                    return self.resolve_signal(module, scope, drivers, name);
-                }
-                if let Some((value, width)) = self.types.enum_const_in(Some(&module.name), name) {
-                    return Ok(Val::Word(words::constant(value, width.max(1))));
-                }
-                if self.types.ambiguous_const(name) {
-                    return Err(ElabError::new(format!(
-                        "enum member `{name}` is ambiguous: multiple packages export \
-                         conflicting values — use a scoped reference (`pkg::{name}`)"
-                    )));
-                }
-                Err(ElabError::new(format!("unknown identifier `{name}`")))
-            }
-            Expr::Unary { op, operand } => {
-                let v = self
-                    .eval_expr_env(module, scope, drivers, operand, env)?
-                    .word()?;
-                let result = match op {
-                    UnaryOp::LogicalNot => vec![words::reduce_or(&mut self.aig, &v).invert()],
-                    UnaryOp::BitwiseNot => words::not(&v),
-                    UnaryOp::Negate => {
-                        let zero = words::constant(0, v.len());
-                        words::sub(&mut self.aig, &zero, &v)
-                    }
-                    UnaryOp::Plus => v,
-                    UnaryOp::ReduceAnd => vec![words::reduce_and(&mut self.aig, &v)],
-                    UnaryOp::ReduceOr => vec![words::reduce_or(&mut self.aig, &v)],
-                    UnaryOp::ReduceXor => vec![words::reduce_xor(&mut self.aig, &v)],
-                    UnaryOp::ReduceNand => vec![words::reduce_and(&mut self.aig, &v).invert()],
-                    UnaryOp::ReduceNor => vec![words::reduce_or(&mut self.aig, &v).invert()],
-                    UnaryOp::ReduceXnor => vec![words::reduce_xor(&mut self.aig, &v).invert()],
-                };
-                Ok(Val::Word(result))
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self
-                    .eval_expr_env(module, scope, drivers, lhs, env)?
-                    .word()?;
-                let b = self
-                    .eval_expr_env(module, scope, drivers, rhs, env)?
-                    .word()?;
-                let aig = &mut self.aig;
-                let result = match op {
-                    BinaryOp::Add => words::add(aig, &a, &b),
-                    BinaryOp::Sub => words::sub(aig, &a, &b),
-                    BinaryOp::Mul => words::mul(aig, &a, &b),
-                    BinaryOp::Div | BinaryOp::Mod | BinaryOp::Pow => {
-                        // Only constant operands are supported.
-                        let ca = words::as_constant(&a);
-                        let cb = words::as_constant(&b);
-                        match (ca, cb, op) {
-                            (Some(x), Some(y), BinaryOp::Div) if y != 0 => {
-                                words::constant(x / y, a.len())
-                            }
-                            (Some(x), Some(y), BinaryOp::Mod) if y != 0 => {
-                                words::constant(x % y, a.len())
-                            }
-                            (Some(x), Some(y), BinaryOp::Pow) => {
-                                words::constant(x.pow(y as u32), a.len().max(8))
-                            }
-                            _ => {
-                                return Err(ElabError::new(
-                                    "division/modulo of non-constant operands is unsupported",
-                                ))
-                            }
-                        }
-                    }
-                    BinaryOp::LogicalAnd => {
-                        let ra = words::reduce_or(aig, &a);
-                        let rb = words::reduce_or(aig, &b);
-                        vec![aig.and(ra, rb)]
-                    }
-                    BinaryOp::LogicalOr => {
-                        let ra = words::reduce_or(aig, &a);
-                        let rb = words::reduce_or(aig, &b);
-                        vec![aig.or(ra, rb)]
-                    }
-                    BinaryOp::BitAnd => words::bitwise(aig, &a, &b, |g, x, y| g.and(x, y)),
-                    BinaryOp::BitOr => words::bitwise(aig, &a, &b, |g, x, y| g.or(x, y)),
-                    BinaryOp::BitXor => words::bitwise(aig, &a, &b, |g, x, y| g.xor(x, y)),
-                    BinaryOp::BitXnor => words::bitwise(aig, &a, &b, |g, x, y| g.xnor(x, y)),
-                    BinaryOp::Eq | BinaryOp::CaseEq => vec![words::eq(aig, &a, &b)],
-                    BinaryOp::Ne | BinaryOp::CaseNe => vec![words::eq(aig, &a, &b).invert()],
-                    BinaryOp::Lt => vec![words::ult(aig, &a, &b)],
-                    BinaryOp::Le => vec![words::ule(aig, &a, &b)],
-                    BinaryOp::Gt => vec![words::ult(aig, &b, &a)],
-                    BinaryOp::Ge => vec![words::ule(aig, &b, &a)],
-                    BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr => {
-                        let amount = words::as_constant(&b).ok_or_else(|| {
-                            ElabError::new("shift amounts must be constant expressions")
-                        })? as usize;
-                        match op {
-                            BinaryOp::Shl => words::shl_const(&a, amount),
-                            _ => words::shr_const(&a, amount),
-                        }
-                    }
-                };
-                Ok(Val::Word(result))
-            }
-            Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-            } => {
-                let c = self
-                    .eval_expr_env(module, scope, drivers, cond, env)?
-                    .word()?;
-                let c_lit = words::reduce_or(&mut self.aig, &c);
-                let t = self
-                    .eval_expr_env(module, scope, drivers, then_expr, env)?
-                    .word()?;
-                let e = self
-                    .eval_expr_env(module, scope, drivers, else_expr, env)?
-                    .word()?;
-                Ok(Val::Word(words::mux(&mut self.aig, c_lit, &t, &e)))
-            }
-            Expr::Index { base, index } => {
-                let base_val = self.eval_expr_env(module, scope, drivers, base, env)?;
-                let index_bits = self
-                    .eval_expr_env(module, scope, drivers, index, env)?
-                    .word()?;
-                match base_val {
-                    Val::Array(elems) => {
-                        Ok(Val::Word(words::select(&mut self.aig, &elems, &index_bits)))
-                    }
-                    Val::Word(bits) => {
-                        let singles: Vec<Vec<Lit>> = bits.iter().map(|&b| vec![b]).collect();
-                        Ok(Val::Word(words::select(
-                            &mut self.aig,
-                            &singles,
-                            &index_bits,
-                        )))
-                    }
-                }
-            }
-            Expr::RangeSelect { base, msb, lsb } => {
-                let base_bits = self
-                    .eval_expr_env(module, scope, drivers, base, env)?
-                    .word()?;
-                let msb = const_eval(msb, &scope.params)? as usize;
-                let lsb = const_eval(lsb, &scope.params)? as usize;
-                let hi = msb.max(lsb);
-                let lo = msb.min(lsb);
-                let mut out = Vec::new();
-                for i in lo..=hi {
-                    out.push(base_bits.get(i).copied().unwrap_or(Lit::FALSE));
-                }
-                Ok(Val::Word(out))
-            }
-            Expr::Member { .. } => {
-                let (name, offset, width, _) = self.member_path(scope, expr)?;
-                let base_bits = match env.get(&name) {
-                    Some(v) => v.clone().word()?,
-                    None => self.resolve_signal(module, scope, drivers, &name)?.word()?,
-                };
-                let mut out = Vec::with_capacity(width);
-                for i in offset..offset + width {
-                    out.push(base_bits.get(i).copied().unwrap_or(Lit::FALSE));
-                }
-                Ok(Val::Word(out))
-            }
-            Expr::Concat(parts) => {
-                // SystemVerilog concatenation lists the MSB part first.
-                let mut bits = Vec::new();
-                for part in parts.iter().rev() {
-                    let mut v = self
-                        .eval_expr_env(module, scope, drivers, part, env)?
-                        .word()?;
-                    bits.append(&mut v);
-                }
-                Ok(Val::Word(bits))
-            }
-            Expr::Replicate { count, value } => {
-                let n = const_eval(count, &scope.params)? as usize;
-                let v = self
-                    .eval_expr_env(module, scope, drivers, value, env)?
-                    .word()?;
-                let mut bits = Vec::with_capacity(n * v.len());
-                for _ in 0..n {
-                    bits.extend_from_slice(&v);
-                }
-                Ok(Val::Word(bits))
-            }
-            Expr::Call {
-                name,
-                is_system,
-                args,
-            } => {
-                if *is_system && name == "clog2" {
-                    let arg = const_eval(
-                        args.first()
-                            .ok_or_else(|| ElabError::new("$clog2 requires an argument"))?,
-                        &scope.params,
-                    )?;
-                    let result = clog2(arg);
-                    return Ok(Val::Word(words::constant(result, 32)));
-                }
-                if *is_system && (name == "unsigned" || name == "signed") {
-                    return self.eval_expr_env(module, scope, drivers, &args[0], env);
-                }
-                Err(ElabError::new(format!(
-                    "call to `{}{name}` is not supported",
-                    if *is_system { "$" } else { "" }
-                )))
-            }
-        }
+        let mut names = RtlNames {
+            elab: self,
+            module,
+            scope,
+            drivers,
+            env,
+        };
+        lower(&mut names, expr)
     }
+}
+
+/// How RTL names resolve: the values a procedural block has assigned so
+/// far, then module parameters, then the module's signals (resolved on
+/// demand, driver first), then enum members.
+struct RtlNames<'s, 'a> {
+    elab: &'s mut Elaborator<'a>,
+    module: &'s Module,
+    scope: &'s mut ModuleScope,
+    drivers: &'s HashMap<String, Driver>,
+    env: &'s HashMap<String, Val>,
+}
+
+impl Resolve for RtlNames<'_, '_> {
+    fn aig(&mut self) -> &mut Aig {
+        &mut self.elab.aig
+    }
+
+    fn params(&self) -> &HashMap<String, u128> {
+        &self.scope.params
+    }
+
+    fn ident(&mut self, name: &str) -> Result<Val> {
+        if let Some(v) = self.env.get(name) {
+            return Ok(v.clone());
+        }
+        if let Some(&value) = self.scope.params.get(name) {
+            return Ok(Val::Word(words::constant(value, 32)));
+        }
+        if self.scope.infos.contains_key(name) {
+            return self
+                .elab
+                .resolve_signal(self.module, self.scope, self.drivers, name);
+        }
+        enum_member(&self.elab.types, &self.module.name, name)?
+            .ok_or_else(|| ElabError::new(format!("unknown identifier `{name}`")))
+    }
+
+    fn member(&mut self, expr: &Expr) -> Result<Vec<Lit>> {
+        let (name, offset, width, _) = scope_member(&self.elab.types, self.scope, expr)?;
+        let bits = match self.env.get(&name) {
+            Some(v) => v.clone().word()?,
+            None => self
+                .elab
+                .resolve_signal(self.module, self.scope, self.drivers, &name)?
+                .word()?,
+        };
+        Ok(words::slice(&bits, offset, width))
+    }
+}
+
+/// Resolves a struct member access on a signal of `scope`.
+fn scope_member(
+    types: &TypeTable,
+    scope: &ModuleScope,
+    expr: &Expr,
+) -> Result<(String, usize, usize, Option<usize>)> {
+    types.member_path(expr, &|name| {
+        scope
+            .infos
+            .get(name)
+            .map(|info| info.layout)
+            .ok_or_else(|| ElabError::new(format!("unknown signal `{name}`")))
+    })
+}
+
+/// Entries of an unpacked array of `width`-bit words, `None` for a plain
+/// word.
+fn array_len(
+    dims: &[svparse::ast::Range],
+    params: &HashMap<String, u128>,
+    width: usize,
+) -> Result<Option<usize>> {
+    let Some(dim) = dims.first() else {
+        return Ok(None);
+    };
+    let len = range_width(const_eval(&dim.msb, params)?, const_eval(&dim.lsb, params)?)?;
+    bounded(len as u128 * width as u128, || {
+        format!("an unpacked array of {len} {width}-bit words")
+    })?;
+    Ok(Some(len))
 }
 
 fn default_value(info: &SigInfo) -> Val {
@@ -2576,78 +2425,13 @@ fn is_sequential(block: &AlwaysBlock) -> bool {
     }
 }
 
-/// Collects the base signal names assigned anywhere inside a statement.
-fn collect_assign_targets(stmt: &Stmt, blocking: bool, out: &mut Vec<String>) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                collect_assign_targets(s, blocking, out);
-            }
-        }
-        Stmt::Blocking(a) => {
-            if blocking {
-                out.extend(lvalue_targets(&a.lhs));
-            } else {
-                // Blocking assignments inside always_ff also create state.
-                out.extend(lvalue_targets(&a.lhs));
-            }
-        }
-        Stmt::NonBlocking(a) => out.extend(lvalue_targets(&a.lhs)),
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_assign_targets(then_branch, blocking, out);
-            if let Some(e) = else_branch {
-                collect_assign_targets(e, blocking, out);
-            }
-        }
-        Stmt::Case { items, .. } => {
-            for item in items {
-                collect_assign_targets(&item.body, blocking, out);
-            }
-        }
-        Stmt::Empty => {}
-    }
-}
-
-/// Collects every identifier referenced anywhere in a statement (conditions,
-/// case subjects and labels, both assignment sides) — the conservative
-/// dependency set used by the static instance-cone analysis.
-fn collect_stmt_idents(stmt: &Stmt, out: &mut Vec<String>) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                collect_stmt_idents(s, out);
-            }
-        }
-        Stmt::Blocking(a) | Stmt::NonBlocking(a) => {
-            out.extend(a.lhs.referenced_idents());
-            out.extend(a.rhs.referenced_idents());
-        }
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            out.extend(cond.referenced_idents());
-            collect_stmt_idents(then_branch, out);
-            if let Some(e) = else_branch {
-                collect_stmt_idents(e, out);
-            }
-        }
-        Stmt::Case { subject, items } => {
-            out.extend(subject.referenced_idents());
-            for item in items {
-                for label in &item.labels {
-                    out.extend(label.referenced_idents());
-                }
-                collect_stmt_idents(&item.body, out);
-            }
-        }
-        Stmt::Empty => {}
-    }
+/// The signals every assignment of a statement tree writes, as `lvalue`
+/// names them, in source order.
+fn assign_targets(stmt: &Stmt, lvalue: fn(&Expr) -> Vec<String>) -> Vec<String> {
+    stmt.assigns()
+        .into_iter()
+        .flat_map(|a| lvalue(&a.lhs))
+        .collect()
 }
 
 /// Base signal names written by an lvalue expression.
@@ -2685,87 +2469,6 @@ fn whole_lvalue_targets(lhs: &Expr) -> Vec<String> {
     }
 }
 
-/// Whole-signal assignment targets of a statement tree (see
-/// [`whole_lvalue_targets`]).
-fn collect_whole_assign_targets(stmt: &Stmt, out: &mut Vec<String>) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                collect_whole_assign_targets(s, out);
-            }
-        }
-        Stmt::Blocking(a) | Stmt::NonBlocking(a) => out.extend(whole_lvalue_targets(&a.lhs)),
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_whole_assign_targets(then_branch, out);
-            if let Some(e) = else_branch {
-                collect_whole_assign_targets(e, out);
-            }
-        }
-        Stmt::Case { items, .. } => {
-            for item in items {
-                collect_whole_assign_targets(&item.body, out);
-            }
-        }
-        Stmt::Empty => {}
-    }
-}
-
-/// Collects constant assignments from a reset branch.
-fn collect_const_assigns(
-    stmt: &Stmt,
-    params: &HashMap<String, u128>,
-    inits: &mut HashMap<String, u128>,
-    array_inits: &mut HashMap<String, Vec<u128>>,
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                collect_const_assigns(s, params, inits, array_inits);
-            }
-        }
-        Stmt::Blocking(a) | Stmt::NonBlocking(a) => {
-            if let Some(name) = a.lhs.as_ident() {
-                if let Ok(v) = const_eval(&a.rhs, params) {
-                    inits.insert(name.to_string(), v);
-                }
-            } else if let Expr::Index { base, index } = &a.lhs {
-                if let (Some(name), Ok(idx), Ok(v)) = (
-                    base.as_ident(),
-                    const_eval(index, params),
-                    const_eval(&a.rhs, params),
-                ) {
-                    let entry = array_inits.entry(name.to_string()).or_default();
-                    let idx = idx as usize;
-                    if entry.len() <= idx {
-                        entry.resize(idx + 1, 0);
-                    }
-                    entry[idx] = v;
-                }
-            }
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_const_assigns(then_branch, params, inits, array_inits);
-            if let Some(e) = else_branch {
-                collect_const_assigns(e, params, inits, array_inits);
-            }
-        }
-        Stmt::Case { items, .. } => {
-            for item in items {
-                collect_const_assigns(&item.body, params, inits, array_inits);
-            }
-        }
-        Stmt::Empty => {}
-    }
-}
-
 /// `true` if `expr` tests that the reset is asserted.
 fn expr_is_reset_condition(expr: &Expr, reset: &str, active_low: bool) -> bool {
     match expr {
@@ -2794,10 +2497,15 @@ fn expr_is_reset_condition(expr: &Expr, reset: &str, active_low: bool) -> bool {
 
 /// Evaluates a constant expression over a parameter environment.
 ///
+/// Constants are unsigned 128-bit values.  A sum, difference, product or
+/// power whose exact result falls outside that range is an error, and so is
+/// a left shift by 128 bits or more; a right shift that far gives 0, and a
+/// unary minus gives the two's complement.
+///
 /// # Errors
 ///
-/// Returns an error if the expression references signals or uses unsupported
-/// operators.
+/// Returns an error if the expression references signals, uses unsupported
+/// operators, divides by zero or leaves the 128-bit range.
 pub fn const_eval(expr: &Expr, params: &HashMap<String, u128>) -> Result<u128> {
     match expr {
         Expr::Number(n) => n
@@ -2820,10 +2528,19 @@ pub fn const_eval(expr: &Expr, params: &HashMap<String, u128>) -> Result<u128> {
         Expr::Binary { op, lhs, rhs } => {
             let a = const_eval(lhs, params)?;
             let b = const_eval(rhs, params)?;
+            let shift = u32::try_from(b).ok();
+            let checked = |value: Option<u128>| {
+                value.ok_or_else(|| {
+                    ElabError::new(format!(
+                        "constant expression `{}` leaves the 128-bit unsigned range",
+                        svparse::pretty::print_expr(expr)
+                    ))
+                })
+            };
             Ok(match op {
-                BinaryOp::Add => a.wrapping_add(b),
-                BinaryOp::Sub => a.wrapping_sub(b),
-                BinaryOp::Mul => a.wrapping_mul(b),
+                BinaryOp::Add => checked(a.checked_add(b))?,
+                BinaryOp::Sub => checked(a.checked_sub(b))?,
+                BinaryOp::Mul => checked(a.checked_mul(b))?,
                 BinaryOp::Div => {
                     if b == 0 {
                         return Err(ElabError::new("division by zero in constant expression"));
@@ -2836,9 +2553,9 @@ pub fn const_eval(expr: &Expr, params: &HashMap<String, u128>) -> Result<u128> {
                     }
                     a % b
                 }
-                BinaryOp::Pow => a.pow(b as u32),
-                BinaryOp::Shl => a << b,
-                BinaryOp::Shr | BinaryOp::AShr => a >> b,
+                BinaryOp::Pow => checked(shift.and_then(|b| a.checked_pow(b)))?,
+                BinaryOp::Shl => checked(shift.and_then(|b| a.checked_shl(b)))?,
+                BinaryOp::Shr | BinaryOp::AShr => shift.and_then(|b| a.checked_shr(b)).unwrap_or(0),
                 BinaryOp::BitAnd => a & b,
                 BinaryOp::BitOr => a | b,
                 BinaryOp::BitXor => a ^ b,
@@ -2985,6 +2702,23 @@ mod tests {
             .map(|(i, l)| if l.init { 1 << i } else { 0 })
             .sum();
         assert_eq!(inits, 9);
+    }
+
+    #[test]
+    fn reset_writes_past_any_array_initialize_nothing() {
+        // No array holds 2^32 entries, so this reset write sets no initial
+        // value and allocates nothing for it; the in-range write still does.
+        let src = "module m (input logic clk_i, input logic rst_ni, output logic [1:0] q_o);\n\
+             logic [1:0] mem [0:1];\n\
+             always_ff @(posedge clk_i or negedge rst_ni) begin\n\
+               if (!rst_ni) begin mem[40'hFFFFFFFF] <= 2'd3; mem[1] <= 2'd2; end\n\
+               else mem[0] <= mem[1];\n\
+             end\n\
+             assign q_o = mem[0];\n\
+           endmodule";
+        let design = elab(src);
+        let inits: Vec<bool> = design.aig.latches().iter().map(|l| l.init).collect();
+        assert_eq!(inits, [false, false, false, true]);
     }
 
     #[test]

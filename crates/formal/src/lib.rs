@@ -10,7 +10,8 @@
 //!   sequential And-Inverter Graph ([`aig`]), with parameters, small
 //!   unpacked arrays, `always_ff`/`always_comb`, and module hierarchy;
 //! * [`compile`] — lowering of an AutoSVA [`autosva::FormalTestbench`]
-//!   (auxiliary signals + SVA properties) onto the elaborated design;
+//!   (auxiliary signals + SVA properties) onto the elaborated design, with
+//!   the same expression lowering the elaborator uses for RTL;
 //! * [`sat`] — a from-scratch CDCL SAT solver (watched literals, first-UIP
 //!   learning, VSIDS-style decisions, incremental assumptions);
 //! * [`unroll`], [`bmc`] — Tseitin time-frame expansion, bounded model
@@ -104,6 +105,7 @@ pub mod faults;
 pub mod fuzz;
 pub mod interrupt;
 pub mod lint;
+mod lower;
 pub mod model;
 pub mod opt;
 pub mod pdr;

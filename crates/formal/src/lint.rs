@@ -25,10 +25,12 @@
 
 use crate::compile::CompiledTestbench;
 use crate::elab::{const_eval, ElabDesign};
+use crate::lower::range_width;
 use crate::opt;
+use crate::telemetry::json_escape;
 use autosva::FormalTestbench;
 use std::collections::{BTreeSet, HashMap};
-use svparse::ast::{AlwaysKind, BinaryOp, Expr, Module, ModuleItem, SourceFile, Stmt, UnaryOp};
+use svparse::ast::{AlwaysKind, BinaryOp, Expr, Module, ModuleItem, SourceFile, UnaryOp, Visit};
 use svparse::error::caret_snippet;
 use svparse::span::line_col;
 
@@ -177,21 +179,6 @@ impl LintReport {
         out.push_str("]\n");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs every lint pass and returns the filtered, sorted report.
@@ -508,9 +495,9 @@ impl<'a> LintCtx<'a> {
                     }
                 }
                 ModuleItem::Always(block) if block.kind != AlwaysKind::Initial => {
-                    walk_assigns(&block.body, &mut |assign| {
-                        check(&assign.lhs, &assign.rhs, assign.span.start)
-                    });
+                    for assign in block.body.assigns() {
+                        check(&assign.lhs, &assign.rhs, assign.span.start);
+                    }
                 }
                 _ => {}
             }
@@ -713,40 +700,12 @@ fn lvalue_name(lhs: &Expr) -> String {
     }
 }
 
-/// Calls `f` on every assignment in a statement tree.
-fn walk_assigns(stmt: &Stmt, f: &mut impl FnMut(&svparse::ast::Assign)) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                walk_assigns(s, f);
-            }
-        }
-        Stmt::Blocking(a) | Stmt::NonBlocking(a) => f(a),
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            walk_assigns(then_branch, f);
-            if let Some(e) = else_branch {
-                walk_assigns(e, f);
-            }
-        }
-        Stmt::Case { items, .. } => {
-            for item in items {
-                walk_assigns(&item.body, f);
-            }
-        }
-        Stmt::Empty => {}
-    }
-}
-
 /// Every identifier a module *reads*: right-hand sides, conditions, case
 /// subjects and labels, index expressions of lvalues, instance connections
 /// and sensitivity lists.  Pure write targets are excluded.
 fn module_read_set(module: &Module) -> BTreeSet<String> {
     let mut reads = BTreeSet::new();
-    let mut add = |e: &Expr, reads: &mut BTreeSet<String>| {
+    let add = |e: &Expr, reads: &mut BTreeSet<String>| {
         reads.extend(e.referenced_idents());
     };
     // Index/range expressions inside an lvalue are reads even though the
@@ -771,44 +730,6 @@ fn module_read_set(module: &Module) -> BTreeSet<String> {
             _ => {}
         }
     }
-    fn stmt_reads(
-        stmt: &Stmt,
-        reads: &mut BTreeSet<String>,
-        add: &mut impl FnMut(&Expr, &mut BTreeSet<String>),
-    ) {
-        match stmt {
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    stmt_reads(s, reads, add);
-                }
-            }
-            Stmt::Blocking(a) | Stmt::NonBlocking(a) => {
-                add(&a.rhs, reads);
-                lvalue_reads(&a.lhs, reads);
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                add(cond, reads);
-                stmt_reads(then_branch, reads, add);
-                if let Some(e) = else_branch {
-                    stmt_reads(e, reads, add);
-                }
-            }
-            Stmt::Case { subject, items } => {
-                add(subject, reads);
-                for item in items {
-                    for label in &item.labels {
-                        add(label, reads);
-                    }
-                    stmt_reads(&item.body, reads, add);
-                }
-            }
-            Stmt::Empty => {}
-        }
-    }
     for item in &module.items {
         match item {
             ModuleItem::ContinuousAssign(assign) => {
@@ -831,7 +752,13 @@ fn module_read_set(module: &Module) -> BTreeSet<String> {
                 for ev in &block.sensitivity {
                     add(&ev.signal, &mut reads);
                 }
-                stmt_reads(&block.body, &mut reads, &mut add);
+                block.body.walk(&mut |v| match v {
+                    Visit::Assign(a) => {
+                        add(&a.rhs, &mut reads);
+                        lvalue_reads(&a.lhs, &mut reads);
+                    }
+                    Visit::Test(e) => add(e, &mut reads),
+                });
             }
             ModuleItem::Instance(inst) => {
                 for conn in inst.param_overrides.iter().chain(inst.connections.iter()) {
@@ -911,9 +838,7 @@ fn expr_width(
         }
         Expr::Index { .. } => Some(1),
         Expr::RangeSelect { msb, lsb, .. } => {
-            let msb = const_eval(msb, params).ok()?;
-            let lsb = const_eval(lsb, params).ok()?;
-            Some((msb.max(lsb) - msb.min(lsb) + 1) as usize)
+            range_width(const_eval(msb, params).ok()?, const_eval(lsb, params).ok()?).ok()
         }
         Expr::Concat(parts) => {
             let mut total = 0usize;
@@ -923,8 +848,8 @@ fn expr_width(
             Some(total)
         }
         Expr::Replicate { count, value } => {
-            let n = const_eval(count, params).ok()? as usize;
-            Some(n * expr_width(value, widths, params)?)
+            let n = usize::try_from(const_eval(count, params).ok()?).ok()?;
+            n.checked_mul(expr_width(value, widths, params)?)
         }
         Expr::Member { .. } | Expr::Call { .. } | Expr::Str(_) | Expr::Macro(_) => None,
     }

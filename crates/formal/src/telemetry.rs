@@ -802,7 +802,8 @@ impl TelemetryReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal.
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

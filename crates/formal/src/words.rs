@@ -16,6 +16,11 @@ pub fn resize(word: &[Lit], width: usize) -> Vec<Lit> {
     out
 }
 
+/// The `width` bits of `word` from bit `lsb` up; bits past its end read 0.
+pub fn slice(word: &[Lit], lsb: usize, width: usize) -> Vec<Lit> {
+    resize(word.get(lsb..).unwrap_or_default(), width)
+}
+
 /// Builds a constant word of `width` bits holding `value` (LSB first).
 pub fn constant(value: u128, width: usize) -> Vec<Lit> {
     (0..width)
@@ -189,8 +194,15 @@ pub fn shr_const(word: &[Lit], amount: usize) -> Vec<Lit> {
 
 /// Dynamic element select from a list of equally sized words: returns
 /// `words[index]` as a mux tree, with out-of-range indices reading as zero.
+/// A constant index picks its word directly.
 pub fn select(aig: &mut Aig, words: &[Vec<Lit>], index: &[Lit]) -> Vec<Lit> {
     let width = words.iter().map(Vec::len).max().unwrap_or(0);
+    if let Some(k) = as_constant(index) {
+        return usize::try_from(k)
+            .ok()
+            .and_then(|k| words.get(k))
+            .map_or_else(|| constant(0, width), |word| resize(word, width));
+    }
     let mut result = constant(0, width);
     for (i, word) in words.iter().enumerate() {
         let idx_const = constant(i as u128, index.len());

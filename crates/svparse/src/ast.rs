@@ -682,6 +682,57 @@ impl Expr {
     }
 }
 
+/// What [`Stmt::walk`] reaches: an assignment, or an expression a statement
+/// tests (an `if` condition, a `case` subject or a `case` label).
+#[derive(Debug, Clone, Copy)]
+pub enum Visit<'a> {
+    /// A blocking or non-blocking assignment.
+    Assign(&'a Assign),
+    /// A tested expression.
+    Test(&'a Expr),
+}
+
+impl Stmt {
+    /// Calls `f` on every assignment and tested expression of the statement
+    /// tree, in source order (a condition before the branches it guards).
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(Visit<'a>)) {
+        match self {
+            Stmt::Block(stmts) => stmts.iter().for_each(|s| s.walk(f)),
+            Stmt::Blocking(a) | Stmt::NonBlocking(a) => f(Visit::Assign(a)),
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                f(Visit::Test(cond));
+                then_branch.walk(f);
+                if let Some(e) = else_branch {
+                    e.walk(f);
+                }
+            }
+            Stmt::Case { subject, items } => {
+                f(Visit::Test(subject));
+                for item in items {
+                    item.labels.iter().for_each(|l| f(Visit::Test(l)));
+                    item.body.walk(f);
+                }
+            }
+            Stmt::Empty => {}
+        }
+    }
+
+    /// Every assignment of the statement tree, in source order.
+    pub fn assigns(&self) -> Vec<&Assign> {
+        let mut out = Vec::new();
+        self.walk(&mut |v| {
+            if let Visit::Assign(a) = v {
+                out.push(a);
+            }
+        });
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,6 +763,49 @@ mod tests {
         };
         let ids = e.referenced_idents();
         assert_eq!(ids, vec!["sel", "a", "b", "c"]);
+    }
+
+    #[test]
+    fn stmt_walk_visits_tests_before_branches() {
+        let assign = |lhs: &str, rhs: &str| Assign {
+            lhs: Expr::ident(lhs),
+            rhs: Expr::ident(rhs),
+            span: Span::dummy(),
+        };
+        let stmt = Stmt::Block(vec![
+            Stmt::If {
+                cond: Expr::ident("c"),
+                then_branch: Box::new(Stmt::NonBlocking(assign("x", "a"))),
+                else_branch: Some(Box::new(Stmt::Case {
+                    subject: Expr::ident("s"),
+                    items: vec![CaseItem {
+                        labels: vec![Expr::ident("L")],
+                        is_default: false,
+                        body: Stmt::Blocking(assign("y", "b")),
+                    }],
+                })),
+            },
+            Stmt::Empty,
+        ]);
+        let mut seen = Vec::new();
+        stmt.walk(&mut |v| {
+            seen.push(match v {
+                Visit::Assign(a) => format!("{:?}={:?}", a.lhs.as_ident(), a.rhs.as_ident()),
+                Visit::Test(e) => format!("?{:?}", e.as_ident()),
+            })
+        });
+        assert_eq!(
+            seen,
+            [
+                "?Some(\"c\")",
+                "Some(\"x\")=Some(\"a\")",
+                "?Some(\"s\")",
+                "?Some(\"L\")",
+                "Some(\"y\")=Some(\"b\")"
+            ]
+        );
+        let targets: Vec<_> = stmt.assigns().iter().map(|a| a.lhs.as_ident()).collect();
+        assert_eq!(targets, [Some("x"), Some("y")]);
     }
 
     #[test]

@@ -61,7 +61,7 @@ endmodule
 fn run_render(cache_dir: Option<PathBuf>) -> String {
     let ft = generate_ft(ECHO, &AutosvaOptions::default()).unwrap();
     let mut options = CheckOptions::default();
-    options.cache.dir = cache_dir;
+    options.parallel.cache = cache_dir.map(ProofCache::open);
     verify(ECHO, &ft, &options).unwrap().render()
 }
 
@@ -170,7 +170,7 @@ fn a_forged_induction_depth_is_rejected_without_stalling_the_run() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("forged-induction-depth");
     let _ = std::fs::remove_dir_all(&dir);
     let mut options = default_check_options(&case, Variant::Fixed);
-    options.cache.dir = Some(dir.clone());
+    options.parallel.cache = Some(ProofCache::open(&dir));
     let cold = verify_elaborated(&design, &ft, &options).expect("cold run");
 
     let spill = dir.join("proofs.cache");
@@ -178,6 +178,8 @@ fn a_forged_induction_depth_is_rejected_without_stalling_the_run() {
     let forged = forge_induction_depth(&text, "as__noc_txn_had_a_request", 40);
     std::fs::write(&spill, forged).expect("rewrite the spill file");
 
+    // A fresh cache loads the forged spill file.
+    options.parallel.cache = Some(ProofCache::open(&dir));
     let (done, finished) = mpsc::channel();
     let warm = std::thread::spawn(move || {
         let report = verify_elaborated(&design, &ft, &options).expect("warm run");

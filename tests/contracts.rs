@@ -96,7 +96,7 @@ const ROWS: &[Row] = &[
         from_source: true,
         configure: |o, run| {
             o.parallel.threads = 1;
-            o.cache.dir = Some(run.dir.join("cache"));
+            o.parallel.cache = Some(ProofCache::open(run.dir.join("cache")));
         },
         ..ROW
     },
@@ -109,7 +109,7 @@ const ROWS: &[Row] = &[
     Row {
         name: "disk cache warm",
         from_source: true,
-        configure: |o, run| o.cache.dir = Some(run.dir.join("cache")),
+        configure: |o, run| o.parallel.cache = Some(ProofCache::open(run.dir.join("cache"))),
         check: assert_warm,
         ..ROW
     },

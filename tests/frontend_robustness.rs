@@ -10,6 +10,12 @@
 //! as `Ok` or as an error whose rendering is non-empty.  This is the RTL
 //! counterpart of `cache_corruption.rs`, which does the same for the
 //! proof-cache spill file.
+//!
+//! Fixed inputs splice oversized constants — huge widths, replications,
+//! literals and overflowing constant arithmetic, in RTL and in annotations —
+//! into a well-formed design.  Each must be diagnosed promptly, in a debug
+//! and in a release build alike, instead of exhausting memory, outliving
+//! the deadline or panicking on overflow.
 
 use autosva::{generate_ft, AutosvaOptions};
 use autosva_designs::all_cases;
@@ -17,6 +23,7 @@ use autosva_formal::checker::{verify, CheckOptions};
 use autosva_formal::fuzz::FuzzOptions;
 use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// Mutants per run, spread round-robin over the corpus designs.
@@ -103,4 +110,138 @@ fn mutated_corpus_sources_yield_diagnostics_not_panics() {
         accepted > 0 && diagnosed > 0,
         "{accepted} ok, {diagnosed} errors"
     );
+}
+
+/// A well-formed design the fixed inputs splice oversized constants into.
+const BASE: &str = r#"
+/*AUTOSVA
+t: req -in> res
+req_val = req_val
+req_ack = req_ack
+[1:0] req_transid = req_id
+res_val = res_val
+[1:0] res_transid = res_id
+*/
+module base (
+  input  logic clk_i,
+  input  logic rst_ni,
+  input  logic req_val,
+  output logic req_ack,
+  input  logic [1:0] req_id,
+  output logic res_val,
+  output logic [1:0] res_id
+);
+  logic busy_q;
+  logic [1:0] id_q;
+  logic [3:0] x;
+  always_ff @(posedge clk_i or negedge rst_ni) begin
+    if (!rst_ni) begin
+      busy_q <= 1'b0;
+      id_q <= 2'b0;
+    end else begin
+      busy_q <= req_val && req_ack;
+      id_q <= req_id;
+    end
+  end
+  assign x = {busy_q, id_q, req_val};
+  assign req_ack = !busy_q;
+  assign res_val = busy_q;
+  assign res_id = id_q;
+endmodule
+"#;
+
+/// `(what, text in BASE, replacement, expected diagnostic fragment)`.
+const OVERSIZED: &[(&str, &str, &str, &str)] = &[
+    (
+        "RTL replication",
+        "assign req_ack = !busy_q;",
+        "assign req_ack = |{40'hFFFFFFFFFF{1'b1}};",
+        "replication is too large",
+    ),
+    (
+        "annotation replication",
+        "req_ack = req_ack\n",
+        "req_ack = req_ack && |{40'hFFFFFFFFFF{1'b1}}\n",
+        "replication is too large",
+    ),
+    (
+        "packed width",
+        "logic [3:0] x;",
+        "logic [40'hFFFFFFFFFF:0] x;",
+        "range [1099511627775:0] is too large",
+    ),
+    (
+        "array length",
+        "logic [3:0] x;",
+        "logic [3:0] x;\n  logic [1:0] mem [0:40'hFFFFFFFF];",
+        "range [0:4294967295] is too large",
+    ),
+    (
+        "annotation width",
+        "[1:0] req_transid = req_id",
+        "[40'hFFFFFFFFFF:0] req_transid = req_id",
+        "range [1099511627775:0] is too large",
+    ),
+    (
+        "part-select",
+        "assign req_ack = !busy_q;",
+        "assign req_ack = |x[40'hFFFFFFFFFF:0];",
+        "range [1099511627775:0] is too large",
+    ),
+    (
+        "literal",
+        "assign req_ack = !busy_q;",
+        "assign req_ack = |4000000000'd1;",
+        "literal `4000000000'd1` is too large",
+    ),
+    (
+        "reversed target select",
+        "assign x = {busy_q, id_q, req_val};",
+        "assign x[1:3] = 2'b11;",
+        "part-select [1:3] is reversed",
+    ),
+    (
+        "shifted localparam",
+        "logic [3:0] x;",
+        "logic [3:0] x;\n  localparam P = 1 << 200;",
+        "128-bit",
+    ),
+    (
+        "power localparam",
+        "logic [3:0] x;",
+        "logic [3:0] x;\n  localparam P = 10 ** 60;",
+        "128-bit",
+    ),
+    (
+        "folded power",
+        "assign req_ack = !busy_q;",
+        "assign req_ack = |(8'd10 ** 8'd60);",
+        "exceeds 128 bits",
+    ),
+];
+
+#[test]
+fn oversized_constants_are_diagnosed_within_the_deadline() {
+    assert_eq!(front_end(BASE), Ok(()), "the base design must be accepted");
+    for &(what, from, to, expected) in OVERSIZED {
+        assert_eq!(BASE.matches(from).count(), 1, "{what}: splice point");
+        let source = BASE.replace(from, to);
+        let (done, finished) = mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let result = front_end(&source);
+            let _ = done.send(());
+            result
+        });
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(30)) {
+            panic!("{what}: the front end did not return within 30 s");
+        }
+        let diagnostic = match run.join() {
+            Ok(result) => result.expect_err(what),
+            Err(_) => panic!("{what}: the front end panicked"),
+        };
+        assert!(
+            diagnostic.contains(expected),
+            "{what}: expected `{expected}` in the diagnostic, got: {diagnostic}"
+        );
+    }
 }

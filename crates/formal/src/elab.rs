@@ -18,7 +18,7 @@
 //!   inputs, which is the sound over-approximation for missing environment.
 
 use crate::aig::{Aig, Lit};
-use crate::lower::{bounded, enum_member, lower, part_select, range_width, Resolve, Val, MAX_BITS};
+use crate::lower::{bounded, enum_member, lower, range_width, Resolve, Val, MAX_BITS};
 use crate::words;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -2254,7 +2254,16 @@ impl<'a> Elaborator<'a> {
                         let name = base.as_ident().ok_or_else(|| {
                             ElabError::new("range assignment base must be a signal")
                         })?;
-                        let (lsb, width) = part_select(msb, lsb, &scope.params)?;
+                        let msb = const_eval(msb, &scope.params)?;
+                        let lsb = const_eval(lsb, &scope.params)?;
+                        if msb < lsb {
+                            return Err(ElabError::new(format!(
+                                "part-select target `{name}[{msb}:{lsb}]` names its LSB \
+                                 first; only [msb:lsb] targets are supported"
+                            )));
+                        }
+                        let width = range_width(msb, lsb)?;
+                        let lsb = usize::try_from(lsb).unwrap_or(usize::MAX);
                         (name.to_string(), lsb, width)
                     }
                     _ => {
@@ -2497,15 +2506,16 @@ fn expr_is_reset_condition(expr: &Expr, reset: &str, active_low: bool) -> bool {
 
 /// Evaluates a constant expression over a parameter environment.
 ///
-/// Constants are unsigned 128-bit values.  A sum, difference, product or
-/// power whose exact result falls outside that range is an error, and so is
-/// a left shift by 128 bits or more; a right shift that far gives 0, and a
-/// unary minus gives the two's complement.
+/// Constants are unsigned 128-bit values.  Sums, differences, products and
+/// unary minus wrap as two's complement, so `0 - 1` is all ones.  A power
+/// whose exponent exceeds 32 bits or whose exact result exceeds 128 bits is
+/// an error, and so is a left shift by 128 bits or more; a right shift that
+/// far gives 0.
 ///
 /// # Errors
 ///
 /// Returns an error if the expression references signals, uses unsupported
-/// operators, divides by zero or leaves the 128-bit range.
+/// operators, divides by zero, or overflows a power or a left shift.
 pub fn const_eval(expr: &Expr, params: &HashMap<String, u128>) -> Result<u128> {
     match expr {
         Expr::Number(n) => n
@@ -2538,9 +2548,9 @@ pub fn const_eval(expr: &Expr, params: &HashMap<String, u128>) -> Result<u128> {
                 })
             };
             Ok(match op {
-                BinaryOp::Add => checked(a.checked_add(b))?,
-                BinaryOp::Sub => checked(a.checked_sub(b))?,
-                BinaryOp::Mul => checked(a.checked_mul(b))?,
+                BinaryOp::Add => a.wrapping_add(b),
+                BinaryOp::Sub => a.wrapping_sub(b),
+                BinaryOp::Mul => a.wrapping_mul(b),
                 BinaryOp::Div => {
                     if b == 0 {
                         return Err(ElabError::new("division by zero in constant expression"));
@@ -2719,6 +2729,45 @@ mod tests {
         let design = elab(src);
         let inits: Vec<bool> = design.aig.latches().iter().map(|l| l.init).collect();
         assert_eq!(inits, [false, false, false, true]);
+    }
+
+    #[test]
+    fn constant_arithmetic_wraps_as_twos_complement() {
+        // `0 - 1` resets the counter to all ones, and negative offsets and
+        // factors wrap back into range.
+        let src = "module w #(parameter W = 4) (input logic clk_i, input logic rst_ni,\n\
+               output logic [3:0] q_o, output logic [3:0] d_o, output logic [3:0] m_o);\n\
+             localparam D = W + (-1);\n\
+             localparam M = (-1) * 4;\n\
+             logic [3:0] cnt_q;\n\
+             always_ff @(posedge clk_i or negedge rst_ni) begin\n\
+               if (!rst_ni) cnt_q <= 0 - 1;\n\
+               else cnt_q <= cnt_q + 4'd1;\n\
+             end\n\
+             assign q_o = cnt_q;\n\
+             assign d_o = D;\n\
+             assign m_o = 0 + M;\n\
+           endmodule";
+        let design = elab(src);
+        let inits: Vec<bool> = design.aig.latches().iter().map(|l| l.init).collect();
+        assert_eq!(inits, [true; 4]);
+        assert_eq!(words::as_constant(design.signal("d_o").unwrap()), Some(3));
+        assert_eq!(words::as_constant(design.signal("m_o").unwrap()), Some(12));
+    }
+
+    #[test]
+    fn part_select_reads_take_either_order() {
+        let src =
+            "module s (input logic [0:7] v_i, output logic [2:0] a_o, output logic [2:0] b_o);\n\
+             assign a_o = v_i[1:3];\n\
+             assign b_o = v_i[3:1];\n\
+           endmodule";
+        let design = elab(src);
+        assert_eq!(design.signal("a_o"), design.signal("b_o"));
+        assert_eq!(
+            design.signal("a_o").unwrap(),
+            &design.signal("v_i").unwrap()[1..4]
+        );
     }
 
     #[test]

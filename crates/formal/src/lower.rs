@@ -42,23 +42,6 @@ pub(crate) fn range_width(msb: u128, lsb: u128) -> Result<usize> {
     })
 }
 
-/// The `(lsb, width)` of a part-select `[msb:lsb]`.  Bits are numbered LSB
-/// first, so a select must name its most significant bit first.
-pub(crate) fn part_select(
-    msb: &Expr,
-    lsb: &Expr,
-    params: &HashMap<String, u128>,
-) -> Result<(usize, usize)> {
-    let (msb, lsb) = (const_eval(msb, params)?, const_eval(lsb, params)?);
-    if msb < lsb {
-        return Err(ElabError::new(format!(
-            "part-select [{msb}:{lsb}] is reversed; write it [{lsb}:{msb}]"
-        )));
-    }
-    let width = range_width(msb, lsb)?;
-    Ok((usize::try_from(lsb).unwrap_or(usize::MAX), width))
-}
-
 /// A lowered value: a packed word or an unpacked array of words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Val {
@@ -172,7 +155,11 @@ pub(crate) fn lower(r: &mut impl Resolve, expr: &Expr) -> Result<Val> {
         }
         Expr::RangeSelect { base, msb, lsb } => {
             let bits = lower_word(r, base)?;
-            let (lsb, width) = part_select(msb, lsb, r.params())?;
+            // Bits are numbered LSB first whichever way the vector was
+            // declared, so `[a:b]` reads bits min(a, b) to max(a, b).
+            let (msb, lsb) = (const_eval(msb, r.params())?, const_eval(lsb, r.params())?);
+            let width = range_width(msb, lsb)?;
+            let lsb = usize::try_from(msb.min(lsb)).unwrap_or(usize::MAX);
             words::slice(&bits, lsb, width)
         }
         Expr::Concat(parts) => {

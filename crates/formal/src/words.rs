@@ -194,15 +194,8 @@ pub fn shr_const(word: &[Lit], amount: usize) -> Vec<Lit> {
 
 /// Dynamic element select from a list of equally sized words: returns
 /// `words[index]` as a mux tree, with out-of-range indices reading as zero.
-/// A constant index picks its word directly.
 pub fn select(aig: &mut Aig, words: &[Vec<Lit>], index: &[Lit]) -> Vec<Lit> {
     let width = words.iter().map(Vec::len).max().unwrap_or(0);
-    if let Some(k) = as_constant(index) {
-        return usize::try_from(k)
-            .ok()
-            .and_then(|k| words.get(k))
-            .map_or_else(|| constant(0, width), |word| resize(word, width));
-    }
     let mut result = constant(0, width);
     for (i, word) in words.iter().enumerate() {
         let idx_const = constant(i as u128, index.len());

@@ -198,7 +198,7 @@ const OVERSIZED: &[(&str, &str, &str, &str)] = &[
         "reversed target select",
         "assign x = {busy_q, id_q, req_val};",
         "assign x[1:3] = 2'b11;",
-        "part-select [1:3] is reversed",
+        "part-select target `x[1:3]` names its LSB first",
     ),
     (
         "shifted localparam",

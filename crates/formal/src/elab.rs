@@ -2771,6 +2771,35 @@ mod tests {
     }
 
     #[test]
+    fn narrow_index_reads_the_element_it_names() {
+        // A 2-bit index reaches elements 0-3 of an 8-bit vector.  Element 1
+        // is read through a constant `2'd1` and through a dynamic index,
+        // never element 5, whose number truncated to two bits is also 1.
+        let src = "module n (input logic [7:0] v_i, input logic [1:0] i_i,\n\
+               output logic c_o, output logic d_o);\n\
+             assign c_o = v_i[2'd1];\n\
+             assign d_o = v_i[i_i];\n\
+           endmodule";
+        let design = elab(src);
+        let v = design.signal("v_i").unwrap();
+        assert_eq!(design.signal("c_o").unwrap(), &v[1..2]);
+        // Lane `8 * i + b` drives index `i` and a vector with only bit `b`
+        // set, so `d_o` is high exactly in the lanes where `b == i`.
+        let lanes =
+            |on: &dyn Fn(usize) -> bool| (0..32).filter(|&k| on(k)).fold(0u64, |w, k| w | 1 << k);
+        let mut sim = crate::psim::Evaluator::<u64>::new(&design.aig);
+        for (b, lit) in v.iter().enumerate() {
+            sim.set(lit.node(), lanes(&|k| k % 8 == b));
+        }
+        for (b, lit) in design.signal("i_i").unwrap().iter().enumerate() {
+            sim.set(lit.node(), lanes(&|k| (k / 8) >> b & 1 == 1));
+        }
+        sim.settle();
+        let d = sim.get(design.signal("d_o").unwrap()[0]);
+        assert_eq!(d & 0xFFFF_FFFF, lanes(&|k| k % 8 == k / 8));
+    }
+
+    #[test]
     fn parameters_and_localparams_resolve() {
         let src = "module p #(parameter W = 4, parameter DEPTH = 2**W) (input logic clk_i, output logic [W-1:0] x_o);\n\
              localparam HALF = DEPTH / 2;\n\

@@ -9,15 +9,19 @@
 
 use crate::aig::{Aig, Lit, Node};
 use crate::sat::{SatLit, Solver, SolverConfig, SolverStats, Var};
-use std::collections::HashMap;
+
+/// The frame-map entry of an AIG node not yet encoded in that frame.
+const NOT_ENCODED: Var = Var::MAX;
 
 /// Incremental time-frame expansion of an [`Aig`] into a [`Solver`].
 #[derive(Debug)]
 pub struct Unroller<'a> {
     aig: &'a Aig,
     solver: Solver,
-    /// For each frame, a map from AIG node index to SAT variable.
-    frames: Vec<HashMap<usize, Var>>,
+    /// For each frame, the SAT variable of every AIG node, indexed by node
+    /// (`NOT_ENCODED` until the node is encoded in that frame).  The AIG is
+    /// borrowed immutably, so its node count is fixed.
+    frames: Vec<Vec<Var>>,
     /// Whether frame 0 constrains latches to their initial values.
     constrain_init: bool,
     /// A variable that is always true (used to translate constant literals).
@@ -119,11 +123,11 @@ impl<'a> Unroller<'a> {
 
     fn push_frame(&mut self) {
         let frame_idx = self.frames.len();
-        self.frames.push(HashMap::new());
+        self.frames.push(vec![NOT_ENCODED; self.aig.num_nodes()]);
         // Latch variables for this frame.
         for latch in self.aig.latches() {
             let var = self.solver.new_var();
-            self.frames[frame_idx].insert(latch.node, var);
+            self.frames[frame_idx][latch.node] = var;
             if frame_idx == 0 {
                 if self.constrain_init {
                     self.solver.add_clause(&[SatLit::new(var, latch.init)]);
@@ -149,7 +153,8 @@ impl<'a> Unroller<'a> {
     }
 
     fn node_var(&mut self, node: usize, frame: usize) -> Var {
-        if let Some(&v) = self.frames[frame].get(&node) {
+        let v = self.frames[frame][node];
+        if v != NOT_ENCODED {
             return v;
         }
         let var = match self.aig.node(node) {
@@ -171,7 +176,7 @@ impl<'a> Unroller<'a> {
                 v
             }
         };
-        self.frames[frame].insert(node, var);
+        self.frames[frame][node] = var;
         var
     }
 

@@ -194,10 +194,16 @@ pub fn shr_const(word: &[Lit], amount: usize) -> Vec<Lit> {
 
 /// Dynamic element select from a list of equally sized words: returns
 /// `words[index]` as a mux tree, with out-of-range indices reading as zero.
+/// An index narrower than the list reaches only the elements whose number
+/// fits in its width.
 pub fn select(aig: &mut Aig, words: &[Vec<Lit>], index: &[Lit]) -> Vec<Lit> {
     let width = words.iter().map(Vec::len).max().unwrap_or(0);
+    let reach = u32::try_from(index.len())
+        .ok()
+        .and_then(|bits| 1usize.checked_shl(bits))
+        .unwrap_or(usize::MAX);
     let mut result = constant(0, width);
-    for (i, word) in words.iter().enumerate() {
+    for (i, word) in words.iter().enumerate().take(reach) {
         let idx_const = constant(i as u128, index.len());
         let is_this = eq(aig, index, &idx_const);
         result = mux(aig, is_this, word, &result);

@@ -107,38 +107,6 @@ impl CaseRun {
             .filter_map(|r| r.status.trace().map(|t| t.len()))
             .min()
     }
-
-    /// Renders a one-line summary in the style of Table III.
-    pub fn table_row(&self) -> String {
-        let outcome = if self.report.violations() > 0 {
-            let cex = self
-                .report
-                .first_violation()
-                .and_then(|r| r.status.trace().map(|t| t.len()))
-                .unwrap_or(0);
-            format!(
-                "bug found ({} CEX, shortest {} cycles)",
-                self.report.violations(),
-                cex
-            )
-        } else if self.fully_proven() {
-            "100% properties proven".to_string()
-        } else {
-            format!("{:.0}% proven", self.report.proof_rate() * 100.0)
-        };
-        format!(
-            "{:3} {:28} {:6} | {:3} props from {:2} LoC | {}",
-            self.id,
-            self.title,
-            match self.variant {
-                Variant::Buggy => "buggy",
-                Variant::Fixed => "fixed",
-            },
-            self.properties,
-            self.annotation_loc,
-            outcome
-        )
-    }
 }
 
 /// Runs the full AutoSVA flow (annotation parsing, FT generation, model
@@ -165,16 +133,6 @@ pub fn run_case(case: &DesignCase, variant: Variant) -> CaseRun {
         properties: stats.properties,
         report,
     }
-}
-
-/// Convenience wrapper running [`run_case`] for the design looked up by id.
-///
-/// # Panics
-///
-/// Panics when the id does not exist in the corpus.
-pub fn run_case_by_id(id: &str, variant: Variant) -> CaseRun {
-    let case = autosva_designs::by_id(id).unwrap_or_else(|| panic!("unknown design case `{id}`"));
-    run_case(&case, variant)
 }
 
 /// Returns the per-property status counts of a report as

@@ -57,16 +57,6 @@ pub struct TransactionModel {
     pub properties: Vec<SvaProperty>,
 }
 
-impl TransactionModel {
-    /// Name of the outstanding-transaction counter, when one is generated.
-    pub fn counter_name(&self) -> Option<String> {
-        self.aux
-            .iter()
-            .find(|a| matches!(a.kind, crate::signals::AuxKind::Counter { .. }))
-            .map(|a| a.name.clone())
-    }
-}
-
 /// The complete generated formal-testbench model for a DUT: every
 /// transaction's auxiliary signals (deduplicated by name) and properties.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -58,11 +58,6 @@ impl SafetyResult {
         matches!(self, SafetyResult::Proven { .. })
     }
 
-    /// `true` when a counterexample was found.
-    pub fn is_violated(&self) -> bool {
-        matches!(self, SafetyResult::Violated(_))
-    }
-
     /// The counterexample trace, if any.
     pub fn trace(&self) -> Option<&Trace> {
         match self {
@@ -150,7 +145,7 @@ fn check_target_impl(
     induction.unroller.set_interrupt(interrupt.clone());
     for depth in 0..=options.max_depth {
         #[cfg(any(test, feature = "fault-injection"))]
-        crate::faults::point("bmc.depth_step");
+        interrupt.fault("bmc.depth_step");
         if interrupt.poll().is_some() {
             return (SafetyResult::Interrupted, bmc.stats() + induction.stats());
         }

@@ -40,7 +40,7 @@ use crate::compile::{compile, CompiledKind, CompiledTestbench};
 use crate::elab::{elaborate_budgeted, ElabDesign, ElabOptions, Result};
 use crate::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
 use crate::fuzz::{fuzz_safety_budgeted, FuzzOptions, FuzzStats};
-use crate::interrupt::{self, Interrupt, InterruptReason};
+use crate::interrupt::{Interrupt, InterruptReason};
 use crate::lint::{LintOptions, LintReport};
 use crate::model::Model;
 use crate::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
@@ -56,6 +56,7 @@ use crate::trace::Trace;
 use crate::vcd::VcdOptions;
 use autosva::sva::{Directive, PropertyClass};
 use autosva::FormalTestbench;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -127,6 +128,10 @@ pub struct CheckOptions {
     /// exceeding it fails the run with a phase-naming error.  `None`
     /// (the default) leaves the front end unbudgeted.
     pub frontend_timeout: Option<Duration>,
+    /// Faults to inject into this run (see [`crate::faults`]).  Each task
+    /// gets only the faults naming its property.  Default: none.
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub faults: Vec<crate::faults::Fault>,
 }
 
 impl Default for CheckOptions {
@@ -157,6 +162,8 @@ impl Default for CheckOptions {
             lint: LintOptions::default(),
             telemetry: TelemetryOptions::default(),
             frontend_timeout: None,
+            #[cfg(any(test, feature = "fault-injection"))]
+            faults: Vec::new(),
         }
     }
 }
@@ -236,15 +243,6 @@ pub enum PropertyStatus {
 }
 
 impl PropertyStatus {
-    /// `true` when the outcome is a definitive pass (proof, cover hit, or an
-    /// assumption that does not need checking).
-    pub fn is_pass(&self) -> bool {
-        matches!(
-            self,
-            PropertyStatus::Proven(_) | PropertyStatus::Covered(_) | PropertyStatus::NotChecked(_)
-        )
-    }
-
     /// `true` when the property was proven.
     pub fn is_proven(&self) -> bool {
         matches!(self, PropertyStatus::Proven(_))
@@ -595,35 +593,17 @@ pub fn verify(
 /// Like [`verify`], but for an already elaborated design.  Without the
 /// source text the lint still runs, but its source-dependent passes (width
 /// mismatches, dead signals, unreachable enum states) are skipped and
-/// findings carry no line/column; prefer
-/// [`verify_elaborated_with_source`] when the RTL text is at hand.
+/// findings carry no line/column; prefer [`verify`] when the RTL text is at
+/// hand.
 pub fn verify_elaborated(
     design: &ElabDesign,
     testbench: &FormalTestbench,
     options: &CheckOptions,
 ) -> Result<VerificationReport> {
-    verify_elaborated_with_source(design, testbench, None, options)
-}
-
-/// Like [`verify_elaborated`], with the original RTL source enabling the
-/// full design lint (source-located findings with caret snippets).
-pub fn verify_elaborated_with_source(
-    design: &ElabDesign,
-    testbench: &FormalTestbench,
-    source: Option<&str>,
-    options: &CheckOptions,
-) -> Result<VerificationReport> {
     let run_telemetry = Telemetry::new(&options.telemetry);
     let _scope = telemetry::enter(&run_telemetry);
     let frontend = frontend_guard(options);
-    verify_elaborated_inner(
-        design,
-        testbench,
-        source,
-        options,
-        &run_telemetry,
-        &frontend,
-    )
+    verify_elaborated_inner(design, testbench, None, options, &run_telemetry, &frontend)
 }
 
 /// Creates the front-end deadline guard from
@@ -653,7 +633,7 @@ fn frontend_check(guard: &Interrupt, phase: &str) -> Result<()> {
     Ok(())
 }
 
-/// The shared body of [`verify`] and [`verify_elaborated_with_source`].
+/// The shared body of [`verify`] and [`verify_elaborated`].
 /// Assumes the caller has already entered `run_telemetry`'s recording scope
 /// on this thread (so the orchestrating thread owns trace track 0).
 fn verify_elaborated_inner(
@@ -711,9 +691,10 @@ fn verify_elaborated_inner(
     // (each engine is single-threaded on a fixed slice), so only runtimes
     // depend on the interleaving.  Each task runs under its own interrupt
     // handle (deadline from `property_timeout` plus the shared cancellation
-    // flag, polled inside every engine loop) and inside `catch_unwind`, so
-    // a stalled or panicking engine degrades that one property — the run
-    // always comes back with a complete report.
+    // flag, polled inside every engine loop, carrying the faults that name
+    // the property) and inside `catch_unwind`, so a stalled or panicking
+    // engine degrades that one property — the run always comes back with a
+    // complete report.
     let threads = options.parallel.effective_threads();
     let names: Vec<String> = compiled
         .properties
@@ -728,14 +709,19 @@ fn verify_elaborated_inner(
             .property_timeout
             .and_then(|limit| Instant::now().checked_add(limit));
         let interrupt = Interrupt::new(deadline, None, Some(ctx.cancel.clone()));
-        interrupt::set_task_context(&names[i], interrupt.clone());
-        let outcome = match catch_unwind(AssertUnwindSafe(|| run_task(task, &ctx, &interrupt))) {
+        #[cfg(any(test, feature = "fault-injection"))]
+        let interrupt = interrupt.with_faults(&options.faults, &names[i]);
+        // The running stage's engine tag: set by `run_cascade`, read here
+        // after a panic unwound it.
+        let engine = Cell::new("task");
+        let task_run = || run_task(task, &ctx, &interrupt, &engine);
+        let outcome = match catch_unwind(AssertUnwindSafe(task_run)) {
             Ok(outcome) => outcome,
             Err(payload) => {
                 telemetry::count("robustness.panics_caught", 1);
                 TaskOutcome::new(
                     PropertyStatus::Error {
-                        engine: interrupt::current_engine(),
+                        engine: engine.get(),
                         message: panic_message(payload.as_ref()),
                     },
                     Some(
@@ -745,7 +731,6 @@ fn verify_elaborated_inner(
                 )
             }
         };
-        interrupt::clear_task_context();
         match interrupt.triggered() {
             Some(InterruptReason::Timeout) => {
                 telemetry::count("robustness.interrupts", 1);
@@ -1165,11 +1150,9 @@ fn explicit_bundle(
     bundle
 }
 
-/// The "undecided" note for an interrupted property, naming the cascade
-/// stage that was running when the interrupt was observed (read from the
-/// task-local engine tag, which every stage sets on entry).
-fn interrupt_note(reason: InterruptReason) -> String {
-    let engine = interrupt::current_engine();
+/// The "undecided" note for an interrupted property, naming the engine of
+/// the cascade stage that was running when the interrupt was observed.
+fn interrupt_note(reason: InterruptReason, engine: &str) -> String {
     match reason {
         InterruptReason::Cancelled => {
             format!("undecided: cancelled during {engine} (the run's cancellation flag was raised)")
@@ -1259,10 +1242,15 @@ impl TaskOutcome {
     }
 }
 
-fn run_task(task: &PropertyTask, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> TaskOutcome {
+fn run_task(
+    task: &PropertyTask,
+    ctx: &TaskCtx<'_>,
+    interrupt: &Interrupt,
+    engine: &Cell<&'static str>,
+) -> TaskOutcome {
     match task {
         PropertyTask::Done(status) => TaskOutcome::new(status.clone(), None),
-        PropertyTask::Check(target) => run_cascade(target, ctx, interrupt),
+        PropertyTask::Check(target) => run_cascade(target, ctx, interrupt, engine),
     }
 }
 
@@ -1448,6 +1436,12 @@ fn run_stage(
             let Some(bundle) = explicit_bundle(ctx, target.fp, &target.base, interrupt) else {
                 return Answer::Undecided;
             };
+            // The query's own site fires under this property's task, even
+            // when a sibling task explored the memoized bundle.
+            #[cfg(any(test, feature = "fault-injection"))]
+            if target.kind != Kind::Liveness {
+                interrupt.fault("explicit.step");
+            }
             let result = match target.kind {
                 Kind::Safety => bundle.engine.check_bad(lit),
                 Kind::Cover => bundle.engine.check_cover(lit),
@@ -1469,9 +1463,10 @@ fn run_stage(
 /// fires.
 ///
 /// Everything around the engines is written once, here: the engine tag
-/// that attributes interrupts and panics, the `engine.*` span, the
-/// interrupt note, the cache store and the solver/fuzzer accounting.  What
-/// differs by property kind is one rule each:
+/// that attributes interrupts and panics (kept in `engine`, which the
+/// task's panic handler reads), the `engine.*` span, the interrupt note,
+/// the cache store and the solver/fuzzer accounting.  What differs by
+/// property kind is one rule each:
 ///
 /// * the fuzzer runs for safety only ([`Stage::runs`]);
 /// * liveness uses the `liveness_bmc` bounds and runs the explicit stage on
@@ -1482,7 +1477,12 @@ fn run_stage(
 ///   [`PropertyStatus::Unreachable`];
 /// * liveness never caches the explicit engine's lasso, and an undecided
 ///   liveness property carries the lasso-bound note.
-fn run_cascade(target: &Target, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> TaskOutcome {
+fn run_cascade(
+    target: &Target,
+    ctx: &TaskCtx<'_>,
+    interrupt: &Interrupt,
+    engine: &Cell<&'static str>,
+) -> TaskOutcome {
     let options = ctx.options;
     let model = &*target.model;
     let (lit, name) = target.literal();
@@ -1508,7 +1508,7 @@ fn run_cascade(target: &Target, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> Tas
         if !stage.runs(target.kind, options) {
             continue;
         }
-        interrupt::set_current_engine(stage.engine());
+        engine.set(stage.engine());
         let answer = {
             let _span =
                 telemetry::span_detail(stage.span(), name, Some(stage.engine()), Some(target.fp));
@@ -1517,14 +1517,14 @@ fn run_cascade(target: &Target, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> Tas
         let (status, entry) = match (target.kind, answer) {
             (_, Answer::Undecided) => match interrupt.poll() {
                 Some(reason) => {
-                    outcome.note = Some(interrupt_note(reason));
+                    outcome.note = Some(interrupt_note(reason, stage.engine()));
                     return outcome;
                 }
                 None => continue,
             },
             (_, Answer::Interrupted) => {
                 let reason = interrupt.triggered().unwrap_or(InterruptReason::Timeout);
-                outcome.note = Some(interrupt_note(reason));
+                outcome.note = Some(interrupt_note(reason, stage.engine()));
                 return outcome;
             }
             (Kind::Safety, Answer::Reached(trace)) => {

@@ -55,13 +55,6 @@ pub enum ExplicitResult {
     Exceeded,
 }
 
-impl ExplicitResult {
-    /// `true` when a definitive verdict was produced.
-    pub fn is_conclusive(&self) -> bool {
-        !matches!(self, ExplicitResult::Exceeded)
-    }
-}
-
 /// The reachable-state graph of a [`Model`].
 #[derive(Debug)]
 pub struct ExplicitEngine {
@@ -182,7 +175,7 @@ impl ExplicitEngine {
         let mut frontier = 0usize;
         while frontier < self.states.len() {
             #[cfg(any(test, feature = "fault-injection"))]
-            crate::faults::point("explicit.step");
+            interrupt.fault("explicit.step");
             if interrupt.charge(1).is_some() || interrupt.poll().is_some() {
                 self.complete = false;
                 self.interrupted = true;
@@ -276,12 +269,6 @@ impl ExplicitEngine {
     }
 
     fn search_condition(&self, condition: Lit) -> ExplicitResult {
-        // Per-property query step: unlike `run`, which executes once per
-        // memoized bundle, this runs under the asking property's task, so
-        // an armed fault with a property filter fires deterministically
-        // regardless of which sibling task performed the exploration.
-        #[cfg(any(test, feature = "fault-injection"))]
-        crate::faults::point("explicit.step");
         let mut eval = Evaluator::new(&self.aig);
         for (idx, &state) in self.states.iter().enumerate() {
             for high in 0..self.num_input_words() {

@@ -1,23 +1,25 @@
-//! Fault-injection harness: named injection sites inside the engines
-//! that tests (the unit tests and the contract suite, `tests/contracts.rs`)
-//! can arm to force a panic, a spurious timeout, or a delay at a precise
-//! point in the cascade.
+//! Fault-injection harness: named injection sites inside the engines where
+//! a test (the unit tests and the contract suite, `tests/contracts.rs`)
+//! can force a panic, a spurious timeout, or a delay at a precise point in
+//! the cascade.
 //!
 //! Compiled only under `cfg(any(test, feature = "fault-injection"))`;
-//! production builds carry no trace of it.  Engines mark their
-//! interruption points with [`point`]:
+//! production builds carry no trace of it.  Faults are per run: a test
+//! lists them in [`CheckOptions::faults`], each naming a site, an action
+//! and the property whose task it fires in.  The checker attaches to each
+//! task's [`Interrupt`] only the faults that name the task's property, and
+//! the engines hit their sites through that handle, at the places where
+//! they poll it:
 //!
 //! ```ignore
 //! #[cfg(any(test, feature = "fault-injection"))]
-//! crate::faults::point("pdr.block_cube");
+//! interrupt.fault("pdr.block_cube");
 //! ```
 //!
-//! Tests arm a site with [`arm`], which returns a guard that disarms on
-//! drop.  Because `cargo test` runs many tests in one process, every arm
-//! can carry a *property filter*: the fault only fires while the
-//! thread-local task context (see [`crate::interrupt`]) says the named
-//! property is running, so concurrently running tests do not trip each
-//! other's faults.
+//! So concurrent runs in one process, and the tasks of one run, never see
+//! each other's faults.  The sites are `fuzz.round`, `bmc.depth_step`,
+//! `pdr.block_cube` and `explicit.step`; the last also fires when a safety
+//! or cover property queries the explicit engine's explored state space.
 //!
 //! The three actions map to the three fault classes the containment
 //! layer must absorb:
@@ -25,173 +27,93 @@
 //! * [`FaultAction::Panic`] — the site panics with a recognizable
 //!   message, exercising `catch_unwind` → `PropertyStatus::Error`;
 //! * [`FaultAction::Timeout`] — the site latches [`InterruptReason::Timeout`]
-//!   on the current task's interrupt handle, exercising the cooperative
+//!   on the task's interrupt handle, exercising the cooperative
 //!   preemption paths deterministically (no wall clock involved);
 //! * [`FaultAction::Delay`] — the site sleeps, for schedule-perturbation
 //!   tests.
 //!
+//! [`CheckOptions::faults`]: crate::checker::CheckOptions::faults
+//! [`Interrupt`]: crate::interrupt::Interrupt
 //! [`InterruptReason::Timeout`]: crate::interrupt::InterruptReason::Timeout
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-use crate::interrupt::{self, InterruptReason};
-
-/// What an armed site does when hit.
+/// What a fault does at its site.
 #[derive(Debug, Clone)]
 pub enum FaultAction {
     /// Panic with `fault injected at <site>`.
     Panic,
-    /// Latch a spurious [`InterruptReason::Timeout`] on the current
-    /// task's interrupt handle.
+    /// Latch a spurious [`InterruptReason::Timeout`] on the task's
+    /// interrupt handle.
+    ///
+    /// [`InterruptReason::Timeout`]: crate::interrupt::InterruptReason::Timeout
     Timeout,
     /// Sleep for the given duration, then continue normally.
     Delay(Duration),
 }
 
+/// One injected fault of a run: `action` at every hit of `site` in the
+/// task of `property`.
 #[derive(Debug, Clone)]
-struct Arm {
-    action: FaultAction,
-    /// Fire only while this property is running (`None` = any task).
-    property: Option<String>,
-    /// Fire at most this many times (`u64::MAX` = every hit).
-    remaining: u64,
-    /// Monotonic arm id, so a guard only disarms its own arm.
-    id: u64,
-}
-
-static ARM_ID: AtomicU64 = AtomicU64::new(1);
-
-fn registry() -> &'static Mutex<HashMap<&'static str, Arm>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, Arm>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Guard returned by [`arm`]; disarms the site on drop.
-#[derive(Debug)]
-pub struct FaultGuard {
-    site: &'static str,
-    id: u64,
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        let mut map = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        if map.get(self.site).is_some_and(|arm| arm.id == self.id) {
-            map.remove(self.site);
-        }
-    }
-}
-
-/// Arms `site` with `action`, firing only while `property` (if given)
-/// is the current task.  Re-arming a site replaces the previous arm.
-/// The fault fires on every hit until the guard drops; use
-/// [`arm_once`] for a single-shot fault.
-pub fn arm(site: &'static str, action: FaultAction, property: Option<&str>) -> FaultGuard {
-    arm_with_count(site, action, property, u64::MAX)
-}
-
-/// Like [`arm`], but the fault fires at most once.
-pub fn arm_once(site: &'static str, action: FaultAction, property: Option<&str>) -> FaultGuard {
-    arm_with_count(site, action, property, 1)
-}
-
-fn arm_with_count(
-    site: &'static str,
-    action: FaultAction,
-    property: Option<&str>,
-    count: u64,
-) -> FaultGuard {
-    let id = ARM_ID.fetch_add(1, Ordering::Relaxed);
-    let arm = Arm {
-        action,
-        property: property.map(str::to_string),
-        remaining: count,
-        id,
-    };
-    registry()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(site, arm);
-    FaultGuard { site, id }
-}
-
-/// A named injection site.  No-op unless a test armed `site` (and the
-/// arm's property filter matches the current task).  Engines call this
-/// at the same places they poll their interrupt handle.
-pub fn point(site: &str) {
-    // Fast path: completely unarmed harness.  One uncontended lock; the
-    // map is almost always empty.
-    let action = {
-        let mut map = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        if map.is_empty() {
-            return;
-        }
-        let Some(arm) = map.get_mut(site) else {
-            return;
-        };
-        if let Some(wanted) = &arm.property {
-            let running = interrupt::current_task().map(|c| c.property);
-            if running.as_deref() != Some(wanted.as_str()) {
-                return;
-            }
-        }
-        if arm.remaining == 0 {
-            return;
-        }
-        if arm.remaining != u64::MAX {
-            arm.remaining -= 1;
-        }
-        arm.action.clone()
-    };
-    match action {
-        FaultAction::Panic => panic!("fault injected at {site}"),
-        FaultAction::Timeout => {
-            if let Some(ctx) = interrupt::current_task() {
-                ctx.interrupt.fire(InterruptReason::Timeout);
-            }
-        }
-        FaultAction::Delay(d) => std::thread::sleep(d),
-    }
+pub struct Fault {
+    /// The injection site, such as `"bmc.depth_step"`.
+    pub site: &'static str,
+    /// What the site does when hit.
+    pub action: FaultAction,
+    /// The full name of the property whose task the fault fires in.
+    pub property: String,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interrupt::Interrupt;
+    use crate::interrupt::{Interrupt, InterruptReason};
+    use std::panic::catch_unwind;
 
-    #[test]
-    fn unarmed_points_are_no_ops() {
-        point("tests.nothing_armed");
+    fn fault(site: &'static str, action: FaultAction, property: &str) -> Vec<Fault> {
+        vec![Fault {
+            site,
+            action,
+            property: property.to_string(),
+        }]
     }
 
     #[test]
+    fn unarmed_points_are_no_ops() {
+        let interrupt = Interrupt::new(None, None, None);
+        interrupt.fault("tests.nothing_armed");
+        Interrupt::none().fault("tests.nothing_armed");
+        assert_eq!(interrupt.triggered(), None);
+    }
+
+    /// A fault lives on the handle it was attached to and on that handle's
+    /// clones; a handle built without it never fires.
+    #[test]
     fn guard_disarms_on_drop() {
-        {
-            let _g = arm("tests.guarded", FaultAction::Delay(Duration::ZERO), None);
-        }
-        point("tests.guarded"); // must not fire anything
+        let faults = fault("tests.guarded", FaultAction::Timeout, "as__guarded");
+        let armed = Interrupt::new(None, None, None).with_faults(&faults, "as__guarded");
+        armed.clone().fault("tests.guarded");
+        assert_eq!(armed.triggered(), Some(InterruptReason::Timeout));
+        drop(armed);
+        let fresh = Interrupt::new(None, None, None);
+        fresh.fault("tests.guarded"); // must not fire anything
+        assert_eq!(fresh.triggered(), None);
     }
 
     #[test]
     fn property_filter_gates_the_fault() {
-        let _g = arm(
-            "tests.filtered",
-            FaultAction::Panic,
-            Some("as__someone_else"),
-        );
-        interrupt::set_task_context("as__this_test", Interrupt::none());
-        point("tests.filtered"); // filter mismatch: no panic
-        interrupt::clear_task_context();
-        point("tests.filtered"); // no task at all: no panic
+        let faults = fault("tests.filtered", FaultAction::Panic, "as__someone_else");
+        Interrupt::none()
+            .with_faults(&faults, "as__this_test")
+            .fault("tests.filtered"); // filter mismatch: no panic
+        Interrupt::none().fault("tests.filtered"); // no faults at all: no panic
     }
 
     #[test]
     fn panic_action_panics_with_the_site_name() {
-        let _g = arm("tests.boom", FaultAction::Panic, None);
-        let caught = std::panic::catch_unwind(|| point("tests.boom"));
+        let faults = fault("tests.boom", FaultAction::Panic, "as__boom");
+        let interrupt = Interrupt::none().with_faults(&faults, "as__boom");
+        let caught = catch_unwind(|| interrupt.fault("tests.boom"));
         let payload = caught.expect_err("site must panic");
         let msg = payload
             .downcast_ref::<String>()
@@ -202,30 +124,26 @@ mod tests {
 
     #[test]
     fn timeout_action_latches_the_current_interrupt() {
-        let interrupt = Interrupt::new(None, None, None);
-        interrupt::set_task_context("as__timeout_probe", interrupt.clone());
-        let _g = arm(
+        let faults = fault(
             "tests.spurious_timeout",
             FaultAction::Timeout,
-            Some("as__timeout_probe"),
+            "as__timeout_probe",
         );
-        point("tests.spurious_timeout");
-        interrupt::clear_task_context();
+        let interrupt = Interrupt::new(None, None, None).with_faults(&faults, "as__timeout_probe");
+        interrupt.fault("tests.spurious_timeout");
         assert_eq!(interrupt.triggered(), Some(InterruptReason::Timeout));
     }
 
+    /// One hit of a fault's site fires the fault once; hits of other sites
+    /// fire nothing.
     #[test]
     fn arm_once_fires_exactly_once() {
-        let interrupt = Interrupt::new(None, None, None);
-        interrupt::set_task_context("as__once_probe", interrupt.clone());
-        let _g = arm_once("tests.once", FaultAction::Timeout, Some("as__once_probe"));
-        point("tests.once");
-        assert_eq!(interrupt.triggered(), Some(InterruptReason::Timeout));
-        // A second hit would need a fresh interrupt to observe; the
-        // remaining-count reaching zero is what we assert here.
-        let map = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        assert_eq!(map.get("tests.once").map(|a| a.remaining), Some(0));
-        drop(map);
-        interrupt::clear_task_context();
+        let faults = fault("tests.once", FaultAction::Panic, "as__once_probe");
+        let interrupt = Interrupt::none().with_faults(&faults, "as__once_probe");
+        let panics = ["tests.before", "tests.once", "tests.after"]
+            .into_iter()
+            .filter(|site| catch_unwind(|| interrupt.fault(site)).is_err())
+            .count();
+        assert_eq!(panics, 1);
     }
 }

@@ -174,7 +174,7 @@ fn fuzz_safety_inner(
 
     for round in 0..options.rounds {
         #[cfg(any(test, feature = "fault-injection"))]
-        crate::faults::point("fuzz.round");
+        interrupt.fault("fuzz.round");
         if interrupt.poll().is_some() {
             return None;
         }

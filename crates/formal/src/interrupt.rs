@@ -25,9 +25,16 @@
 //! after a solve before trusting its result, so a solve that raced the
 //! deadline can never be misread as a completed proof.
 //!
+//! Each property task gets a handle of its own, and with the
+//! fault-injection harness compiled in (see `crate::faults`) that handle
+//! also carries the faults the run lists for the task's property: the
+//! engines hit them through `Interrupt::fault` where they poll.  The
+//! module keeps no global or thread-local state.
+//!
 //! [`PropertyStatus::Unknown`]: crate::checker::PropertyStatus::Unknown
 
-use std::cell::RefCell;
+#[cfg(any(test, feature = "fault-injection"))]
+use crate::faults::{Fault, FaultAction};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,6 +103,9 @@ impl Inner {
 #[derive(Debug, Clone, Default)]
 pub struct Interrupt {
     inner: Option<Arc<Inner>>,
+    /// The injected faults of the task this handle belongs to.
+    #[cfg(any(test, feature = "fault-injection"))]
+    faults: Vec<Fault>,
 }
 
 impl Interrupt {
@@ -121,6 +131,8 @@ impl Interrupt {
                 cancel,
                 fired: AtomicU8::new(0),
             })),
+            #[cfg(any(test, feature = "fault-injection"))]
+            faults: Vec::new(),
         }
     }
 
@@ -195,70 +207,31 @@ impl Interrupt {
             inner.latch(reason);
         }
     }
-}
 
-thread_local! {
-    /// The property task the current thread is executing: its name, its
-    /// interrupt handle, and the engine stage it is in.  Set by the
-    /// checker at task entry and at each cascade stage; read by the
-    /// fault-injection harness (site filters, forced timeouts) and by
-    /// the panic handler (to attribute a caught panic to an engine).
-    static TASK_CONTEXT: RefCell<Option<TaskContext>> = const { RefCell::new(None) };
-}
+    /// Attaches the faults of `faults` that name `property`, making this
+    /// the handle of that property's task.
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub(crate) fn with_faults(mut self, faults: &[Fault], property: &str) -> Interrupt {
+        self.faults = faults
+            .iter()
+            .filter(|fault| fault.property == property)
+            .cloned()
+            .collect();
+        self
+    }
 
-/// Thread-local description of the property task currently running.
-#[derive(Debug, Clone)]
-pub struct TaskContext {
-    /// Property name (e.g. `as__handshake_valid`).
-    pub property: String,
-    /// Interrupt handle the engines on this thread are polling.
-    pub interrupt: Interrupt,
-    /// Engine tag for the current cascade stage (`"fuzz"`, `"bmc"`,
-    /// `"pdr"`, `"explicit"`, or `"task"` outside any engine).
-    pub engine: &'static str,
-}
-
-/// Installs the task context for this thread.  Deliberately *not* a
-/// drop-restoring guard: a panic must leave the context in place so the
-/// `catch_unwind` handler can still read which engine was running.
-pub fn set_task_context(property: &str, interrupt: Interrupt) {
-    TASK_CONTEXT.with(|slot| {
-        *slot.borrow_mut() = Some(TaskContext {
-            property: property.to_string(),
-            interrupt,
-            engine: "task",
-        });
-    });
-}
-
-/// Clears the task context (call after the task — including its panic
-/// handler — has finished with it).
-pub fn clear_task_context() {
-    TASK_CONTEXT.with(|slot| {
-        *slot.borrow_mut() = None;
-    });
-}
-
-/// Tags the current cascade stage.  Set-only for the same reason as
-/// [`set_task_context`]: an unwind must not erase the tag before the
-/// panic handler reads it.
-pub fn set_current_engine(engine: &'static str) {
-    TASK_CONTEXT.with(|slot| {
-        if let Some(ctx) = slot.borrow_mut().as_mut() {
-            ctx.engine = engine;
+    /// A named fault-injection site: performs the action of every attached
+    /// fault at `site`.  Engines call it where they poll this handle.
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub(crate) fn fault(&self, site: &str) {
+        for fault in self.faults.iter().filter(|fault| fault.site == site) {
+            match fault.action {
+                FaultAction::Panic => panic!("fault injected at {site}"),
+                FaultAction::Timeout => self.fire(InterruptReason::Timeout),
+                FaultAction::Delay(pause) => std::thread::sleep(pause),
+            }
         }
-    });
-}
-
-/// The engine tag of the current thread's task, or `"task"` when no
-/// context is installed.
-pub fn current_engine() -> &'static str {
-    TASK_CONTEXT.with(|slot| slot.borrow().as_ref().map(|c| c.engine).unwrap_or("task"))
-}
-
-/// A clone of the current thread's task context, if any.
-pub fn current_task() -> Option<TaskContext> {
-    TASK_CONTEXT.with(|slot| slot.borrow().clone())
+    }
 }
 
 #[cfg(test)]
@@ -320,16 +293,36 @@ mod tests {
         assert_eq!(b.triggered(), Some(InterruptReason::Budget));
     }
 
+    /// A task's context travels with the task: its handle carries the
+    /// faults naming its property (clones handed to the engines included),
+    /// and the stage tag the task keeps in a local survives an unwind, so
+    /// the panic handler can still name the engine.
     #[test]
     fn task_context_tracks_engine_tags() {
-        set_task_context("as__probe", Interrupt::none());
-        assert_eq!(current_engine(), "task");
-        set_current_engine("pdr");
-        assert_eq!(current_engine(), "pdr");
-        let ctx = current_task().expect("context installed");
-        assert_eq!(ctx.property, "as__probe");
-        clear_task_context();
-        assert_eq!(current_engine(), "task");
-        assert!(current_task().is_none());
+        let faults = [Fault {
+            site: "pdr.block_cube",
+            action: FaultAction::Timeout,
+            property: "as__probe".to_string(),
+        }];
+        let probe = Interrupt::new(None, None, None).with_faults(&faults, "as__probe");
+        let sibling = Interrupt::new(None, None, None).with_faults(&faults, "as__sibling");
+        let engine = probe.clone();
+        engine.fault("pdr.block_cube");
+        sibling.fault("pdr.block_cube");
+        assert_eq!(probe.triggered(), Some(InterruptReason::Timeout));
+        assert_eq!(sibling.triggered(), None, "a sibling task has no faults");
+
+        let stage = std::cell::Cell::new("task");
+        let panic = [Fault {
+            action: FaultAction::Panic,
+            ..faults[0].clone()
+        }];
+        let task = Interrupt::none().with_faults(&panic, "as__probe");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stage.set("pdr");
+            task.fault("pdr.block_cube");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(stage.get(), "pdr");
     }
 }

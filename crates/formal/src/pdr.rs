@@ -198,11 +198,6 @@ impl PdrResult {
     pub fn is_proven(&self) -> bool {
         matches!(self, PdrResult::Proven(_))
     }
-
-    /// `true` when a counterexample was found.
-    pub fn is_violated(&self) -> bool {
-        matches!(self, PdrResult::Violated(_))
-    }
 }
 
 /// Checks target literal `bad` of `model` as a bad-state property (an
@@ -553,7 +548,7 @@ impl<'a> Pdr<'a> {
 
         while let Some(Reverse((frame, _, id))) = queue.pop() {
             #[cfg(any(test, feature = "fault-injection"))]
-            crate::faults::point("pdr.block_cube");
+            self.interrupt.fault("pdr.block_cube");
             if self.over_budget() {
                 return BlockOutcome::Budget;
             }
@@ -738,7 +733,7 @@ impl<'a> Pdr<'a> {
             // the frontier.
             loop {
                 #[cfg(any(test, feature = "fault-injection"))]
-                crate::faults::point("pdr.block_cube");
+                self.interrupt.fault("pdr.block_cube");
                 if self.over_budget() {
                     return PdrResult::Unknown {
                         frames_explored: self.frames.len() - 1,

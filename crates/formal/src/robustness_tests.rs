@@ -3,7 +3,7 @@
 //! [`crate::faults`]).
 //!
 //! Every test here follows the same contract: run a testbench fault-free,
-//! run it again with exactly one fault armed (a panic, a spurious timeout,
+//! run it again with exactly one fault injected (a panic, a spurious timeout,
 //! or a delay at a named engine site), and assert that
 //!
 //! * the run still returns a complete report (no unwinding past `verify`),
@@ -12,30 +12,26 @@
 //! * every other property's rendered verdict is byte-identical to the
 //!   fault-free run, at worker counts 1 and 4.
 //!
-//! The fault registry is process-global.  Arms filter on properties of a
-//! design whose transaction name (`rbt`) appears nowhere else in the test
-//! suite, so checker tests in other modules never match one.  Every test
-//! in this module runs the `rbt` design itself, though, so every one of
-//! them — not only the arming ones — runs under [`fault_lock`]: otherwise
-//! a fault armed on the first `rbt` assertion leaks into a concurrent run.
+//! Faults are per run: a test lists them in [`CheckOptions::faults`], and
+//! only that run's task for the named property sees them.  So the tests
+//! here run in parallel with each other and with the rest of the suite,
+//! and [`concurrent_runs_share_no_faults`] checks that a faulted run and a
+//! fault-free run of the same design, in flight together, stay apart.
 
 use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use crate::checker::{verify, CheckOptions, PropertyResult, PropertyStatus, VerificationReport};
 use crate::compile::compile;
 use crate::elab::{elaborate, ElabOptions};
-use crate::faults::{self, FaultAction};
+use crate::faults::{Fault, FaultAction};
 use crate::interrupt::{Interrupt, InterruptReason};
 use crate::sat::{SolverConfig, INTERRUPT_POLL_INTERVAL};
 use autosva::sva::Directive;
 use autosva::{generate_ft, AutosvaOptions, PropertyClass};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Barrier, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A well-behaved single-outstanding echo DUT reserved for the fault
-/// tests.  The transaction name is unique across the test suite so armed
-/// property filters never match a property of another module's
-/// concurrently running test.
+/// A well-behaved single-outstanding echo DUT for the fault tests.
 const FAULT_ECHO: &str = r#"
 /*AUTOSVA
 rbt_txn: req -in> res
@@ -75,15 +71,6 @@ module rbt_echo (
 endmodule
 "#;
 
-/// Serializes the tests of this module: the ones that arm the
-/// process-global fault registry, and the ones that run the same `rbt`
-/// design and must not see those arms.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A panicking assertion in one test must not wedge the others.
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn run_with(options: &CheckOptions) -> VerificationReport {
     let ft = generate_ft(FAULT_ECHO, &AutosvaOptions::default()).unwrap();
     verify(FAULT_ECHO, &ft, options).unwrap()
@@ -93,6 +80,24 @@ fn options_with_threads(threads: usize) -> CheckOptions {
     let mut options = CheckOptions::default();
     options.parallel.threads = threads;
     options
+}
+
+/// `options` with one fault: `action` at `site` in `target`'s task.
+fn with_fault(
+    options: &CheckOptions,
+    site: &'static str,
+    action: FaultAction,
+    target: &str,
+) -> CheckOptions {
+    let fault = Fault {
+        site,
+        action,
+        property: target.to_string(),
+    };
+    CheckOptions {
+        faults: vec![fault],
+        ..options.clone()
+    }
 }
 
 /// The first safety assertion of the report — every engine scenario
@@ -177,7 +182,6 @@ fn engine_scenarios() -> Vec<(&'static str, &'static str, CheckOptions)> {
 
 #[test]
 fn injected_panic_in_each_engine_degrades_only_the_target_property() {
-    let _serial = fault_lock();
     for (site, engine, base_options) in engine_scenarios() {
         for threads in [1usize, 4] {
             let mut options = base_options.clone();
@@ -185,10 +189,7 @@ fn injected_panic_in_each_engine_degrades_only_the_target_property() {
             options.telemetry.enabled = true;
             let baseline = run_with(&options);
             let target = first_safety_assertion(&baseline);
-            let faulty = {
-                let _arm = faults::arm(site, FaultAction::Panic, Some(&target));
-                run_with(&options)
-            };
+            let faulty = run_with(&with_fault(&options, site, FaultAction::Panic, &target));
             let row = faulty
                 .results
                 .iter()
@@ -223,15 +224,16 @@ fn injected_panic_in_each_engine_degrades_only_the_target_property() {
 
 #[test]
 fn injected_spurious_timeout_degrades_only_the_target_property() {
-    let _serial = fault_lock();
     for threads in [1usize, 4] {
         let options = options_with_threads(threads);
         let baseline = run_with(&options);
         let target = first_safety_assertion(&baseline);
-        let faulty = {
-            let _arm = faults::arm("bmc.depth_step", FaultAction::Timeout, Some(&target));
-            run_with(&options)
-        };
+        let faulty = run_with(&with_fault(
+            &options,
+            "bmc.depth_step",
+            FaultAction::Timeout,
+            &target,
+        ));
         let row = faulty
             .results
             .iter()
@@ -246,6 +248,46 @@ fn injected_spurious_timeout_degrades_only_the_target_property() {
             row.note.as_deref(),
             Some("undecided: budget exhausted in bmc"),
             "budget note names the interrupted engine"
+        );
+        assert_only_target_degraded(&baseline, &faulty, &target);
+    }
+}
+
+/// Two runs of the same design start together: one lists a panic at
+/// `bmc.depth_step` on the first safety assertion, the other lists no
+/// fault.  The fault-free run renders like a baseline run, and the faulted
+/// run differs from it only in its one `Error` row.
+#[test]
+fn concurrent_runs_share_no_faults() {
+    for threads in [1usize, 4] {
+        let options = options_with_threads(threads);
+        let baseline = run_with(&options);
+        let target = first_safety_assertion(&baseline);
+        let faulted = with_fault(&options, "bmc.depth_step", FaultAction::Panic, &target);
+        let start = Barrier::new(2);
+        let run = |options: &CheckOptions| {
+            start.wait();
+            run_with(options)
+        };
+        let (faulty, clean) = std::thread::scope(|scope| {
+            let faulty = scope.spawn(|| run(&faulted));
+            let clean = scope.spawn(|| run(&options));
+            (faulty.join().unwrap(), clean.join().unwrap())
+        });
+        assert_eq!(
+            clean.render(),
+            baseline.render(),
+            "the fault leaked into the fault-free run (threads {threads})"
+        );
+        let row = faulty
+            .results
+            .iter()
+            .find(|r| r.name == target)
+            .expect("target row present");
+        assert!(
+            matches!(&row.status, PropertyStatus::Error { engine: "bmc", .. }),
+            "threads {threads}: target did not degrade to Error: {}",
+            row.status
         );
         assert_only_target_degraded(&baseline, &faulty, &target);
     }
@@ -279,7 +321,6 @@ proptest! {
             .unwrap_or_else(PoisonError::into_inner)
             .insert((scenario_idx, action_idx, threads));
         if fresh {
-            let _serial = fault_lock();
             let (site, engine, base_options) = engine_scenarios().swap_remove(scenario_idx);
             let mut options = base_options;
             options.parallel.threads = threads;
@@ -296,10 +337,7 @@ proptest! {
                 1 => FaultAction::Timeout,
                 _ => FaultAction::Delay(Duration::from_millis(2)),
             };
-            let faulty = {
-                let _arm = faults::arm(site, action, Some(&target));
-                run_with(&options)
-            };
+            let faulty = run_with(&with_fault(&options, site, action, &target));
             assert_only_target_degraded(&baseline, &faulty, &target);
             let row = faulty
                 .results
@@ -336,7 +374,6 @@ proptest! {
 
 #[test]
 fn zero_timeout_reports_budget_unknown_for_every_checked_property() {
-    let _serial = fault_lock();
     let mut renders = Vec::new();
     for threads in [1usize, 4] {
         let mut options = options_with_threads(threads);
@@ -366,7 +403,6 @@ fn zero_timeout_reports_budget_unknown_for_every_checked_property() {
 
 #[test]
 fn generous_timeout_renders_identically_to_unbounded() {
-    let _serial = fault_lock();
     for threads in [1usize, 4] {
         let unbounded = run_with(&options_with_threads(threads));
         let mut options = options_with_threads(threads);
@@ -387,7 +423,6 @@ fn generous_timeout_renders_identically_to_unbounded() {
 /// load alone should not break.
 #[test]
 fn hard_bmc_instance_times_out_promptly_with_an_engine_note() {
-    let _serial = fault_lock();
     let timeout = Duration::from_millis(50);
     // No induction and a practically unbounded depth: full-depth BMC
     // grinds depth after depth and can only be stopped by the budget.
@@ -430,7 +465,6 @@ fn hard_bmc_instance_times_out_promptly_with_an_engine_note() {
 /// less than one solver poll interval — whatever the machine's load.
 #[test]
 fn step_budget_stops_bmc_within_one_solver_poll_interval() {
-    let _serial = fault_lock();
     let ft = generate_ft(FAULT_ECHO, &AutosvaOptions::default()).unwrap();
     let file = svparse::parse(FAULT_ECHO).unwrap();
     let design = elaborate(&file, &ElabOptions::default()).unwrap();
@@ -472,7 +506,6 @@ fn step_budget_stops_bmc_within_one_solver_poll_interval() {
 /// changes nothing about the report.
 #[test]
 fn frontend_deadline_fails_fast_and_a_generous_one_is_invisible() {
-    let _serial = fault_lock();
     let ft = generate_ft(FAULT_ECHO, &AutosvaOptions::default()).unwrap();
     let mut options = CheckOptions::default();
     options.parallel.threads = 1;

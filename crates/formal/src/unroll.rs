@@ -24,8 +24,6 @@ pub struct Unroller<'a> {
     frames: Vec<Vec<Var>>,
     /// Whether frame 0 constrains latches to their initial values.
     constrain_init: bool,
-    /// A variable that is always true (used to translate constant literals).
-    true_var: Var,
 }
 
 impl<'a> Unroller<'a> {
@@ -42,6 +40,9 @@ impl<'a> Unroller<'a> {
     /// restarts/minimization/reduction).
     pub fn with_config(aig: &'a Aig, constrain_init: bool, config: SolverConfig) -> Self {
         let mut solver = Solver::with_config(config);
+        // The first variable is fixed true.  Nothing reads it, but every engine's
+        // search (and the pinned solver statistics) depends on the variable
+        // numbering it starts.
         let true_var = solver.new_var();
         solver.add_clause(&[SatLit::pos(true_var)]);
         Unroller {
@@ -49,19 +50,12 @@ impl<'a> Unroller<'a> {
             solver,
             frames: Vec::new(),
             constrain_init,
-            true_var,
         }
     }
 
     /// Access to the underlying solver (e.g. for statistics).
     pub fn solver(&self) -> &Solver {
         &self.solver
-    }
-
-    /// Mutable access to the underlying solver (feature toggles, direct
-    /// clause surgery in tests).
-    pub fn solver_mut(&mut self) -> &mut Solver {
-        &mut self.solver
     }
 
     /// The cumulative search counters of the underlying solver.
@@ -107,11 +101,6 @@ impl<'a> Unroller<'a> {
     pub fn sat_value(&self, lit: SatLit) -> bool {
         let var_value = self.solver.value(lit.var()).unwrap_or(false);
         var_value == lit.is_positive()
-    }
-
-    /// Number of frames created so far.
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
     }
 
     /// Ensures at least `n + 1` frames exist (frames `0..=n`).
@@ -246,11 +235,6 @@ impl<'a> Unroller<'a> {
         } else {
             !var_value
         }
-    }
-
-    /// The constant-true SAT literal.
-    pub fn true_lit(&self) -> SatLit {
-        SatLit::pos(self.true_var)
     }
 }
 

@@ -12,11 +12,8 @@
 //! proof cache; that fuzz-found counterexamples are tagged and dumped as
 //! valid waveforms; and that a fault in one engine stays in one row.
 //!
-//! Faults are armed in a process-wide registry and filtered by property
-//! name, which a case's two variants share.  So the table runs in one
-//! `#[test]`: no other run of the same case is in flight while a fault is
-//! armed.  Traces, sinks, waveforms and disk caches go under
-//! `CARGO_TARGET_TMPDIR`.
+//! Faults are listed per run, in `CheckOptions::faults`.  Traces, sinks,
+//! waveforms and disk caches go under `CARGO_TARGET_TMPDIR`.
 //!
 //! ```sh
 //! cargo test -q --test contracts
@@ -31,7 +28,7 @@ use autosva_formal::checker::{
     verify, verify_elaborated, CheckOptions, PropertyResult, PropertyStatus, VerificationReport,
 };
 use autosva_formal::elab::ElabDesign;
-use autosva_formal::faults::{self, FaultAction, FaultGuard};
+use autosva_formal::faults::{Fault, FaultAction};
 use autosva_formal::portfolio::ProofCache;
 use autosva_formal::sat::SolverConfig;
 use autosva_formal::telemetry::{validate_chrome_trace, TelemetryReport};
@@ -52,8 +49,8 @@ enum Expect {
     /// Only the reference's verdict counts; proofs and traces may differ.
     Counts,
     /// The reference's `render()` with exactly two rows degraded: a panic
-    /// armed at `bmc.depth_step` on the first safety assertion, and a
-    /// timeout armed at `fuzz.round` on the second.
+    /// injected at `bmc.depth_step` on the first safety assertion, and a
+    /// timeout injected at `fuzz.round` on the second.
     Contained,
     /// Nothing beyond the row's own check.
     Own,
@@ -198,6 +195,7 @@ const ROWS: &[Row] = &[
         applies: |run| {
             run.variant == Variant::Fixed && safety_assertions(run.reference()).len() >= 2
         },
+        configure: |o, run| o.faults = faults(run.reference()),
         expect: Expect::Contained,
         check: |_, _, corpus| corpus.faults_contained += 1,
         ..ROW
@@ -342,13 +340,7 @@ fn run_row(row: &Row, run: &Run) -> VerificationReport {
     let label = format!("{} [{}]", run.tag, row.name);
     let mut options = run.options();
     (row.configure)(&mut options, run);
-    let report = {
-        let _faults = match row.expect {
-            Expect::Contained => arm_faults(run.reference()),
-            _ => Vec::new(),
-        };
-        run.verify(&options, row.from_source)
-    };
+    let report = run.verify(&options, row.from_source);
     assert_provenance(&report, &label);
     let expected = match row.expect {
         Expect::Render => run.reference().render(),
@@ -445,13 +437,18 @@ fn assert_fuzz_alone(report: &VerificationReport, run: &Run, corpus: &mut Corpus
     corpus.fuzz_violations += found.len();
 }
 
-/// Arms the two faults of the "fault" row: a panic on the reference's first
+/// The two faults of the "fault" row: a panic on the reference's first
 /// safety assertion and a timeout on its second.
-fn arm_faults(reference: &VerificationReport) -> Vec<FaultGuard> {
+fn faults(reference: &VerificationReport) -> Vec<Fault> {
     let targets = safety_assertions(reference);
+    let fault = |site, action, property: &String| Fault {
+        site,
+        action,
+        property: property.clone(),
+    };
     vec![
-        faults::arm("bmc.depth_step", FaultAction::Panic, Some(&targets[0])),
-        faults::arm("fuzz.round", FaultAction::Timeout, Some(&targets[1])),
+        fault("bmc.depth_step", FaultAction::Panic, &targets[0]),
+        fault("fuzz.round", FaultAction::Timeout, &targets[1]),
     ]
 }
 

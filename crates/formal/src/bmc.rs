@@ -47,8 +47,8 @@ pub enum SafetyResult {
         /// Largest counterexample-free bound explored.
         explored_depth: usize,
     },
-    /// The check was preempted by its [`Interrupt`] handle (deadline,
-    /// budget or cancellation) before reaching a verdict.
+    /// The check was preempted by its [`Interrupt`] handle (deadline or
+    /// budget) before reaching a verdict.
     Interrupted,
 }
 
@@ -73,37 +73,20 @@ fn apply_constraints(unroller: &mut Unroller<'_>, constraints: &[Lit], frame: us
     }
 }
 
-/// Extracts a counterexample trace of length `depth + 1` frames from a
-/// satisfiable unrolling.
-fn extract_trace(model: &Model, unroller: &mut Unroller<'_>, depth: usize) -> Trace {
-    let mut trace = Trace::new(depth + 1);
-    let input_lits: Vec<(String, Lit)> = model
-        .aig
-        .inputs()
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (model.aig.input_name(i).to_string(), Lit::new(node, false)))
-        .collect();
-    let latch_lits: Vec<(String, Lit)> = model
-        .aig
-        .latches()
-        .iter()
-        .map(|l| {
-            let name = model.aig.name_of(l.node).unwrap_or("latch").to_string();
-            (name, Lit::new(l.node, false))
+/// The counterexample of a satisfiable unrolling to `depth`: each frame's
+/// inputs, read from the SAT model and replayed from reset, which confirms
+/// that the constraints hold throughout and `target` fires on the last of
+/// the `depth + 1` frames.
+fn extract_trace(model: &Model, unroller: &mut Unroller<'_>, target: Lit, depth: usize) -> Trace {
+    let nodes = model.aig.inputs();
+    let inputs: Vec<Vec<bool>> = (0..=depth)
+        .map(|frame| {
+            let value = |&node: &usize| unroller.model_value(Lit::new(node, false), frame);
+            nodes.iter().map(value).collect()
         })
         .collect();
-    for frame in 0..=depth {
-        for (name, lit) in &input_lits {
-            let value = unroller.model_value(*lit, frame);
-            trace.record(frame, name, value, true);
-        }
-        for (name, lit) in &latch_lits {
-            let value = unroller.model_value(*lit, frame);
-            trace.record(frame, name, value, false);
-        }
-    }
-    trace
+    crate::psim::replay(model, target, depth + 1, |cycle, i| inputs[cycle][i])
+        .expect("a BMC counterexample replays on its model")
 }
 
 /// The question every bounded check asks: can `target` be reached on
@@ -153,7 +136,7 @@ fn check_target_impl(
         if bmc.solve_with(&[(bad, depth, true)]) {
             // A satisfiable answer is a genuine model even if the
             // interrupt fired concurrently: extract the counterexample.
-            let trace = extract_trace(model, &mut bmc, depth);
+            let trace = extract_trace(model, &mut bmc, bad, depth);
             let stats = bmc.stats() + induction.stats();
             return (SafetyResult::Violated(trace), stats);
         }

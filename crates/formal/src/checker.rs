@@ -11,7 +11,8 @@
 //! its target literal be reached?  One loop walks one stage list to answer
 //! it, stopping at the first stage that decides:
 //!
-//! 1. **cache** — a re-validated proof-cache hit;
+//! 1. **cache** — a verdict the proof cache stored for a content-identical
+//!    cone, returned only after its artifact passed its check;
 //! 2. **fuzz** — the bit-parallel stimulus fuzzer (safety only);
 //! 3. **quick BMC** — shallow BMC for short counterexamples plus
 //!    k-induction for cheap proofs;
@@ -20,7 +21,11 @@
 //! 5. **explicit** — the exact explicit-state engine;
 //! 6. **full-depth BMC** — BMC and k-induction to the configured bounds.
 //!
-//! The stage that decides a property is its provenance
+//! Every stage answers with the same crate-private verdict: reached, with a
+//! trace, or unreachable, with a certificate (an induction depth, a PDR
+//! invariant or explicit reachability).  The proof cache stores and
+//! re-checks that verdict, and one conversion turns it into the report's
+//! [`PropertyStatus`].  The stage that decides a property is its provenance
 //! ([`PropertyResult::engine`]).
 //!
 //! Properties are independent tasks: by default each one is checked on its
@@ -45,8 +50,8 @@ use crate::lint::{LintOptions, LintReport};
 use crate::model::Model;
 use crate::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use crate::portfolio::{
-    run_ordered, CacheKey, CacheStats, CachedOutcome, CachedVerdict, ParallelOptions,
-    PreparedSlice, ProofCache,
+    run_ordered, CacheKey, CacheStats, Certificate, ParallelOptions, PreparedSlice, ProofCache,
+    Verdict,
 };
 use crate::sat::{SolverConfig, SolverStats};
 use crate::telemetry::{
@@ -60,7 +65,6 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -234,8 +238,8 @@ pub enum PropertyStatus {
     /// as "bounds too small".
     Error {
         /// The cascade stage that was running when the panic unwound
-        /// (`"fuzz"`, `"bmc"`, `"pdr"`, `"explicit"`, or `"task"` when it
-        /// escaped outside any engine stage).
+        /// (`"cache"`, `"fuzz"`, `"bmc"`, `"pdr"`, `"explicit"`, or
+        /// `"task"` when it escaped outside any stage).
         engine: &'static str,
         /// The panic payload, when it was a string.
         message: String,
@@ -615,7 +619,6 @@ fn frontend_guard(options: &CheckOptions) -> Interrupt {
             .frontend_timeout
             .and_then(|limit| Instant::now().checked_add(limit)),
         None,
-        None,
     )
 }
 
@@ -661,22 +664,20 @@ fn verify_elaborated_inner(
     }
     frontend_check(frontend, "lint")?;
 
-    let cache = options.parallel.cache.clone();
+    let cache = options.parallel.cache.as_ref();
     // Snapshot the cache counters so the report carries this run's delta
     // even when the handle is a long-lived in-process cache shared across
     // runs (`loaded` stays absolute — it describes the open).
-    let cache_base = cache.as_ref().map(|c| c.stats());
+    let cache_base = cache.map(ProofCache::stats);
     // Only opt-on runs share prepared slices through the cache; every
     // other run prepares its slices on a memo of its own.
-    let memo = match &cache {
+    let memo = match cache {
         Some(cache) if options.parallel.opt => cache.clone(),
         _ => ProofCache::new(),
     };
     let tasks = build_tasks(&compiled, options, &memo);
     let ctx = TaskCtx {
         options,
-        cache,
-        cancel: Arc::new(AtomicBool::new(false)),
         explicit_memo: Mutex::new(HashMap::new()),
     };
 
@@ -690,25 +691,24 @@ fn verify_elaborated_inner(
     // Run every property task on the worker pool; statuses are deterministic
     // (each engine is single-threaded on a fixed slice), so only runtimes
     // depend on the interleaving.  Each task runs under its own interrupt
-    // handle (deadline from `property_timeout` plus the shared cancellation
-    // flag, polled inside every engine loop, carrying the faults that name
-    // the property) and inside `catch_unwind`, so a stalled or panicking
-    // engine degrades that one property — the run always comes back with a
-    // complete report.
+    // handle (deadline from `property_timeout`, polled inside every engine
+    // loop, carrying the faults that name the property) and inside
+    // `catch_unwind`, so a stalled or panicking engine degrades that one
+    // property — the run always comes back with a complete report.
     let threads = options.parallel.effective_threads();
     let names: Vec<String> = compiled
         .properties
         .iter()
         .map(|p| p.property.full_name())
         .collect();
-    let outcomes = run_ordered(&tasks, threads, &ctx.cancel, run_telemetry, |i, task| {
+    let outcomes = run_ordered(&tasks, threads, run_telemetry, |i, task| {
         let _task_span = telemetry::span("task", &names[i]);
         let t0 = Instant::now();
         let deadline = options
             .parallel
             .property_timeout
             .and_then(|limit| Instant::now().checked_add(limit));
-        let interrupt = Interrupt::new(deadline, None, Some(ctx.cancel.clone()));
+        let interrupt = Interrupt::new(deadline, None);
         #[cfg(any(test, feature = "fault-injection"))]
         let interrupt = interrupt.with_faults(&options.faults, &names[i]);
         // The running stage's engine tag: set by `run_cascade`, read here
@@ -739,20 +739,18 @@ fn verify_elaborated_inner(
             Some(_) => telemetry::count("robustness.interrupts", 1),
             None => {}
         }
-        if ctx.options.parallel.stop_on_violation && outcome.status.is_violation() {
-            ctx.cancel.store(true, Ordering::Relaxed);
-        }
         (outcome, t0.elapsed())
     });
 
-    // Assembly in annotation order, independent of completion order.
+    // Assembly in annotation order, independent of completion order.  A
+    // slot is empty only when a panic escaped the task closure itself.
     let mut results = Vec::with_capacity(tasks.len());
     for ((prop, task), slot) in compiled.properties.iter().zip(&tasks).zip(outcomes) {
         let (outcome, runtime) = slot.unwrap_or_else(|| {
             (
                 TaskOutcome::new(
                     PropertyStatus::Unknown,
-                    Some("not started: the shared cancellation flag was raised".to_string()),
+                    Some("undecided: a panic escaped the task's fault handler".to_string()),
                 ),
                 Duration::ZERO,
             )
@@ -775,16 +773,15 @@ fn verify_elaborated_inner(
 
     // Spill the cache to disk (no-op for in-memory caches).  Failures are
     // non-fatal: the cache is advisory and the report is already complete.
-    if let Some(cache) = &ctx.cache {
+    if let Some(cache) = cache {
         let _ = cache.flush();
     }
 
     // This run's cache counter delta, surfaced on the report and fed into
     // the metrics registry.
-    let cache_stats = ctx.cache.as_ref().map(|c| match &cache_base {
-        Some(base) => c.stats().since(base),
-        None => c.stats(),
-    });
+    let cache_stats = cache
+        .zip(cache_base)
+        .map(|(cache, base)| cache.stats().since(&base));
     if let Some(delta) = &cache_stats {
         telemetry::count("cache.hits", delta.hits);
         telemetry::count("cache.misses", delta.misses);
@@ -941,6 +938,14 @@ impl Target {
             }
         }
     }
+
+    /// The proof-cache key of the property: its slice fingerprint and name.
+    fn key(&self) -> CacheKey {
+        CacheKey {
+            fingerprint: self.fp,
+            property: self.literal().1.to_string(),
+        }
+    }
 }
 
 /// Builds one task per property.  With slicing enabled (the default) each
@@ -1066,14 +1071,6 @@ fn build_tasks(
 /// Shared, immutable context of one verification run.
 struct TaskCtx<'a> {
     options: &'a CheckOptions,
-    /// The proof cache of this run, if any.
-    cache: Option<ProofCache>,
-    /// Raised by `stop_on_violation` (or future external cancellation):
-    /// tasks not yet started report `Unknown` instead of running; started
-    /// tasks observe the flag through their interrupt handle and wind down
-    /// at the next poll.  Shared with every task's [`Interrupt`], hence the
-    /// `Arc`.
-    cancel: Arc<AtomicBool>,
     /// Explicit-state engines shared across tasks with content-identical
     /// models; the per-fingerprint mutex serializes construction without
     /// holding the map lock during exploration.  The memo records only
@@ -1150,19 +1147,6 @@ fn explicit_bundle(
     bundle
 }
 
-/// The "undecided" note for an interrupted property, naming the engine of
-/// the cascade stage that was running when the interrupt was observed.
-fn interrupt_note(reason: InterruptReason, engine: &str) -> String {
-    match reason {
-        InterruptReason::Cancelled => {
-            format!("undecided: cancelled during {engine} (the run's cancellation flag was raised)")
-        }
-        InterruptReason::Timeout | InterruptReason::Budget => {
-            format!("undecided: budget exhausted in {engine}")
-        }
-    }
-}
-
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
 /// anything else as a placeholder).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1172,50 +1156,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         (*message).to_string()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Converts a PDR invariant into the report-facing proof artifact.
-fn invariant_proof(invariant: &crate::pdr::Invariant, aig: &crate::aig::Aig) -> Proof {
-    Proof::Invariant {
-        clauses: invariant.render(aig),
-        frames: invariant.frames_explored,
-    }
-}
-
-/// Converts a validated cache hit into a property status.
-fn cached_status(verdict: CachedVerdict, model: &Model) -> PropertyStatus {
-    match verdict {
-        CachedVerdict::Induction { depth } => PropertyStatus::Proven(Proof::Induction { depth }),
-        CachedVerdict::Invariant(invariant) => {
-            PropertyStatus::Proven(invariant_proof(&invariant, &model.aig))
-        }
-        CachedVerdict::Reachability => PropertyStatus::Proven(Proof::Reachability),
-        CachedVerdict::Unreachable => PropertyStatus::Unreachable,
-        CachedVerdict::Violated(trace) => PropertyStatus::Violated(trace),
-        CachedVerdict::Covered(trace) => PropertyStatus::Covered(trace),
-    }
-}
-
-/// The single cache-insert funnel of every task.  A task whose interrupt
-/// has fired never publishes: a task wound down by the run's cancellation
-/// flag, or a verdict whose trace re-minimization was cut short, may be
-/// correct-but-partial, and the cache must only ever carry artifacts
-/// produced with full budget (an interrupted minimization, for example,
-/// would cache a non-canonical trace and make a later cache-hit run render
-/// differently from a fresh one).  The cache is advisory, so skipping the
-/// insert costs only a recomputation.
-fn store(
-    cache: Option<&ProofCache>,
-    key: &CacheKey,
-    outcome: CachedOutcome,
-    interrupt: &Interrupt,
-) {
-    if interrupt.triggered().is_some() {
-        return;
-    }
-    if let Some(cache) = cache {
-        cache.store(key.clone(), outcome);
     }
 }
 
@@ -1259,9 +1199,10 @@ fn run_task(
 /// or the full-depth BMC.
 const QUICK_BMC_DEPTH: usize = 10;
 
-/// The stages every checked property walks after the cache lookup, in
-/// order; the first stage that decides the property ends the walk.
-const CASCADE: [Stage; 5] = [
+/// The stages every checked property walks, in order; the first stage that
+/// decides the property ends the walk.
+const CASCADE: [Stage; 6] = [
+    Stage::Cache,
     Stage::Fuzz,
     Stage::QuickBmc,
     Stage::Pdr,
@@ -1269,9 +1210,12 @@ const CASCADE: [Stage; 5] = [
     Stage::FullBmc,
 ];
 
-/// One engine stage of the cascade.
+/// One stage of the cascade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
+    /// The proof cache: a verdict stored for a content-identical cone,
+    /// returned once its artifact passed its check ([`ProofCache`]).
+    Cache,
     /// The bit-parallel stimulus fuzzer: concrete 64-lane stimulus over the
     /// slice, every hit replay-confirmed, before any SAT query.
     Fuzz,
@@ -1293,6 +1237,7 @@ impl Stage {
     /// note or a caught panic attributes to it.
     fn engine(self) -> &'static str {
         match self {
+            Stage::Cache => "cache",
             Stage::Fuzz => "fuzz",
             Stage::QuickBmc | Stage::FullBmc => "bmc",
             Stage::Pdr => "pdr",
@@ -1303,6 +1248,7 @@ impl Stage {
     /// The telemetry span phase of the stage.
     fn span(self) -> &'static str {
         match self {
+            Stage::Cache => "cache.lookup",
             Stage::Fuzz => "engine.fuzz",
             Stage::QuickBmc | Stage::FullBmc => "engine.bmc",
             Stage::Pdr => "engine.pdr",
@@ -1310,11 +1256,12 @@ impl Stage {
         }
     }
 
-    /// Whether the stage runs for a property of `kind`: the fuzzer only
-    /// simulates safety properties, and the engine toggles of
-    /// [`CheckOptions`] switch the other stages off.
+    /// Whether the stage runs for a property of `kind`: the cache only
+    /// when the run has one, the fuzzer only for safety properties, and
+    /// the engine toggles of [`CheckOptions`] switch the other stages off.
     fn runs(self, kind: Kind, options: &CheckOptions) -> bool {
         match self {
+            Stage::Cache => options.parallel.cache.is_some(),
             Stage::Fuzz => kind == Kind::Safety && options.fuzz.enabled,
             Stage::QuickBmc | Stage::FullBmc => !options.disable_bmc,
             Stage::Pdr => !options.disable_pdr,
@@ -1323,71 +1270,16 @@ impl Stage {
     }
 }
 
-/// A stage's answer to "can the target be reached?".
-enum Answer {
-    /// Yes: the counterexample (safety, liveness) or witness (cover).
-    Reached(Trace),
-    /// No, and why.
-    Unreachable(Certificate),
-    /// Not within the stage's bounds.
-    Undecided,
-    /// The task's interrupt fired before the stage could decide.
-    Interrupted,
-}
-
-/// Why a target cannot be reached.
-enum Certificate {
-    /// k-induction closed at this depth.
-    Induction(usize),
-    /// A PDR inductive invariant.
-    Invariant(crate::pdr::Invariant),
-    /// Exhaustive reachable-state enumeration.
-    Reachability,
-}
-
-impl Certificate {
-    /// The proof a proven safety or liveness property reports.
-    fn proof(&self, model: &Model) -> Proof {
-        match self {
-            Certificate::Induction(depth) => Proof::Induction { depth: *depth },
-            Certificate::Invariant(invariant) => invariant_proof(invariant, &model.aig),
-            Certificate::Reachability => Proof::Reachability,
-        }
-    }
-
-    /// The cache entry of a proven safety or liveness property.
-    fn entry(self) -> CachedOutcome {
-        match self {
-            Certificate::Induction(depth) => CachedOutcome::Induction { depth },
-            Certificate::Invariant(invariant) => CachedOutcome::Invariant {
-                clauses: invariant.clauses().to_vec(),
-                frames: invariant.frames_explored,
-            },
-            Certificate::Reachability => CachedOutcome::Reachability,
-        }
-    }
-
-    /// The certificate a cover's cache entry keeps: only a PDR invariant,
-    /// which a later hit can re-certify.
-    fn invariant(self) -> Option<(Vec<Vec<Lit>>, usize)> {
-        match self {
-            Certificate::Invariant(invariant) => {
-                Some((invariant.clauses().to_vec(), invariant.frames_explored))
-            }
-            Certificate::Induction(_) | Certificate::Reachability => None,
-        }
-    }
-}
-
 /// Runs one stage on `target`, adding its solver and fuzzer work to
-/// `outcome`.
+/// `outcome`.  `None` when the stage did not decide, within its bounds or
+/// because the task's interrupt fired.
 fn run_stage(
     stage: Stage,
     target: &Target,
     ctx: &TaskCtx<'_>,
     interrupt: &Interrupt,
     outcome: &mut TaskOutcome,
-) -> Answer {
+) -> Option<Verdict> {
     let options = ctx.options;
     let model = &*target.model;
     let (lit, name) = target.literal();
@@ -1397,19 +1289,22 @@ fn run_stage(
             check_target_budgeted(model, lit, name, bounds, options.solver, interrupt);
         outcome.stats += stats;
         match result {
-            SafetyResult::Violated(trace) => Answer::Reached(trace),
-            SafetyResult::Proven { induction_depth } => {
-                Answer::Unreachable(Certificate::Induction(induction_depth))
-            }
-            SafetyResult::Unknown { .. } => Answer::Undecided,
-            SafetyResult::Interrupted => Answer::Interrupted,
+            SafetyResult::Violated(trace) => Some(Verdict::Reached(trace)),
+            SafetyResult::Proven { induction_depth } => Some(Verdict::Unreachable(
+                Certificate::Induction(induction_depth),
+            )),
+            SafetyResult::Unknown { .. } | SafetyResult::Interrupted => None,
         }
     };
     match stage {
+        Stage::Cache => {
+            let cache = options.parallel.cache.as_ref()?;
+            cache.lookup(&target.key(), model, lit, bounds.max_induction, interrupt)
+        }
         Stage::Fuzz => {
             let (hit, stats) = fuzz_safety_budgeted(model, target.index, &options.fuzz, interrupt);
             outcome.fuzz = Some(stats);
-            hit.map_or(Answer::Undecided, |hit| Answer::Reached(hit.trace))
+            hit.map(|hit| Verdict::Reached(hit.trace))
         }
         Stage::QuickBmc => {
             let quick = BmcOptions {
@@ -1425,17 +1320,14 @@ fn run_stage(
             outcome.stats += stats;
             match result {
                 PdrResult::Proven(invariant) => {
-                    Answer::Unreachable(Certificate::Invariant(invariant))
+                    Some(Verdict::Unreachable(Certificate::Invariant(invariant)))
                 }
-                PdrResult::Violated(trace) => Answer::Reached(trace),
-                PdrResult::Unknown { .. } => Answer::Undecided,
-                PdrResult::Interrupted => Answer::Interrupted,
+                PdrResult::Violated(trace) => Some(Verdict::Reached(trace)),
+                PdrResult::Unknown { .. } | PdrResult::Interrupted => None,
             }
         }
         Stage::Explicit => {
-            let Some(bundle) = explicit_bundle(ctx, target.fp, &target.base, interrupt) else {
-                return Answer::Undecided;
-            };
+            let bundle = explicit_bundle(ctx, target.fp, &target.base, interrupt)?;
             // The query's own site fires under this property's task, even
             // when a sibling task explored the memoized bundle.
             #[cfg(any(test, feature = "fault-injection"))]
@@ -1450,31 +1342,31 @@ fn run_stage(
                     .check_liveness(bundle.assert_pendings[target.index], &bundle.fair_pendings),
             };
             match result {
-                ExplicitResult::Proven => Answer::Unreachable(Certificate::Reachability),
-                ExplicitResult::Violated(trace) => Answer::Reached(trace),
-                ExplicitResult::Exceeded => Answer::Undecided,
+                ExplicitResult::Proven => Some(Verdict::Unreachable(Certificate::Reachability)),
+                ExplicitResult::Violated(trace) => Some(Verdict::Reached(trace)),
+                ExplicitResult::Exceeded => None,
             }
         }
     }
 }
 
-/// Decides one checked property: a proof-cache lookup, then the
-/// [`CASCADE`] stages in order until one decides or the task's interrupt
-/// fires.
+/// Decides one checked property: the [`CASCADE`] stages in order, the
+/// proof cache first, until one decides or the task's interrupt fires.
 ///
-/// Everything around the engines is written once, here: the engine tag
+/// Everything around the stages is written once, here: the engine tag
 /// that attributes interrupts and panics (kept in `engine`, which the
-/// task's panic handler reads), the `engine.*` span, the interrupt note,
-/// the cache store and the solver/fuzzer accounting.  What differs by
+/// task's panic handler reads), the stage's span, the interrupt note, the
+/// cache store and the solver/fuzzer accounting.  What differs by
 /// property kind is one rule each:
 ///
 /// * the fuzzer runs for safety only ([`Stage::runs`]);
 /// * liveness uses the `liveness_bmc` bounds and runs the explicit stage on
 ///   the base model ([`run_stage`]);
 /// * only safety traces from the fuzz, PDR and explicit stages are
-///   re-minimized ([`minimize_safety_cex`]);
+///   re-minimized ([`minimize_safety_cex`]), and one that could not be is
+///   reported but not cached;
 /// * a cover reports "reached" as covered and "unreachable" as
-///   [`PropertyStatus::Unreachable`];
+///   [`PropertyStatus::Unreachable`] ([`status`]);
 /// * liveness never caches the explicit engine's lasso, and an undecided
 ///   liveness property carries the lasso-bound note.
 fn run_cascade(
@@ -1485,91 +1377,58 @@ fn run_cascade(
 ) -> TaskOutcome {
     let options = ctx.options;
     let model = &*target.model;
-    let (lit, name) = target.literal();
-    let key = CacheKey {
-        fingerprint: target.fp,
-        property: name.to_string(),
-    };
-    let cache = ctx.cache.as_ref();
-    if let Some(cache) = cache {
-        let max_induction = target.kind.bounds(options).max_induction;
-        let hit = {
-            let _span = telemetry::span_detail("cache.lookup", name, None, Some(target.fp));
-            cache.lookup(&key, model, lit, max_induction, interrupt)
-        };
-        if let Some(verdict) = hit {
-            let mut outcome = TaskOutcome::new(cached_status(verdict, model), None);
-            outcome.engine = Some("cache");
-            return outcome;
-        }
-    }
+    let name = target.literal().1;
     let mut outcome = TaskOutcome::new(PropertyStatus::Unknown, None);
     for stage in CASCADE {
         if !stage.runs(target.kind, options) {
             continue;
         }
         engine.set(stage.engine());
-        let answer = {
+        let verdict = {
             let _span =
                 telemetry::span_detail(stage.span(), name, Some(stage.engine()), Some(target.fp));
             run_stage(stage, target, ctx, interrupt, &mut outcome)
         };
-        let (status, entry) = match (target.kind, answer) {
-            (_, Answer::Undecided) => match interrupt.poll() {
-                Some(reason) => {
-                    outcome.note = Some(interrupt_note(reason, stage.engine()));
-                    return outcome;
-                }
-                None => continue,
-            },
-            (_, Answer::Interrupted) => {
-                let reason = interrupt.triggered().unwrap_or(InterruptReason::Timeout);
-                outcome.note = Some(interrupt_note(reason, stage.engine()));
+        let Some(mut verdict) = verdict else {
+            // One poll tells "undecided" from "interrupted": an interrupted
+            // engine has already latched the reason.
+            if interrupt.poll().is_some() {
+                let note = format!("undecided: budget exhausted in {}", stage.engine());
+                outcome.note = Some(note);
                 return outcome;
             }
-            (Kind::Safety, Answer::Reached(trace)) => {
-                let trace = match stage {
-                    Stage::QuickBmc | Stage::FullBmc => trace,
-                    Stage::Fuzz | Stage::Pdr | Stage::Explicit => minimize_safety_cex(
-                        model,
-                        target.index,
-                        trace,
-                        options,
-                        &mut outcome.stats,
-                        interrupt,
-                    ),
-                };
-                let entry = CachedOutcome::Violated(trace.clone());
-                (PropertyStatus::Violated(trace), Some(entry))
-            }
-            // The explicit engine's lasso lives on the monitor-augmented
-            // base model, not on the product the cache replays traces on.
-            (Kind::Liveness, Answer::Reached(trace)) if stage == Stage::Explicit => {
-                (PropertyStatus::Violated(trace), None)
-            }
-            (Kind::Liveness, Answer::Reached(trace)) => {
-                let entry = CachedOutcome::Violated(trace.clone());
-                (PropertyStatus::Violated(trace), Some(entry))
-            }
-            (Kind::Cover, Answer::Reached(trace)) => {
-                let entry = CachedOutcome::Covered(trace.clone());
-                (PropertyStatus::Covered(trace), Some(entry))
-            }
-            (Kind::Cover, Answer::Unreachable(certificate)) => {
-                let entry = CachedOutcome::Unreachable {
-                    certificate: certificate.invariant(),
-                };
-                (PropertyStatus::Unreachable, Some(entry))
-            }
-            (Kind::Safety | Kind::Liveness, Answer::Unreachable(certificate)) => (
-                PropertyStatus::Proven(certificate.proof(model)),
-                Some(certificate.entry()),
-            ),
+            continue;
         };
-        if let Some(entry) = entry {
-            store(cache, &key, entry, interrupt);
+        let minimized = match (&mut verdict, target.kind, stage) {
+            (Verdict::Reached(trace), Kind::Safety, Stage::Fuzz | Stage::Pdr | Stage::Explicit) => {
+                minimize_safety_cex(
+                    model,
+                    target.index,
+                    trace,
+                    options,
+                    &mut outcome.stats,
+                    interrupt,
+                )
+            }
+            _ => true,
+        };
+        // The cache keeps what a stage decided, except a hit (it is stored
+        // already), a trace that could not be minimized, and the explicit
+        // engine's liveness lasso, which lives on the monitor-augmented base
+        // model, not on the product the cache replays traces on.  A task
+        // whose interrupt has fired never publishes: a verdict whose
+        // minimization was cut short is correct but not canonical, and
+        // would make a later cache-hit run render differently from a fresh
+        // one.  The cache is advisory, so a skipped store costs only a
+        // recomputation.
+        let lasso = target.kind == Kind::Liveness
+            && stage == Stage::Explicit
+            && matches!(verdict, Verdict::Reached(_));
+        let keep = stage != Stage::Cache && minimized && !lasso && interrupt.triggered().is_none();
+        if let Some(cache) = options.parallel.cache.as_ref().filter(|_| keep) {
+            cache.store(target.key(), verdict.clone());
         }
-        outcome.status = status;
+        outcome.status = status(target.kind, verdict, model);
         outcome.engine = Some(stage.engine());
         return outcome;
     }
@@ -1590,35 +1449,52 @@ fn run_cascade(
 /// traces, and the fuzzer's hits land wherever the stimulus happened to
 /// strike; re-minimizing makes the reported trace length a function of the
 /// model alone, so `render()` is byte-identical no matter which engine got
-/// there first.  A no-op under `disable_bmc` (a fuzz-alone run keeps the
-/// fuzzer's raw trace).  An interrupt mid-minimization keeps the
-/// original (unminimized but correct) trace — the verdict is never lost.
+/// there first.  Returns `false` when it cannot run, under `disable_bmc`
+/// (a fuzz-alone run keeps the fuzzer's raw trace, which must not be
+/// cached).  An interrupt mid-minimization keeps the original
+/// (unminimized but correct) trace — the verdict is never lost.
 fn minimize_safety_cex(
     model: &Model,
     index: usize,
-    trace: Trace,
+    trace: &mut Trace,
     options: &CheckOptions,
     stats: &mut SolverStats,
     interrupt: &Interrupt,
-) -> Trace {
-    if options.disable_bmc || trace.is_empty() {
-        return trace;
+) -> bool {
+    if options.disable_bmc {
+        return false;
     }
+    let Some(max_depth) = trace.len().checked_sub(1) else {
+        return true;
+    };
     let bad = &model.bads[index];
     let _span = telemetry::span_detail("engine.minimize", &bad.name, Some("bmc"), None);
     let bound = BmcOptions {
-        max_depth: trace.len() - 1,
+        max_depth,
         max_induction: 0,
     };
     let (result, s) =
         check_target_budgeted(model, bad.lit, &bad.name, &bound, options.solver, interrupt);
     *stats += s;
-    match result {
-        SafetyResult::Violated(minimal) => minimal,
-        // Unreachable (a concrete witness exists at this depth) and
-        // Interrupted both fall back to the witnessed trace: never let the
-        // minimizer lose the verdict.
-        _ => trace,
+    // Unreachable (a concrete witness exists at this depth) and Interrupted
+    // both keep the witnessed trace: never let the minimizer lose the
+    // verdict.
+    if let SafetyResult::Violated(minimal) = result {
+        *trace = minimal;
+    }
+    true
+}
+
+/// The report status of a property of `kind` that `verdict` decided on
+/// `model`.
+fn status(kind: Kind, verdict: Verdict, model: &Model) -> PropertyStatus {
+    match (kind, verdict) {
+        (Kind::Cover, Verdict::Reached(trace)) => PropertyStatus::Covered(trace),
+        (Kind::Cover, Verdict::Unreachable(_)) => PropertyStatus::Unreachable,
+        (Kind::Safety | Kind::Liveness, Verdict::Reached(trace)) => PropertyStatus::Violated(trace),
+        (Kind::Safety | Kind::Liveness, Verdict::Unreachable(certificate)) => {
+            PropertyStatus::Proven(certificate.proof(model))
+        }
     }
 }
 
@@ -1959,41 +1835,46 @@ endmodule
     fn cache_dir_persists_verdicts_across_fresh_caches() {
         // A cache opened on a directory must make verdicts survive into a
         // later run that opens its own cache from the same directory (the
-        // fresh-process CLI/CI pattern).
-        let dir =
-            std::env::temp_dir().join(format!("autosva-checker-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ft = generate_ft(ECHO_SLOW, &AutosvaOptions::default()).unwrap();
-        let mut options = CheckOptions::default();
-        options.parallel.cache = Some(crate::portfolio::ProofCache::open(&dir));
+        // fresh-process CLI/CI pattern).  The second input never
+        // acknowledges a request, so k-induction proves its request cover
+        // unreachable at k=0: a cover's certificate crosses the disk too.
+        let never_acked = ECHO_SLOW.replace("assign req_ack = !busy_q;", "assign req_ack = 1'b0;");
+        for src in [ECHO_SLOW, never_acked.as_str()] {
+            let dir = std::env::temp_dir()
+                .join(format!("autosva-checker-cache-test-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let ft = generate_ft(src, &AutosvaOptions::default()).unwrap();
+            let mut options = CheckOptions::default();
+            options.parallel.cache = Some(crate::portfolio::ProofCache::open(&dir));
 
-        let cold = verify(ECHO_SLOW, &ft, &options).unwrap();
-        assert!(
-            dir.join("proofs.cache").exists(),
-            "the run must spill the cache to disk"
-        );
-        assert!(
-            cold.results
-                .iter()
-                .any(|r| r.stats != crate::sat::SolverStats::default()),
-            "the cold run must do solver work"
-        );
+            let cold = verify(src, &ft, &options).unwrap();
+            assert!(
+                dir.join("proofs.cache").exists(),
+                "the run must spill the cache to disk"
+            );
+            assert!(
+                cold.results
+                    .iter()
+                    .any(|r| r.stats != crate::sat::SolverStats::default()),
+                "the cold run must do solver work"
+            );
 
-        // A fresh ProofCache opened from the directory exercises the disk
-        // load path, not the in-memory store.
-        options.parallel.cache = Some(crate::portfolio::ProofCache::open(&dir));
-        let warm = verify(ECHO_SLOW, &ft, &options).unwrap();
-        assert_eq!(
-            cold.render(),
-            warm.render(),
-            "disk-warm verdicts must match the cold run byte-for-byte"
-        );
-        assert!(
-            warm.checked()
-                .all(|r| r.stats == crate::sat::SolverStats::default()),
-            "the disk-warm run must answer every checked property from the cache"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+            // A fresh ProofCache opened from the directory exercises the
+            // disk load path, not the in-memory store.
+            options.parallel.cache = Some(crate::portfolio::ProofCache::open(&dir));
+            let warm = verify(src, &ft, &options).unwrap();
+            assert_eq!(
+                cold.render(),
+                warm.render(),
+                "disk-warm verdicts must match the cold run byte-for-byte"
+            );
+            assert!(
+                warm.checked()
+                    .all(|r| r.stats == crate::sat::SolverStats::default()),
+                "the disk-warm run must answer every checked property from the cache"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn unarmed_points_are_no_ops() {
-        let interrupt = Interrupt::new(None, None, None);
+        let interrupt = Interrupt::new(None, None);
         interrupt.fault("tests.nothing_armed");
         Interrupt::none().fault("tests.nothing_armed");
         assert_eq!(interrupt.triggered(), None);
@@ -91,11 +91,11 @@ mod tests {
     #[test]
     fn guard_disarms_on_drop() {
         let faults = fault("tests.guarded", FaultAction::Timeout, "as__guarded");
-        let armed = Interrupt::new(None, None, None).with_faults(&faults, "as__guarded");
+        let armed = Interrupt::new(None, None).with_faults(&faults, "as__guarded");
         armed.clone().fault("tests.guarded");
         assert_eq!(armed.triggered(), Some(InterruptReason::Timeout));
         drop(armed);
-        let fresh = Interrupt::new(None, None, None);
+        let fresh = Interrupt::new(None, None);
         fresh.fault("tests.guarded"); // must not fire anything
         assert_eq!(fresh.triggered(), None);
     }
@@ -129,7 +129,7 @@ mod tests {
             FaultAction::Timeout,
             "as__timeout_probe",
         );
-        let interrupt = Interrupt::new(None, None, None).with_faults(&faults, "as__timeout_probe");
+        let interrupt = Interrupt::new(None, None).with_faults(&faults, "as__timeout_probe");
         interrupt.fault("tests.spurious_timeout");
         assert_eq!(interrupt.triggered(), Some(InterruptReason::Timeout));
     }

@@ -1,12 +1,12 @@
-//! Run-wide interrupt and budget handles for cooperative engine
+//! Per-task interrupt and budget handles for cooperative engine
 //! preemption.
 //!
 //! Every long-running loop in the verification cascade — the CDCL search
 //! loop, PDR's obligation queue, the explicit engine's frontier sweep,
 //! BMC's depth steps and the fuzzer's rounds — polls a shared
-//! [`Interrupt`] handle so a per-property wall-clock deadline, a step
-//! budget or the run-wide cancellation flag can stop a solve *inside*
-//! the engine rather than between cascade stages.  An interrupted solve
+//! [`Interrupt`] handle so a per-property wall-clock deadline or a step
+//! budget can stop a solve *inside* the engine rather than between
+//! cascade stages.  An interrupted solve
 //! surfaces as an explicit `Interrupted` outcome (never as a fake
 //! `Sat`/`Unsat`), which the checker maps to
 //! [`PropertyStatus::Unknown`] with a note naming the engine that was
@@ -35,7 +35,7 @@
 
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::faults::{Fault, FaultAction};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,8 +43,6 @@ use std::time::{Duration, Instant};
 /// latched, later sources cannot overwrite it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterruptReason {
-    /// The run-wide cancellation flag was raised (e.g. `stop_on_violation`).
-    Cancelled,
     /// The wall-clock deadline passed.
     Timeout,
     /// The step/conflict budget was exhausted.
@@ -54,18 +52,16 @@ pub enum InterruptReason {
 impl InterruptReason {
     fn from_code(code: u8) -> Option<InterruptReason> {
         match code {
-            1 => Some(InterruptReason::Cancelled),
-            2 => Some(InterruptReason::Timeout),
-            3 => Some(InterruptReason::Budget),
+            1 => Some(InterruptReason::Timeout),
+            2 => Some(InterruptReason::Budget),
             _ => None,
         }
     }
 
     fn code(self) -> u8 {
         match self {
-            InterruptReason::Cancelled => 1,
-            InterruptReason::Timeout => 2,
-            InterruptReason::Budget => 3,
+            InterruptReason::Timeout => 1,
+            InterruptReason::Budget => 2,
         }
     }
 }
@@ -77,8 +73,6 @@ struct Inner {
     /// Remaining step budget; `u64::MAX` means unbounded.  Saturates at
     /// zero, at which point `charge` fires `Budget`.
     budget: AtomicU64,
-    /// Shared cancellation flag, observed by `poll`.
-    cancel: Option<Arc<AtomicBool>>,
     /// Sticky latch: 0 = live, else an `InterruptReason` code.
     fired: AtomicU8,
 }
@@ -98,8 +92,8 @@ impl Inner {
 }
 
 /// Shared, cloneable interrupt handle.  The default handle is disarmed
-/// and never fires; [`Interrupt::new`] arms any combination of a
-/// deadline, a step budget and a cancellation flag.
+/// and never fires; [`Interrupt::new`] arms a deadline, a step budget,
+/// both or neither.
 #[derive(Debug, Clone, Default)]
 pub struct Interrupt {
     inner: Option<Arc<Inner>>,
@@ -116,19 +110,14 @@ impl Interrupt {
 
     /// Arms a handle.  `deadline` is an absolute wall-clock point,
     /// `budget` a number of abstract steps (SAT conflicts, PDR queries,
-    /// explicit states...), `cancel` the run-wide cancellation flag.
-    /// Passing `None` for all three still produces an armed handle that
-    /// only fires via [`Interrupt::fire`] (fault injection uses this).
-    pub fn new(
-        deadline: Option<Instant>,
-        budget: Option<u64>,
-        cancel: Option<Arc<AtomicBool>>,
-    ) -> Interrupt {
+    /// explicit states...).  Passing `None` for both still produces an
+    /// armed handle that only fires via [`Interrupt::fire`] (fault
+    /// injection uses this).
+    pub fn new(deadline: Option<Instant>, budget: Option<u64>) -> Interrupt {
         Interrupt {
             inner: Some(Arc::new(Inner {
                 deadline,
                 budget: AtomicU64::new(budget.unwrap_or(u64::MAX)),
-                cancel,
                 fired: AtomicU8::new(0),
             })),
             #[cfg(any(test, feature = "fault-injection"))]
@@ -136,10 +125,9 @@ impl Interrupt {
         }
     }
 
-    /// Convenience: a handle with a deadline `timeout` from now, plus an
-    /// optional cancellation flag.
-    pub fn with_timeout(timeout: Duration, cancel: Option<Arc<AtomicBool>>) -> Interrupt {
-        Interrupt::new(Instant::now().checked_add(timeout), None, cancel)
+    /// Convenience: a handle with a deadline `timeout` from now.
+    pub fn with_timeout(timeout: Duration) -> Interrupt {
+        Interrupt::new(Instant::now().checked_add(timeout), None)
     }
 
     /// Whether this handle can ever fire.  Engines may skip poll
@@ -148,18 +136,13 @@ impl Interrupt {
         self.inner.is_some()
     }
 
-    /// Checks every source — the sticky latch, the cancellation flag and
-    /// the deadline — and returns the latched reason if any fired.  Call
+    /// Checks both sources — the sticky latch and the deadline — and
+    /// returns the latched reason if any fired.  Call
     /// this at a coarse cadence (it reads the clock).
     pub fn poll(&self) -> Option<InterruptReason> {
         let inner = self.inner.as_deref()?;
         if let Some(reason) = InterruptReason::from_code(inner.fired.load(Ordering::Relaxed)) {
             return Some(reason);
-        }
-        if let Some(cancel) = &inner.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Some(inner.latch(InterruptReason::Cancelled));
-            }
         }
         if let Some(deadline) = inner.deadline {
             if Instant::now() >= deadline {
@@ -251,7 +234,7 @@ mod tests {
 
     #[test]
     fn deadline_fires_and_latches() {
-        let i = Interrupt::new(Some(Instant::now()), None, None);
+        let i = Interrupt::new(Some(Instant::now()), None);
         assert_eq!(i.poll(), Some(InterruptReason::Timeout));
         assert_eq!(i.triggered(), Some(InterruptReason::Timeout));
         // A later budget exhaustion cannot overwrite the latch.
@@ -260,14 +243,14 @@ mod tests {
 
     #[test]
     fn future_deadline_does_not_fire() {
-        let i = Interrupt::with_timeout(Duration::from_secs(3600), None);
+        let i = Interrupt::with_timeout(Duration::from_secs(3600));
         assert_eq!(i.poll(), None);
         assert_eq!(i.triggered(), None);
     }
 
     #[test]
     fn budget_fires_after_exhaustion() {
-        let i = Interrupt::new(None, Some(10), None);
+        let i = Interrupt::new(None, Some(10));
         assert_eq!(i.charge(4), None);
         assert_eq!(i.charge(4), None);
         assert_eq!(i.charge(4), Some(InterruptReason::Budget));
@@ -277,17 +260,18 @@ mod tests {
 
     #[test]
     fn cancel_flag_is_observed_by_poll() {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let i = Interrupt::new(None, None, Some(cancel.clone()));
-        assert_eq!(i.poll(), None);
-        cancel.store(true, Ordering::Relaxed);
-        assert_eq!(i.poll(), Some(InterruptReason::Cancelled));
-        assert_eq!(i.triggered(), Some(InterruptReason::Cancelled));
+        // Once the deadline has passed, a reason fired through one clone
+        // is still what `poll` reports on another: the latch wins.
+        let a = Interrupt::new(Some(Instant::now()), None);
+        let b = a.clone();
+        a.fire(InterruptReason::Budget);
+        assert_eq!(b.poll(), Some(InterruptReason::Budget));
+        assert_eq!(b.triggered(), Some(InterruptReason::Budget));
     }
 
     #[test]
     fn clones_share_the_latch() {
-        let a = Interrupt::new(None, None, None);
+        let a = Interrupt::new(None, None);
         let b = a.clone();
         a.fire(InterruptReason::Budget);
         assert_eq!(b.triggered(), Some(InterruptReason::Budget));
@@ -304,8 +288,8 @@ mod tests {
             action: FaultAction::Timeout,
             property: "as__probe".to_string(),
         }];
-        let probe = Interrupt::new(None, None, None).with_faults(&faults, "as__probe");
-        let sibling = Interrupt::new(None, None, None).with_faults(&faults, "as__sibling");
+        let probe = Interrupt::new(None, None).with_faults(&faults, "as__probe");
+        let sibling = Interrupt::new(None, None).with_faults(&faults, "as__sibling");
         let engine = probe.clone();
         engine.fault("pdr.block_cube");
         sibling.fault("pdr.block_cube");

@@ -29,9 +29,11 @@
 //!   fingerprints, so every property is checked on exactly the circuit it
 //!   observes;
 //! * [`portfolio`] — the parallel orchestration layer: a self-scheduling
-//!   worker pool over `std::thread`, per-property budgets, a shared
-//!   cancellation flag, and a fingerprint-keyed proof cache whose hits are
-//!   re-certified (invariants) or replayed (traces);
+//!   worker pool over `std::thread`, per-property budgets, the one verdict
+//!   type every cascade stage answers with, and a fingerprint-keyed proof
+//!   cache, the cascade's first stage, whose hits are replayed (traces),
+//!   re-certified (invariants) or re-proven (induction depths read from
+//!   disk);
 //! * [`psim`] — the one AIG evaluator: a gate sweep over 64 lanes per
 //!   machine word, two-valued (simulation, trace replay, opt's signatures,
 //!   the explicit engine) or three-valued in dual-rail form (opt's
@@ -51,8 +53,8 @@
 //!   track per pool worker) and a human summary in the timed rendering —
 //!   all behind `CheckOptions::telemetry`, zero-cost when off;
 //! * [`interrupt`] — the fault-containment layer's cooperative
-//!   preemption handle: a per-property wall-clock deadline, step budget
-//!   and cancellation flag polled inside every engine loop, so
+//!   preemption handle: a per-property wall-clock deadline and step
+//!   budget polled inside every engine loop, so
 //!   `property_timeout` interrupts a solve in flight instead of waiting
 //!   for the cascade stage to finish (an interrupted property degrades
 //!   to `Unknown`; a panicking one to `Error` — the run always renders

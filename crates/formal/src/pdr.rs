@@ -27,8 +27,8 @@
 //!   from a concrete state to a cube by ternary simulation of the AIG
 //!   (the dual-rail mode of the `psim` evaluator: set a latch to X;
 //!   keep it dropped while every target stays determined), and a
-//!   counterexample trace is rebuilt by simulating its inputs from reset
-//!   ([`crate::psim::ParallelSim`]);
+//!   counterexample trace is rebuilt by replaying its inputs from reset
+//!   ([`crate::psim::replay`]), which also confirms it;
 //! * **certificates** — a proof returns the [`Invariant`] (a CNF over latch
 //!   literals) which [`Invariant::certify`] re-validates with an
 //!   independent, freshly-encoded SAT check.
@@ -36,7 +36,7 @@
 use crate::aig::{Aig, Lit};
 use crate::interrupt::Interrupt;
 use crate::model::Model;
-use crate::psim::{Evaluator, Lanes, ParallelSim, Ternary};
+use crate::psim::{Evaluator, Lanes, Ternary};
 use crate::sat::{SatLit, SatResult, SolverConfig, SolverStats};
 use crate::trace::Trace;
 use crate::unroll::Unroller;
@@ -188,8 +188,8 @@ pub enum PdrResult {
         /// Number of frames reached before giving up.
         frames_explored: usize,
     },
-    /// The run was preempted by its [`Interrupt`] handle (deadline,
-    /// budget or cancellation) before reaching a verdict.
+    /// The run was preempted by its [`Interrupt`] handle (deadline or
+    /// budget) before reaching a verdict.
     Interrupted,
 }
 
@@ -681,29 +681,15 @@ impl<'a> Pdr<'a> {
 
     /// Rebuilds a counterexample trace from a completed obligation chain
     /// (deepest obligation first; it contains the initial state) by
-    /// simulating the chain's inputs from reset.
+    /// replaying the chain's inputs from reset.
     fn trace_from_chain(&self, deepest: usize) -> Trace {
         let mut ids = vec![deepest];
         while let Some(next) = self.arena[*ids.last().expect("chain")].succ {
             ids.push(next);
         }
-        let aig = &self.model.aig;
-        let mut trace = Trace::new(ids.len());
-        let mut sim = ParallelSim::new(self.model);
-        for (frame, &id) in ids.iter().enumerate() {
-            let inputs = &self.arena[id].inputs;
-            for (&node, &value) in self.input_nodes.iter().zip(inputs) {
-                trace.record(frame, aig.name_of(node).unwrap_or("input"), value, true);
-            }
-            for &node in &self.latch_nodes {
-                let value = sim.word(Lit::new(node, false)) & 1 == 1;
-                trace.record(frame, aig.name_of(node).unwrap_or("latch"), value, false);
-            }
-            let words: Vec<u64> = inputs.iter().map(|&v| u64::from(v)).collect();
-            sim.step_inputs(&words);
-            sim.advance();
-        }
-        trace
+        let input = |cycle: usize, i: usize| self.arena[ids[cycle]].inputs[i];
+        crate::psim::replay(self.model, self.bad, ids.len(), input)
+            .expect("a PDR counterexample replays on its model")
     }
 
     fn run(&mut self) -> PdrResult {

@@ -1,5 +1,5 @@
-//! Parallel verification orchestration: scheduling, budgets and the proof
-//! cache.
+//! Parallel verification orchestration: scheduling, budgets, the one
+//! verdict type and the proof cache.
 //!
 //! The checker turns every property of a testbench into an independent task
 //! on its own cone-of-influence slice (see [`crate::coi`]); this module
@@ -7,36 +7,44 @@
 //!
 //! * [`ParallelOptions`] — the orchestration knobs on
 //!   [`crate::checker::CheckOptions`]: worker count (`threads = 1` is the
-//!   sequential escape hatch), slicing on/off, an optional per-property time
-//!   budget, first-violation cancellation, and an optional [`ProofCache`];
+//!   sequential escape hatch), slicing and opt on/off, an optional
+//!   per-property time budget, and an optional [`ProofCache`];
 //! * `run_ordered` — a self-scheduling worker pool over [`std::thread`]
 //!   (no external dependencies): idle workers steal the next property index
-//!   from a shared atomic queue head, results land in annotation order, and
-//!   a shared cancellation flag stops the fleet early.  Statuses are
-//!   deterministic — every engine is single-threaded and runs on an
-//!   identical slice regardless of interleaving — so a report assembled
-//!   from a parallel run renders byte-identically to a sequential one;
+//!   from a shared atomic queue head and results land in annotation order.
+//!   Statuses are deterministic — every engine is single-threaded and runs
+//!   on an identical slice regardless of interleaving — so a report
+//!   assembled from a parallel run renders byte-identically to a
+//!   sequential one;
+//! * `Verdict` — the one shape of a decided answer to "can the target be
+//!   reached?": yes with a trace, or no with a `Certificate` (an induction
+//!   depth, a PDR invariant or explicit reachability).  Every cascade stage
+//!   answers with one, the proof cache stores, re-checks and returns one,
+//!   and the checker turns one into a report status;
 //! * [`ProofCache`] — a process-wide store keyed by *slice fingerprint +
-//!   property name*.  Identical cones (buggy/fixed design variants,
+//!   property name*, run by the checker as the first stage of every
+//!   property's cascade.  Identical cones (buggy/fixed design variants,
 //!   repeated bench iterations, properties stamped out by the same
-//!   annotation) reuse verdicts instead of re-running engines.  Cache hits
-//!   are never trusted blindly where an artifact can be re-checked: PDR
-//!   invariants are re-certified against the slice with an independent SAT
-//!   check, counterexample/witness traces are replayed through the
-//!   two-state simulator, and disk-loaded k-induction verdicts are
-//!   re-proven at their recorded depth on first use (or rejected outright
-//!   when that depth exceeds the run's own induction bound); entries that
-//!   fail validation are evicted and the property is re-verified from
-//!   scratch.
-//!   The cache can spill to disk
-//!   ([`ProofCache::open`]/[`ProofCache::flush`]) — only these
-//!   re-checkable kinds cross the process boundary.  Alongside the
-//!   verdicts, a cache also memoizes, in process only, the optimized form
-//!   of every cone slice an opt-on run prepared, so a re-run of unchanged
-//!   RTL skips the optimizer and the liveness-to-safety transform.
+//!   annotation) reuse verdicts instead of re-running engines.  Which
+//!   certificates cross the disk and how each artifact is re-checked are
+//!   decided here, once: a trace is replayed through the two-state
+//!   simulator on every hit; a PDR invariant must name latches of the live
+//!   slice and certify with an independent SAT check on every hit; a
+//!   k-induction depth is trusted when this process stored it and re-proven
+//!   on the first hit after loading it from disk (or rejected outright when
+//!   it exceeds the run's own induction bound); an explicit-reachability
+//!   proof never leaves the process and is trusted.  An entry that fails
+//!   its check is evicted and the property re-verified from scratch,
+//!   unless the task's budget cut the check short: that is a miss, and the
+//!   entry stays.  The cache spills to disk
+//!   ([`ProofCache::open`]/[`ProofCache::flush`]).  Alongside the verdicts,
+//!   a cache also memoizes, in process only, the optimized form of every
+//!   cone slice an opt-on run prepared, so a re-run of unchanged RTL skips
+//!   the optimizer and the liveness-to-safety transform.
 
 use crate::aig::Lit;
 use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
+use crate::checker::Proof;
 use crate::coi::Fingerprint;
 use crate::interrupt::Interrupt;
 use crate::model::Model;
@@ -49,7 +57,8 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::str::Lines;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -75,12 +84,8 @@ pub struct ParallelOptions {
     /// [`crate::checker::PropertyStatus::Unknown`] with an explanatory note.
     /// Budgets make outcomes timing-dependent, so the default is `None`.
     pub property_timeout: Option<Duration>,
-    /// Raise the shared cancellation flag as soon as any property is
-    /// violated; properties not yet started report `Unknown`.  Useful for
-    /// bug-hunting sweeps; off by default because it makes reports depend on
-    /// scheduling order.
-    pub stop_on_violation: bool,
-    /// Share verified verdicts across runs keyed by slice fingerprint.
+    /// Share verified verdicts across runs keyed by slice fingerprint: the
+    /// first stage of every property's cascade looks the property up here.
     pub cache: Option<ProofCache>,
 }
 
@@ -91,7 +96,6 @@ impl Default for ParallelOptions {
             slice: true,
             opt: true,
             property_timeout: None,
-            stop_on_violation: false,
             cache: None,
         }
     }
@@ -117,15 +121,6 @@ impl ParallelOptions {
 /// Workers self-schedule from a shared queue head, so long-running
 /// properties never block short ones behind a static partition.
 ///
-/// # Cancellation semantics
-///
-/// When `cancel` is raised, items not yet *started* yield `None`; items
-/// whose run already started are never preempted here — they complete
-/// normally (or wind down early by observing the flag themselves, e.g.
-/// through an [`crate::interrupt::Interrupt`] carrying it) and their
-/// results are kept.  A slot is therefore `None` only for "never ran",
-/// not "ran and was discarded".
-///
 /// # Fault containment
 ///
 /// The checker wraps engine work in its own `catch_unwind`, but this pool
@@ -136,7 +131,6 @@ impl ParallelOptions {
 pub(crate) fn run_ordered<T, R, F>(
     items: &[T],
     threads: usize,
-    cancel: &AtomicBool,
     telemetry: &crate::telemetry::Telemetry,
     run: F,
 ) -> Vec<Option<R>>
@@ -153,15 +147,8 @@ where
             .iter()
             .enumerate()
             .map(|(i, item)| {
-                if cancel.load(Ordering::Relaxed) {
-                    None
-                } else {
-                    crate::telemetry::gauge(
-                        "pool.queue_depth",
-                        items.len().saturating_sub(i) as u64,
-                    );
-                    catch_unwind(AssertUnwindSafe(|| run(i, item))).ok()
-                }
+                crate::telemetry::gauge("pool.queue_depth", items.len().saturating_sub(i) as u64);
+                catch_unwind(AssertUnwindSafe(|| run(i, item))).ok()
             })
             .collect();
     }
@@ -177,9 +164,6 @@ where
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
                         break;
-                    }
-                    if cancel.load(Ordering::Relaxed) {
-                        continue;
                     }
                     crate::telemetry::gauge(
                         "pool.queue_depth",
@@ -206,12 +190,13 @@ where
 pub struct CacheStats {
     /// Lookups answered from the cache (after successful re-validation).
     pub hits: u64,
-    /// Lookups that found no entry.
+    /// Lookups that found no entry, or whose check of the entry the task's
+    /// budget cut short (the entry stays).
     pub misses: u64,
     /// Verdicts stored.
     pub insertions: u64,
-    /// Entries evicted because re-validation (invariant certification or
-    /// trace replay) failed.
+    /// Entries evicted because re-validation (trace replay, invariant
+    /// certification or an induction re-proof) failed.
     pub rejected: u64,
     /// Entries loaded from the on-disk spill at open time.
     pub loaded: u64,
@@ -244,53 +229,40 @@ pub(crate) struct CacheKey {
     pub property: String,
 }
 
-/// A verdict as stored in the cache (artifacts in slice-literal terms).
+/// A decided answer to the question every checked property asks: can its
+/// target literal be reached?  Artifacts are in the terms of the slice the
+/// property was checked on.
 #[derive(Debug, Clone)]
-pub(crate) enum CachedOutcome {
-    /// k-induction proof at the recorded depth.
-    Induction {
-        /// Induction depth.
-        depth: usize,
-    },
-    /// PDR proof; the invariant clauses are re-certified on every hit.
-    Invariant {
-        /// Invariant clauses over slice latch literals.
-        clauses: Vec<Vec<Lit>>,
-        /// Frames explored when the proof closed.
-        frames: usize,
-    },
-    /// Explicit-engine (exhaustive reachability) proof.
-    Reachability,
-    /// Cover target proven unreachable; when PDR produced the proof the
-    /// invariant certificate is kept and re-checked on hits.
-    Unreachable {
-        /// `(clauses, frames)` of the PDR certificate, if one exists.
-        certificate: Option<(Vec<Vec<Lit>>, usize)>,
-    },
-    /// Counterexample; replayed through the simulator on every hit.
-    Violated(Trace),
-    /// Cover witness; replayed through the simulator on every hit.
-    Covered(Trace),
+pub(crate) enum Verdict {
+    /// Yes: the counterexample (safety, liveness) or witness (cover).
+    Reached(Trace),
+    /// No, and why.
+    Unreachable(Certificate),
 }
 
-/// A cache hit after successful re-validation, in engine terms.
+/// Why a target cannot be reached.
 #[derive(Debug, Clone)]
-pub(crate) enum CachedVerdict {
-    /// k-induction proof.
-    Induction {
-        /// Induction depth.
-        depth: usize,
-    },
-    /// Re-certified PDR invariant.
+pub(crate) enum Certificate {
+    /// k-induction closed at this depth.
+    Induction(usize),
+    /// A PDR inductive invariant.
     Invariant(Invariant),
-    /// Explicit-engine proof.
+    /// Exhaustive reachable-state enumeration by the explicit engine.
     Reachability,
-    /// Cover target unreachable.
-    Unreachable,
-    /// Replayed counterexample.
-    Violated(Trace),
-    /// Replayed cover witness.
-    Covered(Trace),
+}
+
+impl Certificate {
+    /// The proof a proven safety or liveness property reports.
+    pub(crate) fn proof(&self, model: &Model) -> Proof {
+        match self {
+            Certificate::Induction(depth) => Proof::Induction { depth: *depth },
+            Certificate::Invariant(invariant) => Proof::Invariant {
+                clauses: invariant.render(&model.aig),
+                frames: invariant.frames_explored,
+            },
+            Certificate::Reachability => Proof::Reachability,
+        }
+    }
 }
 
 /// A stored verdict plus its provenance: entries loaded from the on-disk
@@ -299,7 +271,7 @@ pub(crate) enum CachedVerdict {
 /// not).
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    outcome: CachedOutcome,
+    verdict: Verdict,
     /// Loaded from disk and not yet re-validated by this process.
     unvalidated: bool,
 }
@@ -333,24 +305,32 @@ struct CacheInner {
 /// A process-wide proof cache shared by verification runs (cheaply cloneable
 /// handle; clones share the same store).
 ///
+/// The checker runs the cache as the first stage of every property's
+/// cascade: a later stage's decided verdict is stored, and a lookup returns
+/// a stored verdict only after its artifact passed its check (see the
+/// module documentation).
+///
 /// A cache opened with [`ProofCache::open`] is backed by a versioned
-/// on-disk spill file: entries load at open time (corruption-tolerant — a
-/// truncated or garbled file yields the readable prefix, never an error)
-/// and [`ProofCache::flush`] writes them back atomically, so repeated
-/// CLI/CI invocations reuse proofs across processes.  The spill file is a
-/// trust boundary, so only verdict kinds whose artifact can be
-/// independently re-checked ever cross it: invariants (re-certified on
-/// every hit), traces (replayed on every hit) and induction proofs
-/// (re-proven at their recorded depth on the first hit after loading;
-/// entries stored by this process stay trusted on the fingerprint match).
+/// on-disk spill file (`autosva-proof-cache v2`): entries load at open time
+/// (corruption-tolerant — a truncated or garbled file yields the readable
+/// prefix, never an error, and a file of another version loads empty) and
+/// [`ProofCache::flush`] writes them back atomically, so repeated CLI/CI
+/// invocations reuse proofs across processes.  The spill file is a trust
+/// boundary, so only verdicts whose artifact can be independently
+/// re-checked cross it: traces (`reached`, replayed on every hit), PDR
+/// invariants (`invariant`, re-certified on every hit) and induction
+/// depths (`induction`, re-proven on the first hit after loading; entries
+/// stored by this process stay trusted on the fingerprint match).  Whether
+/// a trace is a counterexample or a witness, and whether an unreachable
+/// target is a proof or an unreachable cover, follows from the property's
+/// kind, so a cover's certificate crosses the disk like an assertion's.
 /// Parsed artifacts are bounds-checked (depth, clause, cycle and signal
 /// caps; invariant literals must name latches of the live model), so an
 /// oversized forgery rejects cheaply instead of hanging the re-proof or
-/// panicking the encoder.  Verdicts with no re-checkable artifact —
-/// explicit-engine reachability and certificate-less unreachability —
-/// stay process-local: they are neither written to nor parsed from the
-/// spill file.  A stale, garbled or hand-forged file can therefore cost a
-/// re-verification but never mislead a report.
+/// panicking the encoder.  Explicit-engine reachability proofs have no
+/// re-checkable artifact and stay process-local: they are neither written
+/// to nor parsed from the spill file.  A stale, garbled or hand-forged file
+/// can therefore cost a re-verification but never mislead a report.
 ///
 /// The cache also memoizes prepared cone slices for opt-on runs, keyed by
 /// the raw slice fingerprint: the optimized slice, its fingerprint and its
@@ -445,16 +425,7 @@ impl ProofCache {
         text.push_str(CACHE_HEADER);
         text.push('\n');
         for (key, entry) in entries {
-            // Verdicts without an independently re-checkable artifact are
-            // process-local: the spill file is a trust boundary and a hit
-            // on these kinds could not be re-validated.
-            if matches!(
-                entry.outcome,
-                CachedOutcome::Reachability | CachedOutcome::Unreachable { certificate: None }
-            ) {
-                continue;
-            }
-            render_cache_entry(&mut text, key, &entry.outcome);
+            render_cache_entry(&mut text, key, &entry.verdict);
         }
         let tmp = path.with_extension("tmp");
         {
@@ -531,13 +502,13 @@ impl ProofCache {
     }
 
     /// Stores a verdict (last write wins).
-    pub(crate) fn store(&self, key: CacheKey, outcome: CachedOutcome) {
+    pub(crate) fn store(&self, key: CacheKey, verdict: Verdict) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.stats.insertions += 1;
         inner.entries.insert(
             key,
             CacheEntry {
-                outcome,
+                verdict,
                 unvalidated: false,
             },
         );
@@ -548,11 +519,14 @@ impl ProofCache {
     /// `model` with bad/cover literal `target`.
     ///
     /// The entry (if any) was produced on a slice with the same content
-    /// fingerprint, so validation failure indicates a hash collision or a
+    /// fingerprint, so a failed check indicates a hash collision or a
     /// corrupted entry — the entry is evicted and `None` returned so the
-    /// property is re-verified from scratch.  `max_induction` is the run's
-    /// induction bound for the property, and `interrupt` its task budget:
-    /// both bound the re-proof of a disk-loaded k-induction entry.
+    /// property is re-verified from scratch.  A check that failed because
+    /// `interrupt` fired (the task's budget ran out during a re-proof) says
+    /// nothing about the entry: it counts as a miss and the entry stays.
+    /// `max_induction` is the run's induction bound for the property, and
+    /// `interrupt` its task budget: both bound the re-proof of a
+    /// disk-loaded k-induction entry.
     pub(crate) fn lookup(
         &self,
         key: &CacheKey,
@@ -560,7 +534,7 @@ impl ProofCache {
         target: Lit,
         max_induction: usize,
         interrupt: &Interrupt,
-    ) -> Option<CachedVerdict> {
+    ) -> Option<Verdict> {
         let entry = {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             match inner.entries.get(key) {
@@ -571,91 +545,46 @@ impl ProofCache {
                 }
             }
         };
-        let unvalidated = entry.unvalidated;
         // Validation runs outside the lock: certification and replay are
         // real engine work and must not serialize the worker pool.
-        let verdict = match entry.outcome {
-            CachedOutcome::Induction { depth } => {
-                // In-process entries are trusted on the fingerprint match
-                // (the verdict was computed by this process); disk-loaded
-                // entries are re-proven at their recorded depth once.  A
-                // depth beyond the run's own bound cannot come from this
-                // configuration and is rejected without a re-proof, whose
-                // cost grows steeply with the depth.
-                let reproves = || {
-                    depth <= max_induction
-                        && induction_reproves(model, target, &key.property, depth, interrupt)
-                };
-                if !unvalidated || reproves() {
-                    Some(CachedVerdict::Induction { depth })
-                } else {
-                    None
-                }
+        let valid = match &entry.verdict {
+            Verdict::Reached(trace) => replay_confirms(model, target, trace),
+            // In-process entries are trusted on the fingerprint match (the
+            // verdict was computed by this process); disk-loaded entries
+            // are re-proven at their recorded depth once.  A depth beyond
+            // the run's own bound cannot come from this configuration and
+            // is rejected without a re-proof, whose cost grows steeply with
+            // the depth.
+            Verdict::Unreachable(Certificate::Induction(depth)) => {
+                !entry.unvalidated
+                    || (*depth <= max_induction
+                        && induction_reproves(model, target, &key.property, *depth, interrupt))
             }
-            // Process-local kind (never spilled to disk): trusted on the
-            // fingerprint match, exactly as before persistence existed.
-            CachedOutcome::Reachability => Some(CachedVerdict::Reachability),
-            CachedOutcome::Invariant { clauses, frames } => {
-                if clauses_fit_model(model, &clauses) {
-                    let invariant = Invariant::from_clauses(clauses, frames);
-                    if invariant.certify(model, target) {
-                        Some(CachedVerdict::Invariant(invariant))
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                }
+            Verdict::Unreachable(Certificate::Invariant(invariant)) => {
+                clauses_fit_model(model, invariant.clauses()) && invariant.certify(model, target)
             }
-            CachedOutcome::Unreachable { certificate } => match certificate {
-                None => Some(CachedVerdict::Unreachable),
-                Some((clauses, frames)) => {
-                    if clauses_fit_model(model, &clauses) {
-                        let invariant = Invariant::from_clauses(clauses, frames);
-                        if invariant.certify(model, target) {
-                            Some(CachedVerdict::Unreachable)
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
-                    }
-                }
-            },
-            CachedOutcome::Violated(trace) => {
-                if replay_confirms(model, target, &trace) {
-                    Some(CachedVerdict::Violated(trace))
-                } else {
-                    None
-                }
-            }
-            CachedOutcome::Covered(trace) => {
-                if replay_confirms(model, target, &trace) {
-                    Some(CachedVerdict::Covered(trace))
-                } else {
-                    None
-                }
-            }
+            // Never spilled to disk, so always this process's own verdict.
+            Verdict::Unreachable(Certificate::Reachability) => true,
         };
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        match verdict {
-            Some(v) => {
-                inner.stats.hits += 1;
-                if unvalidated {
-                    // The disk-loaded entry survived validation against the
-                    // live model: treat it as in-process from here on.
-                    if let Some(entry) = inner.entries.get_mut(key) {
-                        entry.unvalidated = false;
-                    }
+        if valid {
+            inner.stats.hits += 1;
+            if entry.unvalidated {
+                // The disk-loaded entry survived validation against the
+                // live model: treat it as in-process from here on.
+                if let Some(stored) = inner.entries.get_mut(key) {
+                    stored.unvalidated = false;
                 }
-                Some(v)
             }
-            None => {
-                inner.stats.rejected += 1;
-                inner.entries.remove(key);
-                inner.dirty = true;
-                None
-            }
+            Some(entry.verdict)
+        } else if interrupt.triggered().is_some() {
+            inner.stats.misses += 1;
+            None
+        } else {
+            inner.stats.rejected += 1;
+            inner.entries.remove(key);
+            inner.dirty = true;
+            None
         }
     }
 }
@@ -663,8 +592,10 @@ impl ProofCache {
 /// Spill-file name inside the cache directory.
 const CACHE_FILE: &str = "proofs.cache";
 /// Version header; bump on any format change (older files are ignored,
-/// which is safe: the cache is advisory).
-const CACHE_HEADER: &str = "autosva-proof-cache v1";
+/// which is safe: the cache is advisory).  Version 2 tags entries by
+/// artifact alone (`induction`, `invariant`, `reached`), so a version 1
+/// reader would take a cover's `invariant` entry for a proof.
+const CACHE_HEADER: &str = "autosva-proof-cache v2";
 /// Sanity bounds on parsed entries.  Legitimate artifacts sit far below
 /// these (induction depths ≤ the configured `max_induction`, traces ≤ the
 /// BMC bound, invariants ≤ a few hundred clauses); anything larger is a
@@ -710,16 +641,6 @@ fn unescape_name(escaped: &str) -> Option<String> {
     Some(out)
 }
 
-fn render_clauses(out: &mut String, clauses: &[Vec<Lit>]) {
-    for clause in clauses {
-        out.push_str("clause");
-        for lit in clause {
-            let _ = write!(out, " {}", lit.raw());
-        }
-        out.push('\n');
-    }
-}
-
 fn render_trace(out: &mut String, trace: &Trace) {
     let _ = writeln!(out, "{} {}", trace.len(), trace.num_signals());
     for sig in trace.signals() {
@@ -738,55 +659,40 @@ fn render_trace(out: &mut String, trace: &Trace) {
     }
 }
 
-/// Serializes one cache entry into the line-oriented spill format.
-fn render_cache_entry(out: &mut String, key: &CacheKey, outcome: &CachedOutcome) {
-    let _ = writeln!(
-        out,
+/// Serializes one cache entry into the line-oriented spill format.  An
+/// explicit-reachability proof writes nothing: it has no artifact another
+/// process could re-check.
+fn render_cache_entry(out: &mut String, key: &CacheKey, verdict: &Verdict) {
+    let entry = format!(
         "entry {:016x} {:016x} {}",
         key.fingerprint.0,
         key.fingerprint.1,
         escape_name(&key.property)
     );
-    match outcome {
-        CachedOutcome::Induction { depth } => {
-            let _ = writeln!(out, "induction {depth}");
+    match verdict {
+        Verdict::Reached(trace) => {
+            let _ = write!(out, "{entry}\nreached ");
+            render_trace(out, trace);
         }
-        CachedOutcome::Invariant { clauses, frames } => {
-            let _ = writeln!(out, "invariant {frames} {}", clauses.len());
-            render_clauses(out, clauses);
+        Verdict::Unreachable(Certificate::Induction(depth)) => {
+            let _ = writeln!(out, "{entry}\ninduction {depth}");
         }
-        CachedOutcome::Reachability => out.push_str("reachability\n"),
-        CachedOutcome::Unreachable { certificate } => match certificate {
-            None => out.push_str("unreachable\n"),
-            Some((clauses, frames)) => {
-                let _ = writeln!(out, "unreachable-cert {frames} {}", clauses.len());
-                render_clauses(out, clauses);
+        Verdict::Unreachable(Certificate::Invariant(invariant)) => {
+            let (frames, clauses) = (invariant.frames_explored, invariant.clauses());
+            let _ = writeln!(out, "{entry}\ninvariant {frames} {}", clauses.len());
+            for clause in clauses {
+                out.push_str("clause");
+                for lit in clause {
+                    let _ = write!(out, " {}", lit.raw());
+                }
+                out.push('\n');
             }
-        },
-        CachedOutcome::Violated(trace) => {
-            out.push_str("violated ");
-            render_trace(out, trace);
         }
-        CachedOutcome::Covered(trace) => {
-            out.push_str("covered ");
-            render_trace(out, trace);
-        }
+        Verdict::Unreachable(Certificate::Reachability) => {}
     }
 }
 
-/// Line-cursor over the spill file; every parse helper returns `Option` so
-/// any corruption aborts the current entry without panicking.
-struct CacheLines<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> CacheLines<'a> {
-    fn next(&mut self) -> Option<&'a str> {
-        self.lines.next()
-    }
-}
-
-fn parse_clauses(lines: &mut CacheLines<'_>, count: usize) -> Option<Vec<Vec<Lit>>> {
+fn parse_clauses(lines: &mut Lines<'_>, count: usize) -> Option<Vec<Vec<Lit>>> {
     let mut clauses = Vec::with_capacity(count);
     for _ in 0..count {
         let line = lines.next()?;
@@ -804,7 +710,7 @@ fn parse_clauses(lines: &mut CacheLines<'_>, count: usize) -> Option<Vec<Vec<Lit
     Some(clauses)
 }
 
-fn parse_trace(header: &str, lines: &mut CacheLines<'_>) -> Option<Trace> {
+fn parse_trace(header: &str, lines: &mut Lines<'_>) -> Option<Trace> {
     let mut fields = header.split(' ');
     let cycles: usize = fields.next()?.parse().ok()?;
     let num_signals: usize = fields.next()?.parse().ok()?;
@@ -840,12 +746,13 @@ fn parse_trace(header: &str, lines: &mut CacheLines<'_>) -> Option<Trace> {
     Some(trace)
 }
 
-/// Parses one entry (the `entry` line was already consumed and split into
-/// `key`); returns `None` on any malformed line.
-fn parse_outcome(lines: &mut CacheLines<'_>) -> Option<CachedOutcome> {
+/// Parses one entry's verdict (the `entry` line was already consumed);
+/// returns `None` on any malformed line.
+fn parse_verdict(lines: &mut Lines<'_>) -> Option<Verdict> {
     let line = lines.next()?;
     let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
-    match tag {
+    let certificate = match tag {
+        "reached" => return Some(Verdict::Reached(parse_trace(rest, lines)?)),
         "induction" => {
             let depth: usize = rest.parse().ok()?;
             // Real induction depths are two orders below this; the lookup
@@ -853,32 +760,26 @@ fn parse_outcome(lines: &mut CacheLines<'_>) -> Option<CachedOutcome> {
             if depth > MAX_CACHE_DEPTH {
                 return None;
             }
-            Some(CachedOutcome::Induction { depth })
+            Certificate::Induction(depth)
         }
-        "invariant" | "unreachable-cert" => {
+        "invariant" => {
             let mut fields = rest.split(' ');
             let frames: usize = fields.next()?.parse().ok()?;
             let count: usize = fields.next()?.parse().ok()?;
             if count > MAX_CACHE_CLAUSES {
                 return None;
             }
-            let clauses = parse_clauses(lines, count)?;
-            Some(if tag == "invariant" {
-                CachedOutcome::Invariant { clauses, frames }
-            } else {
-                CachedOutcome::Unreachable {
-                    certificate: Some((clauses, frames)),
-                }
-            })
+            Certificate::Invariant(Invariant::from_clauses(
+                parse_clauses(lines, count)?,
+                frames,
+            ))
         }
-        // "reachability" and certificate-less "unreachable" are never
-        // written (process-local kinds, see `flush`); an unknown tag stops
-        // the load at the clean prefix, so a forged one cannot smuggle an
-        // unvalidatable verdict in.
-        "violated" => Some(CachedOutcome::Violated(parse_trace(rest, lines)?)),
-        "covered" => Some(CachedOutcome::Covered(parse_trace(rest, lines)?)),
-        _ => None,
-    }
+        // Explicit-reachability proofs are never written; an unknown tag
+        // stops the load at the clean prefix, so a forged one cannot
+        // smuggle an unvalidatable verdict in.
+        _ => return None,
+    };
+    Some(Verdict::Unreachable(certificate))
 }
 
 /// Parses a spill file, keeping every entry up to the first corruption.
@@ -887,9 +788,7 @@ fn parse_outcome(lines: &mut CacheLines<'_>) -> Option<CachedOutcome> {
 /// model before the verdict is reused.
 fn parse_cache_file(text: &str) -> HashMap<CacheKey, CacheEntry> {
     let mut entries = HashMap::new();
-    let mut lines = CacheLines {
-        lines: text.lines(),
-    };
+    let mut lines = text.lines();
     if lines.next() != Some(CACHE_HEADER) {
         return entries;
     }
@@ -906,15 +805,15 @@ fn parse_cache_file(text: &str) -> HashMap<CacheKey, CacheEntry> {
                 fingerprint: Fingerprint(hi, lo),
                 property,
             };
-            let outcome = parse_outcome(&mut lines)?;
-            Some((key, outcome))
+            let verdict = parse_verdict(&mut lines)?;
+            Some((key, verdict))
         })();
         match parsed {
-            Some((key, outcome)) => {
+            Some((key, verdict)) => {
                 entries.insert(
                     key,
                     CacheEntry {
-                        outcome,
+                        verdict,
                         unvalidated: true,
                     },
                 );
@@ -976,20 +875,31 @@ mod tests {
     use super::*;
     use crate::aig::Aig;
     use crate::model::BadProperty;
+    use std::time::Instant;
 
     /// Looks `key()` up with a generous induction bound and no budget.
-    fn lookup(cache: &ProofCache, model: &Model, target: Lit) -> Option<CachedVerdict> {
+    fn lookup(cache: &ProofCache, model: &Model, target: Lit) -> Option<Verdict> {
         cache.lookup(&key(), model, target, 12, &Interrupt::none())
+    }
+
+    /// A k-induction proof at `depth`.
+    fn induction(depth: usize) -> Verdict {
+        Verdict::Unreachable(Certificate::Induction(depth))
+    }
+
+    /// A PDR proof with `clauses` at `frames`.
+    fn invariant(clauses: Vec<Vec<Lit>>, frames: usize) -> Verdict {
+        Verdict::Unreachable(Certificate::Invariant(Invariant::from_clauses(
+            clauses, frames,
+        )))
     }
 
     #[test]
     fn run_ordered_preserves_item_order() {
         let items: Vec<usize> = (0..64).collect();
-        let cancel = AtomicBool::new(false);
         let out = run_ordered(
             &items,
             8,
-            &cancel,
             &crate::telemetry::Telemetry::disabled(),
             |i, &item| {
                 assert_eq!(i, item);
@@ -1003,18 +913,15 @@ mod tests {
     #[test]
     fn run_ordered_sequential_matches_parallel() {
         let items: Vec<usize> = (0..32).collect();
-        let cancel = AtomicBool::new(false);
         let seq = run_ordered(
             &items,
             1,
-            &cancel,
             &crate::telemetry::Telemetry::disabled(),
             |_, &x| x + 1,
         );
         let par = run_ordered(
             &items,
             4,
-            &cancel,
             &crate::telemetry::Telemetry::disabled(),
             |_, &x| x + 1,
         );
@@ -1023,16 +930,23 @@ mod tests {
 
     #[test]
     fn cancelled_items_yield_none() {
+        // The pool contains a panic that escapes an item's run: that item
+        // yields `None` and every other item completes.
         let items: Vec<usize> = (0..8).collect();
-        let cancel = AtomicBool::new(true);
-        let out = run_ordered(
-            &items,
-            4,
-            &cancel,
-            &crate::telemetry::Telemetry::disabled(),
-            |_, &x| x,
-        );
-        assert!(out.iter().all(Option::is_none));
+        for threads in [1, 4] {
+            let out = run_ordered(
+                &items,
+                threads,
+                &crate::telemetry::Telemetry::disabled(),
+                |_, &x| {
+                    assert_ne!(x, 3, "item 3 panics");
+                    x
+                },
+            );
+            let expected: Vec<Option<usize>> =
+                items.iter().map(|&x| (x != 3).then_some(x)).collect();
+            assert_eq!(out, expected, "{threads} worker(s)");
+        }
     }
 
     #[test]
@@ -1075,9 +989,9 @@ mod tests {
         let mut trace = Trace::new(2);
         trace.record(0, "x", true, true);
         trace.record(1, "q", true, false);
-        cache.store(key(), CachedOutcome::Violated(trace));
+        cache.store(key(), Verdict::Reached(trace));
         match lookup(&cache, &model, q) {
-            Some(CachedVerdict::Violated(t)) => assert_eq!(t.len(), 2),
+            Some(Verdict::Reached(t)) => assert_eq!(t.len(), 2),
             other => panic!("expected replayed violation, got {other:?}"),
         }
         assert_eq!(cache.stats().hits, 1);
@@ -1090,7 +1004,7 @@ mod tests {
         // x never high: the bad state is not reached and replay must fail.
         let mut trace = Trace::new(2);
         trace.record(0, "x", false, true);
-        cache.store(key(), CachedOutcome::Violated(trace));
+        cache.store(key(), Verdict::Reached(trace));
         assert!(lookup(&cache, &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
         assert!(cache.is_empty(), "failed entries must be evicted");
@@ -1102,13 +1016,7 @@ mod tests {
         // a bogus invariant entry must be rejected.
         let (model, q) = tiny_model();
         let cache = ProofCache::new();
-        cache.store(
-            key(),
-            CachedOutcome::Invariant {
-                clauses: vec![vec![q.invert()]],
-                frames: 1,
-            },
-        );
+        cache.store(key(), invariant(vec![vec![q.invert()]], 1));
         assert!(lookup(&cache, &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
 
@@ -1122,15 +1030,11 @@ mod tests {
             name: "q_high".into(),
             lit: q2,
         });
-        cache.store(
-            key(),
-            CachedOutcome::Invariant {
-                clauses: vec![vec![q2.invert()]],
-                frames: 1,
-            },
-        );
+        cache.store(key(), invariant(vec![vec![q2.invert()]], 1));
         match lookup(&cache, &safe, q2) {
-            Some(CachedVerdict::Invariant(inv)) => assert_eq!(inv.num_clauses(), 1),
+            Some(Verdict::Unreachable(Certificate::Invariant(inv))) => {
+                assert_eq!(inv.num_clauses(), 1)
+            }
             other => panic!("expected certified invariant, got {other:?}"),
         }
     }
@@ -1158,67 +1062,40 @@ mod tests {
             property: name.into(),
         };
         let inv_clauses = vec![vec![Lit::new(3, true), Lit::new(7, false)], vec![]];
-        cache.store(entry("ind"), CachedOutcome::Induction { depth: 9 });
+        cache.store(entry("ind"), induction(9));
+        cache.store(entry("inv"), invariant(inv_clauses.clone(), 4));
         cache.store(
-            entry("inv"),
-            CachedOutcome::Invariant {
-                clauses: inv_clauses.clone(),
-                frames: 4,
-            },
+            entry("reach"),
+            Verdict::Unreachable(Certificate::Reachability),
         );
-        cache.store(entry("reach"), CachedOutcome::Reachability);
-        cache.store(
-            entry("unreach"),
-            CachedOutcome::Unreachable { certificate: None },
-        );
-        cache.store(
-            entry("unreach-cert"),
-            CachedOutcome::Unreachable {
-                certificate: Some((inv_clauses.clone(), 2)),
-            },
-        );
-        cache.store(entry("cex"), CachedOutcome::Violated(trace.clone()));
-        cache.store(entry("wit"), CachedOutcome::Covered(trace.clone()));
+        cache.store(entry("cex"), Verdict::Reached(trace.clone()));
         cache.flush().expect("flush succeeds");
 
         // A "fresh process": a new handle over the same directory.  The
-        // two kinds with no re-checkable artifact are process-local and
-        // must not have crossed the disk boundary.
+        // kind with no re-checkable artifact is process-local and must not
+        // have crossed the disk boundary.
         let reloaded = ProofCache::open(&dir);
-        assert_eq!(reloaded.len(), 5);
-        assert_eq!(reloaded.stats().loaded, 5);
+        assert_eq!(reloaded.len(), 3);
+        assert_eq!(reloaded.stats().loaded, 3);
         let entries = &reloaded.inner.lock().expect("lock").entries;
         assert!(
             entries.get(&entry("reach")).is_none(),
             "explicit-reachability verdicts must not persist"
         );
-        assert!(
-            entries.get(&entry("unreach")).is_none(),
-            "certificate-less unreachability verdicts must not persist"
-        );
-        match entries.get(&entry("ind")).map(|e| &e.outcome) {
-            Some(CachedOutcome::Induction { depth: 9 }) => {}
+        match entries.get(&entry("ind")).map(|e| &e.verdict) {
+            Some(Verdict::Unreachable(Certificate::Induction(9))) => {}
             other => panic!("induction entry corrupted: {other:?}"),
         }
-        match entries.get(&entry("inv")).map(|e| &e.outcome) {
-            Some(CachedOutcome::Invariant { clauses, frames: 4 }) => {
-                assert_eq!(clauses, &inv_clauses);
+        match entries.get(&entry("inv")).map(|e| &e.verdict) {
+            Some(Verdict::Unreachable(Certificate::Invariant(inv))) => {
+                assert_eq!(inv.clauses(), &inv_clauses);
+                assert_eq!(inv.frames_explored, 4);
             }
             other => panic!("invariant entry corrupted: {other:?}"),
         }
-        match entries.get(&entry("unreach-cert")).map(|e| &e.outcome) {
-            Some(CachedOutcome::Unreachable {
-                certificate: Some((clauses, 2)),
-            }) => assert_eq!(clauses, &inv_clauses),
-            other => panic!("certificate entry corrupted: {other:?}"),
-        }
-        match entries.get(&entry("cex")).map(|e| &e.outcome) {
-            Some(CachedOutcome::Violated(t)) => assert_eq!(t, &trace),
+        match entries.get(&entry("cex")).map(|e| &e.verdict) {
+            Some(Verdict::Reached(t)) => assert_eq!(t, &trace),
             other => panic!("trace entry corrupted: {other:?}"),
-        }
-        match entries.get(&entry("wit")).map(|e| &e.outcome) {
-            Some(CachedOutcome::Covered(t)) => assert_eq!(t, &trace),
-            other => panic!("witness entry corrupted: {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1233,7 +1110,7 @@ mod tests {
                     fingerprint: Fingerprint(i, i * 3),
                     property: format!("p{i}"),
                 },
-                CachedOutcome::Induction { depth: i as usize },
+                induction(i as usize),
             );
         }
         cache.flush().expect("flush");
@@ -1247,7 +1124,7 @@ mod tests {
                 fingerprint: Fingerprint(0, 0),
                 property: "p0".into(),
             },
-            CachedOutcome::Induction { depth: 0 },
+            induction(0),
         );
         reloaded.flush().expect("flush");
         let second = std::fs::read_to_string(&path).expect("spill file exists");
@@ -1264,14 +1141,14 @@ mod tests {
                 fingerprint: Fingerprint(1, 1),
                 property: "a".into(),
             },
-            CachedOutcome::Induction { depth: 1 },
+            induction(1),
         );
         cache.store(
             CacheKey {
                 fingerprint: Fingerprint(2, 2),
                 property: "b".into(),
             },
-            CachedOutcome::Induction { depth: 2 },
+            induction(2),
         );
         cache.flush().expect("flush");
         let path = cache.spill_path().unwrap();
@@ -1291,7 +1168,11 @@ mod tests {
         assert!(ProofCache::open(&dir).is_empty());
 
         // Wrong version: ignored wholesale.
-        std::fs::write(&path, text.replace("v1", "v999")).unwrap();
+        std::fs::write(
+            &path,
+            text.replace(CACHE_HEADER, "autosva-proof-cache v999"),
+        )
+        .unwrap();
         assert!(ProofCache::open(&dir).is_empty());
 
         // Interior corruption: entries before the bad line survive.
@@ -1335,7 +1216,7 @@ mod tests {
         assert_eq!(cache.stats().slices_reused, 1);
 
         // The spill file carries verdicts only, and `clear` drops the memo.
-        cache.store(key(), CachedOutcome::Induction { depth: 1 });
+        cache.store(key(), induction(1));
         cache.flush().expect("flush");
         let reopened = ProofCache::open(&dir);
         assert_eq!(reopened.len(), 1);
@@ -1351,7 +1232,7 @@ mod tests {
     #[test]
     fn in_memory_cache_flush_is_a_noop() {
         let cache = ProofCache::new();
-        cache.store(key(), CachedOutcome::Induction { depth: 1 });
+        cache.store(key(), induction(1));
         assert!(cache.spill_path().is_none());
         cache.flush().expect("no-op flush succeeds");
     }
@@ -1388,9 +1269,9 @@ mod tests {
         // match (pre-persistence semantics): no re-proof on hit.
         let (model, q) = tiny_model();
         let cache = ProofCache::new();
-        cache.store(key(), CachedOutcome::Induction { depth: 3 });
+        cache.store(key(), induction(3));
         match lookup(&cache, &model, q) {
-            Some(CachedVerdict::Induction { depth }) => assert_eq!(depth, 3),
+            Some(Verdict::Unreachable(Certificate::Induction(depth))) => assert_eq!(depth, 3),
             other => panic!("expected induction hit, got {other:?}"),
         }
         let stats = cache.stats();
@@ -1411,7 +1292,7 @@ mod tests {
         let (model, q) = safe_model();
         {
             let cache = ProofCache::open(&dir);
-            cache.store(key(), CachedOutcome::Induction { depth: 1 });
+            cache.store(key(), induction(1));
             cache.flush().expect("flush");
         }
         // Fresh process: the loaded entry re-proves against the live model
@@ -1419,7 +1300,7 @@ mod tests {
         let cache = ProofCache::open(&dir);
         for _ in 0..2 {
             match lookup(&cache, &model, q) {
-                Some(CachedVerdict::Induction { depth }) => assert_eq!(depth, 1),
+                Some(Verdict::Unreachable(Certificate::Induction(depth))) => assert_eq!(depth, 1),
                 other => panic!("expected induction hit, got {other:?}"),
             }
         }
@@ -1434,7 +1315,7 @@ mod tests {
         let dir = scratch_dir("induction-too-deep");
         {
             let cache = ProofCache::open(&dir);
-            cache.store(key(), CachedOutcome::Induction { depth: 5 });
+            cache.store(key(), induction(5));
             cache.flush().expect("flush");
         }
         let (model, q) = safe_model();
@@ -1447,6 +1328,31 @@ mod tests {
     }
 
     #[test]
+    fn preempted_revalidation_keeps_the_entry() {
+        // A valid disk entry whose re-proof the task's deadline cuts short
+        // is a miss, not a rejection: it stays, and a lookup with budget
+        // hits it.
+        let dir = scratch_dir("induction-preempted");
+        {
+            let cache = ProofCache::open(&dir);
+            cache.store(key(), induction(1));
+            cache.flush().expect("flush");
+        }
+        let (model, q) = safe_model();
+        let cache = ProofCache::open(&dir);
+        let expired = Interrupt::new(Some(Instant::now()), None);
+        assert!(cache.lookup(&key(), &model, q, 12, &expired).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.rejected, stats.misses), (0, 1));
+        assert_eq!(cache.len(), 1, "a preempted check must keep the entry");
+        match lookup(&cache, &model, q) {
+            Some(Verdict::Unreachable(Certificate::Induction(depth))) => assert_eq!(depth, 1),
+            other => panic!("expected induction hit, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn bogus_disk_induction_entries_are_rejected() {
         // The bad state of tiny_model is reachable (the input drives the
         // latch), so a disk-loaded "proven by induction" verdict is a lie —
@@ -1454,7 +1360,7 @@ mod tests {
         let dir = scratch_dir("induction-bogus");
         {
             let cache = ProofCache::open(&dir);
-            cache.store(key(), CachedOutcome::Induction { depth: 3 });
+            cache.store(key(), induction(3));
             cache.flush().expect("flush");
         }
         let (model, q) = tiny_model();
@@ -1491,7 +1397,7 @@ mod tests {
         // (c) absurd trace bounds: rejected at parse time.
         std::fs::write(
             &path,
-            format!("{CACHE_HEADER}\nentry {fp} q_high\nviolated 4000000000 0\n"),
+            format!("{CACHE_HEADER}\nentry {fp} q_high\nreached 4000000000 0\n"),
         )
         .unwrap();
         assert!(ProofCache::open(&dir).is_empty());

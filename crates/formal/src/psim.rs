@@ -8,9 +8,10 @@
 //!
 //! * **two-valued** (`u64`): 64 independent concrete lanes, one bit each;
 //!   an AND gate is a single `&`.  The stimulus fuzzer ([`crate::fuzz`]),
-//!   trace [`replay`] for fuzz hits and proof-cache hits, opt's signature
-//!   simulations and counterexample refinements, PDR's trace rebuild and
-//!   the explicit engine's 64-input-combination sweeps use it;
+//!   trace [`replay`] (which builds and confirms every fuzz, BMC and PDR
+//!   trace and re-validates proof-cache hits), opt's signature simulations
+//!   and counterexample refinements, and the explicit engine's
+//!   64-input-combination sweeps use it;
 //! * **three-valued** (`Ternary`): dual rail, a `one` and a `zero` word
 //!   per node, with X (unknown) where neither rail is set.  NOT swaps the
 //!   rails and AND is Kleene AND (`one & one`, `zero | zero`).  opt's
@@ -275,11 +276,13 @@ impl<'a> ParallelSim<'a> {
 /// Replays one concrete stimulus of `cycles` cycles, where `input(cycle,
 /// i)` drives input `i` at `cycle`.  The replay confirms when every
 /// invariant constraint holds on every cycle and `target` fires on the last
-/// one; it then returns the trace in `bmc::extract_trace`'s frame layout
-/// (the latch values entering each cycle, the inputs driven during it).
+/// one; it then returns the trace, one frame per cycle (the latch values
+/// entering the cycle, the inputs driven during it).
 ///
-/// The fuzzer confirms its hits this way, and the proof cache re-validates
-/// a cached counterexample or cover witness against the live model.
+/// The fuzzer, BMC and PDR build their traces this way from the inputs
+/// they found, so every trace they report is confirmed, and the proof
+/// cache re-validates a cached counterexample or cover witness against the
+/// live model.
 pub fn replay(
     model: &Model,
     target: Lit,

@@ -482,7 +482,7 @@ fn step_budget_stops_bmc_within_one_solver_poll_interval() {
         // The far deadline only turns a broken budget into a failure
         // instead of a hang; the reason check below rejects it.
         let backstop = Instant::now().checked_add(Duration::from_secs(120));
-        let interrupt = Interrupt::new(backstop, Some(budget), None);
+        let interrupt = Interrupt::new(backstop, Some(budget));
         let (result, stats) = check_target_budgeted(
             &model,
             bad.lit,

@@ -107,7 +107,7 @@ pub enum SatResult {
     /// No satisfying assignment exists under the given assumptions.
     Unsat,
     /// The search was preempted by the solver's [`Interrupt`] handle
-    /// (deadline, step budget or cancellation) before reaching an
+    /// (deadline or step budget) before reaching an
     /// answer.  The solver state stays valid — a later `solve` call may
     /// still conclude — but callers must never treat this as either
     /// verdict.
@@ -1250,8 +1250,7 @@ impl Solver {
             // Cooperative preemption: every INTERRUPT_POLL_INTERVAL loop
             // iterations — or every PROPAGATION_POLL_INTERVAL propagations,
             // whichever comes first — charge the conflicts since the last
-            // poll to the step budget and check the deadline/cancel
-            // sources.
+            // poll to the step budget and check the deadline.
             iterations += 1;
             if iterations & (INTERRUPT_POLL_INTERVAL - 1) == 0
                 || self.stats.propagations.wrapping_sub(props_polled) >= PROPAGATION_POLL_INTERVAL
@@ -1975,7 +1974,7 @@ mod tests {
         assert!(per_solve > 0);
 
         // Three solves' worth of conflicts, shared by clones of one handle.
-        let interrupt = Interrupt::new(None, Some(3 * per_solve), None);
+        let interrupt = Interrupt::new(None, Some(3 * per_solve));
         for i in 0..3 {
             assert_eq!(interrupt.triggered(), None, "budget fired before solve {i}");
             assert_eq!(solve_once(&interrupt), (SatResult::Unsat, per_solve));

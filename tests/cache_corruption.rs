@@ -194,3 +194,36 @@ fn a_forged_induction_depth_is_rejected_without_stalling_the_run() {
     assert_eq!(warm.render(), cold.render());
     assert_eq!(warm.cache_stats.expect("disk cache").rejected, 1);
 }
+
+/// A run with BMC off cannot minimize the fuzzer's counterexamples, so it
+/// must not cache them: a later default run sharing its cache renders like
+/// a cold default run.  A5 and O1 buggy have the deepest fuzz hits (32 and
+/// 17 cycles once minimized, far longer as the fuzzer found them).
+#[test]
+fn a_bmc_off_run_caches_no_unminimized_trace() {
+    for id in ["A5", "O1"] {
+        let case = by_id(id).expect("in the corpus");
+        let ft = build_testbench(&case);
+        let design = elaborated(&case, Variant::Buggy);
+        let options = default_check_options(&case, Variant::Buggy);
+        let cold = verify_elaborated(&design, &ft, &options).expect("cold run");
+
+        let cache = ProofCache::new();
+        let mut fuzz_alone = options.clone();
+        fuzz_alone.disable_bmc = true;
+        fuzz_alone.disable_pdr = true;
+        fuzz_alone.disable_explicit = true;
+        fuzz_alone.parallel.cache = Some(cache.clone());
+        let hunt = verify_elaborated(&design, &ft, &fuzz_alone).expect("fuzz-alone run");
+        assert!(hunt.violations() > 0, "{id}: the fuzzer found no bug");
+
+        let mut shared = options;
+        shared.parallel.cache = Some(cache);
+        let after = verify_elaborated(&design, &ft, &shared).expect("default run");
+        assert_eq!(
+            after.render(),
+            cold.render(),
+            "{id}: render after a BMC-off run"
+        );
+    }
+}

@@ -67,6 +67,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+use svparse::ast::SourceFile;
 
 /// Options for a verification run.
 #[derive(Debug, Clone)]
@@ -78,15 +79,9 @@ pub struct CheckOptions {
     /// Bounds used for the liveness-to-safety checks (these models are
     /// larger, so the bounds may be set lower).
     pub liveness_bmc: BmcOptions,
-    /// Limits of the exact explicit-state fallback engine used when BMC and
-    /// k-induction are inconclusive.
-    pub explicit: ExplicitOptions,
     /// Disable the explicit-state fallback entirely (used by the
     /// bounded-engine and fuzz-alone rows of the contract suite).
     pub disable_explicit: bool,
-    /// Bounds of the IC3/PDR engine that sits between k-induction and the
-    /// explicit fallback in the cascade.
-    pub pdr: PdrOptions,
     /// Disable the PDR stage entirely (used by the bounded-engine and
     /// fuzz-alone rows of the contract suite).
     pub disable_pdr: bool,
@@ -150,13 +145,7 @@ impl Default for CheckOptions {
                 max_depth: 12,
                 max_induction: 0,
             },
-            explicit: ExplicitOptions::default(),
             disable_explicit: false,
-            pdr: PdrOptions {
-                max_frames: 40,
-                max_queries: 30_000,
-                generalize_rounds: 2,
-            },
             disable_pdr: false,
             disable_bmc: false,
             fuzz: FuzzOptions::default(),
@@ -587,7 +576,7 @@ pub fn verify(
     verify_elaborated_inner(
         &design,
         testbench,
-        Some(source),
+        Some((source, &file)),
         options,
         &run_telemetry,
         &frontend,
@@ -642,7 +631,7 @@ fn frontend_check(guard: &Interrupt, phase: &str) -> Result<()> {
 fn verify_elaborated_inner(
     design: &ElabDesign,
     testbench: &FormalTestbench,
-    source: Option<&str>,
+    source: Option<(&str, &SourceFile)>,
     options: &CheckOptions,
     run_telemetry: &Telemetry,
     frontend: &Interrupt,
@@ -1027,7 +1016,7 @@ fn build_tasks(
             let raw = slice.fingerprint;
             let prepared = memo.prepared_slice(raw, || {
                 let (model, fingerprint) = if opt_on {
-                    crate::opt::optimize_with_fingerprint(&slice.model)
+                    crate::opt::optimize(&slice.model)
                 } else {
                     (slice.model, raw)
                 };
@@ -1048,7 +1037,7 @@ fn build_tasks(
                         let _span = telemetry::span("l2s", &prop.property.full_name());
                         let product = prepared.model.to_liveness_safety().model;
                         if opt_on {
-                            crate::opt::optimize(&product).model
+                            crate::opt::optimize(&product).0
                         } else {
                             product
                         }
@@ -1130,7 +1119,8 @@ fn explicit_bundle(
         return bundle.clone();
     }
     let (augmented, assert_pendings, fair_pendings) = model.with_pending_monitors();
-    let engine = ExplicitEngine::explore_budgeted(&augmented, &ctx.options.explicit, interrupt);
+    let engine =
+        ExplicitEngine::explore_budgeted(&augmented, &ExplicitOptions::default(), interrupt);
     if engine.as_ref().is_some_and(ExplicitEngine::was_interrupted) {
         // This task ran out of budget mid-exploration; leave the memo
         // `Pending` so a sibling with budget explores from scratch.
@@ -1198,6 +1188,14 @@ fn run_task(
 /// with minimal effort; anything deeper is left to PDR, the explicit engine
 /// or the full-depth BMC.
 const QUICK_BMC_DEPTH: usize = 10;
+
+/// Bounds of the PDR stage, which sits between k-induction and the explicit
+/// fallback.
+const PDR_BOUNDS: PdrOptions = PdrOptions {
+    max_frames: 40,
+    max_queries: 30_000,
+    generalize_rounds: 2,
+};
 
 /// The stages every checked property walks, in order; the first stage that
 /// decides the property ends the walk.
@@ -1304,7 +1302,7 @@ fn run_stage(
         Stage::Fuzz => {
             let (hit, stats) = fuzz_safety_budgeted(model, target.index, &options.fuzz, interrupt);
             outcome.fuzz = Some(stats);
-            hit.map(|hit| Verdict::Reached(hit.trace))
+            hit.map(Verdict::Reached)
         }
         Stage::QuickBmc => {
             let quick = BmcOptions {
@@ -1316,7 +1314,7 @@ fn run_stage(
         Stage::FullBmc => bmc(bounds, outcome),
         Stage::Pdr => {
             let (result, stats) =
-                check_pdr_budgeted(model, lit, &options.pdr, options.solver, interrupt);
+                check_pdr_budgeted(model, lit, &PDR_BOUNDS, options.solver, interrupt);
             outcome.stats += stats;
             match result {
                 PdrResult::Proven(invariant) => {

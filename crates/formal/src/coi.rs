@@ -12,7 +12,12 @@
 //! any latch it mentions, and — for liveness — every fairness assumption),
 //! it walks the transitive fanin through AND gates and latch next-state
 //! functions, then rebuilds a self-contained [`Model`] containing exactly
-//! the reachable nodes.  Slicing is verdict-preserving:
+//! the reachable nodes, in node order, and remaps the property literals.
+//! That walk, rebuild and remap is one crate-private function, which the
+//! AIG optimizer ([`crate::opt`]) calls as well: it keeps every property
+//! instead of one, redirects each node it proved constant or equivalent to
+//! its representative, and builds gates through its rewriting rules.
+//! Slicing is verdict-preserving:
 //!
 //! * **safety / cover** — the sliced circuit computes bit-identical values
 //!   for every cone signal on every input sequence, so a bad/cover literal
@@ -33,16 +38,16 @@
 //! ([`crate::portfolio::ProofCache`]) keys on.
 //!
 //! Downstream of the slice, the orchestrator runs the AIG optimization pass
-//! ([`crate::opt`]) — structural hashing, sequential constant sweeping,
-//! dead-node elimination — before handing the model to the engines.  The
-//! raw slice fingerprint dedups that work (content-identical slices are
-//! optimized once); the *optimized* model's own fingerprint is what the
-//! proof cache then keys on, since that is the model the engines and the
+//! ([`crate::opt`]) — constant and equivalence sweeping, two-level
+//! rewriting, dead-node elimination — before handing the model to the
+//! engines.  The raw slice fingerprint dedups that work (content-identical
+//! slices are optimized once); the *optimized* model's own fingerprint,
+//! which [`crate::opt::optimize`] returns with it, is what the proof cache
+//! then keys on, since that is the model the engines and the
 //! hit-validation replay actually see.
 
-use crate::aig::{Aig, Lit, Node};
+use crate::aig::{Aig, Latch, Lit, Node};
 use crate::model::Model;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Which property of a [`Model`] a slice is built for.
@@ -206,147 +211,141 @@ pub fn cone_of_influence(model: &Model, target: SliceTarget) -> Slice {
         SliceTarget::Liveness(i) => &model.liveness[i].name,
     };
     let _span = crate::telemetry::span("slice", target_name);
-    let aig = &model.aig;
+    let model = rebuild(model, Some(target), |_| None, Aig::and);
+    let fingerprint = fingerprint(&model);
+    Slice { model, fingerprint }
+}
 
-    // ------------------------------------------------------------------
-    // Roots.
-    // ------------------------------------------------------------------
-    let mut roots: Vec<Lit> = Vec::new();
+/// Every property literal of `model`: bads, covers, constraints, then the
+/// trigger and target of each liveness and fairness property.
+fn property_lits(model: &mut Model) -> impl Iterator<Item = &mut Lit> {
+    let responses = model.liveness.iter_mut().chain(&mut model.fairness);
+    model
+        .bads
+        .iter_mut()
+        .map(|b| &mut b.lit)
+        .chain(model.covers.iter_mut().map(|c| &mut c.lit))
+        .chain(&mut model.constraints)
+        .chain(responses.flat_map(|p| [&mut p.trigger, &mut p.target]))
+}
+
+/// Rebuilds `model` from the transitive fanin of the properties it keeps:
+/// `target`'s property together with every constraint (and, for liveness,
+/// every fairness assumption), or every property when `target` is `None`.
+///
+/// A node that `redirect` maps to a literal of a smaller node is a cut
+/// point: the walk follows the representative instead of the node's own
+/// fanin, and the node's fanout reads the representative's rebuilt
+/// literal.  Slicing redirects nothing; the optimizer ([`crate::opt`])
+/// redirects its proven constants and equivalences.  Every other reached
+/// node is rebuilt in node order, keeping latch initial values, input,
+/// latch and gate names, with each gate built by `and` ([`Aig::and`], or
+/// the optimizer's rewriting builder).  The kept properties keep their
+/// names and order.
+pub(crate) fn rebuild(
+    model: &Model,
+    target: Option<SliceTarget>,
+    redirect: impl Fn(usize) -> Option<Lit>,
+    and: impl Fn(&mut Aig, Lit, Lit) -> Lit,
+) -> Model {
+    let aig = &model.aig;
+    // The kept properties, over `model`'s literals until the remap below.
+    let mut out = Model {
+        constraints: model.constraints.clone(),
+        ..Model::default()
+    };
     match target {
-        SliceTarget::Bad(i) => roots.push(model.bads[i].lit),
-        SliceTarget::Cover(i) => roots.push(model.covers[i].lit),
-        SliceTarget::Liveness(i) => {
-            roots.push(model.liveness[i].trigger);
-            roots.push(model.liveness[i].target);
-            for f in &model.fairness {
-                roots.push(f.trigger);
-                roots.push(f.target);
-            }
+        None => {
+            out.bads = model.bads.clone();
+            out.covers = model.covers.clone();
+            out.liveness = model.liveness.clone();
+            out.fairness = model.fairness.clone();
+        }
+        Some(SliceTarget::Bad(i)) => out.bads.push(model.bads[i].clone()),
+        Some(SliceTarget::Cover(i)) => out.covers.push(model.covers[i].clone()),
+        Some(SliceTarget::Liveness(i)) => {
+            out.liveness.push(model.liveness[i].clone());
+            out.fairness = model.fairness.clone();
         }
     }
-    roots.extend_from_slice(&model.constraints);
 
-    // ------------------------------------------------------------------
-    // Transitive fanin (latches pull in their next-state functions).
-    // ------------------------------------------------------------------
-    let next_of: HashMap<usize, Lit> = aig.latches().iter().map(|l| (l.node, l.next)).collect();
-    let mut in_cone = vec![false; aig.num_nodes()];
-    in_cone[0] = true; // the constant node always exists
-    let mut worklist: Vec<usize> = roots.iter().map(|l| l.node()).collect();
+    // Transitive fanin: latches pull in their next-state functions, and a
+    // redirected node pulls in its representative.
+    let mut latch_at: Vec<Option<&Latch>> = vec![None; aig.num_nodes()];
+    for latch in aig.latches() {
+        latch_at[latch.node] = Some(latch);
+    }
+    let mut reached = vec![false; aig.num_nodes()];
+    reached[0] = true; // the constant node always exists
+    let mut worklist: Vec<usize> = property_lits(&mut out).map(|l| l.node()).collect();
     while let Some(node) = worklist.pop() {
-        if in_cone[node] {
+        if reached[node] {
             continue;
         }
-        in_cone[node] = true;
+        reached[node] = true;
+        if let Some(rep) = redirect(node) {
+            worklist.push(rep.node());
+            continue;
+        }
         match aig.node(node) {
             Node::False | Node::Input => {}
-            Node::Latch => worklist.push(next_of[&node].node()),
-            Node::And(a, b) => {
-                worklist.push(a.node());
-                worklist.push(b.node());
-            }
+            Node::Latch => worklist.push(latch_at[node].expect("latch node").next.node()),
+            Node::And(a, b) => worklist.extend([a.node(), b.node()]),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Rebuild, in original node order (deterministic indices).
-    // ------------------------------------------------------------------
-    let mut sliced = Aig::new();
-    let mut map: HashMap<usize, Lit> = HashMap::new();
-    map.insert(0, Lit::FALSE);
-    let map_lit =
-        |map: &HashMap<usize, Lit>, l: Lit| -> Lit { map[&l.node()].invert_if(l.is_inverted()) };
-    let input_name_of: HashMap<usize, &str> = aig
-        .inputs()
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, aig.input_name(i)))
-        .collect();
+    // Rebuild in original node order (deterministic indices).
+    let mut input_name: Vec<Option<&str>> = vec![None; aig.num_nodes()];
+    for (i, &node) in aig.inputs().iter().enumerate() {
+        input_name[node] = Some(aig.input_name(i));
+    }
+    let mut rebuilt = Aig::new();
+    let mut map: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
+    map[0] = Some(Lit::FALSE);
+    let map_lit = |map: &[Option<Lit>], l: Lit| {
+        map[l.node()]
+            .expect("a reached node is rebuilt")
+            .invert_if(l.is_inverted())
+    };
+    let mut kept_latches: Vec<(Lit, Lit)> = Vec::new();
     for idx in 1..aig.num_nodes() {
-        if !in_cone[idx] {
+        if let Some(rep) = redirect(idx) {
+            // Representatives have smaller indices, so a reached one is
+            // rebuilt already.
+            map[idx] = map[rep.node()].map(|l| l.invert_if(rep.is_inverted()));
             continue;
         }
-        let new_lit = match aig.node(idx) {
+        if !reached[idx] {
+            continue;
+        }
+        map[idx] = Some(match aig.node(idx) {
             Node::False => unreachable!("only node 0 is the constant"),
-            Node::Input => sliced.add_input(input_name_of[&idx]),
+            Node::Input => rebuilt.add_input(input_name[idx].expect("input node")),
             Node::Latch => {
-                let latch = aig
-                    .latches()
-                    .iter()
-                    .find(|l| l.node == idx)
-                    .expect("cone latch exists");
-                sliced.add_latch(aig.name_of(idx).unwrap_or("latch"), latch.init)
+                let latch = latch_at[idx].expect("latch node");
+                let lit = rebuilt.add_latch(aig.name_of(idx).unwrap_or("latch"), latch.init);
+                kept_latches.push((lit, latch.next));
+                lit
             }
             Node::And(a, b) => {
-                let lit = {
-                    let (na, nb) = (map_lit(&map, a), map_lit(&map, b));
-                    sliced.and(na, nb)
-                };
+                let lit = and(&mut rebuilt, map_lit(&map, a), map_lit(&map, b));
                 if let Some(name) = aig.name_of(idx) {
                     if !lit.is_const() {
-                        sliced.set_name(lit, name);
+                        rebuilt.set_name(lit, name);
                     }
                 }
                 lit
             }
-        };
-        map.insert(idx, new_lit);
+        });
     }
-    for latch in aig.latches() {
-        if in_cone[latch.node] {
-            let new_latch = map[&latch.node];
-            let new_next = map_lit(&map, latch.next);
-            sliced.set_latch_next(new_latch, new_next);
-        }
+    for (latch, next) in kept_latches {
+        rebuilt.set_latch_next(latch, map_lit(&map, next));
     }
-
-    // ------------------------------------------------------------------
-    // Sliced model.
-    // ------------------------------------------------------------------
-    let mut out = Model::new(sliced);
-    out.constraints = model
-        .constraints
-        .iter()
-        .map(|&c| map_lit(&map, c))
-        .collect();
-    match target {
-        SliceTarget::Bad(i) => {
-            let bad = &model.bads[i];
-            out.bads.push(crate::model::BadProperty {
-                name: bad.name.clone(),
-                lit: map_lit(&map, bad.lit),
-            });
-        }
-        SliceTarget::Cover(i) => {
-            let cover = &model.covers[i];
-            out.covers.push(crate::model::CoverProperty {
-                name: cover.name.clone(),
-                lit: map_lit(&map, cover.lit),
-            });
-        }
-        SliceTarget::Liveness(i) => {
-            let p = &model.liveness[i];
-            out.liveness.push(crate::model::ResponseProperty {
-                name: p.name.clone(),
-                trigger: map_lit(&map, p.trigger),
-                target: map_lit(&map, p.target),
-            });
-            out.fairness = model
-                .fairness
-                .iter()
-                .map(|f| crate::model::ResponseProperty {
-                    name: f.name.clone(),
-                    trigger: map_lit(&map, f.trigger),
-                    target: map_lit(&map, f.target),
-                })
-                .collect();
-        }
+    for lit in property_lits(&mut out) {
+        *lit = map_lit(&map, *lit);
     }
-    let fingerprint = fingerprint(&out);
-    Slice {
-        model: out,
-        fingerprint,
-    }
+    out.aig = rebuilt;
+    out
 }
 
 #[cfg(test)]

@@ -10,17 +10,19 @@
 //! * **safety / cover**: enumerate every reachable state (under the
 //!   invariant constraints) and test the bad/cover literal for every input
 //!   valuation — 64 input valuations are evaluated at once with bit-parallel
-//!   simulation of the AIG;
+//!   simulation of the AIG.  A hit's trace is replayed on the explored
+//!   model ([`crate::psim::replay`]) from the inputs along the
+//!   breadth-first path to it;
 //! * **liveness under fairness**: add the pending-obligation monitors to the
 //!   state, build the reachable transition graph, and search for a strongly
 //!   connected component in which the obligation stays pending while every
 //!   assumed fairness is discharged — the exact automata-theoretic criterion
 //!   for a counterexample lasso.
 
-use crate::aig::{Aig, Lit};
+use crate::aig::Lit;
 use crate::interrupt::Interrupt;
 use crate::model::Model;
-use crate::psim::{Evaluator, LaneWord, Lanes, ALL_LANES, LANE_MASKS};
+use crate::psim::{replay, Evaluator, LaneWord, Lanes, ALL_LANES, LANE_MASKS};
 use crate::trace::Trace;
 use std::collections::HashMap;
 
@@ -58,10 +60,10 @@ pub enum ExplicitResult {
 /// The reachable-state graph of a [`Model`].
 #[derive(Debug)]
 pub struct ExplicitEngine {
-    aig: Aig,
+    /// The explored model; counterexamples replay on it.
+    model: Model,
     latch_nodes: Vec<usize>,
     input_nodes: Vec<usize>,
-    constraints: Vec<Lit>,
     options: ExplicitOptions,
     /// Packed latch valuation per state.
     states: Vec<u64>,
@@ -94,17 +96,16 @@ impl ExplicitEngine {
         options: &ExplicitOptions,
         interrupt: &Interrupt,
     ) -> Option<ExplicitEngine> {
-        let aig = model.aig.clone();
-        let latch_nodes: Vec<usize> = aig.latches().iter().map(|l| l.node).collect();
-        let input_nodes: Vec<usize> = aig.inputs().to_vec();
+        let latch_nodes: Vec<usize> = model.aig.latches().iter().map(|l| l.node).collect();
+        let input_nodes: Vec<usize> = model.aig.inputs().to_vec();
         if latch_nodes.len() > 63 || input_nodes.len() > options.max_inputs {
             return None;
         }
         let _span = crate::telemetry::span("explicit.explore", "");
         let mut engine = ExplicitEngine {
+            model: model.clone(),
             latch_nodes,
             input_nodes,
-            constraints: model.constraints.clone(),
             options: *options,
             states: Vec::new(),
             index: HashMap::new(),
@@ -112,7 +113,6 @@ impl ExplicitEngine {
             succs: Vec::new(),
             complete: false,
             interrupted: false,
-            aig,
         };
         engine.run(interrupt);
         crate::telemetry::count("explicit.states", engine.states.len() as u64);
@@ -121,7 +121,7 @@ impl ExplicitEngine {
 
     fn initial_state(&self) -> u64 {
         let mut state = 0u64;
-        for (i, latch) in self.aig.latches().iter().enumerate() {
+        for (i, latch) in self.model.aig.latches().iter().enumerate() {
             if latch.init {
                 state |= 1 << i;
             }
@@ -159,7 +159,8 @@ impl ExplicitEngine {
 
     /// Lanes where every invariant constraint holds.
     fn constraints_ok(&self, eval: &Evaluator<LaneWord>) -> LaneWord {
-        self.constraints
+        self.model
+            .constraints
             .iter()
             .fold(ALL_LANES, |acc, &c| acc & eval.get(c))
     }
@@ -171,7 +172,7 @@ impl ExplicitEngine {
         self.preds.push((0, 0));
         self.succs.push(Vec::new());
 
-        let mut eval = Evaluator::new(&self.aig);
+        let mut eval = Evaluator::new(&self.model.aig);
         let mut frontier = 0usize;
         while frontier < self.states.len() {
             #[cfg(any(test, feature = "fault-injection"))]
@@ -191,6 +192,7 @@ impl ExplicitEngine {
                 }
                 // Next-state bits per lane.
                 let next_bits: Vec<u64> = self
+                    .model
                     .aig
                     .latches()
                     .iter()
@@ -268,16 +270,26 @@ impl ExplicitEngine {
         self.search_condition(target)
     }
 
+    /// Searches the reachable states for one where `condition` holds under
+    /// some constraint-satisfying input valuation; the trace to it is
+    /// replayed on the explored model from the inputs along the BFS path.
     fn search_condition(&self, condition: Lit) -> ExplicitResult {
-        let mut eval = Evaluator::new(&self.aig);
+        let mut eval = Evaluator::new(&self.model.aig);
         for (idx, &state) in self.states.iter().enumerate() {
             for high in 0..self.num_input_words() {
                 self.evaluate(&mut eval, state, high);
                 let hit = self.constraints_ok(&eval) & eval.get(condition) & self.lane_mask();
                 if hit != 0 {
-                    let lane = hit.trailing_zeros();
-                    let input = self.input_valuation(high, lane);
-                    let trace = self.build_trace(idx as u32, Some(input));
+                    let path = self.path(idx as u32);
+                    let inputs: Vec<u64> = path[1..]
+                        .iter()
+                        .map(|&s| self.preds[s as usize].1)
+                        .chain([self.input_valuation(high, hit.trailing_zeros())])
+                        .collect();
+                    let trace = replay(&self.model, condition, inputs.len(), |cycle, i| {
+                        (inputs[cycle] >> i) & 1 == 1
+                    })
+                    .expect("an explicit counterexample replays on its model");
                     return ExplicitResult::Violated(trace);
                 }
             }
@@ -343,7 +355,7 @@ impl ExplicitEngine {
                     .any(|&s| (self.states[s as usize] >> bit) & 1 == 0)
             });
             if all_fair {
-                let trace = self.build_trace(scc[0], None);
+                let trace = self.build_trace(scc[0]);
                 return ExplicitResult::Violated(trace);
             }
         }
@@ -420,41 +432,45 @@ impl ExplicitEngine {
         sccs
     }
 
-    /// Reconstructs a trace from the initial state to `target` by following
-    /// predecessor pointers.  When `final_input` is given it is applied in
-    /// the last cycle (the cycle in which the bad condition fires).
-    fn build_trace(&self, target: u32, final_input: Option<u64>) -> Trace {
-        // Collect the path of (state, input-used-to-reach-next).
+    /// The state indices on the BFS path from the initial state to
+    /// `target`, following predecessor pointers.
+    fn path(&self, target: u32) -> Vec<u32> {
         let mut path = vec![target];
         let mut cur = target;
         while cur != 0 {
-            let (prev, _) = self.preds[cur as usize];
-            path.push(prev);
-            cur = prev;
+            cur = self.preds[cur as usize].0;
+            path.push(cur);
         }
         path.reverse();
+        path
+    }
+
+    /// Reconstructs the stem of a liveness lasso, from the initial state to
+    /// `target`, with all inputs low in the last cycle.  Unlike the safety
+    /// and cover traces it is not replayed: those inputs need not satisfy
+    /// the constraints.
+    fn build_trace(&self, target: u32) -> Trace {
+        let path = self.path(target);
         let cycles = path.len();
+        let aig = &self.model.aig;
         let mut trace = Trace::new(cycles);
         for (cycle, &state_idx) in path.iter().enumerate() {
             let state = self.states[state_idx as usize];
             for (i, &node) in self.latch_nodes.iter().enumerate() {
-                let name = self
-                    .aig
+                let name = aig
                     .name_of(node)
                     .map(str::to_string)
                     .unwrap_or_else(|| format!("latch{i}"));
                 trace.record(cycle, &name, (state >> i) & 1 == 1, false);
             }
             // Inputs: the valuation used to reach the *next* state on the
-            // path (or the final input for the last cycle).
-            let input = if cycle + 1 < cycles {
-                self.preds[path[cycle + 1] as usize].1
-            } else {
-                final_input.unwrap_or(0)
+            // path (none after the last cycle).
+            let input = match path.get(cycle + 1) {
+                Some(&next) => self.preds[next as usize].1,
+                None => 0,
             };
             for (i, &node) in self.input_nodes.iter().enumerate() {
-                let name = self
-                    .aig
+                let name = aig
                     .name_of(node)
                     .map(str::to_string)
                     .unwrap_or_else(|| format!("input{i}"));
@@ -468,6 +484,7 @@ impl ExplicitEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aig::Aig;
     use crate::model::{BadProperty, ResponseProperty};
 
     /// An unbudgeted exploration.

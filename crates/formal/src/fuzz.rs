@@ -27,8 +27,8 @@
 //! ([`crate::psim::replay`], lane 0 of a fresh simulation of its concrete
 //! per-cycle stimulus): only if the replay confirms the violation — every
 //! constraint holds on every cycle and the bad fires at the final cycle —
-//! does the fuzzer report a [`FuzzHit`].  The SAT cascade only ever sees
-//! the survivors.
+//! does the fuzzer report its trace.  The SAT cascade only ever sees the
+//! survivors.
 //!
 //! The search is fully deterministic: fixed seed, fixed lane-group layout,
 //! first-hit-cycle/lowest-lane extraction order.
@@ -53,11 +53,17 @@ const RESET_LANES: LaneWord = 0xFFFF_0000_0000_0000;
 /// invariant assumption before they are retired for the round.
 const CONSTRAINT_REDRAWS: usize = 8;
 
+/// Independent restarts per property, each from a derived seed and a
+/// different reset-directed warm-up window.
+const ROUNDS: usize = 4;
+
+/// Simulated cycles per round (the depth horizon of the search).  The
+/// per-property budget is `ROUNDS * CYCLES` simulated cycles, each carrying
+/// 64 stimulus lanes: 65 536 concrete stimulus-cycles per safety property
+/// before the first SAT query.
+const CYCLES: usize = 256;
+
 /// Stimulus-fuzzer knobs (part of [`crate::checker::CheckOptions`]).
-///
-/// The per-property budget is `rounds * cycles` simulated cycles, each
-/// carrying 64 stimulus lanes — with the defaults, 65 536 concrete
-/// stimulus-cycles per safety property before the first SAT query.
 #[derive(Debug, Clone)]
 pub struct FuzzOptions {
     /// Run the fuzz stage before the SAT cascade for safety properties.
@@ -65,11 +71,6 @@ pub struct FuzzOptions {
     /// a true violation and is re-minimized before reporting); the knob
     /// exists for byte-identity checks of the two paths.
     pub enabled: bool,
-    /// Independent restarts per property, each from a derived seed and a
-    /// different reset-directed warm-up window.
-    pub rounds: usize,
-    /// Simulated cycles per round (the depth horizon of the search).
-    pub cycles: usize,
     /// Base seed of the deterministic stimulus stream.
     pub seed: u64,
 }
@@ -78,8 +79,6 @@ impl Default for FuzzOptions {
     fn default() -> Self {
         FuzzOptions {
             enabled: true,
-            rounds: 4,
-            cycles: 256,
             seed: 0xDAC2_2021,
         }
     }
@@ -108,28 +107,14 @@ pub struct FuzzStats {
     pub confirmed: u64,
 }
 
-/// A replay-confirmed safety violation found by the fuzzer.
-#[derive(Debug, Clone)]
-pub struct FuzzHit {
-    /// The confirmed counterexample: inputs and latches per cycle, exactly
-    /// the shape the bounded model checker extracts.  The bad state fires
-    /// at the final cycle.
-    pub trace: Trace,
-    /// Cycle at which the bad state fired (`trace.len() - 1`).
-    pub cycle: usize,
-    /// Lane of the 64-lane word that hit the bad state.
-    pub lane: usize,
-    /// Round (restart) in which the hit was found.
-    pub round: usize,
-}
-
-/// Fuzzes safety property `model.bads[bad_index]` within the configured
-/// budget.  Returns the first replay-confirmed violation (deterministic:
-/// earliest round, then earliest cycle, then lowest lane), or `None` when
-/// the budget drains without a confirmed hit, plus the work counters of
-/// the search (see [`FuzzStats`]).  Each executed round is recorded as a
-/// `"fuzz.round"` telemetry span; the counters also feed the `fuzz.*`
-/// entries of the metrics registry.
+/// Fuzzes safety property `model.bads[bad_index]` within the fixed
+/// budget.  Returns the trace of the first replay-confirmed violation
+/// (deterministic: earliest round, then earliest cycle, then lowest lane;
+/// inputs and latches per cycle, the bad state firing at the final cycle),
+/// or `None` when the budget drains without a confirmed hit, plus the work
+/// counters of the search (see [`FuzzStats`]).  Each executed round is
+/// recorded as a `"fuzz.round"` telemetry span; the counters also feed the
+/// `fuzz.*` entries of the metrics registry.
 ///
 /// The [`Interrupt`] handle is polled at every round start and once per
 /// simulated cycle.  An interrupted search simply reports no hit — the
@@ -145,7 +130,7 @@ pub fn fuzz_safety_budgeted(
     bad_index: usize,
     options: &FuzzOptions,
     interrupt: &crate::interrupt::Interrupt,
-) -> (Option<FuzzHit>, FuzzStats) {
+) -> (Option<Trace>, FuzzStats) {
     let mut stats = FuzzStats::default();
     let hit = fuzz_safety_inner(model, bad_index, options, &mut stats, interrupt);
     crate::telemetry::count("fuzz.rounds", stats.rounds);
@@ -163,16 +148,16 @@ fn fuzz_safety_inner(
     options: &FuzzOptions,
     stats: &mut FuzzStats,
     interrupt: &crate::interrupt::Interrupt,
-) -> Option<FuzzHit> {
+) -> Option<Trace> {
     let bad = model.bads[bad_index].lit;
     let name = &model.bads[bad_index].name;
     let num_inputs = model.aig.num_inputs();
     let mut sim = ParallelSim::new(model);
     let mut inputs = vec![0u64; num_inputs];
     // Per-cycle stimulus history of the round, for replaying a lane.
-    let mut history: Vec<Vec<LaneWord>> = Vec::with_capacity(options.cycles);
+    let mut history: Vec<Vec<LaneWord>> = Vec::with_capacity(CYCLES);
 
-    for round in 0..options.rounds {
+    for round in 0..ROUNDS {
         #[cfg(any(test, feature = "fault-injection"))]
         interrupt.fault("fuzz.round");
         if interrupt.poll().is_some() {
@@ -191,7 +176,7 @@ fn fuzz_safety_inner(
         history.clear();
         let mut alive = ALL_LANES;
 
-        for cycle in 0..options.cycles {
+        for cycle in 0..CYCLES {
             if interrupt.charge(1).is_some() || interrupt.poll().is_some() {
                 return None;
             }
@@ -241,12 +226,7 @@ fn fuzz_safety_inner(
                 let lane_input = |cycle: usize, i: usize| (history[cycle][i] >> lane) & 1 == 1;
                 if let Some(trace) = replay(model, bad, history.len(), lane_input) {
                     stats.confirmed += 1;
-                    return Some(FuzzHit {
-                        trace,
-                        cycle,
-                        lane,
-                        round,
-                    });
+                    return Some(trace);
                 }
                 // A replay mismatch would mean the lane's recorded stimulus
                 // does not reproduce its hit; retire the lane and keep
@@ -321,7 +301,7 @@ endmodule
     }
 
     /// An unbudgeted fuzz run with its work counters.
-    fn fuzz(model: &Model, index: usize, options: &FuzzOptions) -> (Option<FuzzHit>, FuzzStats) {
+    fn fuzz(model: &Model, index: usize, options: &FuzzOptions) -> (Option<Trace>, FuzzStats) {
         fuzz_safety_budgeted(model, index, options, &Interrupt::none())
     }
 
@@ -337,18 +317,14 @@ endmodule
     fn finds_the_ghost_response_and_confirms_by_replay() {
         let model = compiled(ECHO_BAD);
         let index = safety_index(&model, "had_a_request");
-        let hit = fuzz(&model, index, &FuzzOptions::default())
+        let trace = fuzz(&model, index, &FuzzOptions::default())
             .0
             .expect("the ghost response is a shallow bug");
-        assert_eq!(hit.trace.len(), hit.cycle + 1);
         // The confirmed trace must replay again, independently, to itself.
-        let input = |cycle: usize, i: usize| {
-            hit.trace
-                .value(cycle, model.aig.input_name(i))
-                .unwrap_or(false)
-        };
-        let again = replay(&model, model.bads[index].lit, hit.trace.len(), input);
-        assert_eq!(again, Some(hit.trace));
+        let input =
+            |cycle: usize, i: usize| trace.value(cycle, model.aig.input_name(i)).unwrap_or(false);
+        let again = replay(&model, model.bads[index].lit, trace.len(), input);
+        assert_eq!(again, Some(trace));
     }
 
     #[test]
@@ -364,10 +340,7 @@ endmodule
         let index = safety_index(&model, "had_a_request");
         let a = fuzz(&model, index, &FuzzOptions::default()).0.unwrap();
         let b = fuzz(&model, index, &FuzzOptions::default()).0.unwrap();
-        assert_eq!(a.cycle, b.cycle);
-        assert_eq!(a.lane, b.lane);
-        assert_eq!(a.round, b.round);
-        assert_eq!(a.trace, b.trace);
+        assert_eq!(a, b);
         // A different seed still finds the shallow bug.
         let other = FuzzOptions {
             seed: 7,
@@ -394,7 +367,7 @@ endmodule
         let (ghit, gstats) = fuzz(&good, gindex, &FuzzOptions::default());
         assert!(ghit.is_none());
         assert_eq!(gstats.confirmed, 0);
-        assert_eq!(gstats.rounds, FuzzOptions::default().rounds as u64);
+        assert_eq!(gstats.rounds, ROUNDS as u64);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * **Compilation facts** ([`crate::compile::CompileLintFacts`]):
 //!   naming-convention fallback bindings, annotation width mismatches and
 //!   the symbols the annotations actually resolved to.
-//! * **Source analysis**: when the original SystemVerilog text is
-//!   available, the lint re-parses it to infer assignment widths, the
-//!   design's read set (for dead-signal detection) and which enum states
-//!   are ever mentioned.
+//! * **Source analysis**: when the original SystemVerilog text and its
+//!   parse are available, the lint walks the parse to infer assignment
+//!   widths, the design's read set (for dead-signal detection) and which
+//!   enum states are ever mentioned.
 //!
 //! Constant registers are proven with the same three-valued sequential
 //! sweep the Level-2 optimizer uses ([`crate::opt::constant_latches`]), so
@@ -183,14 +183,15 @@ impl LintReport {
 
 /// Runs every lint pass and returns the filtered, sorted report.
 ///
-/// `source` enables the source-dependent passes (assignment width
-/// mismatches, dead signals, unreachable enum states) and gives findings
-/// line/column locations; without it only the model-level passes run.
+/// `source`, the RTL text with the file parsed from it, enables the
+/// source-dependent passes (assignment width mismatches, dead signals,
+/// unreachable enum states) and gives findings line/column locations;
+/// without it only the model-level passes run.
 pub fn run(
     design: &ElabDesign,
     compiled: &CompiledTestbench,
     testbench: &FormalTestbench,
-    source: Option<&str>,
+    source: Option<(&str, &SourceFile)>,
     options: &LintOptions,
 ) -> LintReport {
     if options.level == LintLevel::Off {
@@ -200,9 +201,9 @@ pub fn run(
     let mut ctx = LintCtx {
         design,
         compiled,
-        source,
-        masked: source.map(mask_comments),
-        file: source.and_then(|s| svparse::parse(s).ok()),
+        source: source.map(|(text, _)| text),
+        masked: source.map(|(text, _)| mask_comments(text)),
+        file: source.map(|(_, file)| file),
         findings: Vec::new(),
     };
 
@@ -252,7 +253,7 @@ struct LintCtx<'a> {
     /// `source` with comment bytes blanked (AUTOSVA blocks kept) so needle
     /// searches cannot land inside prose that happens to mention a signal.
     masked: Option<String>,
-    file: Option<SourceFile>,
+    file: Option<&'a SourceFile>,
     findings: Vec<LintFinding>,
 }
 
@@ -464,7 +465,7 @@ impl<'a> LintCtx<'a> {
     /// widths.  Unsized literals and unknown operators infer no width, so
     /// idiomatic code (`x <= x + 1`, `y <= '0`) stays silent.
     fn assignment_width_mismatches(&mut self) {
-        let Some(file) = &self.file else { return };
+        let Some(file) = self.file else { return };
         let Some(module) = file.module(&self.design.top) else {
             return;
         };
@@ -520,7 +521,7 @@ impl<'a> LintCtx<'a> {
     /// L006: a signal declared in the top module that nothing ever reads —
     /// not the RTL, not the annotations.
     fn dead_signals(&mut self, referenced: &BTreeSet<String>) {
-        let Some(file) = &self.file else { return };
+        let Some(file) = self.file else { return };
         let Some(module) = file.module(&self.design.top) else {
             return;
         };
@@ -562,7 +563,7 @@ impl<'a> LintCtx<'a> {
     /// whole design ever names — states that (short of raw-constant writes)
     /// cannot be reached.
     fn unreachable_enum_states(&mut self) {
-        let Some(file) = &self.file else { return };
+        let Some(file) = self.file else { return };
         let mut mentioned: BTreeSet<String> = BTreeSet::new();
         for module in file.modules() {
             let reads = module_read_set(module);

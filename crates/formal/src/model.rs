@@ -94,27 +94,29 @@ impl Model {
         pending
     }
 
-    /// Adds pending-obligation monitor registers for every liveness assertion
-    /// and fairness assumption, returning the augmented model together with
-    /// the monitor literals.
+    /// Adds pending-obligation monitor registers for every fairness
+    /// assumption and then every liveness assertion, returning the
+    /// augmented model together with the liveness and the fairness monitor
+    /// literals.
     ///
     /// The returned literals are latch outputs of the augmented circuit, so
     /// engines that track state explicitly (see
     /// [`crate::explicit::ExplicitEngine`]) can read the obligation status
-    /// directly from the packed state.
+    /// directly from the packed state; [`Model::to_liveness_safety`] builds
+    /// its loop detection on the same monitors.
     pub fn with_pending_monitors(&self) -> (Model, Vec<Lit>, Vec<Lit>) {
         let mut aig = self.aig.clone();
-        let assert_pendings: Vec<Lit> = self
-            .liveness
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Self::pending_monitor(&mut aig, &format!("live{i}"), p))
-            .collect();
         let fair_pendings: Vec<Lit> = self
             .fairness
             .iter()
             .enumerate()
             .map(|(i, f)| Self::pending_monitor(&mut aig, &format!("fair{i}"), f))
+            .collect();
+        let assert_pendings: Vec<Lit> = self
+            .liveness
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Self::pending_monitor(&mut aig, &format!("live{i}"), p))
             .collect();
         let model = Model {
             aig,
@@ -134,7 +136,8 @@ impl Model {
     /// model has a reachable *fair lasso* on which the obligation stays
     /// pending forever while every assumed fairness property is honoured.
     ///
-    /// The construction (Biere/Artho/Schuppan):
+    /// The construction (Biere/Artho/Schuppan), on the pending monitors of
+    /// [`Model::with_pending_monitors`]:
     ///
     /// * a free oracle input `l2s_save` snapshots the full latch state into
     ///   shadow registers (once),
@@ -147,25 +150,10 @@ impl Model {
     ///   assertion obligation was pending throughout, and every fairness
     ///   witness was seen.
     pub fn to_liveness_safety(&self) -> LivenessSafetyModel {
-        let mut aig = self.aig.clone();
+        let (monitored, assert_pendings, fair_pendings) = self.with_pending_monitors();
+        let mut aig = monitored.aig;
         let mut property_names = Vec::new();
         let mut bads = Vec::new();
-
-        // Monitors for assumed fairness (shared by all assertions).
-        let fair_pendings: Vec<Lit> = self
-            .fairness
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Self::pending_monitor(&mut aig, &format!("fair{i}"), f))
-            .collect();
-
-        // Monitors for asserted obligations.
-        let assert_pendings: Vec<Lit> = self
-            .liveness
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Self::pending_monitor(&mut aig, &format!("live{i}"), p))
-            .collect();
 
         // Snapshot machinery.  The snapshot covers every latch of the
         // *augmented* design (original latches plus the pending monitors), so

@@ -34,8 +34,14 @@
 //! * **dead-node elimination** — only logic reachable from the model's
 //!   roots (bad/cover literals, invariant constraints, liveness and
 //!   fairness properties) is rebuilt; unobservable latches, inputs and
-//!   gates are dropped, exactly like [`crate::coi`] does for the initial
-//!   slice.
+//!   gates are dropped.
+//!
+//! The three sweeps only *prove* facts.  One pass collects them into one
+//! redirect map (node to the literal of a smaller representative: a
+//! constant or an earlier equivalent node) and hands it, with the rewriting
+//! gate builder, to the cone-of-influence rebuild of [`crate::coi`] — the
+//! same fanin walk, in-order rebuild and property remap that slices the
+//! model, here keeping every property.
 //!
 //! Passes repeat until the content fingerprint is stable, which makes the
 //! whole transformation *idempotent* — `optimize(optimize(m))` returns a
@@ -51,14 +57,13 @@
 //! Every simulation here runs on the one AIG evaluator ([`crate::psim`]):
 //! the constant sweep in its three-valued dual-rail mode, the signature
 //! simulations and the counterexample refinements of both equivalence
-//! sweeps in its two-valued mode.  Constants discovered here are also
-//! reported by name so the Level-1 lint pass ([`crate::lint`]) can surface
-//! "register is stuck at its reset value" diagnostics from the same
-//! analysis.
+//! sweeps in its two-valued mode.  The Level-1 lint pass ([`crate::lint`])
+//! calls [`constant_latches`] itself, so its "register is stuck at its
+//! reset value" diagnostics come from the same analysis.
 
 use crate::aig::{Aig, Lit, Node};
-use crate::coi::{fingerprint, Fingerprint};
-use crate::model::{BadProperty, CoverProperty, Model, ResponseProperty};
+use crate::coi::{fingerprint, rebuild, Fingerprint};
+use crate::model::Model;
 use crate::psim::{leaves, Evaluator, LaneWord, Lanes, ParallelSim, Ternary, ALL_LANES};
 use crate::sat::SatResult;
 use crate::unroll::Unroller;
@@ -116,22 +121,12 @@ pub fn constant_latches(aig: &Aig) -> Vec<(usize, bool)> {
         .collect()
 }
 
-/// The result of [`optimize`]: the rewritten model plus the latches proven
-/// constant, by their original names.
-#[derive(Debug, Clone)]
-pub struct OptResult {
-    /// The optimized, functionally equivalent model.
-    pub model: Model,
-    /// Latches proven stuck at their reset value across all passes, as
-    /// `(name, value)` in discovery order (deduplicated by name).
-    pub constant_latches: Vec<(String, bool)>,
-}
-
 /// Upper bound on rewrite passes; real models stabilize in two or three.
 const MAX_PASSES: usize = 8;
 
 /// Optimizes a model: constant sweeping, two-level AND rewriting and
-/// dead-node elimination, repeated to a fingerprint fixpoint.
+/// dead-node elimination, repeated to a fingerprint fixpoint.  Returns the
+/// optimized model and its fingerprint.
 ///
 /// Every property literal (bads, covers, constraints, liveness, fairness)
 /// is a root: the rewritten model computes bit-identical values for all of
@@ -140,18 +135,17 @@ const MAX_PASSES: usize = 8;
 /// order.  The pass is deterministic and idempotent, so content
 /// fingerprints of optimized models are stable across processes and safe
 /// as proof-cache keys.
-pub fn optimize(model: &Model) -> OptResult {
+pub fn optimize(model: &Model) -> (Model, Fingerprint) {
     let _span = crate::telemetry::span("opt", "");
     crate::telemetry::count("opt.gates_before", model.aig.num_ands() as u64);
     crate::telemetry::count("opt.latches_before", model.aig.num_latches() as u64);
     let mut current = model.clone();
     let mut fp = fingerprint(&current);
-    let mut constants: Vec<(String, bool)> = Vec::new();
     for _ in 0..MAX_PASSES {
         let next = {
             let _pass_span = crate::telemetry::span("opt.pass", "");
             crate::telemetry::count("opt.passes", 1);
-            one_pass(&current, &mut constants)
+            one_pass(&current)
         };
         let next_fp = fingerprint(&next);
         if next_fp == fp {
@@ -162,17 +156,7 @@ pub fn optimize(model: &Model) -> OptResult {
     }
     crate::telemetry::count("opt.gates_after", current.aig.num_ands() as u64);
     crate::telemetry::count("opt.latches_after", current.aig.num_latches() as u64);
-    OptResult {
-        model: current,
-        constant_latches: constants,
-    }
-}
-
-/// Convenience wrapper: the optimized model together with its fingerprint.
-pub fn optimize_with_fingerprint(model: &Model) -> (Model, Fingerprint) {
-    let optimized = optimize(model).model;
-    let fp = fingerprint(&optimized);
-    (optimized, fp)
+    (current, fp)
 }
 
 /// Number of 64-bit random stimulus words per sequential simulation run.
@@ -483,174 +467,24 @@ fn is_and(aig: &Aig, node: usize) -> bool {
 }
 
 /// One sweep of constant substitution + equivalence merging + rewriting
-/// rebuild + dead-node elimination.  Newly proven constant latches are
-/// appended to `constants`.
-fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
+/// rebuild + dead-node elimination.
+fn one_pass(model: &Model) -> Model {
     let aig = &model.aig;
-    let consts: HashMap<usize, bool> = constant_latches(aig).into_iter().collect();
-    let latch_equiv = latch_equivalences(model);
-    let gate_equiv = gate_equivalences(aig);
-    let mut stuck: Vec<(usize, bool)> = consts.iter().map(|(&n, &v)| (n, v)).collect();
-    stuck.extend(latch_equiv.iter().filter_map(|(&n, &rep)| {
-        if rep.is_const() {
-            Some((n, rep == Lit::TRUE))
-        } else {
-            None
-        }
-    }));
-    stuck.sort_unstable();
-    for (node, value) in stuck {
-        let name = aig.name_of(node).unwrap_or("latch").to_string();
-        if !constants.iter().any(|(n, _)| n == &name) {
-            constants.push((name, value));
-        }
-    }
-    // Where a node's fanout should be redirected, if anywhere.  Targets
+    // Where each node's fanout is redirected, if anywhere: proven
+    // constants first, then latch and gate equivalences.  Representatives
     // always have a smaller node index, so redirections resolve in node
     // order without chains.
-    let redirect = |node: usize| -> Option<Lit> {
-        if let Some(&value) = consts.get(&node) {
-            return Some(if value { Lit::TRUE } else { Lit::FALSE });
-        }
-        if let Some(&rep) = latch_equiv.get(&node) {
-            return Some(rep);
-        }
-        gate_equiv.get(&node).copied()
-    };
-
-    // ------------------------------------------------------------------
-    // Reachability from every root, with redirected nodes as cut points:
-    // a merged or constant node contributes its representative's cone
-    // instead of its own.
-    // ------------------------------------------------------------------
-    let mut roots: Vec<Lit> = Vec::new();
-    roots.extend(model.bads.iter().map(|b| b.lit));
-    roots.extend(model.covers.iter().map(|c| c.lit));
-    roots.extend_from_slice(&model.constraints);
-    for p in model.liveness.iter().chain(&model.fairness) {
-        roots.push(p.trigger);
-        roots.push(p.target);
+    let mut redirect: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
+    for (node, value) in constant_latches(aig) {
+        redirect[node] = Some(Lit::FALSE.invert_if(value));
     }
-    let next_of: HashMap<usize, Lit> = aig.latches().iter().map(|l| (l.node, l.next)).collect();
-    let mut alive = vec![false; aig.num_nodes()];
-    alive[0] = true;
-    let mut visited = vec![false; aig.num_nodes()];
-    visited[0] = true;
-    let mut worklist: Vec<usize> = roots.iter().map(|l| l.node()).collect();
-    while let Some(node) = worklist.pop() {
-        if visited[node] {
-            continue;
-        }
-        visited[node] = true;
-        if let Some(rep) = redirect(node) {
-            worklist.push(rep.node());
-            continue;
-        }
-        alive[node] = true;
-        match aig.node(node) {
-            Node::False | Node::Input => {}
-            Node::Latch => worklist.push(next_of[&node].node()),
-            Node::And(a, b) => {
-                worklist.push(a.node());
-                worklist.push(b.node());
-            }
-        }
+    let equivalences = latch_equivalences(model)
+        .into_iter()
+        .chain(gate_equivalences(aig));
+    for (node, rep) in equivalences {
+        redirect[node].get_or_insert(rep);
     }
-
-    // ------------------------------------------------------------------
-    // Rebuild in original node order (deterministic indices), substituting
-    // constants and funnelling every gate through the rewrite rules.
-    // ------------------------------------------------------------------
-    let mut out = Aig::new();
-    let mut map: HashMap<usize, Lit> = HashMap::new();
-    map.insert(0, Lit::FALSE);
-    let map_lit =
-        |map: &HashMap<usize, Lit>, l: Lit| -> Lit { map[&l.node()].invert_if(l.is_inverted()) };
-    let input_name_of: HashMap<usize, &str> = aig
-        .inputs()
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, aig.input_name(i)))
-        .collect();
-    for idx in 1..aig.num_nodes() {
-        if let Some(rep) = redirect(idx) {
-            // Redirected fanout reads the representative's rebuilt literal
-            // (already mapped: representatives have smaller indices).
-            if let Some(&mapped) = map.get(&rep.node()) {
-                map.insert(idx, mapped.invert_if(rep.is_inverted()));
-            }
-            continue;
-        }
-        if !alive[idx] {
-            continue;
-        }
-        let new_lit = match aig.node(idx) {
-            Node::False => unreachable!("only node 0 is the constant"),
-            Node::Input => out.add_input(input_name_of[&idx]),
-            Node::Latch => {
-                let latch = aig
-                    .latches()
-                    .iter()
-                    .find(|l| l.node == idx)
-                    .expect("alive latch exists");
-                out.add_latch(aig.name_of(idx).unwrap_or("latch"), latch.init)
-            }
-            Node::And(a, b) => {
-                let lit = {
-                    let (na, nb) = (map_lit(&map, a), map_lit(&map, b));
-                    and_rewrite(&mut out, na, nb)
-                };
-                if let Some(name) = aig.name_of(idx) {
-                    if !lit.is_const() {
-                        out.set_name(lit, name);
-                    }
-                }
-                lit
-            }
-        };
-        map.insert(idx, new_lit);
-    }
-    for latch in aig.latches() {
-        if alive[latch.node] && redirect(latch.node).is_none() {
-            let new_latch = map[&latch.node];
-            let new_next = map_lit(&map, latch.next);
-            out.set_latch_next(new_latch, new_next);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Remap the property lists (order preserved).
-    // ------------------------------------------------------------------
-    let mut rebuilt = Model::new(out);
-    rebuilt.bads = model
-        .bads
-        .iter()
-        .map(|b| BadProperty {
-            name: b.name.clone(),
-            lit: map_lit(&map, b.lit),
-        })
-        .collect();
-    rebuilt.covers = model
-        .covers
-        .iter()
-        .map(|c| CoverProperty {
-            name: c.name.clone(),
-            lit: map_lit(&map, c.lit),
-        })
-        .collect();
-    rebuilt.constraints = model
-        .constraints
-        .iter()
-        .map(|&c| map_lit(&map, c))
-        .collect();
-    let map_resp = |p: &ResponseProperty| ResponseProperty {
-        name: p.name.clone(),
-        trigger: map_lit(&map, p.trigger),
-        target: map_lit(&map, p.target),
-    };
-    rebuilt.liveness = model.liveness.iter().map(map_resp).collect();
-    rebuilt.fairness = model.fairness.iter().map(map_resp).collect();
-    rebuilt
+    rebuild(model, None, |node| redirect[node], and_rewrite)
 }
 
 /// The two inputs of an AND node, or `None` for leaves.
@@ -735,6 +569,7 @@ fn and_rewrite(aig: &mut Aig, a: Lit, b: Lit) -> Lit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{BadProperty, CoverProperty, ResponseProperty};
 
     /// busy bit + a latch provably stuck at reset + a dead counter.
     fn sample_model() -> Model {
@@ -787,21 +622,20 @@ mod tests {
     fn optimize_sweeps_constants_and_dead_state() {
         let model = sample_model();
         assert_eq!(model.aig.num_latches(), 3);
-        let opt = optimize(&model);
+        let (opt, fp) = optimize(&model);
+        assert_eq!(fp, fingerprint(&opt));
         // stuck_q substituted, toggle dead: only busy survives.
-        assert_eq!(opt.model.aig.num_latches(), 1);
+        assert_eq!(opt.aig.num_latches(), 1);
         assert_eq!(
-            opt.model
-                .aig
+            opt.aig
                 .latches()
                 .iter()
-                .filter_map(|l| opt.model.aig.name_of(l.node))
+                .filter_map(|l| opt.aig.name_of(l.node))
                 .collect::<Vec<_>>(),
             vec!["busy"]
         );
-        assert_eq!(opt.constant_latches, vec![("stuck_q".to_string(), false)]);
         // bad = busy & !stuck = busy & !false = busy (no gate needed).
-        assert_eq!(opt.model.aig.num_ands(), 1); // just busy | req
+        assert_eq!(opt.aig.num_ands(), 1); // just busy | req
     }
 
     #[test]
@@ -819,22 +653,22 @@ mod tests {
             lit: redundant,
         });
         assert_eq!(model.aig.num_ands(), 2);
-        let opt = optimize(&model);
-        assert_eq!(opt.model.aig.num_ands(), 1, "or(s, !s&e) must become s|e");
+        let opt = optimize(&model).0;
+        assert_eq!(opt.aig.num_ands(), 1, "or(s, !s&e) must become s|e");
     }
 
     #[test]
     fn optimize_is_idempotent() {
         let model = sample_model();
-        let once = optimize(&model).model;
-        let twice = optimize(&once).model;
+        let once = optimize(&model).0;
+        let twice = optimize(&once).0;
         assert_eq!(fingerprint(&once), fingerprint(&twice));
     }
 
     #[test]
     fn optimized_model_agrees_with_original_on_random_inputs() {
         let model = sample_model();
-        let opt = optimize(&model).model;
+        let opt = optimize(&model).0;
         let mut orig_sim = ParallelSim::new(&model);
         let mut opt_sim = ParallelSim::new(&opt);
         // 64 random stimulus lanes for `req`, wherever each model keeps it.
@@ -877,7 +711,7 @@ mod tests {
             trigger: lit,
             target: lit.invert(),
         });
-        let opt = optimize(&model).model;
+        let opt = optimize(&model).0;
         assert_eq!(opt.bads[0].name, "busy_while_clear");
         assert_eq!(opt.covers[0].name, "c0");
         assert_eq!(opt.liveness[0].name, "resp");

@@ -279,10 +279,10 @@ impl<'a> ParallelSim<'a> {
 /// one; it then returns the trace, one frame per cycle (the latch values
 /// entering the cycle, the inputs driven during it).
 ///
-/// The fuzzer, BMC and PDR build their traces this way from the inputs
-/// they found, so every trace they report is confirmed, and the proof
-/// cache re-validates a cached counterexample or cover witness against the
-/// live model.
+/// The fuzzer, BMC, PDR and the explicit engine's safety and cover
+/// searches build their traces this way from the inputs they found, so
+/// every such trace is confirmed, and the proof cache re-validates a cached
+/// counterexample or cover witness against the live model.
 pub fn replay(
     model: &Model,
     target: Lit,

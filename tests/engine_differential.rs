@@ -349,7 +349,7 @@ proptest! {
         use autosva_formal::opt;
 
         let model = random_model(seed, num_latches, num_inputs, num_gates);
-        let optimized = opt::optimize(&model).model;
+        let optimized = opt::optimize(&model).0;
 
         prop_assert!(
             optimized.aig.num_latches() <= model.aig.num_latches(),
@@ -363,7 +363,7 @@ proptest! {
         // Idempotence: a second pass is a fingerprint fixpoint.
         let fp = fingerprint(&optimized);
         prop_assert_eq!(
-            fingerprint(&opt::optimize(&optimized).model),
+            fingerprint(&opt::optimize(&optimized).0),
             fp,
             "optimization is not idempotent (seed {})", seed
         );
@@ -397,20 +397,21 @@ proptest! {
         let model = random_model(seed, num_latches, num_inputs, num_gates);
         let (hit, _) = fuzz_safety_budgeted(&model, 0, &FuzzOptions::default(), &Interrupt::none());
 
-        if let Some(hit) = &hit {
+        if let Some(trace) = &hit {
             // The hit's own trace is concrete evidence — it must replay —
             // and bounding BMC by the fuzzed depth must find the bug too.
+            let cycle = trace.len() - 1;
             prop_assert!(
-                trace_replays(&model, &hit.trace),
+                trace_replays(&model, trace),
                 "fuzz counterexample does not replay (seed {seed})"
             );
             prop_assert!(
                 matches!(
-                    bmc(&model, &BmcOptions { max_depth: hit.cycle, max_induction: 0 }),
+                    bmc(&model, &BmcOptions { max_depth: cycle, max_induction: 0 }),
                     SafetyResult::Violated(_)
                 ),
                 "fuzz hit at cycle {} is not a BMC counterexample at that depth (seed {seed})",
-                hit.cycle
+                cycle
             );
         }
 
@@ -671,7 +672,7 @@ fn optimization_shrinks_the_summed_corpus_slices_by_at_least_15_percent() {
             for target in slices {
                 let slice = cone_of_influence(model, target);
                 before_total += slice.model.aig.num_ands();
-                after_total += opt::optimize(&slice.model).model.aig.num_ands();
+                after_total += opt::optimize(&slice.model).0.aig.num_ands();
             }
         }
     }

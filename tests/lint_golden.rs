@@ -33,7 +33,7 @@ fn lint_demo_report() -> LintReport {
         &design,
         &compiled,
         &ft,
-        Some(source),
+        Some((source, &file)),
         &LintOptions::default(),
     )
 }
@@ -149,11 +149,12 @@ fn the_clean_corpus_lints_without_findings() {
             let design = elaborated(&case, variant);
             let ft = build_testbench(&case);
             let compiled = compile(&design, &ft).expect("corpus case compiles");
+            let file = svparse::parse(case.source).expect("corpus case parses");
             let report = lint::run(
                 &design,
                 &compiled,
                 &ft,
-                Some(case.source),
+                Some((case.source, &file)),
                 &LintOptions::default(),
             );
             assert!(
@@ -181,7 +182,7 @@ fn the_clean_corpus_lints_without_findings() {
             &design,
             &compiled,
             &ft,
-            Some(source),
+            Some((source, &file)),
             &LintOptions::default(),
         );
         assert!(

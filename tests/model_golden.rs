@@ -1,4 +1,5 @@
-//! Golden shapes of every compiled model the repository ships.
+//! Golden shapes of every compiled model the repository ships, and of
+//! every cone the checker builds from them.
 //!
 //! For each of the 11 Table III case/variant runs, both struct-port demos
 //! and the lint demo, the front end (parse, elaboration, annotation
@@ -10,6 +11,12 @@
 //! input — shows up here, and with it any change to the keys of an on-disk
 //! proof cache.
 //!
+//! After the model lines, one line per checked property pins the same three
+//! figures for the property's cone-of-influence slice, for that slice after
+//! [`opt::optimize`], and — for liveness — for the optimized
+//! liveness-to-safety product of the optimized slice: exactly the models
+//! the engines check and the proof cache keys on.
+//!
 //! ```sh
 //! cargo test -q --test model_golden
 //! ```
@@ -17,17 +24,29 @@
 use autosva::{generate_ft, AutosvaOptions};
 use autosva_bench::build_testbench;
 use autosva_designs::{all_cases, elaborated, lint_demo_source, struct_demo_sources, Variant};
-use autosva_formal::coi;
-use autosva_formal::compile::compile;
+use autosva_formal::coi::{self, cone_of_influence, SliceTarget};
+use autosva_formal::compile::{compile, CompiledKind, CompiledTestbench};
 use autosva_formal::elab::{elaborate, ElabOptions};
 use autosva_formal::model::Model;
+use autosva_formal::opt;
 
 const GOLDEN: &str = include_str!("../crates/designs/golden/models.json");
 
+/// A model's latch count, gate count and fingerprint as JSON fields.
+fn shape(model: &Model) -> String {
+    format!(
+        "\"latches\": {}, \"gates\": {}, \"fingerprint\": \"{}\"",
+        model.aig.num_latches(),
+        model.aig.num_ands(),
+        coi::fingerprint(model)
+    )
+}
+
 /// One JSON line per model, in a fixed order: the corpus runs in Table III
-/// order (fixed variant first), then the demos.
+/// order (fixed variant first), then the demos; then, in the same order,
+/// one line per checked property of each model.
 fn snapshot() -> String {
-    let mut entries: Vec<(String, Model)> = Vec::new();
+    let mut entries: Vec<(String, CompiledTestbench)> = Vec::new();
     for case in all_cases() {
         let variants: &[Variant] = if case.has_bug_parameter {
             &[Variant::Fixed, Variant::Buggy]
@@ -39,7 +58,7 @@ fn snapshot() -> String {
             let ft = build_testbench(&case);
             let compiled = compile(&design, &ft)
                 .unwrap_or_else(|e| panic!("{} {variant:?}: compile failed: {e}", case.id));
-            entries.push((format!("{}_{variant:?}", case.id), compiled.model));
+            entries.push((format!("{}_{variant:?}", case.id), compiled));
         }
     }
     for (label, module, source) in struct_demo_sources()
@@ -57,19 +76,36 @@ fn snapshot() -> String {
             .unwrap_or_else(|e| panic!("{label}: elaboration failed: {e}"));
         let compiled =
             compile(&design, &ft).unwrap_or_else(|e| panic!("{label}: compile failed: {e}"));
-        entries.push((label.to_string(), compiled.model));
+        entries.push((label.to_string(), compiled));
     }
-    let lines: Vec<String> = entries
+    let mut lines: Vec<String> = entries
         .iter()
-        .map(|(tag, model)| {
-            format!(
-                "  {{\"model\": \"{tag}\", \"latches\": {}, \"gates\": {}, \"fingerprint\": \"{}\"}}",
-                model.aig.num_latches(),
-                model.aig.num_ands(),
-                coi::fingerprint(model)
-            )
-        })
+        .map(|(tag, compiled)| format!("  {{\"model\": \"{tag}\", {}}}", shape(&compiled.model)))
         .collect();
+    for (tag, compiled) in &entries {
+        for prop in &compiled.properties {
+            let target = match prop.kind {
+                CompiledKind::Safety(i) => SliceTarget::Bad(i),
+                CompiledKind::Cover(i) => SliceTarget::Cover(i),
+                CompiledKind::Liveness(i) => SliceTarget::Liveness(i),
+                _ => continue,
+            };
+            let slice = cone_of_influence(&compiled.model, target).model;
+            let optimized = opt::optimize(&slice).0;
+            let mut line = format!(
+                "  {{\"cone\": \"{tag}/{}\", \"slice\": {{{}}}, \"opt\": {{{}}}",
+                prop.property.full_name(),
+                shape(&slice),
+                shape(&optimized)
+            );
+            if let SliceTarget::Liveness(_) = target {
+                let product = opt::optimize(&optimized.to_liveness_safety().model).0;
+                line.push_str(&format!(", \"l2s\": {{{}}}", shape(&product)));
+            }
+            line.push('}');
+            lines.push(line);
+        }
+    }
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
@@ -78,14 +114,15 @@ fn every_shipped_model_matches_the_golden() {
     assert_eq!(
         snapshot(),
         GOLDEN,
-        "a compiled model drifted from crates/designs/golden/models.json; \
+        "a compiled model or cone drifted from crates/designs/golden/models.json; \
          regenerate the golden (see regenerate_golden below) only if the \
          change to the model is intentional"
     );
 }
 
 /// Regenerates `crates/designs/golden/models.json` in place.  Run after an
-/// intentional change to the models the front end builds:
+/// intentional change to the models the front end builds, or to the slices,
+/// optimized slices and liveness products the checker derives from them:
 ///
 /// ```sh
 /// cargo test --release --test model_golden -- --ignored regenerate_golden

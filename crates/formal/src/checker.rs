@@ -18,7 +18,8 @@
 //!    k-induction for cheap proofs;
 //! 4. **PDR** — IC3/PDR for reachability-dependent proofs, with an
 //!    inductive-invariant certificate;
-//! 5. **explicit** — the exact explicit-state engine;
+//! 5. **explicit** — the exact explicit-state engine, one breadth-first
+//!    search per property;
 //! 6. **full-depth BMC** — BMC and k-induction to the configured bounds.
 //!
 //! Every stage answers with the same crate-private verdict: reached, with a
@@ -33,17 +34,18 @@
 //! concurrently on a worker pool ([`crate::portfolio`]), with results
 //! assembled back in annotation order — a sequential run
 //! (`parallel.threads = 1`) and a parallel run render byte-identical
-//! reports.  An optional [`crate::portfolio::ProofCache`] reuses verdicts
-//! across runs when a property's slice is content-identical (e.g.
-//! buggy/fixed design variants or repeated bench iterations), and lets
-//! opt-on runs reuse each other's optimized slices.
+//! reports.  Tasks share nothing but the optional
+//! [`crate::portfolio::ProofCache`], which reuses verdicts across runs with
+//! the same engine options when a property's slice is content-identical
+//! (e.g. buggy/fixed design variants or repeated bench iterations), and
+//! lets opt-on runs reuse each other's optimized slices.
 
 use crate::aig::Lit;
 use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
-use crate::coi::{cone_of_influence, fingerprint, Fingerprint, SliceTarget};
+use crate::coi::{cone_of_influence, fingerprint, Fingerprint, Fnv2, SliceTarget};
 use crate::compile::{compile, CompiledKind, CompiledTestbench};
 use crate::elab::{elaborate_budgeted, ElabDesign, ElabOptions, Result};
-use crate::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
+use crate::explicit::{self, ExplicitOptions, ExplicitResult};
 use crate::fuzz::{fuzz_safety_budgeted, FuzzOptions, FuzzStats};
 use crate::interrupt::{Interrupt, InterruptReason};
 use crate::lint::{LintOptions, LintReport};
@@ -62,10 +64,9 @@ use crate::vcd::VcdOptions;
 use autosva::sva::{Directive, PropertyClass};
 use autosva::FormalTestbench;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use svparse::ast::SourceFile;
 
@@ -361,14 +362,6 @@ impl VerificationReport {
             .count()
     }
 
-    /// Number of proven properties.
-    pub fn proofs(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| matches!(r.status, PropertyStatus::Proven(_)))
-            .count()
-    }
-
     /// Proof rate over checked assertion properties (the paper's "100%
     /// proof" metric): proven / (proven + violated + unknown), ignoring
     /// covers and assumptions.
@@ -658,17 +651,7 @@ fn verify_elaborated_inner(
     // even when the handle is a long-lived in-process cache shared across
     // runs (`loaded` stays absolute — it describes the open).
     let cache_base = cache.map(ProofCache::stats);
-    // Only opt-on runs share prepared slices through the cache; every
-    // other run prepares its slices on a memo of its own.
-    let memo = match cache {
-        Some(cache) if options.parallel.opt => cache.clone(),
-        _ => ProofCache::new(),
-    };
-    let tasks = build_tasks(&compiled, options, &memo);
-    let ctx = TaskCtx {
-        options,
-        explicit_memo: Mutex::new(HashMap::new()),
-    };
+    let tasks = build_tasks(&compiled, options);
 
     // Register the robustness counters up front so a healthy run's
     // telemetry still carries them (with zeros): their *absence* would be
@@ -703,7 +686,7 @@ fn verify_elaborated_inner(
         // The running stage's engine tag: set by `run_cascade`, read here
         // after a panic unwound it.
         let engine = Cell::new("task");
-        let task_run = || run_task(task, &ctx, &interrupt, &engine);
+        let task_run = || run_task(task, options, &interrupt, &engine);
         let outcome = match catch_unwind(AssertUnwindSafe(task_run)) {
             Ok(outcome) => outcome,
             Err(payload) => {
@@ -904,8 +887,7 @@ struct Target {
     /// Index of the target in `model.bads` (safety, liveness) or
     /// `model.covers` (cover).
     index: usize,
-    /// The slice fingerprint, keying the proof cache and the shared
-    /// explicit-state engines.
+    /// The slice fingerprint, keying the proof cache.
     fp: Fingerprint,
     /// The checked cone: `model` itself, except for liveness, where it is
     /// the model before the L2S transform (the explicit engine's SCC
@@ -928,40 +910,76 @@ impl Target {
         }
     }
 
-    /// The proof-cache key of the property: its slice fingerprint and name.
-    fn key(&self) -> CacheKey {
+    /// The proof-cache key of the property under `options`: its slice
+    /// fingerprint, the digest of the engine options and its name.
+    fn key(&self, options: &CheckOptions) -> CacheKey {
         CacheKey {
             fingerprint: self.fp,
+            config: engine_digest(options),
             property: self.literal().1.to_string(),
         }
     }
 }
 
+/// A digest of the options that shape a verdict's artifact: which stages
+/// run, the BMC and k-induction bounds and the solver features.  It keys
+/// proof-cache entries with the cone, so a run reuses only what a run with
+/// the same engine options stored, and renders like a cold run.  The
+/// fuzzer is left out (every cached safety trace is BMC-minimized), and so
+/// are budgets, orchestration, telemetry, VCD output and lint.  The hash is
+/// the fingerprints' FNV-1a, so the digest is stable across processes.
+fn engine_digest(options: &CheckOptions) -> u64 {
+    let SolverConfig {
+        restarts,
+        minimize,
+        reduce,
+        restart_base,
+        reduce_base,
+    } = options.solver;
+    let flags = [
+        options.disable_bmc,
+        options.disable_pdr,
+        options.disable_explicit,
+        restarts,
+        minimize,
+        reduce,
+    ];
+    let bounds = [
+        options.bmc.max_depth,
+        options.bmc.max_induction,
+        options.liveness_bmc.max_depth,
+        options.liveness_bmc.max_induction,
+        restart_base as usize,
+        reduce_base,
+    ];
+    let mut hash = Fnv2::new();
+    flags.into_iter().for_each(|flag| hash.byte(u8::from(flag)));
+    bounds.into_iter().for_each(|bound| hash.usize(bound));
+    hash.finish().0
+}
+
 /// Builds one task per property.  With slicing enabled (the default) each
-/// checked property gets its cone-of-influence slice, prepared once per
-/// raw slice fingerprint on `memo`: content-identical slices share one
-/// model allocation (and thereby one explicit-engine memo entry).  With the
-/// optimizer additionally enabled (also the default) each distinct slice is
-/// run through the [`crate::opt`] pass — constant sweeping,
-/// sequential/combinational equivalence sweeping, dead-node elimination —
-/// before any engine sees it; liveness slices are optimized first, then
-/// transformed via liveness-to-safety, and the product is optimized again
-/// (the order keeps the L2S snapshot sound: the transform always runs on
-/// the model the snapshots will be compared against).
+/// checked property gets its cone-of-influence slice.  With the optimizer
+/// additionally enabled (also the default) each slice is run through the
+/// [`crate::opt`] pass — constant sweeping, sequential/combinational
+/// equivalence sweeping, dead-node elimination — before any engine sees it;
+/// liveness slices are optimized first, then transformed via
+/// liveness-to-safety, and the product is optimized again (the order keeps
+/// the L2S snapshot sound: the transform always runs on the model the
+/// snapshots will be compared against).
 ///
-/// `memo` is the run's proof cache when it has one and opt is on, so a
-/// re-run over unchanged cones takes every optimized slice and L2S product
-/// from the memo and optimizes nothing; otherwise it is a memo of this run
-/// alone.  With slicing disabled every task points at the full compiled
-/// model, preserving the pre-orchestrator cascade behaviour exactly; the
-/// optimizer never runs on that path and `memo` is unused.
-fn build_tasks(
-    compiled: &CompiledTestbench,
-    options: &CheckOptions,
-    memo: &ProofCache,
-) -> Vec<PropertyTask> {
+/// An opt-on run with a proof cache prepares each slice on the cache's
+/// memo, keyed by the raw slice fingerprint, so a re-run over unchanged
+/// cones takes every optimized slice and L2S product from it and optimizes
+/// nothing.  Every other run prepares each slice directly: a slice keeps
+/// only its own property, so no two properties of one run share one.  With
+/// slicing disabled every task points at the full compiled model,
+/// preserving the pre-orchestrator cascade behaviour exactly; the optimizer
+/// never runs on that path.
+fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<PropertyTask> {
     let slice_on = options.parallel.slice;
     let opt_on = options.parallel.opt;
+    let memo = options.parallel.cache.as_ref().filter(|_| opt_on);
     let mut shared_full: Option<(Arc<Model>, Fingerprint)> = None;
     let mut shared_l2s: Option<Arc<Model>> = None;
 
@@ -1014,7 +1032,7 @@ fn build_tasks(
             // when the optimizer is off).
             let slice = cone_of_influence(&compiled.model, cone);
             let raw = slice.fingerprint;
-            let prepared = memo.prepared_slice(raw, || {
+            let prepare = || {
                 let (model, fingerprint) = if opt_on {
                     crate::opt::optimize(&slice.model)
                 } else {
@@ -1025,7 +1043,11 @@ fn build_tasks(
                     fingerprint,
                     l2s: None,
                 }
-            });
+            };
+            let prepared = match memo {
+                Some(cache) => cache.prepared_slice(raw, prepare),
+                None => prepare(),
+            };
             let model = match (kind, &prepared.l2s) {
                 (Kind::Liveness, Some(product)) => Arc::clone(product),
                 // The L2S product of the (optimized) base is itself a plain
@@ -1042,7 +1064,10 @@ fn build_tasks(
                             product
                         }
                     };
-                    memo.memo_l2s(raw, Arc::new(product))
+                    match memo {
+                        Some(cache) => cache.memo_l2s(raw, Arc::new(product)),
+                        None => Arc::new(product),
+                    }
                 }
                 (Kind::Safety | Kind::Cover, _) => Arc::clone(&prepared.model),
             };
@@ -1055,86 +1080,6 @@ fn build_tasks(
             })
         })
         .collect()
-}
-
-/// Shared, immutable context of one verification run.
-struct TaskCtx<'a> {
-    options: &'a CheckOptions,
-    /// Explicit-state engines shared across tasks with content-identical
-    /// models; the per-fingerprint mutex serializes construction without
-    /// holding the map lock during exploration.  The memo records only
-    /// *completed* explorations: an exploration cut short by one task's
-    /// interrupt (or unwound by a panic) is not cached, so it cannot
-    /// degrade sibling properties that still have budget.
-    #[allow(clippy::type_complexity)]
-    explicit_memo: Mutex<HashMap<Fingerprint, Arc<Mutex<ExplicitMemo>>>>,
-}
-
-/// Memoization state of one fingerprint's shared explicit-state engine.
-#[derive(Default)]
-enum ExplicitMemo {
-    /// Not explored yet (or a previous attempt was interrupted/panicked
-    /// and must not be trusted): the next task with budget explores.
-    #[default]
-    Pending,
-    /// Exploration ran to its natural end (`None`: the engine declined or
-    /// exceeded its own limits — a definitive, cacheable answer).
-    Done(Option<Arc<ExplicitBundle>>),
-}
-
-/// The explicit-state engine together with the monitor literals needed for
-/// liveness queries (explored once per distinct model fingerprint).
-struct ExplicitBundle {
-    engine: ExplicitEngine,
-    assert_pendings: Vec<Lit>,
-    fair_pendings: Vec<Lit>,
-}
-
-/// Returns the shared explicit-engine bundle for `model`, building it on
-/// first use.  `None` when exploration exceeded its limits or `interrupt`
-/// fired mid-exploration.  Completed explorations (including definitive
-/// "declined/exceeded" answers) are memoized so the cost is paid at most
-/// once per fingerprint; interrupted ones are not — the truncated state
-/// space must never answer a sibling property's query.
-fn explicit_bundle(
-    ctx: &TaskCtx<'_>,
-    fp: Fingerprint,
-    model: &Model,
-    interrupt: &Interrupt,
-) -> Option<Arc<ExplicitBundle>> {
-    let cell = {
-        let mut memo = ctx
-            .explicit_memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        memo.entry(fp).or_default().clone()
-    };
-    // The per-fingerprint lock is held across exploration so concurrent
-    // tasks over the same slice wait for one exploration instead of racing
-    // their own.  Recover from poisoning: a panic that unwound a previous
-    // attempt left the state `Pending` (it is only ever set after a
-    // completed exploration), so retrying here is sound.
-    let mut state = cell.lock().unwrap_or_else(PoisonError::into_inner);
-    if let ExplicitMemo::Done(bundle) = &*state {
-        return bundle.clone();
-    }
-    let (augmented, assert_pendings, fair_pendings) = model.with_pending_monitors();
-    let engine =
-        ExplicitEngine::explore_budgeted(&augmented, &ExplicitOptions::default(), interrupt);
-    if engine.as_ref().is_some_and(ExplicitEngine::was_interrupted) {
-        // This task ran out of budget mid-exploration; leave the memo
-        // `Pending` so a sibling with budget explores from scratch.
-        return None;
-    }
-    let bundle = engine.map(|engine| {
-        Arc::new(ExplicitBundle {
-            engine,
-            assert_pendings,
-            fair_pendings,
-        })
-    });
-    *state = ExplicitMemo::Done(bundle.clone());
-    bundle
 }
 
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
@@ -1174,13 +1119,13 @@ impl TaskOutcome {
 
 fn run_task(
     task: &PropertyTask,
-    ctx: &TaskCtx<'_>,
+    options: &CheckOptions,
     interrupt: &Interrupt,
     engine: &Cell<&'static str>,
 ) -> TaskOutcome {
     match task {
         PropertyTask::Done(status) => TaskOutcome::new(status.clone(), None),
-        PropertyTask::Check(target) => run_cascade(target, ctx, interrupt, engine),
+        PropertyTask::Check(target) => run_cascade(target, options, interrupt, engine),
     }
 }
 
@@ -1274,11 +1219,10 @@ impl Stage {
 fn run_stage(
     stage: Stage,
     target: &Target,
-    ctx: &TaskCtx<'_>,
+    options: &CheckOptions,
     interrupt: &Interrupt,
     outcome: &mut TaskOutcome,
 ) -> Option<Verdict> {
-    let options = ctx.options;
     let model = &*target.model;
     let (lit, name) = target.literal();
     let bounds = target.kind.bounds(options);
@@ -1297,7 +1241,8 @@ fn run_stage(
     match stage {
         Stage::Cache => {
             let cache = options.parallel.cache.as_ref()?;
-            cache.lookup(&target.key(), model, lit, bounds.max_induction, interrupt)
+            let key = target.key(options);
+            cache.lookup(&key, model, lit, bounds.max_induction, interrupt)
         }
         Stage::Fuzz => {
             let (hit, stats) = fuzz_safety_budgeted(model, target.index, &options.fuzz, interrupt);
@@ -1325,19 +1270,12 @@ fn run_stage(
             }
         }
         Stage::Explicit => {
-            let bundle = explicit_bundle(ctx, target.fp, &target.base, interrupt)?;
-            // The query's own site fires under this property's task, even
-            // when a sibling task explored the memoized bundle.
-            #[cfg(any(test, feature = "fault-injection"))]
-            if target.kind != Kind::Liveness {
-                interrupt.fault("explicit.step");
-            }
+            let limits = ExplicitOptions::default();
             let result = match target.kind {
-                Kind::Safety => bundle.engine.check_bad(lit),
-                Kind::Cover => bundle.engine.check_cover(lit),
-                Kind::Liveness => bundle
-                    .engine
-                    .check_liveness(bundle.assert_pendings[target.index], &bundle.fair_pendings),
+                Kind::Safety | Kind::Cover => explicit::reach(model, lit, &limits, interrupt),
+                Kind::Liveness => {
+                    explicit::liveness(&target.base, target.index, &limits, interrupt)
+                }
             };
             match result {
                 ExplicitResult::Proven => Some(Verdict::Unreachable(Certificate::Reachability)),
@@ -1369,11 +1307,10 @@ fn run_stage(
 ///   liveness property carries the lasso-bound note.
 fn run_cascade(
     target: &Target,
-    ctx: &TaskCtx<'_>,
+    options: &CheckOptions,
     interrupt: &Interrupt,
     engine: &Cell<&'static str>,
 ) -> TaskOutcome {
-    let options = ctx.options;
     let model = &*target.model;
     let name = target.literal().1;
     let mut outcome = TaskOutcome::new(PropertyStatus::Unknown, None);
@@ -1385,7 +1322,7 @@ fn run_cascade(
         let verdict = {
             let _span =
                 telemetry::span_detail(stage.span(), name, Some(stage.engine()), Some(target.fp));
-            run_stage(stage, target, ctx, interrupt, &mut outcome)
+            run_stage(stage, target, options, interrupt, &mut outcome)
         };
         let Some(mut verdict) = verdict else {
             // One poll tells "undecided" from "interrupted": an interrupted
@@ -1424,7 +1361,7 @@ fn run_cascade(
             && matches!(verdict, Verdict::Reached(_));
         let keep = stage != Stage::Cache && minimized && !lasso && interrupt.triggered().is_none();
         if let Some(cache) = options.parallel.cache.as_ref().filter(|_| keep) {
-            cache.store(target.key(), verdict.clone());
+            cache.store(target.key(options), verdict.clone());
         }
         outcome.status = status(target.kind, verdict, model);
         outcome.engine = Some(stage.engine());

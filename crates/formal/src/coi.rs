@@ -85,7 +85,7 @@ impl fmt::Display for Fingerprint {
 
 /// Incremental FNV-1a in two 64-bit lanes with distinct offset bases, giving
 /// a 128-bit digest without external dependencies.
-struct Fnv2 {
+pub(crate) struct Fnv2 {
     a: u64,
     b: u64,
 }
@@ -93,7 +93,7 @@ struct Fnv2 {
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 impl Fnv2 {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv2 {
             a: 0xCBF2_9CE4_8422_2325,
             // Second lane: the standard offset basis xored with a fixed
@@ -102,7 +102,7 @@ impl Fnv2 {
         }
     }
 
-    fn byte(&mut self, x: u8) {
+    pub(crate) fn byte(&mut self, x: u8) {
         self.a = (self.a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
         self.b = (self.b ^ u64::from(x.rotate_left(3))).wrapping_mul(FNV_PRIME);
     }
@@ -113,7 +113,7 @@ impl Fnv2 {
         }
     }
 
-    fn usize(&mut self, x: usize) {
+    pub(crate) fn usize(&mut self, x: usize) {
         self.u32(x as u32);
         self.u32((x as u64 >> 32) as u32);
     }
@@ -129,7 +129,7 @@ impl Fnv2 {
         }
     }
 
-    fn finish(&self) -> Fingerprint {
+    pub(crate) fn finish(&self) -> Fingerprint {
         Fingerprint(self.a, self.b)
     }
 }

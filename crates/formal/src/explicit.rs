@@ -5,19 +5,22 @@
 //! (e.g. "a response implies the outstanding counter is non-zero") defeat
 //! plain induction.  For the design sizes of the evaluation corpus a full
 //! reachable-state exploration is cheap, so this module provides an exact
-//! fallback:
+//! fallback.  Each query is one budgeted breadth-first search of its own;
+//! nothing outlives the call:
 //!
-//! * **safety / cover**: enumerate every reachable state (under the
-//!   invariant constraints) and test the bad/cover literal for every input
-//!   valuation — 64 input valuations are evaluated at once with bit-parallel
-//!   simulation of the AIG.  A hit's trace is replayed on the explored
-//!   model ([`crate::psim::replay`]) from the inputs along the
-//!   breadth-first path to it;
-//! * **liveness under fairness**: add the pending-obligation monitors to the
-//!   state, build the reachable transition graph, and search for a strongly
-//!   connected component in which the obligation stays pending while every
-//!   assumed fairness is discharged — the exact automata-theoretic criterion
-//!   for a counterexample lasso.
+//! * [`reach`] (safety / cover) expands the reachable states (under the
+//!   invariant constraints) in discovery order, tests the target literal in
+//!   every state it expands for every input valuation — 64 input valuations
+//!   are evaluated at once with bit-parallel simulation of the AIG — and
+//!   stops at the first hit.  States are discovered in order of depth, so
+//!   the first hit is a shallowest one; its trace is replayed on the model
+//!   ([`crate::psim::replay`]) from the inputs along the breadth-first path
+//!   to it;
+//! * [`liveness`] (liveness under fairness) adds the pending-obligation
+//!   monitors to the state, builds the reachable transition graph, and
+//!   searches for a strongly connected component in which the obligation
+//!   stays pending while every assumed fairness is discharged — the exact
+//!   automata-theoretic criterion for a counterexample lasso.
 
 use crate::aig::Lit;
 use crate::interrupt::Interrupt;
@@ -53,90 +56,262 @@ pub enum ExplicitResult {
     /// The property is violated; a witness trace is attached (for covers the
     /// trace reaches the target).
     Violated(Trace),
-    /// The exploration exceeded its limits and produced no verdict.
+    /// The search ran out of limits or budget and produced no verdict.
     Exceeded,
 }
 
-/// The reachable-state graph of a [`Model`].
-#[derive(Debug)]
-pub struct ExplicitEngine {
-    /// The explored model; counterexamples replay on it.
-    model: Model,
+/// Searches the reachable states of `model` for one where `target` holds
+/// under some constraint-satisfying input valuation.
+///
+/// A hit yields [`ExplicitResult::Violated`] with a shortest trace to it,
+/// replayed on `model` (a cover's caller reads it as "covered").  Once
+/// `options.max_states` stops the expansion, every state already discovered
+/// is still tested, without being expanded, before the search answers
+/// [`ExplicitResult::Exceeded`].  A model with more than 63 latches or
+/// `options.max_inputs` inputs is `Exceeded` at once.
+///
+/// The [`Interrupt`] handle is charged one step and polled once per state;
+/// when it fires the search answers `Exceeded`, while a hit found before
+/// that stands.  Callers without a budget pass [`Interrupt::none`].
+pub fn reach(
+    model: &Model,
+    target: Lit,
+    options: &ExplicitOptions,
+    interrupt: &Interrupt,
+) -> ExplicitResult {
+    let Some(mut search) = Search::new(model, options) else {
+        return ExplicitResult::Exceeded;
+    };
+    match search.explore(Some(target), interrupt) {
+        End::Hit { state, input } => {
+            let inputs: Vec<u64> = search.path(state)[1..]
+                .iter()
+                .map(|&s| search.preds[s as usize].1)
+                .chain([input])
+                .collect();
+            let trace = replay(model, target, inputs.len(), |cycle, i| {
+                (inputs[cycle] >> i) & 1 == 1
+            })
+            .expect("an explicit counterexample replays on its model");
+            ExplicitResult::Violated(trace)
+        }
+        End::Complete => ExplicitResult::Proven,
+        End::Incomplete => ExplicitResult::Exceeded,
+    }
+}
+
+/// Checks the liveness property `model.liveness[index]` under every
+/// fairness assumption of `model`.
+///
+/// The search explores `model` with a pending-obligation monitor register
+/// per fairness assumption and liveness property, so the obligations are
+/// part of every state, and then looks for a reachable cycle on which the
+/// obligation stays pending while every fairness obligation is discharged
+/// somewhere.  Such a cycle yields [`ExplicitResult::Violated`] with the
+/// stem from the initial state into it; unlike [`reach`]'s traces the stem
+/// is not replayed, as its last cycle records all-zero inputs.  An
+/// incomplete exploration (limits as for [`reach`], or the interrupt) is
+/// [`ExplicitResult::Exceeded`].
+pub fn liveness(
+    model: &Model,
+    index: usize,
+    options: &ExplicitOptions,
+    interrupt: &Interrupt,
+) -> ExplicitResult {
+    let (augmented, assert_pendings, fair_pendings) = model.with_pending_monitors();
+    let Some(mut search) = Search::new(&augmented, options) else {
+        return ExplicitResult::Exceeded;
+    };
+    if !matches!(search.explore(None, interrupt), End::Complete) {
+        return ExplicitResult::Exceeded;
+    }
+    // The monitors are latches, so their values are bits of every state.
+    let bit = |monitor: Lit| {
+        search
+            .latch_nodes
+            .iter()
+            .position(|&n| n == monitor.node())
+            .expect("a pending monitor is a latch")
+    };
+    let pending_bit = bit(assert_pendings[index]);
+    let fair_bits: Vec<usize> = fair_pendings.iter().map(|&l| bit(l)).collect();
+
+    // Restrict to states where the obligation is pending and find the
+    // strongly connected components of that subgraph.
+    let in_sub: Vec<bool> = search
+        .states
+        .iter()
+        .map(|&s| (s >> pending_bit) & 1 == 1)
+        .collect();
+    for scc in search.tarjan_sccs(&in_sub) {
+        // The component must contain a cycle: more than one state, or a
+        // self-loop.
+        let has_cycle = scc.len() > 1 || search.succs[scc[0] as usize].contains(&scc[0]);
+        if !has_cycle {
+            continue;
+        }
+        // Every assumed fairness must be discharged somewhere in the
+        // component (its pending bit low in at least one state).
+        let all_fair = fair_bits.iter().all(|&bit| {
+            scc.iter()
+                .any(|&s| (search.states[s as usize] >> bit) & 1 == 0)
+        });
+        if all_fair {
+            return ExplicitResult::Violated(search.stem(scc[0]));
+        }
+    }
+    ExplicitResult::Proven
+}
+
+/// The input valuation that lane `lane` of input word `high` evaluates
+/// (see `Search::evaluate`): bit `i` is the value of input `i`.
+fn valuation(high: u64, lane: u32) -> u64 {
+    (high << LANE_MASKS.len()) | u64::from(lane)
+}
+
+/// How a search ended.
+enum End {
+    /// The target holds in state `state` under the input valuation `input`.
+    Hit { state: u32, input: u64 },
+    /// Every reachable state was expanded.
+    Complete,
+    /// The state cap or the interrupt stopped the expansion.
+    Incomplete,
+}
+
+/// One breadth-first search over the reachable states of a model.
+struct Search<'m> {
+    model: &'m Model,
     latch_nodes: Vec<usize>,
     input_nodes: Vec<usize>,
-    options: ExplicitOptions,
-    /// Packed latch valuation per state.
+    max_states: usize,
+    /// Packed latch valuation per state, in discovery order.
     states: Vec<u64>,
     index: HashMap<u64, u32>,
     /// Predecessor of each state (state index, input valuation); the initial
     /// state points to itself.
     preds: Vec<(u32, u64)>,
-    /// Deduplicated successors per state.
+    /// Deduplicated successors per expanded state, recorded only by a
+    /// search without a target.
     succs: Vec<Vec<u32>>,
-    complete: bool,
-    /// The exploration was preempted by its interrupt handle (implies
-    /// `!complete`); callers must not cache or reuse the truncated graph.
-    interrupted: bool,
 }
 
-impl ExplicitEngine {
-    /// Builds the engine and explores the reachable state space of `model`.
-    ///
-    /// Returns `None` when the model is outside the engine's limits (too many
-    /// latches or inputs).
-    ///
-    /// The [`Interrupt`] handle is polled once per frontier state.  A
-    /// preempted engine reports [`ExplicitEngine::was_interrupted`] and is
-    /// never complete, so every query on it answers
-    /// [`ExplicitResult::Exceeded`] at worst — the truncated graph can still
-    /// witness violations it already found.  Callers without a budget pass
-    /// [`Interrupt::none`].
-    pub fn explore_budgeted(
-        model: &Model,
-        options: &ExplicitOptions,
-        interrupt: &Interrupt,
-    ) -> Option<ExplicitEngine> {
+impl<'m> Search<'m> {
+    /// A search holding only the initial state of `model`; `None` when the
+    /// model is outside the engine's limits (too many latches or inputs).
+    fn new(model: &'m Model, options: &ExplicitOptions) -> Option<Search<'m>> {
         let latch_nodes: Vec<usize> = model.aig.latches().iter().map(|l| l.node).collect();
         let input_nodes: Vec<usize> = model.aig.inputs().to_vec();
         if latch_nodes.len() > 63 || input_nodes.len() > options.max_inputs {
             return None;
         }
-        let _span = crate::telemetry::span("explicit.explore", "");
-        let mut engine = ExplicitEngine {
-            model: model.clone(),
+        let init = model
+            .aig
+            .latches()
+            .iter()
+            .enumerate()
+            .filter(|(_, latch)| latch.init)
+            .fold(0u64, |state, (i, _)| state | 1 << i);
+        Some(Search {
+            model,
             latch_nodes,
             input_nodes,
-            options: *options,
-            states: Vec::new(),
-            index: HashMap::new(),
-            preds: Vec::new(),
+            max_states: options.max_states,
+            states: vec![init],
+            index: HashMap::from([(init, 0)]),
+            preds: vec![(0, 0)],
             succs: Vec::new(),
-            complete: false,
-            interrupted: false,
-        };
-        engine.run(interrupt);
-        crate::telemetry::count("explicit.states", engine.states.len() as u64);
-        Some(engine)
+        })
     }
 
-    fn initial_state(&self) -> u64 {
-        let mut state = 0u64;
-        for (i, latch) in self.model.aig.latches().iter().enumerate() {
-            if latch.init {
-                state |= 1 << i;
+    /// Expands the states in discovery order.  With a `target`, tests it in
+    /// each state before expanding that state and stops at the first hit:
+    /// the lowest state index, then input word, then lane.  Without one,
+    /// records each expanded state's successors.
+    fn explore(&mut self, target: Option<Lit>, interrupt: &Interrupt) -> End {
+        let _span = crate::telemetry::span("explicit.explore", "");
+        let end = self.expand(target, interrupt);
+        crate::telemetry::count("explicit.states", self.states.len() as u64);
+        end
+    }
+
+    fn expand(&mut self, target: Option<Lit>, interrupt: &Interrupt) -> End {
+        let model = self.model;
+        let mut eval = Evaluator::new(&model.aig);
+        let lanes = 1u32 << self.input_nodes.len().min(6);
+        let lane_mask = ALL_LANES >> (64 - lanes);
+        let words = 1u64 << self.input_nodes.len().saturating_sub(6);
+        // Set once the state cap stops the expansion: the states discovered
+        // so far are still tested.
+        let mut capped = false;
+        let mut current = 0;
+        while current < self.states.len() {
+            #[cfg(any(test, feature = "fault-injection"))]
+            interrupt.fault("explicit.step");
+            if interrupt.charge(1).is_some() || interrupt.poll().is_some() {
+                return End::Incomplete;
             }
+            let state = self.states[current];
+            let mut succs: Vec<u32> = Vec::new();
+            for high in 0..words {
+                self.evaluate(&mut eval, state, high);
+                let ok = model
+                    .constraints
+                    .iter()
+                    .fold(lane_mask, |acc, &c| acc & eval.get(c));
+                if let Some(hit) = target.map(|t| ok & eval.get(t)).filter(|&hit| hit != 0) {
+                    return End::Hit {
+                        state: current as u32,
+                        input: valuation(high, hit.trailing_zeros()),
+                    };
+                }
+                if capped || ok == 0 {
+                    continue;
+                }
+                let next_bits: Vec<u64> = model
+                    .aig
+                    .latches()
+                    .iter()
+                    .map(|l| eval.get(l.next))
+                    .collect();
+                for lane in (0..lanes).filter(|lane| (ok >> lane) & 1 == 1) {
+                    let next = next_bits
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, bits)| (*bits >> lane) & 1 == 1)
+                        .fold(0u64, |next, (i, _)| next | 1 << i);
+                    let successor = match self.index.get(&next) {
+                        Some(&i) => i,
+                        None if self.states.len() >= self.max_states => {
+                            if target.is_none() {
+                                return End::Incomplete;
+                            }
+                            capped = true;
+                            break;
+                        }
+                        None => {
+                            let i = self.states.len() as u32;
+                            self.states.push(next);
+                            self.index.insert(next, i);
+                            self.preds.push((current as u32, valuation(high, lane)));
+                            i
+                        }
+                    };
+                    if target.is_none() && !succs.contains(&successor) {
+                        succs.push(successor);
+                    }
+                }
+            }
+            if target.is_none() {
+                self.succs.push(succs);
+            }
+            current += 1;
         }
-        state
-    }
-
-    fn num_input_words(&self) -> u64 {
-        let extra = self.input_nodes.len().saturating_sub(6) as u32;
-        1u64 << extra
-    }
-
-    fn lanes_in_use(&self) -> u32 {
-        let low = self.input_nodes.len().min(6) as u32;
-        1u32 << low
+        if capped {
+            End::Incomplete
+        } else {
+            End::Complete
+        }
     }
 
     /// Loads one packed latch state and the 64 input combinations of input
@@ -155,218 +330,6 @@ impl ExplicitEngine {
             eval.set(node, word);
         }
         eval.settle();
-    }
-
-    /// Lanes where every invariant constraint holds.
-    fn constraints_ok(&self, eval: &Evaluator<LaneWord>) -> LaneWord {
-        self.model
-            .constraints
-            .iter()
-            .fold(ALL_LANES, |acc, &c| acc & eval.get(c))
-    }
-
-    fn run(&mut self, interrupt: &Interrupt) {
-        let init = self.initial_state();
-        self.states.push(init);
-        self.index.insert(init, 0);
-        self.preds.push((0, 0));
-        self.succs.push(Vec::new());
-
-        let mut eval = Evaluator::new(&self.model.aig);
-        let mut frontier = 0usize;
-        while frontier < self.states.len() {
-            #[cfg(any(test, feature = "fault-injection"))]
-            interrupt.fault("explicit.step");
-            if interrupt.charge(1).is_some() || interrupt.poll().is_some() {
-                self.complete = false;
-                self.interrupted = true;
-                return;
-            }
-            let state = self.states[frontier];
-            let mut local_succs: Vec<u32> = Vec::new();
-            for high in 0..self.num_input_words() {
-                self.evaluate(&mut eval, state, high);
-                let ok = self.constraints_ok(&eval);
-                if ok == 0 {
-                    continue;
-                }
-                // Next-state bits per lane.
-                let next_bits: Vec<u64> = self
-                    .model
-                    .aig
-                    .latches()
-                    .iter()
-                    .map(|l| eval.get(l.next))
-                    .collect();
-                for lane in 0..self.lanes_in_use() {
-                    if (ok >> lane) & 1 == 0 {
-                        continue;
-                    }
-                    let mut next = 0u64;
-                    for (i, bits) in next_bits.iter().enumerate() {
-                        if (bits >> lane) & 1 == 1 {
-                            next |= 1 << i;
-                        }
-                    }
-                    let idx = match self.index.get(&next) {
-                        Some(&i) => i,
-                        None => {
-                            if self.states.len() >= self.options.max_states {
-                                self.complete = false;
-                                return;
-                            }
-                            let i = self.states.len() as u32;
-                            self.states.push(next);
-                            self.index.insert(next, i);
-                            self.preds
-                                .push((frontier as u32, self.input_valuation(high, lane)));
-                            self.succs.push(Vec::new());
-                            i
-                        }
-                    };
-                    if !local_succs.contains(&idx) {
-                        local_succs.push(idx);
-                    }
-                }
-            }
-            self.succs[frontier] = local_succs;
-            frontier += 1;
-        }
-        self.complete = true;
-    }
-
-    fn input_valuation(&self, high: u64, lane: u32) -> u64 {
-        (high << 6) | u64::from(lane)
-    }
-
-    /// Number of reachable states enumerated.
-    pub fn num_states(&self) -> usize {
-        self.states.len()
-    }
-
-    /// `true` when the whole reachable state space fit within the limits.
-    pub fn is_complete(&self) -> bool {
-        self.complete
-    }
-
-    /// `true` when the exploration was preempted by its interrupt handle
-    /// before exhausting the reachable state space.  Such an engine must
-    /// not be memoized: a later property would inherit its truncation.
-    pub fn was_interrupted(&self) -> bool {
-        self.interrupted
-    }
-
-    /// Checks a safety property: can `bad` be true in any reachable state
-    /// under any constraint-satisfying input valuation?
-    pub fn check_bad(&self, bad: Lit) -> ExplicitResult {
-        self.search_condition(bad)
-    }
-
-    /// Checks a cover property: can `target` be reached?
-    ///
-    /// A reachable target yields [`ExplicitResult::Violated`] with the
-    /// witness trace (the caller interprets it as "covered").
-    pub fn check_cover(&self, target: Lit) -> ExplicitResult {
-        self.search_condition(target)
-    }
-
-    /// Searches the reachable states for one where `condition` holds under
-    /// some constraint-satisfying input valuation; the trace to it is
-    /// replayed on the explored model from the inputs along the BFS path.
-    fn search_condition(&self, condition: Lit) -> ExplicitResult {
-        let mut eval = Evaluator::new(&self.model.aig);
-        for (idx, &state) in self.states.iter().enumerate() {
-            for high in 0..self.num_input_words() {
-                self.evaluate(&mut eval, state, high);
-                let hit = self.constraints_ok(&eval) & eval.get(condition) & self.lane_mask();
-                if hit != 0 {
-                    let path = self.path(idx as u32);
-                    let inputs: Vec<u64> = path[1..]
-                        .iter()
-                        .map(|&s| self.preds[s as usize].1)
-                        .chain([self.input_valuation(high, hit.trailing_zeros())])
-                        .collect();
-                    let trace = replay(&self.model, condition, inputs.len(), |cycle, i| {
-                        (inputs[cycle] >> i) & 1 == 1
-                    })
-                    .expect("an explicit counterexample replays on its model");
-                    return ExplicitResult::Violated(trace);
-                }
-            }
-        }
-        if self.complete {
-            ExplicitResult::Proven
-        } else {
-            ExplicitResult::Exceeded
-        }
-    }
-
-    fn lane_mask(&self) -> u64 {
-        let lanes = self.lanes_in_use();
-        if lanes >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << lanes) - 1
-        }
-    }
-
-    /// Checks a liveness property given the state-bit positions of its
-    /// pending monitor and of the assumed-fairness pending monitors.
-    ///
-    /// `assert_pending` and each element of `fair_pendings` must be latch
-    /// literals of the model (monitor registers), so their value is part of
-    /// the packed state.
-    pub fn check_liveness(&self, assert_pending: Lit, fair_pendings: &[Lit]) -> ExplicitResult {
-        if !self.complete {
-            return ExplicitResult::Exceeded;
-        }
-        let pending_bit = match self.latch_bit(assert_pending) {
-            Some(b) => b,
-            None => return ExplicitResult::Exceeded,
-        };
-        let fair_bits: Vec<usize> = match fair_pendings
-            .iter()
-            .map(|&l| self.latch_bit(l))
-            .collect::<Option<Vec<_>>>()
-        {
-            Some(v) => v,
-            None => return ExplicitResult::Exceeded,
-        };
-
-        // Restrict to states where the obligation is pending and find the
-        // strongly connected components of that subgraph.
-        let in_sub: Vec<bool> = self
-            .states
-            .iter()
-            .map(|&s| (s >> pending_bit) & 1 == 1)
-            .collect();
-        let sccs = self.tarjan_sccs(&in_sub);
-        for scc in &sccs {
-            // The component must contain a cycle: more than one state, or a
-            // self-loop.
-            let has_cycle = scc.len() > 1 || self.succs[scc[0] as usize].contains(&scc[0]);
-            if !has_cycle {
-                continue;
-            }
-            // Every assumed fairness must be discharged somewhere in the
-            // component (its pending bit low in at least one state).
-            let all_fair = fair_bits.iter().all(|&bit| {
-                scc.iter()
-                    .any(|&s| (self.states[s as usize] >> bit) & 1 == 0)
-            });
-            if all_fair {
-                let trace = self.build_trace(scc[0]);
-                return ExplicitResult::Violated(trace);
-            }
-        }
-        ExplicitResult::Proven
-    }
-
-    fn latch_bit(&self, lit: Lit) -> Option<usize> {
-        if lit.is_inverted() {
-            return None;
-        }
-        self.latch_nodes.iter().position(|&n| n == lit.node())
     }
 
     /// Iterative Tarjan SCC over the subgraph induced by `in_sub`.
@@ -446,10 +409,10 @@ impl ExplicitEngine {
     }
 
     /// Reconstructs the stem of a liveness lasso, from the initial state to
-    /// `target`, with all inputs low in the last cycle.  Unlike the safety
-    /// and cover traces it is not replayed: those inputs need not satisfy
-    /// the constraints.
-    fn build_trace(&self, target: u32) -> Trace {
+    /// `target`, with all inputs low in the last cycle.  Unlike the traces of
+    /// [`reach`] it is not replayed: those inputs need not satisfy the
+    /// constraints.
+    fn stem(&self, target: u32) -> Trace {
         let path = self.path(target);
         let cycles = path.len();
         let aig = &self.model.aig;
@@ -487,9 +450,22 @@ mod tests {
     use crate::aig::Aig;
     use crate::model::{BadProperty, ResponseProperty};
 
-    /// An unbudgeted exploration.
-    fn explore(model: &Model, options: &ExplicitOptions) -> Option<ExplicitEngine> {
-        ExplicitEngine::explore_budgeted(model, options, &Interrupt::none())
+    /// An unbudgeted search with the default limits.
+    fn search(model: &Model, target: Lit) -> ExplicitResult {
+        reach(
+            model,
+            target,
+            &ExplicitOptions::default(),
+            &Interrupt::none(),
+        )
+    }
+
+    /// At most `max_states` states.
+    fn capped(max_states: usize) -> ExplicitOptions {
+        ExplicitOptions {
+            max_states,
+            ..ExplicitOptions::default()
+        }
     }
 
     /// 3-bit saturating counter with an enable input.
@@ -521,31 +497,41 @@ mod tests {
         (Model::new(aig), bits, en)
     }
 
+    /// The counter value 5 (`c2 & !c1 & c0`).
+    fn five(model: &mut Model, bits: &[Lit]) -> Lit {
+        let aig = &mut model.aig;
+        let t = aig.and(bits[0], bits[2]);
+        aig.and(t, bits[1].invert())
+    }
+
     #[test]
     fn reachable_states_enumerated() {
+        // The counter visits exactly 8 states: a complete search fits in 8
+        // and not in 7.
         let (model, _, _) = counter_model();
-        let engine = explore(&model, &ExplicitOptions::default()).unwrap();
-        assert!(engine.is_complete());
-        // The counter visits exactly 8 states.
-        assert_eq!(engine.num_states(), 8);
+        let none = Interrupt::none();
+        assert_eq!(
+            reach(&model, Lit::FALSE, &capped(8), &none),
+            ExplicitResult::Proven
+        );
+        assert_eq!(
+            reach(&model, Lit::FALSE, &capped(7), &none),
+            ExplicitResult::Exceeded
+        );
     }
 
     #[test]
     fn safety_violation_found_with_trace() {
         let (mut model, bits, _) = counter_model();
-        let bad = {
-            let aig = &mut model.aig;
-            let t = aig.and(bits[0], bits[2]);
-            aig.and(t, bits[1].invert())
-        }; // value == 5
+        let bad = five(&mut model, &bits);
         model.bads.push(BadProperty {
             name: "reaches5".into(),
             lit: bad,
         });
-        let engine = explore(&model, &ExplicitOptions::default()).unwrap();
-        match engine.check_bad(bad) {
+        match search(&model, bad) {
             ExplicitResult::Violated(trace) => {
-                assert!(trace.len() >= 6);
+                // Five increments: a shortest trace has six cycles.
+                assert_eq!(trace.len(), 6);
                 assert_eq!(trace.value(trace.len() - 1, "c0"), Some(true));
                 assert_eq!(trace.value(trace.len() - 1, "c2"), Some(true));
             }
@@ -555,28 +541,68 @@ mod tests {
 
     #[test]
     fn unreachable_bad_is_proven() {
-        let (model, bits, _) = counter_model();
-        // The counter saturates: "value decreased below 7 after reaching 7"
-        // needs a history register, so instead prove that the carry chain
-        // never produces value 6 -> 5 style jumps: simply check a literal
-        // that is structurally false.
-        let _ = bits;
-        let engine = explore(&model, &ExplicitOptions::default()).unwrap();
-        assert_eq!(engine.check_bad(Lit::FALSE), ExplicitResult::Proven);
+        let (model, _, _) = counter_model();
+        assert_eq!(search(&model, Lit::FALSE), ExplicitResult::Proven);
     }
 
     #[test]
     fn constraints_prune_reachable_space() {
         let (mut model, bits, en) = counter_model();
-        // With the enable tied low the counter never moves.
+        // With the enable tied low the counter never moves: one state.
         model.constraints.push(en.invert());
         let bad = {
             let aig = &mut model.aig;
             aig.or_many(&bits)
         };
-        let engine = explore(&model, &ExplicitOptions::default()).unwrap();
-        assert_eq!(engine.num_states(), 1);
-        assert_eq!(engine.check_bad(bad), ExplicitResult::Proven);
+        let none = Interrupt::none();
+        assert_eq!(
+            reach(&model, bad, &capped(1), &none),
+            ExplicitResult::Proven
+        );
+    }
+
+    #[test]
+    fn states_discovered_before_the_cap_are_still_tested() {
+        // Two latches copy two inputs.  Expanding the initial state
+        // discovers `a` alone, then hits the cap of two states before
+        // `b` alone or both: the discovered state still holds a hit.
+        let mut aig = Aig::new();
+        let x = aig.add_input("x");
+        let y = aig.add_input("y");
+        let a = aig.add_latch("a", false);
+        let b = aig.add_latch("b", false);
+        aig.set_latch_next(a, x);
+        aig.set_latch_next(b, y);
+        let a_alone = aig.and(a, b.invert());
+        let both = aig.and(a, b);
+        let model = Model::new(aig);
+        let none = Interrupt::none();
+        match reach(&model, a_alone, &capped(2), &none) {
+            ExplicitResult::Violated(trace) => assert_eq!(trace.len(), 2),
+            other => panic!("expected the discovered hit, got {other:?}"),
+        }
+        assert_eq!(
+            reach(&model, both, &capped(2), &none),
+            ExplicitResult::Exceeded
+        );
+    }
+
+    #[test]
+    fn a_step_budget_stops_the_search_one_state_at_a_time() {
+        // The hit sits in the sixth state: the search charges one step per
+        // state, and a budget of n allows n - 1 steps.
+        let (mut model, bits, _) = counter_model();
+        let bad = five(&mut model, &bits);
+        let options = ExplicitOptions::default();
+        let budget = |steps| Interrupt::new(None, Some(steps));
+        assert!(matches!(
+            reach(&model, bad, &options, &budget(7)),
+            ExplicitResult::Violated(_)
+        ));
+        assert_eq!(
+            reach(&model, bad, &options, &budget(6)),
+            ExplicitResult::Exceeded
+        );
     }
 
     #[test]
@@ -597,9 +623,8 @@ mod tests {
         });
 
         // Without fairness: the environment can withhold the grant forever.
-        let (augmented, asserts, fairs) = model.with_pending_monitors();
-        let engine = explore(&augmented, &ExplicitOptions::default()).unwrap();
-        match engine.check_liveness(asserts[0], &fairs) {
+        let (options, none) = (ExplicitOptions::default(), Interrupt::none());
+        match liveness(&model, 0, &options, &none) {
             ExplicitResult::Violated(trace) => assert!(!trace.is_empty()),
             other => panic!("expected violation, got {other:?}"),
         }
@@ -611,12 +636,7 @@ mod tests {
             trigger: busy,
             target: gnt,
         });
-        let (augmented, asserts, fairs) = model.with_pending_monitors();
-        let engine = explore(&augmented, &ExplicitOptions::default()).unwrap();
-        assert_eq!(
-            engine.check_liveness(asserts[0], &fairs),
-            ExplicitResult::Proven
-        );
+        assert_eq!(liveness(&model, 0, &options, &none), ExplicitResult::Proven);
     }
 
     #[test]
@@ -630,6 +650,10 @@ mod tests {
             max_inputs: 20,
             ..ExplicitOptions::default()
         };
-        assert!(explore(&model, &options).is_none());
+        let none = Interrupt::none();
+        assert_eq!(
+            reach(&model, Lit::TRUE, &options, &none),
+            ExplicitResult::Exceeded
+        );
     }
 }

@@ -18,8 +18,8 @@
 //!
 //! So concurrent runs in one process, and the tasks of one run, never see
 //! each other's faults.  The sites are `fuzz.round`, `bmc.depth_step`,
-//! `pdr.block_cube` and `explicit.step`; the last also fires when a safety
-//! or cover property queries the explicit engine's explored state space.
+//! `pdr.block_cube` and `explicit.step`, which fires once per state of
+//! every explicit-engine search.
 //!
 //! The three actions map to the three fault classes the containment
 //! layer must absorb:

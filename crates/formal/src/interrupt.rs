@@ -37,7 +37,7 @@
 use crate::faults::{Fault, FaultAction};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why an [`Interrupt`] fired.  Ordered by precedence: once a reason is
 /// latched, later sources cannot overwrite it.
@@ -125,17 +125,6 @@ impl Interrupt {
         }
     }
 
-    /// Convenience: a handle with a deadline `timeout` from now.
-    pub fn with_timeout(timeout: Duration) -> Interrupt {
-        Interrupt::new(Instant::now().checked_add(timeout), None)
-    }
-
-    /// Whether this handle can ever fire.  Engines may skip poll
-    /// plumbing entirely when it cannot.
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Checks both sources — the sticky latch and the deadline — and
     /// returns the latched reason if any fired.  Call
     /// this at a coarse cadence (it reads the clock).
@@ -220,11 +209,12 @@ impl Interrupt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn disarmed_handle_never_fires() {
         let i = Interrupt::none();
-        assert!(!i.is_armed());
+        assert!(i.inner.is_none());
         assert_eq!(i.poll(), None);
         assert_eq!(i.charge(1_000_000), None);
         assert_eq!(i.triggered(), None);
@@ -243,7 +233,7 @@ mod tests {
 
     #[test]
     fn future_deadline_does_not_fire() {
-        let i = Interrupt::with_timeout(Duration::from_secs(3600));
+        let i = Interrupt::new(Instant::now().checked_add(Duration::from_secs(3600)), None);
         assert_eq!(i.poll(), None);
         assert_eq!(i.triggered(), None);
     }

@@ -100,11 +100,11 @@ impl Model {
     /// literals.
     ///
     /// The returned literals are latch outputs of the augmented circuit, so
-    /// engines that track state explicitly (see
-    /// [`crate::explicit::ExplicitEngine`]) can read the obligation status
-    /// directly from the packed state; [`Model::to_liveness_safety`] builds
-    /// its loop detection on the same monitors.
-    pub fn with_pending_monitors(&self) -> (Model, Vec<Lit>, Vec<Lit>) {
+    /// the explicit engine's liveness check ([`crate::explicit::liveness`])
+    /// reads the obligation status directly from the packed state;
+    /// [`Model::to_liveness_safety`] builds its loop detection on the same
+    /// monitors.
+    pub(crate) fn with_pending_monitors(&self) -> (Model, Vec<Lit>, Vec<Lit>) {
         let mut aig = self.aig.clone();
         let fair_pendings: Vec<Lit> = self
             .fairness
@@ -136,8 +136,8 @@ impl Model {
     /// model has a reachable *fair lasso* on which the obligation stays
     /// pending forever while every assumed fairness property is honoured.
     ///
-    /// The construction (Biere/Artho/Schuppan), on the pending monitors of
-    /// [`Model::with_pending_monitors`]:
+    /// The construction (Biere/Artho/Schuppan), on one pending-obligation
+    /// monitor register per fairness assumption and liveness assertion:
     ///
     /// * a free oracle input `l2s_save` snapshots the full latch state into
     ///   shadow registers (once),

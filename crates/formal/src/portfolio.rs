@@ -22,10 +22,11 @@
 //!   answers with one, the proof cache stores, re-checks and returns one,
 //!   and the checker turns one into a report status;
 //! * [`ProofCache`] — a process-wide store keyed by *slice fingerprint +
-//!   property name*, run by the checker as the first stage of every
-//!   property's cascade.  Identical cones (buggy/fixed design variants,
-//!   repeated bench iterations, properties stamped out by the same
-//!   annotation) reuse verdicts instead of re-running engines.  Which
+//!   engine options + property name*, run by the checker as the first stage
+//!   of every property's cascade.  Identical cones (buggy/fixed design
+//!   variants, repeated bench iterations, properties stamped out by the
+//!   same annotation) checked with the same engine options reuse verdicts
+//!   instead of re-running engines.  Which
 //!   certificates cross the disk and how each artifact is re-checked are
 //!   decided here, once: a trace is replayed through the two-state
 //!   simulator on every hit; a PDR invariant must name latches of the live
@@ -222,10 +223,13 @@ impl CacheStats {
 }
 
 /// The key of a cached verdict: the content fingerprint of the checked
-/// slice plus the property's full name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// slice, a digest of the engine options that shaped the verdict's
+/// artifact, and the property's full name.  Keys order as the spill file
+/// lists them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct CacheKey {
     pub fingerprint: Fingerprint,
+    pub config: u64,
     pub property: String,
 }
 
@@ -310,8 +314,14 @@ struct CacheInner {
 /// a stored verdict only after its artifact passed its check (see the
 /// module documentation).
 ///
+/// Each verdict is keyed by the slice fingerprint, a digest of the engine
+/// options that shape its artifact (which stages ran, the BMC and
+/// k-induction bounds and the solver features) and the property name, so a
+/// run takes only what a run with the same engine options stored and
+/// renders like a cold run.
+///
 /// A cache opened with [`ProofCache::open`] is backed by a versioned
-/// on-disk spill file (`autosva-proof-cache v2`): entries load at open time
+/// on-disk spill file (`autosva-proof-cache v3`): entries load at open time
 /// (corruption-tolerant — a truncated or garbled file yields the readable
 /// prefix, never an error, and a file of another version loads empty) and
 /// [`ProofCache::flush`] writes them back atomically, so repeated CLI/CI
@@ -414,13 +424,7 @@ impl ProofCache {
         }
         let mut entries: Vec<(&CacheKey, &CacheEntry)> = inner.entries.iter().collect();
         // Deterministic file contents regardless of hash-map order.
-        entries.sort_by(|a, b| {
-            (a.0.fingerprint.0, a.0.fingerprint.1, &a.0.property).cmp(&(
-                b.0.fingerprint.0,
-                b.0.fingerprint.1,
-                &b.0.property,
-            ))
-        });
+        entries.sort_by(|a, b| a.0.cmp(b.0));
         let mut text = String::new();
         text.push_str(CACHE_HEADER);
         text.push('\n');
@@ -594,8 +598,10 @@ const CACHE_FILE: &str = "proofs.cache";
 /// Version header; bump on any format change (older files are ignored,
 /// which is safe: the cache is advisory).  Version 2 tags entries by
 /// artifact alone (`induction`, `invariant`, `reached`), so a version 1
-/// reader would take a cover's `invariant` entry for a proof.
-const CACHE_HEADER: &str = "autosva-proof-cache v2";
+/// reader would take a cover's `invariant` entry for a proof.  Version 3
+/// adds the engine-options digest to every entry line, so a version 2
+/// entry, which has none, could answer a run with other options.
+const CACHE_HEADER: &str = "autosva-proof-cache v3";
 /// Sanity bounds on parsed entries.  Legitimate artifacts sit far below
 /// these (induction depths ≤ the configured `max_induction`, traces ≤ the
 /// BMC bound, invariants ≤ a few hundred clauses); anything larger is a
@@ -664,9 +670,10 @@ fn render_trace(out: &mut String, trace: &Trace) {
 /// process could re-check.
 fn render_cache_entry(out: &mut String, key: &CacheKey, verdict: &Verdict) {
     let entry = format!(
-        "entry {:016x} {:016x} {}",
+        "entry {:016x} {:016x} {:016x} {}",
         key.fingerprint.0,
         key.fingerprint.1,
+        key.config,
         escape_name(&key.property)
     );
     match verdict {
@@ -800,9 +807,11 @@ fn parse_cache_file(text: &str) -> HashMap<CacheKey, CacheEntry> {
             }
             let hi = u64::from_str_radix(fields.next()?, 16).ok()?;
             let lo = u64::from_str_radix(fields.next()?, 16).ok()?;
+            let config = u64::from_str_radix(fields.next()?, 16).ok()?;
             let property = unescape_name(fields.next()?)?;
             let key = CacheKey {
                 fingerprint: Fingerprint(hi, lo),
+                config,
                 property,
             };
             let verdict = parse_verdict(&mut lines)?;
@@ -977,6 +986,7 @@ mod tests {
     fn key() -> CacheKey {
         CacheKey {
             fingerprint: Fingerprint(1, 2),
+            config: 3,
             property: "q_high".into(),
         }
     }
@@ -1059,6 +1069,7 @@ mod tests {
         trace.record(1, "name with spaces", false, false);
         let entry = |name: &str| CacheKey {
             fingerprint: Fingerprint(0xABCD, 42),
+            config: 7,
             property: name.into(),
         };
         let inv_clauses = vec![vec![Lit::new(3, true), Lit::new(7, false)], vec![]];
@@ -1108,6 +1119,7 @@ mod tests {
             cache.store(
                 CacheKey {
                     fingerprint: Fingerprint(i, i * 3),
+                    config: i,
                     property: format!("p{i}"),
                 },
                 induction(i as usize),
@@ -1122,6 +1134,7 @@ mod tests {
         reloaded.store(
             CacheKey {
                 fingerprint: Fingerprint(0, 0),
+                config: 0,
                 property: "p0".into(),
             },
             induction(0),
@@ -1139,6 +1152,7 @@ mod tests {
         cache.store(
             CacheKey {
                 fingerprint: Fingerprint(1, 1),
+                config: 1,
                 property: "a".into(),
             },
             induction(1),
@@ -1146,6 +1160,7 @@ mod tests {
         cache.store(
             CacheKey {
                 fingerprint: Fingerprint(2, 2),
+                config: 1,
                 property: "b".into(),
             },
             induction(2),
@@ -1279,11 +1294,16 @@ mod tests {
         // A different property name misses.
         let other_key = CacheKey {
             fingerprint: Fingerprint(1, 2),
+            config: 3,
             property: "other".into(),
         };
         let none = Interrupt::none();
         assert!(cache.lookup(&other_key, &model, q, 12, &none).is_none());
         assert_eq!(cache.stats().misses, 1);
+        // So does the same property checked with other engine options.
+        let other_options = CacheKey { config: 4, ..key() };
+        assert!(cache.lookup(&other_options, &model, q, 12, &none).is_none());
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
@@ -1379,7 +1399,8 @@ mod tests {
         let dir = scratch_dir("forged");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("proofs.cache");
-        let fp = "0000000000000001 0000000000000002";
+        // The slice fingerprint and the options digest of `key()`.
+        let fp = "0000000000000001 0000000000000002 0000000000000003";
         // (a) absurd induction depth: rejected at parse time.
         std::fs::write(
             &path,

@@ -53,11 +53,6 @@ impl<'a> Unroller<'a> {
         }
     }
 
-    /// Access to the underlying solver (e.g. for statistics).
-    pub fn solver(&self) -> &Solver {
-        &self.solver
-    }
-
     /// The cumulative search counters of the underlying solver.
     pub fn stats(&self) -> SolverStats {
         self.solver.stats

@@ -196,16 +196,28 @@ fn a_forged_induction_depth_is_rejected_without_stalling_the_run() {
 }
 
 /// A run with BMC off cannot minimize the fuzzer's counterexamples, so it
-/// must not cache them: a later default run sharing its cache renders like
-/// a cold default run.  A5 and O1 buggy have the deepest fuzz hits (32 and
-/// 17 cycles once minimized, far longer as the fuzzer found them).
+/// must not cache them, and a cache entry answers only runs with the same
+/// engine options: a later default run sharing the cache of a fuzz-alone
+/// run and a BMC-off run renders like a cold default run.  A5 and O1 buggy
+/// have the deepest fuzz hits (32 and 17 cycles once minimized, far longer
+/// as the fuzzer found them).  A BMC-off run proves by PDR what a default
+/// run proves by k-induction (A2 fixed) and finds 6-cycle liveness
+/// counterexamples where a default run finds 4 (A4 buggy).
 #[test]
 fn a_bmc_off_run_caches_no_unminimized_trace() {
-    for id in ["A5", "O1"] {
+    // Each run, and whether the fuzzer finds a safety bug in it (A4's bug
+    // breaks a liveness property only).
+    let runs = [
+        ("A5", Variant::Buggy, true),
+        ("O1", Variant::Buggy, true),
+        ("A4", Variant::Buggy, false),
+        ("A2", Variant::Fixed, false),
+    ];
+    for (id, variant, fuzz_hit) in runs {
         let case = by_id(id).expect("in the corpus");
         let ft = build_testbench(&case);
-        let design = elaborated(&case, Variant::Buggy);
-        let options = default_check_options(&case, Variant::Buggy);
+        let design = elaborated(&case, variant);
+        let options = default_check_options(&case, variant);
         let cold = verify_elaborated(&design, &ft, &options).expect("cold run");
 
         let cache = ProofCache::new();
@@ -215,7 +227,25 @@ fn a_bmc_off_run_caches_no_unminimized_trace() {
         fuzz_alone.disable_explicit = true;
         fuzz_alone.parallel.cache = Some(cache.clone());
         let hunt = verify_elaborated(&design, &ft, &fuzz_alone).expect("fuzz-alone run");
-        assert!(hunt.violations() > 0, "{id}: the fuzzer found no bug");
+        assert_eq!(
+            hunt.violations() > 0,
+            fuzz_hit,
+            "{id}: fuzz-alone violations"
+        );
+        assert_eq!(
+            cache.stats().insertions,
+            0,
+            "{id}: the fuzz-alone run cached a verdict"
+        );
+
+        let mut bmc_off = options.clone();
+        bmc_off.disable_bmc = true;
+        bmc_off.parallel.cache = Some(cache.clone());
+        verify_elaborated(&design, &ft, &bmc_off).expect("BMC-off run");
+        assert!(
+            cache.stats().insertions > 0,
+            "{id}: the BMC-off run cached nothing"
+        );
 
         let mut shared = options;
         shared.parallel.cache = Some(cache);

@@ -14,13 +14,14 @@ use autosva_formal::aig::{Aig, Lit};
 use autosva_formal::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use autosva_formal::checker::verify_elaborated;
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
-use autosva_formal::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
+use autosva_formal::explicit::{reach, ExplicitOptions, ExplicitResult};
 use autosva_formal::fuzz::{fuzz_safety_budgeted, FuzzOptions};
 use autosva_formal::interrupt::Interrupt;
 use autosva_formal::model::{BadProperty, Model};
 use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use autosva_formal::psim::replay;
 use autosva_formal::sat::{SatLit, SatResult, SolverConfig};
+use autosva_formal::trace::Trace;
 use autosva_formal::unroll::Unroller;
 use common::assert_provenance;
 use proptest::prelude::*;
@@ -149,25 +150,32 @@ fn pdr_safe(model: &Model, config: SolverConfig, what: &str) -> bool {
     }
 }
 
-/// Ground truth for a tiny model: exhaustive reachability (exact at these
-/// sizes) decides whether `model.bads[0]` is unreachable.
-fn exactly_safe(model: &Model) -> bool {
+/// The explicit engine's trace to `model.bads[0]` on a tiny model, or
+/// `None` when exhaustive reachability (exact at these sizes) finds it
+/// unreachable.
+fn explicit_trace(model: &Model) -> Option<Trace> {
     let options = ExplicitOptions {
         max_states: 1 << 12,
         max_inputs: 8,
     };
-    let explicit = ExplicitEngine::explore_budgeted(model, &options, &Interrupt::none())
-        .expect("explicit exploration succeeds on tiny models");
-    match explicit.check_bad(model.bads[0].lit) {
-        ExplicitResult::Proven => true,
-        ExplicitResult::Violated(_) => false,
+    match reach(model, model.bads[0].lit, &options, &Interrupt::none()) {
+        ExplicitResult::Proven => None,
+        ExplicitResult::Violated(trace) => Some(trace),
         ExplicitResult::Exceeded => panic!("tiny model exceeded explicit limits"),
     }
 }
 
+/// Ground truth for a tiny model: exhaustive reachability decides whether
+/// `model.bads[0]` is unreachable.
+fn exactly_safe(model: &Model) -> bool {
+    explicit_trace(model).is_none()
+}
+
 proptest! {
     /// BMC/k-induction, PDR and the explicit engine agree on every random
-    /// model, PDR invariants certify, and PDR counterexamples replay.
+    /// model, PDR invariants certify, and PDR counterexamples replay.  On an
+    /// unsafe model the explicit engine's breadth-first trace is as short
+    /// as BMC's, which deepens one cycle at a time.
     #[test]
     fn engines_agree_on_random_models(
         seed in 1u64..u64::MAX,
@@ -177,8 +185,18 @@ proptest! {
     ) {
         let model = random_model(seed, num_latches, num_inputs, num_gates);
 
-        let exact_safe = exactly_safe(&model);
+        let trace = explicit_trace(&model);
+        let exact_safe = trace.is_none();
         let what = format!("seed {seed}");
+        if let Some(trace) = &trace {
+            let deep = BmcOptions { max_depth: 40, max_induction: 0 };
+            match bmc(&model, &deep) {
+                SafetyResult::Violated(cex) => {
+                    prop_assert_eq!(trace.len(), cex.len(), "shortest trace ({})", what)
+                }
+                other => panic!("{what}: BMC found no counterexample: {other:?}"),
+            }
+        }
         prop_assert_eq!(bmc_safe(&model, &what), exact_safe, "BMC against reachability ({})", what);
         prop_assert_eq!(
             pdr_safe(&model, SolverConfig::default(), &what),

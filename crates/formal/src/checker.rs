@@ -29,16 +29,19 @@
 //! [`PropertyStatus`].  The stage that decides a property is its provenance
 //! ([`PropertyResult::engine`]).
 //!
-//! Properties are independent tasks: by default each one is checked on its
-//! own cone-of-influence slice ([`crate::coi`]) and the tasks run
-//! concurrently on a worker pool ([`crate::portfolio`]), with results
-//! assembled back in annotation order — a sequential run
-//! (`parallel.threads = 1`) and a parallel run render byte-identical
-//! reports.  Tasks share nothing but the optional
-//! [`crate::portfolio::ProofCache`], which reuses verdicts across runs with
-//! the same engine options when a property's slice is content-identical
-//! (e.g. buggy/fixed design variants or repeated bench iterations), and
-//! lets opt-on runs reuse each other's optimized slices.
+//! Properties are independent tasks that run concurrently on a worker pool
+//! ([`crate::portfolio`]), with results assembled back in annotation order
+//! — a sequential run (`parallel.threads = 1`) and a parallel run render
+//! byte-identical reports.  By default a task checks its property on the
+//! property's own cone-of-influence slice ([`crate::coi`]), which the task
+//! builds and optimizes on its worker before its cascade starts, so the
+//! only serial work before the pool is the front end.  Tasks share nothing
+//! but the optional [`crate::portfolio::ProofCache`], which reuses verdicts
+//! across runs with the same engine options when a property's slice is
+//! content-identical (e.g. buggy/fixed design variants or repeated bench
+//! iterations), and lets opt-on runs reuse each other's optimized slices.
+//! The timed report ([`VerificationReport::render_timed`]) lists, per
+//! property, what every stage that ran spent ([`StageSpend`]).
 
 use crate::aig::Lit;
 use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
@@ -320,6 +323,35 @@ pub struct PropertyResult {
     /// stage ran for this property (safety assertions with `fuzz.enabled`).
     /// Rendered only by [`VerificationReport::render_timed`].
     pub fuzz: Option<FuzzStats>,
+    /// What each cascade stage that ran for this property spent, in cascade
+    /// order: every stage that decided nothing, then the deciding stage (if
+    /// one decided).  Empty for properties no stage ran for.  Rendered only
+    /// by [`VerificationReport::render_timed`].
+    pub stages: Vec<StageSpend>,
+}
+
+/// What one cascade stage spent on one property.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageSpend {
+    /// The stage's engine tag: `"cache"`, `"fuzz"`, `"bmc"` (quick or
+    /// full-depth BMC and k-induction), `"pdr"` or `"explicit"`.
+    pub engine: &'static str,
+    /// Wall-clock time in the stage, including the re-minimization of a
+    /// safety counterexample the stage found.
+    pub time: Duration,
+    /// SAT conflicts of the stage's engine solvers and of that
+    /// re-minimization (the proof cache's re-checks are not counted).
+    pub conflicts: u64,
+}
+
+impl fmt::Display for StageSpend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {:.1?}", self.engine, self.time)?;
+        if self.conflicts > 0 {
+            write!(f, " ({} conflicts)", self.conflicts)?;
+        }
+        Ok(())
+    }
 }
 
 /// The report of a full verification run.
@@ -450,9 +482,11 @@ impl VerificationReport {
     }
 
     /// Like [`VerificationReport::render`], with per-property and total
-    /// wall-clock times plus per-property solver counters added (and
-    /// therefore not byte-stable across runs).  A `critical path:` line names
-    /// the longest task and its share of the run's wall time.
+    /// wall-clock times plus per-property stage spend and solver counters
+    /// added (and therefore not byte-stable across runs).  A `stages:` line
+    /// lists what each stage that ran for a property spent, the deciding
+    /// stage last ([`PropertyResult::stages`]).  A `critical path:` line
+    /// names the longest task and its share of the run's wall time.
     pub fn render_timed(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -463,12 +497,15 @@ impl VerificationReport {
         for r in &self.results {
             let prefix = format!("  {:>8.1?}", r.runtime);
             self.render_row(&mut out, r, name_width, &prefix);
+            let pad = name_width + prefix.chars().count();
             if let Some(engine) = r.engine {
-                let pad = name_width + prefix.chars().count();
                 out.push_str(&format!("  {:pad$}  engine: {engine}\n", ""));
             }
+            if !r.stages.is_empty() {
+                let stages: Vec<String> = r.stages.iter().map(StageSpend::to_string).collect();
+                out.push_str(&format!("  {:pad$}  stages: {}\n", "", stages.join(", ")));
+            }
             if r.stats != SolverStats::default() {
-                let pad = name_width + prefix.chars().count();
                 let s = r.stats;
                 out.push_str(&format!(
                     "  {:pad$}  solver: {} conflicts, {} decisions, {} propagations, \
@@ -484,7 +521,6 @@ impl VerificationReport {
                 ));
             }
             if let Some(fz) = &r.fuzz {
-                let pad = name_width + prefix.chars().count();
                 out.push_str(&format!(
                     "  {:pad$}  fuzz: {} round(s), {} cycles, {} lanes retired, \
                      {} redraw(s), {} replay(s) ({} confirmed)\n",
@@ -662,11 +698,7 @@ fn verify_elaborated_inner(
 
     // Run every property task on the worker pool; statuses are deterministic
     // (each engine is single-threaded on a fixed slice), so only runtimes
-    // depend on the interleaving.  Each task runs under its own interrupt
-    // handle (deadline from `property_timeout`, polled inside every engine
-    // loop, carrying the faults that name the property) and inside
-    // `catch_unwind`, so a stalled or panicking engine degrades that one
-    // property — the run always comes back with a complete report.
+    // depend on the interleaving.
     let threads = options.parallel.effective_threads();
     let names: Vec<String> = compiled
         .properties
@@ -674,72 +706,33 @@ fn verify_elaborated_inner(
         .map(|p| p.property.full_name())
         .collect();
     let outcomes = run_ordered(&tasks, threads, run_telemetry, |i, task| {
-        let _task_span = telemetry::span("task", &names[i]);
-        let t0 = Instant::now();
-        let deadline = options
-            .parallel
-            .property_timeout
-            .and_then(|limit| Instant::now().checked_add(limit));
-        let interrupt = Interrupt::new(deadline, None);
-        #[cfg(any(test, feature = "fault-injection"))]
-        let interrupt = interrupt.with_faults(&options.faults, &names[i]);
-        // The running stage's engine tag: set by `run_cascade`, read here
-        // after a panic unwound it.
-        let engine = Cell::new("task");
-        let task_run = || run_task(task, options, &interrupt, &engine);
-        let outcome = match catch_unwind(AssertUnwindSafe(task_run)) {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                telemetry::count("robustness.panics_caught", 1);
-                TaskOutcome::new(
-                    PropertyStatus::Error {
-                        engine: engine.get(),
-                        message: panic_message(payload.as_ref()),
-                    },
-                    Some(
-                        "engine panic isolated to this property; other verdicts are unaffected"
-                            .to_string(),
-                    ),
-                )
-            }
-        };
-        match interrupt.triggered() {
-            Some(InterruptReason::Timeout) => {
-                telemetry::count("robustness.interrupts", 1);
-                telemetry::count("robustness.timeouts", 1);
-            }
-            Some(_) => telemetry::count("robustness.interrupts", 1),
-            None => {}
-        }
-        (outcome, t0.elapsed())
+        run_task(task, &compiled.model, &names[i], options)
     });
 
     // Assembly in annotation order, independent of completion order.  A
     // slot is empty only when a panic escaped the task closure itself.
     let mut results = Vec::with_capacity(tasks.len());
-    for ((prop, task), slot) in compiled.properties.iter().zip(&tasks).zip(outcomes) {
-        let (outcome, runtime) = slot.unwrap_or_else(|| {
-            (
-                TaskOutcome::new(
-                    PropertyStatus::Unknown,
-                    Some("undecided: a panic escaped the task's fault handler".to_string()),
-                ),
-                Duration::ZERO,
+    for (prop, slot) in compiled.properties.iter().zip(outcomes) {
+        let outcome = slot.unwrap_or_else(|| {
+            TaskOutcome::new(
+                PropertyStatus::Unknown,
+                Some("undecided: a panic escaped the task's fault handler".to_string()),
             )
         });
-        let (slice_latches, slice_gates) = task.cone();
+        let (slice_latches, slice_gates) = outcome.cone;
         results.push(PropertyResult {
             name: prop.property.full_name(),
             directive: prop.property.directive,
             class: prop.property.class,
             status: outcome.status,
-            runtime,
+            runtime: outcome.runtime,
             slice_latches,
             slice_gates,
             note: outcome.note,
             engine: outcome.engine,
             stats: outcome.stats,
             fuzz: outcome.fuzz,
+            stages: outcome.stages,
         });
     }
 
@@ -836,20 +829,16 @@ enum PropertyTask {
     /// Resolved at compile time (assumptions, X-prop checks).
     Done(PropertyStatus),
     /// Decided by the engine cascade.
-    Check(Target),
+    Check(Cone),
 }
 
-impl PropertyTask {
-    /// Latches and AND gates of the cone the property is checked on
-    /// (`(0, 0)` for properties that are not checked).
-    fn cone(&self) -> (usize, usize) {
-        match self {
-            PropertyTask::Done(_) => (0, 0),
-            PropertyTask::Check(target) => {
-                (target.base.aig.num_latches(), target.base.aig.num_ands())
-            }
-        }
-    }
+/// The model a checked property's cascade runs on.
+enum Cone {
+    /// The property's own cone-of-influence slice, which its task slices
+    /// and prepares on its worker ([`prepare_cone`]).
+    Slice(Kind, SliceTarget),
+    /// The full compiled model, which every task of an unsliced run shares.
+    Full(Target),
 }
 
 /// The three kinds of checked property.  Each asks the same question — can
@@ -880,6 +869,7 @@ impl Kind {
 }
 
 /// A checked property as the cascade sees it.
+#[derive(Clone)]
 struct Target {
     kind: Kind,
     /// The model the target literal lives on (the L2S product for liveness).
@@ -896,6 +886,11 @@ struct Target {
 }
 
 impl Target {
+    /// Latches and AND gates of the cone the property is checked on.
+    fn cone(&self) -> (usize, usize) {
+        (self.base.aig.num_latches(), self.base.aig.num_ands())
+    }
+
     /// The target literal and its property name.
     fn literal(&self) -> (Lit, &str) {
         match self.kind {
@@ -958,28 +953,15 @@ fn engine_digest(options: &CheckOptions) -> u64 {
     hash.finish().0
 }
 
-/// Builds one task per property.  With slicing enabled (the default) each
-/// checked property gets its cone-of-influence slice.  With the optimizer
-/// additionally enabled (also the default) each slice is run through the
-/// [`crate::opt`] pass — constant sweeping, sequential/combinational
-/// equivalence sweeping, dead-node elimination — before any engine sees it;
-/// liveness slices are optimized first, then transformed via
-/// liveness-to-safety, and the product is optimized again (the order keeps
-/// the L2S snapshot sound: the transform always runs on the model the
-/// snapshots will be compared against).
-///
-/// An opt-on run with a proof cache prepares each slice on the cache's
-/// memo, keyed by the raw slice fingerprint, so a re-run over unchanged
-/// cones takes every optimized slice and L2S product from it and optimizes
-/// nothing.  Every other run prepares each slice directly: a slice keeps
-/// only its own property, so no two properties of one run share one.  With
-/// slicing disabled every task points at the full compiled model,
+/// Builds one task per property, before the worker pool starts.  With
+/// slicing enabled (the default) a checked property's task only names its
+/// cone: the task slices and prepares it on its worker ([`prepare_cone`]),
+/// so the serial work before the pool is the front end alone.  With slicing
+/// disabled every task points at one full compiled model (and, for
+/// liveness, one L2S product of it), built here once and shared,
 /// preserving the pre-orchestrator cascade behaviour exactly; the optimizer
 /// never runs on that path.
 fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<PropertyTask> {
-    let slice_on = options.parallel.slice;
-    let opt_on = options.parallel.opt;
-    let memo = options.parallel.cache.as_ref().filter(|_| opt_on);
     let mut shared_full: Option<(Arc<Model>, Fingerprint)> = None;
     let mut shared_l2s: Option<Arc<Model>> = None;
 
@@ -1003,83 +985,107 @@ fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<Prop
                 CompiledKind::Cover(i) => (Kind::Cover, SliceTarget::Cover(*i), *i),
                 CompiledKind::Liveness(i) => (Kind::Liveness, SliceTarget::Liveness(*i), *i),
             };
-            if !slice_on {
-                let (base, fp) = shared_full
-                    .get_or_insert_with(|| {
-                        let model = Arc::new(compiled.model.clone());
-                        let fp = fingerprint(&model);
-                        (model, fp)
-                    })
-                    .clone();
-                // The index into the base model's liveness vector equals the
-                // index into the product's bad vector.
-                let model = match kind {
-                    Kind::Liveness => shared_l2s
-                        .get_or_insert_with(|| Arc::new(base.to_liveness_safety().model))
-                        .clone(),
-                    Kind::Safety | Kind::Cover => Arc::clone(&base),
-                };
-                return PropertyTask::Check(Target {
-                    kind,
-                    model,
-                    index: i,
-                    fp,
-                    base,
-                });
+            if options.parallel.slice {
+                return PropertyTask::Check(Cone::Slice(kind, cone));
             }
-            // Keyed by the *raw* slice fingerprint; the prepared slice
-            // carries the optimized model's own fingerprint (they coincide
-            // when the optimizer is off).
-            let slice = cone_of_influence(&compiled.model, cone);
-            let raw = slice.fingerprint;
-            let prepare = || {
-                let (model, fingerprint) = if opt_on {
-                    crate::opt::optimize(&slice.model)
-                } else {
-                    (slice.model, raw)
-                };
-                PreparedSlice {
-                    model: Arc::new(model),
-                    fingerprint,
-                    l2s: None,
-                }
+            let (base, fp) = shared_full
+                .get_or_insert_with(|| {
+                    let model = Arc::new(compiled.model.clone());
+                    let fp = fingerprint(&model);
+                    (model, fp)
+                })
+                .clone();
+            // The index into the base model's liveness vector equals the
+            // index into the product's bad vector.
+            let model = match kind {
+                Kind::Liveness => shared_l2s
+                    .get_or_insert_with(|| Arc::new(base.to_liveness_safety().model))
+                    .clone(),
+                Kind::Safety | Kind::Cover => Arc::clone(&base),
             };
-            let prepared = match memo {
-                Some(cache) => cache.prepared_slice(raw, prepare),
-                None => prepare(),
-            };
-            let model = match (kind, &prepared.l2s) {
-                (Kind::Liveness, Some(product)) => Arc::clone(product),
-                // The L2S product of the (optimized) base is itself a plain
-                // safety model, so it gets its own opt pass: the
-                // snapshot/monitor plumbing often pins latches the original
-                // cone had already lost.
-                (Kind::Liveness, None) => {
-                    let product = {
-                        let _span = telemetry::span("l2s", &prop.property.full_name());
-                        let product = prepared.model.to_liveness_safety().model;
-                        if opt_on {
-                            crate::opt::optimize(&product).0
-                        } else {
-                            product
-                        }
-                    };
-                    match memo {
-                        Some(cache) => cache.memo_l2s(raw, Arc::new(product)),
-                        None => Arc::new(product),
-                    }
-                }
-                (Kind::Safety | Kind::Cover, _) => Arc::clone(&prepared.model),
-            };
-            PropertyTask::Check(Target {
+            PropertyTask::Check(Cone::Full(Target {
                 kind,
                 model,
-                index: 0,
-                fp: prepared.fingerprint,
-                base: prepared.model,
-            })
+                index: i,
+                fp,
+                base,
+            }))
         })
         .collect()
+}
+
+/// Prepares the cone of one property of `model` for its cascade: the
+/// cone-of-influence slice, run through the [`crate::opt`] pass (constant
+/// sweeping, sequential/combinational equivalence sweeping, dead-node
+/// elimination) when opt is on.  A liveness slice is optimized first, then
+/// transformed via liveness-to-safety, and the product is optimized again
+/// (the order keeps the L2S snapshot sound: the transform always runs on
+/// the model the snapshots will be compared against).
+///
+/// An opt-on run with a proof cache prepares the slice on the cache's memo,
+/// keyed by the raw slice fingerprint, so a re-run over an unchanged cone
+/// takes its optimized slice and L2S product from it and optimizes nothing.
+/// Every other run prepares the slice directly: a slice keeps only its own
+/// property, so no two properties of one run share one.
+fn prepare_cone(
+    model: &Model,
+    kind: Kind,
+    cone: SliceTarget,
+    name: &str,
+    options: &CheckOptions,
+) -> Target {
+    let opt_on = options.parallel.opt;
+    let memo = options.parallel.cache.as_ref().filter(|_| opt_on);
+    // Keyed by the *raw* slice fingerprint; the prepared slice carries the
+    // optimized model's own fingerprint (they coincide when the optimizer
+    // is off).
+    let slice = cone_of_influence(model, cone);
+    let raw = slice.fingerprint;
+    let prepare = || {
+        let (model, fingerprint) = if opt_on {
+            crate::opt::optimize(&slice.model)
+        } else {
+            (slice.model, raw)
+        };
+        PreparedSlice {
+            model: Arc::new(model),
+            fingerprint,
+            l2s: None,
+        }
+    };
+    let prepared = match memo {
+        Some(cache) => cache.prepared_slice(raw, prepare),
+        None => prepare(),
+    };
+    let model = match (kind, &prepared.l2s) {
+        (Kind::Liveness, Some(product)) => Arc::clone(product),
+        // The L2S product of the (optimized) base is itself a plain safety
+        // model, so it gets its own opt pass: the snapshot/monitor plumbing
+        // often pins latches the original cone had already lost.
+        (Kind::Liveness, None) => {
+            let product = {
+                let _span = telemetry::span("l2s", name);
+                let product = prepared.model.to_liveness_safety().model;
+                if opt_on {
+                    crate::opt::optimize(&product).0
+                } else {
+                    product
+                }
+            };
+            match memo {
+                Some(cache) => cache.memo_l2s(raw, Arc::new(product)),
+                None => Arc::new(product),
+            }
+        }
+        (Kind::Safety | Kind::Cover, _) => Arc::clone(&prepared.model),
+    };
+    Target {
+        kind,
+        model,
+        index: 0,
+        fp: prepared.fingerprint,
+        base: prepared.model,
+    }
 }
 
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
@@ -1095,14 +1101,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The outcome of one property task, before assembly into a
-/// [`PropertyResult`] (which adds the name/class/slice context and the
-/// wall-clock runtime).
+/// [`PropertyResult`] (which adds the name and class).
 struct TaskOutcome {
     status: PropertyStatus,
     note: Option<String>,
     stats: SolverStats,
     engine: Option<&'static str>,
     fuzz: Option<FuzzStats>,
+    stages: Vec<StageSpend>,
+    /// Latches and AND gates of the checked cone (`(0, 0)` when no cone was
+    /// prepared).
+    cone: (usize, usize),
+    runtime: Duration,
 }
 
 impl TaskOutcome {
@@ -1113,20 +1123,84 @@ impl TaskOutcome {
             stats: SolverStats::default(),
             engine: None,
             fuzz: None,
+            stages: Vec::new(),
+            cone: (0, 0),
+            runtime: Duration::ZERO,
         }
+    }
+
+    /// The outcome of a task whose preparation or cascade panicked in
+    /// `engine`: an error row, so the run still completes.
+    fn panicked(engine: &'static str, payload: &(dyn std::any::Any + Send)) -> TaskOutcome {
+        telemetry::count("robustness.panics_caught", 1);
+        TaskOutcome::new(
+            PropertyStatus::Error {
+                engine,
+                message: panic_message(payload),
+            },
+            Some(
+                "engine panic isolated to this property; other verdicts are unaffected".to_string(),
+            ),
+        )
     }
 }
 
-fn run_task(
-    task: &PropertyTask,
-    options: &CheckOptions,
-    interrupt: &Interrupt,
-    engine: &Cell<&'static str>,
-) -> TaskOutcome {
-    match task {
-        PropertyTask::Done(status) => TaskOutcome::new(status.clone(), None),
-        PropertyTask::Check(target) => run_cascade(target, options, interrupt, engine),
+/// Runs one property task on a pool worker: prepares its cone, then runs
+/// its cascade.  The task's interrupt handle (deadline from
+/// `property_timeout`, polled inside every engine loop, carrying the faults
+/// that name the property) and its runtime start once the cone is
+/// prepared.  Preparation and cascade each run inside `catch_unwind`, so a
+/// panic in either, or an engine stalled past the deadline, degrades only
+/// this property — the run always comes back with a complete report.
+fn run_task(task: &PropertyTask, model: &Model, name: &str, options: &CheckOptions) -> TaskOutcome {
+    let _task_span = telemetry::span("task", name);
+    let cone = match task {
+        PropertyTask::Done(status) => return TaskOutcome::new(status.clone(), None),
+        PropertyTask::Check(cone) => cone,
+    };
+    // The `prepare` fault site's handle carries no deadline: preparation
+    // polls none.
+    let prepared = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(any(test, feature = "fault-injection"))]
+        Interrupt::none()
+            .with_faults(&options.faults, name)
+            .fault("prepare");
+        match cone {
+            Cone::Slice(kind, slice) => prepare_cone(model, *kind, *slice, name, options),
+            Cone::Full(target) => target.clone(),
+        }
+    }));
+    let t0 = Instant::now();
+    let deadline = options
+        .parallel
+        .property_timeout
+        .and_then(|limit| t0.checked_add(limit));
+    let interrupt = Interrupt::new(deadline, None);
+    #[cfg(any(test, feature = "fault-injection"))]
+    let interrupt = interrupt.with_faults(&options.faults, name);
+    // The running stage's engine tag: set by `run_cascade`, read here after
+    // a panic unwound it.
+    let engine = Cell::new("task");
+    let mut outcome = match prepared {
+        Err(payload) => TaskOutcome::panicked(engine.get(), payload.as_ref()),
+        Ok(target) => {
+            let run = || run_cascade(&target, options, &interrupt, &engine);
+            let mut outcome = catch_unwind(AssertUnwindSafe(run))
+                .unwrap_or_else(|payload| TaskOutcome::panicked(engine.get(), payload.as_ref()));
+            outcome.cone = target.cone();
+            outcome
+        }
+    };
+    match interrupt.triggered() {
+        Some(InterruptReason::Timeout) => {
+            telemetry::count("robustness.interrupts", 1);
+            telemetry::count("robustness.timeouts", 1);
+        }
+        Some(_) => telemetry::count("robustness.interrupts", 1),
+        None => {}
     }
+    outcome.runtime = t0.elapsed();
+    outcome
 }
 
 /// Depth of the quick BMC stage.  Short counterexamples are found here
@@ -1291,9 +1365,9 @@ fn run_stage(
 ///
 /// Everything around the stages is written once, here: the engine tag
 /// that attributes interrupts and panics (kept in `engine`, which the
-/// task's panic handler reads), the stage's span, the interrupt note, the
-/// cache store and the solver/fuzzer accounting.  What differs by
-/// property kind is one rule each:
+/// task's panic handler reads), the stage's span, its [`StageSpend`], the
+/// interrupt note, the cache store and the solver/fuzzer accounting.  What
+/// differs by property kind is one rule each:
 ///
 /// * the fuzzer runs for safety only ([`Stage::runs`]);
 /// * liveness uses the `liveness_bmc` bounds and runs the explicit stage on
@@ -1319,12 +1393,37 @@ fn run_cascade(
             continue;
         }
         engine.set(stage.engine());
+        let started = Instant::now();
+        let conflicts = outcome.stats.conflicts;
         let verdict = {
             let _span =
                 telemetry::span_detail(stage.span(), name, Some(stage.engine()), Some(target.fp));
             run_stage(stage, target, options, interrupt, &mut outcome)
         };
-        let Some(mut verdict) = verdict else {
+        let decided = verdict.map(|mut verdict| {
+            let minimized = match (&mut verdict, target.kind, stage) {
+                (
+                    Verdict::Reached(trace),
+                    Kind::Safety,
+                    Stage::Fuzz | Stage::Pdr | Stage::Explicit,
+                ) => minimize_safety_cex(
+                    model,
+                    target.index,
+                    trace,
+                    options,
+                    &mut outcome.stats,
+                    interrupt,
+                ),
+                _ => true,
+            };
+            (verdict, minimized)
+        });
+        outcome.stages.push(StageSpend {
+            engine: stage.engine(),
+            time: started.elapsed(),
+            conflicts: outcome.stats.conflicts - conflicts,
+        });
+        let Some((verdict, minimized)) = decided else {
             // One poll tells "undecided" from "interrupted": an interrupted
             // engine has already latched the reason.
             if interrupt.poll().is_some() {
@@ -1333,19 +1432,6 @@ fn run_cascade(
                 return outcome;
             }
             continue;
-        };
-        let minimized = match (&mut verdict, target.kind, stage) {
-            (Verdict::Reached(trace), Kind::Safety, Stage::Fuzz | Stage::Pdr | Stage::Explicit) => {
-                minimize_safety_cex(
-                    model,
-                    target.index,
-                    trace,
-                    options,
-                    &mut outcome.stats,
-                    interrupt,
-                )
-            }
-            _ => true,
         };
         // The cache keeps what a stage decided, except a hit (it is stored
         // already), a trace that could not be minimized, and the explicit
@@ -1835,6 +1921,51 @@ endmodule
             !report.render().contains("solver:"),
             "render() must stay stats-free (byte-stable across cache states)"
         );
+    }
+
+    #[test]
+    fn stages_spend_in_cascade_order_with_the_decider_last() {
+        // Optimizer off, so PDR decides `had_a_request` after quick BMC
+        // (see `cascade_runs_pdr_before_the_explicit_fallback`).
+        let ft = generate_ft(ECHO_SLOW, &AutosvaOptions::default()).unwrap();
+        let mut options = CheckOptions::default();
+        options.parallel.opt = false;
+        options.parallel.cache = Some(crate::portfolio::ProofCache::new());
+        let engines = |r: &PropertyResult| r.stages.iter().map(|s| s.engine).collect::<Vec<_>>();
+
+        let cold = verify(ECHO_SLOW, &ft, &options).unwrap();
+        for r in cold.checked() {
+            let stages = engines(r);
+            let mut cascade = CASCADE.iter().map(|stage| stage.engine());
+            assert!(
+                stages.iter().all(|&e| cascade.any(|c| c == e)),
+                "{}: stages {stages:?} out of cascade order",
+                r.name
+            );
+            assert_eq!(stages.first(), Some(&"cache"), "{}", r.name);
+            assert_eq!(
+                stages.last().copied(),
+                r.engine,
+                "{}: decider not last",
+                r.name
+            );
+            let conflicts: u64 = r.stages.iter().map(|s| s.conflicts).sum();
+            assert_eq!(conflicts, r.stats.conflicts, "{}", r.name);
+        }
+        let had = cold
+            .results
+            .iter()
+            .find(|r| r.name.contains("had_a_request"))
+            .expect("monitor property exists");
+        assert_eq!(engines(had), ["cache", "fuzz", "bmc", "pdr"]);
+        assert!(had.stages[3].conflicts > 0, "{:?}", had.stages);
+
+        // A warm run: the cache decides every property alone.
+        let warm = verify(ECHO_SLOW, &ft, &options).unwrap();
+        assert!(warm.checked().all(|r| engines(r) == ["cache"]));
+        let timed = warm.render_timed();
+        assert!(timed.contains("stages: cache "), "{timed}");
+        assert!(!warm.render().contains("stages:"));
     }
 
     #[test]

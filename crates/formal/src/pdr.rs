@@ -26,12 +26,18 @@
 //! * **predecessor lifting** — counterexamples-to-induction are widened
 //!   from a concrete state to a cube by ternary simulation of the AIG
 //!   (the dual-rail mode of the `psim` evaluator: set a latch to X;
-//!   keep it dropped while every target stays determined), and a
-//!   counterexample trace is rebuilt by replaying its inputs from reset
-//!   ([`crate::psim::replay`]), which also confirms it;
+//!   keep it dropped while every target stays determined).  Only the
+//!   states that become proof obligations are lifted: the bad state the
+//!   blocking phase starts from and the predecessor a blocking query finds.
+//!   Pushing a clause up the trapezoid, dropping literals and propagating
+//!   clauses only ask whether a cube is blocked, so their SAT answers read
+//!   no model.  Lifting sets every leaf of the ternary evaluator anew, so
+//!   skipping a lift changes no later query.  A counterexample trace is
+//!   rebuilt by replaying its inputs from reset ([`crate::psim::replay`]),
+//!   which also confirms it;
 //! * **certificates** — a proof returns the [`Invariant`] (a CNF over latch
-//!   literals) which [`Invariant::certify`] re-validates with an
-//!   independent, freshly-encoded SAT check.
+//!   literals) which [`Invariant::certify`] re-validates on an independent,
+//!   freshly-encoded solver, one assumption query per clause.
 
 use crate::aig::{Aig, Lit};
 use crate::interrupt::Interrupt;
@@ -126,30 +132,52 @@ impl Invariant {
     /// bad literal it was produced for.
     ///
     /// Initiation is checked syntactically (the initial state is a single
-    /// concrete valuation); consecution and safety are checked together
-    /// with one SAT call on a fresh encoding: `Inv ∧ constr ∧ T ∧ (bad ∨
-    /// ¬Inv')` must be unsatisfiable.
+    /// concrete valuation).  Safety and consecution are checked on one
+    /// fresh incremental encoding of `Inv ∧ constr ∧ T`: `bad` at frame 0,
+    /// then each clause's negation at frame 1, must be unsatisfiable as
+    /// assumptions.  The first satisfiable query rejects the certificate.
+    /// Together the queries say exactly what the one query `Inv ∧ constr ∧
+    /// T ∧ (bad ∨ ¬Inv')` would, but each assumes a few literals on the
+    /// same solver instead of solving a disjunction over every clause.
     pub fn certify(&self, model: &Model, bad: Lit) -> bool {
-        // Initiation.
+        if !self.initiated(model) {
+            return false;
+        }
+        let mut unroller = self.encode(model);
+        let bad0 = unroller.lit_in_frame(bad, 0);
+        if unroller.solve_sat(&[bad0]) != SatResult::Unsat {
+            return false;
+        }
+        self.clauses.iter().all(|clause| {
+            let violated: Vec<SatLit> = clause
+                .iter()
+                .map(|&l| unroller.lit_in_frame(l, 1).negate())
+                .collect();
+            unroller.solve_sat(&violated) == SatResult::Unsat
+        })
+    }
+
+    /// Initiation: every clause holds in the initial state.
+    fn initiated(&self, model: &Model) -> bool {
         let init_of: HashMap<usize, bool> = model
             .aig
             .latches()
             .iter()
             .map(|l| (l.node, l.init))
             .collect();
-        for clause in &self.clauses {
-            let satisfied = clause.iter().any(|l| {
+        self.clauses.iter().all(|clause| {
+            clause.iter().any(|l| {
                 init_of
                     .get(&l.node())
                     .map(|&v| v != l.is_inverted())
                     .unwrap_or(false)
-            });
-            if !satisfied {
-                return false;
-            }
-        }
+            })
+        })
+    }
 
-        // Consecution and safety in one query.
+    /// A fresh two-frame encoding of `Inv ∧ constr ∧ T`: the clauses and
+    /// the invariant constraints hold at frame 0.
+    fn encode<'m>(&self, model: &'m Model) -> Unroller<'m> {
         let mut unroller = Unroller::new(&model.aig, false);
         for clause in &self.clauses {
             let sat_clause: Vec<SatLit> = clause
@@ -161,6 +189,18 @@ impl Invariant {
         for &c in &model.constraints {
             unroller.constrain(c, 0, true);
         }
+        unroller
+    }
+
+    /// The single-query check [`Invariant::certify`] replaced, kept as the
+    /// reference its differential test compares against: `Inv ∧ constr ∧
+    /// T ∧ (bad ∨ ¬Inv')` must be unsatisfiable.
+    #[cfg(test)]
+    fn certify_in_one_query(&self, model: &Model, bad: Lit) -> bool {
+        if !self.initiated(model) {
+            return false;
+        }
+        let mut unroller = self.encode(model);
         // One selector per clause: d_c ⇒ clause violated at frame 1.
         let mut violated_any: Vec<SatLit> = vec![unroller.lit_in_frame(bad, 0)];
         for clause in &self.clauses {
@@ -253,9 +293,10 @@ enum BlockOutcome {
 /// Three-way answer of a relative-induction query, so an interrupted
 /// solve can never be misread as "blocked" (which would over-block and
 /// could close a false proof) or as a concrete predecessor.
-enum RelQuery {
-    /// SAT: a lifted predecessor cube plus the concrete inputs.
-    Pred(Cube, Vec<bool>),
+enum RelQuery<P> {
+    /// SAT: a predecessor reaches the cube; `P` is what the caller read of
+    /// it (the lifted cube and its inputs, or nothing).
+    Pred(P),
     /// UNSAT: the subset of the queried cube kept by the final conflict.
     Blocked(Cube),
     /// The solver was preempted before answering.
@@ -404,10 +445,15 @@ impl<'a> Pdr<'a> {
         cube.iter().all(|&(pos, val)| self.latch_init[pos] == val)
     }
 
-    /// Queries `F_fi ∧ ¬cube ∧ T ∧ cube'`.  On SAT returns the lifted
-    /// predecessor (cube + concrete inputs); on UNSAT returns the subset of
-    /// `cube` kept by the final conflict.
-    fn relative_query(&mut self, fi: usize, cube: &Cube) -> RelQuery {
+    /// Queries `F_fi ∧ ¬cube ∧ T ∧ cube'`.  On SAT returns what `read`
+    /// takes from the predecessor while the solver still holds it; on UNSAT
+    /// returns the subset of `cube` kept by the final conflict.
+    fn relative_query<P>(
+        &mut self,
+        fi: usize,
+        cube: &Cube,
+        read: impl FnOnce(&mut Self, &Cube) -> P,
+    ) -> RelQuery<P> {
         // Temporary ¬cube clause, guarded so it can be retired afterwards.
         let t = SatLit::pos(self.unroller.new_var());
         let mut neg_cube = vec![t.negate()];
@@ -425,18 +471,7 @@ impl<'a> Pdr<'a> {
         assumptions.extend_from_slice(&primed);
 
         let result = match self.solve(&assumptions) {
-            SatResult::Sat => {
-                let state: Vec<bool> = (0..self.f0.len())
-                    .map(|p| self.unroller.sat_value(self.f0[p]))
-                    .collect();
-                let inputs: Vec<bool> = self
-                    .input_f0
-                    .iter()
-                    .map(|&sl| self.unroller.sat_value(sl))
-                    .collect();
-                let pred = self.lift_predecessor(state, &inputs, cube);
-                RelQuery::Pred(pred, inputs)
-            }
+            SatResult::Sat => RelQuery::Pred(read(self, cube)),
             SatResult::Unsat => {
                 let core = self.unroller.unsat_core().to_vec();
                 let kept: Cube = cube
@@ -452,6 +487,20 @@ impl<'a> Pdr<'a> {
         // Retire the temporary clause for good.
         self.unroller.add_clause(&[t.negate()]);
         result
+    }
+
+    /// [`Pdr::relative_query`] for callers that only ask whether `cube` is
+    /// blocked relative to `F_fi`: a predecessor is neither read nor lifted.
+    fn blocked(&mut self, fi: usize, cube: &Cube) -> RelQuery<()> {
+        self.relative_query(fi, cube, |_, _| ())
+    }
+
+    /// The frame-0 latch values and input values of the solver's model.
+    fn model_state(&self) -> (Vec<bool>, Vec<bool>) {
+        let read = |lits: &[SatLit]| -> Vec<bool> {
+            lits.iter().map(|&sl| self.unroller.sat_value(sl)).collect()
+        };
+        (read(&self.f0), read(&self.input_f0))
     }
 
     /// Greedily widens a concrete state into a cube by dropping latch
@@ -480,24 +529,28 @@ impl<'a> Pdr<'a> {
         cube
     }
 
-    /// Lifts a bad-state model: the cube must keep the bad literal true and
-    /// every invariant constraint satisfied under the witnessed inputs.
-    fn lift_bad(&mut self, state: Vec<bool>, inputs: &[bool]) -> Cube {
+    /// Lifts the bad state of the solver's model: the cube must keep the
+    /// bad literal true and every invariant constraint satisfied under the
+    /// witnessed inputs, which are returned with it.
+    fn lift_bad(&mut self) -> (Cube, Vec<bool>) {
+        let (state, inputs) = self.model_state();
         let mut targets = vec![(self.bad, true)];
         targets.extend(self.model.constraints.iter().map(|&c| (c, true)));
-        self.lift(state, inputs, &targets)
+        (self.lift(state, &inputs, &targets), inputs)
     }
 
-    /// Lifts a predecessor model: the cube must keep every next-state
-    /// literal of the successor cube at its value and every invariant
-    /// constraint satisfied under the witnessed inputs.
-    fn lift_predecessor(&mut self, state: Vec<bool>, inputs: &[bool], succ: &Cube) -> Cube {
+    /// Lifts the predecessor of `succ` in the solver's model: the cube must
+    /// keep every next-state literal of `succ` at its value and every
+    /// invariant constraint satisfied under the witnessed inputs, which
+    /// are returned with it.
+    fn lift_predecessor(&mut self, succ: &Cube) -> (Cube, Vec<bool>) {
+        let (state, inputs) = self.model_state();
         let mut targets: Vec<(Lit, bool)> = succ
             .iter()
             .map(|&(pos, val)| (self.latch_next[pos], val))
             .collect();
         targets.extend(self.model.constraints.iter().map(|&c| (c, true)));
-        self.lift(state, inputs, &targets)
+        (self.lift(state, &inputs, &targets), inputs)
     }
 
     /// Restores init exclusion after a shrink: every blocked cube must keep
@@ -560,9 +613,9 @@ impl<'a> Pdr<'a> {
             }
             debug_assert!(frame >= 1, "non-init obligations sit at frame >= 1");
             let cube = self.arena[id].cube.clone();
-            match self.relative_query(frame - 1, &cube) {
+            match self.relative_query(frame - 1, &cube, Self::lift_predecessor) {
                 RelQuery::Interrupted => return BlockOutcome::Interrupted,
-                RelQuery::Pred(pred, pinputs) => {
+                RelQuery::Pred((pred, pinputs)) => {
                     // A predecessor reaches the cube: chase it one frame
                     // down and retry this obligation afterwards.
                     let pid = self.arena_push(pred, pinputs, Some(id));
@@ -584,9 +637,9 @@ impl<'a> Pdr<'a> {
                         if self.over_budget() || self.interrupted() {
                             break;
                         }
-                        match self.relative_query(level, &gen) {
+                        match self.blocked(level, &gen) {
                             RelQuery::Blocked(_) => level += 1,
-                            RelQuery::Pred(..) | RelQuery::Interrupted => break,
+                            RelQuery::Pred(()) | RelQuery::Interrupted => break,
                         }
                     }
                     self.add_blocked_cube(gen, level);
@@ -623,14 +676,14 @@ impl<'a> Pdr<'a> {
                     idx += 1;
                     continue;
                 }
-                match self.relative_query(fi, &candidate) {
+                match self.blocked(fi, &candidate) {
                     RelQuery::Blocked(mut core_cube) => {
                         self.ensure_init_excluded(&mut core_cube, &candidate);
                         *gen = core_cube;
                         changed = true;
                         idx = 0;
                     }
-                    RelQuery::Pred(..) => idx += 1,
+                    RelQuery::Pred(()) => idx += 1,
                     RelQuery::Interrupted => return,
                 }
             }
@@ -649,7 +702,7 @@ impl<'a> Pdr<'a> {
                 if self.over_budget() || self.interrupted() {
                     return None;
                 }
-                if matches!(self.relative_query(i, &cube), RelQuery::Blocked(_)) {
+                if matches!(self.blocked(i, &cube), RelQuery::Blocked(_)) {
                     // add_blocked_cube prunes the frame-i copy (it subsumes
                     // itself), completing the move to frame i + 1.
                     self.add_blocked_cube(cube, i + 1);
@@ -701,11 +754,7 @@ impl<'a> Pdr<'a> {
         };
         match self.solve(&init_assumptions) {
             SatResult::Sat => {
-                let inputs: Vec<bool> = self
-                    .input_f0
-                    .iter()
-                    .map(|&sl| self.unroller.sat_value(sl))
-                    .collect();
+                let (_, inputs) = self.model_state();
                 let id = self.arena_push(Vec::new(), inputs, None);
                 return PdrResult::Violated(self.trace_from_chain(id));
             }
@@ -735,15 +784,7 @@ impl<'a> Pdr<'a> {
                     SatResult::Unsat => break,
                     SatResult::Interrupted => return PdrResult::Interrupted,
                     SatResult::Sat => {
-                        let state: Vec<bool> = (0..self.f0.len())
-                            .map(|p| self.unroller.sat_value(self.f0[p]))
-                            .collect();
-                        let inputs: Vec<bool> = self
-                            .input_f0
-                            .iter()
-                            .map(|&sl| self.unroller.sat_value(sl))
-                            .collect();
-                        let cube = self.lift_bad(state, &inputs);
+                        let (cube, inputs) = self.lift_bad();
                         match self.block(cube, inputs, frontier) {
                             BlockOutcome::Blocked => {}
                             BlockOutcome::Cex(trace) => return PdrResult::Violated(trace),
@@ -786,6 +827,8 @@ mod tests {
     use super::*;
     use crate::aig::Aig;
     use crate::model::BadProperty;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// An unbudgeted PDR run on `model.bads[0]` with the default solver.
     fn pdr(model: &Model, options: &PdrOptions) -> PdrResult {
@@ -1017,5 +1060,127 @@ mod tests {
             frames_explored: 1,
         };
         assert!(!bogus_init.certify(&model, Lit::FALSE));
+    }
+
+    /// A seeded random sequential model: up to 3 inputs and 6 latches with
+    /// random reset values, a soup of AND/OR/XOR gates, random next-state
+    /// functions, a bad literal and up to two invariant constraints.  Also
+    /// returns the latches and the gate pool.
+    fn random_model(rng: &mut StdRng) -> (Model, Vec<Lit>, Vec<Lit>) {
+        let mut aig = Aig::new();
+        let mut pool: Vec<Lit> = (0..1 + rng.gen_range(0..3))
+            .map(|i| aig.add_input(format!("i{i}")))
+            .collect();
+        let latches: Vec<Lit> = (0..1 + rng.gen_range(0..6))
+            .map(|i| aig.add_latch(format!("l{i}"), rng.gen_bool(0.5)))
+            .collect();
+        pool.extend(&latches);
+        let pick = |rng: &mut StdRng, pool: &[Lit]| {
+            pool[rng.gen_range(0..pool.len() as u64) as usize].invert_if(rng.gen_bool(0.5))
+        };
+        for _ in 0..4 + rng.gen_range(0..24) {
+            let (a, b) = (pick(rng, &pool), pick(rng, &pool));
+            let g = match rng.gen_range(0..3) {
+                0 => aig.and(a, b),
+                1 => aig.or(a, b),
+                _ => aig.xor(a, b),
+            };
+            pool.push(g);
+        }
+        for &l in &latches {
+            let next = pick(rng, &pool);
+            aig.set_latch_next(l, next);
+        }
+        let (a, b) = (pick(rng, &pool), pick(rng, &pool));
+        let bad = aig.and(a, b);
+        let mut model = Model::new(aig);
+        model.bads.push(BadProperty {
+            name: "random_bad".into(),
+            lit: bad,
+        });
+        for _ in 0..rng.gen_range(0..3) {
+            let c = pick(rng, &pool);
+            model.constraints.push(c);
+        }
+        (model, latches, pool)
+    }
+
+    /// A random clause set that passes initiation: every clause has one
+    /// literal true in the initial state and up to two random latch
+    /// literals.
+    fn random_clauses(rng: &mut StdRng, model: &Model, latches: &[Lit]) -> Invariant {
+        let init: HashMap<usize, bool> = model
+            .aig
+            .latches()
+            .iter()
+            .map(|l| (l.node, l.init))
+            .collect();
+        let latch = |rng: &mut StdRng| latches[rng.gen_range(0..latches.len() as u64) as usize];
+        let clauses = (0..1 + rng.gen_range(0..4))
+            .map(|_| {
+                let anchor = latch(rng);
+                let mut clause = vec![anchor.invert_if(!init[&anchor.node()])];
+                for _ in 0..rng.gen_range(0..3) {
+                    clause.push(latch(rng).invert_if(rng.gen_bool(0.5)));
+                }
+                clause
+            })
+            .collect();
+        Invariant::from_clauses(clauses, 1)
+    }
+
+    /// Clause-by-clause certification answers exactly as the single query
+    /// it replaced, on random models and clause sets: PDR's invariants
+    /// (inductive), the same invariants with a clause dropped and random
+    /// clause sets (often not inductive), each checked against its own
+    /// property, a random gate (often not implied) and no property at all.
+    #[test]
+    fn clause_by_clause_certification_matches_the_single_query() {
+        // Checked against `Lit::FALSE`: inductive or not.  Checked against
+        // a target: proven, or inductive without implying the target.
+        let (mut inductive, mut not_inductive, mut proven, mut not_implied) = (0, 0, 0, 0);
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xCE27_1F1E);
+            let (model, latches, pool) = random_model(&mut rng);
+            let bad = model.bads[0].lit;
+            let mut candidates = Vec::new();
+            if let PdrResult::Proven(invariant) = pdr(&model, &PdrOptions::default()) {
+                for drop in 0..invariant.num_clauses() {
+                    let mut clauses = invariant.clauses().to_vec();
+                    clauses.remove(drop);
+                    candidates.push(Invariant::from_clauses(clauses, 1));
+                }
+                candidates.push(invariant);
+            }
+            candidates.extend((0..3).map(|_| random_clauses(&mut rng, &model, &latches)));
+            let other = pool[rng.gen_range(0..pool.len() as u64) as usize];
+            for invariant in &candidates {
+                let closed = invariant.certify_in_one_query(&model, Lit::FALSE);
+                for target in [Lit::FALSE, bad, other] {
+                    let expected = invariant.certify_in_one_query(&model, target);
+                    assert_eq!(
+                        invariant.certify(&model, target),
+                        expected,
+                        "seed {seed}: {:?} against {target:?}",
+                        invariant.clauses()
+                    );
+                    match (target == Lit::FALSE, closed, expected) {
+                        (true, true, _) => inductive += 1,
+                        (true, false, _) => not_inductive += 1,
+                        (false, true, true) => proven += 1,
+                        (false, true, false) => not_implied += 1,
+                        (false, false, _) => {}
+                    }
+                }
+            }
+        }
+        for (what, count) in [
+            ("inductive", inductive),
+            ("non-inductive", not_inductive),
+            ("proving", proven),
+            ("non-implying", not_implied),
+        ] {
+            assert!(count >= 20, "only {count} {what} clause sets");
+        }
     }
 }

@@ -180,9 +180,12 @@ fn engine_scenarios() -> Vec<(&'static str, &'static str, CheckOptions)> {
     ]
 }
 
+/// A panic in each engine, and one while the task prepares its cone,
+/// which reads as an error in the task.
 #[test]
 fn injected_panic_in_each_engine_degrades_only_the_target_property() {
-    for (site, engine, base_options) in engine_scenarios() {
+    let prepare = ("prepare", "task", CheckOptions::default());
+    for (site, engine, base_options) in engine_scenarios().into_iter().chain([prepare]) {
         for threads in [1usize, 4] {
             let mut options = base_options.clone();
             options.parallel.threads = threads;

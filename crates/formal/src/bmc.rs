@@ -108,16 +108,52 @@ pub fn check_target_budgeted(
     interrupt: &Interrupt,
 ) -> (SafetyResult, SolverStats) {
     let _span = crate::telemetry::span("bmc.solve", name);
-    let (result, stats) = check_target_impl(model, target, options, solver, interrupt);
+    let induction = Some(options.max_induction);
+    let (result, stats) = ladder(
+        model,
+        target,
+        0,
+        options.max_depth,
+        induction,
+        solver,
+        interrupt,
+    );
     crate::telemetry::count_solver("bmc", &stats);
     (result, stats)
 }
 
-/// The uninstrumented BMC + k-induction loop behind [`check_target_budgeted`].
-fn check_target_impl(
+/// The BMC ladder alone over the depths `from..=max_depth`, for a caller
+/// that knows no trace reaches `target` below depth `from`: the frames
+/// below it are unrolled and constrained but never queried, and no
+/// induction query is asked.  It answers [`SafetyResult::Violated`] with a
+/// shortest trace, [`SafetyResult::Unknown`] when none is found up to
+/// `max_depth`, or [`SafetyResult::Interrupted`].  Spans and counters as
+/// for [`check_target_budgeted`].
+pub(crate) fn ladder_from(
+    model: &Model,
+    target: Lit,
+    name: &str,
+    from: usize,
+    max_depth: usize,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (SafetyResult, SolverStats) {
+    let _span = crate::telemetry::span("bmc.solve", name);
+    let (result, stats) = ladder(model, target, from, max_depth, None, solver, interrupt);
+    crate::telemetry::count_solver("bmc", &stats);
+    (result, stats)
+}
+
+/// The uninstrumented BMC loop behind [`check_target_budgeted`] and
+/// [`ladder_from`]: a counterexample query at every depth of
+/// `from..=max_depth`, each followed by a k-induction attempt up to depth
+/// `max_induction`, if any.
+fn ladder(
     model: &Model,
     bad: Lit,
-    options: &BmcOptions,
+    from: usize,
+    max_depth: usize,
+    max_induction: Option<usize>,
     solver: SolverConfig,
     interrupt: &Interrupt,
 ) -> (SafetyResult, SolverStats) {
@@ -126,7 +162,10 @@ fn check_target_impl(
     let mut induction = Induction::new(model, bad, solver);
     bmc.set_interrupt(interrupt.clone());
     induction.unroller.set_interrupt(interrupt.clone());
-    for depth in 0..=options.max_depth {
+    for depth in 0..from.min(max_depth + 1) {
+        apply_constraints(&mut bmc, &model.constraints, depth);
+    }
+    for depth in from..=max_depth {
         #[cfg(any(test, feature = "fault-injection"))]
         interrupt.fault("bmc.depth_step");
         if interrupt.poll().is_some() {
@@ -147,7 +186,9 @@ fn check_target_impl(
         }
         // Try to close a k-induction proof at this depth before unrolling
         // further; `depth` counterexample-free frames form the base case.
-        if depth <= options.max_induction && try_induction_at(depth) && induction.step_holds(depth)
+        if max_induction.is_some_and(|max| depth <= max)
+            && try_induction_at(depth)
+            && induction.step_holds(depth)
         {
             let stats = bmc.stats() + induction.stats();
             if interrupt.triggered().is_some() {
@@ -170,7 +211,7 @@ fn check_target_impl(
     let stats = bmc.stats() + induction.stats();
     (
         SafetyResult::Unknown {
-            explored_depth: options.max_depth,
+            explored_depth: max_depth,
         },
         stats,
     )

@@ -44,15 +44,15 @@
 //! property, what every stage that ran spent ([`StageSpend`]).
 
 use crate::aig::Lit;
-use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
+use crate::bmc::{self, check_target_budgeted, BmcOptions, SafetyResult};
 use crate::coi::{cone_of_influence, fingerprint, Fingerprint, Fnv2, SliceTarget};
 use crate::compile::{compile, CompiledKind, CompiledTestbench};
 use crate::elab::{elaborate_budgeted, ElabDesign, ElabOptions, Result};
-use crate::explicit::{self, ExplicitOptions, ExplicitResult};
+use crate::explicit::{self, ExplicitOptions, ExplicitResult, Shortest};
 use crate::fuzz::{fuzz_safety_budgeted, FuzzOptions, FuzzStats};
 use crate::interrupt::{Interrupt, InterruptReason};
 use crate::lint::{LintOptions, LintReport};
-use crate::model::Model;
+use crate::model::{BadProperty, Model};
 use crate::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use crate::portfolio::{
     run_ordered, CacheKey, CacheStats, Certificate, ParallelOptions, PreparedSlice, ProofCache,
@@ -83,22 +83,29 @@ pub struct CheckOptions {
     /// Bounds used for the liveness-to-safety checks (these models are
     /// larger, so the bounds may be set lower).
     pub liveness_bmc: BmcOptions,
-    /// Disable the explicit-state fallback entirely (used by the
+    /// Disable the explicit-state stage of the cascade (used by the
     /// bounded-engine and fuzz-alone rows of the contract suite).
+    /// Counterexample minimization still starts with the explicit engine's
+    /// breadth-first search: that search is part of minimization, not a
+    /// stage.
     pub disable_explicit: bool,
     /// Disable the PDR stage entirely (used by the bounded-engine and
-    /// fuzz-alone rows of the contract suite).
+    /// fuzz-alone rows of the contract suite).  Minimization never runs
+    /// PDR, so it is unaffected.
     pub disable_pdr: bool,
     /// Disable every BMC stage (quick and full-depth) of the cascade.  Used
-    /// by the fuzz-alone row of the contract suite; also
-    /// skips the SAT re-minimization of fuzzer-found counterexamples.
+    /// by the fuzz-alone row of the contract suite.  It also skips
+    /// counterexample minimization, its breadth-first half included: a
+    /// fuzz-alone run reports the fuzzer's raw traces and caches none of
+    /// them.
     pub disable_bmc: bool,
     /// The pre-cascade stimulus fuzzer: bit-parallel simulation of every
     /// safety property's slice, hunting shallow bugs before any SAT query.
-    /// Confirmed hits are re-minimized by a depth-bounded BMC call (unless
-    /// `disable_bmc`), so the reported trace — and therefore
-    /// [`VerificationReport::render`] — is byte-identical with the fuzz
-    /// stage on or off, for any seed.
+    /// Confirmed hits are re-minimized to a shortest trace, by
+    /// breadth-first search and then, if that runs out of budget, the BMC
+    /// ladder (unless `disable_bmc`), so the reported trace length — and
+    /// therefore [`VerificationReport::render`] — is byte-identical with
+    /// the fuzz stage on or off, for any seed.
     pub fuzz: FuzzOptions,
     /// Waveform output: when a directory is set, every counterexample and
     /// witness trace — fuzzer-found and SAT-found — is written there as a
@@ -920,7 +927,7 @@ impl Target {
 /// run, the BMC and k-induction bounds and the solver features.  It keys
 /// proof-cache entries with the cone, so a run reuses only what a run with
 /// the same engine options stored, and renders like a cold run.  The
-/// fuzzer is left out (every cached safety trace is BMC-minimized), and so
+/// fuzzer is left out (every cached safety trace is minimized), and so
 /// are budgets, orchestration, telemetry, VCD output and lint.  The hash is
 /// the fingerprints' FNV-1a, so the digest is stable across processes.
 fn engine_digest(options: &CheckOptions) -> u64 {
@@ -1372,9 +1379,9 @@ fn run_stage(
 /// * the fuzzer runs for safety only ([`Stage::runs`]);
 /// * liveness uses the `liveness_bmc` bounds and runs the explicit stage on
 ///   the base model ([`run_stage`]);
-/// * only safety traces from the fuzz, PDR and explicit stages are
-///   re-minimized ([`minimize_safety_cex`]), and one that could not be is
-///   reported but not cached;
+/// * only safety traces from the fuzz and PDR stages are re-minimized
+///   ([`minimize_safety_cex`]), and one that could not be is reported but
+///   not cached; the explicit stage's traces are shortest already;
 /// * a cover reports "reached" as covered and "unreachable" as
 ///   [`PropertyStatus::Unreachable`] ([`status`]);
 /// * liveness never caches the explicit engine's lasso, and an undecided
@@ -1402,18 +1409,16 @@ fn run_cascade(
         };
         let decided = verdict.map(|mut verdict| {
             let minimized = match (&mut verdict, target.kind, stage) {
-                (
-                    Verdict::Reached(trace),
-                    Kind::Safety,
-                    Stage::Fuzz | Stage::Pdr | Stage::Explicit,
-                ) => minimize_safety_cex(
-                    model,
-                    target.index,
-                    trace,
-                    options,
-                    &mut outcome.stats,
-                    interrupt,
-                ),
+                (Verdict::Reached(trace), Kind::Safety, Stage::Fuzz | Stage::Pdr) => {
+                    minimize_safety_cex(
+                        model,
+                        target.index,
+                        trace,
+                        options,
+                        &mut outcome.stats,
+                        interrupt,
+                    )
+                }
                 _ => true,
             };
             (verdict, minimized)
@@ -1464,13 +1469,24 @@ fn run_cascade(
     outcome
 }
 
-/// Canonicalizes a safety counterexample to the *minimal* depth via a
-/// bounded BMC call (guaranteed SAT at or below the witnessed depth).  PDR
-/// and the explicit engine return correct but not necessarily shortest
-/// traces, and the fuzzer's hits land wherever the stimulus happened to
-/// strike; re-minimizing makes the reported trace length a function of the
-/// model alone, so `render()` is byte-identical no matter which engine got
-/// there first.  Returns `false` when it cannot run, under `disable_bmc`
+/// Input words the breadth-first half of [`minimize_safety_cex`] may
+/// evaluate before it hands the BMC ladder the depth it reached: a state
+/// expands into 2^(inputs − 6) words, one for six inputs or fewer.  The
+/// deepest corpus search, A5 buggy's (15 latches, 8 inputs), needs 44,405
+/// words and takes 24–45 ms sequentially on a 2-vCPU host, where the
+/// ladder takes 65–98 ms; O1 buggy's needs 1,874 words (1.2–2.2 ms against
+/// 251–310 ms).  A word costs 0.5–1.0 µs on these cones, so 2^16 words,
+/// 1.5 times A5's need, cap a search that finds nothing at about 35–65 ms,
+/// below what the ladder takes on A5's cone.
+const MINIMIZE_WORDS: u64 = 1 << 16;
+
+/// Canonicalizes a safety counterexample to the *minimal* depth.  The
+/// fuzzer's hits land wherever the stimulus happened to strike, and PDR's
+/// traces need not be shortest; re-minimizing makes the reported trace
+/// length a function of the model alone, so `render()` is byte-identical
+/// no matter which engine got there first.  (The explicit stage's traces
+/// are shortest already and never come here.)  See [`shortest_trace`] for
+/// the search.  Returns `false` when it cannot run, under `disable_bmc`
 /// (a fuzz-alone run keeps the fuzzer's raw trace, which must not be
 /// cached).  An interrupt mid-minimization keeps the original
 /// (unminimized but correct) trace — the verdict is never lost.
@@ -1489,21 +1505,51 @@ fn minimize_safety_cex(
         return true;
     };
     let bad = &model.bads[index];
-    let _span = telemetry::span_detail("engine.minimize", &bad.name, Some("bmc"), None);
-    let bound = BmcOptions {
+    // No engine tag: the search runs no engine stage, and a `bmc.solve`
+    // span inside shows when the ladder ran.
+    let _span = telemetry::span("engine.minimize", &bad.name);
+    let (minimal, s) = shortest_trace(
+        model,
+        bad,
         max_depth,
-        max_induction: 0,
-    };
-    let (result, s) =
-        check_target_budgeted(model, bad.lit, &bad.name, &bound, options.solver, interrupt);
+        MINIMIZE_WORDS,
+        options.solver,
+        interrupt,
+    );
     *stats += s;
-    // Unreachable (a concrete witness exists at this depth) and Interrupted
-    // both keep the witnessed trace: never let the minimizer lose the
-    // verdict.
-    if let SafetyResult::Violated(minimal) = result {
+    if let Some(minimal) = minimal {
         *trace = minimal;
     }
     true
+}
+
+/// A shortest trace reaching `bad` at a depth of at most `max_depth`, where
+/// a trace is known to exist.  The explicit engine's breadth-first search
+/// ([`explicit::shortest`]) runs first, under `max_words` evaluated input
+/// words: a hit is a shortest trace and costs no SAT query.  A search that
+/// stops at depth d without one (out of budget, or d = 0 for a cone
+/// outside the explicit limits) hands the BMC ladder the depths d to
+/// `max_depth` ([`bmc::ladder_from`]).  `None` when the interrupt stopped
+/// the ladder first.
+fn shortest_trace(
+    model: &Model,
+    bad: &BadProperty,
+    max_depth: usize,
+    max_words: u64,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (Option<Trace>, SolverStats) {
+    let from = match explicit::shortest(model, bad.lit, max_words, interrupt) {
+        Shortest::Trace(trace) => return (Some(trace), SolverStats::default()),
+        Shortest::NotBefore(depth) => depth,
+    };
+    let (result, stats) = bmc::ladder_from(
+        model, bad.lit, &bad.name, from, max_depth, solver, interrupt,
+    );
+    match result {
+        SafetyResult::Violated(trace) => (Some(trace), stats),
+        _ => (None, stats),
+    }
 }
 
 /// The report status of a property of `kind` that `verdict` decided on
@@ -2048,5 +2094,156 @@ endmodule
             text.contains("k-induction") || text.contains("PDR"),
             "{text}"
         );
+    }
+
+    /// A response that fires, with no request, once a counter of `tick`s
+    /// reaches 12: `had_a_request` fails first at cycle 12, deeper than
+    /// `QUICK_BMC_DEPTH`.
+    const DEEP_GHOST: &str = r#"
+/*AUTOSVA
+deep_txn: req -in> res
+req_val = req_val
+req_ack = req_ack
+res_val = res_val
+*/
+module deep_ghost (
+  input  logic clk_i,
+  input  logic rst_ni,
+  input  logic req_val,
+  input  logic tick,
+  output logic req_ack,
+  output logic res_val
+);
+  logic [3:0] count_q;
+  always_ff @(posedge clk_i or negedge rst_ni) begin
+    if (!rst_ni) begin
+      count_q <= 4'd0;
+    end else if (tick && count_q != 4'd12) begin
+      count_q <= count_q + 4'd1;
+    end
+  end
+  assign req_ack = 1'b1;
+  assign res_val = count_q == 4'd12;
+endmodule
+"#;
+
+    #[test]
+    fn the_explicit_stage_reports_its_shortest_trace_without_minimizing_it() {
+        let ft = generate_ft(DEEP_GHOST, &AutosvaOptions::default()).unwrap();
+        let mut options = CheckOptions::default();
+        options.fuzz.enabled = false;
+        options.disable_pdr = true;
+        options.telemetry.enabled = true;
+        let report = verify(DEEP_GHOST, &ft, &options).unwrap();
+        let row = report
+            .results
+            .iter()
+            .find(|r| r.name.contains("had_a_request"))
+            .expect("monitor property exists");
+        assert_eq!(row.engine, Some("explicit"), "{}", report.render());
+        assert_eq!(row.status.to_string(), "CEX (13 cycles)");
+        let decider = row.stages.last().expect("a deciding stage");
+        assert_eq!((decider.engine, decider.conflicts), ("explicit", 0));
+        assert!(report.render().contains("CEX (13 cycles)"));
+        let telemetry = report.telemetry.as_ref().expect("telemetry enabled");
+        assert!(
+            telemetry
+                .spans
+                .iter()
+                .all(|span| span.phase != "engine.minimize"),
+            "nothing is minimized"
+        );
+    }
+
+    /// An accumulator that adds the 2-bit input `a` every cycle, and its
+    /// target: the accumulator at 45, first reachable at depth 15.
+    fn accumulator() -> (Model, BadProperty) {
+        let mut aig = crate::aig::Aig::new();
+        let a: Vec<Lit> = (0..2).map(|i| aig.add_input(format!("a{i}"))).collect();
+        let acc: Vec<Lit> = (0..6)
+            .map(|i| aig.add_latch(format!("acc{i}"), false))
+            .collect();
+        let a = crate::words::resize(&a, 6);
+        let sum = crate::words::add(&mut aig, &acc, &a);
+        for (&latch, &next) in acc.iter().zip(&sum) {
+            aig.set_latch_next(latch, next);
+        }
+        let target = crate::words::constant(45, 6);
+        let lit = crate::words::eq(&mut aig, &acc, &target);
+        let bad = BadProperty {
+            name: "reaches_45".into(),
+            lit,
+        };
+        let mut model = Model::new(aig);
+        model.bads.push(bad.clone());
+        (model, bad)
+    }
+
+    #[test]
+    fn a_tiny_word_budget_hands_the_ladder_the_depth_it_reached() {
+        let (model, bad) = accumulator();
+        let (solver, none) = (SolverConfig::default(), Interrupt::none());
+        let (from_zero, zero_stats) = shortest_trace(&model, &bad, 30, 0, solver, &none);
+        let (searched, searched_stats) = shortest_trace(&model, &bad, 30, u64::MAX, solver, &none);
+        assert_eq!(from_zero.map(|t| t.len()), Some(16));
+        assert_eq!(searched.map(|t| t.len()), Some(16));
+        assert_eq!(searched_stats, SolverStats::default());
+        // One word per state, and depth k adds the states 3k - 2 to 3k: 40
+        // words stop the search at depth 14, and 43 at the first state of
+        // depth 15, the target's, so the ladder's first query finds it.
+        for (words, depth) in [(40, 14), (43, 15)] {
+            assert_eq!(
+                explicit::shortest(&model, bad.lit, words, &none),
+                Shortest::NotBefore(depth)
+            );
+            let (handed, handed_stats) = shortest_trace(&model, &bad, 30, words, solver, &none);
+            assert_eq!(handed.map(|t| t.len()), Some(16), "{words} words");
+            assert!(
+                handed_stats.conflicts < zero_stats.conflicts,
+                "{words} words: {handed_stats:?} against {zero_stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cone_outside_the_explicit_limits_is_minimized_by_the_ladder() {
+        let (solver, none) = (SolverConfig::default(), Interrupt::none());
+        let limits = ExplicitOptions::default();
+        // 64 latches: a shift register of `x`, and its third stage as the
+        // target, first set at cycle 3.
+        let mut aig = crate::aig::Aig::new();
+        let x = aig.add_input("x");
+        let stages: Vec<Lit> = (0..64)
+            .map(|i| aig.add_latch(format!("s{i}"), false))
+            .collect();
+        for (i, &stage) in stages.iter().enumerate() {
+            let next = if i == 0 { x } else { stages[i - 1] };
+            aig.set_latch_next(stage, next);
+        }
+        let wide = (Model::new(aig), stages[2]);
+        // One more input than the explicit engine enumerates: a latch set
+        // once every input is high.
+        let mut aig = crate::aig::Aig::new();
+        let inputs: Vec<Lit> = (0..=limits.max_inputs)
+            .map(|i| aig.add_input(format!("i{i}")))
+            .collect();
+        let all = aig.and_many(&inputs);
+        let seen = aig.add_latch("seen", false);
+        aig.set_latch_next(seen, all);
+        let many_inputs = (Model::new(aig), seen);
+
+        for ((model, lit), length) in [(wide, 4), (many_inputs, 2)] {
+            assert_eq!(
+                explicit::shortest(&model, lit, u64::MAX, &none),
+                Shortest::NotBefore(0)
+            );
+            let bad = BadProperty {
+                name: "target".into(),
+                lit,
+            };
+            let (trace, stats) = shortest_trace(&model, &bad, 10, u64::MAX, solver, &none);
+            assert_eq!(trace.map(|t| t.len()), Some(length));
+            assert!(stats.propagations > 0, "the ladder ran: {stats:?}");
+        }
     }
 }

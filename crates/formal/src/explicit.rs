@@ -5,29 +5,44 @@
 //! (e.g. "a response implies the outstanding counter is non-zero") defeat
 //! plain induction.  For the design sizes of the evaluation corpus a full
 //! reachable-state exploration is cheap, so this module provides an exact
-//! fallback.  Each query is one budgeted breadth-first search of its own;
-//! nothing outlives the call:
+//! cascade stage and the first half of counterexample minimization.  Each
+//! query is one breadth-first search of its own; nothing outlives the call:
 //!
 //! * [`reach`] (safety / cover) expands the reachable states (under the
 //!   invariant constraints) in discovery order, tests the target literal in
-//!   every state it expands for every input valuation — 64 input valuations
-//!   are evaluated at once with bit-parallel simulation of the AIG — and
-//!   stops at the first hit.  States are discovered in order of depth, so
-//!   the first hit is a shallowest one; its trace is replayed on the model
+//!   every state it expands for every input valuation, and stops at the
+//!   first hit.  States are discovered in order of depth, so the first hit
+//!   is a shallowest one; its trace is replayed on the model
 //!   ([`crate::psim::replay`]) from the inputs along the breadth-first path
 //!   to it;
+//! * [`shortest`] is the same search under a budget of evaluated input
+//!   words, which the checker runs to minimize every fuzz and PDR
+//!   counterexample: a hit is the trace [`reach`] would return, and a search
+//!   out of budget reports the depth below which no trace exists, so the
+//!   SAT ladder can start there;
 //! * [`liveness`] (liveness under fairness) adds the pending-obligation
 //!   monitors to the state, builds the reachable transition graph, and
 //!   searches for a strongly connected component in which the obligation
 //!   stays pending while every assumed fairness is discharged — the exact
 //!   automata-theoretic criterion for a counterexample lasso.
+//!
+//! The kernel expands one state at a time.  It loads the state's latch
+//! values once and settles the AIG once per *input word*: 64 valuations at
+//! once, the six lowest inputs enumerated across the 64 lanes of
+//! bit-parallel simulation and the rest fixed by the word.  A 64×64 bit
+//! transpose turns the per-latch next-state words into one packed successor
+//! per lane, repeated successors of the state are dropped before the
+//! state-table lookup, and the table hashes a packed state with one
+//! multiply.  None of this changes the discovery order: the successors of a
+//! state are still visited by input word, then lane.
 
 use crate::aig::Lit;
 use crate::interrupt::Interrupt;
 use crate::model::Model;
 use crate::psim::{replay, Evaluator, LaneWord, Lanes, ALL_LANES, LANE_MASKS};
 use crate::trace::Trace;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Options bounding the explicit exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,20 +98,47 @@ pub fn reach(
         return ExplicitResult::Exceeded;
     };
     match search.explore(Some(target), interrupt) {
-        End::Hit { state, input } => {
-            let inputs: Vec<u64> = search.path(state)[1..]
-                .iter()
-                .map(|&s| search.preds[s as usize].1)
-                .chain([input])
-                .collect();
-            let trace = replay(model, target, inputs.len(), |cycle, i| {
-                (inputs[cycle] >> i) & 1 == 1
-            })
-            .expect("an explicit counterexample replays on its model");
-            ExplicitResult::Violated(trace)
-        }
+        End::Hit { state, input } => ExplicitResult::Violated(search.trace(target, state, input)),
         End::Complete => ExplicitResult::Proven,
-        End::Incomplete => ExplicitResult::Exceeded,
+        End::Incomplete { .. } => ExplicitResult::Exceeded,
+    }
+}
+
+/// How a [`shortest`] search ended.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Shortest {
+    /// A shortest trace reaching the target, replayed on the model.
+    Trace(Trace),
+    /// The search ended without a hit: no trace reaches the target at a
+    /// depth below this one, that is, in fewer than `depth + 1` cycles.
+    NotBefore(usize),
+}
+
+/// The shortest trace reaching `target` on `model`, by [`reach`]'s search
+/// under [`ExplicitOptions::default`] (the same order, so a hit is the
+/// trace [`reach`] returns), stopped once it has evaluated `max_words`
+/// input words.
+///
+/// Expanding a state evaluates 2^(inputs − 6) words, one when the model
+/// has six inputs or fewer.  A search that stops before a hit, at the word
+/// budget, the state limit or the [`Interrupt`], answers
+/// [`Shortest::NotBefore`] with the shallowest depth it did not test
+/// completely.  A model outside the default limits answers `NotBefore(0)`
+/// at once.  The search opens no telemetry span and counts no states: its
+/// caller's span takes the time.
+pub fn shortest(model: &Model, target: Lit, max_words: u64, interrupt: &Interrupt) -> Shortest {
+    let Some(mut search) = Search::new(model, &ExplicitOptions::default()) else {
+        return Shortest::NotBefore(0);
+    };
+    match search.expand(Some(target), max_words, interrupt) {
+        End::Hit { state, input } => Shortest::Trace(search.trace(target, state, input)),
+        End::Incomplete { depth } => Shortest::NotBefore(depth),
+        // Every reachable state was tested: the target is unreachable, and
+        // in particular not reached up to the deepest state.
+        End::Complete => {
+            let deepest = search.states.len() as u32 - 1;
+            Shortest::NotBefore(search.path(deepest).len())
+        }
     }
 }
 
@@ -164,9 +206,54 @@ pub fn liveness(
 }
 
 /// The input valuation that lane `lane` of input word `high` evaluates
-/// (see `Search::evaluate`): bit `i` is the value of input `i`.
+/// (see `Search::load_word`): bit `i` is the value of input `i`.
 fn valuation(high: u64, lane: u32) -> u64 {
     (high << LANE_MASKS.len()) | u64::from(lane)
+}
+
+/// Hashes a packed state with one multiply by the 64-bit golden ratio,
+/// folding the high half of the product into the low bits the table
+/// indexes by.  The keys are latch valuations the search itself produces,
+/// so SipHash's defence against chosen keys buys nothing here.
+#[derive(Default)]
+struct PackedHasher(u64);
+
+impl Hasher for PackedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes
+            .iter()
+            .for_each(|&byte| self.write_u64(u64::from(byte)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let product = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = product ^ (product >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type PackedHash = BuildHasherDefault<PackedHasher>;
+
+/// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to bit
+/// `i` of word `j`.  For w = 32, 16, …, 1, the round of width w swaps the
+/// two off-diagonal w×w blocks inside every aligned 2w×2w block.
+fn transpose(rows: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let swap = ((rows[k] >> width) ^ rows[k + width]) & mask;
+            rows[k] ^= swap << width;
+            rows[k + width] ^= swap;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
 }
 
 /// How a search ended.
@@ -175,8 +262,9 @@ enum End {
     Hit { state: u32, input: u64 },
     /// Every reachable state was expanded.
     Complete,
-    /// The state cap or the interrupt stopped the expansion.
-    Incomplete,
+    /// The state cap, the word budget or the interrupt stopped the search
+    /// first; no state at a depth below `depth` holds a hit.
+    Incomplete { depth: usize },
 }
 
 /// One breadth-first search over the reachable states of a model.
@@ -187,7 +275,7 @@ struct Search<'m> {
     max_states: usize,
     /// Packed latch valuation per state, in discovery order.
     states: Vec<u64>,
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, PackedHash>,
     /// Predecessor of each state (state index, input valuation); the initial
     /// state points to itself.
     preds: Vec<(u32, u64)>,
@@ -218,43 +306,66 @@ impl<'m> Search<'m> {
             input_nodes,
             max_states: options.max_states,
             states: vec![init],
-            index: HashMap::from([(init, 0)]),
+            index: [(init, 0)].into_iter().collect(),
             preds: vec![(0, 0)],
             succs: Vec::new(),
         })
     }
 
-    /// Expands the states in discovery order.  With a `target`, tests it in
-    /// each state before expanding that state and stops at the first hit:
-    /// the lowest state index, then input word, then lane.  Without one,
-    /// records each expanded state's successors.
+    /// An unbudgeted [`Search::expand`] inside the `explicit.explore` span,
+    /// counting the states it discovered.
     fn explore(&mut self, target: Option<Lit>, interrupt: &Interrupt) -> End {
         let _span = crate::telemetry::span("explicit.explore", "");
-        let end = self.expand(target, interrupt);
+        let end = self.expand(target, u64::MAX, interrupt);
         crate::telemetry::count("explicit.states", self.states.len() as u64);
         end
     }
 
-    fn expand(&mut self, target: Option<Lit>, interrupt: &Interrupt) -> End {
+    /// Expands the states in discovery order, each only while fewer than
+    /// `max_words` input words have been evaluated.  With a `target`, tests
+    /// it in each state before expanding that state and stops at the first
+    /// hit: the lowest state index, then input word, then lane.  Without
+    /// one, records each expanded state's successors.
+    fn expand(&mut self, target: Option<Lit>, max_words: u64, interrupt: &Interrupt) -> End {
         let model = self.model;
         let mut eval = Evaluator::new(&model.aig);
-        let lanes = 1u32 << self.input_nodes.len().min(6);
+        let inputs = self.input_nodes.len();
+        let lanes = 1u32 << inputs.min(LANE_MASKS.len());
         let lane_mask = ALL_LANES >> (64 - lanes);
-        let words = 1u64 << self.input_nodes.len().saturating_sub(6);
-        // Set once the state cap stops the expansion: the states discovered
-        // so far are still tested.
-        let mut capped = false;
+        let words = 1u64 << inputs.saturating_sub(LANE_MASKS.len());
+        // The low six inputs take every combination across the lanes, the
+        // same in every word.
+        for (&node, &mask) in self.input_nodes.iter().zip(&LANE_MASKS) {
+            eval.set(node, mask);
+        }
+        let mut spent = 0u64;
+        // The depth of `states[current]`, and the index of the first state
+        // deeper than it.
+        let (mut depth, mut level_end) = (0, 1);
+        // The depth at which the state cap stopped the expansion: the states
+        // discovered so far are still tested.
+        let mut capped: Option<usize> = None;
+        // The successors the current state has produced so far.
+        let mut seen: HashSet<u64, PackedHash> = HashSet::default();
         let mut current = 0;
         while current < self.states.len() {
+            if current == level_end {
+                depth += 1;
+                level_end = self.states.len();
+            }
             #[cfg(any(test, feature = "fault-injection"))]
             interrupt.fault("explicit.step");
-            if interrupt.charge(1).is_some() || interrupt.poll().is_some() {
-                return End::Incomplete;
+            if interrupt.charge(1).is_some() || interrupt.poll().is_some() || spent >= max_words {
+                return End::Incomplete { depth };
             }
+            spent += words;
             let state = self.states[current];
+            self.load_state(&mut eval, state);
+            seen.clear();
             let mut succs: Vec<u32> = Vec::new();
             for high in 0..words {
-                self.evaluate(&mut eval, state, high);
+                self.load_word(&mut eval, high);
+                eval.settle();
                 let ok = model
                     .constraints
                     .iter()
@@ -265,28 +376,31 @@ impl<'m> Search<'m> {
                         input: valuation(high, hit.trailing_zeros()),
                     };
                 }
-                if capped || ok == 0 {
+                if capped.is_some() || ok == 0 {
                     continue;
                 }
-                let next_bits: Vec<u64> = model
-                    .aig
-                    .latches()
-                    .iter()
-                    .map(|l| eval.get(l.next))
-                    .collect();
-                for lane in (0..lanes).filter(|lane| (ok >> lane) & 1 == 1) {
-                    let next = next_bits
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, bits)| (*bits >> lane) & 1 == 1)
-                        .fold(0u64, |next, (i, _)| next | 1 << i);
+                // Word `i` holds latch `i`'s next value per lane; transposed,
+                // word `lane` holds lane `lane`'s packed successor.
+                let mut next_states = [0u64; 64];
+                for (word, latch) in next_states.iter_mut().zip(model.aig.latches()) {
+                    *word = eval.get(latch.next);
+                }
+                transpose(&mut next_states);
+                let mut pending = ok;
+                while pending != 0 {
+                    let lane = pending.trailing_zeros();
+                    pending &= pending - 1;
+                    let next = next_states[lane as usize];
+                    if !seen.insert(next) {
+                        continue;
+                    }
                     let successor = match self.index.get(&next) {
                         Some(&i) => i,
                         None if self.states.len() >= self.max_states => {
                             if target.is_none() {
-                                return End::Incomplete;
+                                return End::Incomplete { depth };
                             }
-                            capped = true;
+                            capped = Some(depth);
                             break;
                         }
                         None => {
@@ -297,7 +411,7 @@ impl<'m> Search<'m> {
                             i
                         }
                     };
-                    if target.is_none() && !succs.contains(&successor) {
+                    if target.is_none() {
                         succs.push(successor);
                     }
                 }
@@ -307,29 +421,44 @@ impl<'m> Search<'m> {
             }
             current += 1;
         }
-        if capped {
-            End::Incomplete
-        } else {
-            End::Complete
+        match capped {
+            Some(depth) => End::Incomplete { depth: depth + 1 },
+            None => End::Complete,
         }
     }
 
-    /// Loads one packed latch state and the 64 input combinations of input
-    /// word `high` into `eval` and settles it: every latch is 0 or
-    /// all-ones, the low six inputs take `LANE_MASKS` (so the lanes hold
-    /// all 64 combinations of them), and the rest take the bits of `high`.
-    fn evaluate(&self, eval: &mut Evaluator<LaneWord>, state: u64, high: u64) {
+    /// Loads the packed latch valuation `state` into `eval`, each latch 0
+    /// or all-ones across the lanes.
+    fn load_state(&self, eval: &mut Evaluator<LaneWord>, state: u64) {
         for (i, &node) in self.latch_nodes.iter().enumerate() {
             eval.set(node, LaneWord::splat((state >> i) & 1 == 1));
         }
-        for (i, &node) in self.input_nodes.iter().enumerate() {
-            let word = match LANE_MASKS.get(i) {
-                Some(&lanes) => lanes,
-                None => LaneWord::splat((high >> (i - LANE_MASKS.len())) & 1 == 1),
-            };
-            eval.set(node, word);
+    }
+
+    /// Loads input word `high` into `eval`: input `6 + i` takes bit `i` of
+    /// `high` in every lane (the low six inputs stay on `LANE_MASKS`).
+    fn load_word(&self, eval: &mut Evaluator<LaneWord>, high: u64) {
+        for (i, &node) in self.input_nodes.iter().enumerate().skip(LANE_MASKS.len()) {
+            eval.set(
+                node,
+                LaneWord::splat((high >> (i - LANE_MASKS.len())) & 1 == 1),
+            );
         }
-        eval.settle();
+    }
+
+    /// The trace to a hit of `target` in state `state` under the input
+    /// valuation `input`, replayed on the model from the inputs along the
+    /// breadth-first path.
+    fn trace(&self, target: Lit, state: u32, input: u64) -> Trace {
+        let inputs: Vec<u64> = self.path(state)[1..]
+            .iter()
+            .map(|&s| self.preds[s as usize].1)
+            .chain([input])
+            .collect();
+        replay(self.model, target, inputs.len(), |cycle, i| {
+            (inputs[cycle] >> i) & 1 == 1
+        })
+        .expect("an explicit counterexample replays on its model")
     }
 
     /// Iterative Tarjan SCC over the subgraph induced by `in_sub`.
@@ -449,6 +578,7 @@ mod tests {
     use super::*;
     use crate::aig::Aig;
     use crate::model::{BadProperty, ResponseProperty};
+    use proptest::prelude::*;
 
     /// An unbudgeted search with the default limits.
     fn search(model: &Model, target: Lit) -> ExplicitResult {
@@ -655,5 +785,278 @@ mod tests {
             reach(&model, Lit::TRUE, &options, &none),
             ExplicitResult::Exceeded
         );
+    }
+
+    #[test]
+    fn a_word_budget_stops_the_shortest_search_at_the_depth_it_reached() {
+        // One input, so one word per state, and the counter's states sit on
+        // a line: state n is at depth n, and the hit is in state 5.
+        let (mut model, bits, _) = counter_model();
+        let bad = five(&mut model, &bits);
+        let none = Interrupt::none();
+        assert_eq!(shortest(&model, bad, 0, &none), Shortest::NotBefore(0));
+        assert_eq!(shortest(&model, bad, 3, &none), Shortest::NotBefore(3));
+        assert_eq!(shortest(&model, bad, 5, &none), Shortest::NotBefore(5));
+        let Shortest::Trace(trace) = shortest(&model, bad, 6, &none) else {
+            panic!("six words test the hit state");
+        };
+        assert_eq!(trace.len(), 6);
+        // An unreachable target is not reached up to the deepest state.
+        assert_eq!(
+            shortest(&model, Lit::FALSE, u64::MAX, &none),
+            Shortest::NotBefore(8)
+        );
+    }
+
+    #[test]
+    fn transpose_moves_bit_j_of_word_i_to_bit_i_of_word_j() {
+        let mut rng = Rng(0x0123_4567_89AB_CDEF);
+        let rows: [u64; 64] = std::array::from_fn(|_| rng.next());
+        let mut columns = rows;
+        transpose(&mut columns);
+        for (i, row) in rows.iter().enumerate() {
+            for (j, column) in columns.iter().enumerate() {
+                assert_eq!((column >> i) & 1, (row >> j) & 1, "bit {j} of word {i}");
+            }
+        }
+    }
+
+    /// Deterministic xorshift generator for the random models below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn pick(&mut self, pool: &[Lit]) -> Lit {
+            let lit = pool[(self.next() % pool.len() as u64) as usize];
+            lit.invert_if(self.next() & 1 == 1)
+        }
+    }
+
+    /// A random model derived from `seed`: random initial values, a soup of
+    /// `gates` random gates over the inputs and latches, random next-state
+    /// functions and `constraints` random constraint literals.  Returns it
+    /// with a random target, a conjunction so that it is often unreachable.
+    fn random_model(
+        seed: u64,
+        latches: usize,
+        inputs: usize,
+        gates: usize,
+        constraints: usize,
+    ) -> (Model, Lit) {
+        let mut rng = Rng(seed | 1);
+        let mut aig = Aig::new();
+        let mut pool: Vec<Lit> = (0..inputs)
+            .map(|i| aig.add_input(format!("i{i}")))
+            .collect();
+        let latches: Vec<Lit> = (0..latches)
+            .map(|i| aig.add_latch(format!("l{i}"), rng.next() & 1 == 1))
+            .collect();
+        pool.extend(&latches);
+        for _ in 0..gates {
+            let (a, b) = (rng.pick(&pool), rng.pick(&pool));
+            let gate = match rng.next() % 3 {
+                0 => aig.and(a, b),
+                1 => aig.or(a, b),
+                _ => aig.xor(a, b),
+            };
+            pool.push(gate);
+        }
+        for &latch in &latches {
+            let next = rng.pick(&pool);
+            aig.set_latch_next(latch, next);
+        }
+        let constraints: Vec<Lit> = (0..constraints).map(|_| rng.pick(&pool)).collect();
+        let (a, b) = (rng.pick(&pool), rng.pick(&pool));
+        let target = aig.and(a, b);
+        let mut model = Model::new(aig);
+        model.constraints = constraints;
+        (model, target)
+    }
+
+    /// What the per-lane reference loop found.
+    struct Reference {
+        states: Vec<u64>,
+        preds: Vec<(u32, u64)>,
+        succs: Vec<Vec<u32>>,
+        /// The hit, if one ended the search.
+        hit: Option<(u32, u64)>,
+        /// Whether every reachable state was expanded.
+        complete: bool,
+    }
+
+    /// The successor loop the transpose kernel replaced, kept as the
+    /// reference it must match: every input word evaluated from a fresh
+    /// load of the state, one packed successor per lane folded over every
+    /// latch, each looked up in a SipHash table, and successor lists
+    /// deduplicated by a linear scan.
+    fn reference_expand(
+        model: &Model,
+        options: &ExplicitOptions,
+        target: Option<Lit>,
+    ) -> Reference {
+        let latch_nodes: Vec<usize> = model.aig.latches().iter().map(|l| l.node).collect();
+        let input_nodes: Vec<usize> = model.aig.inputs().to_vec();
+        let init = model
+            .aig
+            .latches()
+            .iter()
+            .enumerate()
+            .filter(|(_, latch)| latch.init)
+            .fold(0u64, |state, (i, _)| state | 1 << i);
+        let mut found = Reference {
+            states: vec![init],
+            preds: vec![(0, 0)],
+            succs: Vec::new(),
+            hit: None,
+            complete: false,
+        };
+        let mut index: HashMap<u64, u32> = HashMap::from([(init, 0)]);
+        let mut eval = Evaluator::new(&model.aig);
+        let lanes = 1u32 << input_nodes.len().min(6);
+        let lane_mask = ALL_LANES >> (64 - lanes);
+        let words = 1u64 << input_nodes.len().saturating_sub(6);
+        let mut capped = false;
+        let mut current = 0;
+        while current < found.states.len() {
+            let state = found.states[current];
+            let mut succs: Vec<u32> = Vec::new();
+            for high in 0..words {
+                for (i, &node) in latch_nodes.iter().enumerate() {
+                    eval.set(node, LaneWord::splat((state >> i) & 1 == 1));
+                }
+                for (i, &node) in input_nodes.iter().enumerate() {
+                    let word = match LANE_MASKS.get(i) {
+                        Some(&lanes) => lanes,
+                        None => LaneWord::splat((high >> (i - LANE_MASKS.len())) & 1 == 1),
+                    };
+                    eval.set(node, word);
+                }
+                eval.settle();
+                let ok = model
+                    .constraints
+                    .iter()
+                    .fold(lane_mask, |acc, &c| acc & eval.get(c));
+                if let Some(hit) = target.map(|t| ok & eval.get(t)).filter(|&hit| hit != 0) {
+                    found.hit = Some((current as u32, valuation(high, hit.trailing_zeros())));
+                    return found;
+                }
+                if capped || ok == 0 {
+                    continue;
+                }
+                let next_bits: Vec<u64> = model
+                    .aig
+                    .latches()
+                    .iter()
+                    .map(|l| eval.get(l.next))
+                    .collect();
+                for lane in (0..lanes).filter(|lane| (ok >> lane) & 1 == 1) {
+                    let next = next_bits
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, bits)| (*bits >> lane) & 1 == 1)
+                        .fold(0u64, |next, (i, _)| next | 1 << i);
+                    let successor = match index.get(&next) {
+                        Some(&i) => i,
+                        None if found.states.len() >= options.max_states => {
+                            if target.is_none() {
+                                return found;
+                            }
+                            capped = true;
+                            break;
+                        }
+                        None => {
+                            let i = found.states.len() as u32;
+                            found.states.push(next);
+                            index.insert(next, i);
+                            found.preds.push((current as u32, valuation(high, lane)));
+                            i
+                        }
+                    };
+                    if target.is_none() && !succs.contains(&successor) {
+                        succs.push(successor);
+                    }
+                }
+            }
+            if target.is_none() {
+                found.succs.push(succs);
+            }
+            current += 1;
+        }
+        found.complete = !capped;
+        found
+    }
+
+    proptest! {
+        /// The kernel discovers the same states, in the same order and from
+        /// the same predecessors, with the same successor lists and the same
+        /// first hit, as the per-lane loop it replaced: with and without a
+        /// target, under constraints, across several input words per state
+        /// and up to the state cap.
+        #[test]
+        fn the_kernel_matches_the_per_lane_reference(
+            seed in 1u64..u64::MAX,
+            latches in 1usize..64,
+            inputs in 0usize..11,
+            gates in 0usize..60,
+            constraints in 0usize..3,
+            max_states in 1usize..300,
+        ) {
+            let (model, target) = random_model(seed, latches, inputs, gates, constraints);
+            let options = capped(max_states);
+            for target in [None, Some(target)] {
+                let mut search = Search::new(&model, &options).expect("within the limits");
+                let end = search.expand(target, u64::MAX, &Interrupt::none());
+                let reference = reference_expand(&model, &options, target);
+                prop_assert_eq!(&search.states, &reference.states);
+                prop_assert_eq!(&search.preds, &reference.preds);
+                prop_assert_eq!(&search.succs, &reference.succs);
+                let (hit, complete) = match end {
+                    End::Hit { state, input } => (Some((state, input)), false),
+                    End::Complete => (None, true),
+                    End::Incomplete { .. } => (None, false),
+                };
+                prop_assert_eq!(hit, reference.hit);
+                prop_assert_eq!(complete, reference.complete);
+            }
+        }
+
+        /// Under any word budget, `shortest` returns `reach`'s trace or a
+        /// depth below which `reach` finds none, and so does a search the
+        /// state cap stops.
+        #[test]
+        fn shortest_is_reach_cut_short_by_its_budget(
+            seed in 1u64..u64::MAX,
+            latches in 1usize..8,
+            inputs in 0usize..9,
+            gates in 0usize..24,
+            constraints in 0usize..3,
+            max_words in 0u64..48,
+            max_states in 1usize..40,
+        ) {
+            let (model, target) = random_model(seed, latches, inputs, gates, constraints);
+            let none = Interrupt::none();
+            let full = reach(&model, target, &ExplicitOptions::default(), &none);
+            match (shortest(&model, target, max_words, &none), full.clone()) {
+                (Shortest::Trace(trace), ExplicitResult::Violated(expected)) => {
+                    prop_assert_eq!(trace, expected);
+                }
+                (Shortest::NotBefore(depth), ExplicitResult::Violated(expected)) => {
+                    prop_assert!(expected.len() > depth, "{} cycles, not before {}", expected.len(), depth);
+                }
+                (Shortest::NotBefore(_), ExplicitResult::Proven) => {}
+                (shortest, full) => prop_assert!(false, "{:?} against {:?}", shortest, full),
+            }
+            let mut search = Search::new(&model, &capped(max_states)).expect("within the limits");
+            let end = search.expand(Some(target), u64::MAX, &none);
+            if let (End::Incomplete { depth }, ExplicitResult::Violated(expected)) = (end, &full) {
+                prop_assert!(expected.len() > depth, "{} cycles, capped before {}", expected.len(), depth);
+            }
+        }
     }
 }

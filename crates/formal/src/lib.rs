@@ -22,9 +22,11 @@
 //! * [`pdr`] — an IC3/PDR property-directed-reachability engine (frame
 //!   trapezoid, proof-obligation queue, unsat-core/ternary-sim cube
 //!   generalization) producing certified inductive invariants;
-//! * [`explicit`] — an exact explicit-state engine (bit-parallel reachability
-//!   and fairness-aware SCC analysis) kept as the last-resort fallback for
-//!   small designs and liveness under fairness;
+//! * [`explicit`] — an exact explicit-state engine (bit-parallel
+//!   breadth-first reachability and fairness-aware SCC analysis): a
+//!   cascade stage for small designs and liveness under fairness, and the
+//!   first half of counterexample minimization, whose budgeted search
+//!   finds the shortest trace before any SAT query;
 //! * [`coi`] — per-property cone-of-influence slicing with stable content
 //!   fingerprints, so every property is checked on exactly the circuit it
 //!   observes;

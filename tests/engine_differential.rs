@@ -14,7 +14,7 @@ use autosva_formal::aig::{Aig, Lit};
 use autosva_formal::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use autosva_formal::checker::verify_elaborated;
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
-use autosva_formal::explicit::{reach, ExplicitOptions, ExplicitResult};
+use autosva_formal::explicit::{reach, shortest, ExplicitOptions, ExplicitResult, Shortest};
 use autosva_formal::fuzz::{fuzz_safety_budgeted, FuzzOptions};
 use autosva_formal::interrupt::Interrupt;
 use autosva_formal::model::{BadProperty, Model};
@@ -438,6 +438,78 @@ proptest! {
                 hit.is_none(),
                 "fuzzer reported a violation for a PDR-proven property (seed {seed})"
             );
+        }
+    }
+}
+
+/// [`random_model`] under `constraints` invariant constraints, each a
+/// random literal of one of its nodes.
+fn constrained_model(
+    seed: u64,
+    num_latches: usize,
+    num_inputs: usize,
+    num_gates: usize,
+    constraints: usize,
+) -> Model {
+    let mut model = random_model(seed, num_latches, num_inputs, num_gates);
+    let mut rng = XorShift(seed.rotate_left(29) | 1);
+    let nodes = model.aig.num_nodes();
+    model.constraints = (0..constraints)
+        .map(|_| Lit::new(1 + rng.below(nodes - 1), rng.flip()))
+        .collect();
+    model
+}
+
+proptest! {
+    /// Counterexample minimization's two halves agree under constraints:
+    /// the breadth-first search finds a trace exactly when the SAT ladder
+    /// does, of the same length, both traces replay, and a search cut
+    /// short by its word budget hands the ladder a depth no shorter trace
+    /// reaches.  With at most six latches no shortest trace is longer than
+    /// 64 cycles, so a ladder to depth 63 is complete.  Each case checks
+    /// eight models, as most random targets are unreachable or shallow.
+    #[test]
+    fn breadth_first_and_ladder_minimization_agree_under_constraints(
+        seed in 1u64..u64::MAX,
+        num_latches in 1usize..7,
+        num_inputs in 1usize..4,
+        num_gates in 4usize..16,
+        constraints in 1usize..3,
+        max_words in 0u64..24,
+    ) {
+        for seed in (0..8).map(|k| seed.wrapping_add(k)) {
+            let model = constrained_model(seed, num_latches, num_inputs, num_gates, constraints);
+            let bad = model.bads[0].lit;
+            let none = Interrupt::none();
+            let ladder = match bmc(&model, &BmcOptions { max_depth: 63, max_induction: 0 }) {
+                SafetyResult::Violated(trace) => Some(trace),
+                SafetyResult::Unknown { .. } | SafetyResult::Proven { .. } => None,
+                SafetyResult::Interrupted => panic!("seed {seed}: an unbudgeted ladder stopped"),
+            };
+            let searched = match shortest(&model, bad, u64::MAX, &none) {
+                Shortest::Trace(trace) => Some(trace),
+                Shortest::NotBefore(_) => None,
+            };
+            prop_assert_eq!(
+                ladder.as_ref().map(Trace::len),
+                searched.as_ref().map(Trace::len),
+                "seed {}",
+                seed
+            );
+            for trace in ladder.iter().chain(&searched) {
+                prop_assert!(trace_replays(&model, trace), "seed {seed}: a trace does not replay");
+            }
+            if let (Shortest::NotBefore(depth), Some(trace)) =
+                (shortest(&model, bad, max_words, &none), &ladder)
+            {
+                prop_assert!(
+                    trace.len() > depth,
+                    "seed {}: {} cycles, but none before depth {}",
+                    seed,
+                    trace.len(),
+                    depth
+                );
+            }
         }
     }
 }

@@ -49,7 +49,7 @@ pub fn build_testbench(case: &DesignCase) -> FormalTestbench {
 /// The designs of the corpus are small, so modest bounds are enough for every
 /// proof and counterexample; they are exposed so tests and benchmarks can
 /// vary them.  The liveness lasso-search bound is *not* overridden here: it
-/// comes from [`CheckOptions::default`] (`liveness_bmc`), so callers tune it
+/// comes from [`CheckOptions::default`] (`lasso_depth`), so callers tune it
 /// in one place — and an undecided liveness property carries the
 /// bounded-search caveat in its report note.
 pub fn default_check_options(case: &DesignCase, variant: Variant) -> CheckOptions {

@@ -6,25 +6,29 @@
 //! everything into a [`VerificationReport`] that mirrors how the paper
 //! reports results (proof rate, counterexamples, trace lengths, runtimes).
 //!
-//! Every checked property — safety assertion, cover, or liveness
-//! obligation on its liveness-to-safety product — asks one question: can
-//! its target literal be reached?  One loop walks one stage list to answer
-//! it, stopping at the first stage that decides:
+//! Every checked property asks one question: can its target be reached?
+//! For a safety assertion or a cover the target is a literal of its cone;
+//! for a liveness obligation it is a fair lasso of its cone with the
+//! pending-obligation monitors added ([`crate::liveness`]).  One loop walks
+//! one stage list to answer it, stopping at the first stage that decides:
 //!
 //! 1. **cache** — a verdict the proof cache stored for a content-identical
 //!    cone, returned only after its artifact passed its check;
 //! 2. **fuzz** — the bit-parallel stimulus fuzzer (safety only);
 //! 3. **quick BMC** — shallow BMC for short counterexamples plus
-//!    k-induction for cheap proofs;
+//!    k-induction for cheap proofs; for liveness, the lasso search to a
+//!    shallow depth;
 //! 4. **PDR** — IC3/PDR for reachability-dependent proofs, with an
-//!    inductive-invariant certificate;
+//!    inductive-invariant certificate; for liveness, k-liveness;
 //! 5. **explicit** — the exact explicit-state engine, one breadth-first
-//!    search per property;
-//! 6. **full-depth BMC** — BMC and k-induction to the configured bounds.
+//!    search per property (an SCC check for liveness);
+//! 6. **full-depth BMC** — BMC and k-induction to the configured bounds;
+//!    for liveness, the lasso search to [`CheckOptions::lasso_depth`].
 //!
 //! Every stage answers with the same crate-private verdict: reached, with a
-//! trace, or unreachable, with a certificate (an induction depth, a PDR
-//! invariant or explicit reachability).  The proof cache stores and
+//! trace (a replay-confirmed lasso for liveness), or unreachable, with a
+//! certificate (an induction depth, a PDR invariant, a k-liveness invariant
+//! or explicit reachability).  The proof cache stores and
 //! re-checks that verdict, and one conversion turns it into the report's
 //! [`PropertyStatus`].  The stage that decides a property is its provenance
 //! ([`PropertyResult::engine`]).
@@ -43,7 +47,7 @@
 //! The timed report ([`VerificationReport::render_timed`]) lists, per
 //! property, what every stage that ran spent ([`StageSpend`]).
 
-use crate::aig::Lit;
+use crate::aig::Aig;
 use crate::bmc::{self, check_target_budgeted, BmcOptions, SafetyResult};
 use crate::coi::{cone_of_influence, fingerprint, Fingerprint, Fnv2, SliceTarget};
 use crate::compile::{compile, CompiledKind, CompiledTestbench};
@@ -52,11 +56,12 @@ use crate::explicit::{self, ExplicitOptions, ExplicitResult, Shortest};
 use crate::fuzz::{fuzz_safety_budgeted, FuzzOptions, FuzzStats};
 use crate::interrupt::{Interrupt, InterruptReason};
 use crate::lint::{LintOptions, LintReport};
+use crate::liveness::{self, KLiveness, LivenessResult};
 use crate::model::{BadProperty, Model};
 use crate::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use crate::portfolio::{
-    run_ordered, CacheKey, CacheStats, Certificate, ParallelOptions, PreparedSlice, ProofCache,
-    Verdict,
+    run_ordered, CacheKey, CacheStats, Certificate, Goal, ParallelOptions, PreparedSlice,
+    ProofCache, Verdict,
 };
 use crate::sat::{SolverConfig, SolverStats};
 use crate::telemetry::{
@@ -80,9 +85,11 @@ pub struct CheckOptions {
     pub elab: ElabOptions,
     /// Bounds used for safety and cover checking.
     pub bmc: BmcOptions,
-    /// Bounds used for the liveness-to-safety checks (these models are
-    /// larger, so the bounds may be set lower).
-    pub liveness_bmc: BmcOptions,
+    /// The deepest loop the liveness lasso search tries: a counterexample
+    /// lasso whose stem and loop together exceed this many cycles is found
+    /// only by the explicit stage.  Liveness proofs (k-liveness, the
+    /// explicit SCC check) are unbounded.
+    pub lasso_depth: usize,
     /// Disable the explicit-state stage of the cascade (used by the
     /// bounded-engine and fuzz-alone rows of the contract suite).
     /// Counterexample minimization still starts with the explicit engine's
@@ -152,10 +159,7 @@ impl Default for CheckOptions {
                 max_depth: 25,
                 max_induction: 12,
             },
-            liveness_bmc: BmcOptions {
-                max_depth: 12,
-                max_induction: 0,
-            },
+            lasso_depth: 12,
             disable_explicit: false,
             disable_pdr: false,
             disable_bmc: false,
@@ -187,6 +191,12 @@ pub enum Proof {
         clauses: Vec<String>,
         /// Number of frames the trapezoid reached when the proof closed.
         frames: usize,
+        /// For a liveness property, the k of its k-liveness proof: at most
+        /// k fairness rounds complete while the obligation stays pending,
+        /// and the invariant is over the k-liveness model
+        /// ([`crate::liveness::KLiveness`]).  `None` for a safety
+        /// invariant.
+        k_liveness: Option<usize>,
     },
     /// Exhaustive reachable-state enumeration by the explicit engine.
     Reachability,
@@ -197,7 +207,16 @@ impl Proof {
     pub fn describe(&self) -> String {
         match self {
             Proof::Induction { depth } => format!("k-induction, k={depth}"),
-            Proof::Invariant { clauses, frames } => {
+            // A k-liveness proof names its k, the least at which the round
+            // counter stays bounded, which the model alone determines; the
+            // invariant's clauses and frames depend on the PDR search.
+            Proof::Invariant {
+                k_liveness: Some(k),
+                ..
+            } => format!("k-liveness, k={k}, PDR invariant"),
+            Proof::Invariant {
+                clauses, frames, ..
+            } => {
                 if clauses.is_empty() {
                     format!("PDR, vacuous at frame {frames}")
                 } else if clauses.len() <= 3 {
@@ -836,21 +855,22 @@ enum PropertyTask {
     /// Resolved at compile time (assumptions, X-prop checks).
     Done(PropertyStatus),
     /// Decided by the engine cascade.
-    Check(Cone),
+    Check(Kind, Cone),
 }
 
 /// The model a checked property's cascade runs on.
 enum Cone {
     /// The property's own cone-of-influence slice, which its task slices
     /// and prepares on its worker ([`prepare_cone`]).
-    Slice(Kind, SliceTarget),
-    /// The full compiled model, which every task of an unsliced run shares.
-    Full(Target),
+    Slice(SliceTarget),
+    /// The full compiled model, which every task of an unsliced run shares,
+    /// with the property's index in it.
+    Full(Arc<Model>, Fingerprint, usize),
 }
 
 /// The three kinds of checked property.  Each asks the same question — can
-/// its target literal be reached? — and differs only in where that literal
-/// sits and in how the answer is reported.
+/// its target be reached? — and differs only in what the target is and in
+/// how the answer is reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     /// Safety assertion: target `model.bads[index]`; reaching it is a
@@ -859,56 +879,81 @@ enum Kind {
     /// Cover property: target `model.covers[index]`; reaching it is a
     /// witness.
     Cover,
-    /// Liveness obligation, checked on its liveness-to-safety product:
-    /// target `model.bads[index]` of the product; reaching it is a
-    /// counterexample lasso.
+    /// Liveness obligation `model.liveness[index]`: the target is a fair
+    /// lasso of the model with its pending-obligation monitors, a
+    /// counterexample.
     Liveness,
 }
 
-impl Kind {
-    /// The BMC and k-induction bounds for a property of this kind.
-    fn bounds(self, options: &CheckOptions) -> &BmcOptions {
-        match self {
-            Kind::Liveness => &options.liveness_bmc,
-            Kind::Safety | Kind::Cover => &options.bmc,
-        }
-    }
-}
-
-/// A checked property as the cascade sees it.
-#[derive(Clone)]
+/// A checked property as the cascade sees it: property `index` of kind
+/// `kind` on its prepared cone.
 struct Target {
     kind: Kind,
-    /// The model the target literal lives on (the L2S product for liveness).
-    model: Arc<Model>,
-    /// Index of the target in `model.bads` (safety, liveness) or
-    /// `model.covers` (cover).
+    /// Index of the property in `cone.model.bads`, `cone.model.covers` or
+    /// `cone.model.liveness`.
     index: usize,
-    /// The slice fingerprint, keying the proof cache.
-    fp: Fingerprint,
-    /// The checked cone: `model` itself, except for liveness, where it is
-    /// the model before the L2S transform (the explicit engine's SCC
-    /// analysis runs on it with pending monitors).
-    base: Arc<Model>,
+    cone: PreparedSlice,
+}
+
+/// Prepares property `index` of kind `kind` on the checked `model`, whose
+/// fingerprint is `fingerprint`: a liveness property gets its
+/// pending-obligation monitors and its k-liveness model.
+fn prepared(
+    kind: Kind,
+    model: Arc<Model>,
+    index: usize,
+    fingerprint: Fingerprint,
+) -> PreparedSlice {
+    let cone = (model.aig.num_latches(), model.aig.num_ands());
+    let (model, liveness) = match kind {
+        Kind::Liveness => {
+            let (monitored, monitors) = liveness::monitored(&model, index);
+            let klive = KLiveness::new(&monitored, &monitors);
+            (Arc::new(monitored), Some(Arc::new((monitors, klive))))
+        }
+        Kind::Safety | Kind::Cover => (model, None),
+    };
+    PreparedSlice {
+        model,
+        fingerprint,
+        cone,
+        liveness,
+    }
 }
 
 impl Target {
-    /// Latches and AND gates of the cone the property is checked on.
-    fn cone(&self) -> (usize, usize) {
-        (self.base.aig.num_latches(), self.base.aig.num_ands())
+    /// The model the engines check.
+    fn model(&self) -> &Model {
+        &self.cone.model
     }
 
-    /// The target literal and its property name.
-    fn literal(&self) -> (Lit, &str) {
+    /// The property's name.
+    fn name(&self) -> &str {
+        let model = self.model();
         match self.kind {
-            Kind::Cover => {
-                let cover = &self.model.covers[self.index];
-                (cover.lit, &cover.name)
-            }
-            Kind::Safety | Kind::Liveness => {
-                let bad = &self.model.bads[self.index];
-                (bad.lit, &bad.name)
-            }
+            Kind::Safety => &model.bads[self.index].name,
+            Kind::Cover => &model.covers[self.index].name,
+            Kind::Liveness => &model.liveness[self.index].name,
+        }
+    }
+
+    /// What the property asks of its model: a literal to reach, or a fair
+    /// lasso.
+    fn goal(&self) -> Goal<'_> {
+        match (self.kind, self.cone.liveness.as_deref()) {
+            (Kind::Safety, _) => Goal::Reach(self.model().bads[self.index].lit),
+            (Kind::Cover, _) => Goal::Reach(self.model().covers[self.index].lit),
+            (Kind::Liveness, Some((monitors, klive))) => Goal::Lasso(monitors, klive),
+            (Kind::Liveness, None) => unreachable!("a liveness target has its monitors"),
+        }
+    }
+
+    /// The circuit a certificate's latches belong to: the k-liveness
+    /// model's for liveness, the checked model's otherwise.
+    fn certificate_aig(&self) -> &Aig {
+        match self.cone.liveness.as_deref() {
+            Some((_, klive)) => &klive.model.aig,
+            None => &self.model().aig,
         }
     }
 
@@ -916,20 +961,20 @@ impl Target {
     /// fingerprint, the digest of the engine options and its name.
     fn key(&self, options: &CheckOptions) -> CacheKey {
         CacheKey {
-            fingerprint: self.fp,
+            fingerprint: self.cone.fingerprint,
             config: engine_digest(options),
-            property: self.literal().1.to_string(),
+            property: self.name().to_string(),
         }
     }
 }
 
 /// A digest of the options that shape a verdict's artifact: which stages
-/// run, the BMC and k-induction bounds and the solver features.  It keys
-/// proof-cache entries with the cone, so a run reuses only what a run with
-/// the same engine options stored, and renders like a cold run.  The
-/// fuzzer is left out (every cached safety trace is minimized), and so
-/// are budgets, orchestration, telemetry, VCD output and lint.  The hash is
-/// the fingerprints' FNV-1a, so the digest is stable across processes.
+/// run, the BMC, k-induction and lasso bounds and the solver features.  It
+/// keys proof-cache entries with the cone, so a run reuses only what a run
+/// with the same engine options stored, and renders like a cold run.  The
+/// fuzzer is left out (every cached safety trace is minimized), and so are
+/// budgets, orchestration, telemetry, VCD output and lint.  The hash is the
+/// fingerprints' FNV-1a, so the digest is stable across processes.
 fn engine_digest(options: &CheckOptions) -> u64 {
     let SolverConfig {
         restarts,
@@ -949,8 +994,7 @@ fn engine_digest(options: &CheckOptions) -> u64 {
     let bounds = [
         options.bmc.max_depth,
         options.bmc.max_induction,
-        options.liveness_bmc.max_depth,
-        options.liveness_bmc.max_induction,
+        options.lasso_depth,
         restart_base as usize,
         reduce_base,
     ];
@@ -964,13 +1008,11 @@ fn engine_digest(options: &CheckOptions) -> u64 {
 /// slicing enabled (the default) a checked property's task only names its
 /// cone: the task slices and prepares it on its worker ([`prepare_cone`]),
 /// so the serial work before the pool is the front end alone.  With slicing
-/// disabled every task points at one full compiled model (and, for
-/// liveness, one L2S product of it), built here once and shared,
-/// preserving the pre-orchestrator cascade behaviour exactly; the optimizer
-/// never runs on that path.
+/// disabled every task points at one full compiled model, built here once
+/// and shared, preserving the pre-orchestrator cascade behaviour exactly;
+/// the optimizer never runs on that path.
 fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<PropertyTask> {
     let mut shared_full: Option<(Arc<Model>, Fingerprint)> = None;
-    let mut shared_l2s: Option<Arc<Model>> = None;
 
     compiled
         .properties
@@ -993,30 +1035,16 @@ fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<Prop
                 CompiledKind::Liveness(i) => (Kind::Liveness, SliceTarget::Liveness(*i), *i),
             };
             if options.parallel.slice {
-                return PropertyTask::Check(Cone::Slice(kind, cone));
+                return PropertyTask::Check(kind, Cone::Slice(cone));
             }
-            let (base, fp) = shared_full
+            let (model, fp) = shared_full
                 .get_or_insert_with(|| {
                     let model = Arc::new(compiled.model.clone());
                     let fp = fingerprint(&model);
                     (model, fp)
                 })
                 .clone();
-            // The index into the base model's liveness vector equals the
-            // index into the product's bad vector.
-            let model = match kind {
-                Kind::Liveness => shared_l2s
-                    .get_or_insert_with(|| Arc::new(base.to_liveness_safety().model))
-                    .clone(),
-                Kind::Safety | Kind::Cover => Arc::clone(&base),
-            };
-            PropertyTask::Check(Cone::Full(Target {
-                kind,
-                model,
-                index: i,
-                fp,
-                base,
-            }))
+            PropertyTask::Check(kind, Cone::Full(model, fp, i))
         })
         .collect()
 }
@@ -1024,23 +1052,16 @@ fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<Prop
 /// Prepares the cone of one property of `model` for its cascade: the
 /// cone-of-influence slice, run through the [`crate::opt`] pass (constant
 /// sweeping, sequential/combinational equivalence sweeping, dead-node
-/// elimination) when opt is on.  A liveness slice is optimized first, then
-/// transformed via liveness-to-safety, and the product is optimized again
-/// (the order keeps the L2S snapshot sound: the transform always runs on
-/// the model the snapshots will be compared against).
+/// elimination) when opt is on.  A liveness target then adds its
+/// pending-obligation monitors and builds its k-liveness model
+/// ([`prepared`]).
 ///
 /// An opt-on run with a proof cache prepares the slice on the cache's memo,
 /// keyed by the raw slice fingerprint, so a re-run over an unchanged cone
-/// takes its optimized slice and L2S product from it and optimizes nothing.
-/// Every other run prepares the slice directly: a slice keeps only its own
-/// property, so no two properties of one run share one.
-fn prepare_cone(
-    model: &Model,
-    kind: Kind,
-    cone: SliceTarget,
-    name: &str,
-    options: &CheckOptions,
-) -> Target {
+/// takes its prepared slice from it and optimizes nothing.  Every other
+/// run prepares the slice directly: a slice keeps only its own property, so
+/// no two properties of one run share one.
+fn prepare_cone(model: &Model, kind: Kind, cone: SliceTarget, options: &CheckOptions) -> Target {
     let opt_on = options.parallel.opt;
     let memo = options.parallel.cache.as_ref().filter(|_| opt_on);
     // Keyed by the *raw* slice fingerprint; the prepared slice carries the
@@ -1054,44 +1075,16 @@ fn prepare_cone(
         } else {
             (slice.model, raw)
         };
-        PreparedSlice {
-            model: Arc::new(model),
-            fingerprint,
-            l2s: None,
-        }
+        prepared(kind, Arc::new(model), 0, fingerprint)
     };
-    let prepared = match memo {
+    let cone = match memo {
         Some(cache) => cache.prepared_slice(raw, prepare),
         None => prepare(),
     };
-    let model = match (kind, &prepared.l2s) {
-        (Kind::Liveness, Some(product)) => Arc::clone(product),
-        // The L2S product of the (optimized) base is itself a plain safety
-        // model, so it gets its own opt pass: the snapshot/monitor plumbing
-        // often pins latches the original cone had already lost.
-        (Kind::Liveness, None) => {
-            let product = {
-                let _span = telemetry::span("l2s", name);
-                let product = prepared.model.to_liveness_safety().model;
-                if opt_on {
-                    crate::opt::optimize(&product).0
-                } else {
-                    product
-                }
-            };
-            match memo {
-                Some(cache) => cache.memo_l2s(raw, Arc::new(product)),
-                None => Arc::new(product),
-            }
-        }
-        (Kind::Safety | Kind::Cover, _) => Arc::clone(&prepared.model),
-    };
     Target {
         kind,
-        model,
         index: 0,
-        fp: prepared.fingerprint,
-        base: prepared.model,
+        cone,
     }
 }
 
@@ -1161,9 +1154,9 @@ impl TaskOutcome {
 /// this property — the run always comes back with a complete report.
 fn run_task(task: &PropertyTask, model: &Model, name: &str, options: &CheckOptions) -> TaskOutcome {
     let _task_span = telemetry::span("task", name);
-    let cone = match task {
+    let (kind, cone) = match task {
         PropertyTask::Done(status) => return TaskOutcome::new(status.clone(), None),
-        PropertyTask::Check(cone) => cone,
+        PropertyTask::Check(kind, cone) => (*kind, cone),
     };
     // The `prepare` fault site's handle carries no deadline: preparation
     // polls none.
@@ -1173,8 +1166,12 @@ fn run_task(task: &PropertyTask, model: &Model, name: &str, options: &CheckOptio
             .with_faults(&options.faults, name)
             .fault("prepare");
         match cone {
-            Cone::Slice(kind, slice) => prepare_cone(model, *kind, *slice, name, options),
-            Cone::Full(target) => target.clone(),
+            Cone::Slice(slice) => prepare_cone(model, kind, *slice, options),
+            Cone::Full(full, fp, index) => Target {
+                kind,
+                index: *index,
+                cone: prepared(kind, Arc::clone(full), *index, *fp),
+            },
         }
     }));
     let t0 = Instant::now();
@@ -1194,7 +1191,7 @@ fn run_task(task: &PropertyTask, model: &Model, name: &str, options: &CheckOptio
             let run = || run_cascade(&target, options, &interrupt, &engine);
             let mut outcome = catch_unwind(AssertUnwindSafe(run))
                 .unwrap_or_else(|payload| TaskOutcome::panicked(engine.get(), payload.as_ref()));
-            outcome.cone = target.cone();
+            outcome.cone = target.cone.cone;
             outcome
         }
     };
@@ -1280,6 +1277,19 @@ impl Stage {
         }
     }
 
+    /// The telemetry counter of the properties the stage decided, and that
+    /// of the SAT conflicts it spent on the properties it left undecided.
+    /// Static names, as [`telemetry::count_solver`]'s are.
+    fn counters(self) -> (&'static str, &'static str) {
+        match self {
+            Stage::Cache => ("decided.cache", "undecided.cache.conflicts"),
+            Stage::Fuzz => ("decided.fuzz", "undecided.fuzz.conflicts"),
+            Stage::QuickBmc | Stage::FullBmc => ("decided.bmc", "undecided.bmc.conflicts"),
+            Stage::Pdr => ("decided.pdr", "undecided.pdr.conflicts"),
+            Stage::Explicit => ("decided.explicit", "undecided.explicit.conflicts"),
+        }
+    }
+
     /// Whether the stage runs for a property of `kind`: the cache only
     /// when the run has one, the fuzzer only for safety properties, and
     /// the engine toggles of [`CheckOptions`] switch the other stages off.
@@ -1304,9 +1314,12 @@ fn run_stage(
     interrupt: &Interrupt,
     outcome: &mut TaskOutcome,
 ) -> Option<Verdict> {
-    let model = &*target.model;
-    let (lit, name) = target.literal();
-    let bounds = target.kind.bounds(options);
+    let model = target.model();
+    let name = target.name();
+    let lit = match target.goal() {
+        Goal::Reach(lit) => lit,
+        Goal::Lasso(..) => return run_liveness_stage(stage, target, options, interrupt, outcome),
+    };
     let bmc = |bounds: &BmcOptions, outcome: &mut TaskOutcome| {
         let (result, stats) =
             check_target_budgeted(model, lit, name, bounds, options.solver, interrupt);
@@ -1320,11 +1333,7 @@ fn run_stage(
         }
     };
     match stage {
-        Stage::Cache => {
-            let cache = options.parallel.cache.as_ref()?;
-            let key = target.key(options);
-            cache.lookup(&key, model, lit, bounds.max_induction, interrupt)
-        }
+        Stage::Cache => lookup(target, options, interrupt),
         Stage::Fuzz => {
             let (hit, stats) = fuzz_safety_budgeted(model, target.index, &options.fuzz, interrupt);
             outcome.fuzz = Some(stats);
@@ -1332,12 +1341,12 @@ fn run_stage(
         }
         Stage::QuickBmc => {
             let quick = BmcOptions {
-                max_depth: QUICK_BMC_DEPTH.min(bounds.max_depth),
-                max_induction: 3.min(bounds.max_induction),
+                max_depth: QUICK_BMC_DEPTH.min(options.bmc.max_depth),
+                max_induction: 3.min(options.bmc.max_induction),
             };
             bmc(&quick, outcome)
         }
-        Stage::FullBmc => bmc(bounds, outcome),
+        Stage::FullBmc => bmc(&options.bmc, outcome),
         Stage::Pdr => {
             let (result, stats) =
                 check_pdr_budgeted(model, lit, &PDR_BOUNDS, options.solver, interrupt);
@@ -1351,14 +1360,7 @@ fn run_stage(
             }
         }
         Stage::Explicit => {
-            let limits = ExplicitOptions::default();
-            let result = match target.kind {
-                Kind::Safety | Kind::Cover => explicit::reach(model, lit, &limits, interrupt),
-                Kind::Liveness => {
-                    explicit::liveness(&target.base, target.index, &limits, interrupt)
-                }
-            };
-            match result {
+            match explicit::reach(model, lit, &ExplicitOptions::default(), interrupt) {
                 ExplicitResult::Proven => Some(Verdict::Unreachable(Certificate::Reachability)),
                 ExplicitResult::Violated(trace) => Some(Verdict::Reached(trace)),
                 ExplicitResult::Exceeded => None,
@@ -1367,33 +1369,98 @@ fn run_stage(
     }
 }
 
+/// [`run_stage`] for a liveness property, on its monitored model: the BMC
+/// stages search for lassos (quick: to `QUICK_BMC_DEPTH`; full:
+/// to [`CheckOptions::lasso_depth`]), PDR proves k-liveness, and the
+/// explicit engine runs its SCC check.
+fn run_liveness_stage(
+    stage: Stage,
+    target: &Target,
+    options: &CheckOptions,
+    interrupt: &Interrupt,
+    outcome: &mut TaskOutcome,
+) -> Option<Verdict> {
+    let model = target.model();
+    let (monitors, klive) = target.cone.liveness.as_deref()?;
+    let (result, stats) = match stage {
+        Stage::Cache => return lookup(target, options, interrupt),
+        Stage::Fuzz => return None,
+        Stage::QuickBmc => {
+            let depth = QUICK_BMC_DEPTH.min(options.lasso_depth);
+            liveness::lasso_search(model, monitors, depth, options.solver, interrupt)
+        }
+        Stage::FullBmc => liveness::lasso_search(
+            model,
+            monitors,
+            options.lasso_depth,
+            options.solver,
+            interrupt,
+        ),
+        Stage::Pdr => liveness::k_liveness(klive, &PDR_BOUNDS, options.solver, interrupt),
+        Stage::Explicit => {
+            let limits = ExplicitOptions::default();
+            return match explicit::liveness(model, monitors, &limits, interrupt) {
+                ExplicitResult::Proven => Some(Verdict::Unreachable(Certificate::Reachability)),
+                ExplicitResult::Violated(lasso) => Some(Verdict::Reached(lasso)),
+                ExplicitResult::Exceeded => None,
+            };
+        }
+    };
+    outcome.stats += stats;
+    match result {
+        LivenessResult::Violated(lasso) => Some(Verdict::Reached(lasso)),
+        LivenessResult::Proven { k, invariant } => {
+            Some(Verdict::Unreachable(Certificate::KLiveness {
+                k,
+                invariant,
+            }))
+        }
+        LivenessResult::Unknown | LivenessResult::Interrupted => None,
+    }
+}
+
+/// The cache stage: the verdict the run's proof cache holds for `target`,
+/// once it passed its check.
+fn lookup(target: &Target, options: &CheckOptions, interrupt: &Interrupt) -> Option<Verdict> {
+    let cache = options.parallel.cache.as_ref()?;
+    let key = target.key(options);
+    let max_induction = options.bmc.max_induction;
+    cache.lookup(
+        &key,
+        target.model(),
+        target.goal(),
+        max_induction,
+        interrupt,
+    )
+}
+
 /// Decides one checked property: the [`CASCADE`] stages in order, the
 /// proof cache first, until one decides or the task's interrupt fires.
 ///
 /// Everything around the stages is written once, here: the engine tag
 /// that attributes interrupts and panics (kept in `engine`, which the
-/// task's panic handler reads), the stage's span, its [`StageSpend`], the
+/// task's panic handler reads), the stage's span, its [`StageSpend`] and
+/// its `decided.<stage>` or `undecided.<stage>.conflicts` counter, the
 /// interrupt note, the cache store and the solver/fuzzer accounting.  What
 /// differs by property kind is one rule each:
 ///
 /// * the fuzzer runs for safety only ([`Stage::runs`]);
-/// * liveness uses the `liveness_bmc` bounds and runs the explicit stage on
-///   the base model ([`run_stage`]);
+/// * liveness runs its own engine in each stage, on its monitored model
+///   ([`run_liveness_stage`]);
 /// * only safety traces from the fuzz and PDR stages are re-minimized
 ///   ([`minimize_safety_cex`]), and one that could not be is reported but
 ///   not cached; the explicit stage's traces are shortest already;
 /// * a cover reports "reached" as covered and "unreachable" as
 ///   [`PropertyStatus::Unreachable`] ([`status`]);
-/// * liveness never caches the explicit engine's lasso, and an undecided
-///   liveness property carries the lasso-bound note.
+/// * an undecided liveness property carries the lasso-bound note.
 fn run_cascade(
     target: &Target,
     options: &CheckOptions,
     interrupt: &Interrupt,
     engine: &Cell<&'static str>,
 ) -> TaskOutcome {
-    let model = &*target.model;
-    let name = target.literal().1;
+    let model = target.model();
+    let name = target.name();
     let mut outcome = TaskOutcome::new(PropertyStatus::Unknown, None);
     for stage in CASCADE {
         if !stage.runs(target.kind, options) {
@@ -1403,8 +1470,12 @@ fn run_cascade(
         let started = Instant::now();
         let conflicts = outcome.stats.conflicts;
         let verdict = {
-            let _span =
-                telemetry::span_detail(stage.span(), name, Some(stage.engine()), Some(target.fp));
+            let _span = telemetry::span_detail(
+                stage.span(),
+                name,
+                Some(stage.engine()),
+                Some(target.cone.fingerprint),
+            );
             run_stage(stage, target, options, interrupt, &mut outcome)
         };
         let decided = verdict.map(|mut verdict| {
@@ -1423,12 +1494,15 @@ fn run_cascade(
             };
             (verdict, minimized)
         });
+        let spent = outcome.stats.conflicts - conflicts;
         outcome.stages.push(StageSpend {
             engine: stage.engine(),
             time: started.elapsed(),
-            conflicts: outcome.stats.conflicts - conflicts,
+            conflicts: spent,
         });
+        let (decided_counter, undecided_conflicts) = stage.counters();
         let Some((verdict, minimized)) = decided else {
+            telemetry::count(undecided_conflicts, spent);
             // One poll tells "undecided" from "interrupted": an interrupted
             // engine has already latched the reason.
             if interrupt.poll().is_some() {
@@ -1438,32 +1512,27 @@ fn run_cascade(
             }
             continue;
         };
+        telemetry::count(decided_counter, 1);
         // The cache keeps what a stage decided, except a hit (it is stored
-        // already), a trace that could not be minimized, and the explicit
-        // engine's liveness lasso, which lives on the monitor-augmented base
-        // model, not on the product the cache replays traces on.  A task
-        // whose interrupt has fired never publishes: a verdict whose
-        // minimization was cut short is correct but not canonical, and
-        // would make a later cache-hit run render differently from a fresh
-        // one.  The cache is advisory, so a skipped store costs only a
-        // recomputation.
-        let lasso = target.kind == Kind::Liveness
-            && stage == Stage::Explicit
-            && matches!(verdict, Verdict::Reached(_));
-        let keep = stage != Stage::Cache && minimized && !lasso && interrupt.triggered().is_none();
+        // already) and a trace that could not be minimized.  A task whose
+        // interrupt has fired never publishes: a verdict whose minimization
+        // was cut short is correct but not canonical, and would make a
+        // later cache-hit run render differently from a fresh one.  The
+        // cache is advisory, so a skipped store costs only a recomputation.
+        let keep = stage != Stage::Cache && minimized && interrupt.triggered().is_none();
         if let Some(cache) = options.parallel.cache.as_ref().filter(|_| keep) {
             cache.store(target.key(options), verdict.clone());
         }
-        outcome.status = status(target.kind, verdict, model);
+        outcome.status = status(target, verdict);
         outcome.engine = Some(stage.engine());
         return outcome;
     }
     if target.kind == Kind::Liveness && Stage::FullBmc.runs(target.kind, options) {
         outcome.note = Some(format!(
             "bounded lasso search: counterexamples need stem+loop within {} cycles \
-             (CheckOptions::liveness_bmc.max_depth); starvation scenarios with longer \
-             stems would be missed",
-            options.liveness_bmc.max_depth
+             (CheckOptions::lasso_depth); starvation scenarios with longer stems \
+             would be missed",
+            options.lasso_depth
         ));
     }
     outcome
@@ -1552,15 +1621,14 @@ fn shortest_trace(
     }
 }
 
-/// The report status of a property of `kind` that `verdict` decided on
-/// `model`.
-fn status(kind: Kind, verdict: Verdict, model: &Model) -> PropertyStatus {
-    match (kind, verdict) {
+/// The report status of `target` that `verdict` decided.
+fn status(target: &Target, verdict: Verdict) -> PropertyStatus {
+    match (target.kind, verdict) {
         (Kind::Cover, Verdict::Reached(trace)) => PropertyStatus::Covered(trace),
         (Kind::Cover, Verdict::Unreachable(_)) => PropertyStatus::Unreachable,
         (Kind::Safety | Kind::Liveness, Verdict::Reached(trace)) => PropertyStatus::Violated(trace),
         (Kind::Safety | Kind::Liveness, Verdict::Unreachable(certificate)) => {
-            PropertyStatus::Proven(certificate.proof(model))
+            PropertyStatus::Proven(certificate.proof(target.certificate_aig()))
         }
     }
 }
@@ -1568,6 +1636,7 @@ fn status(kind: Kind, verdict: Verdict, model: &Model) -> PropertyStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aig::Lit;
     use autosva::{generate_ft, AutosvaOptions};
 
     /// A well-behaved single-outstanding-request echo module: every accepted
@@ -1836,8 +1905,8 @@ endmodule
 
     #[test]
     fn proof_cache_reuses_verdicts_across_runs() {
-        // ECHO_SLOW has liveness properties, so the cache also memoizes
-        // optimized L2S products.
+        // ECHO_SLOW has liveness properties: the memo keeps their monitors
+        // and k-liveness models with the optimized slices.
         let ft = generate_ft(ECHO_SLOW, &AutosvaOptions::default()).unwrap();
         let cache = crate::portfolio::ProofCache::new();
         let mut options = CheckOptions::default();
@@ -1863,8 +1932,8 @@ endmodule
         );
         assert_eq!(cold_stats.hits, 0);
         assert!(
-            spans(&cold, "opt") > 0 && spans(&cold, "l2s") > 0,
-            "the cold run must optimize its slices and build L2S products"
+            spans(&cold, "opt") > 0,
+            "the cold run must optimize its slices"
         );
 
         let warm = verify(ECHO_SLOW, &ft, &options).unwrap();
@@ -1879,8 +1948,8 @@ endmodule
             warm.render(),
             "cache hits must not change the report"
         );
-        // Every cone's optimized slice and L2S product comes from the memo.
-        for phase in ["opt", "opt.pass", "l2s"] {
+        // Every cone's optimized slice comes from the memo.
+        for phase in ["opt", "opt.pass"] {
             assert_eq!(spans(&warm, phase), 0, "the warm run recorded `{phase}`");
         }
         assert_eq!(cones(&cold), cones(&warm));
@@ -2048,17 +2117,14 @@ endmodule
 
     #[test]
     fn undecided_liveness_reports_the_lasso_bound_caveat() {
-        // With PDR and the explicit engine disabled and induction off, the
-        // (true) eventual-response obligation of the slow echo cannot be
-        // decided within the lasso bound — the report must say so.
+        // With PDR and the explicit engine disabled, the (true)
+        // eventual-response obligation of the slow echo cannot be decided
+        // by the lasso search alone — the report must say so.
         let ft = generate_ft(ECHO_SLOW, &AutosvaOptions::default()).unwrap();
         let options = CheckOptions {
             disable_pdr: true,
             disable_explicit: true,
-            liveness_bmc: BmcOptions {
-                max_depth: 2,
-                max_induction: 0,
-            },
+            lasso_depth: 2,
             ..CheckOptions::default()
         };
         let report = verify(ECHO_SLOW, &ft, &options).unwrap();
@@ -2153,6 +2219,83 @@ endmodule
                 .all(|span| span.phase != "engine.minimize"),
             "nothing is minimized"
         );
+    }
+
+    /// A handshake that answers every request the cycle after, until its
+    /// age counter saturates at 15: from then on a request is never
+    /// answered.  The only fair lassos of `eventual_response` have a stem of
+    /// at least 15 cycles, deeper than the default lasso search.
+    const LATE_STALL: &str = r#"
+/*AUTOSVA
+late_txn: req -in> res
+req_val = req_val
+req_ack = req_ack
+res_val = res_val
+*/
+module late_stall (
+  input  logic clk_i,
+  input  logic rst_ni,
+  input  logic req_val,
+  output logic req_ack,
+  output logic res_val
+);
+  logic [3:0] age_q;
+  logic       busy_q;
+  always_ff @(posedge clk_i or negedge rst_ni) begin
+    if (!rst_ni) begin
+      age_q <= 4'd0;
+      busy_q <= 1'b0;
+    end else begin
+      if (age_q != 4'd15) begin
+        age_q <= age_q + 4'd1;
+      end
+      if (req_val && req_ack) begin
+        busy_q <= 1'b1;
+      end else if (res_val) begin
+        busy_q <= 1'b0;
+      end
+    end
+  end
+  assign req_ack = !busy_q;
+  assign res_val = busy_q && age_q != 4'd15;
+endmodule
+"#;
+
+    #[test]
+    fn a_lasso_beyond_the_lasso_depth_is_found_by_the_explicit_stage_and_cached() {
+        let ft = generate_ft(LATE_STALL, &AutosvaOptions::default()).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("autosva-checker-late-lasso-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut options = CheckOptions::default();
+        options.parallel.cache = Some(crate::portfolio::ProofCache::open(&dir));
+        let cold = verify(LATE_STALL, &ft, &options).unwrap();
+        let row = |report: &VerificationReport| {
+            let found = report
+                .results
+                .iter()
+                .find(|r| r.name.contains("eventual_response"));
+            found.expect("the liveness property exists").clone()
+        };
+        let late = row(&cold);
+        assert_eq!(late.engine, Some("explicit"), "{}", cold.render());
+        let trace = late.status.trace().expect("a counterexample lasso");
+        assert!(trace.len() > options.lasso_depth + 1, "{}", trace.len());
+        let start = trace.loop_start().expect("a lasso names its loop start");
+        assert!(start >= 15, "the stem reaches the saturated age: {start}");
+
+        // A warm run, in process and from disk, replays the cached lasso
+        // and renders it identically.
+        let warm = verify(LATE_STALL, &ft, &options).unwrap();
+        assert_eq!(row(&warm).engine, Some("cache"));
+        assert_eq!(warm.render(), cold.render());
+        options.parallel.cache = Some(crate::portfolio::ProofCache::open(&dir));
+        let disk = verify(LATE_STALL, &ft, &options).unwrap();
+        assert_eq!(row(&disk).engine, Some("cache"));
+        assert_eq!(row(&disk).status, late.status);
+        let stats = disk.cache_stats.expect("a cache");
+        assert_eq!((stats.misses, stats.rejected), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// An accumulator that adds the 2-bit input `a` every cycle, and its

@@ -20,11 +20,15 @@
 //!   counterexample: a hit is the trace [`reach`] would return, and a search
 //!   out of budget reports the depth below which no trace exists, so the
 //!   SAT ladder can start there;
-//! * [`liveness`] (liveness under fairness) adds the pending-obligation
-//!   monitors to the state, builds the reachable transition graph, and
-//!   searches for a strongly connected component in which the obligation
-//!   stays pending while every assumed fairness is discharged — the exact
-//!   automata-theoretic criterion for a counterexample lasso.
+//! * [`liveness`] (liveness under fairness) explores the model with its
+//!   pending-obligation monitors, so the obligations are part of every
+//!   state, builds the reachable transition graph, and searches for a
+//!   strongly connected component in which the obligation stays pending
+//!   while every assumed fairness is discharged — the exact
+//!   automata-theoretic criterion for a counterexample lasso.  Its lasso,
+//!   a stem and a loop through that component with the inputs the search
+//!   found for every edge, is confirmed by the lasso replay
+//!   ([`crate::liveness::replay`]).
 //!
 //! The kernel expands one state at a time.  It loads the state's latch
 //! values once and settles the AIG once per *input word*: 64 valuations at
@@ -38,10 +42,11 @@
 
 use crate::aig::Lit;
 use crate::interrupt::Interrupt;
+use crate::liveness::Monitors;
 use crate::model::Model;
 use crate::psim::{replay, Evaluator, LaneWord, Lanes, ALL_LANES, LANE_MASKS};
 use crate::trace::Trace;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Options bounding the explicit exploration.
@@ -142,26 +147,28 @@ pub fn shortest(model: &Model, target: Lit, max_words: u64, interrupt: &Interrup
     }
 }
 
-/// Checks the liveness property `model.liveness[index]` under every
-/// fairness assumption of `model`.
+/// Checks a liveness property under every fairness assumption on its
+/// monitored `model` ([`crate::liveness::monitored`]), whose `monitors`
+/// make the obligations part of every state.
 ///
-/// The search explores `model` with a pending-obligation monitor register
-/// per fairness assumption and liveness property, so the obligations are
-/// part of every state, and then looks for a reachable cycle on which the
-/// obligation stays pending while every fairness obligation is discharged
-/// somewhere.  Such a cycle yields [`ExplicitResult::Violated`] with the
-/// stem from the initial state into it; unlike [`reach`]'s traces the stem
-/// is not replayed, as its last cycle records all-zero inputs.  An
-/// incomplete exploration (limits as for [`reach`], or the interrupt) is
+/// The search explores `model` completely and then looks for a reachable
+/// cycle on which the obligation stays pending while every fairness monitor
+/// is low somewhere: a strongly connected component of the pending states
+/// with such a cycle.  It yields [`ExplicitResult::Violated`] with a lasso:
+/// the breadth-first stem to the component's earliest-discovered state,
+/// then a loop inside the component from there through a state where each
+/// fairness monitor is low and back, every edge with the input valuation
+/// the search found for it.  The lasso is built by
+/// [`crate::liveness::replay`], which confirms it.  An incomplete
+/// exploration (limits as for [`reach`], or the interrupt) is
 /// [`ExplicitResult::Exceeded`].
 pub fn liveness(
     model: &Model,
-    index: usize,
+    monitors: &Monitors,
     options: &ExplicitOptions,
     interrupt: &Interrupt,
 ) -> ExplicitResult {
-    let (augmented, assert_pendings, fair_pendings) = model.with_pending_monitors();
-    let Some(mut search) = Search::new(&augmented, options) else {
+    let Some(mut search) = Search::new(model, options) else {
         return ExplicitResult::Exceeded;
     };
     if !matches!(search.explore(None, interrupt), End::Complete) {
@@ -175,8 +182,8 @@ pub fn liveness(
             .position(|&n| n == monitor.node())
             .expect("a pending monitor is a latch")
     };
-    let pending_bit = bit(assert_pendings[index]);
-    let fair_bits: Vec<usize> = fair_pendings.iter().map(|&l| bit(l)).collect();
+    let pending_bit = bit(monitors.pending);
+    let fair_bits: Vec<usize> = monitors.fairness.iter().map(|&l| bit(l)).collect();
 
     // Restrict to states where the obligation is pending and find the
     // strongly connected components of that subgraph.
@@ -199,7 +206,7 @@ pub fn liveness(
                 .any(|&s| (search.states[s as usize] >> bit) & 1 == 0)
         });
         if all_fair {
-            return ExplicitResult::Violated(search.stem(scc[0]));
+            return ExplicitResult::Violated(search.lasso(&scc, &fair_bits, monitors));
         }
     }
     ExplicitResult::Proven
@@ -328,16 +335,7 @@ impl<'m> Search<'m> {
     /// one, records each expanded state's successors.
     fn expand(&mut self, target: Option<Lit>, max_words: u64, interrupt: &Interrupt) -> End {
         let model = self.model;
-        let mut eval = Evaluator::new(&model.aig);
-        let inputs = self.input_nodes.len();
-        let lanes = 1u32 << inputs.min(LANE_MASKS.len());
-        let lane_mask = ALL_LANES >> (64 - lanes);
-        let words = 1u64 << inputs.saturating_sub(LANE_MASKS.len());
-        // The low six inputs take every combination across the lanes, the
-        // same in every word.
-        for (&node, &mask) in self.input_nodes.iter().zip(&LANE_MASKS) {
-            eval.set(node, mask);
-        }
+        let (mut eval, lane_mask, words) = self.evaluator();
         let mut spent = 0u64;
         // The depth of `states[current]`, and the index of the first state
         // deeper than it.
@@ -425,6 +423,20 @@ impl<'m> Search<'m> {
             Some(depth) => End::Incomplete { depth: depth + 1 },
             None => End::Complete,
         }
+    }
+
+    /// An evaluator of the model with the low six inputs taking every
+    /// combination across the lanes, the same in every input word; the mask
+    /// of the lanes in use; and the number of input words per state.
+    fn evaluator(&self) -> (Evaluator<LaneWord>, LaneWord, u64) {
+        let mut eval = Evaluator::new(&self.model.aig);
+        let inputs = self.input_nodes.len();
+        let lanes = 1u32 << inputs.min(LANE_MASKS.len());
+        let words = 1u64 << inputs.saturating_sub(LANE_MASKS.len());
+        for (&node, &mask) in self.input_nodes.iter().zip(&LANE_MASKS) {
+            eval.set(node, mask);
+        }
+        (eval, ALL_LANES >> (64 - lanes), words)
     }
 
     /// Loads the packed latch valuation `state` into `eval`, each latch 0
@@ -537,39 +549,97 @@ impl<'m> Search<'m> {
         path
     }
 
-    /// Reconstructs the stem of a liveness lasso, from the initial state to
-    /// `target`, with all inputs low in the last cycle.  Unlike the traces of
-    /// [`reach`] it is not replayed: those inputs need not satisfy the
-    /// constraints.
-    fn stem(&self, target: u32) -> Trace {
-        let path = self.path(target);
-        let cycles = path.len();
-        let aig = &self.model.aig;
-        let mut trace = Trace::new(cycles);
-        for (cycle, &state_idx) in path.iter().enumerate() {
-            let state = self.states[state_idx as usize];
-            for (i, &node) in self.latch_nodes.iter().enumerate() {
-                let name = aig
-                    .name_of(node)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("latch{i}"));
-                trace.record(cycle, &name, (state >> i) & 1 == 1, false);
-            }
-            // Inputs: the valuation used to reach the *next* state on the
-            // path (none after the last cycle).
-            let input = match path.get(cycle + 1) {
-                Some(&next) => self.preds[next as usize].1,
-                None => 0,
-            };
-            for (i, &node) in self.input_nodes.iter().enumerate() {
-                let name = aig
-                    .name_of(node)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("input{i}"));
-                trace.record(cycle, &name, (input >> i) & 1 == 1, true);
+    /// The lasso through the fair component `scc`: the stem to its
+    /// earliest-discovered state, a loop inside the component from there
+    /// through a state where each of `fair_bits` is low and back, and, in
+    /// the last cycle, the inputs of the loop's first edge again.  Built
+    /// and confirmed by [`crate::liveness::replay`].
+    fn lasso(&self, scc: &[u32], fair_bits: &[usize], monitors: &Monitors) -> Trace {
+        let mut member = vec![false; self.states.len()];
+        scc.iter().for_each(|&s| member[s as usize] = true);
+        let entry = *scc.iter().min().expect("a component has a state");
+        let mut cycle = vec![entry];
+        for &bit in fair_bits {
+            let at = *cycle.last().expect("the loop starts at its entry");
+            if (self.states[at as usize] >> bit) & 1 == 1 {
+                cycle.extend(self.walk(&member, at, |s| (self.states[s as usize] >> bit) & 1 == 0));
             }
         }
-        trace
+        let at = *cycle.last().expect("the loop starts at its entry");
+        cycle.extend(self.walk(&member, at, |s| s == entry));
+        let stem = self.path(entry);
+        let mut inputs: Vec<u64> = stem[1..]
+            .iter()
+            .map(|&s| self.preds[s as usize].1)
+            .collect();
+        inputs.extend(self.edge_inputs(&cycle));
+        inputs.push(inputs[stem.len() - 1]);
+        crate::liveness::replay(
+            self.model,
+            monitors,
+            stem.len() - 1,
+            inputs.len(),
+            |c, i| (inputs[c] >> i) & 1 == 1,
+        )
+        .expect("an explicit lasso replays on its model")
+    }
+
+    /// The states of a shortest walk of at least one edge from `from` to a
+    /// state satisfying `arrive`, inside the states marked in `member`;
+    /// `from` itself is left out.
+    fn walk(&self, member: &[bool], from: u32, arrive: impl Fn(u32) -> bool) -> Vec<u32> {
+        let mut parent: HashMap<u32, u32> = HashMap::new();
+        let mut queue = VecDeque::from([from]);
+        while let Some(state) = queue.pop_front() {
+            for &next in &self.succs[state as usize] {
+                if !member[next as usize] || parent.contains_key(&next) {
+                    continue;
+                }
+                parent.insert(next, state);
+                if arrive(next) {
+                    let mut walk = vec![next];
+                    let mut at = next;
+                    while parent[&at] != from {
+                        at = parent[&at];
+                        walk.push(at);
+                    }
+                    walk.reverse();
+                    return walk;
+                }
+                queue.push_back(next);
+            }
+        }
+        unreachable!("a strongly connected component connects its states")
+    }
+
+    /// The input valuation of each edge of the walk `states`, the first
+    /// constraint-satisfying one in the search's order (input word, then
+    /// lane).
+    fn edge_inputs(&self, states: &[u32]) -> Vec<u64> {
+        let model = self.model;
+        let (mut eval, lane_mask, words) = self.evaluator();
+        states
+            .windows(2)
+            .map(|edge| {
+                let to = self.states[edge[1] as usize];
+                self.load_state(&mut eval, self.states[edge[0] as usize]);
+                (0..words)
+                    .find_map(|high| {
+                        self.load_word(&mut eval, high);
+                        eval.settle();
+                        let mut hits = model
+                            .constraints
+                            .iter()
+                            .fold(lane_mask, |acc, &c| acc & eval.get(c));
+                        for (i, latch) in model.aig.latches().iter().enumerate() {
+                            let want = LaneWord::splat((to >> i) & 1 == 1);
+                            hits &= !(eval.get(latch.next) ^ want);
+                        }
+                        (hits != 0).then(|| valuation(high, hits.trailing_zeros()))
+                    })
+                    .expect("an explored edge has an input valuation")
+            })
+            .collect()
     }
 }
 
@@ -753,9 +823,20 @@ mod tests {
         });
 
         // Without fairness: the environment can withhold the grant forever.
+        // The lasso replays: its last state repeats its loop start's.
         let (options, none) = (ExplicitOptions::default(), Interrupt::none());
-        match liveness(&model, 0, &options, &none) {
-            ExplicitResult::Violated(trace) => assert!(!trace.is_empty()),
+        let (monitored, monitors) = crate::liveness::monitored(&model, 0);
+        match liveness(&monitored, &monitors, &options, &none) {
+            ExplicitResult::Violated(trace) => {
+                let start = trace.loop_start().expect("a lasso");
+                let input = |c: usize, i: usize| {
+                    let name = monitored.aig.input_name(i);
+                    trace.value(c, name).unwrap_or(false)
+                };
+                let replayed =
+                    crate::liveness::replay(&monitored, &monitors, start, trace.len(), input);
+                assert_eq!(replayed, Some(trace));
+            }
             other => panic!("expected violation, got {other:?}"),
         }
 
@@ -766,7 +847,11 @@ mod tests {
             trigger: busy,
             target: gnt,
         });
-        assert_eq!(liveness(&model, 0, &options, &none), ExplicitResult::Proven);
+        let (monitored, monitors) = crate::liveness::monitored(&model, 0);
+        assert_eq!(
+            liveness(&monitored, &monitors, &options, &none),
+            ExplicitResult::Proven
+        );
     }
 
     #[test]

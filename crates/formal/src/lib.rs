@@ -109,6 +109,7 @@ pub mod faults;
 pub mod fuzz;
 pub mod interrupt;
 pub mod lint;
+pub mod liveness;
 mod lower;
 pub mod model;
 pub mod opt;

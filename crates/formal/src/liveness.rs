@@ -1,0 +1,669 @@
+//! Liveness on the checked cone: a loop-constrained lasso search,
+//! k-liveness proofs and the one lasso replay.
+//!
+//! A liveness obligation `G (trigger -> F target)` is checked on its cone
+//! plus one pending-obligation monitor register per response property
+//! ([`monitored`]): the obligation's monitor is high while a trigger waits
+//! for its target, and each fairness assumption's monitor is high while the
+//! environment owes a response.  A counterexample is a fair *lasso*: a
+//! reachable loop on which the obligation stays pending while every
+//! fairness monitor is low somewhere, the criterion the explicit engine's
+//! SCC check uses too ([`crate::explicit::liveness`]).  Two SAT engines
+//! decide it:
+//!
+//! * [`lasso_search`] — bounded model checking with a loop constraint
+//!   (Biere, Cimatti, Clarke and Zhu, TACAS 1999): at depth `d` the state
+//!   at frame `d` repeats the state at some frame `j < d`, the obligation
+//!   is pending at frames `j..d`, every fairness monitor is low at some
+//!   frame of `j..d`, and the constraints hold on every frame.  Each depth
+//!   is one query under one activation literal, so the first lasso found
+//!   is a shortest one;
+//! * [`k_liveness`] — proofs by counting (Claessen and Sörensson, "A
+//!   Liveness Checking Algorithm that Counts", FMCAD 2012) on the
+//!   [`KLiveness`] model, which adds one "seen" bit per fairness assumption
+//!   and a counter of the fairness rounds completed while the obligation
+//!   stays pending, reset when it is discharged.  A fair lasso completes a
+//!   round on every pass through its loop, so a PDR invariant showing that
+//!   the counter never reaches k + 1 rules every fair lasso out.  One PDR
+//!   trapezoid serves k = 0, 1, … up to a fixed bound: only the target
+//!   moves.
+//!
+//! Every lasso a liveness engine reports, and every lasso the proof cache
+//! returns, is built or confirmed by [`replay`].
+
+use crate::aig::{Aig, Lit};
+use crate::interrupt::Interrupt;
+use crate::model::Model;
+use crate::pdr::{first_unreachable, Invariant, PdrOptions, PdrResult};
+use crate::sat::{SatLit, SatResult, SolverConfig, SolverStats};
+use crate::trace::Trace;
+use crate::unroll::Unroller;
+
+/// The largest k a k-liveness proof is attempted at: a counter of four
+/// bits.  Every corpus liveness proof closes at k ≤ 2.  Without fairness
+/// assumptions every pending cycle completes a round, so k is the longest
+/// the obligation can stay pending.
+const MAX_K: usize = 14;
+
+/// Width of the k-liveness round counter, enough to count to `MAX_K + 1`.
+const COUNTER_BITS: usize = (usize::BITS - (MAX_K + 1).leading_zeros()) as usize;
+
+/// The pending-obligation monitors of one liveness property, latches of
+/// its monitored model ([`monitored`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Monitors {
+    /// High while the obligation waits for its target.
+    pub pending: Lit,
+    /// One per fairness assumption: high while the environment owes its
+    /// response.
+    pub fairness: Vec<Lit>,
+}
+
+/// `model` plus one pending-obligation monitor per fairness assumption and
+/// liveness property, with the monitors of `model.liveness[index]`.
+pub fn monitored(model: &Model, index: usize) -> (Model, Monitors) {
+    let (monitored, pendings, fairness) = model.with_pending_monitors();
+    let monitors = Monitors {
+        pending: pendings[index],
+        fairness,
+    };
+    (monitored, monitors)
+}
+
+/// Outcome of a liveness engine.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LivenessResult {
+    /// A fair lasso: a counterexample whose last state repeats the state at
+    /// its [`Trace::loop_start`], replayed on the monitored model.
+    Violated(Trace),
+    /// No fair lasso exists: k-liveness holds at `k`, certified by an
+    /// invariant of the [`KLiveness`] model that keeps its counter below
+    /// k + 1.
+    Proven {
+        /// At most `k` fairness rounds complete while the obligation stays
+        /// pending.
+        k: usize,
+        /// The PDR invariant, over latches of the k-liveness model.
+        invariant: Invariant,
+    },
+    /// Undecided within the engine's bounds.
+    Unknown,
+    /// Preempted by the [`Interrupt`] before a verdict.
+    Interrupted,
+}
+
+/// The lane-0 value of `lit` in the simulator's settled cycle.
+fn bit(sim: &crate::psim::ParallelSim<'_>, lit: Lit) -> bool {
+    sim.word(lit) & 1 == 1
+}
+
+/// Replays a lasso of `cycles` cycles on the monitored `model`, where
+/// `input(cycle, i)` drives input `i` at `cycle`, and returns its trace,
+/// marked with `loop_start`, when it is a fair lasso: every invariant
+/// constraint holds on every cycle, the state of the last cycle equals the
+/// state at `loop_start`, the obligation is pending from `loop_start` on,
+/// and every fairness monitor is low on some cycle of the loop (from
+/// `loop_start` to the cycle before the last).
+///
+/// The lasso search, the explicit engine and the proof cache confirm every
+/// lasso they report this way.
+pub fn replay(
+    model: &Model,
+    monitors: &Monitors,
+    loop_start: usize,
+    cycles: usize,
+    input: impl Fn(usize, usize) -> bool,
+) -> Option<Trace> {
+    if loop_start + 1 >= cycles {
+        return None;
+    }
+    let latches: Vec<Lit> = model
+        .aig
+        .latches()
+        .iter()
+        .map(|l| Lit::new(l.node, false))
+        .collect();
+    let mut start = Vec::new();
+    let mut repeated = false;
+    let mut pending = true;
+    let mut discharged = vec![false; monitors.fairness.len()];
+    let trace = crate::psim::drive(model, cycles, input, |cycle, sim| {
+        if cycle < loop_start {
+            return;
+        }
+        pending &= bit(sim, monitors.pending);
+        if cycle == loop_start {
+            start = latches.iter().map(|&l| bit(sim, l)).collect();
+        }
+        if cycle + 1 == cycles {
+            repeated = latches
+                .iter()
+                .map(|&l| bit(sim, l))
+                .eq(start.iter().copied());
+        } else {
+            for (seen, &f) in discharged.iter_mut().zip(&monitors.fairness) {
+                *seen |= !bit(sim, f);
+            }
+        }
+    })?;
+    let fair = repeated && pending && discharged.iter().all(|&seen| seen);
+    fair.then(|| trace.with_loop_start(loop_start))
+}
+
+/// Searches `model` (monitored, with `monitors`) for a fair lasso whose
+/// loop closes at a depth of at most `max_depth`: the trace has at most
+/// `max_depth + 1` cycles, its last state repeating an earlier one.
+/// Depths are tried in increasing order, so a lasso found is a shortest
+/// one; it comes back as [`LivenessResult::Violated`], built by [`replay`].
+/// No lasso up to `max_depth` is [`LivenessResult::Unknown`].
+///
+/// The [`Interrupt`] handle is polled at every depth step and inside the
+/// SAT search; when it fires the search returns
+/// [`LivenessResult::Interrupted`].  The search records a `bmc.solve`
+/// span and counts as BMC solver work.
+pub fn lasso_search(
+    model: &Model,
+    monitors: &Monitors,
+    max_depth: usize,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (LivenessResult, SolverStats) {
+    let _span = crate::telemetry::span("bmc.solve", "");
+    let mut search = LassoSearch::new(model, monitors, solver, interrupt);
+    let result = search.run(max_depth);
+    let stats = search.unroller.stats();
+    crate::telemetry::count_solver("bmc", &stats);
+    (result, stats)
+}
+
+/// The incremental unrolling behind [`lasso_search`].
+struct LassoSearch<'a> {
+    model: &'a Model,
+    monitors: &'a Monitors,
+    unroller: Unroller<'a>,
+    latches: Vec<Lit>,
+    interrupt: &'a Interrupt,
+}
+
+impl<'a> LassoSearch<'a> {
+    fn new(
+        model: &'a Model,
+        monitors: &'a Monitors,
+        solver: SolverConfig,
+        interrupt: &'a Interrupt,
+    ) -> Self {
+        let mut unroller = Unroller::with_config(&model.aig, true, solver);
+        unroller.set_interrupt(interrupt.clone());
+        let latches = model
+            .aig
+            .latches()
+            .iter()
+            .map(|l| Lit::new(l.node, false))
+            .collect();
+        LassoSearch {
+            model,
+            monitors,
+            unroller,
+            latches,
+            interrupt,
+        }
+    }
+
+    fn constrain(&mut self, frame: usize) {
+        for &c in &self.model.constraints {
+            self.unroller.constrain(c, frame, true);
+        }
+    }
+
+    /// A fresh literal that implies the loop from frame `start` back from
+    /// frame `end`: the two states are equal, the obligation is pending at
+    /// `start..end`, and each fairness monitor is low somewhere in
+    /// `start..end`.
+    fn loop_literal(&mut self, start: usize, end: usize) -> SatLit {
+        let selected = self.unroller.new_free_lit();
+        for i in 0..self.latches.len() {
+            let a = self.unroller.lit_in_frame(self.latches[i], start);
+            let b = self.unroller.lit_in_frame(self.latches[i], end);
+            self.unroller
+                .add_clause(&[selected.negate(), a.negate(), b]);
+            self.unroller
+                .add_clause(&[selected.negate(), a, b.negate()]);
+        }
+        for frame in start..end {
+            let pending = self.unroller.lit_in_frame(self.monitors.pending, frame);
+            self.unroller.add_clause(&[selected.negate(), pending]);
+        }
+        for i in 0..self.monitors.fairness.len() {
+            let mut clause = vec![selected.negate()];
+            for frame in start..end {
+                let owed = self.unroller.lit_in_frame(self.monitors.fairness[i], frame);
+                clause.push(owed.negate());
+            }
+            self.unroller.add_clause(&clause);
+        }
+        selected
+    }
+
+    fn run(&mut self, max_depth: usize) -> LivenessResult {
+        self.constrain(0);
+        for depth in 1..=max_depth {
+            #[cfg(any(test, feature = "fault-injection"))]
+            self.interrupt.fault("bmc.depth_step");
+            if self.interrupt.poll().is_some() {
+                return LivenessResult::Interrupted;
+            }
+            self.constrain(depth);
+            let active = self.unroller.new_free_lit();
+            let loops: Vec<SatLit> = (0..depth)
+                .map(|start| self.loop_literal(start, depth))
+                .collect();
+            let mut some_loop = vec![active.negate()];
+            some_loop.extend_from_slice(&loops);
+            self.unroller.add_clause(&some_loop);
+            match self.unroller.solve_sat(&[active]) {
+                // A satisfiable answer is a genuine lasso even if the
+                // interrupt fired concurrently.
+                SatResult::Sat => return LivenessResult::Violated(self.lasso(depth, &loops)),
+                SatResult::Interrupted => return LivenessResult::Interrupted,
+                SatResult::Unsat => {}
+            }
+            if self.interrupt.triggered().is_some() {
+                return LivenessResult::Interrupted;
+            }
+            // This depth's loops can no longer be chosen.
+            self.unroller.add_clause(&[active.negate()]);
+        }
+        LivenessResult::Unknown
+    }
+
+    /// The lasso of a satisfiable query at `depth`: each frame's inputs and
+    /// the first loop start the model selects, replayed from reset.
+    fn lasso(&mut self, depth: usize, loops: &[SatLit]) -> Trace {
+        let start = loops
+            .iter()
+            .position(|&l| self.unroller.sat_value(l))
+            .expect("a satisfied lasso query selects a loop");
+        let nodes = self.model.aig.inputs();
+        let inputs: Vec<Vec<bool>> = (0..=depth)
+            .map(|frame| {
+                let value = |&node: &usize| self.unroller.model_value(Lit::new(node, false), frame);
+                nodes.iter().map(value).collect()
+            })
+            .collect();
+        replay(self.model, self.monitors, start, depth + 1, |cycle, i| {
+            inputs[cycle][i]
+        })
+        .expect("a BMC lasso replays on its model")
+    }
+}
+
+/// The k-liveness model of a liveness property: its monitored model plus
+/// one "seen" bit per fairness assumption and a counter of the fairness
+/// rounds completed while the obligation stays pending.
+///
+/// A round completes in a cycle where the obligation is pending and every
+/// fairness monitor has been low since the last round (or is low now); it
+/// clears the seen bits and counts.  A cycle without the obligation
+/// pending clears the seen bits and the counter.  The model is a function
+/// of the monitored model alone, so a stored invariant re-certifies on the
+/// model a later run builds from the same cone.
+#[derive(Debug, Clone)]
+pub struct KLiveness {
+    /// The monitored model with the seen bits and the counter added; no
+    /// properties, and the monitored model's constraints.
+    pub model: Model,
+    /// `targets[k]`: the counter at k + 1, the bad state of k-liveness at
+    /// `k`.
+    targets: Vec<Lit>,
+}
+
+impl KLiveness {
+    /// Builds the k-liveness model of the obligation with `monitors` on its
+    /// monitored `model`.
+    pub fn new(model: &Model, monitors: &Monitors) -> KLiveness {
+        let mut aig = model.aig.clone();
+        let pending = monitors.pending;
+        let seen: Vec<Lit> = (0..monitors.fairness.len())
+            .map(|i| aig.add_latch(format!("klive_seen{i}"), false))
+            .collect();
+        let count: Vec<Lit> = (0..COUNTER_BITS)
+            .map(|b| aig.add_latch(format!("klive_count[{b}]"), false))
+            .collect();
+        // Each fairness monitor is low now or was since the last round.
+        let served: Vec<Lit> = seen
+            .iter()
+            .zip(&monitors.fairness)
+            .map(|(&s, &owed)| aig.or(s, owed.invert()))
+            .collect();
+        let all_served = aig.and_many(&served);
+        let round = aig.and(pending, all_served);
+        let keep = aig.and(pending, round.invert());
+        for (&s, &served) in seen.iter().zip(&served) {
+            let next = aig.and(keep, served);
+            aig.set_latch_next(s, next);
+        }
+        let mut carry = round;
+        for &bit in &count {
+            let sum = aig.xor(bit, carry);
+            carry = aig.and(bit, carry);
+            let next = aig.and(pending, sum);
+            aig.set_latch_next(bit, next);
+        }
+        let targets = (1..=MAX_K + 1)
+            .map(|rounds| equals(&mut aig, &count, rounds))
+            .collect();
+        let mut klive = Model::new(aig);
+        klive.constraints = model.constraints.clone();
+        KLiveness {
+            model: klive,
+            targets,
+        }
+    }
+
+    /// The bad state of k-liveness at `k`; `None` beyond the largest k the
+    /// checker attempts.
+    pub fn target(&self, k: usize) -> Option<Lit> {
+        self.targets.get(k).copied()
+    }
+}
+
+/// `word == value`, for a constant `value`.
+fn equals(aig: &mut Aig, word: &[Lit], value: usize) -> Lit {
+    let bits: Vec<Lit> = word
+        .iter()
+        .enumerate()
+        .map(|(b, &lit)| {
+            if (value >> b) & 1 == 1 {
+                lit
+            } else {
+                lit.invert()
+            }
+        })
+        .collect();
+    aig.and_many(&bits)
+}
+
+/// Proves the obligation of `klive` by k-liveness: PDR on the k-liveness
+/// model asks whether the counter can reach k + 1, for k = 0, 1, … up to a
+/// fixed bound, on one trapezoid.  The first unreachable count is
+/// [`LivenessResult::Proven`] with its k and invariant; a count reached at
+/// the bound, or PDR out of `options`' frame or query budget (which covers
+/// every k), is [`LivenessResult::Unknown`].  k-liveness never finds a
+/// lasso.
+///
+/// The [`Interrupt`] handle is checked as [`crate::pdr::check_pdr_budgeted`]
+/// checks it; when it fires the run returns
+/// [`LivenessResult::Interrupted`], never a proof.  The run records a
+/// `pdr.solve` span and counts as PDR solver work.
+pub fn k_liveness(
+    klive: &KLiveness,
+    options: &PdrOptions,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (LivenessResult, SolverStats) {
+    let (result, k, stats) =
+        first_unreachable(&klive.model, &klive.targets, options, solver, interrupt);
+    let result = match result {
+        PdrResult::Proven(invariant) => LivenessResult::Proven { k, invariant },
+        PdrResult::Interrupted => LivenessResult::Interrupted,
+        PdrResult::Unknown { .. } | PdrResult::Violated(_) => LivenessResult::Unknown,
+    };
+    (result, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::ResponseProperty;
+    use crate::pdr::check_pdr_budgeted;
+
+    /// A request/grant handshake: `busy` rises with `req` and falls with
+    /// `gnt`.  The liveness property "every request is granted" has its
+    /// pending monitor; with `fair`, the assumption "a busy handshake is
+    /// eventually granted" has one too; with `constrained`, `req` and `gnt`
+    /// never rise together.
+    fn handshake(fair: bool, constrained: bool) -> (Model, Monitors) {
+        let mut aig = Aig::new();
+        let req = aig.add_input("req");
+        let gnt = aig.add_input("gnt");
+        let busy = aig.add_latch("busy", false);
+        let raised = aig.or(busy, req);
+        let next = aig.and(raised, gnt.invert());
+        aig.set_latch_next(busy, next);
+        let both = aig.and(req, gnt);
+        let mut model = Model::new(aig);
+        model.liveness.push(ResponseProperty {
+            name: "granted".into(),
+            trigger: req,
+            target: gnt,
+        });
+        if fair {
+            model.fairness.push(ResponseProperty {
+                name: "gnt_fair".into(),
+                trigger: busy,
+                target: gnt,
+            });
+        }
+        if constrained {
+            model.constraints.push(both.invert());
+        }
+        monitored(&model, 0)
+    }
+
+    /// `req` and `gnt` per cycle, as `(req, gnt)` pairs.
+    fn stimulus(cycles: &[(bool, bool)]) -> impl Fn(usize, usize) -> bool + '_ {
+        move |cycle, i| {
+            if i == 0 {
+                cycles[cycle].0
+            } else {
+                cycles[cycle].1
+            }
+        }
+    }
+
+    /// Requested in cycle 0, then never granted: the state of cycle 1
+    /// repeats in cycle 2.
+    const STARVED: [(bool, bool); 3] = [(true, false), (false, false), (false, false)];
+
+    #[test]
+    fn a_fair_lasso_replays_with_its_loop_start() {
+        let (model, monitors) = handshake(false, true);
+        let trace = replay(&model, &monitors, 1, 3, stimulus(&STARVED)).expect("a fair lasso");
+        assert_eq!((trace.len(), trace.loop_start()), (3, Some(1)));
+        assert_eq!(trace.value(2, "live0_pending"), Some(true));
+    }
+
+    #[test]
+    fn the_replay_rejects_a_loop_back_to_another_state() {
+        let (model, monitors) = handshake(true, false);
+        // The obligation is pending in cycles 1 and 2 and the grant is
+        // owed only from cycle 2 on, so the loop from cycle 1 is pending
+        // and fair, but cycle 2's state is not cycle 1's.
+        assert_eq!(replay(&model, &monitors, 1, 3, stimulus(&STARVED)), None);
+    }
+
+    #[test]
+    fn the_replay_rejects_an_obligation_discharged_inside_the_loop() {
+        let (model, monitors) = handshake(false, false);
+        // Granted in cycle 1, requested again in cycle 2: cycle 3 repeats
+        // cycle 1's state, but the obligation was discharged in cycle 2.
+        let cycles = [(true, false), (false, true), (true, false), (false, false)];
+        assert_eq!(replay(&model, &monitors, 1, 4, stimulus(&cycles)), None);
+        // The loop from cycle 3 on (one idle cycle) is a fair lasso.
+        let cycles = [
+            (true, false),
+            (false, true),
+            (true, false),
+            (false, false),
+            (false, false),
+        ];
+        assert!(replay(&model, &monitors, 3, 5, stimulus(&cycles)).is_some());
+    }
+
+    #[test]
+    fn the_replay_rejects_a_loop_that_never_discharges_a_fairness_assumption() {
+        // The starved handshake stays busy, so the environment owes its
+        // grant on every cycle of the loop from cycle 2 on.
+        let cycles = [
+            (true, false),
+            (false, false),
+            (false, false),
+            (false, false),
+        ];
+        let (model, monitors) = handshake(true, false);
+        assert_eq!(replay(&model, &monitors, 2, 4, stimulus(&cycles)), None);
+        let (model, monitors) = handshake(false, false);
+        assert!(replay(&model, &monitors, 2, 4, stimulus(&cycles)).is_some());
+    }
+
+    #[test]
+    fn the_replay_rejects_a_constraint_broken_on_the_closing_cycle() {
+        let (model, monitors) = handshake(false, true);
+        // The closing cycle raises `req` and `gnt` together; its state still
+        // repeats cycle 1's.
+        let cycles = [(true, false), (false, false), (true, true)];
+        assert_eq!(replay(&model, &monitors, 1, 3, stimulus(&cycles)), None);
+        let (model, monitors) = handshake(false, false);
+        assert!(replay(&model, &monitors, 1, 3, stimulus(&cycles)).is_some());
+    }
+
+    /// An unbudgeted lasso search to `depth`.
+    fn search(model: &Model, monitors: &Monitors, depth: usize) -> LivenessResult {
+        let none = Interrupt::none();
+        lasso_search(model, monitors, depth, SolverConfig::default(), &none).0
+    }
+
+    /// An unbudgeted k-liveness run with the default PDR bounds.
+    fn prove(klive: &KLiveness) -> LivenessResult {
+        let options = PdrOptions::default();
+        k_liveness(klive, &options, SolverConfig::default(), &Interrupt::none()).0
+    }
+
+    #[test]
+    fn the_lasso_search_finds_the_shortest_starvation_and_k_liveness_the_fair_proof() {
+        let (model, monitors) = handshake(false, true);
+        match search(&model, &monitors, 5) {
+            LivenessResult::Violated(trace) => {
+                // Requested in cycle 0, pending in cycle 1, repeated in 2.
+                assert_eq!((trace.len(), trace.loop_start()), (3, Some(1)));
+            }
+            other => panic!("expected a lasso, got {other:?}"),
+        }
+        assert_eq!(search(&model, &monitors, 1), LivenessResult::Unknown);
+        let klive = KLiveness::new(&model, &monitors);
+        assert_eq!(prove(&klive), LivenessResult::Unknown);
+
+        let (model, monitors) = handshake(true, true);
+        assert_eq!(search(&model, &monitors, 8), LivenessResult::Unknown);
+        let klive = KLiveness::new(&model, &monitors);
+        match prove(&klive) {
+            LivenessResult::Proven { k, invariant } => {
+                let bad = klive.target(k).expect("within the bound");
+                assert!(invariant.certify(&klive.model, bad));
+            }
+            other => panic!("expected a k-liveness proof, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_k_liveness_targets_stop_at_the_bound() {
+        let (model, monitors) = handshake(true, false);
+        let klive = KLiveness::new(&model, &monitors);
+        assert!(klive.target(MAX_K).is_some());
+        assert_eq!(klive.target(MAX_K + 1), None);
+        let added = klive.model.aig.num_latches() - model.aig.num_latches();
+        assert_eq!(added, monitors.fairness.len() + COUNTER_BITS);
+    }
+
+    #[test]
+    fn rounds_count_fairness_discharged_on_different_cycles() {
+        // A request is never answered, while the environment owes two
+        // responses in turn, as a toggle flips: each is discharged every
+        // other cycle, never both on one cycle.  So the starvation is a fair
+        // lasso, and no k-liveness proof may exist.
+        let mut aig = Aig::new();
+        let req = aig.add_input("req");
+        let toggle = aig.add_latch("toggle", false);
+        aig.set_latch_next(toggle, toggle.invert());
+        let mut model = Model::new(aig);
+        model.liveness.push(ResponseProperty {
+            name: "answered".into(),
+            trigger: req,
+            target: Lit::FALSE,
+        });
+        for (name, target) in [("even", toggle), ("odd", toggle.invert())] {
+            model.fairness.push(ResponseProperty {
+                name: name.into(),
+                trigger: Lit::TRUE,
+                target,
+            });
+        }
+        let (model, monitors) = monitored(&model, 0);
+        let limits = crate::explicit::ExplicitOptions::default();
+        let none = Interrupt::none();
+        let exact = crate::explicit::liveness(&model, &monitors, &limits, &none);
+        assert!(matches!(
+            exact,
+            crate::explicit::ExplicitResult::Violated(_)
+        ));
+        assert!(matches!(
+            search(&model, &monitors, 6),
+            LivenessResult::Violated(_)
+        ));
+        let klive = KLiveness::new(&model, &monitors);
+        assert_eq!(prove(&klive), LivenessResult::Unknown);
+    }
+
+    /// A request waits `latency` cycles for its response, counted down
+    /// from the request: the obligation stays pending for `latency`
+    /// cycles, each a round, so k-liveness holds first at k = latency.
+    fn delayed_response(latency: u128) -> (Model, Monitors) {
+        let mut aig = Aig::new();
+        let req = aig.add_input("req");
+        let width = 3;
+        let timer: Vec<Lit> = (0..width)
+            .map(|b| aig.add_latch(format!("timer[{b}]"), false))
+            .collect();
+        let idle = crate::words::reduce_or(&mut aig, &timer).invert();
+        let one = crate::words::constant(1, width);
+        let counted = crate::words::sub(&mut aig, &timer, &one);
+        let start = aig.and(idle, req);
+        let loaded = crate::words::constant(latency, width);
+        let running = crate::words::mux(&mut aig, idle, &timer, &counted);
+        let next = crate::words::mux(&mut aig, start, &loaded, &running);
+        for (&latch, &next) in timer.iter().zip(&next) {
+            aig.set_latch_next(latch, next);
+        }
+        let done = crate::words::eq(&mut aig, &timer, &one);
+        let mut model = Model::new(aig);
+        model.liveness.push(ResponseProperty {
+            name: "answered".into(),
+            trigger: start,
+            target: done,
+        });
+        monitored(&model, 0)
+    }
+
+    #[test]
+    fn incremental_k_liveness_proves_at_the_k_of_a_fresh_pdr_per_k() {
+        let none = Interrupt::none();
+        let options = PdrOptions::default();
+        for latency in 1..=5 {
+            let (model, monitors) = delayed_response(latency);
+            let klive = KLiveness::new(&model, &monitors);
+            let fresh = (0..=MAX_K).find(|&k| {
+                let bad = klive.target(k).expect("within the bound");
+                let config = SolverConfig::default();
+                check_pdr_budgeted(&klive.model, bad, &options, config, &none)
+                    .0
+                    .is_proven()
+            });
+            let incremental = match prove(&klive) {
+                LivenessResult::Proven { k, .. } => Some(k),
+                other => panic!("latency {latency}: {other:?}"),
+            };
+            assert_eq!(incremental, fresh, "latency {latency}");
+            assert_eq!(incremental, Some(latency as usize), "latency {latency}");
+        }
+    }
+}

@@ -11,8 +11,11 @@
 //!   `G (trigger -> F target)`, split into asserted obligations and assumed
 //!   environment fairness.
 //!
-//! Liveness is reduced to safety with the standard liveness-to-safety (L2S)
-//! loop-detection construction in [`Model::to_liveness_safety`].
+//! Liveness is checked on the model itself, with one pending-obligation
+//! monitor register per response property added
+//! ([`crate::liveness::monitored`]): a lasso search, k-liveness proofs and
+//! the explicit engine's SCC check all read the obligations from those
+//! monitors (see [`crate::liveness`]).
 
 use crate::aig::{Aig, Lit};
 
@@ -62,17 +65,6 @@ pub struct Model {
     pub fairness: Vec<ResponseProperty>,
 }
 
-/// The result of the liveness-to-safety transformation: a new [`Model`] whose
-/// bad literals correspond one-to-one to the original liveness assertions.
-#[derive(Debug, Clone)]
-pub struct LivenessSafetyModel {
-    /// The transformed model (safety only).
-    pub model: Model,
-    /// Names of the original liveness properties, in the same order as
-    /// `model.bads`.
-    pub property_names: Vec<String>,
-}
-
 impl Model {
     /// Creates an empty model around an existing circuit.
     pub fn new(aig: Aig) -> Self {
@@ -100,10 +92,9 @@ impl Model {
     /// literals.
     ///
     /// The returned literals are latch outputs of the augmented circuit, so
-    /// the explicit engine's liveness check ([`crate::explicit::liveness`])
-    /// reads the obligation status directly from the packed state;
-    /// [`Model::to_liveness_safety`] builds its loop detection on the same
-    /// monitors.
+    /// every liveness engine reads the obligation status from the state: the
+    /// lasso search and the explicit engine's SCC check directly, k-liveness
+    /// through its round counter (see [`crate::liveness`]).
     pub(crate) fn with_pending_monitors(&self) -> (Model, Vec<Lit>, Vec<Lit>) {
         let mut aig = self.aig.clone();
         let fair_pendings: Vec<Lit> = self
@@ -128,116 +119,6 @@ impl Model {
         };
         (model, assert_pendings, fair_pendings)
     }
-
-    /// Applies the liveness-to-safety transformation.
-    ///
-    /// For every asserted response property `G (a -> F b)` the transformed
-    /// model contains a bad state that is reachable exactly when the original
-    /// model has a reachable *fair lasso* on which the obligation stays
-    /// pending forever while every assumed fairness property is honoured.
-    ///
-    /// The construction (Biere/Artho/Schuppan), on one pending-obligation
-    /// monitor register per fairness assumption and liveness assertion:
-    ///
-    /// * a free oracle input `l2s_save` snapshots the full latch state into
-    ///   shadow registers (once),
-    /// * `always_pending` tracks that the obligation has been pending at
-    ///   every cycle since the snapshot,
-    /// * one `fair_seen` register per assumed fairness property records that
-    ///   its own pending flag was *low* at some cycle since the snapshot
-    ///   (i.e. the environment obligation was not permanently withheld),
-    /// * the bad state fires when the current state equals the snapshot, the
-    ///   assertion obligation was pending throughout, and every fairness
-    ///   witness was seen.
-    pub fn to_liveness_safety(&self) -> LivenessSafetyModel {
-        let (monitored, assert_pendings, fair_pendings) = self.with_pending_monitors();
-        let mut aig = monitored.aig;
-        let mut property_names = Vec::new();
-        let mut bads = Vec::new();
-
-        // Snapshot machinery.  The snapshot covers every latch of the
-        // *augmented* design (original latches plus the pending monitors), so
-        // a state match closes a genuine loop of the product automaton.
-        let original_latches: Vec<Lit> = aig
-            .latches()
-            .iter()
-            .map(|l| Lit::new(l.node, false))
-            .collect();
-
-        let save = aig.add_input("l2s_save");
-        let saved = aig.add_latch("l2s_saved", false);
-        let pulse = aig.and(save, saved.invert());
-        let saved_next = aig.or(saved, pulse);
-        aig.set_latch_next(saved, saved_next);
-
-        // Shadow registers.
-        let mut shadows = Vec::with_capacity(original_latches.len());
-        for (i, &latch) in original_latches.iter().enumerate() {
-            let shadow = aig.add_latch(format!("l2s_shadow{i}"), false);
-            let next = aig.mux(pulse, latch, shadow);
-            aig.set_latch_next(shadow, next);
-            shadows.push(shadow);
-        }
-
-        // `state == shadow` for the original (augmented) latches.
-        let eq_bits: Vec<Lit> = original_latches
-            .iter()
-            .zip(&shadows)
-            .map(|(&a, &b)| aig.xnor(a, b))
-            .collect();
-        let state_matches = aig.and_many(&eq_bits);
-
-        // Window-active signal: the snapshot cycle itself or any later cycle.
-        let in_window = aig.or(pulse, saved);
-
-        // Fairness witnesses: pending_i was low at some cycle in the window.
-        let mut fair_seen_all = Lit::TRUE;
-        for (i, &fp) in fair_pendings.iter().enumerate() {
-            let seen = aig.add_latch(format!("l2s_fair_seen{i}"), false);
-            let low_now = fp.invert();
-            let windowed_low = aig.and(in_window, low_now);
-            let keep = aig.and(seen, saved);
-            let next = aig.or(keep, windowed_low);
-            aig.set_latch_next(seen, next);
-            // The witness for the *current* cycle also counts, so the check
-            // uses `seen | (in_window & low_now)`.
-            let seen_now = aig.or(seen, windowed_low);
-            fair_seen_all = aig.and(fair_seen_all, seen_now);
-        }
-
-        for (i, prop) in self.liveness.iter().enumerate() {
-            let pending = assert_pendings[i];
-            // always_pending: the obligation held at every cycle in the window.
-            let always = aig.add_latch(format!("l2s_always_pending{i}"), true);
-            let still = aig.and(always, pending);
-            let windowed = aig.mux(in_window, still, Lit::TRUE);
-            aig.set_latch_next(always, windowed);
-            let always_now = aig.and(always, pending);
-
-            // Bad: we are back at the snapshot with the obligation pending
-            // throughout and all fairness witnesses observed.
-            let loop_closed = aig.and(saved, state_matches);
-            let bad = aig.and_many(&[loop_closed, always_now, fair_seen_all]);
-            bads.push(BadProperty {
-                name: prop.name.clone(),
-                lit: bad,
-            });
-            property_names.push(prop.name.clone());
-        }
-
-        let model = Model {
-            aig,
-            bads,
-            covers: Vec::new(),
-            constraints: self.constraints.clone(),
-            liveness: Vec::new(),
-            fairness: Vec::new(),
-        };
-        LivenessSafetyModel {
-            model,
-            property_names,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -261,23 +142,26 @@ mod tests {
     }
 
     #[test]
-    fn l2s_produces_one_bad_per_liveness_assertion() {
+    fn monitors_add_one_pending_latch_per_obligation() {
         let (mut model, _req, _gnt, busy) = busy_design();
         model.liveness.push(ResponseProperty {
             name: "busy_clears".into(),
             trigger: busy,
             target: busy.invert(),
         });
-        let l2s = model.to_liveness_safety();
-        assert_eq!(l2s.model.bads.len(), 1);
-        assert_eq!(l2s.property_names, vec!["busy_clears".to_string()]);
-        // The transformed model gained shadow latches and monitors.
-        assert!(l2s.model.aig.num_latches() > model.aig.num_latches());
-        assert!(l2s.model.liveness.is_empty());
+        let (monitored, pendings, fair) = model.with_pending_monitors();
+        assert_eq!(monitored.aig.num_latches(), model.aig.num_latches() + 1);
+        assert_eq!(pendings.len(), 1);
+        assert!(fair.is_empty());
+        assert_eq!(
+            monitored.aig.name_of(pendings[0].node()),
+            Some("live0_pending")
+        );
+        assert_eq!(monitored.liveness, model.liveness);
     }
 
     #[test]
-    fn l2s_with_fairness_adds_witness_latches() {
+    fn fairness_assumptions_get_monitors_of_their_own() {
         let (mut model, req, gnt, busy) = busy_design();
         model.liveness.push(ResponseProperty {
             name: "busy_clears".into(),
@@ -289,20 +173,14 @@ mod tests {
             trigger: req,
             target: gnt,
         });
-        let without_fair = {
-            let mut m = Model::new(model.aig.clone());
-            m.liveness = model.liveness.clone();
-            m.to_liveness_safety()
-        };
-        let with_fair = model.to_liveness_safety();
-        assert!(
-            with_fair.model.aig.num_latches() > without_fair.model.aig.num_latches(),
-            "fairness monitors must add latches"
-        );
+        let (monitored, pendings, fair) = model.with_pending_monitors();
+        assert_eq!(monitored.aig.num_latches(), model.aig.num_latches() + 2);
+        assert_eq!(monitored.aig.name_of(fair[0].node()), Some("fair0_pending"));
+        assert_ne!(fair[0], pendings[0]);
     }
 
     #[test]
-    fn constraints_are_preserved_by_l2s() {
+    fn constraints_are_preserved_by_the_monitors() {
         let (mut model, req, _gnt, busy) = busy_design();
         model.constraints.push(req);
         model.liveness.push(ResponseProperty {
@@ -310,7 +188,7 @@ mod tests {
             trigger: busy,
             target: busy.invert(),
         });
-        let l2s = model.to_liveness_safety();
-        assert_eq!(l2s.model.constraints, vec![req]);
+        let (monitored, _, _) = model.with_pending_monitors();
+        assert_eq!(monitored.constraints, vec![req]);
     }
 }

@@ -26,7 +26,8 @@
 //! * **predecessor lifting** — counterexamples-to-induction are widened
 //!   from a concrete state to a cube by ternary simulation of the AIG
 //!   (the dual-rail mode of the `psim` evaluator: set a latch to X;
-//!   keep it dropped while every target stays determined).  Only the
+//!   keep it dropped while every target stays determined), sweeping only
+//!   the gates the next-state functions, constraints and target read.  Only the
 //!   states that become proof obligations are lifted: the bad state the
 //!   blocking phase starts from and the predecessor a blocking query finds.
 //!   Pushing a clause up the trapezoid, dropping literals and propagating
@@ -257,10 +258,58 @@ pub fn check_pdr_budgeted(
 ) -> (PdrResult, SolverStats) {
     let _span = crate::telemetry::span("pdr.solve", "");
     let mut pdr = Pdr::new(model, bad, options, solver, interrupt.clone());
-    let result = pdr.run();
+    let result = match pdr.decide() {
+        Decision::Proven(invariant) => PdrResult::Proven(invariant),
+        Decision::Reached(chain) => PdrResult::Violated(pdr.trace_from_chain(chain)),
+        Decision::Unknown => PdrResult::Unknown {
+            frames_explored: pdr.frames.len() - 1,
+        },
+        Decision::Interrupted => PdrResult::Interrupted,
+    };
     let stats = pdr.unroller.stats();
     crate::telemetry::count_solver("pdr", &stats);
     (result, stats)
+}
+
+/// Checks `targets` of `model` in order on one trapezoid, until one is
+/// proven unreachable: a target PDR reaches hands its frames to the next
+/// one, since only the target moves and every frame still over-approximates
+/// the states reachable in that many steps.  The frame and query bounds of
+/// `options` cover the whole sequence.
+///
+/// Answers [`PdrResult::Proven`] with the index of the target it proved,
+/// or [`PdrResult::Unknown`] or [`PdrResult::Interrupted`] with the index
+/// of the target it was working on (`targets.len()` once every target was
+/// reached); never [`PdrResult::Violated`].  Spans and counters as for
+/// [`check_pdr_budgeted`].
+pub(crate) fn first_unreachable(
+    model: &Model,
+    targets: &[Lit],
+    options: &PdrOptions,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (PdrResult, usize, SolverStats) {
+    let _span = crate::telemetry::span("pdr.solve", "");
+    let first = targets.first().copied().unwrap_or(Lit::FALSE);
+    let mut pdr = Pdr::new(model, first, options, solver, interrupt.clone());
+    let decided = targets.iter().enumerate().find_map(|(index, &target)| {
+        pdr.retarget(target);
+        let result = match pdr.decide() {
+            Decision::Reached(_) => return None,
+            Decision::Proven(invariant) => PdrResult::Proven(invariant),
+            Decision::Unknown => PdrResult::Unknown {
+                frames_explored: pdr.frames.len() - 1,
+            },
+            Decision::Interrupted => PdrResult::Interrupted,
+        };
+        Some((result, index))
+    });
+    let frames_explored = pdr.frames.len() - 1;
+    let (result, index) =
+        decided.unwrap_or((PdrResult::Unknown { frames_explored }, targets.len()));
+    let stats = pdr.unroller.stats();
+    crate::telemetry::count_solver("pdr", &stats);
+    (result, index, stats)
 }
 
 /// A cube: a partial latch valuation, as sorted `(latch position, value)`
@@ -285,8 +334,21 @@ struct ObNode {
 
 enum BlockOutcome {
     Blocked,
-    Cex(Trace),
+    /// An obligation chain from this arena node, which contains the
+    /// initial state, reaches the target.
+    Cex(usize),
     Budget,
+    Interrupted,
+}
+
+/// How a run on the current target ended, before a counterexample chain is
+/// replayed into a trace.
+enum Decision {
+    Proven(Invariant),
+    /// The obligation chain from this arena node reaches the target from
+    /// the initial state.
+    Reached(usize),
+    Unknown,
     Interrupted,
 }
 
@@ -390,9 +452,17 @@ impl<'a> Pdr<'a> {
             queries: 0,
             arena: Vec::new(),
             seq: 0,
-            ternary: Evaluator::new(aig),
+            ternary: Self::lifting(model, bad),
             interrupt,
         }
+    }
+
+    /// The ternary evaluator of predecessor lifting: the gates the
+    /// next-state functions, the constraints and the target `bad` read.
+    fn lifting(model: &Model, bad: Lit) -> Evaluator<Ternary> {
+        let nexts = model.aig.latches().iter().map(|l| l.next);
+        let roots = nexts.chain(model.constraints.iter().copied()).chain([bad]);
+        Evaluator::for_roots(&model.aig, roots)
     }
 
     fn over_budget(&self) -> bool {
@@ -609,7 +679,7 @@ impl<'a> Pdr<'a> {
                 return BlockOutcome::Interrupted;
             }
             if self.cube_contains_init(&self.arena[id].cube) {
-                return BlockOutcome::Cex(self.trace_from_chain(id));
+                return BlockOutcome::Cex(id);
             }
             debug_assert!(frame >= 1, "non-init obligations sit at frame >= 1");
             let cube = self.arena[id].cube.clone();
@@ -745,23 +815,36 @@ impl<'a> Pdr<'a> {
             .expect("a PDR counterexample replays on its model")
     }
 
-    fn run(&mut self) -> PdrResult {
-        // Depth 0: a bad initial state is a one-frame counterexample.
-        let init_assumptions = {
-            let mut a = self.frame_assumptions(0);
-            a.push(self.bad0);
-            a
-        };
-        match self.solve(&init_assumptions) {
-            SatResult::Sat => {
-                let (_, inputs) = self.model_state();
-                let id = self.arena_push(Vec::new(), inputs, None);
-                return PdrResult::Violated(self.trace_from_chain(id));
+    /// Points the run at a new target.  The trapezoid stays: its frames
+    /// over-approximate reachability whatever the target, and the frontier
+    /// is blocked against the new target before any proof can close, which
+    /// blocks every lower frame too, since each is contained in the
+    /// frontier.
+    fn retarget(&mut self, bad: Lit) {
+        self.bad = bad;
+        self.bad0 = self.unroller.lit_in_frame(bad, 0);
+        self.ternary = Self::lifting(self.model, bad);
+        self.arena.clear();
+    }
+
+    fn decide(&mut self) -> Decision {
+        if self.frames.len() == 1 {
+            // Depth 0: a bad initial state is a one-frame counterexample.
+            let init_assumptions = {
+                let mut a = self.frame_assumptions(0);
+                a.push(self.bad0);
+                a
+            };
+            match self.solve(&init_assumptions) {
+                SatResult::Sat => {
+                    let (_, inputs) = self.model_state();
+                    return Decision::Reached(self.arena_push(Vec::new(), inputs, None));
+                }
+                SatResult::Unsat => {}
+                SatResult::Interrupted => return Decision::Interrupted,
             }
-            SatResult::Unsat => {}
-            SatResult::Interrupted => return PdrResult::Interrupted,
+            self.push_frame();
         }
-        self.push_frame();
 
         loop {
             // Blocking phase: clear every counterexample-to-induction at
@@ -770,38 +853,30 @@ impl<'a> Pdr<'a> {
                 #[cfg(any(test, feature = "fault-injection"))]
                 self.interrupt.fault("pdr.block_cube");
                 if self.over_budget() {
-                    return PdrResult::Unknown {
-                        frames_explored: self.frames.len() - 1,
-                    };
+                    return Decision::Unknown;
                 }
                 if self.interrupted() {
-                    return PdrResult::Interrupted;
+                    return Decision::Interrupted;
                 }
                 let frontier = self.frames.len() - 1;
                 let mut assumptions = self.frame_assumptions(frontier);
                 assumptions.push(self.bad0);
                 match self.solve(&assumptions) {
                     SatResult::Unsat => break,
-                    SatResult::Interrupted => return PdrResult::Interrupted,
+                    SatResult::Interrupted => return Decision::Interrupted,
                     SatResult::Sat => {
                         let (cube, inputs) = self.lift_bad();
                         match self.block(cube, inputs, frontier) {
                             BlockOutcome::Blocked => {}
-                            BlockOutcome::Cex(trace) => return PdrResult::Violated(trace),
-                            BlockOutcome::Budget => {
-                                return PdrResult::Unknown {
-                                    frames_explored: self.frames.len() - 1,
-                                }
-                            }
-                            BlockOutcome::Interrupted => return PdrResult::Interrupted,
+                            BlockOutcome::Cex(chain) => return Decision::Reached(chain),
+                            BlockOutcome::Budget => return Decision::Unknown,
+                            BlockOutcome::Interrupted => return Decision::Interrupted,
                         }
                     }
                 }
             }
             if self.frames.len() > self.options.max_frames {
-                return PdrResult::Unknown {
-                    frames_explored: self.frames.len() - 1,
-                };
+                return Decision::Unknown;
             }
             // Between frames: garbage-collect the clause database.  Every
             // blocked-cube query retires its temporary ¬cube clause through
@@ -811,7 +886,7 @@ impl<'a> Pdr<'a> {
             self.unroller.simplify();
             self.push_frame();
             if let Some(invariant) = self.propagate_clauses() {
-                return PdrResult::Proven(invariant);
+                return Decision::Proven(invariant);
             }
         }
     }

@@ -17,10 +17,12 @@
 //!   assembled from a parallel run renders byte-identically to a
 //!   sequential one;
 //! * `Verdict` — the one shape of a decided answer to "can the target be
-//!   reached?": yes with a trace, or no with a `Certificate` (an induction
-//!   depth, a PDR invariant or explicit reachability).  Every cascade stage
-//!   answers with one, the proof cache stores, re-checks and returns one,
-//!   and the checker turns one into a report status;
+//!   reached?" (for liveness: "is there a fair lasso?"): yes with a trace
+//!   (a lasso for liveness), or no with a `Certificate` (an induction
+//!   depth, a PDR invariant, a k-liveness invariant with its k, or explicit
+//!   reachability).  Every cascade stage answers with one, the proof cache
+//!   stores, re-checks and returns one, and the checker turns one into a
+//!   report status;
 //! * [`ProofCache`] — a process-wide store keyed by *slice fingerprint +
 //!   engine options + property name*, run by the checker as the first stage
 //!   of every property's cascade.  Identical cones (buggy/fixed design
@@ -29,25 +31,28 @@
 //!   instead of re-running engines.  Which
 //!   certificates cross the disk and how each artifact is re-checked are
 //!   decided here, once: a trace is replayed through the two-state
-//!   simulator on every hit; a PDR invariant must name latches of the live
-//!   slice and certify with an independent SAT check on every hit; a
-//!   k-induction depth is trusted when this process stored it and re-proven
-//!   on the first hit after loading it from disk (or rejected outright when
-//!   it exceeds the run's own induction bound); an explicit-reachability
-//!   proof never leaves the process and is trusted.  An entry that fails
-//!   its check is evicted and the property re-verified from scratch,
-//!   unless the task's budget cut the check short: that is a miss, and the
-//!   entry stays.  The cache spills to disk
+//!   simulator on every hit, a lasso through the lasso replay
+//!   ([`crate::liveness::replay`]); a PDR invariant must name latches of
+//!   the live slice and certify with an independent SAT check on every hit,
+//!   and a k-liveness invariant likewise on the k-liveness model built
+//!   from the live slice; a k-induction depth is trusted when this process
+//!   stored it and re-proven on the first hit after loading it from disk
+//!   (or rejected outright when it exceeds the run's own induction bound);
+//!   an explicit-reachability proof never leaves the process and is
+//!   trusted.  An entry that fails its check is evicted and the property
+//!   re-verified from scratch, unless the task's budget cut the check
+//!   short: that is a miss, and the entry stays.  The cache spills to disk
 //!   ([`ProofCache::open`]/[`ProofCache::flush`]).  Alongside the verdicts,
 //!   a cache also memoizes, in process only, the optimized form of every
 //!   cone slice an opt-on run prepared, so a re-run of unchanged RTL skips
-//!   the optimizer and the liveness-to-safety transform.
+//!   the optimizer.
 
-use crate::aig::Lit;
+use crate::aig::{Aig, Lit};
 use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use crate::checker::Proof;
 use crate::coi::Fingerprint;
 use crate::interrupt::Interrupt;
+use crate::liveness::{KLiveness, Monitors};
 use crate::model::Model;
 use crate::pdr::Invariant;
 use crate::sat::SolverConfig;
@@ -234,11 +239,13 @@ pub(crate) struct CacheKey {
 }
 
 /// A decided answer to the question every checked property asks: can its
-/// target literal be reached?  Artifacts are in the terms of the slice the
-/// property was checked on.
+/// target literal be reached (for liveness: is there a fair lasso)?
+/// Artifacts are in the terms of the model the property was checked on:
+/// its slice, plus the pending-obligation monitors for liveness.
 #[derive(Debug, Clone)]
 pub(crate) enum Verdict {
-    /// Yes: the counterexample (safety, liveness) or witness (cover).
+    /// Yes: the counterexample (safety), the lasso (liveness, with its
+    /// [`Trace::loop_start`]) or the witness (cover).
     Reached(Trace),
     /// No, and why.
     Unreachable(Certificate),
@@ -251,22 +258,44 @@ pub(crate) enum Certificate {
     Induction(usize),
     /// A PDR inductive invariant.
     Invariant(Invariant),
+    /// k-liveness at `k`: a PDR invariant of the k-liveness model
+    /// ([`KLiveness`]) that keeps its round counter below k + 1.
+    KLiveness { k: usize, invariant: Invariant },
     /// Exhaustive reachable-state enumeration by the explicit engine.
     Reachability,
 }
 
 impl Certificate {
-    /// The proof a proven safety or liveness property reports.
-    pub(crate) fn proof(&self, model: &Model) -> Proof {
+    /// The proof a proven safety or liveness property reports; `aig` is the
+    /// circuit an invariant's latches belong to (the k-liveness model's for
+    /// a k-liveness proof).
+    pub(crate) fn proof(&self, aig: &Aig) -> Proof {
         match self {
             Certificate::Induction(depth) => Proof::Induction { depth: *depth },
             Certificate::Invariant(invariant) => Proof::Invariant {
-                clauses: invariant.render(&model.aig),
+                clauses: invariant.render(aig),
                 frames: invariant.frames_explored,
+                k_liveness: None,
+            },
+            Certificate::KLiveness { k, invariant } => Proof::Invariant {
+                clauses: invariant.render(aig),
+                frames: invariant.frames_explored,
+                k_liveness: Some(*k),
             },
             Certificate::Reachability => Proof::Reachability,
         }
     }
+}
+
+/// What a cached verdict must show on the live model to be returned.
+#[derive(Clone, Copy)]
+pub(crate) enum Goal<'a> {
+    /// A trace reaching this literal, or a certificate that none does
+    /// (safety, cover).
+    Reach(Lit),
+    /// A fair lasso of the obligation with these monitors, or a k-liveness
+    /// certificate over this k-liveness model (liveness).
+    Lasso(&'a Monitors, &'a KLiveness),
 }
 
 /// A stored verdict plus its provenance: entries loaded from the on-disk
@@ -281,16 +310,19 @@ struct CacheEntry {
 }
 
 /// A cone slice in the form the engines check: the optimized slice when
-/// opt is on, the raw one otherwise.
+/// opt is on, the raw one otherwise, and for a liveness property that
+/// slice with its pending-obligation monitors, and its k-liveness model.
 #[derive(Debug, Clone)]
 pub(crate) struct PreparedSlice {
-    /// The slice model.
+    /// The model the engines check.
     pub model: Arc<Model>,
-    /// `model`'s own fingerprint, which keys its verdicts.
+    /// The slice's own fingerprint (without monitors), which keys its
+    /// verdicts.
     pub fingerprint: Fingerprint,
-    /// The (optimized) liveness-to-safety product of `model`, built for the
-    /// first liveness property that needs it.
-    pub l2s: Option<Arc<Model>>,
+    /// Latches and AND gates of the slice, without monitors.
+    pub cone: (usize, usize),
+    /// For liveness, the obligation's monitors and its k-liveness model.
+    pub liveness: Option<Arc<(Monitors, KLiveness)>>,
 }
 
 #[derive(Default)]
@@ -321,21 +353,25 @@ struct CacheInner {
 /// renders like a cold run.
 ///
 /// A cache opened with [`ProofCache::open`] is backed by a versioned
-/// on-disk spill file (`autosva-proof-cache v3`): entries load at open time
+/// on-disk spill file (`autosva-proof-cache v4`): entries load at open time
 /// (corruption-tolerant — a truncated or garbled file yields the readable
 /// prefix, never an error, and a file of another version loads empty) and
 /// [`ProofCache::flush`] writes them back atomically, so repeated CLI/CI
 /// invocations reuse proofs across processes.  The spill file is a trust
 /// boundary, so only verdicts whose artifact can be independently
-/// re-checked cross it: traces (`reached`, replayed on every hit), PDR
-/// invariants (`invariant`, re-certified on every hit) and induction
+/// re-checked cross it: traces (`reached`, replayed on every hit), lassos
+/// (`lasso`, with their loop start, replayed by the lasso replay on every
+/// hit), PDR invariants (`invariant`, re-certified on every hit),
+/// k-liveness invariants (`kliveness`, with their k, re-certified on every
+/// hit on the k-liveness model built from the live slice) and induction
 /// depths (`induction`, re-proven on the first hit after loading; entries
 /// stored by this process stay trusted on the fingerprint match).  Whether
 /// a trace is a counterexample or a witness, and whether an unreachable
 /// target is a proof or an unreachable cover, follows from the property's
 /// kind, so a cover's certificate crosses the disk like an assertion's.
 /// Parsed artifacts are bounds-checked (depth, clause, cycle and signal
-/// caps; invariant literals must name latches of the live model), so an
+/// caps, a loop start inside its trace, a k within the checker's bound;
+/// invariant literals must name latches of the live model), so an
 /// oversized forgery rejects cheaply instead of hanging the re-proof or
 /// panicking the encoder.  Explicit-engine reachability proofs have no
 /// re-checkable artifact and stay process-local: they are neither written
@@ -343,8 +379,8 @@ struct CacheInner {
 /// can therefore cost a re-verification but never mislead a report.
 ///
 /// The cache also memoizes prepared cone slices for opt-on runs, keyed by
-/// the raw slice fingerprint: the optimized slice, its fingerprint and its
-/// optimized liveness-to-safety product.  A later run over a
+/// the raw slice fingerprint: the optimized slice and its fingerprint (for
+/// liveness, with its monitors and k-liveness model).  A later run over a
 /// content-identical cone reuses them instead of optimizing again (counted
 /// by [`CacheStats::slices_reused`]); the optimizer is deterministic, so
 /// the reused slice is the one the run would have built.  The memo lives in
@@ -494,17 +530,6 @@ impl ProofCache {
         inner.slices.entry(raw).or_insert(slice).clone()
     }
 
-    /// Attaches the liveness-to-safety `product` to the slice memoized
-    /// under `raw` (the first product attached wins) and returns the
-    /// attached one.
-    pub(crate) fn memo_l2s(&self, raw: Fingerprint, product: Arc<Model>) -> Arc<Model> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        match inner.slices.get_mut(&raw) {
-            Some(slice) => Arc::clone(slice.l2s.get_or_insert(product)),
-            None => product,
-        }
-    }
-
     /// Stores a verdict (last write wins).
     pub(crate) fn store(&self, key: CacheKey, verdict: Verdict) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -520,7 +545,8 @@ impl ProofCache {
     }
 
     /// Looks up and re-validates a verdict for a property checked on
-    /// `model` with bad/cover literal `target`.
+    /// `model` (the slice, with the monitors for liveness) that must show
+    /// `goal`.
     ///
     /// The entry (if any) was produced on a slice with the same content
     /// fingerprint, so a failed check indicates a hash collision or a
@@ -535,7 +561,7 @@ impl ProofCache {
         &self,
         key: &CacheKey,
         model: &Model,
-        target: Lit,
+        goal: Goal<'_>,
         max_induction: usize,
         interrupt: &Interrupt,
     ) -> Option<Verdict> {
@@ -550,25 +576,38 @@ impl ProofCache {
             }
         };
         // Validation runs outside the lock: certification and replay are
-        // real engine work and must not serialize the worker pool.
-        let valid = match &entry.verdict {
-            Verdict::Reached(trace) => replay_confirms(model, target, trace),
+        // real engine work and must not serialize the worker pool.  A
+        // certificate of another kind of property than `goal`'s never
+        // validates.
+        let valid = match (&entry.verdict, goal) {
+            (Verdict::Reached(trace), Goal::Reach(target)) => replay_confirms(model, target, trace),
+            (Verdict::Reached(trace), Goal::Lasso(monitors, _)) => {
+                lasso_confirms(model, monitors, trace)
+            }
             // In-process entries are trusted on the fingerprint match (the
             // verdict was computed by this process); disk-loaded entries
             // are re-proven at their recorded depth once.  A depth beyond
             // the run's own bound cannot come from this configuration and
             // is rejected without a re-proof, whose cost grows steeply with
             // the depth.
-            Verdict::Unreachable(Certificate::Induction(depth)) => {
+            (Verdict::Unreachable(Certificate::Induction(depth)), Goal::Reach(target)) => {
                 !entry.unvalidated
                     || (*depth <= max_induction
                         && induction_reproves(model, target, &key.property, *depth, interrupt))
             }
-            Verdict::Unreachable(Certificate::Invariant(invariant)) => {
+            (Verdict::Unreachable(Certificate::Invariant(invariant)), Goal::Reach(target)) => {
                 clauses_fit_model(model, invariant.clauses()) && invariant.certify(model, target)
             }
+            (
+                Verdict::Unreachable(Certificate::KLiveness { k, invariant }),
+                Goal::Lasso(_, klive),
+            ) => klive.target(*k).is_some_and(|bad| {
+                clauses_fit_model(&klive.model, invariant.clauses())
+                    && invariant.certify(&klive.model, bad)
+            }),
             // Never spilled to disk, so always this process's own verdict.
-            Verdict::Unreachable(Certificate::Reachability) => true,
+            (Verdict::Unreachable(Certificate::Reachability), _) => true,
+            (Verdict::Unreachable(_), _) => false,
         };
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if valid {
@@ -600,8 +639,12 @@ const CACHE_FILE: &str = "proofs.cache";
 /// artifact alone (`induction`, `invariant`, `reached`), so a version 1
 /// reader would take a cover's `invariant` entry for a proof.  Version 3
 /// adds the engine-options digest to every entry line, so a version 2
-/// entry, which has none, could answer a run with other options.
-const CACHE_HEADER: &str = "autosva-proof-cache v3";
+/// entry, which has none, could answer a run with other options.  Version
+/// 4 checks liveness on the slice with its monitors instead of a
+/// liveness-to-safety product, and adds the `lasso` (a trace with its loop
+/// start) and `kliveness` (an invariant with its k) tags; a version 3
+/// liveness entry speaks of the product's latches.
+const CACHE_HEADER: &str = "autosva-proof-cache v4";
 /// Sanity bounds on parsed entries.  Legitimate artifacts sit far below
 /// these (induction depths ≤ the configured `max_induction`, traces ≤ the
 /// BMC bound, invariants ≤ a few hundred clauses); anything larger is a
@@ -648,6 +691,9 @@ fn unescape_name(escaped: &str) -> Option<String> {
 }
 
 fn render_trace(out: &mut String, trace: &Trace) {
+    if let Some(start) = trace.loop_start() {
+        let _ = write!(out, "{start} ");
+    }
     let _ = writeln!(out, "{} {}", trace.len(), trace.num_signals());
     for sig in trace.signals() {
         let bits: String = sig
@@ -678,24 +724,38 @@ fn render_cache_entry(out: &mut String, key: &CacheKey, verdict: &Verdict) {
     );
     match verdict {
         Verdict::Reached(trace) => {
-            let _ = write!(out, "{entry}\nreached ");
+            let tag = match trace.loop_start() {
+                Some(_) => "lasso",
+                None => "reached",
+            };
+            let _ = write!(out, "{entry}\n{tag} ");
             render_trace(out, trace);
         }
         Verdict::Unreachable(Certificate::Induction(depth)) => {
             let _ = writeln!(out, "{entry}\ninduction {depth}");
         }
         Verdict::Unreachable(Certificate::Invariant(invariant)) => {
-            let (frames, clauses) = (invariant.frames_explored, invariant.clauses());
-            let _ = writeln!(out, "{entry}\ninvariant {frames} {}", clauses.len());
-            for clause in clauses {
-                out.push_str("clause");
-                for lit in clause {
-                    let _ = write!(out, " {}", lit.raw());
-                }
-                out.push('\n');
-            }
+            let _ = write!(out, "{entry}\ninvariant ");
+            render_invariant(out, invariant);
+        }
+        Verdict::Unreachable(Certificate::KLiveness { k, invariant }) => {
+            let _ = write!(out, "{entry}\nkliveness {k} ");
+            render_invariant(out, invariant);
         }
         Verdict::Unreachable(Certificate::Reachability) => {}
+    }
+}
+
+/// An invariant's frame and clause counts, then one `clause` line each.
+fn render_invariant(out: &mut String, invariant: &Invariant) {
+    let (frames, clauses) = (invariant.frames_explored, invariant.clauses());
+    let _ = writeln!(out, "{frames} {}", clauses.len());
+    for clause in clauses {
+        out.push_str("clause");
+        for lit in clause {
+            let _ = write!(out, " {}", lit.raw());
+        }
+        out.push('\n');
     }
 }
 
@@ -753,6 +813,20 @@ fn parse_trace(header: &str, lines: &mut Lines<'_>) -> Option<Trace> {
     Some(trace)
 }
 
+/// Parses an invariant's header (`<frames> <clauses>`) and clause lines.
+fn parse_invariant(header: &str, lines: &mut Lines<'_>) -> Option<Invariant> {
+    let mut fields = header.split(' ');
+    let frames: usize = fields.next()?.parse().ok()?;
+    let count: usize = fields.next()?.parse().ok()?;
+    if count > MAX_CACHE_CLAUSES || fields.next().is_some() {
+        return None;
+    }
+    Some(Invariant::from_clauses(
+        parse_clauses(lines, count)?,
+        frames,
+    ))
+}
+
 /// Parses one entry's verdict (the `entry` line was already consumed);
 /// returns `None` on any malformed line.
 fn parse_verdict(lines: &mut Lines<'_>) -> Option<Verdict> {
@@ -760,6 +834,16 @@ fn parse_verdict(lines: &mut Lines<'_>) -> Option<Verdict> {
     let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
     let certificate = match tag {
         "reached" => return Some(Verdict::Reached(parse_trace(rest, lines)?)),
+        "lasso" => {
+            let (start, header) = rest.split_once(' ')?;
+            let start: usize = start.parse().ok()?;
+            let trace = parse_trace(header, lines)?;
+            // The replay on a hit checks the rest of the lasso.
+            if start >= trace.len() {
+                return None;
+            }
+            return Some(Verdict::Reached(trace.with_loop_start(start)));
+        }
         "induction" => {
             let depth: usize = rest.parse().ok()?;
             // Real induction depths are two orders below this; the lookup
@@ -769,17 +853,13 @@ fn parse_verdict(lines: &mut Lines<'_>) -> Option<Verdict> {
             }
             Certificate::Induction(depth)
         }
-        "invariant" => {
-            let mut fields = rest.split(' ');
-            let frames: usize = fields.next()?.parse().ok()?;
-            let count: usize = fields.next()?.parse().ok()?;
-            if count > MAX_CACHE_CLAUSES {
-                return None;
-            }
-            Certificate::Invariant(Invariant::from_clauses(
-                parse_clauses(lines, count)?,
-                frames,
-            ))
+        "invariant" => Certificate::Invariant(parse_invariant(rest, lines)?),
+        "kliveness" => {
+            let (k, header) = rest.split_once(' ')?;
+            // The lookup rejects a k beyond the checker's own bound.
+            let k: usize = k.parse().ok()?;
+            let invariant = parse_invariant(header, lines)?;
+            Certificate::KLiveness { k, invariant }
         }
         // Explicit-reachability proofs are never written; an unknown tag
         // stops the load at the clean prefix, so a forged one cannot
@@ -879,6 +959,17 @@ fn replay_confirms(model: &Model, target: Lit, trace: &Trace) -> bool {
     crate::psim::replay(model, target, trace.len(), input).is_some()
 }
 
+/// Replays a cached lasso against the live monitored model (see
+/// [`crate::liveness::replay`]): it must be a fair lasso back to its loop
+/// start, with every invariant constraint holding throughout.
+fn lasso_confirms(model: &Model, monitors: &Monitors, trace: &Trace) -> bool {
+    let input =
+        |cycle: usize, i: usize| trace.value(cycle, model.aig.input_name(i)).unwrap_or(false);
+    trace.loop_start().is_some_and(|start| {
+        crate::liveness::replay(model, monitors, start, trace.len(), input).is_some()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,7 +979,7 @@ mod tests {
 
     /// Looks `key()` up with a generous induction bound and no budget.
     fn lookup(cache: &ProofCache, model: &Model, target: Lit) -> Option<Verdict> {
-        cache.lookup(&key(), model, target, 12, &Interrupt::none())
+        cache.lookup(&key(), model, Goal::Reach(target), 12, &Interrupt::none())
     }
 
     /// A k-induction proof at `depth`.
@@ -1208,7 +1299,8 @@ mod tests {
         let prepared = |fp: u64| PreparedSlice {
             model: Arc::new(tiny_model().0),
             fingerprint: Fingerprint(fp, fp),
-            l2s: None,
+            cone: (1, 0),
+            liveness: None,
         };
         // A second run memoizes the same cone while the first one is still
         // preparing it (no lock is held meanwhile): its entry wins.
@@ -1217,17 +1309,8 @@ mod tests {
             prepared(2)
         });
         assert_eq!(winner.fingerprint.0, 1);
-        let first = Arc::new(safe_model().0);
-        let attached = cache.memo_l2s(raw, Arc::clone(&first));
-        assert!(Arc::ptr_eq(
-            &cache.memo_l2s(raw, Arc::new(safe_model().0)),
-            &attached
-        ));
         let hit = cache.prepared_slice(raw, || panic!("the cone is memoized"));
-        assert!(Arc::ptr_eq(
-            hit.l2s.as_ref().expect("product attached"),
-            &first
-        ));
+        assert!(Arc::ptr_eq(&hit.model, &winner.model));
         assert_eq!(cache.stats().slices_reused, 1);
 
         // The spill file carries verdicts only, and `clear` drops the memo.
@@ -1298,11 +1381,15 @@ mod tests {
             property: "other".into(),
         };
         let none = Interrupt::none();
-        assert!(cache.lookup(&other_key, &model, q, 12, &none).is_none());
+        assert!(cache
+            .lookup(&other_key, &model, Goal::Reach(q), 12, &none)
+            .is_none());
         assert_eq!(cache.stats().misses, 1);
         // So does the same property checked with other engine options.
         let other_options = CacheKey { config: 4, ..key() };
-        assert!(cache.lookup(&other_options, &model, q, 12, &none).is_none());
+        assert!(cache
+            .lookup(&other_options, &model, Goal::Reach(q), 12, &none)
+            .is_none());
         assert_eq!(cache.stats().misses, 2);
     }
 
@@ -1341,7 +1428,9 @@ mod tests {
         let (model, q) = safe_model();
         let cache = ProofCache::open(&dir);
         let none = Interrupt::none();
-        assert!(cache.lookup(&key(), &model, q, 4, &none).is_none());
+        assert!(cache
+            .lookup(&key(), &model, Goal::Reach(q), 4, &none)
+            .is_none());
         assert_eq!(cache.stats().rejected, 1);
         assert!(cache.is_empty(), "rejected entries must be evicted");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1361,7 +1450,9 @@ mod tests {
         let (model, q) = safe_model();
         let cache = ProofCache::open(&dir);
         let expired = Interrupt::new(Some(Instant::now()), None);
-        assert!(cache.lookup(&key(), &model, q, 12, &expired).is_none());
+        assert!(cache
+            .lookup(&key(), &model, Goal::Reach(q), 12, &expired)
+            .is_none());
         let stats = cache.stats();
         assert_eq!((stats.rejected, stats.misses), (0, 1));
         assert_eq!(cache.len(), 1, "a preempted check must keep the entry");
@@ -1433,6 +1524,128 @@ mod tests {
         let cache = ProofCache::open(&dir);
         assert_eq!(cache.len(), 1);
         assert!(lookup(&cache, &model, q).is_none());
+        assert_eq!(cache.stats().rejected, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A liveness obligation "every request is granted" (`granted`) or,
+    /// with `always`, one whose target always holds, on its monitored
+    /// model, with its monitors and k-liveness model.
+    fn liveness_model(always: bool) -> (Model, Monitors, KLiveness) {
+        let mut aig = Aig::new();
+        let req = aig.add_input("req");
+        let gnt = aig.add_input("gnt");
+        let mut model = Model::new(aig);
+        model.liveness.push(crate::model::ResponseProperty {
+            name: "granted".into(),
+            trigger: req,
+            target: if always { Lit::TRUE } else { gnt },
+        });
+        let (model, monitors) = crate::liveness::monitored(&model, 0);
+        let klive = KLiveness::new(&model, &monitors);
+        (model, monitors, klive)
+    }
+
+    #[test]
+    fn lassos_and_k_liveness_proofs_cross_the_disk_and_recheck() {
+        let dir = scratch_dir("liveness-roundtrip");
+        let none = Interrupt::none();
+        // Requested in cycle 0 and never granted: cycle 2 repeats cycle 1.
+        let (starved, starved_monitors, starved_klive) = liveness_model(false);
+        let input = |cycle: usize, i: usize| cycle == 0 && i == 0;
+        let lasso = crate::liveness::replay(&starved, &starved_monitors, 1, 3, input)
+            .expect("a fair lasso");
+        let (granted, monitors, klive) = liveness_model(true);
+        let (proof, _) = crate::liveness::k_liveness(
+            &klive,
+            &crate::pdr::PdrOptions::default(),
+            SolverConfig::default(),
+            &none,
+        );
+        let crate::liveness::LivenessResult::Proven { k, invariant } = proof else {
+            panic!("expected a k-liveness proof, got {proof:?}");
+        };
+        let key = |name: &str| CacheKey {
+            property: name.into(),
+            ..key()
+        };
+        {
+            let cache = ProofCache::open(&dir);
+            cache.store(key("lasso"), Verdict::Reached(lasso.clone()));
+            cache.store(
+                key("proof"),
+                Verdict::Unreachable(Certificate::KLiveness { k, invariant }),
+            );
+            cache.flush().expect("flush");
+        }
+        let cache = ProofCache::open(&dir);
+        assert_eq!(cache.len(), 2);
+        let starved_goal = Goal::Lasso(&starved_monitors, &starved_klive);
+        match cache.lookup(&key("lasso"), &starved, starved_goal, 12, &none) {
+            Some(Verdict::Reached(hit)) => assert_eq!(hit, lasso),
+            other => panic!("expected the lasso, got {other:?}"),
+        }
+        let goal = Goal::Lasso(&monitors, &klive);
+        match cache.lookup(&key("proof"), &granted, goal, 12, &none) {
+            Some(Verdict::Unreachable(Certificate::KLiveness { k: hit, .. })) => assert_eq!(hit, k),
+            other => panic!("expected the k-liveness proof, got {other:?}"),
+        }
+        // A lasso of the starved obligation is no lasso of the granted one.
+        assert!(cache
+            .lookup(&key("lasso"), &granted, goal, 12, &none)
+            .is_none());
+        assert_eq!(cache.stats().rejected, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_liveness_entries_reject_cleanly() {
+        let dir = scratch_dir("forged-liveness");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("proofs.cache");
+        let fp = "0000000000000001 0000000000000002 0000000000000003";
+        let (model, monitors, klive) = liveness_model(true);
+        let goal = Goal::Lasso(&monitors, &klive);
+        let none = Interrupt::none();
+        // (a) a loop start outside its trace: rejected at parse time.
+        std::fs::write(
+            &path,
+            format!("{CACHE_HEADER}\nentry {fp} q_high\nlasso 3 3 0\n"),
+        )
+        .unwrap();
+        assert!(ProofCache::open(&dir).is_empty());
+        // (b) a k beyond the checker's bound: parses, and the lookup
+        // rejects it without certifying anything.
+        assert_eq!(klive.target(99), None);
+        std::fs::write(
+            &path,
+            format!("{CACHE_HEADER}\nentry {fp} q_high\nkliveness 99 1 0\n"),
+        )
+        .unwrap();
+        let cache = ProofCache::open(&dir);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup(&key(), &model, goal, 12, &none).is_none());
+        assert_eq!(cache.stats().rejected, 1);
+        // (c) a clause over a latch the k-liveness model lacks, next to one
+        // the initial state satisfies: rejected instead of panicking in the
+        // encoder.
+        let idle = monitors.pending.invert().raw();
+        std::fs::write(
+            &path,
+            format!("{CACHE_HEADER}\nentry {fp} q_high\nkliveness 0 1 1\nclause {idle} 199998\n"),
+        )
+        .unwrap();
+        let cache = ProofCache::open(&dir);
+        assert!(cache.lookup(&key(), &model, goal, 12, &none).is_none());
+        assert_eq!(cache.stats().rejected, 1);
+        // (d) a safety certificate answers no liveness goal.
+        std::fs::write(
+            &path,
+            format!("{CACHE_HEADER}\nentry {fp} q_high\ninvariant 1 0\n"),
+        )
+        .unwrap();
+        let cache = ProofCache::open(&dir);
+        assert!(cache.lookup(&key(), &model, goal, 12, &none).is_none());
         assert_eq!(cache.stats().rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -171,6 +171,23 @@ impl<W: Lanes> Evaluator<W> {
         }
     }
 
+    /// An evaluator for `aig` that settles only the AND gates in the fanin
+    /// of `roots`: the values of those literals are exactly
+    /// [`Evaluator::new`]'s, and every other gate stays false.
+    pub fn for_roots(aig: &Aig, roots: impl IntoIterator<Item = Lit>) -> Self {
+        let mut needed = vec![false; aig.num_nodes()];
+        roots.into_iter().for_each(|lit| needed[lit.node()] = true);
+        for n in (0..aig.num_nodes()).rev() {
+            if let (true, Node::And(a, b)) = (needed[n], aig.node(n)) {
+                needed[a.node()] = true;
+                needed[b.node()] = true;
+            }
+        }
+        let mut eval = Evaluator::new(aig);
+        eval.gates.retain(|&(out, _, _)| needed[out]);
+        eval
+    }
+
     /// Sets the value of a leaf node.
     pub fn set(&mut self, node: usize, value: W) {
         self.words[node] = value;
@@ -289,6 +306,24 @@ pub fn replay(
     cycles: usize,
     input: impl Fn(usize, usize) -> bool,
 ) -> Option<Trace> {
+    let mut fired = false;
+    let trace = drive(model, cycles, input, |cycle, sim| {
+        fired = cycle + 1 == cycles && sim.word(target) & 1 == 1;
+    })?;
+    fired.then_some(trace)
+}
+
+/// The simulation under [`replay`] and the lasso replay
+/// ([`crate::liveness::replay`]): drives `input(cycle, i)` for `cycles`
+/// cycles from reset in lane 0 and records the trace, showing `observe`
+/// each cycle once its inputs have settled.  `None` when `cycles` is 0 or
+/// an invariant constraint fails on some cycle.
+pub(crate) fn drive(
+    model: &Model,
+    cycles: usize,
+    input: impl Fn(usize, usize) -> bool,
+    mut observe: impl FnMut(usize, &ParallelSim<'_>),
+) -> Option<Trace> {
     if cycles == 0 {
         return None;
     }
@@ -296,7 +331,6 @@ pub fn replay(
     let mut sim = ParallelSim::new(model);
     let mut inputs = vec![0; aig.num_inputs()];
     let mut trace = Trace::new(cycles);
-    let mut fired = false;
     for cycle in 0..cycles {
         for latch in aig.latches() {
             let name = aig.name_of(latch.node).unwrap_or("latch");
@@ -312,10 +346,10 @@ pub fn replay(
         if sim.constraints_word() & 1 == 0 {
             return None;
         }
-        fired = sim.word(target) & 1 == 1;
+        observe(cycle, &sim);
         sim.advance();
     }
-    fired.then_some(trace)
+    Some(trace)
 }
 
 #[cfg(test)]

@@ -5,6 +5,11 @@
 //! by the bounded model checker and rendered as a compact waveform-style
 //! table, mirroring how a hardware designer would read a formal tool's
 //! counterexample.
+//!
+//! A liveness counterexample is a *lasso*: a trace whose last state repeats
+//! the state at an earlier cycle, its loop start
+//! ([`Trace::loop_start`]), so the cycles from the loop start on repeat
+//! forever.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,6 +30,8 @@ pub struct SignalTrace {
 pub struct Trace {
     cycles: usize,
     signals: BTreeMap<String, SignalTrace>,
+    /// The cycle whose state the last cycle repeats, for a lasso.
+    loop_start: Option<usize>,
 }
 
 impl Trace {
@@ -33,7 +40,25 @@ impl Trace {
         Trace {
             cycles,
             signals: BTreeMap::new(),
+            loop_start: None,
         }
+    }
+
+    /// The trace as a lasso whose last state repeats the state at cycle
+    /// `start`.
+    #[must_use]
+    pub fn with_loop_start(self, start: usize) -> Trace {
+        Trace {
+            loop_start: Some(start),
+            ..self
+        }
+    }
+
+    /// For a lasso, the cycle whose state the last cycle repeats: the
+    /// cycles from there to the one before the last loop forever.  `None`
+    /// for a finite trace.
+    pub fn loop_start(&self) -> Option<usize> {
+        self.loop_start
     }
 
     /// Number of cycles in the trace.

@@ -201,8 +201,9 @@ fn a_forged_induction_depth_is_rejected_without_stalling_the_run() {
 /// run and a BMC-off run renders like a cold default run.  A5 and O1 buggy
 /// have the deepest fuzz hits (32 and 17 cycles once minimized, far longer
 /// as the fuzzer found them).  A BMC-off run proves by PDR what a default
-/// run proves by k-induction (A2 fixed) and finds 6-cycle liveness
-/// counterexamples where a default run finds 4 (A4 buggy).
+/// run proves by k-induction (A2 fixed), and finds by the explicit stage
+/// the liveness counterexamples a default run's lasso search finds in 4
+/// cycles (A4 buggy).
 #[test]
 fn a_bmc_off_run_caches_no_unminimized_trace() {
     // Each run, and whether the fuzzer finds a safety bug in it (A4's bug

@@ -228,7 +228,7 @@ const ROWS: &[Row] = &[
 /// `cache.lookup` are absent on purpose: the default cascade never reaches
 /// the explicit engine on the corpus, and the telemetry rows run without
 /// a proof cache.
-const REQUIRED_PHASES: &str = "parse elab compile lint slice opt opt.pass l2s task \
+const REQUIRED_PHASES: &str = "parse elab compile lint slice opt opt.pass task \
     engine.fuzz fuzz.round engine.bmc bmc.solve engine.pdr pdr.solve";
 
 /// One case/variant run of the corpus: its inputs, its caches, and the
@@ -489,10 +489,7 @@ fn bounded(options: &mut CheckOptions) {
         max_depth: 15,
         max_induction: 10,
     };
-    options.liveness_bmc = BmcOptions {
-        max_depth: 10,
-        max_induction: 6,
-    };
+    options.lasso_depth = 10;
 }
 
 fn no_check(_: &VerificationReport, _: &Run, _: &mut Corpus) {}

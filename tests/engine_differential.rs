@@ -14,10 +14,13 @@ use autosva_formal::aig::{Aig, Lit};
 use autosva_formal::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
 use autosva_formal::checker::verify_elaborated;
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
-use autosva_formal::explicit::{reach, shortest, ExplicitOptions, ExplicitResult, Shortest};
+use autosva_formal::explicit::{
+    liveness as explicit_liveness, reach, shortest, ExplicitOptions, ExplicitResult, Shortest,
+};
 use autosva_formal::fuzz::{fuzz_safety_budgeted, FuzzOptions};
 use autosva_formal::interrupt::Interrupt;
-use autosva_formal::model::{BadProperty, Model};
+use autosva_formal::liveness::{self, k_liveness, lasso_search, KLiveness, LivenessResult};
+use autosva_formal::model::{BadProperty, Model, ResponseProperty};
 use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
 use autosva_formal::psim::replay;
 use autosva_formal::sat::{SatLit, SatResult, SolverConfig};
@@ -509,6 +512,101 @@ proptest! {
                     trace.len(),
                     depth
                 );
+            }
+        }
+    }
+}
+
+/// [`constrained_model`] with one liveness obligation and `fairness`
+/// fairness assumptions, each a response property between two random
+/// literals of its nodes.
+fn liveness_model(
+    seed: u64,
+    num_latches: usize,
+    num_inputs: usize,
+    num_gates: usize,
+    constraints: usize,
+    fairness: usize,
+) -> Model {
+    let mut model = constrained_model(seed, num_latches, num_inputs, num_gates, constraints);
+    let mut rng = XorShift(seed.rotate_left(17) | 1);
+    let nodes = model.aig.num_nodes();
+    let mut response = |name: String| {
+        let mut lit = || Lit::new(1 + rng.below(nodes - 1), rng.flip());
+        ResponseProperty {
+            name,
+            trigger: lit(),
+            target: lit(),
+        }
+    };
+    model.liveness.push(response("live".into()));
+    model.fairness = (0..fairness)
+        .map(|i| response(format!("fair{i}")))
+        .collect();
+    model
+}
+
+/// Whether a lasso's recorded inputs replay to a fair lasso on `model`.
+fn lasso_replays(model: &Model, monitors: &liveness::Monitors, trace: &Trace) -> bool {
+    let input =
+        |cycle: usize, i: usize| trace.value(cycle, model.aig.input_name(i)).unwrap_or(false);
+    let start = trace.loop_start().expect("a lasso names its loop start");
+    liveness::replay(model, monitors, start, trace.len(), input).as_ref() == Some(trace)
+}
+
+proptest! {
+    /// The lasso search and k-liveness agree with the explicit engine's SCC
+    /// check, which is exact at these sizes, on random models with
+    /// constraints and up to two fairness assumptions: a lasso the search
+    /// finds exists, a k-liveness proof means there is none, and the search
+    /// finds a lasso whenever the explicit engine's fits its depth.  Every
+    /// lasso replays, and every k-liveness invariant certifies on the
+    /// k-liveness model.  Each case checks four models.
+    #[test]
+    fn lasso_search_and_k_liveness_agree_with_the_explicit_scc_check(
+        seed in 1u64..u64::MAX,
+        num_latches in 1usize..6,
+        num_inputs in 1usize..4,
+        num_gates in 4usize..16,
+        constraints in 0usize..3,
+        fairness in 0usize..3,
+    ) {
+        const DEPTH: usize = 10;
+        let (none, config) = (Interrupt::none(), SolverConfig::default());
+        let limits = ExplicitOptions { max_states: 1 << 12, max_inputs: 8 };
+        for seed in (0..4).map(|k| seed.wrapping_add(k)) {
+            let base = liveness_model(seed, num_latches, num_inputs, num_gates, constraints, fairness);
+            let (model, monitors) = liveness::monitored(&base, 0);
+            let exact = match explicit_liveness(&model, &monitors, &limits, &none) {
+                ExplicitResult::Violated(lasso) => Some(lasso),
+                ExplicitResult::Proven => None,
+                ExplicitResult::Exceeded => panic!("seed {seed}: a tiny model exceeded the limits"),
+            };
+            if let Some(lasso) = &exact {
+                prop_assert!(lasso_replays(&model, &monitors, lasso), "seed {seed}: explicit lasso");
+            }
+            match lasso_search(&model, &monitors, DEPTH, config, &none).0 {
+                LivenessResult::Violated(lasso) => {
+                    prop_assert!(exact.is_some(), "seed {seed}: a lasso the SCC check rules out");
+                    prop_assert!(lasso_replays(&model, &monitors, &lasso), "seed {seed}: BMC lasso");
+                    let longest = exact.as_ref().map_or(usize::MAX, Trace::len);
+                    prop_assert!(lasso.len() <= longest, "seed {seed}: not a shortest lasso");
+                }
+                LivenessResult::Unknown => prop_assert!(
+                    exact.as_ref().is_none_or(|lasso| lasso.len() > DEPTH + 1),
+                    "seed {seed}: the search missed a lasso within its depth"
+                ),
+                other => panic!("seed {seed}: lasso search answered {other:?}"),
+            }
+            let klive = KLiveness::new(&model, &monitors);
+            match k_liveness(&klive, &PdrOptions::default(), config, &none).0 {
+                LivenessResult::Proven { k, invariant } => {
+                    prop_assert!(exact.is_none(), "seed {seed}: k-liveness proved a violated property");
+                    let bad = klive.target(k).expect("a proof within the bound");
+                    prop_assert!(invariant.certify(&klive.model, bad), "seed {seed}: k={k}");
+                }
+                LivenessResult::Unknown => {}
+                other => panic!("seed {seed}: k-liveness answered {other:?}"),
             }
         }
     }

@@ -13,9 +13,10 @@
 //!
 //! After the model lines, one line per checked property pins the same three
 //! figures for the property's cone-of-influence slice, for that slice after
-//! [`opt::optimize`], and — for liveness — for the optimized
-//! liveness-to-safety product of the optimized slice: exactly the models
-//! the engines check and the proof cache keys on.
+//! [`opt::optimize`], and — for liveness — for the k-liveness model of the
+//! optimized slice with its pending-obligation monitors
+//! ([`KLiveness`]): exactly the models the engines check and the proof
+//! cache keys on.
 //!
 //! ```sh
 //! cargo test -q --test model_golden
@@ -27,6 +28,7 @@ use autosva_designs::{all_cases, elaborated, lint_demo_source, struct_demo_sourc
 use autosva_formal::coi::{self, cone_of_influence, SliceTarget};
 use autosva_formal::compile::{compile, CompiledKind, CompiledTestbench};
 use autosva_formal::elab::{elaborate, ElabOptions};
+use autosva_formal::liveness::{self, KLiveness};
 use autosva_formal::model::Model;
 use autosva_formal::opt;
 
@@ -99,8 +101,9 @@ fn snapshot() -> String {
                 shape(&optimized)
             );
             if let SliceTarget::Liveness(_) = target {
-                let product = opt::optimize(&optimized.to_liveness_safety().model).0;
-                line.push_str(&format!(", \"l2s\": {{{}}}", shape(&product)));
+                let (monitored, monitors) = liveness::monitored(&optimized, 0);
+                let klive = KLiveness::new(&monitored, &monitors);
+                line.push_str(&format!(", \"klive\": {{{}}}", shape(&klive.model)));
             }
             line.push('}');
             lines.push(line);
@@ -122,7 +125,7 @@ fn every_shipped_model_matches_the_golden() {
 
 /// Regenerates `crates/designs/golden/models.json` in place.  Run after an
 /// intentional change to the models the front end builds, or to the slices,
-/// optimized slices and liveness products the checker derives from them:
+/// optimized slices and k-liveness models the checker derives from them:
 ///
 /// ```sh
 /// cargo test --release --test model_golden -- --ignored regenerate_golden

@@ -14,6 +14,7 @@
 use autosva_bench::{build_testbench, default_check_options};
 use autosva_designs::{by_id, Variant};
 use autosva_formal::checker::{verify, CheckOptions, VerificationReport};
+use autosva_formal::portfolio::ProofCache;
 use autosva_formal::telemetry::validate_chrome_trace;
 
 const GOLDEN: &str = include_str!("../crates/designs/golden/telemetry_A1.json");
@@ -117,6 +118,46 @@ fn file_sinks_write_both_documents() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `decided.<stage>` counters attribute every checked row to the stage
+/// that decided it, and `undecided.<stage>.conflicts` add up what the
+/// stages that decided nothing spent, as the rows' `stages:` lists say —
+/// in a cold run and in a warm one, which the cache decides alone.
+#[test]
+fn stage_counters_add_up_to_the_checked_rows() {
+    let case = by_id("A1").expect("corpus case A1 exists");
+    let ft = build_testbench(&case);
+    let mut options: CheckOptions = default_check_options(&case, Variant::Fixed);
+    options.telemetry.enabled = true;
+    options.parallel.cache = Some(ProofCache::new());
+    for pass in ["cold", "warm"] {
+        let report = verify(case.source, &ft, &options).expect("A1 verifies");
+        let telemetry = report.telemetry.as_ref().expect("telemetry attached");
+        let counter = |name: String| telemetry.counter(&name).unwrap_or(0);
+        let mut decided = 0;
+        for stage in ["cache", "fuzz", "bmc", "pdr", "explicit"] {
+            let rows = report.checked().filter(|r| r.engine == Some(stage));
+            let decided_here = counter(format!("decided.{stage}"));
+            assert_eq!(decided_here, rows.count() as u64, "{pass}: {stage}");
+            decided += decided_here;
+            let undecided: u64 = report
+                .checked()
+                .flat_map(|r| &r.stages[..r.stages.len() - usize::from(r.engine.is_some())])
+                .filter(|spend| spend.engine == stage)
+                .map(|spend| spend.conflicts)
+                .sum();
+            let counted = counter(format!("undecided.{stage}.conflicts"));
+            assert_eq!(counted, undecided, "{pass}: {stage}");
+        }
+        assert_eq!(decided, report.checked().count() as u64, "{pass}");
+    }
+    let warm = verify(case.source, &ft, &options).expect("A1 verifies");
+    let telemetry = warm.telemetry.as_ref().expect("telemetry attached");
+    assert_eq!(
+        telemetry.counter("decided.cache"),
+        Some(warm.checked().count() as u64)
+    );
 }
 
 /// Regenerates `crates/designs/golden/telemetry_A1.json` in place.  Run

@@ -4,8 +4,10 @@
 //! trace reaching a target literal with increasing bound; when none is
 //! found it attempts a k-induction proof strengthened with simple-path
 //! (loop-free) constraints, which makes the method complete for
-//! finite-state designs given enough depth.  Reaching a bad state is a
-//! counterexample, reaching a cover a witness.
+//! finite-state designs given enough depth.  It answers with the one
+//! [`Verdict`]: a reached target with its trace (a counterexample for a bad
+//! state, a witness for a cover), or an unreachable one with the induction
+//! depth as its [`Certificate`].
 
 use crate::aig::Lit;
 use crate::interrupt::Interrupt;
@@ -13,6 +15,7 @@ use crate::model::Model;
 use crate::sat::{SolverConfig, SolverStats};
 use crate::trace::Trace;
 use crate::unroll::Unroller;
+use crate::verdict::{Certificate, Verdict};
 
 /// Options controlling the bounded engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,41 +31,6 @@ impl Default for BmcOptions {
         BmcOptions {
             max_depth: 40,
             max_induction: 30,
-        }
-    }
-}
-
-/// Outcome of a safety check.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SafetyResult {
-    /// The property holds; proven by k-induction at the recorded depth.
-    Proven {
-        /// Induction depth at which the proof closed.
-        induction_depth: usize,
-    },
-    /// A counterexample trace was found.
-    Violated(Trace),
-    /// Neither a counterexample nor a proof was found within the bounds.
-    Unknown {
-        /// Largest counterexample-free bound explored.
-        explored_depth: usize,
-    },
-    /// The check was preempted by its [`Interrupt`] handle (deadline or
-    /// budget) before reaching a verdict.
-    Interrupted,
-}
-
-impl SafetyResult {
-    /// `true` when the property was proven.
-    pub fn is_proven(&self) -> bool {
-        matches!(self, SafetyResult::Proven { .. })
-    }
-
-    /// The counterexample trace, if any.
-    pub fn trace(&self) -> Option<&Trace> {
-        match self {
-            SafetyResult::Violated(t) => Some(t),
-            _ => None,
         }
     }
 }
@@ -90,14 +58,16 @@ fn extract_trace(model: &Model, unroller: &mut Unroller<'_>, target: Lit, depth:
 }
 
 /// The question every bounded check asks: can `target` be reached on
-/// `model`?  A reached target comes back as [`SafetyResult::Violated`]
-/// with its trace, an unreachable one as [`SafetyResult::Proven`] at the
-/// closing induction depth.  `name` labels the telemetry span; the
-/// returned [`SolverStats`] aggregate the BMC and induction solvers.
+/// `model`?  A reached target comes back as [`Verdict::Reached`] with its
+/// trace, an unreachable one as [`Verdict::Unreachable`] with the closing
+/// induction depth ([`Certificate::Induction`]), and `None` when the bounds
+/// or the [`Interrupt`] stop the check first.  `name` labels the telemetry
+/// span; the returned [`SolverStats`] aggregate the BMC and induction
+/// solvers.
 ///
 /// The [`Interrupt`] handle is polled at every depth step and inside the
-/// SAT search loops; when it fires the check returns
-/// [`SafetyResult::Interrupted`].  Callers without a budget pass
+/// SAT search loops; once it has fired the check answers `None` or a
+/// trace, never a proof.  Callers without a budget pass
 /// `SolverConfig::default()` and [`Interrupt::none`].
 pub fn check_target_budgeted(
     model: &Model,
@@ -106,10 +76,10 @@ pub fn check_target_budgeted(
     options: &BmcOptions,
     solver: SolverConfig,
     interrupt: &Interrupt,
-) -> (SafetyResult, SolverStats) {
+) -> (Option<Verdict>, SolverStats) {
     let _span = crate::telemetry::span("bmc.solve", name);
     let induction = Some(options.max_induction);
-    let (result, stats) = ladder(
+    let (verdict, stats) = ladder(
         model,
         target,
         0,
@@ -119,16 +89,15 @@ pub fn check_target_budgeted(
         interrupt,
     );
     crate::telemetry::count_solver("bmc", &stats);
-    (result, stats)
+    (verdict, stats)
 }
 
 /// The BMC ladder alone over the depths `from..=max_depth`, for a caller
 /// that knows no trace reaches `target` below depth `from`: the frames
 /// below it are unrolled and constrained but never queried, and no
-/// induction query is asked.  It answers [`SafetyResult::Violated`] with a
-/// shortest trace, [`SafetyResult::Unknown`] when none is found up to
-/// `max_depth`, or [`SafetyResult::Interrupted`].  Spans and counters as
-/// for [`check_target_budgeted`].
+/// induction query is asked.  It answers [`Verdict::Reached`] with a
+/// shortest trace, or `None` when none is found up to `max_depth` or the
+/// interrupt fires.  Spans and counters as for [`check_target_budgeted`].
 pub(crate) fn ladder_from(
     model: &Model,
     target: Lit,
@@ -137,11 +106,11 @@ pub(crate) fn ladder_from(
     max_depth: usize,
     solver: SolverConfig,
     interrupt: &Interrupt,
-) -> (SafetyResult, SolverStats) {
+) -> (Option<Verdict>, SolverStats) {
     let _span = crate::telemetry::span("bmc.solve", name);
-    let (result, stats) = ladder(model, target, from, max_depth, None, solver, interrupt);
+    let (verdict, stats) = ladder(model, target, from, max_depth, None, solver, interrupt);
     crate::telemetry::count_solver("bmc", &stats);
-    (result, stats)
+    (verdict, stats)
 }
 
 /// The uninstrumented BMC loop behind [`check_target_budgeted`] and
@@ -156,8 +125,7 @@ fn ladder(
     max_induction: Option<usize>,
     solver: SolverConfig,
     interrupt: &Interrupt,
-) -> (SafetyResult, SolverStats) {
-    // Phase 1: BMC — look for a counterexample with increasing depth.
+) -> (Option<Verdict>, SolverStats) {
     let mut bmc = Unroller::with_config(&model.aig, true, solver);
     let mut induction = Induction::new(model, bad, solver);
     bmc.set_interrupt(interrupt.clone());
@@ -165,56 +133,42 @@ fn ladder(
     for depth in 0..from.min(max_depth + 1) {
         apply_constraints(&mut bmc, &model.constraints, depth);
     }
-    for depth in from..=max_depth {
-        #[cfg(any(test, feature = "fault-injection"))]
-        interrupt.fault("bmc.depth_step");
-        if interrupt.poll().is_some() {
-            return (SafetyResult::Interrupted, bmc.stats() + induction.stats());
-        }
-        apply_constraints(&mut bmc, &model.constraints, depth);
-        if bmc.solve_with(&[(bad, depth, true)]) {
-            // A satisfiable answer is a genuine model even if the
-            // interrupt fired concurrently: extract the counterexample.
-            let trace = extract_trace(model, &mut bmc, bad, depth);
-            let stats = bmc.stats() + induction.stats();
-            return (SafetyResult::Violated(trace), stats);
-        }
-        if interrupt.triggered().is_some() {
-            // The "no counterexample at this depth" answer may be an
-            // interrupted solve in disguise; never unroll further.
-            return (SafetyResult::Interrupted, bmc.stats() + induction.stats());
-        }
-        // Try to close a k-induction proof at this depth before unrolling
-        // further; `depth` counterexample-free frames form the base case.
-        if max_induction.is_some_and(|max| depth <= max)
-            && try_induction_at(depth)
-            && induction.step_holds(depth)
-        {
-            let stats = bmc.stats() + induction.stats();
-            if interrupt.triggered().is_some() {
-                // `step_holds` negates a boolean solve: an interrupted
-                // query would read as "step holds".  The latch check
-                // keeps an interrupted solve from becoming a proof.
-                return (SafetyResult::Interrupted, stats);
+    let verdict = 'ladder: {
+        for depth in from..=max_depth {
+            #[cfg(any(test, feature = "fault-injection"))]
+            interrupt.fault("bmc.depth_step");
+            if interrupt.poll().is_some() {
+                break 'ladder None;
             }
-            return (
-                SafetyResult::Proven {
-                    induction_depth: depth,
-                },
-                stats,
-            );
+            apply_constraints(&mut bmc, &model.constraints, depth);
+            if bmc.solve_with(&[(bad, depth, true)]) {
+                // A satisfiable answer is a genuine model even if the
+                // interrupt fired concurrently: extract the counterexample.
+                let trace = extract_trace(model, &mut bmc, bad, depth);
+                break 'ladder Some(Verdict::Reached(trace));
+            }
+            if interrupt.triggered().is_some() {
+                // The "no counterexample at this depth" answer may be an
+                // interrupted solve in disguise; never unroll further.
+                break 'ladder None;
+            }
+            // Try to close a k-induction proof at this depth before
+            // unrolling further; `depth` counterexample-free frames form
+            // the base case.
+            if max_induction.is_some_and(|max| depth <= max)
+                && try_induction_at(depth)
+                && induction.step_holds(depth)
+            {
+                // `step_holds` negates a boolean solve: an interrupted
+                // query would read as "step holds".  The latch check keeps
+                // an interrupted solve from becoming a proof.
+                let proven = Verdict::Unreachable(Certificate::Induction(depth));
+                break 'ladder interrupt.triggered().is_none().then_some(proven);
+            }
         }
-        if interrupt.triggered().is_some() {
-            return (SafetyResult::Interrupted, bmc.stats() + induction.stats());
-        }
-    }
-    let stats = bmc.stats() + induction.stats();
-    (
-        SafetyResult::Unknown {
-            explored_depth: max_depth,
-        },
-        stats,
-    )
+        None
+    };
+    (verdict, bmc.stats() + induction.stats())
 }
 
 /// Induction is attempted at every small depth and then every third depth.
@@ -317,9 +271,17 @@ mod tests {
     use crate::model::CoverProperty;
 
     /// An unbudgeted check of `target` with the default solver.
-    fn check(model: &Model, target: Lit, options: &BmcOptions) -> SafetyResult {
+    fn check(model: &Model, target: Lit, options: &BmcOptions) -> Option<Verdict> {
         let config = SolverConfig::default();
         check_target_budgeted(model, target, "", options, config, &Interrupt::none()).0
+    }
+
+    /// Whether `verdict` is a k-induction proof.
+    fn proven(verdict: &Option<Verdict>) -> bool {
+        matches!(
+            verdict,
+            Some(Verdict::Unreachable(Certificate::Induction(_)))
+        )
     }
 
     /// A 3-bit counter that saturates at 7.
@@ -363,7 +325,7 @@ mod tests {
         });
         let result = check(&model, model.bads[0].lit, &BmcOptions::default());
         match result {
-            SafetyResult::Violated(trace) => {
+            Some(Verdict::Reached(trace)) => {
                 assert_eq!(trace.len(), 6); // value 5 reached at frame 5
             }
             other => panic!("expected violation, got {other:?}"),
@@ -387,7 +349,7 @@ mod tests {
             lit: bad,
         });
         let result = check(&model, model.bads[0].lit, &BmcOptions::default());
-        assert!(result.is_proven(), "got {result:?}");
+        assert!(proven(&result), "got {result:?}");
     }
 
     #[test]
@@ -413,7 +375,7 @@ mod tests {
             lit: bad,
         });
         let result = check(&model, model.bads[0].lit, &BmcOptions::default());
-        assert!(result.is_proven(), "got {result:?}");
+        assert!(proven(&result), "got {result:?}");
     }
 
     #[test]
@@ -431,7 +393,7 @@ mod tests {
             lit: q,
         });
         let result = check(&model, model.bads[0].lit, &BmcOptions::default());
-        assert!(result.is_proven(), "got {result:?}");
+        assert!(proven(&result), "got {result:?}");
     }
 
     #[test]
@@ -446,7 +408,7 @@ mod tests {
             lit: target,
         });
         match check(&model, model.covers[0].lit, &BmcOptions::default()) {
-            SafetyResult::Violated(trace) => assert_eq!(trace.len(), 8),
+            Some(Verdict::Reached(trace)) => assert_eq!(trace.len(), 8),
             other => panic!("expected cover witness, got {other:?}"),
         }
     }
@@ -461,7 +423,11 @@ mod tests {
             name: "never".into(),
             lit: Lit::FALSE,
         });
-        assert!(check(&model, model.covers[0].lit, &BmcOptions::default()).is_proven());
+        assert!(proven(&check(
+            &model,
+            model.covers[0].lit,
+            &BmcOptions::default()
+        )));
     }
 
     #[test]
@@ -485,7 +451,7 @@ mod tests {
                 max_induction: 3,
             },
         );
-        assert_eq!(result, SafetyResult::Unknown { explored_depth: 3 });
+        assert_eq!(result, None);
     }
 
     #[test]
@@ -500,8 +466,11 @@ mod tests {
             name: "reaches_three".into(),
             lit: b,
         });
-        let result = check(&model, model.bads[0].lit, &BmcOptions::default());
-        let trace = result.trace().expect("counterexample expected");
+        let Some(Verdict::Reached(trace)) =
+            check(&model, model.bads[0].lit, &BmcOptions::default())
+        else {
+            panic!("counterexample expected");
+        };
         assert_eq!(trace.len(), 4);
         // Frame 3: c0=1, c1=1, c2=0.
         assert_eq!(trace.value(3, "c0"), Some(true));

@@ -25,13 +25,13 @@
 //! 6. **full-depth BMC** — BMC and k-induction to the configured bounds;
 //!    for liveness, the lasso search to [`CheckOptions::lasso_depth`].
 //!
-//! Every stage answers with the same crate-private verdict: reached, with a
-//! trace (a replay-confirmed lasso for liveness), or unreachable, with a
-//! certificate (an induction depth, a PDR invariant, a k-liveness invariant
-//! or explicit reachability).  The proof cache stores and
-//! re-checks that verdict, and one conversion turns it into the report's
-//! [`PropertyStatus`].  The stage that decides a property is its provenance
-//! ([`PropertyResult::engine`]).
+//! Every engine answers with the one [`Verdict`] of [`crate::verdict`]:
+//! reached, with a trace (a replay-confirmed lasso for liveness), or
+//! unreachable, with a certificate (an induction depth, a PDR invariant, a
+//! k-liveness invariant or explicit reachability).  The proof cache stores
+//! and re-checks that verdict, and one conversion turns it into the
+//! report's [`PropertyStatus`].  The stage that decides a property is its
+//! provenance ([`PropertyResult::engine`]).
 //!
 //! Properties are independent tasks that run concurrently on a worker pool
 //! ([`crate::portfolio`]), with results assembled back in annotation order
@@ -48,20 +48,19 @@
 //! property, what every stage that ran spent ([`StageSpend`]).
 
 use crate::aig::Aig;
-use crate::bmc::{self, check_target_budgeted, BmcOptions, SafetyResult};
+use crate::bmc::{self, check_target_budgeted, BmcOptions};
 use crate::coi::{cone_of_influence, fingerprint, Fingerprint, Fnv2, SliceTarget};
 use crate::compile::{compile, CompiledKind, CompiledTestbench};
 use crate::elab::{elaborate_budgeted, ElabDesign, ElabOptions, Result};
-use crate::explicit::{self, ExplicitOptions, ExplicitResult, Shortest};
+use crate::explicit::{self, ExplicitOptions, Shortest};
 use crate::fuzz::{fuzz_safety_budgeted, FuzzOptions, FuzzStats};
 use crate::interrupt::{Interrupt, InterruptReason};
 use crate::lint::{LintOptions, LintReport};
-use crate::liveness::{self, KLiveness, LivenessResult};
+use crate::liveness::{self, k_liveness, lasso_search, KLiveness};
 use crate::model::{BadProperty, Model};
-use crate::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
+use crate::pdr::{check_pdr_budgeted, PdrOptions};
 use crate::portfolio::{
-    run_ordered, CacheKey, CacheStats, Certificate, Goal, ParallelOptions, PreparedSlice,
-    ProofCache, Verdict,
+    run_ordered, CacheKey, CacheStats, Goal, ParallelOptions, PreparedSlice, ProofCache,
 };
 use crate::sat::{SolverConfig, SolverStats};
 use crate::telemetry::{
@@ -69,6 +68,7 @@ use crate::telemetry::{
 };
 use crate::trace::Trace;
 use crate::vcd::VcdOptions;
+use crate::verdict::{Certificate, Verdict};
 use autosva::sva::{Directive, PropertyClass};
 use autosva::FormalTestbench;
 use std::cell::Cell;
@@ -229,6 +229,25 @@ impl Proof {
                 }
             }
             Proof::Reachability => "explicit reachability".to_string(),
+        }
+    }
+
+    /// The proof `certificate` reports; `aig` is the circuit an invariant's
+    /// latches belong to (the k-liveness model's for a k-liveness proof).
+    fn from_certificate(certificate: Certificate, aig: &Aig) -> Proof {
+        match certificate {
+            Certificate::Induction(depth) => Proof::Induction { depth },
+            Certificate::Invariant(invariant) => Proof::Invariant {
+                clauses: invariant.render(aig),
+                frames: invariant.frames_explored,
+                k_liveness: None,
+            },
+            Certificate::KLiveness { k, invariant } => Proof::Invariant {
+                clauses: invariant.render(aig),
+                frames: invariant.frames_explored,
+                k_liveness: Some(k),
+            },
+            Certificate::Reachability => Proof::Reachability,
         }
     }
 }
@@ -1306,7 +1325,11 @@ impl Stage {
 
 /// Runs one stage on `target`, adding its solver and fuzzer work to
 /// `outcome`.  `None` when the stage did not decide, within its bounds or
-/// because the task's interrupt fired.
+/// because the task's interrupt fired.  A liveness property runs its own
+/// engine in each stage, on its monitored model: the BMC stages search for
+/// lassos (quick: to `QUICK_BMC_DEPTH`; full: to
+/// [`CheckOptions::lasso_depth`]), PDR proves k-liveness, and the explicit
+/// engine runs its SCC check.
 fn run_stage(
     stage: Stage,
     target: &Target,
@@ -1314,109 +1337,47 @@ fn run_stage(
     interrupt: &Interrupt,
     outcome: &mut TaskOutcome,
 ) -> Option<Verdict> {
-    let model = target.model();
-    let name = target.name();
-    let lit = match target.goal() {
-        Goal::Reach(lit) => lit,
-        Goal::Lasso(..) => return run_liveness_stage(stage, target, options, interrupt, outcome),
-    };
-    let bmc = |bounds: &BmcOptions, outcome: &mut TaskOutcome| {
-        let (result, stats) =
-            check_target_budgeted(model, lit, name, bounds, options.solver, interrupt);
-        outcome.stats += stats;
-        match result {
-            SafetyResult::Violated(trace) => Some(Verdict::Reached(trace)),
-            SafetyResult::Proven { induction_depth } => Some(Verdict::Unreachable(
-                Certificate::Induction(induction_depth),
-            )),
-            SafetyResult::Unknown { .. } | SafetyResult::Interrupted => None,
-        }
-    };
-    match stage {
-        Stage::Cache => lookup(target, options, interrupt),
-        Stage::Fuzz => {
+    let (model, name, solver) = (target.model(), target.name(), options.solver);
+    let limits = ExplicitOptions::default();
+    let (verdict, stats) = match (stage, target.goal()) {
+        (Stage::Cache, _) => return lookup(target, options, interrupt),
+        (Stage::Fuzz, _) => {
             let (hit, stats) = fuzz_safety_budgeted(model, target.index, &options.fuzz, interrupt);
             outcome.fuzz = Some(stats);
-            hit.map(Verdict::Reached)
+            return hit.map(Verdict::Reached);
         }
-        Stage::QuickBmc => {
+        (Stage::QuickBmc, Goal::Reach(lit)) => {
             let quick = BmcOptions {
                 max_depth: QUICK_BMC_DEPTH.min(options.bmc.max_depth),
                 max_induction: 3.min(options.bmc.max_induction),
             };
-            bmc(&quick, outcome)
+            check_target_budgeted(model, lit, name, &quick, solver, interrupt)
         }
-        Stage::FullBmc => bmc(&options.bmc, outcome),
-        Stage::Pdr => {
-            let (result, stats) =
-                check_pdr_budgeted(model, lit, &PDR_BOUNDS, options.solver, interrupt);
-            outcome.stats += stats;
-            match result {
-                PdrResult::Proven(invariant) => {
-                    Some(Verdict::Unreachable(Certificate::Invariant(invariant)))
-                }
-                PdrResult::Violated(trace) => Some(Verdict::Reached(trace)),
-                PdrResult::Unknown { .. } | PdrResult::Interrupted => None,
-            }
+        (Stage::FullBmc, Goal::Reach(lit)) => {
+            check_target_budgeted(model, lit, name, &options.bmc, solver, interrupt)
         }
-        Stage::Explicit => {
-            match explicit::reach(model, lit, &ExplicitOptions::default(), interrupt) {
-                ExplicitResult::Proven => Some(Verdict::Unreachable(Certificate::Reachability)),
-                ExplicitResult::Violated(trace) => Some(Verdict::Reached(trace)),
-                ExplicitResult::Exceeded => None,
-            }
-        }
-    }
-}
-
-/// [`run_stage`] for a liveness property, on its monitored model: the BMC
-/// stages search for lassos (quick: to `QUICK_BMC_DEPTH`; full:
-/// to [`CheckOptions::lasso_depth`]), PDR proves k-liveness, and the
-/// explicit engine runs its SCC check.
-fn run_liveness_stage(
-    stage: Stage,
-    target: &Target,
-    options: &CheckOptions,
-    interrupt: &Interrupt,
-    outcome: &mut TaskOutcome,
-) -> Option<Verdict> {
-    let model = target.model();
-    let (monitors, klive) = target.cone.liveness.as_deref()?;
-    let (result, stats) = match stage {
-        Stage::Cache => return lookup(target, options, interrupt),
-        Stage::Fuzz => return None,
-        Stage::QuickBmc => {
+        (Stage::QuickBmc, Goal::Lasso(monitors, _)) => {
             let depth = QUICK_BMC_DEPTH.min(options.lasso_depth);
-            liveness::lasso_search(model, monitors, depth, options.solver, interrupt)
+            lasso_search(model, monitors, depth, solver, interrupt)
         }
-        Stage::FullBmc => liveness::lasso_search(
-            model,
-            monitors,
-            options.lasso_depth,
-            options.solver,
-            interrupt,
-        ),
-        Stage::Pdr => liveness::k_liveness(klive, &PDR_BOUNDS, options.solver, interrupt),
-        Stage::Explicit => {
-            let limits = ExplicitOptions::default();
-            return match explicit::liveness(model, monitors, &limits, interrupt) {
-                ExplicitResult::Proven => Some(Verdict::Unreachable(Certificate::Reachability)),
-                ExplicitResult::Violated(lasso) => Some(Verdict::Reached(lasso)),
-                ExplicitResult::Exceeded => None,
-            };
+        (Stage::FullBmc, Goal::Lasso(monitors, _)) => {
+            lasso_search(model, monitors, options.lasso_depth, solver, interrupt)
+        }
+        (Stage::Pdr, Goal::Reach(lit)) => {
+            let (verdict, _, stats) =
+                check_pdr_budgeted(model, &[lit], &PDR_BOUNDS, solver, interrupt);
+            (verdict, stats)
+        }
+        (Stage::Pdr, Goal::Lasso(_, klive)) => k_liveness(klive, &PDR_BOUNDS, solver, interrupt),
+        (Stage::Explicit, Goal::Reach(lit)) => {
+            return explicit::reach(model, lit, &limits, interrupt)
+        }
+        (Stage::Explicit, Goal::Lasso(monitors, _)) => {
+            return explicit::liveness(model, monitors, &limits, interrupt)
         }
     };
     outcome.stats += stats;
-    match result {
-        LivenessResult::Violated(lasso) => Some(Verdict::Reached(lasso)),
-        LivenessResult::Proven { k, invariant } => {
-            Some(Verdict::Unreachable(Certificate::KLiveness {
-                k,
-                invariant,
-            }))
-        }
-        LivenessResult::Unknown | LivenessResult::Interrupted => None,
-    }
+    verdict
 }
 
 /// The cache stage: the verdict the run's proof cache holds for `target`,
@@ -1436,6 +1397,10 @@ fn lookup(target: &Target, options: &CheckOptions, interrupt: &Interrupt) -> Opt
 
 /// Decides one checked property: the [`CASCADE`] stages in order, the
 /// proof cache first, until one decides or the task's interrupt fires.
+/// Every stage answers with the [`Verdict`] its engine returns; `None`
+/// means undecided, and one poll of the task's [`Interrupt`] tells whether
+/// the stage was preempted (an engine never answers "unreachable" once the
+/// interrupt has fired).
 ///
 /// Everything around the stages is written once, here: the engine tag
 /// that attributes interrupts and panics (kept in `engine`, which the
@@ -1446,7 +1411,7 @@ fn lookup(target: &Target, options: &CheckOptions, interrupt: &Interrupt) -> Opt
 ///
 /// * the fuzzer runs for safety only ([`Stage::runs`]);
 /// * liveness runs its own engine in each stage, on its monitored model
-///   ([`run_liveness_stage`]);
+///   ([`run_stage`]);
 /// * only safety traces from the fuzz and PDR stages are re-minimized
 ///   ([`minimize_safety_cex`]), and one that could not be is reported but
 ///   not cached; the explicit stage's traces are shortest already;
@@ -1612,11 +1577,11 @@ fn shortest_trace(
         Shortest::Trace(trace) => return (Some(trace), SolverStats::default()),
         Shortest::NotBefore(depth) => depth,
     };
-    let (result, stats) = bmc::ladder_from(
+    let (verdict, stats) = bmc::ladder_from(
         model, bad.lit, &bad.name, from, max_depth, solver, interrupt,
     );
-    match result {
-        SafetyResult::Violated(trace) => (Some(trace), stats),
+    match verdict {
+        Some(Verdict::Reached(trace)) => (Some(trace), stats),
         _ => (None, stats),
     }
 }
@@ -1628,7 +1593,10 @@ fn status(target: &Target, verdict: Verdict) -> PropertyStatus {
         (Kind::Cover, Verdict::Unreachable(_)) => PropertyStatus::Unreachable,
         (Kind::Safety | Kind::Liveness, Verdict::Reached(trace)) => PropertyStatus::Violated(trace),
         (Kind::Safety | Kind::Liveness, Verdict::Unreachable(certificate)) => {
-            PropertyStatus::Proven(certificate.proof(target.certificate_aig()))
+            PropertyStatus::Proven(Proof::from_certificate(
+                certificate,
+                target.certificate_aig(),
+            ))
         }
     }
 }

@@ -2612,7 +2612,7 @@ pub fn const_eval(expr: &Expr, params: &HashMap<String, u128>) -> Result<u128> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
+    use crate::bmc::{check_target_budgeted, BmcOptions};
     use crate::interrupt::Interrupt;
     use crate::model::Model;
     use crate::sat::SolverConfig;
@@ -2687,7 +2687,7 @@ mod tests {
             &Interrupt::none(),
         );
         match result {
-            SafetyResult::Violated(trace) => assert_eq!(trace.len(), 6),
+            Some(crate::verdict::Verdict::Reached(trace)) => assert_eq!(trace.len(), 6),
             other => panic!("expected counterexample, got {other:?}"),
         }
     }

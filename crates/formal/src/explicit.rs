@@ -30,6 +30,12 @@
 //!   found for every edge, is confirmed by the lasso replay
 //!   ([`crate::liveness::replay`]).
 //!
+//! [`reach`] and [`liveness`] answer with the one [`Verdict`]: a trace or
+//! lasso, or [`Certificate::Reachability`] once every reachable state was
+//! explored; `None` when a limit or the interrupt stops the search first.
+//! [`shortest`] keeps its own answer, [`Shortest`], because minimization
+//! only asks for a trace or a depth.
+//!
 //! The kernel expands one state at a time.  It loads the state's latch
 //! values once and settles the AIG once per *input word*: 64 valuations at
 //! once, the six lowest inputs enumerated across the 64 lanes of
@@ -46,6 +52,7 @@ use crate::liveness::Monitors;
 use crate::model::Model;
 use crate::psim::{replay, Evaluator, LaneWord, Lanes, ALL_LANES, LANE_MASKS};
 use crate::trace::Trace;
+use crate::verdict::{Certificate, Verdict};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -67,45 +74,31 @@ impl Default for ExplicitOptions {
     }
 }
 
-/// Outcome of an explicit-state query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExplicitResult {
-    /// The property holds on every reachable, constraint-satisfying
-    /// execution.
-    Proven,
-    /// The property is violated; a witness trace is attached (for covers the
-    /// trace reaches the target).
-    Violated(Trace),
-    /// The search ran out of limits or budget and produced no verdict.
-    Exceeded,
-}
-
 /// Searches the reachable states of `model` for one where `target` holds
 /// under some constraint-satisfying input valuation.
 ///
-/// A hit yields [`ExplicitResult::Violated`] with a shortest trace to it,
-/// replayed on `model` (a cover's caller reads it as "covered").  Once
-/// `options.max_states` stops the expansion, every state already discovered
-/// is still tested, without being expanded, before the search answers
-/// [`ExplicitResult::Exceeded`].  A model with more than 63 latches or
-/// `options.max_inputs` inputs is `Exceeded` at once.
+/// A hit yields [`Verdict::Reached`] with a shortest trace to it, replayed
+/// on `model` (a cover's caller reads it as "covered"); a complete search
+/// without one is [`Verdict::Unreachable`] with
+/// [`Certificate::Reachability`].  Once `options.max_states` stops the
+/// expansion, every state already discovered is still tested, without
+/// being expanded, before the search answers `None`.  A model with more
+/// than 63 latches or `options.max_inputs` inputs is `None` at once.
 ///
 /// The [`Interrupt`] handle is charged one step and polled once per state;
-/// when it fires the search answers `Exceeded`, while a hit found before
-/// that stands.  Callers without a budget pass [`Interrupt::none`].
+/// when it fires the search answers `None`, while a hit found before that
+/// stands.  Callers without a budget pass [`Interrupt::none`].
 pub fn reach(
     model: &Model,
     target: Lit,
     options: &ExplicitOptions,
     interrupt: &Interrupt,
-) -> ExplicitResult {
-    let Some(mut search) = Search::new(model, options) else {
-        return ExplicitResult::Exceeded;
-    };
+) -> Option<Verdict> {
+    let mut search = Search::new(model, options)?;
     match search.explore(Some(target), interrupt) {
-        End::Hit { state, input } => ExplicitResult::Violated(search.trace(target, state, input)),
-        End::Complete => ExplicitResult::Proven,
-        End::Incomplete { .. } => ExplicitResult::Exceeded,
+        End::Hit { state, input } => Some(Verdict::Reached(search.trace(target, state, input))),
+        End::Complete => Some(Verdict::Unreachable(Certificate::Reachability)),
+        End::Incomplete { .. } => None,
     }
 }
 
@@ -154,25 +147,24 @@ pub fn shortest(model: &Model, target: Lit, max_words: u64, interrupt: &Interrup
 /// The search explores `model` completely and then looks for a reachable
 /// cycle on which the obligation stays pending while every fairness monitor
 /// is low somewhere: a strongly connected component of the pending states
-/// with such a cycle.  It yields [`ExplicitResult::Violated`] with a lasso:
-/// the breadth-first stem to the component's earliest-discovered state,
-/// then a loop inside the component from there through a state where each
+/// with such a cycle.  It yields [`Verdict::Reached`] with a lasso: the
+/// breadth-first stem to the component's earliest-discovered state, then a
+/// loop inside the component from there through a state where each
 /// fairness monitor is low and back, every edge with the input valuation
 /// the search found for it.  The lasso is built by
-/// [`crate::liveness::replay`], which confirms it.  An incomplete
-/// exploration (limits as for [`reach`], or the interrupt) is
-/// [`ExplicitResult::Exceeded`].
+/// [`crate::liveness::replay`], which confirms it.  Without such a
+/// component the answer is [`Verdict::Unreachable`] with
+/// [`Certificate::Reachability`].  An incomplete exploration (limits as for
+/// [`reach`], or the interrupt) is `None`.
 pub fn liveness(
     model: &Model,
     monitors: &Monitors,
     options: &ExplicitOptions,
     interrupt: &Interrupt,
-) -> ExplicitResult {
-    let Some(mut search) = Search::new(model, options) else {
-        return ExplicitResult::Exceeded;
-    };
+) -> Option<Verdict> {
+    let mut search = Search::new(model, options)?;
     if !matches!(search.explore(None, interrupt), End::Complete) {
-        return ExplicitResult::Exceeded;
+        return None;
     }
     // The monitors are latches, so their values are bits of every state.
     let bit = |monitor: Lit| {
@@ -206,10 +198,10 @@ pub fn liveness(
                 .any(|&s| (search.states[s as usize] >> bit) & 1 == 0)
         });
         if all_fair {
-            return ExplicitResult::Violated(search.lasso(&scc, &fair_bits, monitors));
+            return Some(Verdict::Reached(search.lasso(&scc, &fair_bits, monitors)));
         }
     }
-    ExplicitResult::Proven
+    Some(Verdict::Unreachable(Certificate::Reachability))
 }
 
 /// The input valuation that lane `lane` of input word `high` evaluates
@@ -650,8 +642,11 @@ mod tests {
     use crate::model::{BadProperty, ResponseProperty};
     use proptest::prelude::*;
 
+    /// A complete search's answer without a hit.
+    const PROVEN: Option<Verdict> = Some(Verdict::Unreachable(Certificate::Reachability));
+
     /// An unbudgeted search with the default limits.
-    fn search(model: &Model, target: Lit) -> ExplicitResult {
+    fn search(model: &Model, target: Lit) -> Option<Verdict> {
         reach(
             model,
             target,
@@ -710,14 +705,8 @@ mod tests {
         // and not in 7.
         let (model, _, _) = counter_model();
         let none = Interrupt::none();
-        assert_eq!(
-            reach(&model, Lit::FALSE, &capped(8), &none),
-            ExplicitResult::Proven
-        );
-        assert_eq!(
-            reach(&model, Lit::FALSE, &capped(7), &none),
-            ExplicitResult::Exceeded
-        );
+        assert_eq!(reach(&model, Lit::FALSE, &capped(8), &none), PROVEN);
+        assert_eq!(reach(&model, Lit::FALSE, &capped(7), &none), None);
     }
 
     #[test]
@@ -729,7 +718,7 @@ mod tests {
             lit: bad,
         });
         match search(&model, bad) {
-            ExplicitResult::Violated(trace) => {
+            Some(Verdict::Reached(trace)) => {
                 // Five increments: a shortest trace has six cycles.
                 assert_eq!(trace.len(), 6);
                 assert_eq!(trace.value(trace.len() - 1, "c0"), Some(true));
@@ -742,7 +731,7 @@ mod tests {
     #[test]
     fn unreachable_bad_is_proven() {
         let (model, _, _) = counter_model();
-        assert_eq!(search(&model, Lit::FALSE), ExplicitResult::Proven);
+        assert_eq!(search(&model, Lit::FALSE), PROVEN);
     }
 
     #[test]
@@ -755,10 +744,7 @@ mod tests {
             aig.or_many(&bits)
         };
         let none = Interrupt::none();
-        assert_eq!(
-            reach(&model, bad, &capped(1), &none),
-            ExplicitResult::Proven
-        );
+        assert_eq!(reach(&model, bad, &capped(1), &none), PROVEN);
     }
 
     #[test]
@@ -778,13 +764,10 @@ mod tests {
         let model = Model::new(aig);
         let none = Interrupt::none();
         match reach(&model, a_alone, &capped(2), &none) {
-            ExplicitResult::Violated(trace) => assert_eq!(trace.len(), 2),
+            Some(Verdict::Reached(trace)) => assert_eq!(trace.len(), 2),
             other => panic!("expected the discovered hit, got {other:?}"),
         }
-        assert_eq!(
-            reach(&model, both, &capped(2), &none),
-            ExplicitResult::Exceeded
-        );
+        assert_eq!(reach(&model, both, &capped(2), &none), None);
     }
 
     #[test]
@@ -797,12 +780,9 @@ mod tests {
         let budget = |steps| Interrupt::new(None, Some(steps));
         assert!(matches!(
             reach(&model, bad, &options, &budget(7)),
-            ExplicitResult::Violated(_)
+            Some(Verdict::Reached(_))
         ));
-        assert_eq!(
-            reach(&model, bad, &options, &budget(6)),
-            ExplicitResult::Exceeded
-        );
+        assert_eq!(reach(&model, bad, &options, &budget(6)), None);
     }
 
     #[test]
@@ -827,7 +807,7 @@ mod tests {
         let (options, none) = (ExplicitOptions::default(), Interrupt::none());
         let (monitored, monitors) = crate::liveness::monitored(&model, 0);
         match liveness(&monitored, &monitors, &options, &none) {
-            ExplicitResult::Violated(trace) => {
+            Some(Verdict::Reached(trace)) => {
                 let start = trace.loop_start().expect("a lasso");
                 let input = |c: usize, i: usize| {
                     let name = monitored.aig.input_name(i);
@@ -848,10 +828,7 @@ mod tests {
             target: gnt,
         });
         let (monitored, monitors) = crate::liveness::monitored(&model, 0);
-        assert_eq!(
-            liveness(&monitored, &monitors, &options, &none),
-            ExplicitResult::Proven
-        );
+        assert_eq!(liveness(&monitored, &monitors, &options, &none), PROVEN);
     }
 
     #[test]
@@ -866,10 +843,7 @@ mod tests {
             ..ExplicitOptions::default()
         };
         let none = Interrupt::none();
-        assert_eq!(
-            reach(&model, Lit::TRUE, &options, &none),
-            ExplicitResult::Exceeded
-        );
+        assert_eq!(reach(&model, Lit::TRUE, &options, &none), None);
     }
 
     #[test]
@@ -1128,18 +1102,18 @@ mod tests {
             let none = Interrupt::none();
             let full = reach(&model, target, &ExplicitOptions::default(), &none);
             match (shortest(&model, target, max_words, &none), full.clone()) {
-                (Shortest::Trace(trace), ExplicitResult::Violated(expected)) => {
+                (Shortest::Trace(trace), Some(Verdict::Reached(expected))) => {
                     prop_assert_eq!(trace, expected);
                 }
-                (Shortest::NotBefore(depth), ExplicitResult::Violated(expected)) => {
+                (Shortest::NotBefore(depth), Some(Verdict::Reached(expected))) => {
                     prop_assert!(expected.len() > depth, "{} cycles, not before {}", expected.len(), depth);
                 }
-                (Shortest::NotBefore(_), ExplicitResult::Proven) => {}
+                (Shortest::NotBefore(_), Some(Verdict::Unreachable(_))) => {}
                 (shortest, full) => prop_assert!(false, "{:?} against {:?}", shortest, full),
             }
             let mut search = Search::new(&model, &capped(max_states)).expect("within the limits");
             let end = search.expand(Some(target), u64::MAX, &none);
-            if let (End::Incomplete { depth }, ExplicitResult::Violated(expected)) = (end, &full) {
+            if let (End::Incomplete { depth }, Some(Verdict::Reached(expected))) = (end, &full) {
                 prop_assert!(expected.len() > depth, "{} cycles, capped before {}", expected.len(), depth);
             }
         }

@@ -6,11 +6,11 @@
 //! BMC's depth steps and the fuzzer's rounds — polls a shared
 //! [`Interrupt`] handle so a per-property wall-clock deadline or a step
 //! budget can stop a solve *inside* the engine rather than between
-//! cascade stages.  An interrupted solve
-//! surfaces as an explicit `Interrupted` outcome (never as a fake
-//! `Sat`/`Unsat`), which the checker maps to
-//! [`PropertyStatus::Unknown`] with a note naming the engine that was
-//! preempted.
+//! cascade stages.  An interrupted solve surfaces as
+//! [`SatResult::Interrupted`] (never as a fake `Sat`/`Unsat`), and the
+//! engine then answers no [`Verdict`] — never an unreachable one — which
+//! the checker maps to [`PropertyStatus::Unknown`] with a note naming the
+//! engine that was preempted.
 //!
 //! The handle is deliberately cheap: a disarmed [`Interrupt`] (the
 //! default) is a `None` and both [`Interrupt::poll`] and
@@ -32,6 +32,8 @@
 //! module keeps no global or thread-local state.
 //!
 //! [`PropertyStatus::Unknown`]: crate::checker::PropertyStatus::Unknown
+//! [`SatResult::Interrupted`]: crate::sat::SatResult::Interrupted
+//! [`Verdict`]: crate::verdict::Verdict
 
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::faults::{Fault, FaultAction};

@@ -14,14 +14,20 @@
 //!   the same expression lowering the elaborator uses for RTL;
 //! * [`sat`] — a from-scratch CDCL SAT solver (watched literals, first-UIP
 //!   learning, VSIDS-style decisions, incremental assumptions);
+//! * [`model`] — the checked-model representation: the circuit, its
+//!   safety, cover and liveness properties, its invariant constraints and
+//!   its fairness assumptions;
+//! * [`verdict`] — the one answer every engine gives: a target reached,
+//!   with a trace, or unreachable, with a certificate; `None` when an
+//!   engine leaves it undecided;
 //! * [`unroll`], [`bmc`] — Tseitin time-frame expansion, bounded model
 //!   checking and k-induction with loop-free-path strengthening;
-//! * [`model`] — the checked-model representation plus the
-//!   liveness-to-safety transformation for response properties under
-//!   fairness;
 //! * [`pdr`] — an IC3/PDR property-directed-reachability engine (frame
 //!   trapezoid, proof-obligation queue, unsat-core/ternary-sim cube
 //!   generalization) producing certified inductive invariants;
+//! * [`liveness`] — liveness under fairness on the checked cone plus its
+//!   pending-obligation monitors: a loop-constrained lasso search,
+//!   k-liveness proofs on PDR, and the one lasso replay;
 //! * [`explicit`] — an exact explicit-state engine (bit-parallel
 //!   breadth-first reachability and fairness-aware SCC analysis): a
 //!   cascade stage for small designs and liveness under fairness, and the
@@ -31,14 +37,13 @@
 //!   fingerprints, so every property is checked on exactly the circuit it
 //!   observes;
 //! * [`portfolio`] — the parallel orchestration layer: a self-scheduling
-//!   worker pool over `std::thread`, per-property budgets, the one verdict
-//!   type every cascade stage answers with, and a fingerprint-keyed proof
-//!   cache, the cascade's first stage, whose hits are replayed (traces),
-//!   re-certified (invariants) or re-proven (induction depths read from
-//!   disk);
+//!   worker pool over `std::thread`, per-property budgets, and a
+//!   fingerprint-keyed proof cache of verdicts, the cascade's first stage,
+//!   whose hits are replayed (traces and lassos), re-certified (invariants)
+//!   or re-proven (induction depths read from disk);
 //! * [`psim`] — the one AIG evaluator: a gate sweep over 64 lanes per
 //!   machine word, two-valued (simulation, trace replay, opt's signatures,
-//!   the explicit engine) or three-valued in dual-rail form (opt's
+//!   the explicit engine) or three-valued in dual-rail form (lint's
 //!   constant sweep, PDR's cube lifting), plus the sequential
 //!   [`psim::ParallelSim`] driver and the one trace [`psim::replay`];
 //! * [`fuzz`] — the stimulus fuzzer that runs the simulator *before* any
@@ -123,4 +128,5 @@ pub mod telemetry;
 pub mod trace;
 pub mod unroll;
 pub mod vcd;
+pub mod verdict;
 pub mod words;

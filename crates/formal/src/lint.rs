@@ -15,18 +15,19 @@
 //!   widths, the design's read set (for dead-signal detection) and which
 //!   enum states are ever mentioned.
 //!
-//! Constant registers are proven with the same three-valued sequential
-//! sweep the Level-2 optimizer uses ([`crate::opt::constant_latches`]), so
-//! both levels agree on what is constant.
+//! Constant registers are proven by a three-valued sequential sweep
+//! ([`constant_latches`]).  The Level-2 optimizer's latch sweeping removes
+//! every register it reports, so both levels agree on what is constant.
 //!
 //! Every finding carries a stable lint code (`L001`..`L009`), a severity,
 //! and — when the source text locates it — a 1-based line/column with a
 //! caret snippet rendered by the same machinery as parse errors.
 
+use crate::aig::Aig;
 use crate::compile::CompiledTestbench;
 use crate::elab::{const_eval, ElabDesign};
 use crate::lower::range_width;
-use crate::opt;
+use crate::psim::{Evaluator, Lanes, Ternary};
 use crate::telemetry::json_escape;
 use autosva::FormalTestbench;
 use std::collections::{BTreeSet, HashMap};
@@ -342,10 +343,10 @@ impl<'a> LintCtx<'a> {
     }
 
     /// L005: a register proven to hold its reset value in every reachable
-    /// state — the same sequential sweep the Level-2 optimizer uses, so a
-    /// register this pass flags is exactly one the optimizer sweeps away.
+    /// state by the three-valued sweep of [`constant_latches`]; the Level-2
+    /// optimizer's latch sweeping removes every register this pass flags.
     fn constant_registers(&mut self) {
-        let constants = opt::constant_latches(&self.design.aig);
+        let constants = constant_latches(&self.design.aig);
         if constants.is_empty() {
             return;
         }
@@ -606,6 +607,56 @@ impl<'a> LintCtx<'a> {
             .map(|(name, bits)| (name.clone(), bits.len()))
             .collect()
     }
+}
+
+/// Latches of `aig` that provably hold their initial value in every
+/// reachable state, as `(latch node, stuck-at value)` pairs in node order.
+///
+/// The proof is a three-valued least-fixpoint simulation (the evaluator's
+/// dual-rail mode, `Ternary`): starting from the concrete reset state
+/// with every primary input unknown, latch values are widened by joining
+/// in each step's next-state evaluation until nothing changes.  The
+/// lattice has height two per latch, so the loop terminates after at most
+/// `2 * num_latches + 1` rounds.  A latch still known at the fixpoint is
+/// constant in *every* reachable state (the simulation overapproximates
+/// reachability).  The optimizer's latch sweeping ([`crate::opt`]) merges
+/// every latch reported here into its constant class.
+pub fn constant_latches(aig: &Aig) -> Vec<(usize, bool)> {
+    let latches = aig.latches();
+    if latches.is_empty() {
+        return Vec::new();
+    }
+    let mut eval = Evaluator::<Ternary>::new(aig);
+    for &input in aig.inputs() {
+        eval.set(input, Ternary::X);
+    }
+    for latch in latches {
+        eval.set(latch.node, Ternary::splat(latch.init));
+    }
+    let mut next: Vec<Ternary> = Vec::with_capacity(latches.len());
+    loop {
+        eval.settle();
+        // Read every next-state value before widening any latch, so one
+        // round is one synchronous step.
+        next.clear();
+        next.extend(latches.iter().map(|l| eval.get(l.next)));
+        let mut changed = false;
+        for (latch, &value) in latches.iter().zip(&next) {
+            let current = eval.words()[latch.node];
+            let widened = current.join(value);
+            if widened != current {
+                eval.set(latch.node, widened);
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    latches
+        .iter()
+        .filter_map(|l| eval.words()[l.node].lane(0).map(|value| (l.node, value)))
+        .collect()
 }
 
 /// Strips a trailing `[N]` bit suffix: `"x[3]"` → `("x", 3)`, `"x"` →
@@ -873,6 +924,40 @@ pub const LINT_CODES: &[(&str, &str)] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ternary_fixpoint_finds_stuck_latches() {
+        // A busy bit an input sets, a latch holding its reset value and a
+        // free-running toggle: only the second is constant.
+        let mut aig = Aig::new();
+        let req = aig.add_input("req");
+        let busy = aig.add_latch("busy", false);
+        let next_busy = aig.or(busy, req);
+        aig.set_latch_next(busy, next_busy);
+        let stuck = aig.add_latch("stuck_q", false);
+        aig.set_latch_next(stuck, stuck);
+        let toggle = aig.add_latch("toggle", false);
+        aig.set_latch_next(toggle, toggle.invert());
+        let consts = constant_latches(&aig);
+        let names: Vec<(&str, bool)> = consts
+            .iter()
+            .map(|&(node, v)| (aig.name_of(node).unwrap(), v))
+            .collect();
+        assert_eq!(names, vec![("stuck_q", false)]);
+    }
+
+    #[test]
+    fn constant_chains_propagate_through_latches() {
+        // b follows a, a is stuck at true: both are constant.
+        let mut aig = Aig::new();
+        let a = aig.add_latch("a", true);
+        aig.set_latch_next(a, a);
+        let b = aig.add_latch("b", true);
+        aig.set_latch_next(b, a);
+        let consts = constant_latches(&aig);
+        assert_eq!(consts.len(), 2);
+        assert!(consts.iter().all(|&(_, v)| v));
+    }
 
     #[test]
     fn find_word_respects_identifier_boundaries() {

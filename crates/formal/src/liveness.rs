@@ -28,16 +28,19 @@
 //!   trapezoid serves k = 0, 1, … up to a fixed bound: only the target
 //!   moves.
 //!
-//! Every lasso a liveness engine reports, and every lasso the proof cache
-//! returns, is built or confirmed by [`replay`].
+//! Both answer with the one [`Verdict`]: the lasso search a fair lasso,
+//! k-liveness a [`Certificate::KLiveness`].  Every lasso a liveness engine
+//! reports, and every lasso the proof cache returns, is built or confirmed
+//! by [`replay`].
 
 use crate::aig::{Aig, Lit};
 use crate::interrupt::Interrupt;
 use crate::model::Model;
-use crate::pdr::{first_unreachable, Invariant, PdrOptions, PdrResult};
+use crate::pdr::{check_pdr_budgeted, PdrOptions};
 use crate::sat::{SatLit, SatResult, SolverConfig, SolverStats};
 use crate::trace::Trace;
 use crate::unroll::Unroller;
+use crate::verdict::{Certificate, Verdict};
 
 /// The largest k a k-liveness proof is attempted at: a counter of four
 /// bits.  Every corpus liveness proof closes at k ≤ 2.  Without fairness
@@ -68,28 +71,6 @@ pub fn monitored(model: &Model, index: usize) -> (Model, Monitors) {
         fairness,
     };
     (monitored, monitors)
-}
-
-/// Outcome of a liveness engine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LivenessResult {
-    /// A fair lasso: a counterexample whose last state repeats the state at
-    /// its [`Trace::loop_start`], replayed on the monitored model.
-    Violated(Trace),
-    /// No fair lasso exists: k-liveness holds at `k`, certified by an
-    /// invariant of the [`KLiveness`] model that keeps its counter below
-    /// k + 1.
-    Proven {
-        /// At most `k` fairness rounds complete while the obligation stays
-        /// pending.
-        k: usize,
-        /// The PDR invariant, over latches of the k-liveness model.
-        invariant: Invariant,
-    },
-    /// Undecided within the engine's bounds.
-    Unknown,
-    /// Preempted by the [`Interrupt`] before a verdict.
-    Interrupted,
 }
 
 /// The lane-0 value of `lit` in the simulator's settled cycle.
@@ -154,26 +135,25 @@ pub fn replay(
 /// loop closes at a depth of at most `max_depth`: the trace has at most
 /// `max_depth + 1` cycles, its last state repeating an earlier one.
 /// Depths are tried in increasing order, so a lasso found is a shortest
-/// one; it comes back as [`LivenessResult::Violated`], built by [`replay`].
-/// No lasso up to `max_depth` is [`LivenessResult::Unknown`].
+/// one; it comes back as [`Verdict::Reached`], built by [`replay`].  No
+/// lasso up to `max_depth` is `None`: the search proves nothing.
 ///
 /// The [`Interrupt`] handle is polled at every depth step and inside the
-/// SAT search; when it fires the search returns
-/// [`LivenessResult::Interrupted`].  The search records a `bmc.solve`
-/// span and counts as BMC solver work.
+/// SAT search; when it fires the search answers `None`.  The search
+/// records a `bmc.solve` span and counts as BMC solver work.
 pub fn lasso_search(
     model: &Model,
     monitors: &Monitors,
     max_depth: usize,
     solver: SolverConfig,
     interrupt: &Interrupt,
-) -> (LivenessResult, SolverStats) {
+) -> (Option<Verdict>, SolverStats) {
     let _span = crate::telemetry::span("bmc.solve", "");
     let mut search = LassoSearch::new(model, monitors, solver, interrupt);
-    let result = search.run(max_depth);
+    let lasso = search.run(max_depth);
     let stats = search.unroller.stats();
     crate::telemetry::count_solver("bmc", &stats);
-    (result, stats)
+    (lasso.map(Verdict::Reached), stats)
 }
 
 /// The incremental unrolling behind [`lasso_search`].
@@ -244,13 +224,15 @@ impl<'a> LassoSearch<'a> {
         selected
     }
 
-    fn run(&mut self, max_depth: usize) -> LivenessResult {
+    /// The first fair lasso by depth, if any up to `max_depth` before the
+    /// interrupt fires.
+    fn run(&mut self, max_depth: usize) -> Option<Trace> {
         self.constrain(0);
         for depth in 1..=max_depth {
             #[cfg(any(test, feature = "fault-injection"))]
             self.interrupt.fault("bmc.depth_step");
             if self.interrupt.poll().is_some() {
-                return LivenessResult::Interrupted;
+                return None;
             }
             self.constrain(depth);
             let active = self.unroller.new_free_lit();
@@ -263,17 +245,14 @@ impl<'a> LassoSearch<'a> {
             match self.unroller.solve_sat(&[active]) {
                 // A satisfiable answer is a genuine lasso even if the
                 // interrupt fired concurrently.
-                SatResult::Sat => return LivenessResult::Violated(self.lasso(depth, &loops)),
-                SatResult::Interrupted => return LivenessResult::Interrupted,
+                SatResult::Sat => return Some(self.lasso(depth, &loops)),
+                SatResult::Interrupted => return None,
                 SatResult::Unsat => {}
-            }
-            if self.interrupt.triggered().is_some() {
-                return LivenessResult::Interrupted;
             }
             // This depth's loops can no longer be chosen.
             self.unroller.add_clause(&[active.negate()]);
         }
-        LivenessResult::Unknown
+        None
     }
 
     /// The lasso of a satisfiable query at `depth`: each frame's inputs and
@@ -385,37 +364,39 @@ fn equals(aig: &mut Aig, word: &[Lit], value: usize) -> Lit {
 
 /// Proves the obligation of `klive` by k-liveness: PDR on the k-liveness
 /// model asks whether the counter can reach k + 1, for k = 0, 1, … up to a
-/// fixed bound, on one trapezoid.  The first unreachable count is
-/// [`LivenessResult::Proven`] with its k and invariant; a count reached at
-/// the bound, or PDR out of `options`' frame or query budget (which covers
-/// every k), is [`LivenessResult::Unknown`].  k-liveness never finds a
-/// lasso.
+/// fixed bound, on one trapezoid ([`check_pdr_budgeted`]).  The first
+/// unreachable count is [`Verdict::Unreachable`] with
+/// [`Certificate::KLiveness`]; a count reached at the bound, or PDR out of
+/// `options`' frame or query budget (which covers every k), is `None`.
+/// k-liveness never finds a lasso.
 ///
-/// The [`Interrupt`] handle is checked as [`crate::pdr::check_pdr_budgeted`]
-/// checks it; when it fires the run returns
-/// [`LivenessResult::Interrupted`], never a proof.  The run records a
-/// `pdr.solve` span and counts as PDR solver work.
+/// The [`Interrupt`] handle is checked as [`check_pdr_budgeted`] checks
+/// it; once it has fired the run answers `None`, never a proof.  The run
+/// records a `pdr.solve` span and counts as PDR solver work.
 pub fn k_liveness(
     klive: &KLiveness,
     options: &PdrOptions,
     solver: SolverConfig,
     interrupt: &Interrupt,
-) -> (LivenessResult, SolverStats) {
-    let (result, k, stats) =
-        first_unreachable(&klive.model, &klive.targets, options, solver, interrupt);
-    let result = match result {
-        PdrResult::Proven(invariant) => LivenessResult::Proven { k, invariant },
-        PdrResult::Interrupted => LivenessResult::Interrupted,
-        PdrResult::Unknown { .. } | PdrResult::Violated(_) => LivenessResult::Unknown,
+) -> (Option<Verdict>, SolverStats) {
+    let (verdict, k, stats) =
+        check_pdr_budgeted(&klive.model, &klive.targets, options, solver, interrupt);
+    let proof = match verdict {
+        Some(Verdict::Unreachable(Certificate::Invariant(invariant))) => {
+            Some(Verdict::Unreachable(Certificate::KLiveness {
+                k,
+                invariant,
+            }))
+        }
+        _ => None,
     };
-    (result, stats)
+    (proof, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ResponseProperty;
-    use crate::pdr::check_pdr_budgeted;
 
     /// A request/grant handshake: `busy` rises with `req` and falls with
     /// `gnt`.  The liveness property "every request is granted" has its
@@ -528,13 +509,13 @@ mod tests {
     }
 
     /// An unbudgeted lasso search to `depth`.
-    fn search(model: &Model, monitors: &Monitors, depth: usize) -> LivenessResult {
+    fn search(model: &Model, monitors: &Monitors, depth: usize) -> Option<Verdict> {
         let none = Interrupt::none();
         lasso_search(model, monitors, depth, SolverConfig::default(), &none).0
     }
 
     /// An unbudgeted k-liveness run with the default PDR bounds.
-    fn prove(klive: &KLiveness) -> LivenessResult {
+    fn prove(klive: &KLiveness) -> Option<Verdict> {
         let options = PdrOptions::default();
         k_liveness(klive, &options, SolverConfig::default(), &Interrupt::none()).0
     }
@@ -543,21 +524,21 @@ mod tests {
     fn the_lasso_search_finds_the_shortest_starvation_and_k_liveness_the_fair_proof() {
         let (model, monitors) = handshake(false, true);
         match search(&model, &monitors, 5) {
-            LivenessResult::Violated(trace) => {
+            Some(Verdict::Reached(trace)) => {
                 // Requested in cycle 0, pending in cycle 1, repeated in 2.
                 assert_eq!((trace.len(), trace.loop_start()), (3, Some(1)));
             }
             other => panic!("expected a lasso, got {other:?}"),
         }
-        assert_eq!(search(&model, &monitors, 1), LivenessResult::Unknown);
+        assert_eq!(search(&model, &monitors, 1), None);
         let klive = KLiveness::new(&model, &monitors);
-        assert_eq!(prove(&klive), LivenessResult::Unknown);
+        assert_eq!(prove(&klive), None);
 
         let (model, monitors) = handshake(true, true);
-        assert_eq!(search(&model, &monitors, 8), LivenessResult::Unknown);
+        assert_eq!(search(&model, &monitors, 8), None);
         let klive = KLiveness::new(&model, &monitors);
         match prove(&klive) {
-            LivenessResult::Proven { k, invariant } => {
+            Some(Verdict::Unreachable(Certificate::KLiveness { k, invariant })) => {
                 let bad = klive.target(k).expect("within the bound");
                 assert!(invariant.certify(&klive.model, bad));
             }
@@ -602,16 +583,13 @@ mod tests {
         let limits = crate::explicit::ExplicitOptions::default();
         let none = Interrupt::none();
         let exact = crate::explicit::liveness(&model, &monitors, &limits, &none);
-        assert!(matches!(
-            exact,
-            crate::explicit::ExplicitResult::Violated(_)
-        ));
+        assert!(matches!(exact, Some(Verdict::Reached(_))));
         assert!(matches!(
             search(&model, &monitors, 6),
-            LivenessResult::Violated(_)
+            Some(Verdict::Reached(_))
         ));
         let klive = KLiveness::new(&model, &monitors);
-        assert_eq!(prove(&klive), LivenessResult::Unknown);
+        assert_eq!(prove(&klive), None);
     }
 
     /// A request waits `latency` cycles for its response, counted down
@@ -654,12 +632,12 @@ mod tests {
             let fresh = (0..=MAX_K).find(|&k| {
                 let bad = klive.target(k).expect("within the bound");
                 let config = SolverConfig::default();
-                check_pdr_budgeted(&klive.model, bad, &options, config, &none)
-                    .0
-                    .is_proven()
+                let (verdict, ..) =
+                    check_pdr_budgeted(&klive.model, &[bad], &options, config, &none);
+                matches!(verdict, Some(Verdict::Unreachable(_)))
             });
             let incremental = match prove(&klive) {
-                LivenessResult::Proven { k, .. } => Some(k),
+                Some(Verdict::Unreachable(Certificate::KLiveness { k, .. })) => Some(k),
                 other => panic!("latency {latency}: {other:?}"),
             };
             assert_eq!(incremental, fresh, "latency {latency}");

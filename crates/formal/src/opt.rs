@@ -2,24 +2,23 @@
 //!
 //! [`optimize`] rewrites a checked [`Model`] into a smaller, functionally
 //! equivalent one.  It is applied by the checker to every cone-of-influence
-//! slice (and, for liveness, to the liveness-to-safety product) before any
-//! engine runs, so BMC unrollings, PDR frames and explicit-state sweeps all
-//! pay for fewer gates and latches.  Five analyses cooperate:
+//! slice before any engine runs, so BMC unrollings, PDR frames and
+//! explicit-state sweeps all pay for fewer gates and latches.  Four
+//! analyses cooperate:
 //!
-//! * **ternary constant sweeping** — a least-fixpoint three-valued
-//!   simulation from the reset state (inputs unknown) proves latches stuck
-//!   at their initial value ([`constant_latches`]); they are substituted by
-//!   constants, which cascades through the combinational logic;
 //! * **sequential latch sweeping** (van Eijk) — random sequential
 //!   simulation (64 lanes of [`ParallelSim`]) partitions latches into
-//!   candidate equivalence classes (including stuck-at-constant candidates
-//!   the ternary analysis cannot see); the candidates are then proven by
-//!   SAT *induction* — assume the equivalences over a free current state,
-//!   show every next-state function preserves them, refining the partition
-//!   with each counterexample — and proven classes are merged onto one
-//!   representative register.  This is where testbench monitor state that
-//!   duplicates design state (e.g. an AutoSVA transaction counter
-//!   shadowing an RTL occupancy counter) collapses;
+//!   candidate equivalence classes, one of them the latches stuck at their
+//!   initial value; the candidates are then proven by SAT *induction* —
+//!   assume the equivalences over a free current state, show every
+//!   next-state function preserves them, refining the partition with each
+//!   counterexample — and proven classes are merged onto one
+//!   representative register or constant.  This is where testbench monitor
+//!   state that duplicates design state (e.g. an AutoSVA transaction
+//!   counter shadowing an RTL occupancy counter) collapses, and where every
+//!   latch the lint's three-valued sweep proves constant
+//!   ([`crate::lint::constant_latches`]) becomes a constant, which cascades
+//!   through the combinational logic;
 //! * **combinational gate sweeping** (FRAIG-style) — random-pattern
 //!   signatures over free leaves partition AND nodes into candidate
 //!   classes, a SAT miter over a free state proves unconditional
@@ -36,7 +35,7 @@
 //!   fairness properties) is rebuilt; unobservable latches, inputs and
 //!   gates are dropped.
 //!
-//! The three sweeps only *prove* facts.  One pass collects them into one
+//! The two sweeps only *prove* facts.  One pass collects them into one
 //! redirect map (node to the literal of a smaller representative: a
 //! constant or an earlier equivalent node) and hands it, with the rewriting
 //! gate builder, to the cone-of-influence rebuild of [`crate::coi`] — the
@@ -49,82 +48,29 @@
 //! the proof cache on.  Every transformation preserves the value of every
 //! kept root along every input sequence from reset (merged latches agree on
 //! all reachable states — the SAT induction certifies an inductive
-//! invariant — and the other four rewrites are equivalences everywhere), so
-//! verdicts, counterexample traces (replayed on either model: dropped
+//! invariant — and the other three rewrites are equivalences everywhere),
+//! so verdicts, counterexample traces (replayed on either model: dropped
 //! inputs are provably irrelevant to all roots) and PDR invariants carry
 //! over unchanged.
 //!
-//! Every simulation here runs on the one AIG evaluator ([`crate::psim`]):
-//! the constant sweep in its three-valued dual-rail mode, the signature
-//! simulations and the counterexample refinements of both equivalence
-//! sweeps in its two-valued mode.  The Level-1 lint pass ([`crate::lint`])
-//! calls [`constant_latches`] itself, so its "register is stuck at its
-//! reset value" diagnostics come from the same analysis.
+//! Every simulation here runs on the one AIG evaluator ([`crate::psim`]) in
+//! its two-valued mode: the signature simulations and the counterexample
+//! refinements of both equivalence sweeps.
 
 use crate::aig::{Aig, Lit, Node};
 use crate::coi::{fingerprint, rebuild, Fingerprint};
 use crate::model::Model;
-use crate::psim::{leaves, Evaluator, LaneWord, Lanes, ParallelSim, Ternary, ALL_LANES};
+use crate::psim::{leaves, Evaluator, LaneWord, Lanes, ParallelSim, ALL_LANES};
 use crate::sat::SatResult;
 use crate::unroll::Unroller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 
-/// Latches of `aig` that provably hold their initial value in every
-/// reachable state, as `(latch node, stuck-at value)` pairs in node order.
-///
-/// The proof is a three-valued least-fixpoint simulation (the evaluator's
-/// dual-rail mode, `Ternary`): starting from the concrete reset state
-/// with every primary input unknown, latch values are widened by joining
-/// in each step's next-state evaluation until nothing changes.  The
-/// lattice has height two per latch, so the loop terminates after at most
-/// `2 * num_latches + 1` rounds.  A latch still known at the fixpoint is
-/// constant in *every* reachable state (the simulation overapproximates
-/// reachability), which makes the substitution in [`optimize`] sound for
-/// safety, cover and liveness targets alike.
-pub fn constant_latches(aig: &Aig) -> Vec<(usize, bool)> {
-    let latches = aig.latches();
-    if latches.is_empty() {
-        return Vec::new();
-    }
-    let mut eval = Evaluator::<Ternary>::new(aig);
-    for &input in aig.inputs() {
-        eval.set(input, Ternary::X);
-    }
-    for latch in latches {
-        eval.set(latch.node, Ternary::splat(latch.init));
-    }
-    let mut next: Vec<Ternary> = Vec::with_capacity(latches.len());
-    loop {
-        eval.settle();
-        // Read every next-state value before widening any latch, so one
-        // round is one synchronous step.
-        next.clear();
-        next.extend(latches.iter().map(|l| eval.get(l.next)));
-        let mut changed = false;
-        for (latch, &value) in latches.iter().zip(&next) {
-            let current = eval.words()[latch.node];
-            let widened = current.join(value);
-            if widened != current {
-                eval.set(latch.node, widened);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    latches
-        .iter()
-        .filter_map(|l| eval.words()[l.node].lane(0).map(|value| (l.node, value)))
-        .collect()
-}
-
 /// Upper bound on rewrite passes; real models stabilize in two or three.
 const MAX_PASSES: usize = 8;
 
-/// Optimizes a model: constant sweeping, two-level AND rewriting and
+/// Optimizes a model: latch and gate sweeping, two-level AND rewriting and
 /// dead-node elimination, repeated to a fingerprint fixpoint.  Returns the
 /// optimized model and its fingerprint.
 ///
@@ -466,23 +412,20 @@ fn is_and(aig: &Aig, node: usize) -> bool {
     matches!(aig.node(node), Node::And(..))
 }
 
-/// One sweep of constant substitution + equivalence merging + rewriting
-/// rebuild + dead-node elimination.
+/// One sweep of equivalence merging + rewriting rebuild + dead-node
+/// elimination.
 fn one_pass(model: &Model) -> Model {
     let aig = &model.aig;
-    // Where each node's fanout is redirected, if anywhere: proven
-    // constants first, then latch and gate equivalences.  Representatives
+    // Where each node's fanout is redirected, if anywhere: proven latch
+    // equivalences and constants, then gate equivalences.  Representatives
     // always have a smaller node index, so redirections resolve in node
     // order without chains.
     let mut redirect: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
-    for (node, value) in constant_latches(aig) {
-        redirect[node] = Some(Lit::FALSE.invert_if(value));
-    }
     let equivalences = latch_equivalences(model)
         .into_iter()
         .chain(gate_equivalences(aig));
     for (node, rep) in equivalences {
-        redirect[node].get_or_insert(rep);
+        redirect[node] = Some(rep);
     }
     rebuild(model, None, |node| redirect[node], and_rewrite)
 }
@@ -570,6 +513,7 @@ fn and_rewrite(aig: &mut Aig, a: Lit, b: Lit) -> Lit {
 mod tests {
     use super::*;
     use crate::model::{BadProperty, CoverProperty, ResponseProperty};
+    use proptest::prelude::*;
 
     /// busy bit + a latch provably stuck at reset + a dead counter.
     fn sample_model() -> Model {
@@ -592,30 +536,6 @@ mod tests {
             lit: bad,
         });
         model
-    }
-
-    #[test]
-    fn ternary_fixpoint_finds_stuck_latches() {
-        let model = sample_model();
-        let consts = constant_latches(&model.aig);
-        let names: Vec<(&str, bool)> = consts
-            .iter()
-            .map(|&(node, v)| (model.aig.name_of(node).unwrap(), v))
-            .collect();
-        assert_eq!(names, vec![("stuck_q", false)]);
-    }
-
-    #[test]
-    fn constant_chains_propagate_through_latches() {
-        // b follows a, a is stuck at true: both are constant.
-        let mut aig = Aig::new();
-        let a = aig.add_latch("a", true);
-        aig.set_latch_next(a, a);
-        let b = aig.add_latch("b", true);
-        aig.set_latch_next(b, a);
-        let consts = constant_latches(&aig);
-        assert_eq!(consts.len(), 2);
-        assert!(consts.iter().all(|&(_, v)| v));
     }
 
     #[test]
@@ -716,5 +636,90 @@ mod tests {
         assert_eq!(opt.covers[0].name, "c0");
         assert_eq!(opt.liveness[0].name, "resp");
         assert_eq!(opt.constraints.len(), model.constraints.len());
+    }
+
+    /// A seeded random model whose every latch is observed by a bad
+    /// property of its own, so only a merge can remove a latch.  Each latch
+    /// gets a random gate of the pool as its next state, or, one time in
+    /// two, one that keeps it at its reset value (`l & g` from 0, `l | g`
+    /// from 1), which the three-valued sweep proves constant when `g` does
+    /// not depend on a latch that moves.  Random constraints come on top.
+    fn stuck_model(
+        seed: u64,
+        latches: usize,
+        inputs: usize,
+        gates: usize,
+        constraints: usize,
+    ) -> Model {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut aig = Aig::new();
+        let mut pool: Vec<Lit> = (0..inputs)
+            .map(|i| aig.add_input(format!("i{i}")))
+            .collect();
+        let state: Vec<(Lit, bool)> = (0..latches)
+            .map(|i| {
+                let init = rng.gen_bool(0.5);
+                (aig.add_latch(format!("l{i}"), init), init)
+            })
+            .collect();
+        pool.extend(state.iter().map(|&(latch, _)| latch));
+        let pick = |rng: &mut StdRng, pool: &[Lit]| {
+            pool[rng.gen_range(0..pool.len() as u64) as usize].invert_if(rng.gen_bool(0.5))
+        };
+        for _ in 0..gates {
+            let (a, b) = (pick(&mut rng, &pool), pick(&mut rng, &pool));
+            let gate = if rng.gen_bool(0.5) {
+                aig.and(a, b)
+            } else {
+                aig.xor(a, b)
+            };
+            pool.push(gate);
+        }
+        for &(latch, init) in &state {
+            let gate = pick(&mut rng, &pool);
+            let next = match (rng.gen_bool(0.5), init) {
+                (true, false) => aig.and(latch, gate),
+                (true, true) => aig.or(latch, gate),
+                (false, _) => gate,
+            };
+            aig.set_latch_next(latch, next);
+        }
+        let mut model = Model::new(aig);
+        model.bads = state
+            .iter()
+            .enumerate()
+            .map(|(i, &(lit, _))| BadProperty {
+                name: format!("b{i}"),
+                lit,
+            })
+            .collect();
+        model.constraints = (0..constraints).map(|_| pick(&mut rng, &pool)).collect();
+        model
+    }
+
+    proptest! {
+        /// Every latch the lint's three-valued sweep proves constant is gone
+        /// after optimization: latch sweeping puts it in its constant class,
+        /// and no counterexample to induction splits it off.
+        #[test]
+        fn no_ternary_constant_latch_survives_optimization(
+            seed in 0u64..u64::MAX,
+            latches in 1usize..10,
+            inputs in 0usize..4,
+            gates in 0usize..24,
+            constraints in 0usize..3,
+        ) {
+            let model = stuck_model(seed, latches, inputs, gates, constraints);
+            let aig = &model.aig;
+            let constant: Vec<&str> = crate::lint::constant_latches(aig)
+                .iter()
+                .map(|&(node, _)| aig.name_of(node).expect("named latch"))
+                .collect();
+            let optimized = optimize(&model).0;
+            for latch in optimized.aig.latches() {
+                let name = optimized.aig.name_of(latch.node).expect("named latch");
+                prop_assert!(!constant.contains(&name), "seed {}: {} survived", seed, name);
+            }
+        }
     }
 }

@@ -11,6 +11,12 @@
 //! invariant as a certificate) or an obligation chain reaches the initial
 //! state (counterexample).
 //!
+//! [`check_pdr_budgeted`] is the one entry point and answers with the one
+//! [`Verdict`]: a trace, or [`Certificate::Invariant`].  It takes a list of
+//! targets and keeps one trapezoid across them, which k-liveness uses to
+//! try k = 0, 1, … ([`crate::liveness::k_liveness`]); a safety or cover
+//! check passes one target.
+//!
 //! Implementation notes (following Eén/Mishchenko/Brayton, *Efficient
 //! implementation of property directed reachability*, FMCAD'11):
 //!
@@ -47,6 +53,7 @@ use crate::psim::{Evaluator, Lanes, Ternary};
 use crate::sat::{SatLit, SatResult, SolverConfig, SolverStats};
 use crate::trace::Trace;
 use crate::unroll::Unroller;
+use crate::verdict::{Certificate, Verdict};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -217,99 +224,53 @@ impl Invariant {
     }
 }
 
-/// Outcome of a PDR run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PdrResult {
-    /// The property holds; the inductive invariant is attached.
-    Proven(Invariant),
-    /// A counterexample trace was found.
-    Violated(Trace),
-    /// The frame or query budget was exhausted without a verdict.
-    Unknown {
-        /// Number of frames reached before giving up.
-        frames_explored: usize,
-    },
-    /// The run was preempted by its [`Interrupt`] handle (deadline or
-    /// budget) before reaching a verdict.
-    Interrupted,
-}
-
-impl PdrResult {
-    /// `true` when the property was proven.
-    pub fn is_proven(&self) -> bool {
-        matches!(self, PdrResult::Proven(_))
-    }
-}
-
-/// Checks target literal `bad` of `model` as a bad-state property (an
-/// assertion, or the unreachability of a cover target); also returns the
-/// [`SolverStats`] of the incremental solver behind the run.
+/// Checks `targets` of `model` in order on one trapezoid, until one is
+/// proven unreachable; also returns the index of the target the answer is
+/// about and the [`SolverStats`] of the incremental solver behind the run.
+/// A safety or cover check passes its one target; k-liveness passes one per
+/// k ([`crate::liveness::k_liveness`]).
+///
+/// A target PDR reaches hands its frames to the next one, since only the
+/// target moves and every frame still over-approximates the states
+/// reachable in that many steps.  The first target proven unreachable
+/// answers [`Verdict::Unreachable`] with its [`Invariant`]; a reached last
+/// target answers [`Verdict::Reached`] with its trace, rebuilt by
+/// replaying the obligation chain's inputs.  The frame and query bounds of
+/// `options` cover the whole sequence, and running out of them answers
+/// `None`.  `targets` must not be empty.
 ///
 /// The [`Interrupt`] handle is checked in the obligation queue (alongside
-/// the query budget) and inside the solver's search loop; when it fires
-/// the run returns [`PdrResult::Interrupted`].  Callers without a budget
-/// pass `SolverConfig::default()` and [`Interrupt::none`].
+/// the query budget) and inside the solver's search loop; once it has
+/// fired the run answers `None` or a trace, never a proof.  Callers without
+/// a budget pass `SolverConfig::default()` and [`Interrupt::none`].
 pub fn check_pdr_budgeted(
-    model: &Model,
-    bad: Lit,
-    options: &PdrOptions,
-    solver: SolverConfig,
-    interrupt: &Interrupt,
-) -> (PdrResult, SolverStats) {
-    let _span = crate::telemetry::span("pdr.solve", "");
-    let mut pdr = Pdr::new(model, bad, options, solver, interrupt.clone());
-    let result = match pdr.decide() {
-        Decision::Proven(invariant) => PdrResult::Proven(invariant),
-        Decision::Reached(chain) => PdrResult::Violated(pdr.trace_from_chain(chain)),
-        Decision::Unknown => PdrResult::Unknown {
-            frames_explored: pdr.frames.len() - 1,
-        },
-        Decision::Interrupted => PdrResult::Interrupted,
-    };
-    let stats = pdr.unroller.stats();
-    crate::telemetry::count_solver("pdr", &stats);
-    (result, stats)
-}
-
-/// Checks `targets` of `model` in order on one trapezoid, until one is
-/// proven unreachable: a target PDR reaches hands its frames to the next
-/// one, since only the target moves and every frame still over-approximates
-/// the states reachable in that many steps.  The frame and query bounds of
-/// `options` cover the whole sequence.
-///
-/// Answers [`PdrResult::Proven`] with the index of the target it proved,
-/// or [`PdrResult::Unknown`] or [`PdrResult::Interrupted`] with the index
-/// of the target it was working on (`targets.len()` once every target was
-/// reached); never [`PdrResult::Violated`].  Spans and counters as for
-/// [`check_pdr_budgeted`].
-pub(crate) fn first_unreachable(
     model: &Model,
     targets: &[Lit],
     options: &PdrOptions,
     solver: SolverConfig,
     interrupt: &Interrupt,
-) -> (PdrResult, usize, SolverStats) {
+) -> (Option<Verdict>, usize, SolverStats) {
     let _span = crate::telemetry::span("pdr.solve", "");
-    let first = targets.first().copied().unwrap_or(Lit::FALSE);
-    let mut pdr = Pdr::new(model, first, options, solver, interrupt.clone());
-    let decided = targets.iter().enumerate().find_map(|(index, &target)| {
-        pdr.retarget(target);
-        let result = match pdr.decide() {
-            Decision::Reached(_) => return None,
-            Decision::Proven(invariant) => PdrResult::Proven(invariant),
-            Decision::Unknown => PdrResult::Unknown {
-                frames_explored: pdr.frames.len() - 1,
-            },
-            Decision::Interrupted => PdrResult::Interrupted,
-        };
-        Some((result, index))
-    });
-    let frames_explored = pdr.frames.len() - 1;
-    let (result, index) =
-        decided.unwrap_or((PdrResult::Unknown { frames_explored }, targets.len()));
+    let mut pdr = Pdr::new(model, targets[0], options, solver, interrupt.clone());
+    let mut index = 0;
+    let verdict = loop {
+        match pdr.decide() {
+            Decision::Proven(invariant) => {
+                break Some(Verdict::Unreachable(Certificate::Invariant(invariant)))
+            }
+            Decision::Reached(chain) if index + 1 == targets.len() => {
+                break Some(Verdict::Reached(pdr.trace_from_chain(chain)))
+            }
+            Decision::Reached(_) => {
+                index += 1;
+                pdr.retarget(targets[index]);
+            }
+            Decision::Undecided => break None,
+        }
+    };
     let stats = pdr.unroller.stats();
     crate::telemetry::count_solver("pdr", &stats);
-    (result, index, stats)
+    (verdict, index, stats)
 }
 
 /// A cube: a partial latch valuation, as sorted `(latch position, value)`
@@ -337,8 +298,8 @@ enum BlockOutcome {
     /// An obligation chain from this arena node, which contains the
     /// initial state, reaches the target.
     Cex(usize),
-    Budget,
-    Interrupted,
+    /// Out of queries, or interrupted.
+    Undecided,
 }
 
 /// How a run on the current target ended, before a counterexample chain is
@@ -348,8 +309,8 @@ enum Decision {
     /// The obligation chain from this arena node reaches the target from
     /// the initial state.
     Reached(usize),
-    Unknown,
-    Interrupted,
+    /// Out of frames or queries, or interrupted.
+    Undecided,
 }
 
 /// Three-way answer of a relative-induction query, so an interrupted
@@ -672,11 +633,8 @@ impl<'a> Pdr<'a> {
         while let Some(Reverse((frame, _, id))) = queue.pop() {
             #[cfg(any(test, feature = "fault-injection"))]
             self.interrupt.fault("pdr.block_cube");
-            if self.over_budget() {
-                return BlockOutcome::Budget;
-            }
-            if self.interrupt.poll().is_some() {
-                return BlockOutcome::Interrupted;
+            if self.over_budget() || self.interrupt.poll().is_some() {
+                return BlockOutcome::Undecided;
             }
             if self.cube_contains_init(&self.arena[id].cube) {
                 return BlockOutcome::Cex(id);
@@ -684,7 +642,7 @@ impl<'a> Pdr<'a> {
             debug_assert!(frame >= 1, "non-init obligations sit at frame >= 1");
             let cube = self.arena[id].cube.clone();
             match self.relative_query(frame - 1, &cube, Self::lift_predecessor) {
-                RelQuery::Interrupted => return BlockOutcome::Interrupted,
+                RelQuery::Interrupted => return BlockOutcome::Undecided,
                 RelQuery::Pred((pred, pinputs)) => {
                     // A predecessor reaches the cube: chase it one frame
                     // down and retry this obligation afterwards.
@@ -841,7 +799,7 @@ impl<'a> Pdr<'a> {
                     return Decision::Reached(self.arena_push(Vec::new(), inputs, None));
                 }
                 SatResult::Unsat => {}
-                SatResult::Interrupted => return Decision::Interrupted,
+                SatResult::Interrupted => return Decision::Undecided,
             }
             self.push_frame();
         }
@@ -852,31 +810,27 @@ impl<'a> Pdr<'a> {
             loop {
                 #[cfg(any(test, feature = "fault-injection"))]
                 self.interrupt.fault("pdr.block_cube");
-                if self.over_budget() {
-                    return Decision::Unknown;
-                }
-                if self.interrupted() {
-                    return Decision::Interrupted;
+                if self.over_budget() || self.interrupted() {
+                    return Decision::Undecided;
                 }
                 let frontier = self.frames.len() - 1;
                 let mut assumptions = self.frame_assumptions(frontier);
                 assumptions.push(self.bad0);
                 match self.solve(&assumptions) {
                     SatResult::Unsat => break,
-                    SatResult::Interrupted => return Decision::Interrupted,
+                    SatResult::Interrupted => return Decision::Undecided,
                     SatResult::Sat => {
                         let (cube, inputs) = self.lift_bad();
                         match self.block(cube, inputs, frontier) {
                             BlockOutcome::Blocked => {}
                             BlockOutcome::Cex(chain) => return Decision::Reached(chain),
-                            BlockOutcome::Budget => return Decision::Unknown,
-                            BlockOutcome::Interrupted => return Decision::Interrupted,
+                            BlockOutcome::Undecided => return Decision::Undecided,
                         }
                     }
                 }
             }
             if self.frames.len() > self.options.max_frames {
-                return Decision::Unknown;
+                return Decision::Undecided;
             }
             // Between frames: garbage-collect the clause database.  Every
             // blocked-cube query retires its temporary ¬cube clause through
@@ -886,6 +840,12 @@ impl<'a> Pdr<'a> {
             self.unroller.simplify();
             self.push_frame();
             if let Some(invariant) = self.propagate_clauses() {
+                // The solver charges a completed query's conflicts to the
+                // budget on its way out, which may fire the interrupt: a
+                // preempted run never reports a proof.
+                if self.interrupted() {
+                    return Decision::Undecided;
+                }
                 return Decision::Proven(invariant);
             }
         }
@@ -906,16 +866,18 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// An unbudgeted PDR run on `model.bads[0]` with the default solver.
-    fn pdr(model: &Model, options: &PdrOptions) -> PdrResult {
+    fn pdr(model: &Model, options: &PdrOptions) -> Option<Verdict> {
         let bad = model.bads[0].lit;
-        check_pdr_budgeted(
-            model,
-            bad,
-            options,
-            SolverConfig::default(),
-            &Interrupt::none(),
-        )
-        .0
+        let config = SolverConfig::default();
+        check_pdr_budgeted(model, &[bad], options, config, &Interrupt::none()).0
+    }
+
+    /// The invariant of a PDR proof.
+    fn proof(verdict: Option<Verdict>) -> Invariant {
+        match verdict {
+            Some(Verdict::Unreachable(Certificate::Invariant(invariant))) => invariant,
+            other => panic!("expected a proof, got {other:?}"),
+        }
     }
 
     /// A 3-bit counter that saturates at 7 (shared with the BMC tests).
@@ -957,7 +919,7 @@ mod tests {
             lit: b,
         });
         match pdr(&model, &PdrOptions::default()) {
-            PdrResult::Violated(trace) => {
+            Some(Verdict::Reached(trace)) => {
                 assert_eq!(trace.len(), 6);
                 // Frame 5 must be the value 5 (101).
                 assert_eq!(trace.value(5, "c0"), Some(true));
@@ -992,12 +954,8 @@ mod tests {
             name: "saturation_sticks".into(),
             lit: bad,
         });
-        match pdr(&model, &PdrOptions::default()) {
-            PdrResult::Proven(invariant) => {
-                assert!(invariant.certify(&model, bad), "certificate must check");
-            }
-            other => panic!("expected proof, got {other:?}"),
-        }
+        let invariant = proof(pdr(&model, &PdrOptions::default()));
+        assert!(invariant.certify(&model, bad), "certificate must check");
     }
 
     #[test]
@@ -1026,14 +984,9 @@ mod tests {
             name: "wraps_to_zero".into(),
             lit: bad,
         });
-        let result = pdr(&model, &PdrOptions::default());
-        match result {
-            PdrResult::Proven(invariant) => {
-                assert!(invariant.certify(&model, bad));
-                assert!(invariant.num_clauses() >= 1);
-            }
-            other => panic!("expected proof, got {other:?}"),
-        }
+        let invariant = proof(pdr(&model, &PdrOptions::default()));
+        assert!(invariant.certify(&model, bad));
+        assert!(invariant.num_clauses() >= 1);
     }
 
     #[test]
@@ -1050,11 +1003,8 @@ mod tests {
             name: "q_high".into(),
             lit: q,
         });
-        let result = pdr(&model, &PdrOptions::default());
-        assert!(result.is_proven(), "got {result:?}");
-        if let PdrResult::Proven(inv) = result {
-            assert!(inv.certify(&model, q));
-        }
+        let invariant = proof(pdr(&model, &PdrOptions::default()));
+        assert!(invariant.certify(&model, q));
     }
 
     #[test]
@@ -1068,7 +1018,7 @@ mod tests {
             lit: q,
         });
         match pdr(&model, &PdrOptions::default()) {
-            PdrResult::Violated(trace) => {
+            Some(Verdict::Reached(trace)) => {
                 assert_eq!(trace.len(), 1);
                 assert_eq!(trace.value(0, "q"), Some(true));
             }
@@ -1083,13 +1033,9 @@ mod tests {
             name: "never".into(),
             lit: Lit::FALSE,
         });
-        match pdr(&model, &PdrOptions::default()) {
-            PdrResult::Proven(invariant) => {
-                assert_eq!(invariant.num_clauses(), 0);
-                assert!(invariant.certify(&model, Lit::FALSE));
-            }
-            other => panic!("expected proof, got {other:?}"),
-        }
+        let invariant = proof(pdr(&model, &PdrOptions::default()));
+        assert_eq!(invariant.num_clauses(), 0);
+        assert!(invariant.certify(&model, Lit::FALSE));
     }
 
     #[test]
@@ -1109,11 +1055,7 @@ mod tests {
             generalize_rounds: 0,
         };
         // The bad state is 7 steps deep: 2 frames cannot decide it.
-        let result = pdr(&model, &tiny);
-        assert!(
-            matches!(result, PdrResult::Unknown { .. }),
-            "got {result:?}"
-        );
+        assert_eq!(pdr(&model, &tiny), None);
     }
 
     #[test]
@@ -1219,7 +1161,8 @@ mod tests {
             let (model, latches, pool) = random_model(&mut rng);
             let bad = model.bads[0].lit;
             let mut candidates = Vec::new();
-            if let PdrResult::Proven(invariant) = pdr(&model, &PdrOptions::default()) {
+            let verdict = pdr(&model, &PdrOptions::default());
+            if let Some(Verdict::Unreachable(Certificate::Invariant(invariant))) = verdict {
                 for drop in 0..invariant.num_clauses() {
                     let mut clauses = invariant.clauses().to_vec();
                     clauses.remove(drop);

@@ -1,5 +1,5 @@
-//! Parallel verification orchestration: scheduling, budgets, the one
-//! verdict type and the proof cache.
+//! Parallel verification orchestration: scheduling, budgets and the proof
+//! cache.
 //!
 //! The checker turns every property of a testbench into an independent task
 //! on its own cone-of-influence slice (see [`crate::coi`]); this module
@@ -16,23 +16,18 @@
 //!   on an identical slice regardless of interleaving — so a report
 //!   assembled from a parallel run renders byte-identically to a
 //!   sequential one;
-//! * `Verdict` — the one shape of a decided answer to "can the target be
-//!   reached?" (for liveness: "is there a fair lasso?"): yes with a trace
-//!   (a lasso for liveness), or no with a `Certificate` (an induction
-//!   depth, a PDR invariant, a k-liveness invariant with its k, or explicit
-//!   reachability).  Every cascade stage answers with one, the proof cache
-//!   stores, re-checks and returns one, and the checker turns one into a
-//!   report status;
-//! * [`ProofCache`] — a process-wide store keyed by *slice fingerprint +
-//!   engine options + property name*, run by the checker as the first stage
-//!   of every property's cascade.  Identical cones (buggy/fixed design
-//!   variants, repeated bench iterations, properties stamped out by the
-//!   same annotation) checked with the same engine options reuse verdicts
-//!   instead of re-running engines.  Which
-//!   certificates cross the disk and how each artifact is re-checked are
-//!   decided here, once: a trace is replayed through the two-state
-//!   simulator on every hit, a lasso through the lasso replay
-//!   ([`crate::liveness::replay`]); a PDR invariant must name latches of
+//! * [`ProofCache`] — a process-wide store of [`Verdict`]s, the answer every
+//!   engine gives, keyed by *slice fingerprint + engine options + property
+//!   name*, run by the checker as the first stage of every property's
+//!   cascade.  Identical cones (buggy/fixed design variants, repeated
+//!   bench iterations, properties stamped out by the same annotation)
+//!   checked with the same engine options reuse verdicts instead of
+//!   re-running engines.  Which certificates cross the disk and how each
+//!   artifact is re-checked are decided here, once: a trace is replayed
+//!   through the two-state simulator on every hit, a lasso through the
+//!   lasso replay ([`crate::liveness::replay`]), and an artifact of another
+//!   kind of property than the one looked up (a lasso for a safety
+//!   property, say) never validates; a PDR invariant must name latches of
 //!   the live slice and certify with an independent SAT check on every hit,
 //!   and a k-liveness invariant likewise on the k-liveness model built
 //!   from the live slice; a k-induction depth is trusted when this process
@@ -47,9 +42,8 @@
 //!   cone slice an opt-on run prepared, so a re-run of unchanged RTL skips
 //!   the optimizer.
 
-use crate::aig::{Aig, Lit};
-use crate::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
-use crate::checker::Proof;
+use crate::aig::Lit;
+use crate::bmc::{check_target_budgeted, BmcOptions};
 use crate::coi::Fingerprint;
 use crate::interrupt::Interrupt;
 use crate::liveness::{KLiveness, Monitors};
@@ -57,6 +51,7 @@ use crate::model::Model;
 use crate::pdr::Invariant;
 use crate::sat::SolverConfig;
 use crate::trace::Trace;
+use crate::verdict::{Certificate, Verdict};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -79,9 +74,10 @@ pub struct ParallelOptions {
     /// full compiled model (verdict-preserving; see [`crate::coi`]).
     pub slice: bool,
     /// Run the AIG static-analysis/optimization pass ([`crate::opt`]) on
-    /// each property slice before the engine cascade: constant sweeping,
-    /// sequential latch sweeping, combinational gate sweeping and dead-node
-    /// elimination, all verdict-preserving.  Only applies when `slice` is
+    /// each property slice before the engine cascade: sequential latch
+    /// sweeping (constants included), combinational gate sweeping,
+    /// two-level rewriting and dead-node elimination, all
+    /// verdict-preserving.  Only applies when `slice` is
     /// on — the `slice: false` escape hatch keeps the exact
     /// pre-orchestrator behaviour, untouched model included.
     pub opt: bool,
@@ -236,55 +232,6 @@ pub(crate) struct CacheKey {
     pub fingerprint: Fingerprint,
     pub config: u64,
     pub property: String,
-}
-
-/// A decided answer to the question every checked property asks: can its
-/// target literal be reached (for liveness: is there a fair lasso)?
-/// Artifacts are in the terms of the model the property was checked on:
-/// its slice, plus the pending-obligation monitors for liveness.
-#[derive(Debug, Clone)]
-pub(crate) enum Verdict {
-    /// Yes: the counterexample (safety), the lasso (liveness, with its
-    /// [`Trace::loop_start`]) or the witness (cover).
-    Reached(Trace),
-    /// No, and why.
-    Unreachable(Certificate),
-}
-
-/// Why a target cannot be reached.
-#[derive(Debug, Clone)]
-pub(crate) enum Certificate {
-    /// k-induction closed at this depth.
-    Induction(usize),
-    /// A PDR inductive invariant.
-    Invariant(Invariant),
-    /// k-liveness at `k`: a PDR invariant of the k-liveness model
-    /// ([`KLiveness`]) that keeps its round counter below k + 1.
-    KLiveness { k: usize, invariant: Invariant },
-    /// Exhaustive reachable-state enumeration by the explicit engine.
-    Reachability,
-}
-
-impl Certificate {
-    /// The proof a proven safety or liveness property reports; `aig` is the
-    /// circuit an invariant's latches belong to (the k-liveness model's for
-    /// a k-liveness proof).
-    pub(crate) fn proof(&self, aig: &Aig) -> Proof {
-        match self {
-            Certificate::Induction(depth) => Proof::Induction { depth: *depth },
-            Certificate::Invariant(invariant) => Proof::Invariant {
-                clauses: invariant.render(aig),
-                frames: invariant.frames_explored,
-                k_liveness: None,
-            },
-            Certificate::KLiveness { k, invariant } => Proof::Invariant {
-                clauses: invariant.render(aig),
-                frames: invariant.frames_explored,
-                k_liveness: Some(*k),
-            },
-            Certificate::Reachability => Proof::Reachability,
-        }
-    }
 }
 
 /// What a cached verdict must show on the live model to be returned.
@@ -576,11 +523,14 @@ impl ProofCache {
             }
         };
         // Validation runs outside the lock: certification and replay are
-        // real engine work and must not serialize the worker pool.  A
-        // certificate of another kind of property than `goal`'s never
-        // validates.
+        // real engine work and must not serialize the worker pool.  An
+        // artifact of another kind of property than `goal`'s never
+        // validates: a lasso answers no safety or cover goal, nor does a
+        // safety or cover certificate a liveness one.
         let valid = match (&entry.verdict, goal) {
-            (Verdict::Reached(trace), Goal::Reach(target)) => replay_confirms(model, target, trace),
+            (Verdict::Reached(trace), Goal::Reach(target)) => {
+                trace.loop_start().is_none() && replay_confirms(model, target, trace)
+            }
             (Verdict::Reached(trace), Goal::Lasso(monitors, _)) => {
                 lasso_confirms(model, monitors, trace)
             }
@@ -946,8 +896,8 @@ fn induction_reproves(
         max_induction: depth,
     };
     let config = SolverConfig::default();
-    let (result, _) = check_target_budgeted(model, target, name, &bound, config, interrupt);
-    matches!(result, SafetyResult::Proven { .. })
+    let (verdict, _) = check_target_budgeted(model, target, name, &bound, config, interrupt);
+    matches!(verdict, Some(Verdict::Unreachable(_)))
 }
 
 /// Replays a cached trace against the live model (see
@@ -1525,6 +1475,18 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(lookup(&cache, &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
+        // (e) a genuine counterexample hits as `reached`, and re-tagged
+        // `lasso 0` it parses but is rejected: a lasso answers no safety
+        // goal.
+        let counterexample = "2 2\nsignal 1 10 x\nsignal 0 01 q";
+        for (tag, genuine) in [("reached", true), ("lasso 0", false)] {
+            let text = format!("{CACHE_HEADER}\nentry {fp} q_high\n{tag} {counterexample}\n");
+            std::fs::write(&path, text).unwrap();
+            let cache = ProofCache::open(&dir);
+            assert_eq!(cache.len(), 1, "{tag}");
+            assert_eq!(lookup(&cache, &model, q).is_some(), genuine, "{tag}");
+            assert_eq!(cache.stats().rejected, u64::from(!genuine), "{tag}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1562,8 +1524,11 @@ mod tests {
             SolverConfig::default(),
             &none,
         );
-        let crate::liveness::LivenessResult::Proven { k, invariant } = proof else {
+        let Some(Verdict::Unreachable(proof)) = proof else {
             panic!("expected a k-liveness proof, got {proof:?}");
+        };
+        let Certificate::KLiveness { k, .. } = proof else {
+            panic!("expected a k-liveness certificate, got {proof:?}");
         };
         let key = |name: &str| CacheKey {
             property: name.into(),
@@ -1572,10 +1537,7 @@ mod tests {
         {
             let cache = ProofCache::open(&dir);
             cache.store(key("lasso"), Verdict::Reached(lasso.clone()));
-            cache.store(
-                key("proof"),
-                Verdict::Unreachable(Certificate::KLiveness { k, invariant }),
-            );
+            cache.store(key("proof"), Verdict::Unreachable(proof));
             cache.flush().expect("flush");
         }
         let cache = ProofCache::open(&dir);

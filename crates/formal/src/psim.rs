@@ -14,9 +14,9 @@
 //!   64-input-combination sweeps use it;
 //! * **three-valued** (`Ternary`): dual rail, a `one` and a `zero` word
 //!   per node, with X (unknown) where neither rail is set.  NOT swaps the
-//!   rails and AND is Kleene AND (`one & one`, `zero | zero`).  opt's
-//!   constant-latch fixpoint (which also feeds lint L005) and PDR's
-//!   predecessor lifting use it.
+//!   rails and AND is Kleene AND (`one & one`, `zero | zero`).  The lint's
+//!   constant-latch fixpoint (lint L005) and PDR's predecessor lifting use
+//!   it.
 //!
 //! [`ParallelSim`] is the sequential driver over the two-valued mode
 //! (reset, drive inputs, read monitors, clock the latches).  In the

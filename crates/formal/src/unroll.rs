@@ -4,8 +4,8 @@
 //! instance: frame 0 constrains latches to their initial values, and each new
 //! frame connects latch inputs to the previous frame's next-state functions.
 //! The same unroller serves bounded model checking, k-induction (where the
-//! initial-state constraint is omitted) and the liveness-to-safety loop
-//! checks.
+//! initial-state constraint is omitted), PDR's two-frame transition
+//! relation and the lasso search's loop checks.
 
 use crate::aig::{Aig, Lit, Node};
 use crate::sat::{SatLit, Solver, SolverConfig, SolverStats, Var};

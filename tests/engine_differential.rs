@@ -11,21 +11,22 @@
 use autosva_bench::{build_testbench, default_check_options};
 use autosva_designs::{all_cases, elaborated, Variant};
 use autosva_formal::aig::{Aig, Lit};
-use autosva_formal::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
+use autosva_formal::bmc::{check_target_budgeted, BmcOptions};
 use autosva_formal::checker::verify_elaborated;
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
 use autosva_formal::explicit::{
-    liveness as explicit_liveness, reach, shortest, ExplicitOptions, ExplicitResult, Shortest,
+    liveness as explicit_liveness, reach, shortest, ExplicitOptions, Shortest,
 };
 use autosva_formal::fuzz::{fuzz_safety_budgeted, FuzzOptions};
 use autosva_formal::interrupt::Interrupt;
-use autosva_formal::liveness::{self, k_liveness, lasso_search, KLiveness, LivenessResult};
+use autosva_formal::liveness::{self, k_liveness, lasso_search, KLiveness};
 use autosva_formal::model::{BadProperty, Model, ResponseProperty};
-use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions, PdrResult};
+use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions};
 use autosva_formal::psim::replay;
 use autosva_formal::sat::{SatLit, SatResult, SolverConfig};
 use autosva_formal::trace::Trace;
 use autosva_formal::unroll::Unroller;
+use autosva_formal::verdict::{Certificate, Verdict};
 use common::assert_provenance;
 use proptest::prelude::*;
 
@@ -105,7 +106,7 @@ fn trace_replays(model: &Model, trace: &autosva_formal::trace::Trace) -> bool {
 }
 
 /// Unbudgeted BMC + k-induction on `model.bads[0]` with the default solver.
-fn bmc(model: &Model, options: &BmcOptions) -> SafetyResult {
+fn bmc(model: &Model, options: &BmcOptions) -> Option<Verdict> {
     let (bad, config, none) = (&model.bads[0], SolverConfig::default(), Interrupt::none());
     check_target_budgeted(model, bad.lit, &bad.name, options, config, &none).0
 }
@@ -122,9 +123,9 @@ fn bmc_safe(model: &Model, what: &str) -> bool {
             max_induction: 40,
         },
     ) {
-        SafetyResult::Proven { .. } => true,
-        SafetyResult::Violated(_) => false,
-        other => panic!("{what}: bounded engines undecided on a tiny model: {other:?}"),
+        Some(Verdict::Unreachable(_)) => true,
+        Some(Verdict::Reached(_)) => false,
+        None => panic!("{what}: bounded engines undecided on a tiny model"),
     }
 }
 
@@ -134,15 +135,15 @@ fn bmc_safe(model: &Model, what: &str) -> bool {
 fn pdr_safe(model: &Model, config: SolverConfig, what: &str) -> bool {
     let bad = model.bads[0].lit;
     let options = PdrOptions::default();
-    match check_pdr_budgeted(model, bad, &options, config, &Interrupt::none()).0 {
-        PdrResult::Proven(invariant) => {
+    match check_pdr_budgeted(model, &[bad], &options, config, &Interrupt::none()).0 {
+        Some(Verdict::Unreachable(Certificate::Invariant(invariant))) => {
             assert!(
                 invariant.certify(model, bad),
                 "{what}: PDR invariant failed certification"
             );
             true
         }
-        PdrResult::Violated(trace) => {
+        Some(Verdict::Reached(trace)) => {
             assert!(
                 trace_replays(model, &trace),
                 "{what}: PDR counterexample does not replay"
@@ -162,9 +163,9 @@ fn explicit_trace(model: &Model) -> Option<Trace> {
         max_inputs: 8,
     };
     match reach(model, model.bads[0].lit, &options, &Interrupt::none()) {
-        ExplicitResult::Proven => None,
-        ExplicitResult::Violated(trace) => Some(trace),
-        ExplicitResult::Exceeded => panic!("tiny model exceeded explicit limits"),
+        Some(Verdict::Unreachable(_)) => None,
+        Some(Verdict::Reached(trace)) => Some(trace),
+        None => panic!("tiny model exceeded explicit limits"),
     }
 }
 
@@ -194,7 +195,7 @@ proptest! {
         if let Some(trace) = &trace {
             let deep = BmcOptions { max_depth: 40, max_induction: 0 };
             match bmc(&model, &deep) {
-                SafetyResult::Violated(cex) => {
+                Some(Verdict::Reached(cex)) => {
                     prop_assert_eq!(trace.len(), cex.len(), "shortest trace ({})", what)
                 }
                 other => panic!("{what}: BMC found no counterexample: {other:?}"),
@@ -429,7 +430,7 @@ proptest! {
             prop_assert!(
                 matches!(
                     bmc(&model, &BmcOptions { max_depth: cycle, max_induction: 0 }),
-                    SafetyResult::Violated(_)
+                    Some(Verdict::Reached(_))
                 ),
                 "fuzz hit at cycle {} is not a BMC counterexample at that depth (seed {seed})",
                 cycle
@@ -485,9 +486,8 @@ proptest! {
             let bad = model.bads[0].lit;
             let none = Interrupt::none();
             let ladder = match bmc(&model, &BmcOptions { max_depth: 63, max_induction: 0 }) {
-                SafetyResult::Violated(trace) => Some(trace),
-                SafetyResult::Unknown { .. } | SafetyResult::Proven { .. } => None,
-                SafetyResult::Interrupted => panic!("seed {seed}: an unbudgeted ladder stopped"),
+                Some(Verdict::Reached(trace)) => Some(trace),
+                Some(Verdict::Unreachable(_)) | None => None,
             };
             let searched = match shortest(&model, bad, u64::MAX, &none) {
                 Shortest::Trace(trace) => Some(trace),
@@ -578,21 +578,21 @@ proptest! {
             let base = liveness_model(seed, num_latches, num_inputs, num_gates, constraints, fairness);
             let (model, monitors) = liveness::monitored(&base, 0);
             let exact = match explicit_liveness(&model, &monitors, &limits, &none) {
-                ExplicitResult::Violated(lasso) => Some(lasso),
-                ExplicitResult::Proven => None,
-                ExplicitResult::Exceeded => panic!("seed {seed}: a tiny model exceeded the limits"),
+                Some(Verdict::Reached(lasso)) => Some(lasso),
+                Some(Verdict::Unreachable(_)) => None,
+                None => panic!("seed {seed}: a tiny model exceeded the limits"),
             };
             if let Some(lasso) = &exact {
                 prop_assert!(lasso_replays(&model, &monitors, lasso), "seed {seed}: explicit lasso");
             }
             match lasso_search(&model, &monitors, DEPTH, config, &none).0 {
-                LivenessResult::Violated(lasso) => {
+                Some(Verdict::Reached(lasso)) => {
                     prop_assert!(exact.is_some(), "seed {seed}: a lasso the SCC check rules out");
                     prop_assert!(lasso_replays(&model, &monitors, &lasso), "seed {seed}: BMC lasso");
                     let longest = exact.as_ref().map_or(usize::MAX, Trace::len);
                     prop_assert!(lasso.len() <= longest, "seed {seed}: not a shortest lasso");
                 }
-                LivenessResult::Unknown => prop_assert!(
+                None => prop_assert!(
                     exact.as_ref().is_none_or(|lasso| lasso.len() > DEPTH + 1),
                     "seed {seed}: the search missed a lasso within its depth"
                 ),
@@ -600,12 +600,12 @@ proptest! {
             }
             let klive = KLiveness::new(&model, &monitors);
             match k_liveness(&klive, &PdrOptions::default(), config, &none).0 {
-                LivenessResult::Proven { k, invariant } => {
+                Some(Verdict::Unreachable(Certificate::KLiveness { k, invariant })) => {
                     prop_assert!(exact.is_none(), "seed {seed}: k-liveness proved a violated property");
                     let bad = klive.target(k).expect("a proof within the bound");
                     prop_assert!(invariant.certify(&klive.model, bad), "seed {seed}: k={k}");
                 }
-                LivenessResult::Unknown => {}
+                None => {}
                 other => panic!("seed {seed}: k-liveness answered {other:?}"),
             }
         }

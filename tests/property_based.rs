@@ -6,12 +6,13 @@
 
 use autosva::annotation::split_field;
 use autosva_formal::aig::Aig;
-use autosva_formal::bmc::{check_target_budgeted, BmcOptions, SafetyResult};
+use autosva_formal::bmc::{check_target_budgeted, BmcOptions};
 use autosva_formal::elab::{elaborate, ElabOptions};
 use autosva_formal::interrupt::Interrupt;
 use autosva_formal::model::Model;
 use autosva_formal::psim::ParallelSim;
 use autosva_formal::sat::SolverConfig;
+use autosva_formal::verdict::{Certificate, Verdict};
 use autosva_formal::words;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -193,7 +194,7 @@ proptest! {
             &Interrupt::none(),
         );
         match result {
-            SafetyResult::Proven { .. } => {}
+            Some(Verdict::Unreachable(Certificate::Induction(_))) => {}
             other => prop_assert!(
                 false,
                 "struct/mirror equality not proven: {other:?} (widths {widths:?})"

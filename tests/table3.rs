@@ -12,6 +12,7 @@ use autosva_formal::checker::{verify_elaborated, Proof, PropertyStatus};
 use autosva_formal::interrupt::Interrupt;
 use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions};
 use autosva_formal::sat::SolverConfig;
+use autosva_formal::verdict::{Certificate, Verdict};
 use std::time::Duration;
 
 #[test]
@@ -206,15 +207,15 @@ fn o2_scaled_l15_proof_closes_via_pdr_not_explicit() {
         .find(|b| b.name.contains("l15_miss_had_a_request"))
         .map(|b| b.lit)
         .expect("monitor bad-state literal exists");
-    let (result, _) = check_pdr_budgeted(
+    let (result, ..) = check_pdr_budgeted(
         &compiled.model,
-        bad,
+        &[bad],
         &PdrOptions::default(),
         SolverConfig::default(),
         &Interrupt::none(),
     );
     match result {
-        autosva_formal::pdr::PdrResult::Proven(invariant) => {
+        Some(Verdict::Unreachable(Certificate::Invariant(invariant))) => {
             assert!(
                 invariant.certify(&compiled.model, bad),
                 "the L1.5 invariant must pass independent certification"

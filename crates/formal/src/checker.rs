@@ -17,7 +17,8 @@
 //! 2. **fuzz** — the bit-parallel stimulus fuzzer (safety only);
 //! 3. **quick BMC** — shallow BMC for short counterexamples plus
 //!    k-induction for cheap proofs; for liveness, the lasso search to a
-//!    shallow depth;
+//!    shallow depth, whose SAT half is skipped when a budgeted
+//!    breadth-first search finds no fair cycle within that depth;
 //! 4. **PDR** — IC3/PDR for reachability-dependent proofs, with an
 //!    inductive-invariant certificate; for liveness, k-liveness;
 //! 5. **explicit** — the exact explicit-state engine, one breadth-first
@@ -87,8 +88,11 @@ pub struct CheckOptions {
     pub bmc: BmcOptions,
     /// The deepest loop the liveness lasso search tries: a counterexample
     /// lasso whose stem and loop together exceed this many cycles is found
-    /// only by the explicit stage.  Liveness proofs (k-liveness, the
-    /// explicit SCC check) are unbounded.
+    /// only by the explicit stage.  The full-depth BMC stage searches to
+    /// this depth and the quick one to at most 10; in both, a breadth-first
+    /// search that finds no fair cycle within the depth skips the SAT
+    /// search ([`crate::explicit::lasso_free`]).  Liveness proofs
+    /// (k-liveness, the explicit SCC check) are unbounded.
     pub lasso_depth: usize,
     /// Disable the explicit-state stage of the cascade (used by the
     /// bounded-engine and fuzz-alone rows of the contract suite).
@@ -1226,10 +1230,24 @@ fn run_task(task: &PropertyTask, model: &Model, name: &str, options: &CheckOptio
     outcome
 }
 
-/// Depth of the quick BMC stage.  Short counterexamples are found here
-/// with minimal effort; anything deeper is left to PDR, the explicit engine
-/// or the full-depth BMC.
+/// Depth of the quick BMC stage: BMC to this depth with k-induction to
+/// depth 3 for a safety or cover target, the lasso search to this depth
+/// (at most [`CheckOptions::lasso_depth`]) for a liveness one.  Short
+/// counterexamples are found here with minimal effort; anything deeper is
+/// left to PDR, the explicit engine or the full-depth BMC.
 const QUICK_BMC_DEPTH: usize = 10;
+
+/// Input words the breadth-first filter of the lasso search
+/// ([`explicit::lasso_free`]) may evaluate before it leaves the property to
+/// the SAT search: a state expands into 2^(inputs − 6) words, one for six
+/// inputs or fewer.  Every proven corpus cone but A2 fixed's two is ruled
+/// out within 285 words, and the five violated cones reach a fair cycle
+/// within 404.  A2 fixed's two would need 6,152 words each (769 states × 8
+/// words), 2.7–2.8 ms of search, where their SAT searches take 0.4–0.7 ms
+/// and 1.8–2.0 ms (22 and 149 conflicts; best of 10 or 20 sequential runs
+/// on a 2-vCPU host).  2^10 words stop the filter on those two after
+/// 0.5–0.8 ms.
+const LASSO_FREE_WORDS: u64 = 1 << 10;
 
 /// Bounds of the PDR stage, which sits between k-induction and the explicit
 /// fallback.
@@ -1259,8 +1277,11 @@ enum Stage {
     /// The bit-parallel stimulus fuzzer: concrete 64-lane stimulus over the
     /// slice, every hit replay-confirmed, before any SAT query.
     Fuzz,
-    /// Shallow BMC plus k-induction up to depth 3: short counterexamples
-    /// and cheap proofs at minimal cost.
+    /// Short counterexamples and cheap proofs at minimal cost, to
+    /// `QUICK_BMC_DEPTH`: for a safety or cover target, BMC plus
+    /// k-induction up to depth 3; for a liveness target, the lasso search,
+    /// whose breadth-first filter skips the SAT search where no fair cycle
+    /// fits the depth.
     QuickBmc,
     /// IC3/PDR: the reachability-dependent proofs induction cannot close,
     /// without the explicit engine's exponential cliff.
@@ -1328,7 +1349,8 @@ impl Stage {
 /// because the task's interrupt fired.  A liveness property runs its own
 /// engine in each stage, on its monitored model: the BMC stages search for
 /// lassos (quick: to `QUICK_BMC_DEPTH`; full: to
-/// [`CheckOptions::lasso_depth`]), PDR proves k-liveness, and the explicit
+/// [`CheckOptions::lasso_depth`]; both behind the breadth-first filter
+/// under `LASSO_FREE_WORDS`), PDR proves k-liveness, and the explicit
 /// engine runs its SCC check.
 fn run_stage(
     stage: Stage,
@@ -1358,10 +1380,11 @@ fn run_stage(
         }
         (Stage::QuickBmc, Goal::Lasso(monitors, _)) => {
             let depth = QUICK_BMC_DEPTH.min(options.lasso_depth);
-            lasso_search(model, monitors, depth, solver, interrupt)
+            lasso_search(model, monitors, depth, LASSO_FREE_WORDS, solver, interrupt)
         }
         (Stage::FullBmc, Goal::Lasso(monitors, _)) => {
-            lasso_search(model, monitors, options.lasso_depth, solver, interrupt)
+            let depth = options.lasso_depth;
+            lasso_search(model, monitors, depth, LASSO_FREE_WORDS, solver, interrupt)
         }
         (Stage::Pdr, Goal::Reach(lit)) => {
             let (verdict, _, stats) =

@@ -28,13 +28,18 @@
 //!   automata-theoretic criterion for a counterexample lasso.  Its lasso,
 //!   a stem and a loop through that component with the inputs the search
 //!   found for every edge, is confirmed by the lasso replay
-//!   ([`crate::liveness::replay`]).
+//!   ([`crate::liveness::replay`]);
+//! * [`lasso_free`] runs [`liveness`]'s fair-component test after each
+//!   breadth-first layer, under a word budget and only as deep as the lasso
+//!   search looks, which runs it first: when no fair cycle lies within that
+//!   depth, the SAT search is skipped.
 //!
 //! [`reach`] and [`liveness`] answer with the one [`Verdict`]: a trace or
 //! lasso, or [`Certificate::Reachability`] once every reachable state was
 //! explored; `None` when a limit or the interrupt stops the search first.
 //! [`shortest`] keeps its own answer, [`Shortest`], because minimization
-//! only asks for a trace or a depth.
+//! only asks for a trace or a depth, and [`lasso_free`] answers whether the
+//! lasso search may be skipped.
 //!
 //! The kernel expands one state at a time.  It loads the state's latch
 //! values once and settles the AIG once per *input word*: 64 valuations at
@@ -128,7 +133,7 @@ pub fn shortest(model: &Model, target: Lit, max_words: u64, interrupt: &Interrup
     let Some(mut search) = Search::new(model, &ExplicitOptions::default()) else {
         return Shortest::NotBefore(0);
     };
-    match search.expand(Some(target), max_words, interrupt) {
+    match search.expand(Some(target), max_words, interrupt, |_, _| true) {
         End::Hit { state, input } => Shortest::Trace(search.trace(target, state, input)),
         End::Incomplete { depth } => Shortest::NotBefore(depth),
         // Every reachable state was tested: the target is unreachable, and
@@ -166,42 +171,51 @@ pub fn liveness(
     if !matches!(search.explore(None, interrupt), End::Complete) {
         return None;
     }
-    // The monitors are latches, so their values are bits of every state.
-    let bit = |monitor: Lit| {
-        search
-            .latch_nodes
-            .iter()
-            .position(|&n| n == monitor.node())
-            .expect("a pending monitor is a latch")
-    };
-    let pending_bit = bit(monitors.pending);
-    let fair_bits: Vec<usize> = monitors.fairness.iter().map(|&l| bit(l)).collect();
+    Some(match search.fair_component(monitors) {
+        Some(scc) => Verdict::Reached(search.lasso(&scc, monitors)),
+        None => Verdict::Unreachable(Certificate::Reachability),
+    })
+}
 
-    // Restrict to states where the obligation is pending and find the
-    // strongly connected components of that subgraph.
-    let in_sub: Vec<bool> = search
-        .states
-        .iter()
-        .map(|&s| (s >> pending_bit) & 1 == 1)
-        .collect();
-    for scc in search.tarjan_sccs(&in_sub) {
-        // The component must contain a cycle: more than one state, or a
-        // self-loop.
-        let has_cycle = scc.len() > 1 || search.succs[scc[0] as usize].contains(&scc[0]);
-        if !has_cycle {
-            continue;
-        }
-        // Every assumed fairness must be discharged somewhere in the
-        // component (its pending bit low in at least one state).
-        let all_fair = fair_bits.iter().all(|&bit| {
-            scc.iter()
-                .any(|&s| (search.states[s as usize] >> bit) & 1 == 0)
-        });
-        if all_fair {
-            return Some(Verdict::Reached(search.lasso(&scc, &fair_bits, monitors)));
-        }
+/// Whether `model` (monitored, with `monitors`) has no fair lasso whose
+/// loop closes at a depth of at most `max_depth`: none of the lassos
+/// [`crate::liveness::lasso_search`] looks for.
+///
+/// The search expands the reachable states layer by layer under
+/// [`ExplicitOptions::default`], recording their successors, and after each
+/// layer runs [`liveness`]'s test for a fair component on the states
+/// expanded so far.  A lasso that closes at depth d runs through states
+/// within d − 1 steps of reset, and its loop is a cycle of pending states
+/// on which every fairness monitor is low somewhere.  So once every state
+/// within `max_depth − 1` steps, or every reachable state, is expanded
+/// without a fair component, no such lasso exists, and the answer is
+/// `true`.  The answer is `false` at the first fair component, for a model
+/// outside the default limits, once `max_words` input words have been
+/// evaluated (counted as [`shortest`] counts them), and once the
+/// [`Interrupt`] has fired.  Like [`shortest`], the search opens no
+/// telemetry span and counts no states.
+pub fn lasso_free(
+    model: &Model,
+    monitors: &Monitors,
+    max_depth: usize,
+    max_words: u64,
+    interrupt: &Interrupt,
+) -> bool {
+    let Some(mut search) = Search::new(model, &ExplicitOptions::default()) else {
+        return false;
+    };
+    let mut free = false;
+    let end = search.expand(None, max_words, interrupt, |search, depth| {
+        // Every lasso closing at depth + 1 or less has its loop among the
+        // states expanded so far.
+        let fair = search.fair_component(monitors).is_some();
+        free = !fair && depth + 1 >= max_depth;
+        !fair && !free
+    });
+    match end {
+        End::Complete => search.fair_component(monitors).is_none(),
+        End::Hit { .. } | End::Incomplete { .. } => free,
     }
-    Some(Verdict::Unreachable(Certificate::Reachability))
 }
 
 /// The input valuation that lane `lane` of input word `high` evaluates
@@ -315,7 +329,7 @@ impl<'m> Search<'m> {
     /// counting the states it discovered.
     fn explore(&mut self, target: Option<Lit>, interrupt: &Interrupt) -> End {
         let _span = crate::telemetry::span("explicit.explore", "");
-        let end = self.expand(target, u64::MAX, interrupt);
+        let end = self.expand(target, u64::MAX, interrupt, |_, _| true);
         crate::telemetry::count("explicit.states", self.states.len() as u64);
         end
     }
@@ -324,8 +338,17 @@ impl<'m> Search<'m> {
     /// `max_words` input words have been evaluated.  With a `target`, tests
     /// it in each state before expanding that state and stops at the first
     /// hit: the lowest state index, then input word, then lane.  Without
-    /// one, records each expanded state's successors.
-    fn expand(&mut self, target: Option<Lit>, max_words: u64, interrupt: &Interrupt) -> End {
+    /// one, records each expanded state's successors.  Once every state at
+    /// some depth d is expanded and a deeper one is next, `layer(self, d)`
+    /// says whether to go on; `false` ends the search there, incomplete at
+    /// depth d + 1.
+    fn expand(
+        &mut self,
+        target: Option<Lit>,
+        max_words: u64,
+        interrupt: &Interrupt,
+        mut layer: impl FnMut(&Self, usize) -> bool,
+    ) -> End {
         let model = self.model;
         let (mut eval, lane_mask, words) = self.evaluator();
         let mut spent = 0u64;
@@ -340,6 +363,9 @@ impl<'m> Search<'m> {
         let mut current = 0;
         while current < self.states.len() {
             if current == level_end {
+                if !layer(self, depth) {
+                    return End::Incomplete { depth: depth + 1 };
+                }
                 depth += 1;
                 level_end = self.states.len();
             }
@@ -541,17 +567,53 @@ impl<'m> Search<'m> {
         path
     }
 
-    /// The lasso through the fair component `scc`: the stem to its
-    /// earliest-discovered state, a loop inside the component from there
-    /// through a state where each of `fair_bits` is low and back, and, in
-    /// the last cycle, the inputs of the loop's first edge again.  Built
-    /// and confirmed by [`crate::liveness::replay`].
-    fn lasso(&self, scc: &[u32], fair_bits: &[usize], monitors: &Monitors) -> Trace {
+    /// The bit of the monitor latch `monitor` in a packed state.
+    fn bit(&self, monitor: Lit) -> usize {
+        self.latch_nodes
+            .iter()
+            .position(|&n| n == monitor.node())
+            .expect("a monitor is a latch")
+    }
+
+    /// The first strongly connected component, in Tarjan's order, of the
+    /// expanded states where the obligation of `monitors` is pending that
+    /// holds a cycle on which every fairness monitor is low somewhere: the
+    /// loop of a fair lasso.  States not yet expanded have no recorded
+    /// successors, so they are left out.
+    fn fair_component(&self, monitors: &Monitors) -> Option<Vec<u32>> {
+        let pending = self.bit(monitors.pending);
+        let fair_bits: Vec<usize> = monitors.fairness.iter().map(|&l| self.bit(l)).collect();
+        let low = |s: u32, bit: usize| (self.states[s as usize] >> bit) & 1 == 0;
+        let in_sub: Vec<bool> = (0..self.states.len() as u32)
+            .map(|s| (s as usize) < self.succs.len() && !low(s, pending))
+            .collect();
+        // Every assumed fairness must be discharged somewhere in the
+        // component (its monitor low in at least one state).
+        let fair = |scc: &[u32]| {
+            fair_bits
+                .iter()
+                .all(|&bit| scc.iter().any(|&s| low(s, bit)))
+        };
+        self.tarjan_sccs(&in_sub).into_iter().find(|scc| {
+            // The component must contain a cycle: more than one state, or a
+            // self-loop.
+            let has_cycle = scc.len() > 1 || self.succs[scc[0] as usize].contains(&scc[0]);
+            has_cycle && fair(scc)
+        })
+    }
+
+    /// The lasso through the fair component `scc` of the obligation of
+    /// `monitors`: the stem to its earliest-discovered state, a loop inside
+    /// the component from there through a state where each fairness monitor
+    /// is low and back, and, in the last cycle, the inputs of the loop's
+    /// first edge again.  Built and confirmed by
+    /// [`crate::liveness::replay`].
+    fn lasso(&self, scc: &[u32], monitors: &Monitors) -> Trace {
         let mut member = vec![false; self.states.len()];
         scc.iter().for_each(|&s| member[s as usize] = true);
         let entry = *scc.iter().min().expect("a component has a state");
         let mut cycle = vec![entry];
-        for &bit in fair_bits {
+        for bit in monitors.fairness.iter().map(|&l| self.bit(l)) {
             let at = *cycle.last().expect("the loop starts at its entry");
             if (self.states[at as usize] >> bit) & 1 == 1 {
                 cycle.extend(self.walk(&member, at, |s| (self.states[s as usize] >> bit) & 1 == 0));
@@ -1070,7 +1132,7 @@ mod tests {
             let options = capped(max_states);
             for target in [None, Some(target)] {
                 let mut search = Search::new(&model, &options).expect("within the limits");
-                let end = search.expand(target, u64::MAX, &Interrupt::none());
+                let end = search.expand(target, u64::MAX, &Interrupt::none(), |_, _| true);
                 let reference = reference_expand(&model, &options, target);
                 prop_assert_eq!(&search.states, &reference.states);
                 prop_assert_eq!(&search.preds, &reference.preds);
@@ -1112,7 +1174,7 @@ mod tests {
                 (shortest, full) => prop_assert!(false, "{:?} against {:?}", shortest, full),
             }
             let mut search = Search::new(&model, &capped(max_states)).expect("within the limits");
-            let end = search.expand(Some(target), u64::MAX, &none);
+            let end = search.expand(Some(target), u64::MAX, &none, |_, _| true);
             if let (End::Incomplete { depth }, Some(Verdict::Reached(expected))) = (end, &full) {
                 prop_assert!(expected.len() > depth, "{} cycles, capped before {}", expected.len(), depth);
             }

@@ -20,10 +20,11 @@
 //! each other's faults.  The sites are `prepare`, `fuzz.round`,
 //! `bmc.depth_step`, `pdr.block_cube` and `explicit.step`, which fires once
 //! per state of every explicit-engine search (counterexample
-//! minimization's included).  `prepare` fires once per
-//! checked property's task, before the task slices its cone; preparation
-//! runs before the task's deadline starts and polls no interrupt, so only a
-//! panic or a delay acts there (a panic makes the row `ERROR in task`).
+//! minimization's and the lasso search's filter included).  `prepare`
+//! fires once per checked property's task, before the task slices its
+//! cone; preparation runs before the task's deadline starts and polls no
+//! interrupt, so only a panic or a delay acts there (a panic makes the row
+//! `ERROR in task`).
 //!
 //! The three actions map to the three fault classes the containment
 //! layer must absorb:

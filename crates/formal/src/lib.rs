@@ -30,9 +30,11 @@
 //!   k-liveness proofs on PDR, and the one lasso replay;
 //! * [`explicit`] — an exact explicit-state engine (bit-parallel
 //!   breadth-first reachability and fairness-aware SCC analysis): a
-//!   cascade stage for small designs and liveness under fairness, and the
+//!   cascade stage for small designs and liveness under fairness, the
 //!   first half of counterexample minimization, whose budgeted search
-//!   finds the shortest trace before any SAT query;
+//!   finds the shortest trace before any SAT query, and the filter in
+//!   front of the lasso search, whose budgeted search skips it where no
+//!   fair cycle lies within its depth;
 //! * [`coi`] — per-property cone-of-influence slicing with stable content
 //!   fingerprints, so every property is checked on exactly the circuit it
 //!   observes;

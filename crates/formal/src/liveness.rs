@@ -17,7 +17,11 @@
 //!   is pending at frames `j..d`, every fairness monitor is low at some
 //!   frame of `j..d`, and the constraints hold on every frame.  Each depth
 //!   is one query under one activation literal, so the first lasso found
-//!   is a shortest one;
+//!   is a shortest one.  A budgeted breadth-first search
+//!   ([`crate::explicit::lasso_free`]) runs first: when it shows that no
+//!   fair cycle lies within the search depth, the SAT search is skipped,
+//!   which is where a property that k-liveness then proves used to spend
+//!   most of its time;
 //! * [`k_liveness`] — proofs by counting (Claessen and Sörensson, "A
 //!   Liveness Checking Algorithm that Counts", FMCAD 2012) on the
 //!   [`KLiveness`] model, which adds one "seen" bit per fairness assumption
@@ -138,17 +142,30 @@ pub fn replay(
 /// one; it comes back as [`Verdict::Reached`], built by [`replay`].  No
 /// lasso up to `max_depth` is `None`: the search proves nothing.
 ///
-/// The [`Interrupt`] handle is polled at every depth step and inside the
-/// SAT search; when it fires the search answers `None`.  The search
-/// records a `bmc.solve` span and counts as BMC solver work.
+/// First, [`crate::explicit::lasso_free`] looks for a fair cycle within
+/// `max_depth` by breadth-first search, under a budget of `max_words`
+/// evaluated input words.  When it shows there is none, the answer is
+/// `None` with no solver work.  Otherwise (a fair cycle, a cone outside the
+/// explicit limits, the budget spent, or the interrupt) the SAT search runs
+/// from depth 1 as it would without the filter, so every lasso it reports
+/// is the same; `max_words = 0` runs the SAT search alone.
+///
+/// The [`Interrupt`] handle is charged and polled once per state of the
+/// filter, and polled at every depth step and inside the SAT search; when
+/// it fires the search answers `None`.  The search records a `bmc.solve`
+/// span, which covers the filter too, and counts as BMC solver work.
 pub fn lasso_search(
     model: &Model,
     monitors: &Monitors,
     max_depth: usize,
+    max_words: u64,
     solver: SolverConfig,
     interrupt: &Interrupt,
 ) -> (Option<Verdict>, SolverStats) {
     let _span = crate::telemetry::span("bmc.solve", "");
+    if crate::explicit::lasso_free(model, monitors, max_depth, max_words, interrupt) {
+        return (None, SolverStats::default());
+    }
     let mut search = LassoSearch::new(model, monitors, solver, interrupt);
     let lasso = search.run(max_depth);
     let stats = search.unroller.stats();
@@ -508,10 +525,10 @@ mod tests {
         assert!(replay(&model, &monitors, 1, 3, stimulus(&cycles)).is_some());
     }
 
-    /// An unbudgeted lasso search to `depth`.
+    /// An unbudgeted lasso search to `depth`, its filter included.
     fn search(model: &Model, monitors: &Monitors, depth: usize) -> Option<Verdict> {
-        let none = Interrupt::none();
-        lasso_search(model, monitors, depth, SolverConfig::default(), &none).0
+        let (none, config) = (Interrupt::none(), SolverConfig::default());
+        lasso_search(model, monitors, depth, u64::MAX, config, &none).0
     }
 
     /// An unbudgeted k-liveness run with the default PDR bounds.
@@ -544,6 +561,70 @@ mod tests {
             }
             other => panic!("expected a k-liveness proof, got {other:?}"),
         }
+    }
+
+    /// The lasso search under a word budget for its filter, with the
+    /// filter's own answer.
+    fn filtered(
+        model: &Model,
+        monitors: &Monitors,
+        max_words: u64,
+        interrupt: &Interrupt,
+    ) -> (bool, Option<Verdict>, SolverStats) {
+        let free = crate::explicit::lasso_free(model, monitors, 5, max_words, interrupt);
+        let config = SolverConfig::default();
+        let (verdict, stats) = lasso_search(model, monitors, 5, max_words, config, interrupt);
+        (free, verdict, stats)
+    }
+
+    #[test]
+    fn the_filter_skips_the_sat_search_only_where_no_fair_cycle_fits() {
+        let none = Interrupt::none();
+        // The fair handshake has no fair cycle: no solver work.
+        let (model, monitors) = handshake(true, true);
+        let (free, verdict, stats) = filtered(&model, &monitors, u64::MAX, &none);
+        assert_eq!((free, verdict, stats), (true, None, SolverStats::default()));
+        // The starved one has a fair cycle: the SAT search finds the lasso
+        // it finds alone.
+        let (model, monitors) = handshake(false, true);
+        let (free, verdict, _) = filtered(&model, &monitors, u64::MAX, &none);
+        assert!(!free);
+        assert!(matches!(verdict, Some(Verdict::Reached(_))));
+        assert_eq!(verdict, filtered(&model, &monitors, 0, &none).1);
+    }
+
+    #[test]
+    fn the_sat_search_runs_where_the_filter_cannot_decide() {
+        // The fair handshake has no fair cycle, so only the filter's limits,
+        // its word budget or its interrupt leave it to the SAT search.
+        // `idle` latches and `free` inputs that nothing reads widen it.
+        let fair = |idle: usize, free: usize| {
+            let (mut model, monitors) = handshake(true, true);
+            for i in 0..idle {
+                let latch = model.aig.add_latch(format!("idle{i}"), false);
+                model.aig.set_latch_next(latch, latch);
+            }
+            for i in 0..free {
+                let _ = model.aig.add_input(format!("free{i}"));
+            }
+            (model, monitors)
+        };
+        let none = Interrupt::none();
+        // Outside the explicit limits, with 64 latches or 21 inputs, and
+        // without a word to spend.
+        for (idle, free, max_words) in [(61, 0, u64::MAX), (0, 19, u64::MAX), (0, 0, 0)] {
+            let (model, monitors) = fair(idle, free);
+            let shape = (model.aig.num_latches(), model.aig.inputs().len(), max_words);
+            let (free, verdict, stats) = filtered(&model, &monitors, max_words, &none);
+            assert_eq!((free, verdict), (false, None), "{shape:?}");
+            assert_ne!(stats, SolverStats::default(), "{shape:?}: no SAT search");
+        }
+        // An interrupt that has already fired stops both halves.
+        let fired = Interrupt::new(None, None);
+        fired.fire(crate::interrupt::InterruptReason::Timeout);
+        let (model, monitors) = fair(0, 0);
+        let (free, verdict, _) = filtered(&model, &monitors, u64::MAX, &fired);
+        assert_eq!((free, verdict), (false, None));
     }
 
     #[test]

@@ -185,8 +185,11 @@ mod tests {
                 liveness::replay(&model, &monitors, start, trace.len(), input).as_ref()
                     == Some(trace)
             };
-            let lassos =
-                |interrupt: &Interrupt| lasso_search(&model, &monitors, 6, config, interrupt).0;
+            // An unlimited word budget, so the breadth-first filter in front
+            // of the SAT search runs until it decides or its interrupt fires.
+            let lassos = |interrupt: &Interrupt| {
+                lasso_search(&model, &monitors, 6, u64::MAX, config, interrupt).0
+            };
             sweep(
                 &format!("lasso search, {n}"),
                 reached.then_some(true),

@@ -15,7 +15,7 @@ use autosva_formal::bmc::{check_target_budgeted, BmcOptions};
 use autosva_formal::checker::verify_elaborated;
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
 use autosva_formal::explicit::{
-    liveness as explicit_liveness, reach, shortest, ExplicitOptions, Shortest,
+    lasso_free, liveness as explicit_liveness, reach, shortest, ExplicitOptions, Shortest,
 };
 use autosva_formal::fuzz::{fuzz_safety_budgeted, FuzzOptions};
 use autosva_formal::interrupt::Interrupt;
@@ -585,7 +585,7 @@ proptest! {
             if let Some(lasso) = &exact {
                 prop_assert!(lasso_replays(&model, &monitors, lasso), "seed {seed}: explicit lasso");
             }
-            match lasso_search(&model, &monitors, DEPTH, config, &none).0 {
+            match lasso_search(&model, &monitors, DEPTH, u64::MAX, config, &none).0 {
                 Some(Verdict::Reached(lasso)) => {
                     prop_assert!(exact.is_some(), "seed {seed}: a lasso the SCC check rules out");
                     prop_assert!(lasso_replays(&model, &monitors, &lasso), "seed {seed}: BMC lasso");
@@ -607,6 +607,50 @@ proptest! {
                 }
                 None => {}
                 other => panic!("seed {seed}: k-liveness answered {other:?}"),
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The breadth-first filter in front of the lasso search changes no
+    /// answer.  On random models with constraints and up to two fairness
+    /// assumptions, at every depth from 1 to 10, the search under a random
+    /// word budget and under the checker's budget of 2^10 words (more than
+    /// these models need) returns exactly what the SAT search alone returns
+    /// (`max_words = 0`), lasso and loop start included.  An unbudgeted
+    /// filter never rules out a lasso the SAT search finds, and it rules out
+    /// every lasso, at every depth, where k-liveness proves that none
+    /// exists.  Each case checks four models.
+    #[test]
+    fn the_lasso_filter_changes_no_lasso_search_answer(
+        seed in 1u64..u64::MAX,
+        num_latches in 1usize..6,
+        num_inputs in 1usize..4,
+        num_gates in 4usize..16,
+        constraints in 0usize..3,
+        fairness in 0usize..3,
+        max_words in 1u64..48,
+    ) {
+        let (none, config) = (Interrupt::none(), SolverConfig::default());
+        for seed in (0..4).map(|k| seed.wrapping_add(k)) {
+            let base = liveness_model(seed, num_latches, num_inputs, num_gates, constraints, fairness);
+            let (model, monitors) = liveness::monitored(&base, 0);
+            let klive = KLiveness::new(&model, &monitors);
+            let proven = matches!(
+                k_liveness(&klive, &PdrOptions::default(), config, &none).0,
+                Some(Verdict::Unreachable(_))
+            );
+            for depth in 1..=10 {
+                let alone = lasso_search(&model, &monitors, depth, 0, config, &none).0;
+                for budget in [max_words, 1 << 10] {
+                    let filtered = lasso_search(&model, &monitors, depth, budget, config, &none).0;
+                    prop_assert_eq!(&filtered, &alone, "seed {}, depth {}, {} words", seed, depth, budget);
+                }
+                let free = lasso_free(&model, &monitors, depth, u64::MAX, &none);
+                let found = matches!(alone, Some(Verdict::Reached(_)));
+                prop_assert!(!(free && found), "seed {seed}, depth {depth}: a lasso the filter ruled out");
+                prop_assert!(free || !proven, "seed {seed}, depth {depth}: k-liveness proved what the filter kept");
             }
         }
     }

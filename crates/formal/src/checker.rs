@@ -37,11 +37,11 @@
 //! Properties are independent tasks that run concurrently on a worker pool
 //! ([`crate::portfolio`]), with results assembled back in annotation order
 //! — a sequential run (`parallel.threads = 1`) and a parallel run render
-//! byte-identical reports.  By default a task checks its property on the
-//! property's own cone-of-influence slice ([`crate::coi`]), which the task
-//! builds and optimizes on its worker before its cascade starts, so the
-//! only serial work before the pool is the front end.  Tasks share nothing
-//! but the optional [`crate::portfolio::ProofCache`], which reuses verdicts
+//! byte-identical reports.  A task checks its property on the property's
+//! own cone-of-influence slice ([`crate::coi`]), which the task builds and
+//! optimizes on its worker before its cascade starts, so the only serial
+//! work before the pool is the front end.  Tasks share nothing but the
+//! optional [`crate::portfolio::ProofCache`], which reuses verdicts
 //! across runs with the same engine options when a property's slice is
 //! content-identical (e.g. buggy/fixed design variants or repeated bench
 //! iterations), and lets opt-on runs reuse each other's optimized slices.
@@ -50,7 +50,7 @@
 
 use crate::aig::Aig;
 use crate::bmc::{self, check_target_budgeted, BmcOptions};
-use crate::coi::{cone_of_influence, fingerprint, Fingerprint, Fnv2, SliceTarget};
+use crate::coi::{cone_of_influence, Fnv2, SliceTarget};
 use crate::compile::{compile, CompiledKind, CompiledTestbench};
 use crate::elab::{elaborate_budgeted, ElabDesign, ElabOptions, Result};
 use crate::explicit::{self, ExplicitOptions, Shortest};
@@ -70,7 +70,7 @@ use crate::telemetry::{
 use crate::trace::Trace;
 use crate::vcd::VcdOptions;
 use crate::verdict::{Certificate, Verdict};
-use autosva::sva::{Directive, PropertyClass};
+use autosva::sva::{Directive, PropertyClass, SvaProperty};
 use autosva::FormalTestbench;
 use std::cell::Cell;
 use std::fmt;
@@ -122,8 +122,8 @@ pub struct CheckOptions {
     /// witness trace — fuzzer-found and SAT-found — is written there as a
     /// VCD file named by [`crate::vcd::file_name`].
     pub vcd: VcdOptions,
-    /// Orchestration: worker-thread count (`threads = 1` is the sequential
-    /// escape hatch), per-property cone-of-influence slicing, optional
+    /// Orchestration: worker count (`threads = 1` is the sequential escape
+    /// hatch), opt on each property's cone-of-influence slice, optional
     /// per-property time budgets, and the proof cache.  A cache opened with
     /// [`ProofCache::open`] spills its verdicts to disk after every run, so
     /// a later process that opens the same directory reuses them.
@@ -345,9 +345,9 @@ pub struct PropertyResult {
     pub status: PropertyStatus,
     /// Wall-clock time spent on this property.
     pub runtime: Duration,
-    /// Latches of the cone-of-influence slice the property was checked on
-    /// (equals the full model's latch count when slicing is disabled; `0`
-    /// for properties that are not checked).
+    /// Latches of the cone-of-influence slice the property was checked on,
+    /// as the optimizer left it and without liveness monitors (`0` for
+    /// properties that are not checked).
     pub slice_latches: usize,
     /// AND gates of the slice the property was checked on.
     pub slice_gates: usize,
@@ -736,7 +736,7 @@ fn verify_elaborated_inner(
     // even when the handle is a long-lived in-process cache shared across
     // runs (`loaded` stays absolute — it describes the open).
     let cache_base = cache.map(ProofCache::stats);
-    let tasks = build_tasks(&compiled, options);
+    let tasks = build_tasks(&compiled);
 
     // Register the robustness counters up front so a healthy run's
     // telemetry still carries them (with zeros): their *absence* would be
@@ -749,41 +749,23 @@ fn verify_elaborated_inner(
     // (each engine is single-threaded on a fixed slice), so only runtimes
     // depend on the interleaving.
     let threads = options.parallel.effective_threads();
-    let names: Vec<String> = compiled
-        .properties
-        .iter()
-        .map(|p| p.property.full_name())
-        .collect();
-    let outcomes = run_ordered(&tasks, threads, run_telemetry, |i, task| {
-        run_task(task, &compiled.model, &names[i], options)
+    let properties = &compiled.properties;
+    let rows = run_ordered(&tasks, threads, run_telemetry, |i, task| {
+        run_task(task, &properties[i].property, &compiled.model, options)
     });
 
     // Assembly in annotation order, independent of completion order.  A
     // slot is empty only when a panic escaped the task closure itself.
-    let mut results = Vec::with_capacity(tasks.len());
-    for (prop, slot) in compiled.properties.iter().zip(outcomes) {
-        let outcome = slot.unwrap_or_else(|| {
-            TaskOutcome::new(
-                PropertyStatus::Unknown,
-                Some("undecided: a panic escaped the task's fault handler".to_string()),
-            )
-        });
-        let (slice_latches, slice_gates) = outcome.cone;
-        results.push(PropertyResult {
-            name: prop.property.full_name(),
-            directive: prop.property.directive,
-            class: prop.property.class,
-            status: outcome.status,
-            runtime: outcome.runtime,
-            slice_latches,
-            slice_gates,
-            note: outcome.note,
-            engine: outcome.engine,
-            stats: outcome.stats,
-            fuzz: outcome.fuzz,
-            stages: outcome.stages,
-        });
-    }
+    let results: Vec<PropertyResult> = properties
+        .iter()
+        .zip(rows)
+        .map(|(prop, slot)| {
+            slot.unwrap_or_else(|| {
+                let note = "undecided: a panic escaped the task's fault handler".to_string();
+                PropertyResult::new(&prop.property, PropertyStatus::Unknown, Some(note))
+            })
+        })
+        .collect();
 
     // Spill the cache to disk (no-op for in-memory caches).  Failures are
     // non-fatal: the cache is advisory and the report is already complete.
@@ -877,71 +859,31 @@ fn verify_elaborated_inner(
 enum PropertyTask {
     /// Resolved at compile time (assumptions, X-prop checks).
     Done(PropertyStatus),
-    /// Decided by the engine cascade.
-    Check(Kind, Cone),
-}
-
-/// The model a checked property's cascade runs on.
-enum Cone {
-    /// The property's own cone-of-influence slice, which its task slices
-    /// and prepares on its worker ([`prepare_cone`]).
-    Slice(SliceTarget),
-    /// The full compiled model, which every task of an unsliced run shares,
-    /// with the property's index in it.
-    Full(Arc<Model>, Fingerprint, usize),
+    /// Decided by the engine cascade on the property's own cone, which its
+    /// task slices and prepares on its worker ([`prepare_cone`]).
+    Check(SliceTarget),
 }
 
 /// The three kinds of checked property.  Each asks the same question — can
 /// its target be reached? — and differs only in what the target is and in
-/// how the answer is reported.
+/// how the answer is reported.  A cone holds its property at index 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
-    /// Safety assertion: target `model.bads[index]`; reaching it is a
+    /// Safety assertion: target `model.bads[0]`; reaching it is a
     /// counterexample.
     Safety,
-    /// Cover property: target `model.covers[index]`; reaching it is a
-    /// witness.
+    /// Cover property: target `model.covers[0]`; reaching it is a witness.
     Cover,
-    /// Liveness obligation `model.liveness[index]`: the target is a fair
-    /// lasso of the model with its pending-obligation monitors, a
-    /// counterexample.
+    /// Liveness obligation `model.liveness[0]`: the target is a fair lasso
+    /// of the model with its pending-obligation monitors, a counterexample.
     Liveness,
 }
 
-/// A checked property as the cascade sees it: property `index` of kind
-/// `kind` on its prepared cone.
+/// A checked property as the cascade sees it: the property of kind `kind`
+/// at index 0 of its prepared cone.
 struct Target {
     kind: Kind,
-    /// Index of the property in `cone.model.bads`, `cone.model.covers` or
-    /// `cone.model.liveness`.
-    index: usize,
     cone: PreparedSlice,
-}
-
-/// Prepares property `index` of kind `kind` on the checked `model`, whose
-/// fingerprint is `fingerprint`: a liveness property gets its
-/// pending-obligation monitors and its k-liveness model.
-fn prepared(
-    kind: Kind,
-    model: Arc<Model>,
-    index: usize,
-    fingerprint: Fingerprint,
-) -> PreparedSlice {
-    let cone = (model.aig.num_latches(), model.aig.num_ands());
-    let (model, liveness) = match kind {
-        Kind::Liveness => {
-            let (monitored, monitors) = liveness::monitored(&model, index);
-            let klive = KLiveness::new(&monitored, &monitors);
-            (Arc::new(monitored), Some(Arc::new((monitors, klive))))
-        }
-        Kind::Safety | Kind::Cover => (model, None),
-    };
-    PreparedSlice {
-        model,
-        fingerprint,
-        cone,
-        liveness,
-    }
 }
 
 impl Target {
@@ -954,9 +896,9 @@ impl Target {
     fn name(&self) -> &str {
         let model = self.model();
         match self.kind {
-            Kind::Safety => &model.bads[self.index].name,
-            Kind::Cover => &model.covers[self.index].name,
-            Kind::Liveness => &model.liveness[self.index].name,
+            Kind::Safety => &model.bads[0].name,
+            Kind::Cover => &model.covers[0].name,
+            Kind::Liveness => &model.liveness[0].name,
         }
     }
 
@@ -964,8 +906,8 @@ impl Target {
     /// lasso.
     fn goal(&self) -> Goal<'_> {
         match (self.kind, self.cone.liveness.as_deref()) {
-            (Kind::Safety, _) => Goal::Reach(self.model().bads[self.index].lit),
-            (Kind::Cover, _) => Goal::Reach(self.model().covers[self.index].lit),
+            (Kind::Safety, _) => Goal::Reach(self.model().bads[0].lit),
+            (Kind::Cover, _) => Goal::Reach(self.model().covers[0].lit),
             (Kind::Liveness, Some((monitors, klive))) => Goal::Lasso(monitors, klive),
             (Kind::Liveness, None) => unreachable!("a liveness target has its monitors"),
         }
@@ -1027,64 +969,47 @@ fn engine_digest(options: &CheckOptions) -> u64 {
     hash.finish().0
 }
 
-/// Builds one task per property, before the worker pool starts.  With
-/// slicing enabled (the default) a checked property's task only names its
-/// cone: the task slices and prepares it on its worker ([`prepare_cone`]),
-/// so the serial work before the pool is the front end alone.  With slicing
-/// disabled every task points at one full compiled model, built here once
-/// and shared, preserving the pre-orchestrator cascade behaviour exactly;
-/// the optimizer never runs on that path.
-fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<PropertyTask> {
-    let mut shared_full: Option<(Arc<Model>, Fingerprint)> = None;
-
+/// Builds one task per property, before the worker pool starts.  A checked
+/// property's task only names its cone: the task slices and prepares it on
+/// its worker ([`prepare_cone`]), so the serial work before the pool is the
+/// front end alone.
+fn build_tasks(compiled: &CompiledTestbench) -> Vec<PropertyTask> {
     compiled
         .properties
         .iter()
-        .map(|prop| {
-            let (kind, cone, i) = match &prop.kind {
-                CompiledKind::Skipped(reason) => {
-                    return PropertyTask::Done(PropertyStatus::NotChecked(reason))
-                }
-                CompiledKind::Constraint => {
-                    return PropertyTask::Done(PropertyStatus::NotChecked(
-                        "assumption (constrains the environment)",
-                    ))
-                }
-                CompiledKind::Fairness => {
-                    return PropertyTask::Done(PropertyStatus::NotChecked("fairness assumption"))
-                }
-                CompiledKind::Safety(i) => (Kind::Safety, SliceTarget::Bad(*i), *i),
-                CompiledKind::Cover(i) => (Kind::Cover, SliceTarget::Cover(*i), *i),
-                CompiledKind::Liveness(i) => (Kind::Liveness, SliceTarget::Liveness(*i), *i),
-            };
-            if options.parallel.slice {
-                return PropertyTask::Check(kind, Cone::Slice(cone));
+        .map(|prop| match &prop.kind {
+            CompiledKind::Skipped(reason) => PropertyTask::Done(PropertyStatus::NotChecked(reason)),
+            CompiledKind::Constraint => PropertyTask::Done(PropertyStatus::NotChecked(
+                "assumption (constrains the environment)",
+            )),
+            CompiledKind::Fairness => {
+                PropertyTask::Done(PropertyStatus::NotChecked("fairness assumption"))
             }
-            let (model, fp) = shared_full
-                .get_or_insert_with(|| {
-                    let model = Arc::new(compiled.model.clone());
-                    let fp = fingerprint(&model);
-                    (model, fp)
-                })
-                .clone();
-            PropertyTask::Check(kind, Cone::Full(model, fp, i))
+            CompiledKind::Safety(i) => PropertyTask::Check(SliceTarget::Bad(*i)),
+            CompiledKind::Cover(i) => PropertyTask::Check(SliceTarget::Cover(*i)),
+            CompiledKind::Liveness(i) => PropertyTask::Check(SliceTarget::Liveness(*i)),
         })
         .collect()
 }
 
 /// Prepares the cone of one property of `model` for its cascade: the
-/// cone-of-influence slice, run through the [`crate::opt`] pass (constant
-/// sweeping, sequential/combinational equivalence sweeping, dead-node
-/// elimination) when opt is on.  A liveness target then adds its
-/// pending-obligation monitors and builds its k-liveness model
-/// ([`prepared`]).
+/// cone-of-influence slice, which holds the property at index 0, run
+/// through the [`crate::opt`] pass (constant sweeping,
+/// sequential/combinational equivalence sweeping, dead-node elimination)
+/// when opt is on.  A liveness target then adds its pending-obligation
+/// monitors and builds its k-liveness model.
 ///
 /// An opt-on run with a proof cache prepares the slice on the cache's memo,
 /// keyed by the raw slice fingerprint, so a re-run over an unchanged cone
 /// takes its prepared slice from it and optimizes nothing.  Every other
 /// run prepares the slice directly: a slice keeps only its own property, so
 /// no two properties of one run share one.
-fn prepare_cone(model: &Model, kind: Kind, cone: SliceTarget, options: &CheckOptions) -> Target {
+fn prepare_cone(model: &Model, cone: SliceTarget, options: &CheckOptions) -> Target {
+    let kind = match cone {
+        SliceTarget::Bad(_) => Kind::Safety,
+        SliceTarget::Cover(_) => Kind::Cover,
+        SliceTarget::Liveness(_) => Kind::Liveness,
+    };
     let opt_on = options.parallel.opt;
     let memo = options.parallel.cache.as_ref().filter(|_| opt_on);
     // Keyed by the *raw* slice fingerprint; the prepared slice carries the
@@ -1098,17 +1023,27 @@ fn prepare_cone(model: &Model, kind: Kind, cone: SliceTarget, options: &CheckOpt
         } else {
             (slice.model, raw)
         };
-        prepared(kind, Arc::new(model), 0, fingerprint)
+        let cone = (model.aig.num_latches(), model.aig.num_ands());
+        let (model, liveness) = match kind {
+            Kind::Liveness => {
+                let (monitored, monitors) = liveness::monitored(&model, 0);
+                let klive = KLiveness::new(&monitored, &monitors);
+                (monitored, Some(Arc::new((monitors, klive))))
+            }
+            Kind::Safety | Kind::Cover => (model, None),
+        };
+        PreparedSlice {
+            model: Arc::new(model),
+            fingerprint,
+            cone,
+            liveness,
+        }
     };
     let cone = match memo {
         Some(cache) => cache.prepared_slice(raw, prepare),
         None => prepare(),
     };
-    Target {
-        kind,
-        index: 0,
-        cone,
-    }
+    Target { kind, cone }
 }
 
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
@@ -1123,40 +1058,36 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The outcome of one property task, before assembly into a
-/// [`PropertyResult`] (which adds the name and class).
-struct TaskOutcome {
-    status: PropertyStatus,
-    note: Option<String>,
-    stats: SolverStats,
-    engine: Option<&'static str>,
-    fuzz: Option<FuzzStats>,
-    stages: Vec<StageSpend>,
-    /// Latches and AND gates of the checked cone (`(0, 0)` when no cone was
-    /// prepared).
-    cone: (usize, usize),
-    runtime: Duration,
-}
-
-impl TaskOutcome {
-    fn new(status: PropertyStatus, note: Option<String>) -> TaskOutcome {
-        TaskOutcome {
+impl PropertyResult {
+    /// The row of `property` with `status` and `note`, before any cascade
+    /// stage ran: no cone, no solver work, no runtime.
+    fn new(property: &SvaProperty, status: PropertyStatus, note: Option<String>) -> PropertyResult {
+        PropertyResult {
+            name: property.full_name(),
+            directive: property.directive,
+            class: property.class,
             status,
+            runtime: Duration::ZERO,
+            slice_latches: 0,
+            slice_gates: 0,
             note,
-            stats: SolverStats::default(),
             engine: None,
+            stats: SolverStats::default(),
             fuzz: None,
             stages: Vec::new(),
-            cone: (0, 0),
-            runtime: Duration::ZERO,
         }
     }
 
-    /// The outcome of a task whose preparation or cascade panicked in
-    /// `engine`: an error row, so the run still completes.
-    fn panicked(engine: &'static str, payload: &(dyn std::any::Any + Send)) -> TaskOutcome {
+    /// The row of a task whose preparation or cascade panicked in `engine`:
+    /// an error row, so the run still completes.
+    fn panicked(
+        property: &SvaProperty,
+        engine: &'static str,
+        payload: &(dyn std::any::Any + Send),
+    ) -> PropertyResult {
         telemetry::count("robustness.panics_caught", 1);
-        TaskOutcome::new(
+        PropertyResult::new(
+            property,
             PropertyStatus::Error {
                 engine,
                 message: panic_message(payload),
@@ -1168,34 +1099,34 @@ impl TaskOutcome {
     }
 }
 
-/// Runs one property task on a pool worker: prepares its cone, then runs
-/// its cascade.  The task's interrupt handle (deadline from
-/// `property_timeout`, polled inside every engine loop, carrying the faults
-/// that name the property) and its runtime start once the cone is
-/// prepared.  Preparation and cascade each run inside `catch_unwind`, so a
-/// panic in either, or an engine stalled past the deadline, degrades only
-/// this property — the run always comes back with a complete report.
-fn run_task(task: &PropertyTask, model: &Model, name: &str, options: &CheckOptions) -> TaskOutcome {
-    let _task_span = telemetry::span("task", name);
-    let (kind, cone) = match task {
-        PropertyTask::Done(status) => return TaskOutcome::new(status.clone(), None),
-        PropertyTask::Check(kind, cone) => (*kind, cone),
+/// Runs the task of `property` on a pool worker and returns its report row:
+/// prepares its cone, then runs its cascade.  The task's interrupt handle
+/// (deadline from `property_timeout`, polled inside every engine loop,
+/// carrying the faults that name the property) and its runtime start once
+/// the cone is prepared.  Preparation and cascade each run inside
+/// `catch_unwind`, so a panic in either, or an engine stalled past the
+/// deadline, degrades only this property — the run always comes back with a
+/// complete report.
+fn run_task(
+    task: &PropertyTask,
+    property: &SvaProperty,
+    model: &Model,
+    options: &CheckOptions,
+) -> PropertyResult {
+    let name = property.full_name();
+    let _task_span = telemetry::span("task", &name);
+    let cone = match task {
+        PropertyTask::Done(status) => return PropertyResult::new(property, status.clone(), None),
+        PropertyTask::Check(cone) => *cone,
     };
     // The `prepare` fault site's handle carries no deadline: preparation
     // polls none.
     let prepared = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(any(test, feature = "fault-injection"))]
         Interrupt::none()
-            .with_faults(&options.faults, name)
+            .with_faults(&options.faults, &name)
             .fault("prepare");
-        match cone {
-            Cone::Slice(slice) => prepare_cone(model, kind, *slice, options),
-            Cone::Full(full, fp, index) => Target {
-                kind,
-                index: *index,
-                cone: prepared(kind, Arc::clone(full), *index, *fp),
-            },
-        }
+        prepare_cone(model, cone, options)
     }));
     let t0 = Instant::now();
     let deadline = options
@@ -1204,18 +1135,20 @@ fn run_task(task: &PropertyTask, model: &Model, name: &str, options: &CheckOptio
         .and_then(|limit| t0.checked_add(limit));
     let interrupt = Interrupt::new(deadline, None);
     #[cfg(any(test, feature = "fault-injection"))]
-    let interrupt = interrupt.with_faults(&options.faults, name);
+    let interrupt = interrupt.with_faults(&options.faults, &name);
     // The running stage's engine tag: set by `run_cascade`, read here after
     // a panic unwound it.
     let engine = Cell::new("task");
-    let mut outcome = match prepared {
-        Err(payload) => TaskOutcome::panicked(engine.get(), payload.as_ref()),
+    let panicked = |payload: Box<dyn std::any::Any + Send>| {
+        PropertyResult::panicked(property, engine.get(), payload.as_ref())
+    };
+    let mut row = match prepared {
+        Err(payload) => panicked(payload),
         Ok(target) => {
-            let run = || run_cascade(&target, options, &interrupt, &engine);
-            let mut outcome = catch_unwind(AssertUnwindSafe(run))
-                .unwrap_or_else(|payload| TaskOutcome::panicked(engine.get(), payload.as_ref()));
-            outcome.cone = target.cone.cone;
-            outcome
+            let run = || run_cascade(&target, property, options, &interrupt, &engine);
+            let mut row = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(panicked);
+            (row.slice_latches, row.slice_gates) = target.cone.cone;
+            row
         }
     };
     match interrupt.triggered() {
@@ -1226,8 +1159,8 @@ fn run_task(task: &PropertyTask, model: &Model, name: &str, options: &CheckOptio
         Some(_) => telemetry::count("robustness.interrupts", 1),
         None => {}
     }
-    outcome.runtime = t0.elapsed();
-    outcome
+    row.runtime = t0.elapsed();
+    row
 }
 
 /// Depth of the quick BMC stage: BMC to this depth with k-induction to
@@ -1345,7 +1278,7 @@ impl Stage {
 }
 
 /// Runs one stage on `target`, adding its solver and fuzzer work to
-/// `outcome`.  `None` when the stage did not decide, within its bounds or
+/// `row`.  `None` when the stage did not decide, within its bounds or
 /// because the task's interrupt fired.  A liveness property runs its own
 /// engine in each stage, on its monitored model: the BMC stages search for
 /// lassos (quick: to `QUICK_BMC_DEPTH`; full: to
@@ -1357,15 +1290,15 @@ fn run_stage(
     target: &Target,
     options: &CheckOptions,
     interrupt: &Interrupt,
-    outcome: &mut TaskOutcome,
+    row: &mut PropertyResult,
 ) -> Option<Verdict> {
     let (model, name, solver) = (target.model(), target.name(), options.solver);
     let limits = ExplicitOptions::default();
     let (verdict, stats) = match (stage, target.goal()) {
         (Stage::Cache, _) => return lookup(target, options, interrupt),
         (Stage::Fuzz, _) => {
-            let (hit, stats) = fuzz_safety_budgeted(model, target.index, &options.fuzz, interrupt);
-            outcome.fuzz = Some(stats);
+            let (hit, stats) = fuzz_safety_budgeted(model, 0, &options.fuzz, interrupt);
+            row.fuzz = Some(stats);
             return hit.map(Verdict::Reached);
         }
         (Stage::QuickBmc, Goal::Reach(lit)) => {
@@ -1399,7 +1332,7 @@ fn run_stage(
             return explicit::liveness(model, monitors, &limits, interrupt)
         }
     };
-    outcome.stats += stats;
+    row.stats += stats;
     verdict
 }
 
@@ -1443,20 +1376,21 @@ fn lookup(target: &Target, options: &CheckOptions, interrupt: &Interrupt) -> Opt
 /// * an undecided liveness property carries the lasso-bound note.
 fn run_cascade(
     target: &Target,
+    property: &SvaProperty,
     options: &CheckOptions,
     interrupt: &Interrupt,
     engine: &Cell<&'static str>,
-) -> TaskOutcome {
+) -> PropertyResult {
     let model = target.model();
     let name = target.name();
-    let mut outcome = TaskOutcome::new(PropertyStatus::Unknown, None);
+    let mut row = PropertyResult::new(property, PropertyStatus::Unknown, None);
     for stage in CASCADE {
         if !stage.runs(target.kind, options) {
             continue;
         }
         engine.set(stage.engine());
         let started = Instant::now();
-        let conflicts = outcome.stats.conflicts;
+        let conflicts = row.stats.conflicts;
         let verdict = {
             let _span = telemetry::span_detail(
                 stage.span(),
@@ -1464,26 +1398,19 @@ fn run_cascade(
                 Some(stage.engine()),
                 Some(target.cone.fingerprint),
             );
-            run_stage(stage, target, options, interrupt, &mut outcome)
+            run_stage(stage, target, options, interrupt, &mut row)
         };
         let decided = verdict.map(|mut verdict| {
             let minimized = match (&mut verdict, target.kind, stage) {
                 (Verdict::Reached(trace), Kind::Safety, Stage::Fuzz | Stage::Pdr) => {
-                    minimize_safety_cex(
-                        model,
-                        target.index,
-                        trace,
-                        options,
-                        &mut outcome.stats,
-                        interrupt,
-                    )
+                    minimize_safety_cex(model, trace, options, &mut row.stats, interrupt)
                 }
                 _ => true,
             };
             (verdict, minimized)
         });
-        let spent = outcome.stats.conflicts - conflicts;
-        outcome.stages.push(StageSpend {
+        let spent = row.stats.conflicts - conflicts;
+        row.stages.push(StageSpend {
             engine: stage.engine(),
             time: started.elapsed(),
             conflicts: spent,
@@ -1495,8 +1422,8 @@ fn run_cascade(
             // engine has already latched the reason.
             if interrupt.poll().is_some() {
                 let note = format!("undecided: budget exhausted in {}", stage.engine());
-                outcome.note = Some(note);
-                return outcome;
+                row.note = Some(note);
+                return row;
             }
             continue;
         };
@@ -1511,19 +1438,19 @@ fn run_cascade(
         if let Some(cache) = options.parallel.cache.as_ref().filter(|_| keep) {
             cache.store(target.key(options), verdict.clone());
         }
-        outcome.status = status(target, verdict);
-        outcome.engine = Some(stage.engine());
-        return outcome;
+        row.status = status(target, verdict);
+        row.engine = Some(stage.engine());
+        return row;
     }
     if target.kind == Kind::Liveness && Stage::FullBmc.runs(target.kind, options) {
-        outcome.note = Some(format!(
+        row.note = Some(format!(
             "bounded lasso search: counterexamples need stem+loop within {} cycles \
              (CheckOptions::lasso_depth); starvation scenarios with longer stems \
              would be missed",
             options.lasso_depth
         ));
     }
-    outcome
+    row
 }
 
 /// Input words the breadth-first half of [`minimize_safety_cex`] may
@@ -1537,7 +1464,8 @@ fn run_cascade(
 /// below what the ladder takes on A5's cone.
 const MINIMIZE_WORDS: u64 = 1 << 16;
 
-/// Canonicalizes a safety counterexample to the *minimal* depth.  The
+/// Canonicalizes a counterexample to the safety property of `model`, a
+/// cone that holds it at index 0, to the *minimal* depth.  The
 /// fuzzer's hits land wherever the stimulus happened to strike, and PDR's
 /// traces need not be shortest; re-minimizing makes the reported trace
 /// length a function of the model alone, so `render()` is byte-identical
@@ -1549,7 +1477,6 @@ const MINIMIZE_WORDS: u64 = 1 << 16;
 /// (unminimized but correct) trace — the verdict is never lost.
 fn minimize_safety_cex(
     model: &Model,
-    index: usize,
     trace: &mut Trace,
     options: &CheckOptions,
     stats: &mut SolverStats,
@@ -1561,7 +1488,7 @@ fn minimize_safety_cex(
     let Some(max_depth) = trace.len().checked_sub(1) else {
         return true;
     };
-    let bad = &model.bads[index];
+    let bad = &model.bads[0];
     // No engine tag: the search runs no engine stage, and a `bmc.solve`
     // span inside shows when the ladder ran.
     let _span = telemetry::span("engine.minimize", &bad.name);
@@ -1868,30 +1795,6 @@ endmodule
         assert_eq!(seq.render(), par.render());
         // The timed rendering carries the same rows plus runtimes.
         assert!(seq.render_timed().contains("proof rate"));
-    }
-
-    #[test]
-    fn slicing_off_matches_slicing_on() {
-        let ft = generate_ft(ECHO_GOOD, &AutosvaOptions::default()).unwrap();
-        let mut unsliced = CheckOptions::default();
-        unsliced.parallel.slice = false;
-        let sliced = verify(ECHO_GOOD, &ft, &CheckOptions::default()).unwrap();
-        let full = verify(ECHO_GOOD, &ft, &unsliced).unwrap();
-        // Same verdicts; the unsliced run reports the full model as every
-        // property's cone.
-        for (a, b) in sliced.results.iter().zip(&full.results) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(
-                format!("{}", a.status),
-                format!("{}", b.status),
-                "{}: sliced and unsliced verdicts diverge",
-                a.name
-            );
-            assert!(a.slice_latches <= b.slice_latches);
-        }
-        assert!(full
-            .checked()
-            .all(|r| r.slice_latches == full.model_latches));
     }
 
     #[test]

@@ -134,8 +134,8 @@ impl Fnv2 {
     }
 }
 
-/// Computes the stable content fingerprint of a model (used directly for
-/// un-sliced models, and by [`cone_of_influence`] for slices).
+/// Computes the stable content fingerprint of a model (of a slice by
+/// [`cone_of_influence`], of an optimized model by [`crate::opt`]).
 pub fn fingerprint(model: &Model) -> Fingerprint {
     let mut h = Fnv2::new();
     let aig = &model.aig;
@@ -351,7 +351,7 @@ pub(crate) fn rebuild(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{BadProperty, ResponseProperty};
+    use crate::model::{BadProperty, CoverProperty, ResponseProperty};
 
     /// Two independent subsystems in one AIG: a request/busy bit driven by
     /// input `req`, and a free-running 3-bit counter the property never
@@ -475,6 +475,78 @@ mod tests {
             .collect();
         assert!(names.contains(&"busy"));
         assert!(names.contains(&"fair_state"));
+    }
+
+    /// Two properties of every kind, two fairness assumptions and a
+    /// constraint (`env` stays low), each over a latch of its own (named
+    /// like it) that follows an input of its own.
+    fn two_of_every_kind() -> Model {
+        let mut model = Model::default();
+        for label in [
+            "bad0", "bad1", "cover0", "cover1", "live0", "live1", "fair0", "fair1", "env",
+        ] {
+            let input = model.aig.add_input(format!("{label}_in"));
+            let q = model.aig.add_latch(label, false);
+            model.aig.set_latch_next(q, input);
+            let name = label.to_string();
+            let response = ResponseProperty {
+                name: name.clone(),
+                trigger: q,
+                target: q.invert(),
+            };
+            match label.trim_end_matches(|c: char| c.is_ascii_digit()) {
+                "bad" => model.bads.push(BadProperty { name, lit: q }),
+                "cover" => model.covers.push(CoverProperty { name, lit: q }),
+                "live" => model.liveness.push(response),
+                "fair" => model.fairness.push(response),
+                _ => model.constraints.push(q.invert()),
+            }
+        }
+        model
+    }
+
+    /// The names of `model`'s bads, covers, liveness and fairness
+    /// properties, kind by kind, the kinds separated by `|`.
+    fn properties(model: &Model) -> String {
+        let names = |list: Vec<&str>| list.join(" ");
+        let responses = |ps: &[ResponseProperty]| names(ps.iter().map(|p| &*p.name).collect());
+        let kinds = [
+            names(model.bads.iter().map(|p| &*p.name).collect()),
+            names(model.covers.iter().map(|p| &*p.name).collect()),
+            responses(&model.liveness),
+            responses(&model.fairness),
+        ];
+        kinds.join("|")
+    }
+
+    #[test]
+    fn a_slice_holds_its_property_at_index_0_and_no_other() {
+        // The checker reads a cone's property at index 0, whichever index
+        // it had in the model, before and after the optimizer.
+        let model = two_of_every_kind();
+        for (target, kept, latches) in [
+            (SliceTarget::Bad(1), "bad1|||", "bad1 env"),
+            (SliceTarget::Cover(1), "|cover1||", "cover1 env"),
+            (
+                SliceTarget::Liveness(1),
+                "||live1|fair0 fair1",
+                "live1 fair0 fair1 env",
+            ),
+        ] {
+            let slice = cone_of_influence(&model, target);
+            assert_eq!(properties(&slice.model), kept, "{target:?}");
+            assert_eq!(slice.model.constraints.len(), 1, "{target:?}");
+            let aig = &slice.model.aig;
+            let names: Vec<&str> = aig
+                .latches()
+                .iter()
+                .filter_map(|l| aig.name_of(l.node))
+                .collect();
+            assert_eq!(names.join(" "), latches, "{target:?}");
+            let (optimized, _) = crate::opt::optimize(&slice.model);
+            assert_eq!(properties(&optimized), kept, "{target:?} optimized");
+            assert_eq!(optimized.constraints.len(), 1, "{target:?} optimized");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`ParallelOptions`] — the orchestration knobs on
 //!   [`crate::checker::CheckOptions`]: worker count (`threads = 1` is the
-//!   sequential escape hatch), slicing and opt on/off, an optional
-//!   per-property time budget, and an optional [`ProofCache`];
+//!   sequential escape hatch), opt on/off, an optional per-property time
+//!   budget, and an optional [`ProofCache`];
 //! * `run_ordered` — a self-scheduling worker pool over [`std::thread`]
 //!   (no external dependencies): idle workers steal the next property index
 //!   from a shared atomic queue head and results land in annotation order.
@@ -70,16 +70,11 @@ pub struct ParallelOptions {
     /// Number of worker threads; `0` uses every available core, `1` is the
     /// fully sequential escape hatch.
     pub threads: usize,
-    /// Check each property on its cone-of-influence slice instead of the
-    /// full compiled model (verdict-preserving; see [`crate::coi`]).
-    pub slice: bool,
     /// Run the AIG static-analysis/optimization pass ([`crate::opt`]) on
-    /// each property slice before the engine cascade: sequential latch
-    /// sweeping (constants included), combinational gate sweeping,
-    /// two-level rewriting and dead-node elimination, all
-    /// verdict-preserving.  Only applies when `slice` is
-    /// on — the `slice: false` escape hatch keeps the exact
-    /// pre-orchestrator behaviour, untouched model included.
+    /// each property's cone-of-influence slice before the engine cascade:
+    /// sequential latch sweeping (constants included), combinational gate
+    /// sweeping, two-level rewriting and dead-node elimination, all
+    /// verdict-preserving.
     pub opt: bool,
     /// Wall-clock budget per property; a property still undecided when its
     /// budget runs out between engine stages reports
@@ -95,7 +90,6 @@ impl Default for ParallelOptions {
     fn default() -> Self {
         ParallelOptions {
             threads: 0,
-            slice: true,
             opt: true,
             property_timeout: None,
             cache: None,

@@ -8,8 +8,8 @@
 //! reference's `render()`, the opt-off row's `render()` (opt changes cone
 //! sizes), or only the verdict counts; some rows add checks of their own.
 //! Together the rows assert that a verdict does not depend on the thread
-//! count, fuzzing, opt, slicing, the solver configuration, telemetry or the
-//! proof cache; that fuzz-found counterexamples are tagged and dumped as
+//! count, fuzzing, opt, the solver configuration, telemetry or the proof
+//! cache; that fuzz-found counterexamples are tagged and dumped as
 //! valid waveforms; and that a fault in one engine stays in one row.
 //!
 //! Faults are listed per run, in `CheckOptions::faults`.  Traces, sinks,
@@ -136,15 +136,6 @@ const ROWS: &[Row] = &[
             o.parallel.threads = 1;
         },
         expect: Expect::OptOffRender,
-        ..ROW
-    },
-    Row {
-        name: "slicing off, threads 1",
-        configure: |o, _| {
-            o.parallel.slice = false;
-            o.parallel.threads = 1;
-        },
-        expect: Expect::Counts,
         ..ROW
     },
     Row {

@@ -8,7 +8,9 @@
 
 use autosva_bench::{build_testbench, default_check_options, run_case, status_counts};
 use autosva_designs::{all_cases, by_id, elaborated, PaperOutcome, Variant};
+use autosva_formal::bmc::check_target_budgeted;
 use autosva_formal::checker::{verify_elaborated, Proof, PropertyStatus};
+use autosva_formal::explicit::{self, ExplicitOptions};
 use autosva_formal::interrupt::Interrupt;
 use autosva_formal::pdr::{check_pdr_budgeted, PdrOptions};
 use autosva_formal::sat::SolverConfig;
@@ -224,23 +226,27 @@ fn o2_scaled_l15_proof_closes_via_pdr_not_explicit() {
         other => panic!("expected a PDR proof, got {other:?}"),
     }
 
-    // With PDR disabled *and cone-of-influence slicing off*, the cascade
-    // falls back to the explicit engine and the bounded engines on the full
-    // 36-latch model — neither can close the proof, which is exactly the
-    // cliff the PDR stage removes.
-    let mut options = default_check_options(&case, Variant::Fixed);
-    options.disable_pdr = true;
-    options.parallel.slice = false;
-    let report = verify_elaborated(&design, &ft, &options).expect("verification runs");
-    let had = report
-        .results
-        .iter()
-        .find(|r| r.name.contains("l15_miss_had_a_request"))
-        .expect("monitor property exists");
+    // On the full 36-latch model, neither the explicit engine nor BMC with
+    // k-induction to the harness's bounds can close the proof, which is
+    // exactly the cliff the PDR stage removes.
+    let limits = ExplicitOptions::default();
+    let verdict = explicit::reach(&compiled.model, bad, &limits, &Interrupt::none());
     assert!(
-        matches!(had.status, PropertyStatus::Unknown),
-        "the explicit path must not close the scaled proof on the full model, got {:?}",
-        had.status
+        verdict.is_none(),
+        "the explicit engine must not close the scaled proof on the full model, got {verdict:?}"
+    );
+    let bounds = default_check_options(&case, Variant::Fixed).bmc;
+    let (verdict, _) = check_target_budgeted(
+        &compiled.model,
+        bad,
+        "l15_miss_had_a_request",
+        &bounds,
+        SolverConfig::default(),
+        &Interrupt::none(),
+    );
+    assert!(
+        verdict.is_none(),
+        "BMC must not close the scaled proof on the full model, got {verdict:?}"
     );
 
     // COI slicing removes the same cliff from the other side: the

@@ -13,7 +13,6 @@
 use autosva::sva::{Directive, PropertyBody, SvaProperty};
 use autosva::{generate_ft, AutosvaOptions, FormalTestbench, PropertyClass};
 use autosva_designs::{DesignCase, Variant};
-use autosva_formal::bmc::BmcOptions;
 use autosva_formal::checker::{
     verify_elaborated, CheckOptions, PropertyStatus, VerificationReport,
 };
@@ -44,21 +43,14 @@ pub fn build_testbench(case: &DesignCase) -> FormalTestbench {
     ft
 }
 
-/// Verification bounds used by the evaluation harness.
-///
-/// The designs of the corpus are small, so modest bounds are enough for every
-/// proof and counterexample; they are exposed so tests and benchmarks can
-/// vary them.  The liveness lasso-search bound is *not* overridden here: it
-/// comes from [`CheckOptions::default`] (`lasso_depth`), so callers tune it
-/// in one place — and an undecided liveness property carries the
-/// bounded-search caveat in its report note.
+/// The check options of the evaluation harness: [`CheckOptions::default`]
+/// with the elaboration options of `case`'s `variant` (its top module and
+/// parameter overrides).  The engine options are the defaults, so a proof
+/// cache filled by the harness also answers a [`CheckOptions::default`]
+/// run of the same design.
 pub fn default_check_options(case: &DesignCase, variant: Variant) -> CheckOptions {
     CheckOptions {
         elab: case.elab_options(variant),
-        bmc: BmcOptions {
-            max_depth: 25,
-            max_induction: 10,
-        },
         ..CheckOptions::default()
     }
 }

@@ -15,16 +15,14 @@
 //! 1. **cache** — a verdict the proof cache stored for a content-identical
 //!    cone, returned only after its artifact passed its check;
 //! 2. **fuzz** — the bit-parallel stimulus fuzzer (safety only);
-//! 3. **quick BMC** — shallow BMC for short counterexamples plus
-//!    k-induction for cheap proofs; for liveness, the lasso search to a
-//!    shallow depth, whose SAT half is skipped when a budgeted
-//!    breadth-first search finds no fair cycle within that depth;
+//! 3. **BMC** — BMC to depth 10 for short counterexamples plus k-induction
+//!    to depth 3 for cheap proofs; for liveness, the lasso search to depth
+//!    10, whose SAT half is skipped when a budgeted breadth-first search
+//!    finds no fair cycle within that depth;
 //! 4. **PDR** — IC3/PDR for reachability-dependent proofs, with an
 //!    inductive-invariant certificate; for liveness, k-liveness;
 //! 5. **explicit** — the exact explicit-state engine, one breadth-first
-//!    search per property (an SCC check for liveness);
-//! 6. **full-depth BMC** — BMC and k-induction to the configured bounds;
-//!    for liveness, the lasso search to [`CheckOptions::lasso_depth`].
+//!    search per property (an SCC check for liveness).
 //!
 //! Every engine answers with the one [`Verdict`] of [`crate::verdict`]:
 //! reached, with a trace (a replay-confirmed lasso for liveness), or
@@ -51,7 +49,7 @@
 use crate::aig::Aig;
 use crate::bmc::{self, check_target_budgeted, BmcOptions};
 use crate::coi::{cone_of_influence, Fnv2, SliceTarget};
-use crate::compile::{compile, CompiledKind, CompiledTestbench};
+use crate::compile::{compile, CompiledKind, CompiledProperty};
 use crate::elab::{elaborate_budgeted, ElabDesign, ElabOptions, Result};
 use crate::explicit::{self, ExplicitOptions, Shortest};
 use crate::fuzz::{fuzz_safety_budgeted, FuzzOptions, FuzzStats};
@@ -80,20 +78,10 @@ use std::time::{Duration, Instant};
 use svparse::ast::SourceFile;
 
 /// Options for a verification run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckOptions {
     /// Elaboration options (top module, parameter overrides, clock/reset).
     pub elab: ElabOptions,
-    /// Bounds used for safety and cover checking.
-    pub bmc: BmcOptions,
-    /// The deepest loop the liveness lasso search tries: a counterexample
-    /// lasso whose stem and loop together exceed this many cycles is found
-    /// only by the explicit stage.  The full-depth BMC stage searches to
-    /// this depth and the quick one to at most 10; in both, a breadth-first
-    /// search that finds no fair cycle within the depth skips the SAT
-    /// search ([`crate::explicit::lasso_free`]).  Liveness proofs
-    /// (k-liveness, the explicit SCC check) are unbounded.
-    pub lasso_depth: usize,
     /// Disable the explicit-state stage of the cascade (used by the
     /// bounded-engine and fuzz-alone rows of the contract suite).
     /// Counterexample minimization still starts with the explicit engine's
@@ -104,11 +92,11 @@ pub struct CheckOptions {
     /// fuzz-alone rows of the contract suite).  Minimization never runs
     /// PDR, so it is unaffected.
     pub disable_pdr: bool,
-    /// Disable every BMC stage (quick and full-depth) of the cascade.  Used
-    /// by the fuzz-alone row of the contract suite.  It also skips
-    /// counterexample minimization, its breadth-first half included: a
-    /// fuzz-alone run reports the fuzzer's raw traces and caches none of
-    /// them.
+    /// Disable the BMC stage of the cascade, the liveness lasso search
+    /// included.  Used by the fuzz-alone row of the contract suite.  It
+    /// also skips counterexample minimization, its breadth-first half
+    /// included: a fuzz-alone run reports the fuzzer's raw traces and
+    /// caches none of them.
     pub disable_bmc: bool,
     /// The pre-cascade stimulus fuzzer: bit-parallel simulation of every
     /// safety property's slice, hunting shallow bugs before any SAT query.
@@ -153,31 +141,6 @@ pub struct CheckOptions {
     /// gets only the faults naming its property.  Default: none.
     #[cfg(any(test, feature = "fault-injection"))]
     pub faults: Vec<crate::faults::Fault>,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            elab: ElabOptions::default(),
-            bmc: BmcOptions {
-                max_depth: 25,
-                max_induction: 12,
-            },
-            lasso_depth: 12,
-            disable_explicit: false,
-            disable_pdr: false,
-            disable_bmc: false,
-            fuzz: FuzzOptions::default(),
-            vcd: VcdOptions::default(),
-            parallel: ParallelOptions::default(),
-            solver: SolverConfig::default(),
-            lint: LintOptions::default(),
-            telemetry: TelemetryOptions::default(),
-            frontend_timeout: None,
-            #[cfg(any(test, feature = "fault-injection"))]
-            faults: Vec::new(),
-        }
-    }
 }
 
 /// Why a proven property holds: which engine closed the proof and the
@@ -268,7 +231,7 @@ pub enum PropertyStatus {
     Covered(Trace),
     /// Cover target proven unreachable.
     Unreachable,
-    /// Result not determined within the configured bounds.
+    /// Result not determined within the engines' bounds.
     Unknown,
     /// Not checked by the formal engine (assumptions, X-prop checks).
     NotChecked(&'static str),
@@ -355,8 +318,8 @@ pub struct PropertyResult {
     /// undecided liveness property, or an exhausted time budget).
     pub note: Option<String>,
     /// Provenance: the cascade stage that decided the property —
-    /// `"cache"`, `"fuzz"`, `"bmc"` (quick or full-depth BMC and
-    /// k-induction), `"pdr"` or `"explicit"`; `None` when nothing decided
+    /// `"cache"`, `"fuzz"`, `"bmc"` (BMC and k-induction, or the lasso
+    /// search), `"pdr"` or `"explicit"`; `None` when nothing decided
     /// it (unknown, errored and unchecked properties).  Rendered only by
     /// [`VerificationReport::render_timed`], so
     /// [`VerificationReport::render`] stays byte-identical whichever stage
@@ -382,8 +345,8 @@ pub struct PropertyResult {
 /// What one cascade stage spent on one property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSpend {
-    /// The stage's engine tag: `"cache"`, `"fuzz"`, `"bmc"` (quick or
-    /// full-depth BMC and k-induction), `"pdr"` or `"explicit"`.
+    /// The stage's engine tag: `"cache"`, `"fuzz"`, `"bmc"` (BMC and
+    /// k-induction, or the lasso search), `"pdr"` or `"explicit"`.
     pub engine: &'static str,
     /// Wall-clock time in the stage, including the re-minimization of a
     /// safety counterexample the stage found.
@@ -736,7 +699,6 @@ fn verify_elaborated_inner(
     // even when the handle is a long-lived in-process cache shared across
     // runs (`loaded` stays absolute — it describes the open).
     let cache_base = cache.map(ProofCache::stats);
-    let tasks = build_tasks(&compiled);
 
     // Register the robustness counters up front so a healthy run's
     // telemetry still carries them (with zeros): their *absence* would be
@@ -745,13 +707,13 @@ fn verify_elaborated_inner(
     telemetry::register_counter("robustness.timeouts");
     telemetry::register_counter("robustness.panics_caught");
 
-    // Run every property task on the worker pool; statuses are deterministic
-    // (each engine is single-threaded on a fixed slice), so only runtimes
-    // depend on the interleaving.
+    // Run one task per property on the worker pool; statuses are
+    // deterministic (each engine is single-threaded on a fixed slice), so
+    // only runtimes depend on the interleaving.
     let threads = options.parallel.effective_threads();
     let properties = &compiled.properties;
-    let rows = run_ordered(&tasks, threads, run_telemetry, |i, task| {
-        run_task(task, &properties[i].property, &compiled.model, options)
+    let rows = run_ordered(properties, threads, run_telemetry, |prop| {
+        run_task(prop, &compiled.model, options)
     });
 
     // Assembly in annotation order, independent of completion order.  A
@@ -855,15 +817,6 @@ fn verify_elaborated_inner(
     })
 }
 
-/// One property as an independent verification task.
-enum PropertyTask {
-    /// Resolved at compile time (assumptions, X-prop checks).
-    Done(PropertyStatus),
-    /// Decided by the engine cascade on the property's own cone, which its
-    /// task slices and prepares on its worker ([`prepare_cone`]).
-    Check(SliceTarget),
-}
-
 /// The three kinds of checked property.  Each asks the same question — can
 /// its target be reached? — and differs only in what the target is and in
 /// how the answer is reported.  A cone holds its property at index 0.
@@ -934,12 +887,12 @@ impl Target {
 }
 
 /// A digest of the options that shape a verdict's artifact: which stages
-/// run, the BMC, k-induction and lasso bounds and the solver features.  It
-/// keys proof-cache entries with the cone, so a run reuses only what a run
-/// with the same engine options stored, and renders like a cold run.  The
-/// fuzzer is left out (every cached safety trace is minimized), and so are
-/// budgets, orchestration, telemetry, VCD output and lint.  The hash is the
-/// fingerprints' FNV-1a, so the digest is stable across processes.
+/// run and the solver features.  It keys proof-cache entries with the
+/// cone, so a run reuses only what a run with the same engine options
+/// stored, and renders like a cold run.  The fuzzer is left out (every
+/// cached safety trace is minimized), and so are budgets, orchestration,
+/// telemetry, VCD output and lint.  The hash is the fingerprints' FNV-1a,
+/// so the digest is stable across processes.
 fn engine_digest(options: &CheckOptions) -> u64 {
     let SolverConfig {
         restarts,
@@ -956,40 +909,11 @@ fn engine_digest(options: &CheckOptions) -> u64 {
         minimize,
         reduce,
     ];
-    let bounds = [
-        options.bmc.max_depth,
-        options.bmc.max_induction,
-        options.lasso_depth,
-        restart_base as usize,
-        reduce_base,
-    ];
     let mut hash = Fnv2::new();
     flags.into_iter().for_each(|flag| hash.byte(u8::from(flag)));
-    bounds.into_iter().for_each(|bound| hash.usize(bound));
+    hash.usize(restart_base as usize);
+    hash.usize(reduce_base);
     hash.finish().0
-}
-
-/// Builds one task per property, before the worker pool starts.  A checked
-/// property's task only names its cone: the task slices and prepares it on
-/// its worker ([`prepare_cone`]), so the serial work before the pool is the
-/// front end alone.
-fn build_tasks(compiled: &CompiledTestbench) -> Vec<PropertyTask> {
-    compiled
-        .properties
-        .iter()
-        .map(|prop| match &prop.kind {
-            CompiledKind::Skipped(reason) => PropertyTask::Done(PropertyStatus::NotChecked(reason)),
-            CompiledKind::Constraint => PropertyTask::Done(PropertyStatus::NotChecked(
-                "assumption (constrains the environment)",
-            )),
-            CompiledKind::Fairness => {
-                PropertyTask::Done(PropertyStatus::NotChecked("fairness assumption"))
-            }
-            CompiledKind::Safety(i) => PropertyTask::Check(SliceTarget::Bad(*i)),
-            CompiledKind::Cover(i) => PropertyTask::Check(SliceTarget::Cover(*i)),
-            CompiledKind::Liveness(i) => PropertyTask::Check(SliceTarget::Liveness(*i)),
-        })
-        .collect()
 }
 
 /// Prepares the cone of one property of `model` for its cascade: the
@@ -1099,25 +1023,28 @@ impl PropertyResult {
     }
 }
 
-/// Runs the task of `property` on a pool worker and returns its report row:
-/// prepares its cone, then runs its cascade.  The task's interrupt handle
-/// (deadline from `property_timeout`, polled inside every engine loop,
-/// carrying the faults that name the property) and its runtime start once
-/// the cone is prepared.  Preparation and cascade each run inside
-/// `catch_unwind`, so a panic in either, or an engine stalled past the
-/// deadline, degrades only this property — the run always comes back with a
-/// complete report.
-fn run_task(
-    task: &PropertyTask,
-    property: &SvaProperty,
-    model: &Model,
-    options: &CheckOptions,
-) -> PropertyResult {
+/// Runs the task of one property of `model` on a pool worker and returns
+/// its report row.  An assumption or a simulation-only check is not
+/// checked; any other property's task prepares its cone, then runs its
+/// cascade.  The task's interrupt handle (deadline from
+/// `property_timeout`, polled inside every engine loop, carrying the faults
+/// that name the property) and its runtime start once the cone is
+/// prepared.  Preparation and cascade each run inside `catch_unwind`, so a
+/// panic in either, or an engine stalled past the deadline, degrades only
+/// this property — the run always comes back with a complete report.
+fn run_task(prop: &CompiledProperty, model: &Model, options: &CheckOptions) -> PropertyResult {
+    let property = &prop.property;
     let name = property.full_name();
     let _task_span = telemetry::span("task", &name);
-    let cone = match task {
-        PropertyTask::Done(status) => return PropertyResult::new(property, status.clone(), None),
-        PropertyTask::Check(cone) => *cone,
+    let unchecked =
+        |reason| PropertyResult::new(property, PropertyStatus::NotChecked(reason), None);
+    let cone = match prop.kind {
+        CompiledKind::Safety(i) => SliceTarget::Bad(i),
+        CompiledKind::Cover(i) => SliceTarget::Cover(i),
+        CompiledKind::Liveness(i) => SliceTarget::Liveness(i),
+        CompiledKind::Constraint => return unchecked("assumption (constrains the environment)"),
+        CompiledKind::Fairness => return unchecked("fairness assumption"),
+        CompiledKind::Skipped(reason) => return unchecked(reason),
     };
     // The `prepare` fault site's handle carries no deadline: preparation
     // polls none.
@@ -1163,12 +1090,16 @@ fn run_task(
     row
 }
 
-/// Depth of the quick BMC stage: BMC to this depth with k-induction to
-/// depth 3 for a safety or cover target, the lasso search to this depth
-/// (at most [`CheckOptions::lasso_depth`]) for a liveness one.  Short
-/// counterexamples are found here with minimal effort; anything deeper is
-/// left to PDR, the explicit engine or the full-depth BMC.
-const QUICK_BMC_DEPTH: usize = 10;
+/// Bounds of the BMC stage: BMC to depth 10 with k-induction to depth 3
+/// for a safety or cover target, the lasso search to depth 10 for a
+/// liveness one.  Short counterexamples and cheap proofs are found here
+/// with minimal effort; anything deeper is left to PDR and the explicit
+/// engine.  The stage is the only producer of induction certificates, so
+/// the proof cache rejects a deeper one without re-proving it.
+pub(crate) const BMC_BOUNDS: BmcOptions = BmcOptions {
+    max_depth: 10,
+    max_induction: 3,
+};
 
 /// Input words the breadth-first filter of the lasso search
 /// ([`explicit::lasso_free`]) may evaluate before it leaves the property to
@@ -1192,13 +1123,12 @@ const PDR_BOUNDS: PdrOptions = PdrOptions {
 
 /// The stages every checked property walks, in order; the first stage that
 /// decides the property ends the walk.
-const CASCADE: [Stage; 6] = [
+const CASCADE: [Stage; 5] = [
     Stage::Cache,
     Stage::Fuzz,
-    Stage::QuickBmc,
+    Stage::Bmc,
     Stage::Pdr,
     Stage::Explicit,
-    Stage::FullBmc,
 ];
 
 /// One stage of the cascade.
@@ -1211,18 +1141,15 @@ enum Stage {
     /// slice, every hit replay-confirmed, before any SAT query.
     Fuzz,
     /// Short counterexamples and cheap proofs at minimal cost, to
-    /// `QUICK_BMC_DEPTH`: for a safety or cover target, BMC plus
-    /// k-induction up to depth 3; for a liveness target, the lasso search,
-    /// whose breadth-first filter skips the SAT search where no fair cycle
-    /// fits the depth.
-    QuickBmc,
+    /// `BMC_BOUNDS`: for a safety or cover target, BMC plus k-induction;
+    /// for a liveness target, the lasso search, whose breadth-first filter
+    /// skips the SAT search where no fair cycle fits the depth.
+    Bmc,
     /// IC3/PDR: the reachability-dependent proofs induction cannot close,
     /// without the explicit engine's exponential cliff.
     Pdr,
     /// Exhaustive explicit-state exploration (SCC analysis for liveness).
     Explicit,
-    /// BMC and k-induction to the configured full depth.
-    FullBmc,
 }
 
 impl Stage {
@@ -1233,7 +1160,7 @@ impl Stage {
         match self {
             Stage::Cache => "cache",
             Stage::Fuzz => "fuzz",
-            Stage::QuickBmc | Stage::FullBmc => "bmc",
+            Stage::Bmc => "bmc",
             Stage::Pdr => "pdr",
             Stage::Explicit => "explicit",
         }
@@ -1244,7 +1171,7 @@ impl Stage {
         match self {
             Stage::Cache => "cache.lookup",
             Stage::Fuzz => "engine.fuzz",
-            Stage::QuickBmc | Stage::FullBmc => "engine.bmc",
+            Stage::Bmc => "engine.bmc",
             Stage::Pdr => "engine.pdr",
             Stage::Explicit => "engine.explicit",
         }
@@ -1257,7 +1184,7 @@ impl Stage {
         match self {
             Stage::Cache => ("decided.cache", "undecided.cache.conflicts"),
             Stage::Fuzz => ("decided.fuzz", "undecided.fuzz.conflicts"),
-            Stage::QuickBmc | Stage::FullBmc => ("decided.bmc", "undecided.bmc.conflicts"),
+            Stage::Bmc => ("decided.bmc", "undecided.bmc.conflicts"),
             Stage::Pdr => ("decided.pdr", "undecided.pdr.conflicts"),
             Stage::Explicit => ("decided.explicit", "undecided.explicit.conflicts"),
         }
@@ -1270,7 +1197,7 @@ impl Stage {
         match self {
             Stage::Cache => options.parallel.cache.is_some(),
             Stage::Fuzz => kind == Kind::Safety && options.fuzz.enabled,
-            Stage::QuickBmc | Stage::FullBmc => !options.disable_bmc,
+            Stage::Bmc => !options.disable_bmc,
             Stage::Pdr => !options.disable_pdr,
             Stage::Explicit => !options.disable_explicit,
         }
@@ -1280,10 +1207,9 @@ impl Stage {
 /// Runs one stage on `target`, adding its solver and fuzzer work to
 /// `row`.  `None` when the stage did not decide, within its bounds or
 /// because the task's interrupt fired.  A liveness property runs its own
-/// engine in each stage, on its monitored model: the BMC stages search for
-/// lassos (quick: to `QUICK_BMC_DEPTH`; full: to
-/// [`CheckOptions::lasso_depth`]; both behind the breadth-first filter
-/// under `LASSO_FREE_WORDS`), PDR proves k-liveness, and the explicit
+/// engine in each stage, on its monitored model: the BMC stage searches
+/// for lassos to `BMC_BOUNDS.max_depth`, behind the breadth-first filter
+/// under `LASSO_FREE_WORDS`, PDR proves k-liveness, and the explicit
 /// engine runs its SCC check.
 fn run_stage(
     stage: Stage,
@@ -1295,28 +1221,20 @@ fn run_stage(
     let (model, name, solver) = (target.model(), target.name(), options.solver);
     let limits = ExplicitOptions::default();
     let (verdict, stats) = match (stage, target.goal()) {
-        (Stage::Cache, _) => return lookup(target, options, interrupt),
+        (Stage::Cache, goal) => {
+            let cache = options.parallel.cache.as_ref()?;
+            return cache.lookup(&target.key(options), model, goal, interrupt);
+        }
         (Stage::Fuzz, _) => {
             let (hit, stats) = fuzz_safety_budgeted(model, 0, &options.fuzz, interrupt);
             row.fuzz = Some(stats);
             return hit.map(Verdict::Reached);
         }
-        (Stage::QuickBmc, Goal::Reach(lit)) => {
-            let quick = BmcOptions {
-                max_depth: QUICK_BMC_DEPTH.min(options.bmc.max_depth),
-                max_induction: 3.min(options.bmc.max_induction),
-            };
-            check_target_budgeted(model, lit, name, &quick, solver, interrupt)
+        (Stage::Bmc, Goal::Reach(lit)) => {
+            check_target_budgeted(model, lit, name, &BMC_BOUNDS, solver, interrupt)
         }
-        (Stage::FullBmc, Goal::Reach(lit)) => {
-            check_target_budgeted(model, lit, name, &options.bmc, solver, interrupt)
-        }
-        (Stage::QuickBmc, Goal::Lasso(monitors, _)) => {
-            let depth = QUICK_BMC_DEPTH.min(options.lasso_depth);
-            lasso_search(model, monitors, depth, LASSO_FREE_WORDS, solver, interrupt)
-        }
-        (Stage::FullBmc, Goal::Lasso(monitors, _)) => {
-            let depth = options.lasso_depth;
+        (Stage::Bmc, Goal::Lasso(monitors, _)) => {
+            let depth = BMC_BOUNDS.max_depth;
             lasso_search(model, monitors, depth, LASSO_FREE_WORDS, solver, interrupt)
         }
         (Stage::Pdr, Goal::Reach(lit)) => {
@@ -1334,21 +1252,6 @@ fn run_stage(
     };
     row.stats += stats;
     verdict
-}
-
-/// The cache stage: the verdict the run's proof cache holds for `target`,
-/// once it passed its check.
-fn lookup(target: &Target, options: &CheckOptions, interrupt: &Interrupt) -> Option<Verdict> {
-    let cache = options.parallel.cache.as_ref()?;
-    let key = target.key(options);
-    let max_induction = options.bmc.max_induction;
-    cache.lookup(
-        &key,
-        target.model(),
-        target.goal(),
-        max_induction,
-        interrupt,
-    )
 }
 
 /// Decides one checked property: the [`CASCADE`] stages in order, the
@@ -1442,12 +1345,11 @@ fn run_cascade(
         row.engine = Some(stage.engine());
         return row;
     }
-    if target.kind == Kind::Liveness && Stage::FullBmc.runs(target.kind, options) {
+    if target.kind == Kind::Liveness && Stage::Bmc.runs(target.kind, options) {
         row.note = Some(format!(
-            "bounded lasso search: counterexamples need stem+loop within {} cycles \
-             (CheckOptions::lasso_depth); starvation scenarios with longer stems \
-             would be missed",
-            options.lasso_depth
+            "bounded lasso search: counterexamples need stem+loop within {} cycles; \
+             starvation scenarios with longer stems would be missed",
+            BMC_BOUNDS.max_depth
         ));
     }
     row
@@ -1644,7 +1546,7 @@ endmodule
     /// A single-outstanding echo that answers only after a 7-cycle wait
     /// counter drains.  The `had_a_request` monitor proof needs reachability
     /// information ("the wait counter is only non-zero while busy"), which
-    /// defeats the shallow quick-BMC induction and exercises the PDR stage.
+    /// defeats the BMC stage's shallow induction and exercises the PDR stage.
     const ECHO_SLOW: &str = r#"
 /*AUTOSVA
 slow_txn: req -in> res
@@ -1934,7 +1836,7 @@ endmodule
 
     #[test]
     fn stages_spend_in_cascade_order_with_the_decider_last() {
-        // Optimizer off, so PDR decides `had_a_request` after quick BMC
+        // Optimizer off, so PDR decides `had_a_request` after BMC
         // (see `cascade_runs_pdr_before_the_explicit_fallback`).
         let ft = generate_ft(ECHO_SLOW, &AutosvaOptions::default()).unwrap();
         let mut options = CheckOptions::default();
@@ -2013,12 +1915,12 @@ endmodule
     fn undecided_liveness_reports_the_lasso_bound_caveat() {
         // With PDR and the explicit engine disabled, the (true)
         // eventual-response obligation of the slow echo cannot be decided
-        // by the lasso search alone — the report must say so.
+        // by the lasso search alone — the report must say so.  The BMC
+        // stage is the only one that runs, once.
         let ft = generate_ft(ECHO_SLOW, &AutosvaOptions::default()).unwrap();
         let options = CheckOptions {
             disable_pdr: true,
             disable_explicit: true,
-            lasso_depth: 2,
             ..CheckOptions::default()
         };
         let report = verify(ECHO_SLOW, &ft, &options).unwrap();
@@ -2029,14 +1931,16 @@ endmodule
                 r.class == PropertyClass::Liveness && matches!(r.status, PropertyStatus::Unknown)
             })
             .expect("an undecided liveness property");
+        let engines: Vec<&str> = undecided.stages.iter().map(|s| s.engine).collect();
+        assert_eq!(engines, ["bmc"], "{}", undecided.name);
         let note = undecided.note.as_ref().expect("caveat note attached");
         assert!(
             note.contains("lasso"),
             "note must explain the bound: {note}"
         );
         assert!(
-            note.contains("2"),
-            "note must state the configured bound: {note}"
+            note.contains("within 10 cycles"),
+            "note must state the searched depth: {note}"
         );
         assert!(report.render().contains("note:"));
     }
@@ -2057,8 +1961,8 @@ endmodule
     }
 
     /// A response that fires, with no request, once a counter of `tick`s
-    /// reaches 12: `had_a_request` fails first at cycle 12, deeper than
-    /// `QUICK_BMC_DEPTH`.
+    /// reaches 12: `had_a_request` fails first at cycle 12, deeper than the
+    /// BMC stage searches (`BMC_BOUNDS`).
     const DEEP_GHOST: &str = r#"
 /*AUTOSVA
 deep_txn: req -in> res
@@ -2174,7 +2078,7 @@ endmodule
         let late = row(&cold);
         assert_eq!(late.engine, Some("explicit"), "{}", cold.render());
         let trace = late.status.trace().expect("a counterexample lasso");
-        assert!(trace.len() > options.lasso_depth + 1, "{}", trace.len());
+        assert!(trace.len() > BMC_BOUNDS.max_depth + 1, "{}", trace.len());
         let start = trace.loop_start().expect("a lasso names its loop start");
         assert!(start >= 15, "the stem reaches the saturated age: {start}");
 

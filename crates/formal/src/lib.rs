@@ -69,11 +69,11 @@
 //!   to `Unknown`; a panicking one to `Error` — the run always renders
 //!   a complete report);
 //! * [`checker`] — the driver tying everything together: one loop walks
-//!   each property through the stage list cache → fuzz → quick BMC (with
-//!   k-induction) → PDR → explicit → full-depth BMC on its own slice,
-//!   concurrently, stopping at the first stage that decides, and produces
-//!   deterministic per-property reports with counterexample [`trace`]s
-//!   and the deciding stage as provenance.
+//!   each property through the stage list cache → fuzz → BMC (with
+//!   k-induction, or the lasso search for liveness) → PDR → explicit on
+//!   its own slice, concurrently, stopping at the first stage that decides,
+//!   and produces deterministic per-property reports with counterexample
+//!   [`trace`]s and the deciding stage as provenance.
 //!
 //! # Quick start
 //!

@@ -32,7 +32,7 @@
 //!   and a k-liveness invariant likewise on the k-liveness model built
 //!   from the live slice; a k-induction depth is trusted when this process
 //!   stored it and re-proven on the first hit after loading it from disk
-//!   (or rejected outright when it exceeds the run's own induction bound);
+//!   (or rejected outright when it exceeds the BMC stage's induction bound);
 //!   an explicit-reachability proof never leaves the process and is
 //!   trusted.  An entry that fails its check is evicted and the property
 //!   re-verified from scratch, unless the task's budget cut the check
@@ -44,6 +44,7 @@
 
 use crate::aig::Lit;
 use crate::bmc::{check_target_budgeted, BmcOptions};
+use crate::checker::BMC_BOUNDS;
 use crate::coi::Fingerprint;
 use crate::interrupt::Interrupt;
 use crate::liveness::{KLiveness, Monitors};
@@ -111,8 +112,8 @@ impl ParallelOptions {
     }
 }
 
-/// Runs `run(i, &items[i])` for every item on up to `threads` workers and
-/// returns the results in item order.
+/// Runs `run(item)` for every item on up to `threads` workers and returns
+/// the results in item order.
 ///
 /// Workers self-schedule from a shared queue head, so long-running
 /// properties never block short ones behind a static partition.
@@ -133,7 +134,7 @@ pub(crate) fn run_ordered<T, R, F>(
 where
     T: Sync,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let workers = threads.max(1).min(items.len().max(1));
     if workers <= 1 {
@@ -144,7 +145,7 @@ where
             .enumerate()
             .map(|(i, item)| {
                 crate::telemetry::gauge("pool.queue_depth", items.len().saturating_sub(i) as u64);
-                catch_unwind(AssertUnwindSafe(|| run(i, item))).ok()
+                catch_unwind(AssertUnwindSafe(|| run(item))).ok()
             })
             .collect();
     }
@@ -165,7 +166,7 @@ where
                         "pool.queue_depth",
                         items.len().saturating_sub(i) as u64,
                     );
-                    let r = catch_unwind(AssertUnwindSafe(|| run(i, &items[i])));
+                    let r = catch_unwind(AssertUnwindSafe(|| run(&items[i])));
                     // Recover rather than propagate poisoning: the vector
                     // of `Option` slots is always in a consistent state
                     // (each slot is written exactly once, after its run),
@@ -288,10 +289,9 @@ struct CacheInner {
 /// module documentation).
 ///
 /// Each verdict is keyed by the slice fingerprint, a digest of the engine
-/// options that shape its artifact (which stages ran, the BMC and
-/// k-induction bounds and the solver features) and the property name, so a
-/// run takes only what a run with the same engine options stored and
-/// renders like a cold run.
+/// options that shape its artifact (which stages ran and the solver
+/// features) and the property name, so a run takes only what a run with
+/// the same engine options stored and renders like a cold run.
 ///
 /// A cache opened with [`ProofCache::open`] is backed by a versioned
 /// on-disk spill file (`autosva-proof-cache v4`): entries load at open time
@@ -495,15 +495,13 @@ impl ProofCache {
     /// property is re-verified from scratch.  A check that failed because
     /// `interrupt` fired (the task's budget ran out during a re-proof) says
     /// nothing about the entry: it counts as a miss and the entry stays.
-    /// `max_induction` is the run's induction bound for the property, and
-    /// `interrupt` its task budget: both bound the re-proof of a
-    /// disk-loaded k-induction entry.
+    /// The BMC stage's induction bound and `interrupt`, the task budget,
+    /// bound the re-proof of a disk-loaded k-induction entry.
     pub(crate) fn lookup(
         &self,
         key: &CacheKey,
         model: &Model,
         goal: Goal<'_>,
-        max_induction: usize,
         interrupt: &Interrupt,
     ) -> Option<Verdict> {
         let entry = {
@@ -531,12 +529,12 @@ impl ProofCache {
             // In-process entries are trusted on the fingerprint match (the
             // verdict was computed by this process); disk-loaded entries
             // are re-proven at their recorded depth once.  A depth beyond
-            // the run's own bound cannot come from this configuration and
+            // the BMC stage's induction bound cannot come from any run and
             // is rejected without a re-proof, whose cost grows steeply with
             // the depth.
             (Verdict::Unreachable(Certificate::Induction(depth)), Goal::Reach(target)) => {
                 !entry.unvalidated
-                    || (*depth <= max_induction
+                    || (*depth <= BMC_BOUNDS.max_induction
                         && induction_reproves(model, target, &key.property, *depth, interrupt))
             }
             (Verdict::Unreachable(Certificate::Invariant(invariant)), Goal::Reach(target)) => {
@@ -590,14 +588,14 @@ const CACHE_FILE: &str = "proofs.cache";
 /// liveness entry speaks of the product's latches.
 const CACHE_HEADER: &str = "autosva-proof-cache v4";
 /// Sanity bounds on parsed entries.  Legitimate artifacts sit far below
-/// these (induction depths ≤ the configured `max_induction`, traces ≤ the
-/// BMC bound, invariants ≤ a few hundred clauses); anything larger is a
-/// forged or corrupted entry, dropped at parse time so that a huge count
-/// cannot allocate unboundedly before validation could say no.  The
-/// depth bound does not make a re-proof cheap, because its cost grows
-/// steeply with the depth even on a small cone, so `ProofCache::lookup`
-/// also rejects any induction depth above the run's own bound before
-/// re-proving.
+/// these (induction depths ≤ the BMC stage's induction bound, traces of a
+/// few dozen cycles on the corpus, invariants ≤ a few hundred clauses);
+/// anything larger is a forged or corrupted entry, dropped at parse time so
+/// that a huge count cannot allocate unboundedly before validation could
+/// say no.  The depth bound does not make a re-proof cheap, because its
+/// cost grows steeply with the depth even on a small cone, so
+/// `ProofCache::lookup` also rejects any induction depth above the BMC
+/// stage's bound before re-proving.
 const MAX_CACHE_DEPTH: usize = 256;
 const MAX_CACHE_CLAUSES: usize = 65_536;
 const MAX_CACHE_CYCLES: usize = 65_536;
@@ -791,7 +789,7 @@ fn parse_verdict(lines: &mut Lines<'_>) -> Option<Verdict> {
         "induction" => {
             let depth: usize = rest.parse().ok()?;
             // Real induction depths are two orders below this; the lookup
-            // bounds the re-proof by the run's own induction bound.
+            // bounds the re-proof by the BMC stage's induction bound.
             if depth > MAX_CACHE_DEPTH {
                 return None;
             }
@@ -874,10 +872,10 @@ fn clauses_fit_model(model: &Model, clauses: &[Vec<Lit>]) -> bool {
 /// Re-validates a cached k-induction verdict by actually re-proving it:
 /// BMC up to the recorded depth must stay counterexample-free and the
 /// induction step must close by then.  The caller caps the depth at the
-/// run's induction bound (the deep proofs go to PDR and carry certificates
-/// instead) and the task's interrupt bounds the rest, so a stale or forged
-/// entry turns into a rejection rather than a bogus "proven" row or a
-/// stalled run.
+/// BMC stage's induction bound (the deep proofs go to PDR and carry
+/// certificates instead) and the task's interrupt bounds the rest, so a
+/// stale or forged entry turns into a rejection rather than a bogus
+/// "proven" row or a stalled run.
 fn induction_reproves(
     model: &Model,
     target: Lit,
@@ -921,9 +919,9 @@ mod tests {
     use crate::model::BadProperty;
     use std::time::Instant;
 
-    /// Looks `key()` up with a generous induction bound and no budget.
+    /// Looks `key()` up with no budget.
     fn lookup(cache: &ProofCache, model: &Model, target: Lit) -> Option<Verdict> {
-        cache.lookup(&key(), model, Goal::Reach(target), 12, &Interrupt::none())
+        cache.lookup(&key(), model, Goal::Reach(target), &Interrupt::none())
     }
 
     /// A k-induction proof at `depth`.
@@ -945,10 +943,7 @@ mod tests {
             &items,
             8,
             &crate::telemetry::Telemetry::disabled(),
-            |i, &item| {
-                assert_eq!(i, item);
-                item * 2
-            },
+            |&item| item * 2,
         );
         let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, (0..64).map(|i| i * 2).collect::<Vec<_>>());
@@ -957,18 +952,12 @@ mod tests {
     #[test]
     fn run_ordered_sequential_matches_parallel() {
         let items: Vec<usize> = (0..32).collect();
-        let seq = run_ordered(
-            &items,
-            1,
-            &crate::telemetry::Telemetry::disabled(),
-            |_, &x| x + 1,
-        );
-        let par = run_ordered(
-            &items,
-            4,
-            &crate::telemetry::Telemetry::disabled(),
-            |_, &x| x + 1,
-        );
+        let seq = run_ordered(&items, 1, &crate::telemetry::Telemetry::disabled(), |&x| {
+            x + 1
+        });
+        let par = run_ordered(&items, 4, &crate::telemetry::Telemetry::disabled(), |&x| {
+            x + 1
+        });
         assert_eq!(seq, par);
     }
 
@@ -982,7 +971,7 @@ mod tests {
                 &items,
                 threads,
                 &crate::telemetry::Telemetry::disabled(),
-                |_, &x| {
+                |&x| {
                     assert_ne!(x, 3, "item 3 panics");
                     x
                 },
@@ -1326,13 +1315,13 @@ mod tests {
         };
         let none = Interrupt::none();
         assert!(cache
-            .lookup(&other_key, &model, Goal::Reach(q), 12, &none)
+            .lookup(&other_key, &model, Goal::Reach(q), &none)
             .is_none());
         assert_eq!(cache.stats().misses, 1);
         // So does the same property checked with other engine options.
         let other_options = CacheKey { config: 4, ..key() };
         assert!(cache
-            .lookup(&other_options, &model, Goal::Reach(q), 12, &none)
+            .lookup(&other_options, &model, Goal::Reach(q), &none)
             .is_none());
         assert_eq!(cache.stats().misses, 2);
     }
@@ -1361,20 +1350,18 @@ mod tests {
 
     #[test]
     fn disk_induction_entries_deeper_than_the_run_bound_reject_without_a_reproof() {
-        // The safe model really is 1-inductive, so a re-proof at depth 5
-        // would succeed: only the bound can reject this entry.
+        // The safe model really is 1-inductive, so a re-proof one step
+        // beyond the BMC stage's induction bound would succeed: only the
+        // bound can reject this entry.
         let dir = scratch_dir("induction-too-deep");
         {
             let cache = ProofCache::open(&dir);
-            cache.store(key(), induction(5));
+            cache.store(key(), induction(BMC_BOUNDS.max_induction + 1));
             cache.flush().expect("flush");
         }
         let (model, q) = safe_model();
         let cache = ProofCache::open(&dir);
-        let none = Interrupt::none();
-        assert!(cache
-            .lookup(&key(), &model, Goal::Reach(q), 4, &none)
-            .is_none());
+        assert!(lookup(&cache, &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
         assert!(cache.is_empty(), "rejected entries must be evicted");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1395,7 +1382,7 @@ mod tests {
         let cache = ProofCache::open(&dir);
         let expired = Interrupt::new(Some(Instant::now()), None);
         assert!(cache
-            .lookup(&key(), &model, Goal::Reach(q), 12, &expired)
+            .lookup(&key(), &model, Goal::Reach(q), &expired)
             .is_none());
         let stats = cache.stats();
         assert_eq!((stats.rejected, stats.misses), (0, 1));
@@ -1537,19 +1524,17 @@ mod tests {
         let cache = ProofCache::open(&dir);
         assert_eq!(cache.len(), 2);
         let starved_goal = Goal::Lasso(&starved_monitors, &starved_klive);
-        match cache.lookup(&key("lasso"), &starved, starved_goal, 12, &none) {
+        match cache.lookup(&key("lasso"), &starved, starved_goal, &none) {
             Some(Verdict::Reached(hit)) => assert_eq!(hit, lasso),
             other => panic!("expected the lasso, got {other:?}"),
         }
         let goal = Goal::Lasso(&monitors, &klive);
-        match cache.lookup(&key("proof"), &granted, goal, 12, &none) {
+        match cache.lookup(&key("proof"), &granted, goal, &none) {
             Some(Verdict::Unreachable(Certificate::KLiveness { k: hit, .. })) => assert_eq!(hit, k),
             other => panic!("expected the k-liveness proof, got {other:?}"),
         }
         // A lasso of the starved obligation is no lasso of the granted one.
-        assert!(cache
-            .lookup(&key("lasso"), &granted, goal, 12, &none)
-            .is_none());
+        assert!(cache.lookup(&key("lasso"), &granted, goal, &none).is_none());
         assert_eq!(cache.stats().rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1580,7 +1565,7 @@ mod tests {
         .unwrap();
         let cache = ProofCache::open(&dir);
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key(), &model, goal, 12, &none).is_none());
+        assert!(cache.lookup(&key(), &model, goal, &none).is_none());
         assert_eq!(cache.stats().rejected, 1);
         // (c) a clause over a latch the k-liveness model lacks, next to one
         // the initial state satisfies: rejected instead of panicking in the
@@ -1592,7 +1577,7 @@ mod tests {
         )
         .unwrap();
         let cache = ProofCache::open(&dir);
-        assert!(cache.lookup(&key(), &model, goal, 12, &none).is_none());
+        assert!(cache.lookup(&key(), &model, goal, &none).is_none());
         assert_eq!(cache.stats().rejected, 1);
         // (d) a safety certificate answers no liveness goal.
         std::fs::write(
@@ -1601,7 +1586,7 @@ mod tests {
         )
         .unwrap();
         let cache = ProofCache::open(&dir);
-        assert!(cache.lookup(&key(), &model, goal, 12, &none).is_none());
+        assert!(cache.lookup(&key(), &model, goal, &none).is_none());
         assert_eq!(cache.stats().rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -419,36 +419,35 @@ fn generous_timeout_renders_identically_to_unbounded() {
     }
 }
 
-/// End to end, a 50 ms property budget on a BMC-hard instance comes back
-/// `Unknown` with a note naming the engine.  The promptness contract
-/// itself is asserted on the deterministic step budget below; the wall
-/// clock here is only a loose sanity bound (10x the budget) that machine
-/// load alone should not break.
+/// End to end, a 50 ms property budget on a BMC stage that overruns it
+/// comes back `Unknown` with a note naming the engine.  The promptness
+/// contract itself is asserted on the deterministic step budget below; the
+/// wall clock here is only a loose sanity bound (10x the budget) that
+/// machine load alone should not break.
 #[test]
 fn hard_bmc_instance_times_out_promptly_with_an_engine_note() {
     let timeout = Duration::from_millis(50);
-    // No induction and a practically unbounded depth: full-depth BMC
-    // grinds depth after depth and can only be stopped by the budget.
     let mut options = CheckOptions {
-        bmc: BmcOptions {
-            max_depth: 1_000_000,
-            max_induction: 0,
-        },
         disable_pdr: true,
         disable_explicit: true,
         ..CheckOptions::default()
     };
+    options.fuzz.enabled = false;
     options.parallel.threads = 1;
     options.parallel.property_timeout = Some(timeout);
-    let report = run_with(&options);
+    let target = first_safety_assertion(&run_with(&options));
+    // Fuzzing is off, so BMC is the target's first stage, and its first
+    // depth step stalls past the budget: only the budget can stop it.
+    let stall = FaultAction::Delay(2 * timeout);
+    let report = run_with(&with_fault(&options, "bmc.depth_step", stall, &target));
     let budgeted: Vec<&PropertyResult> = report
         .results
         .iter()
         .filter(|r| r.note.as_deref() == Some("undecided: budget exhausted in bmc"))
         .collect();
     assert!(
-        !budgeted.is_empty(),
-        "no property hit the bmc budget:\n{}",
+        budgeted.iter().any(|r| r.name == target),
+        "{target} did not hit the bmc budget:\n{}",
         report.render()
     );
     for r in budgeted {

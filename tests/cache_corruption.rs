@@ -158,7 +158,7 @@ fn forge_induction_depth(spill: &str, property: &str, depth: usize) -> String {
     out.join("\n") + "\n"
 }
 
-/// A spill entry claiming a k-induction proof deeper than the run's own
+/// A spill entry claiming a k-induction proof deeper than the BMC stage's
 /// induction bound is rejected without a re-proof.  Re-proving this
 /// 13-latch cone at depth 40 costs far more than the whole run, which must
 /// return promptly with the cold run's verdicts.

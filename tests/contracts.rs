@@ -23,7 +23,6 @@ use autosva::sva::Directive;
 use autosva::{FormalTestbench, PropertyClass};
 use autosva_bench::{build_testbench, default_check_options, status_counts};
 use autosva_designs::{all_cases, elaborated, DesignCase, Variant};
-use autosva_formal::bmc::BmcOptions;
 use autosva_formal::checker::{
     verify, verify_elaborated, CheckOptions, PropertyResult, PropertyStatus, VerificationReport,
 };
@@ -473,14 +472,9 @@ fn pdr_designs(run: &Run) -> bool {
     run.variant == Variant::Fixed && ["A1", "A2", "O1", "O2"].contains(&run.case.id)
 }
 
-/// The explicit engine off and the bounds of the bounded-engine runs.
+/// The explicit engine off: the bounded-engine runs.
 fn bounded(options: &mut CheckOptions) {
     options.disable_explicit = true;
-    options.bmc = BmcOptions {
-        max_depth: 15,
-        max_induction: 10,
-    };
-    options.lasso_depth = 10;
 }
 
 fn no_check(_: &VerificationReport, _: &Run, _: &mut Corpus) {}

@@ -8,7 +8,7 @@
 
 use autosva_bench::{build_testbench, default_check_options, run_case, status_counts};
 use autosva_designs::{all_cases, by_id, elaborated, PaperOutcome, Variant};
-use autosva_formal::bmc::check_target_budgeted;
+use autosva_formal::bmc::{check_target_budgeted, BmcOptions};
 use autosva_formal::checker::{verify_elaborated, Proof, PropertyStatus};
 use autosva_formal::explicit::{self, ExplicitOptions};
 use autosva_formal::interrupt::Interrupt;
@@ -227,15 +227,18 @@ fn o2_scaled_l15_proof_closes_via_pdr_not_explicit() {
     }
 
     // On the full 36-latch model, neither the explicit engine nor BMC with
-    // k-induction to the harness's bounds can close the proof, which is
-    // exactly the cliff the PDR stage removes.
+    // k-induction to depths 25 and 10, well past the BMC stage's, can close
+    // the proof, which is exactly the cliff the PDR stage removes.
     let limits = ExplicitOptions::default();
     let verdict = explicit::reach(&compiled.model, bad, &limits, &Interrupt::none());
     assert!(
         verdict.is_none(),
         "the explicit engine must not close the scaled proof on the full model, got {verdict:?}"
     );
-    let bounds = default_check_options(&case, Variant::Fixed).bmc;
+    let bounds = BmcOptions {
+        max_depth: 25,
+        max_induction: 10,
+    };
     let (verdict, _) = check_target_budgeted(
         &compiled.model,
         bad,
